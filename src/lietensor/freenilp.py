@@ -23,6 +23,7 @@ from typing import Optional
 from .errors import InternalCheckError
 from .fields import QQ, Field
 from .liealg import LieAlgebra
+from .linalg import SpanBuilder
 
 
 @dataclass(frozen=True)
@@ -141,53 +142,29 @@ def _integer_structure(d: int, c: int):
     mono_index = {m: i for i, m in enumerate(monomials)}
     nm = len(monomials)
 
-    one = QQ.one
-    # Row-reduce the expansion matrix while tracking the combination of
-    # original rows, so arbitrary vectors can be expressed in the Hall basis.
-    reduced: dict[int, tuple[list, list]] = {}
+    # Each expansion enters with an identity tail at column nm + r, so the
+    # echelon rows record which combination of expansions they are.  Reducing
+    # a polynomial in their span clears its monomial part and leaves minus
+    # its Hall coordinates in the tail.
+    builder = SpanBuilder(QQ, nm + nw)
     for r, e in enumerate(expansions):
-        row = [QQ.zero] * nm
-        for m, v in e.items():
-            row[mono_index[m]] = QQ.scalar(v)
-        comb = [QQ.zero] * nw
-        comb[r] = one
-        for p, (prow, pcomb) in reduced.items():
-            f = row[p]
-            if f:
-                row = [x - f * y for x, y in zip(row, prow)]
-                comb = [x - f * y for x, y in zip(comb, pcomb)]
-        pivot = next((j for j, x in enumerate(row) if x), None)
-        if pivot is None:
-            raise InternalCheckError("Hall expansions are not independent")
-        inv = row[pivot]
-        if inv != one:
-            row = [x / inv for x in row]
-            comb = [x / inv for x in comb]
-        for p, (prow, pcomb) in reduced.items():
-            f = prow[pivot]
-            if f:
-                reduced[p] = ([x - f * y for x, y in zip(prow, row)],
-                              [x - f * y for x, y in zip(pcomb, comb)])
-        reduced[pivot] = (row, comb)
+        row = {mono_index[m]: QQ.scalar(v) for m, v in e.items()}
+        row[nm + r] = QQ.one
+        builder.insert(row)
+    if any(p >= nm for p in builder.pivots):
+        raise InternalCheckError("Hall expansions are not independent")
 
     def express(poly: dict) -> list[int]:
-        vec = [QQ.zero] * nm
-        for m, v in poly.items():
-            vec[mono_index[m]] = QQ.scalar(v)
-        coords = [QQ.zero] * nw
-        for p, (prow, pcomb) in reduced.items():
-            f = vec[p]
-            if f:
-                vec = [x - f * y for x, y in zip(vec, prow)]
-                coords = [x + f * y for x, y in zip(coords, pcomb)]
-        if any(vec):
-            raise InternalCheckError("bracket does not lie in the Hall span")
-        out = []
-        for x in coords:
+        rest = builder.reduce({mono_index[m]: QQ.scalar(v)
+                               for m, v in poly.items()})
+        coords = [0] * nw
+        for j, x in rest.items():
+            if j < nm:
+                raise InternalCheckError("bracket does not lie in the Hall span")
             if x.denominator != 1:
                 raise InternalCheckError("non-integral Hall coordinate")
-            out.append(int(x))
-        return out
+            coords[j - nm] = -int(x)
+        return coords
 
     table = [[None] * nw for _ in range(nw)]
     zero_row = (0,) * nw

@@ -2,20 +2,28 @@
 sums, intersections and quotient structures.
 
 Every subspace is stored by the unique reduced row-echelon basis of its row
-span, so subspace equality is plain structural equality.  All elimination is
-leftmost-pivot / topmost-row, which (with exact arithmetic) makes every
-downstream basis, complement and report bit-reproducible.  Matrices are dense;
-ambient dimensions in this package stay below a few hundred.
+span, so subspace equality is plain structural equality, and every downstream
+basis, complement and report is bit-reproducible.  All elimination goes
+through SpanBuilder, which keeps its echelon rows sparse as
+{pivot: {column: value}}: relation vectors touch a handful of the n^2
+coordinates, so reductions cost the nonzeros they meet, not the ambient
+width.  Matrices and the vectors exchanged with callers stay dense tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .fields import Field, Scalar
 
 Vector = tuple[Scalar, ...]
+SparseVector = dict[int, Scalar]
+
+
+def _sparse(v: Sequence[Scalar]) -> SparseVector:
+    return {j: x for j, x in enumerate(v) if x}
 
 
 @dataclass(frozen=True, repr=False)
@@ -78,6 +86,11 @@ class Matrix:
         return tuple(sum((row[j] * vj for j, vj in nz), z)
                      for row in self.entries)
 
+    def select_columns(self, cols: Sequence[int]) -> "Matrix":
+        """The submatrix on the given columns, in the given order."""
+        return Matrix(self.field, self.rows, len(cols),
+                      tuple(tuple(r[c] for c in cols) for r in self.entries))
+
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
@@ -95,29 +108,10 @@ class Matrix:
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Unique reduced row-echelon basis of the row space of m (no zero rows),
     together with its pivot columns."""
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        if inv != m.field.one:
-            rows[r] = [x / inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    reduced = Matrix(m.field, len(pivots), ncols,
-                     tuple(tuple(row) for row in rows[:len(pivots)]))
-    return reduced, tuple(pivots)
+    builder = SpanBuilder(m.field, m.cols)
+    builder.add_all(m.entries)
+    space = builder.subspace()
+    return space.basis, space.pivots
 
 
 @dataclass(frozen=True)
@@ -141,8 +135,7 @@ class Subspace:
     def span(cls, field: Field, ambient_dim: int,
              vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
         b = SpanBuilder(field, ambient_dim)
-        for v in vectors:
-            b.add(v)
+        b.add_all(vectors)
         return b.subspace()
 
     @classmethod
@@ -159,19 +152,23 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
+    @cached_property
+    def _echelon(self) -> "SpanBuilder":
+        builder = SpanBuilder(self.field, self.ambient_dim)
+        builder._rows = {p: _sparse(row)
+                         for p, row in zip(self.pivots, self.basis.entries)}
+        return builder
+
     def reduce(self, v: Sequence[Scalar]) -> Vector:
         """Canonical residual of v after clearing all pivot coordinates."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient mismatch")
-        out = list(v)
-        for row, p in zip(self.basis.entries, self.pivots):
-            f = out[p]
-            if f:
-                out = [a - f * b for a, b in zip(out, row)]
-        return tuple(out)
+        rest = self._echelon.reduce(_sparse(v))
+        zero = self.field.zero
+        return tuple(rest.get(j, zero) for j in range(self.ambient_dim))
 
     def contains(self, v: Sequence[Scalar]) -> bool:
-        return not any(self.reduce(v))
+        return self._echelon.contains(v)
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis.entries)
@@ -180,58 +177,87 @@ class Subspace:
 class SpanBuilder:
     """Incrementally accumulates the row span of vectors, kept in RREF.
 
-    The finished subspace is independent of insertion order (RREF is unique),
-    so parallel generation of candidate vectors never affects the result.
+    Rows are stored sparse, keyed by pivot, and fully reduced: each row is 1
+    at its own pivot and 0 at every other pivot.  Reducing a vector therefore
+    subtracts, for each pivot p in its support, its original coordinate at p
+    times row p, in any order.  The finished subspace is independent of
+    insertion order (RREF is unique).
     """
 
     def __init__(self, field: Field, ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._rows: dict[int, list[Scalar]] = {}
+        self._rows: dict[int, SparseVector] = {}
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def reduce(self, v: Sequence[Scalar]) -> list[Scalar]:
-        out = list(v)
-        for p, row in self._rows.items():
-            f = out[p]
-            if f:
-                out = [a - f * b for a, b in zip(out, row)]
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(sorted(self._rows))
+
+    def reduce(self, v: SparseVector) -> SparseVector:
+        """Canonical residual of a sparse vector {column: nonzero value}."""
+        out = dict(v)
+        for p, f in v.items():
+            row = self._rows.get(p)
+            if row is not None:
+                _subtract(out, f, row)
         return out
 
     def contains(self, v: Sequence[Scalar]) -> bool:
-        return not any(self.reduce(v))
-
-    def add(self, v: Sequence[Scalar]) -> bool:
-        """Insert one vector; returns True if it enlarged the span."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient mismatch")
+        return not self.reduce(_sparse(v))
+
+    def insert(self, v: SparseVector) -> bool:
+        """Insert one sparse vector {column: nonzero value}; returns True if
+        it enlarged the span."""
         out = self.reduce(v)
-        pivot = next((j for j, x in enumerate(out) if x), None)
-        if pivot is None:
+        if not out:
             return False
+        pivot = min(out)
         inv = out[pivot]
         if inv != self.field.one:
-            out = [x / inv for x in out]
-        for p, row in self._rows.items():
-            f = row[pivot]
+            out = {j: x / inv for j, x in out.items()}
+        for row in self._rows.values():
+            f = row.get(pivot)
             if f:
-                self._rows[p] = [a - f * b for a, b in zip(row, out)]
+                _subtract(row, f, out)
         self._rows[pivot] = out
         return True
+
+    def add(self, v: Sequence[Scalar]) -> bool:
+        """Insert one dense vector; returns True if it enlarged the span."""
+        if len(v) != self.ambient_dim:
+            raise ValueError("ambient mismatch")
+        return self.insert(_sparse(v))
 
     def add_all(self, vectors: Iterable[Sequence[Scalar]]) -> None:
         for v in vectors:
             self.add(v)
 
     def subspace(self) -> Subspace:
-        pivots = tuple(sorted(self._rows))
-        basis = Matrix.from_rows(self.field,
-                                 [self._rows[p] for p in pivots],
-                                 cols=self.ambient_dim)
+        pivots = self.pivots
+        zero = self.field.zero
+        basis = Matrix.from_rows(
+            self.field,
+            [tuple(self._rows[p].get(j, zero) for j in range(self.ambient_dim))
+             for p in pivots],
+            cols=self.ambient_dim)
         return Subspace(self.field, self.ambient_dim, basis, pivots)
+
+
+def _subtract(out: SparseVector, f: Scalar, row: SparseVector) -> None:
+    """out -= f * row in place, dropping the entries that cancel."""
+    for j, x in row.items():
+        y = out.get(j)
+        y = -(f * x) if y is None else y - f * x
+        if y:
+            out[j] = y
+        else:
+            del out[j]
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -260,27 +286,22 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked coefficient system.
+    """Intersection by the Zassenhaus rule.
 
-    A row kernel vector (u, v) of the stacked basis matrix [A; -B] encodes
-    u*A = v*B, i.e. one element of the intersection.
+    In the span of the rows (u, u) for u in a and (w, 0) for w in b, the
+    vectors with zero first half are exactly (0, v) with v in both, and the
+    echelon rows with a pivot in the second half are a basis of them.
     """
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise ValueError("ambient mismatch")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero_space(a.field, a.ambient_dim)
-    stacked = Matrix.from_rows(
-        a.field,
-        list(a.basis.entries) + [tuple(-x for x in r) for r in b.basis.entries],
-        cols=a.ambient_dim)
-    left_null = kernel(stacked.transpose())
-    vecs = []
-    for coeffs in left_null.basis.entries:
-        u = coeffs[:a.dim]
-        vecs.append([sum((ui * row[j] for ui, row in zip(u, a.basis.entries) if ui),
-                         a.field.zero)
-                     for j in range(a.ambient_dim)])
-    return Subspace.span(a.field, a.ambient_dim, vecs)
+    n = a.ambient_dim
+    zeros = (a.field.zero,) * n
+    stacked = Subspace.span(a.field, 2 * n,
+                            [r + r for r in a.basis.entries]
+                            + [r + zeros for r in b.basis.entries])
+    return Subspace.span(a.field, n, [r[n:] for r, p in
+                                      zip(stacked.basis.entries, stacked.pivots)
+                                      if p >= n])
 
 
 def complement_within(inner: Subspace, outer: Subspace) -> Subspace:
@@ -308,9 +329,7 @@ class QuotientStructure:
 
     sub: Subspace
     free_cols: tuple[int, ...]
-    coset_reps: tuple[Vector, ...]
     project: Matrix
-    lift: Matrix
 
     def __repr__(self):
         name = self.sub.field.name
@@ -324,6 +343,21 @@ class QuotientStructure:
     @property
     def dim(self) -> int:
         return self.project.rows
+
+    @property
+    def lift(self) -> Matrix:
+        """Matrix of lift_vec, built on demand: a 0/1 column selector, so
+        code that would multiply by it selects free_cols instead."""
+        return Matrix.from_rows(self.sub.field, self.coset_reps,
+                                cols=self.ambient_dim).transpose()
+
+    @property
+    def coset_reps(self) -> tuple[Vector, ...]:
+        """The standard basis vectors at free_cols, built on demand."""
+        zero, one = self.sub.field.zero, self.sub.field.one
+        return tuple(tuple(one if j == c else zero
+                           for j in range(self.ambient_dim))
+                     for c in self.free_cols)
 
     def project_vec(self, v: Sequence[Scalar]) -> Vector:
         reduced = self.sub.reduce(v)
@@ -340,11 +374,6 @@ def quotient_structure(ambient_dim: int, sub: Subspace) -> QuotientStructure:
     zero, one = field.zero, field.one
     pivot_set = set(sub.pivots)
     free = [j for j in range(ambient_dim) if j not in pivot_set]
-    reps = []
-    for c in free:
-        e = [zero] * ambient_dim
-        e[c] = one
-        reps.append(tuple(e))
     # project(v)[r] reads coordinate free[r] of the canonical residual of v.
     proj_rows = []
     for c in free:
@@ -354,21 +383,15 @@ def quotient_structure(ambient_dim: int, sub: Subspace) -> QuotientStructure:
             row[p] = -brow[c]
         proj_rows.append(row)
     project = Matrix.from_rows(field, proj_rows, cols=ambient_dim)
-    lift = Matrix.from_rows(field,
-                            [[one if free[r] == i else zero
-                              for r in range(len(free))]
-                             for i in range(ambient_dim)],
-                            cols=len(free))
-    return QuotientStructure(sub, tuple(free), tuple(reps), project, lift)
+    return QuotientStructure(sub, tuple(free), project)
 
 
 def solve(m: Matrix, rhs: Sequence[Scalar]) -> Optional[Vector]:
     """One exact solution x of m x = rhs (free variables set to 0), or None."""
     if len(rhs) != m.rows:
         raise ValueError("dimension mismatch")
-    aug = Matrix.from_rows(m.field,
-                           [list(r) + [b] for r, b in zip(m.entries, rhs)]
-                           or [], cols=m.cols + 1)
+    aug = Matrix(m.field, m.rows, m.cols + 1,
+                 tuple(r + (b,) for r, b in zip(m.entries, rhs)))
     reduced, pivots = rref(aug)
     if m.cols in pivots:
         return None
@@ -382,10 +405,8 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("not square")
     n = m.rows
-    aug = Matrix.from_rows(
-        m.field,
-        [list(r) + list(i) for r, i in zip(m.entries, Matrix.identity(m.field, n).entries)]
-        or [], cols=2 * n)
+    eye = Matrix.identity(m.field, n).entries
+    aug = Matrix(m.field, n, 2 * n, tuple(r + i for r, i in zip(m.entries, eye)))
     reduced, pivots = rref(aug)
     if tuple(pivots) != tuple(range(n)):
         raise ValueError("matrix is singular")

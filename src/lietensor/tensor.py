@@ -127,7 +127,7 @@ class TensorSquare:
         for row in self.relation_space.basis.entries:
             if any(amb.apply(row)):
                 raise InternalCheckError("commutator map does not kill a relation")
-        kappa = LinearMap(amb.matrix.mul(self.quotient.lift))
+        kappa = LinearMap(amb.matrix.select_columns(self.quotient.free_cols))
         for a in range(self.dim):
             ea = self.algebra.basis_vector(a)
             ka = kappa.apply(ea)
@@ -146,7 +146,8 @@ class TensorSquare:
             if any(kappa.apply(row)):
                 raise InternalCheckError(
                     "commutator map does not vanish on the square submodule")
-        induced = LinearMap(kappa.matrix.mul(self._exterior_lift))
+        free = quotient_structure(self.dim, self.square_submodule).free_cols
+        induced = LinearMap(kappa.matrix.select_columns(free))
         return induced.kernel()
 
     def _center_from(self, pure_of) -> Subspace:
@@ -318,7 +319,7 @@ class TensorSquare:
             if any(amb.apply(row)):
                 raise InvalidInputError(
                     "pairing does not vanish on the tensor relations")
-        zeta = LinearMap(amb.matrix.mul(self.quotient.lift))
+        zeta = LinearMap(amb.matrix.select_columns(self.quotient.free_cols))
         for i in range(n):
             for j in range(n):
                 if zeta.apply(self.pure(i, j)) != tuple(rho.table[i][j]):
@@ -523,7 +524,7 @@ def induced_map(src: TensorSquare, f: LinearMap, dst: TensorSquare) -> LinearMap
     for row in src.relation_space.basis.entries:
         if any(amb.apply(row)):
             raise InternalCheckError("induced map does not kill a relation")
-    return LinearMap(amb.matrix.mul(src.quotient.lift))
+    return LinearMap(amb.matrix.select_columns(src.quotient.free_cols))
 
 
 @dataclass(frozen=True)

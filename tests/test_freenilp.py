@@ -2,7 +2,7 @@ import pytest
 import sympy
 
 from lietensor import GF, QQ, free_nilpotent, hall_words, witt_dimension
-from lietensor.freenilp import HallWord, mobius
+from lietensor.freenilp import HallWord, _commutator, _expansion, mobius
 
 
 def test_mobius_against_sympy():
@@ -114,3 +114,21 @@ def test_hall_word_ordering():
     w = HallWord(2, left=b, right=a)
     assert a < b < w
     assert w <= w and not w < w
+
+
+@pytest.mark.parametrize("d,c", [(2, 4), (3, 3)])
+def test_brackets_expand_to_associative_commutators(d, c):
+    # No elimination involved: expanding table[i][j] back through the Hall
+    # expansions must give the commutator of the two expansions.  Jacobi and
+    # dimension checks cannot see a global sign error in the table; this can.
+    F = free_nilpotent(d, c)
+    memo: dict = {}
+    expansions = [_expansion(w, c, memo) for w in F.words]
+    for i, ei in enumerate(expansions):
+        for j, ej in enumerate(expansions):
+            combo: dict = {}
+            for k, x in enumerate(F.algebra.table[i][j]):
+                for m, v in expansions[k].items():
+                    combo[m] = combo.get(m, 0) + x * v
+            assert {m: v for m, v in combo.items() if v} == \
+                _commutator(ei, ej, c), (i, j)

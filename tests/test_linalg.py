@@ -1,13 +1,15 @@
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lietensor.fields import GF, QQ
-from lietensor.linalg import (LinearMap, Matrix, Subspace, complement_within,
-                              inverse, kernel, quotient_structure, rref,
-                              solve, subspace_intersect, subspace_sum)
+from lietensor.linalg import (LinearMap, Matrix, SpanBuilder, Subspace,
+                              complement_within, inverse, kernel,
+                              quotient_structure, rref, solve,
+                              subspace_intersect, subspace_sum)
 
-from support import sympy_nullity, sympy_rank
+from support import sympy_nullity, sympy_rank, to_sympy
 
 
 def mat(field, rows, cols=None):
@@ -218,3 +220,24 @@ def test_rref_entries_are_canonical(m):
     for row in r.entries:
         for x in row:
             assert x.denominator > 0
+
+
+@settings(deadline=None)
+@given(matrices(), st.data())
+def test_span_builder_is_order_independent(m, data):
+    def built(rows):
+        builder = SpanBuilder(m.field, m.cols)
+        builder.add_all(rows)
+        return builder.subspace()
+
+    shuffled = data.draw(st.permutations(m.entries))
+    reduced, pivots = rref(m)
+    assert built(shuffled) == built(m.entries) == \
+        Subspace(m.field, m.cols, reduced, pivots)
+    if m.field.is_rational and m.rows:
+        # sympy's RREF never goes through the package's elimination.
+        oracle, oracle_pivots = sympy.Matrix(
+            [[to_sympy(x) for x in r] for r in m.entries]).rref()
+        assert pivots == tuple(oracle_pivots)
+        assert [[to_sympy(x) for x in r] for r in reduced.entries] == \
+            oracle.tolist()[:len(pivots)]

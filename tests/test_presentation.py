@@ -6,8 +6,10 @@ from lietensor import (GF, QQ, abelian, build_cover, build_tensor_square,
                        catalog, exterior_via_presentation, heisenberg,
                        multiplier_via_presentation, presentation_of, sl2,
                        verify_cover_theorem, zero_algebra)
-from lietensor.errors import NotNilpotentError
+from lietensor.errors import NotNilpotentError, TheoremViolationError
+from lietensor.liealg import lie_algebra_from_table
 from lietensor.linalg import Subspace
+from lietensor.presentation import _check_isomorphism
 
 from support import random_nilpotent_quotient
 
@@ -197,3 +199,24 @@ def test_presentations_over_prime_fields():
         assert multiplier_via_presentation(P).dim == 2
         cover = build_cover(P)
         assert cover.algebra.dim == 5
+
+
+def test_isomorphism_check_catches_every_corrupted_target_constant():
+    # The check tests only the forward map; for a bijective map that pins
+    # down every structure constant of the target, so corrupting any single
+    # one must still raise.
+    for L in (heisenberg(1), heisenberg(2)):
+        P = presentation_of(L)
+        ext, eps = exterior_via_presentation(P)
+        target = build_tensor_square(L).exterior_square()[0]
+        _check_isomorphism(eps, ext, target)
+        n = target.dim
+        for a in range(n):
+            for b in range(n):
+                for k in range(n):
+                    table = [[list(cell) for cell in row] for row in target.table]
+                    table[a][b][k] += target.field.one
+                    bad = lie_algebra_from_table(target.field, table,
+                                                 target.basis_names)
+                    with pytest.raises(TheoremViolationError):
+                        _check_isomorphism(eps, ext, bad)
