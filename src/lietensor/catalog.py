@@ -51,6 +51,11 @@ def sl2(field: Field = QQ) -> LieAlgebra:
 _TERM_RE = re.compile(r"^(abelian|heisenberg)\((\d+)\)$|^(sl2|zero)$")
 
 
+def is_catalog_name(name: str) -> bool:
+    """True when every "+"-joined term is a catalog term."""
+    return all(_TERM_RE.match(t.strip()) for t in name.split("+"))
+
+
 def catalog(name: str, field: Field = QQ) -> LieAlgebra:
     """Resolve a catalog string, allowing "+"-joined direct sums."""
     terms = [t.strip() for t in name.split("+")]

@@ -25,7 +25,8 @@ import sys
 import time
 from typing import Optional
 
-from .catalog import CATALOG_SUITE, SUITE_FIELDS, catalog, is_supported
+from .catalog import (CATALOG_SUITE, SUITE_FIELDS, catalog, is_catalog_name,
+                      is_supported)
 from .errors import (InternalCheckError, InvalidInputError, NotNilpotentError,
                      TheoremViolationError)
 from .fields import QQ, Field, field_from_descriptor
@@ -36,12 +37,14 @@ from .presentation import (build_cover, exterior_via_presentation,
                            verify_cover_theorem)
 from .tensor import Verdict, build_tensor_square, tensor_report
 
-_CATALOG_HINTS = ("abelian", "heisenberg", "sl2", "zero")
-
-
 # ----------------------------------------------------------------------
 # documents
 # ----------------------------------------------------------------------
+
+def _is_int(x) -> bool:
+    """JSON integers only: true and false are not dimensions or indices."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
 
 def parse_algebra_document(doc: dict) -> LieAlgebra:
     """Validate and load an algebra document; antisymmetric completion is
@@ -56,11 +59,12 @@ def parse_algebra_document(doc: dict) -> LieAlgebra:
     except ValueError as exc:
         raise InvalidInputError(str(exc)) from exc
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise InvalidInputError(f"dim must be a nonnegative integer, got {dim!r}")
     names = doc.get("basis_names")
     if names is not None:
-        if len(names) != dim or not all(isinstance(s, str) for s in names):
+        if not isinstance(names, list) or len(names) != dim \
+                or not all(isinstance(s, str) for s in names):
             raise InvalidInputError("basis_names must list one string per basis vector")
     brackets = {}
     seen = set()
@@ -69,7 +73,7 @@ def parse_algebra_document(doc: dict) -> LieAlgebra:
             i, j, terms = entry
         except (TypeError, ValueError):
             raise InvalidInputError(f"malformed bracket entry {entry!r}")
-        if not (isinstance(i, int) and isinstance(j, int)):
+        if not (_is_int(i) and _is_int(j)):
             raise InvalidInputError(f"bracket indices must be integers in {entry!r}")
         if not (0 <= i < dim and 0 <= j < dim):
             raise InvalidInputError(f"bracket indices ({i},{j}) out of range for dim {dim}")
@@ -86,7 +90,7 @@ def parse_algebra_document(doc: dict) -> LieAlgebra:
                 k, coeff = term
             except (TypeError, ValueError):
                 raise InvalidInputError(f"malformed coefficient term {term!r}")
-            if not isinstance(k, int) or not 0 <= k < dim:
+            if not _is_int(k) or not 0 <= k < dim:
                 raise InvalidInputError(f"coefficient index {k!r} out of range")
             if not isinstance(coeff, str):
                 raise InvalidInputError(
@@ -140,15 +144,21 @@ def emit_report(doc: dict, path: Optional[str] = None) -> None:
 
 
 def load_algebra(source: str, field: Field = QQ) -> tuple[LieAlgebra, str]:
-    """Resolve a catalog name or a JSON document path."""
-    if any(source.startswith(h) for h in _CATALOG_HINTS):
+    """Resolve a catalog name or a JSON document path.
+
+    Only a string that is a catalog name in full routes to the catalog, so a
+    file such as heisenberg_copy.json is read as a document.
+    """
+    if is_catalog_name(source):
         return catalog(source, field), f"catalog:{source}"
     try:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise InvalidInputError(f"cannot read {source}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        raise InvalidInputError(
+            f"{source!r} is neither a catalog algebra nor a readable "
+            f"document: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise InvalidInputError(f"{source} is not valid JSON: {exc}") from exc
     return parse_algebra_document(doc), source
 

@@ -24,18 +24,37 @@ Scalar = Any
 _SCALAR_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
+# Miller-Rabin on the first thirteen prime bases decides primality for every
+# n below this bound (Sorenson & Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86 (2017)); larger moduli are outside the
+# supported envelope.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981 - 1
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 0 <= p <= MAX_MODULUS."""
+    if p > MAX_MODULUS:
+        raise ValueError(f"modulus {p} is outside the supported envelope "
+                         f"(at most {MAX_MODULUS})")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -147,7 +166,7 @@ def field_from_descriptor(desc) -> Field:
         return QQ
     if isinstance(desc, dict) and set(desc) == {"Fp"}:
         p = desc["Fp"]
-        if not isinstance(p, int):
+        if not isinstance(p, int) or isinstance(p, bool):
             raise ValueError(f"field modulus must be an integer, got {p!r}")
         return Field(p)
     raise ValueError(f"unrecognized field descriptor {desc!r}")

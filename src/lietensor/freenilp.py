@@ -209,8 +209,11 @@ def free_nilpotent(d: int, c: int, field: Field = QQ) -> FreeNilpotent:
     if d < 0 or c < 1:
         raise ValueError("need d >= 0 and c >= 1")
     int_table, labels, degrees, words = _integer_structure(d, c)
-    table = tuple(tuple(tuple(field.scalar(x) for x in cell) for cell in row)
-                  for row in int_table)
+    # Most cells are all zero: convert each distinct cell once, and let
+    # equal cells share one tuple of field scalars.
+    cells = {cell: tuple(field.scalar(x) for x in cell)
+             for cell in {c for row in int_table for c in row}}
+    table = tuple(tuple(cells[cell] for cell in row) for row in int_table)
     algebra = LieAlgebra(field, len(words), table, labels)
     report = algebra.validate()
     if not report.ok:

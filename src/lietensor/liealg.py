@@ -70,6 +70,21 @@ class LieAlgebra:
                         acc[k] = acc[k] + f * c
         return tuple(acc)
 
+    def ad(self, v: Sequence[Scalar]) -> list[Vector]:
+        """[v, x_j] for every basis vector x_j, reading the support of v once."""
+        if len(v) != self.dim:
+            raise ValueError("dimension mismatch")
+        nz = self._nonzero_rows()
+        support = [(nz[i], vi) for i, vi in enumerate(v) if vi]
+        out = []
+        for j in range(self.dim):
+            acc = [self.field.zero] * self.dim
+            for nz_i, vi in support:
+                for k, c in nz_i[j]:
+                    acc[k] = acc[k] + vi * c
+            out.append(tuple(acc))
+        return out
+
     def validate(self) -> "ValidationReport":
         """Check stored antisymmetry and the Jacobi identity on basis triples.
 
@@ -128,8 +143,7 @@ class LieAlgebra:
             prev = series[-1]
             b = SpanBuilder(self.field, self.dim)
             for row in prev.basis.entries:
-                for j in range(self.dim):
-                    b.add(self.bracket(row, self.basis_vector(j)))
+                b.add_all(self.ad(row))
             nxt = b.subspace()
             series.append(nxt)
             if nxt == prev or nxt.dim == 0:
@@ -242,8 +256,7 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Linear
     if ideal.ambient_dim != L.dim:
         raise ValueError("ambient mismatch")
     for row in ideal.basis.entries:
-        for j in range(L.dim):
-            w = L.bracket(row, L.basis_vector(j))
+        for j, w in enumerate(L.ad(row)):
             if not ideal.contains(w):
                 raise NotIdealError(
                     f"subspace is not an ideal: [basis row, x{j}] escapes",
@@ -339,9 +352,7 @@ def ideal_closure(L: LieAlgebra, vectors: Sequence[Sequence[Scalar]]) -> Subspac
     builder = SpanBuilder(L.field, L.dim)
     work = [tuple(v) for v in vectors if builder.add(v)]
     while work:
-        v = work.pop()
-        for j in range(L.dim):
-            w = L.bracket(v, L.basis_vector(j))
+        for w in L.ad(work.pop()):
             if builder.add(w):
                 work.append(w)
     return builder.subspace()
@@ -384,15 +395,3 @@ class Subalgebra:
             raise ValueError("vector does not lie in the subalgebra")
         return coords
 
-
-def induced_homomorphism_check(f: LinearMap, source: LieAlgebra,
-                               target: LieAlgebra) -> Optional[tuple[int, int]]:
-    """First basis pair where f fails f([x,y]) = [f x, f y], else None."""
-    for i in range(source.dim):
-        for j in range(source.dim):
-            lhs = f.apply(source.table[i][j])
-            rhs = target.bracket(f.apply(source.basis_vector(i)),
-                                 f.apply(source.basis_vector(j)))
-            if lhs != rhs:
-                return (i, j)
-    return None

@@ -152,6 +152,12 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
+    @property
+    def free_cols(self) -> tuple[int, ...]:
+        """The non-pivot columns, in increasing order."""
+        pivots = set(self.pivots)
+        return tuple(j for j in range(self.ambient_dim) if j not in pivots)
+
     @cached_property
     def _echelon(self) -> "SpanBuilder":
         builder = SpanBuilder(self.field, self.ambient_dim)
@@ -372,8 +378,7 @@ def quotient_structure(ambient_dim: int, sub: Subspace) -> QuotientStructure:
         raise ValueError("ambient mismatch")
     field = sub.field
     zero, one = field.zero, field.one
-    pivot_set = set(sub.pivots)
-    free = [j for j in range(ambient_dim) if j not in pivot_set]
+    free = sub.free_cols
     # project(v)[r] reads coordinate free[r] of the canonical residual of v.
     proj_rows = []
     for c in free:
@@ -383,7 +388,7 @@ def quotient_structure(ambient_dim: int, sub: Subspace) -> QuotientStructure:
             row[p] = -brow[c]
         proj_rows.append(row)
     project = Matrix.from_rows(field, proj_rows, cols=ambient_dim)
-    return QuotientStructure(sub, tuple(free), project)
+    return QuotientStructure(sub, free, project)
 
 
 def solve(m: Matrix, rhs: Sequence[Scalar]) -> Optional[Vector]:

@@ -20,7 +20,7 @@ from .errors import (InternalCheckError, NotNilpotentError,
                      TheoremViolationError)
 from .liealg import LieAlgebra, Subalgebra, quotient_algebra
 from .linalg import (LinearMap, SpanBuilder, Subspace, complement_within,
-                     quotient_structure, solve, subspace_intersect)
+                     subspace_intersect)
 from .freenilp import FreeNilpotent, free_nilpotent
 from .tensor import TensorSquare, Verdict, build_tensor_square
 
@@ -67,8 +67,7 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
     if cls is None:
         raise NotNilpotentError("free presentations require a nilpotent algebra")
     derived = L.derived_subalgebra()
-    qs = quotient_structure(L.dim, derived)
-    lifts = qs.coset_reps
+    lifts = [L.basis_vector(c) for c in derived.free_cols]
     d = len(lifts)
     F = free_nilpotent(d, cls + 1, L.field)
 
@@ -100,16 +99,13 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
     relations = onto.kernel()
     rf = SpanBuilder(L.field, F.algebra.dim)
     for r in relations.basis.entries:
-        for j in range(F.algebra.dim):
-            rf.add(F.algebra.bracket(r, F.algebra.basis_vector(j)))
+        rf.add_all(F.algebra.ad(r))
     relations_commutator = rf.subspace()
     # Ideal property follows from the Jacobi identity; assert instead of
     # re-closing.
     for t in relations_commutator.basis.entries:
-        for j in range(F.algebra.dim):
-            if not relations_commutator.contains(
-                    F.algebra.bracket(t, F.algebra.basis_vector(j))):
-                raise InternalCheckError("commutator span is not an ideal")
+        if not all(map(relations_commutator.contains, F.algebra.ad(t))):
+            raise InternalCheckError("commutator span is not an ideal")
     free_derived = F.algebra.derived_subalgebra()
     relations_in_derived = subspace_intersect(relations, free_derived)
     if not relations_in_derived.contains_space(relations_commutator):
@@ -135,8 +131,7 @@ class _ExteriorQuotient:
                                   self.commutator_rows)
         self.algebra, self.projection = quotient_algebra(
             self.derived_sub.algebra, rf_inside)
-        self.free_cols = quotient_structure(
-            self.derived_sub.algebra.dim, rf_inside).free_cols
+        self.free_cols = rf_inside.free_cols
 
 
 def _exterior_quotient(P: FreePresentation) -> _ExteriorQuotient:
@@ -163,20 +158,15 @@ def exterior_via_presentation(
     wedge_alg, _ = tensor.exterior_square()
     F = P.free
     index = {w: i for i, w in enumerate(F.words)}
-    word_at = {}
+    images = []
     for r, p in enumerate(ext.derived_sub.space.pivots):
-        word_at[r] = F.words[p]
         # derived subalgebra of a free nilpotent algebra is spanned by the
         # standard coordinates of the composite Hall words
-        if any(c != (F.algebra.field.one if i == p else F.algebra.field.zero)
-               for i, c in enumerate(ext.derived_sub.space.basis.entries[r])):
+        if ext.derived_sub.space.basis.entries[r] != F.algebra.basis_vector(p):
             raise InternalCheckError("derived basis is not coordinate-aligned")
-    images = []
-    for r in range(ext.derived_sub.algebra.dim):
-        w = word_at[r]
-        left = P.onto.apply(F.algebra.basis_vector(index[w.left]))
-        right = P.onto.apply(F.algebra.basis_vector(index[w.right]))
-        images.append(tensor.wedge(left, right))
+        w = F.words[p]
+        images.append(tensor.wedge(P.onto.matrix.column(index[w.left]),
+                                   P.onto.matrix.column(index[w.right])))
     eps_on_derived = LinearMap.from_images(P.L.field, wedge_alg.dim, images)
     for r in ext.commutator_rows:
         if any(eps_on_derived.apply(r)):
@@ -200,11 +190,11 @@ def _check_isomorphism(f: LinearMap, source: LieAlgebra, target: LieAlgebra):
     """
     if not f.is_bijective():
         raise TheoremViolationError("map is not bijective")
+    images = [f.matrix.column(i) for i in range(source.dim)]
     for i in range(source.dim):
-        fi = f.apply(source.basis_vector(i))
         for j in range(source.dim):
             lhs = f.apply(source.table[i][j])
-            rhs = target.bracket(fi, f.apply(source.basis_vector(j)))
+            rhs = target.bracket(images[i], images[j])
             if lhs != rhs:
                 raise TheoremViolationError(
                     f"map is not a homomorphism at basis pair ({i},{j})")
@@ -227,6 +217,13 @@ def build_cover(P: FreePresentation) -> Cover:
     so any complement of the multiplier part inside them is an ideal; the
     canonical echelon complement makes the construction deterministic.
     Defining-pair properties are asserted.
+
+    onto_L needs no linear solve: F -> G -> K are quotient projections, and
+    a projection sends the standard basis vector at its r-th free column to
+    the r-th unit vector.  So e_(g_free[k_free[a]]) is a preimage of K's
+    basis vector a, and its image under P.onto is that column of P.onto
+    (preimages differ by ker(F -> K), which lies in the relations).  As
+    from_free is onto, the factorization check still pins down onto_L.
     """
     F = P.free.algebra
     G, to_G = quotient_algebra(F, P.relations_commutator)
@@ -242,12 +239,8 @@ def build_cover(P: FreePresentation) -> Cover:
                                [from_free.apply(r)
                                 for r in P.relations_in_derived.basis.entries])
 
-    images = []
-    for a in range(K.dim):
-        pre = solve(from_free.matrix, K.basis_vector(a))
-        if pre is None:
-            raise InternalCheckError("cover projection is not surjective")
-        images.append(P.onto.apply(pre))
+    g_free = P.relations_commutator.free_cols
+    images = [P.onto.matrix.column(g_free[c]) for c in extra.free_cols]
     onto_L = LinearMap.from_images(F.field, P.L.dim, images)
     if onto_L.compose(from_free).matrix != P.onto.matrix:
         raise InternalCheckError("cover projection does not factor the presentation")

@@ -93,10 +93,9 @@ class TensorSquare:
                                   zip(self.pure(i, j), self.pure(j, i))))
         space = builder.subspace()
         for row in space.basis.entries:
-            for b in range(self.dim):
-                if any(self.algebra.bracket(row, self.algebra.basis_vector(b))):
-                    raise InternalCheckError(
-                        "square submodule is not central in the tensor square")
+            if any(map(any, self.algebra.ad(row))):
+                raise InternalCheckError(
+                    "square submodule is not central in the tensor square")
         return space
 
     @cached_property
@@ -128,12 +127,11 @@ class TensorSquare:
             if any(amb.apply(row)):
                 raise InternalCheckError("commutator map does not kill a relation")
         kappa = LinearMap(amb.matrix.select_columns(self.quotient.free_cols))
+        images = [kappa.matrix.column(a) for a in range(self.dim)]
         for a in range(self.dim):
-            ea = self.algebra.basis_vector(a)
-            ka = kappa.apply(ea)
             for b in range(self.dim):
                 lhs = kappa.apply(self.algebra.table[a][b])
-                rhs = L.bracket(ka, kappa.apply(self.algebra.basis_vector(b)))
+                rhs = L.bracket(images[a], images[b])
                 if lhs != rhs:
                     raise InternalCheckError(
                         f"commutator map is not a homomorphism at basis pair ({a},{b})")
@@ -146,33 +144,41 @@ class TensorSquare:
             if any(kappa.apply(row)):
                 raise InternalCheckError(
                     "commutator map does not vanish on the square submodule")
-        free = quotient_structure(self.dim, self.square_submodule).free_cols
-        induced = LinearMap(kappa.matrix.select_columns(free))
+        induced = LinearMap(
+            kappa.matrix.select_columns(self.square_submodule.free_cols))
         return induced.kernel()
 
     def _center_from(self, pure_of) -> Subspace:
         """Kernel of v -> (pure_of(v, x_j))_j, stacked over all j."""
         n = self.base.dim
-        rows = []
-        sample = pure_of(0, 0) if n else ()
-        width = len(sample)
-        for j in range(n):
-            for c in range(width):
-                rows.append([pure_of(i, j)[c] for i in range(n)])
+        rows = [row for j in range(n)
+                for row in zip(*[pure_of(i, j) for i in range(n)])]
         m = Matrix.from_rows(self.base.field, rows, cols=n)
         return LinearMap(m).kernel()
 
+    @cached_property
+    def _tensor_center(self) -> Subspace:
+        return self._center_from(self.pure)
+
+    @cached_property
+    def _tensor_center_right(self) -> Subspace:
+        return self._center_from(lambda i, j: self.pure(j, i))
+
+    @cached_property
+    def _exterior_center(self) -> Subspace:
+        proj = self._exterior[1]
+        return self._center_from(lambda i, j: proj.apply(self.pure(i, j)))
+
     def tensor_center(self) -> Subspace:
         """Elements annihilating every partner in the left slot."""
-        return self._center_from(self.pure)
+        return self._tensor_center
 
     def tensor_center_right(self) -> Subspace:
         """Right-slot variant; reported as a diagnostic only."""
-        return self._center_from(lambda i, j: self.pure(j, i))
+        return self._tensor_center_right
 
     def exterior_center(self) -> Subspace:
-        proj = self._exterior[1]
-        return self._center_from(lambda i, j: proj.apply(self.pure(i, j)))
+        return self._exterior_center
 
     # ------------------------------------------------------------------
     # abelianization and the decomposition machinery
@@ -236,9 +242,8 @@ class TensorSquare:
             return Verdict(False, "complement + square submodule is not everything")
         alg = self.algebra
         for row in comp.basis.entries:
-            for b in range(full):
-                if not comp.contains(alg.bracket(row, alg.basis_vector(b))):
-                    return Verdict(False, "complement is not an ideal")
+            if not all(map(comp.contains, alg.ad(row))):
+                return Verdict(False, "complement is not an ideal")
         ext, proj = self._exterior
         images = [proj.apply(row) for row in comp.basis.entries]
         if Subspace.span(self.base.field, ext.dim, images).dim != comp.dim \

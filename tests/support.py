@@ -59,6 +59,20 @@ def tensor_relation_vectors(L: LieAlgebra) -> list[list]:
     return [v for v in out if any(v)]
 
 
+def corrupted_tables(L: LieAlgebra):
+    """Every copy of L with one structure constant shifted by one, together
+    with the position (i, j, k) of the shifted constant."""
+    for i in range(L.dim):
+        for j in range(L.dim):
+            for k in range(L.dim):
+                table = [[list(cell) for cell in row] for row in L.table]
+                table[i][j][k] += L.field.one
+                yield (i, j, k), LieAlgebra(
+                    L.field, L.dim,
+                    tuple(tuple(tuple(cell) for cell in row) for row in table),
+                    L.basis_names)
+
+
 def random_vector(rng: random.Random, field: Field, n: int, span: int = 2):
     return tuple(field.scalar(rng.randint(-span, span)) for _ in range(n))
 

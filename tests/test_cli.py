@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -215,3 +216,64 @@ def test_timings_flag(capsys):
     assert isinstance(doc["timings"]["total_seconds"], float)
     code, doc = run(["info", "abelian(2)"], capsys)
     assert doc["timings"] is None
+
+
+def run_document(doc, tmp_path, capsys, name="doc.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    code = main(["info", str(path)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, captured.err
+
+
+def test_large_and_pseudoprime_moduli_end_at_once(tmp_path, capsys):
+    # 2^61 - 1 is prime and used to hang in trial division; 561 (Carmichael)
+    # and 2047 (strong pseudoprime to base 2) are composite; 2^89 - 1 is a
+    # prime beyond the modulus ceiling.
+    started = time.perf_counter()
+    doc = dict(H1_DOC, field={"Fp": 2 ** 61 - 1})
+    code, _ = run_document(doc, tmp_path, capsys)
+    assert code == 0
+    assert time.perf_counter() - started < 10
+    for p, fragment in ((561, "not prime"), (2047, "not prime"),
+                        (2 ** 89 - 1, "outside the supported envelope")):
+        code, err = run_document(dict(H1_DOC, field={"Fp": p}), tmp_path, capsys)
+        assert code == 2 and fragment in err, p
+        assert main(["info", "sl2", "--field", str(p)]) == 2
+        assert fragment in capsys.readouterr().err, p
+
+
+def test_bool_dim_and_string_basis_names_are_rejected(tmp_path, capsys):
+    cases = [
+        ({"field": "Q", "dim": True, "brackets": []}, "dim must be"),
+        ({"field": "Q", "dim": 3, "basis_names": "xyz",
+          "brackets": [[0, 1, [[2, "1"]]]]}, "basis_names"),
+        ({"field": "Q", "dim": 3, "brackets": [[False, True, [[2, "1"]]]]},
+         "indices must be integers"),
+        ({"field": "Q", "dim": 3, "brackets": [[0, 1, [[True, "1"]]]]},
+         "out of range"),
+        ({"field": {"Fp": True}, "dim": 1, "brackets": []}, "modulus"),
+    ]
+    for doc, fragment in cases:
+        code, err = run_document(doc, tmp_path, capsys)
+        assert code == 2 and fragment in err, doc
+
+
+def test_document_path_is_not_routed_by_catalog_prefix(tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "heisenberg_copy.json").write_text(json.dumps(H1_DOC))
+    code, doc = run(["info", "heisenberg_copy.json"], capsys)
+    assert code == 0 and doc["input"]["source"] == "heisenberg_copy.json"
+    assert doc["dimensions"] == {"algebra": 3, "derived": 1, "center": 1}
+    for missing in ("heisenberg_missing.json", "heisenberg(2"):
+        assert main(["info", missing]) == 2
+        err = capsys.readouterr().err
+        assert "neither a catalog algebra nor a readable document" in err
+        assert "Traceback" not in err
+    (tmp_path / "binary.json").write_bytes(b"\xd0\xff{")
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    for unreadable in ("binary.json", "deep.json"):
+        assert main(["info", unreadable]) == 2
+        assert "not valid JSON" in capsys.readouterr().err

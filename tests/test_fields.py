@@ -1,9 +1,12 @@
+import random
 import subprocess
 import sys
 
 import pytest
+import sympy
 
-from lietensor.fields import GF, QQ, Field, field_from_descriptor, is_prime
+from lietensor.fields import (GF, MAX_MODULUS, QQ, Field, field_from_descriptor,
+                              is_prime)
 
 
 def test_prime_check():
@@ -83,3 +86,33 @@ print("fallback-ok")
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert "fallback-ok" in result.stdout
+
+
+def test_is_prime_is_deterministic_miller_rabin():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(3000) if is_prime(n)] == \
+        [n for n in range(3000) if trial(n)]
+    # Carmichael numbers and strong pseudoprimes to the first bases
+    for composite in (561, 2047, 1373653, 25326001, 3215031751,
+                      3825123056546413051, 318665857834031151167461):
+        assert not is_prime(composite), composite
+    for prime in (2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 - 59):
+        assert is_prime(prime), prime
+    # sympy as an independent oracle on large odd numbers near primes
+    rng = random.Random(61)
+    for _ in range(200):
+        n = sympy.prevprime(rng.randrange(2 ** 40, MAX_MODULUS))
+        for m in (n, n + 2, n * 3, n - 2):
+            if m <= MAX_MODULUS:
+                assert is_prime(m) == sympy.isprime(m), m
+    # The largest modulus the thirteen bases still decide, and the first
+    # strong pseudoprime to all of them just above it.
+    assert MAX_MODULUS + 1 == 3317044064679887385961981
+    with pytest.raises(ValueError, match="outside the supported envelope"):
+        is_prime(MAX_MODULUS + 1)
+    with pytest.raises(ValueError, match="outside the supported envelope"):
+        Field(2 ** 89 - 1)
+    with pytest.raises(ValueError):
+        field_from_descriptor({"Fp": True})

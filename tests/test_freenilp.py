@@ -2,7 +2,8 @@ import pytest
 import sympy
 
 from lietensor import GF, QQ, free_nilpotent, hall_words, witt_dimension
-from lietensor.freenilp import HallWord, _commutator, _expansion, mobius
+from lietensor.freenilp import (HallWord, _commutator, _expansion,
+                                _integer_structure, mobius)
 
 
 def test_mobius_against_sympy():
@@ -132,3 +133,16 @@ def test_brackets_expand_to_associative_commutators(d, c):
                     combo[m] = combo.get(m, 0) + x * v
             assert {m: v for m, v in combo.items() if v} == \
                 _commutator(ei, ej, c), (i, j)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=lambda f: f.name)
+@pytest.mark.parametrize("d,c", [(2, 4), (3, 3), (4, 3)])
+def test_table_is_the_cellwise_conversion_of_the_integer_table(d, c, field):
+    # Converting each distinct integer cell once must give exactly the
+    # elementwise conversion, scalar types included.
+    int_table = _integer_structure(d, c)[0]
+    table = free_nilpotent(d, c, field).algebra.table
+    assert table == tuple(tuple(tuple(field.scalar(x) for x in cell)
+                                for cell in row) for row in int_table)
+    assert {type(x) for row in table for cell in row for x in cell} == \
+        {type(field.zero)}

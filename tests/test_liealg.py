@@ -1,13 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lietensor import (GF, QQ, BilinearMap, LieAlgebra, abelian,
+from lietensor import (GF, QQ, Field, BilinearMap, LieAlgebra, abelian,
                        bracket_pairing, catalog, direct_sum, heisenberg,
                        is_lie_pairing, quotient_algebra, sl2, zero_algebra)
-from lietensor.errors import InvalidInputError, NotIdealError
+from lietensor.errors import (InternalCheckError, InvalidInputError,
+                              NotIdealError)
 from lietensor.liealg import Subalgebra, ideal_closure
 from lietensor.linalg import Matrix, Subspace
 
-from support import sympy_rank
+from support import corrupted_tables, sympy_rank
 
 ALL_CATALOG = ["zero", "abelian(1)", "abelian(3)", "heisenberg(1)",
                "heisenberg(2)", "sl2", "heisenberg(1)+abelian(1)"]
@@ -199,3 +202,66 @@ def test_ideal_closure():
     # [x, y] = z gets pulled in
     assert closed == Subspace.span(QQ, 3, [vec(QQ, [1, 0, 0]),
                                            vec(QQ, [0, 0, 1])])
+
+
+@st.composite
+def tables_and_vectors(draw):
+    """An arbitrary bilinear table (not necessarily Lie) over Q, GF(2) or
+    GF(5), and a zero, dense or sparse vector."""
+    field = Field(draw(st.sampled_from([0, 2, 5])))
+    n = draw(st.integers(1, 5))
+    ints = st.integers(-3, 3)
+    raw = draw(st.lists(ints, min_size=n ** 3, max_size=n ** 3))
+    table = tuple(tuple(tuple(field.scalar(raw[(i * n + j) * n + k])
+                              for k in range(n)) for j in range(n))
+                  for i in range(n))
+    L = LieAlgebra(field, n, table, tuple(f"x{i}" for i in range(n)))
+    top = field.characteristic - 1 if field.characteristic else 4
+    v = draw(st.one_of(st.just([0] * n),
+                       st.lists(st.integers(1, top), min_size=n, max_size=n),
+                       st.lists(ints, min_size=n, max_size=n)))
+    return L, tuple(field.scalar(x) for x in v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables_and_vectors())
+def test_ad_is_bracket_with_each_basis_vector(case):
+    L, v = case
+    assert L.ad(v) == [L.bracket(v, L.basis_vector(j)) for j in range(L.dim)]
+
+
+def test_ideal_checks_agree_with_the_bracket_loop_under_every_corruption():
+    # Mutation test for the ad-based ideal check in quotient_algebra and for
+    # ideal_closure: on every single corrupted constant, NotIdealError is
+    # raised (with the same witness) exactly when the plain loop over
+    # bracket(row, x_j) finds an escaping vector.
+    outcomes = set()
+    for L in (heisenberg(2), heisenberg(1, GF(2)), sl2(GF(5))):
+        center = L.center() if L.center().dim else L.derived_subalgebra()
+        ideal = Subspace.span(L.field, L.dim, center.basis.entries[:1])
+        for where, bad in corrupted_tables(L):
+            escapes = [w for row in ideal.basis.entries
+                       for w in (bad.bracket(row, bad.basis_vector(j))
+                                 for j in range(bad.dim))
+                       if not ideal.contains(w)]
+            try:
+                quotient_algebra(bad, ideal)
+                witness = None
+            except NotIdealError as exc:
+                witness = exc.witness
+            except InternalCheckError:
+                witness = None
+            assert witness == (escapes[0] if escapes else None), where
+            outcomes.add(bool(escapes))
+
+            closure = ideal
+            while True:
+                grown = Subspace.span(
+                    L.field, L.dim, list(closure.basis.entries) +
+                    [bad.bracket(r, bad.basis_vector(j))
+                     for r in closure.basis.entries for j in range(L.dim)])
+                if grown == closure:
+                    break
+                closure = grown
+            assert ideal_closure(bad, ideal.basis.entries) == closure, where
+    assert outcomes == {True, False}

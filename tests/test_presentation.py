@@ -6,12 +6,15 @@ from lietensor import (GF, QQ, abelian, build_cover, build_tensor_square,
                        catalog, exterior_via_presentation, heisenberg,
                        multiplier_via_presentation, presentation_of, sl2,
                        verify_cover_theorem, zero_algebra)
-from lietensor.errors import NotNilpotentError, TheoremViolationError
+from lietensor import presentation
+from lietensor.errors import (InternalCheckError, NotNilpotentError,
+                              TheoremViolationError)
+from lietensor.freenilp import FreeNilpotent
 from lietensor.liealg import lie_algebra_from_table
-from lietensor.linalg import Subspace
+from lietensor.linalg import LinearMap, Subspace, solve
 from lietensor.presentation import _check_isomorphism
 
-from support import random_nilpotent_quotient
+from support import corrupted_tables, random_nilpotent_quotient
 
 NILPOTENT_CATALOG = ["zero", "abelian(1)", "abelian(2)", "abelian(3)",
                      "heisenberg(1)", "heisenberg(2)",
@@ -220,3 +223,65 @@ def test_isomorphism_check_catches_every_corrupted_target_constant():
                                                  target.basis_names)
                     with pytest.raises(TheoremViolationError):
                         _check_isomorphism(eps, ext, bad)
+
+
+def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
+        monkeypatch):
+    # Mutation test for presentation_of on a free algebra with one corrupted
+    # constant.  The relations do not read the free table, so they stay put;
+    # the homomorphism check must fail exactly where the plain loop does,
+    # and otherwise the ad-built relation commutator must equal the span of
+    # bracket(r, x_j).  (No single corruption of these algebras reaches the
+    # commutator-ideal assertion: the homomorphism check or the later
+    # containment check fires first, or the span stays an ideal.)
+    changed = 0
+    cleans = [presentation_of(L)
+              for L in (heisenberg(1), heisenberg(1, GF(2)), abelian(3))]
+    for clean in cleans:
+        L, F, onto = clean.L, clean.free, clean.onto
+        images = [onto.matrix.column(i) for i in range(F.algebra.dim)]
+        for where, bad in corrupted_tables(F.algebra):
+            fake = FreeNilpotent(F.d, F.c, bad, F.words, F.degrees)
+            monkeypatch.setattr(presentation, "free_nilpotent",
+                                lambda d, c, field: fake)
+            broken = [(i, j) for i in range(bad.dim) for j in range(bad.dim)
+                      if onto.apply(bad.table[i][j]) !=
+                      L.bracket(images[i], images[j])]
+            span = Subspace.span(L.field, bad.dim, [
+                bad.bracket(r, bad.basis_vector(j))
+                for r in clean.relations.basis.entries
+                for j in range(bad.dim)])
+            try:
+                P = presentation_of.__wrapped__(L)
+            except InternalCheckError as exc:
+                message = str(exc)
+                assert not broken or message.endswith(
+                    "homomorphism at (%d,%d)" % broken[0]), where
+                assert broken or "homomorphism" not in message, where
+                continue
+            assert not broken, where
+            assert P.relations == clean.relations, where
+            assert P.relations_commutator == span, where
+            changed += span != clean.relations_commutator
+    assert changed
+
+
+def test_cover_projection_matches_a_linear_solve():
+    # build_cover reads the map onto L as columns of the presentation map;
+    # any preimage under from_free gives the same map, so it must equal the
+    # one found by solving from_free x = e_a.
+    algebras = [catalog(name, field) for name, field in (
+        ("heisenberg(1)", QQ), ("heisenberg(2)", QQ), ("abelian(2)", GF(2)),
+        ("heisenberg(1)+abelian(1)", GF(3)))]
+    # quotients whose relation commutator has pivots before cover columns,
+    # so that K's coordinates sit at shifted columns of the free algebra
+    algebras += [random_nilpotent_quotient(random.Random(seed), d, c)
+                 for seed, d, c in ((6, 2, 4), (2, 3, 3))]
+    for L in algebras:
+        P = presentation_of(L)
+        cover = build_cover(P)
+        K = cover.algebra
+        solved = LinearMap.from_images(L.field, L.dim, [
+            P.onto.apply(solve(cover.from_free.matrix, K.basis_vector(a)))
+            for a in range(K.dim)])
+        assert cover.onto == solved, L

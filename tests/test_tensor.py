@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from lietensor import (GF, QQ, abelian, build_tensor_square, catalog,
                        heisenberg, induced_map, is_lie_pairing, sl2,
                        tensor_report)
-from lietensor.errors import InvalidInputError
+from lietensor.errors import InternalCheckError, InvalidInputError
 from lietensor.liealg import (BilinearMap, LieAlgebra, bracket_pairing,
                               lie_algebra_from_brackets)
 from lietensor.linalg import LinearMap, Matrix, Subspace, inverse
+from lietensor.tensor import TensorSquare
 
-from support import (random_nilpotent_quotient, sympy_rank,
+from support import (corrupted_tables, random_nilpotent_quotient, sympy_rank,
                      tensor_relation_vectors)
 
 
@@ -472,3 +473,75 @@ def test_characteristic_2_class_3():
         assert T.algebra.validate().ok
         assert T.verify_decomposition().ok
         assert is_lie_pairing(T.pairing, L, T.algebra).ok
+
+
+def test_centers_are_cached_and_read_each_pure_tensor_once():
+    L = catalog("heisenberg(2)+abelian(1)")
+    T = build_tensor_square.__wrapped__(L)
+    n = L.dim
+    proj = T.exterior_square()[1]  # builds the square submodule first
+    readers = {"tensor_center": T.pure,
+               "tensor_center_right": lambda i, j: T.pure(j, i),
+               "exterior_center": lambda i, j: proj.apply(T.pure(i, j))}
+    calls = []
+    pure = T.pure
+    T.pure = lambda i, j: calls.append((i, j)) or pure(i, j)
+    for name, pure_of in readers.items():
+        # the stacked adjoint, entry by entry, as the kernel's definition
+        rows = [[pure_of(i, j)[c] for i in range(n)]
+                for j in range(n) for c in range(len(pure_of(0, 0)))]
+        expected = LinearMap(Matrix.from_rows(L.field, rows, cols=n)).kernel()
+        calls.clear()
+        first = getattr(T, name)()
+        assert sorted(calls) == sorted(set(calls)) and len(calls) == n * n, name
+        assert getattr(T, name)() is first and first == expected, name
+    assert T.tensor_center().dim == T.exterior_center().dim == 1
+    assert tensor_report(T).subspaces["tensor_center"] is T.tensor_center()
+
+
+def test_tensor_checks_agree_with_the_bracket_loop_under_every_corruption():
+    # Mutation test for the three rewritten checks that read the tensor
+    # square's own structure constants: centrality of the square submodule,
+    # the complement-ideal check in verify_decomposition (both via ad) and
+    # the commutator map's homomorphism check (basis images read as matrix
+    # columns).  On every single corrupted constant each must fail exactly
+    # when the plain formulation over bracket(row, x_b) and apply(x_b) does.
+    outcomes = set()
+    # sl2's commutator map is onto, so its homomorphism check has nonzero
+    # right-hand sides; heisenberg(1)'s lands in the center.
+    for base in (heisenberg(1), heisenberg(1, GF(2)), sl2(GF(3))):
+        T = build_tensor_square(base)
+        L, n = T.base, T.dim
+        kappa, _ = T.commutator_map
+        sq_rows = T.square_submodule.basis.entries
+        comp = T._complement
+        for where, bad in corrupted_tables(T.algebra):
+            e = [bad.basis_vector(c) for c in range(n)]
+            not_central = any(any(bad.bracket(r, x))
+                              for r in sq_rows for x in e)
+            not_ideal = any(not comp.contains(bad.bracket(r, x))
+                            for r in comp.basis.entries for x in e)
+            broken = [(i, j) for i in range(n) for j in range(n)
+                      if kappa.apply(bad.table[i][j]) !=
+                      L.bracket(kappa.apply(e[i]), kappa.apply(e[j]))]
+            bad_T = TensorSquare(L, T.relation_space, T.quotient, bad,
+                                 T.pairing)
+            if not_central:
+                with pytest.raises(InternalCheckError, match="not central"):
+                    bad_T.square_submodule
+            else:
+                try:
+                    detail = bad_T.verify_decomposition().detail
+                except InternalCheckError:
+                    detail = None
+                assert (detail == "complement is not an ideal") == not_ideal, \
+                    (L.field, where)
+            if broken:
+                with pytest.raises(InternalCheckError,
+                                   match=r"basis pair \(%d,%d\)" % broken[0]):
+                    bad_T.commutator_map
+            else:
+                assert bad_T.commutator_map[0] == kappa, (L.field, where)
+            outcomes.add((not_central, not_ideal, bool(broken)))
+    for position in range(3):
+        assert {o[position] for o in outcomes} == {True, False}
