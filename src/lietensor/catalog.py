@@ -12,6 +12,12 @@ from .errors import InvalidInputError
 from .fields import QQ, Field
 from .liealg import LieAlgebra, direct_sum, lie_algebra_from_brackets
 
+# The design envelope: algebras of dimension n <= 16, so tensor-square
+# ambients of n^2 <= 256 coordinates.  Inputs outside it are rejected before
+# anything is built.
+MAX_DIM = 16
+MAX_AMBIENT = MAX_DIM * MAX_DIM
+
 
 def zero_algebra(field: Field = QQ) -> LieAlgebra:
     return lie_algebra_from_brackets(field, 0, {}, names=())
@@ -56,14 +62,35 @@ def is_catalog_name(name: str) -> bool:
     return all(_TERM_RE.match(t.strip()) for t in name.split("+"))
 
 
+def _term_dim(m: re.Match) -> int:
+    """Dimension of a matched catalog term, read from its integer alone.  A
+    parameter of more than three digits is outside the envelope anyway and
+    is not converted."""
+    if m.group(3):
+        return 3 if m.group(3) == "sl2" else 0
+    digits = m.group(2).lstrip("0") or "0"
+    if len(digits) > 3:
+        return MAX_DIM + 1
+    k = int(digits)
+    return k if m.group(1) == "abelian" else 2 * k + 1
+
+
 def catalog(name: str, field: Field = QQ) -> LieAlgebra:
-    """Resolve a catalog string, allowing "+"-joined direct sums."""
+    """Resolve a catalog string, allowing "+"-joined direct sums.  Sums of
+    dimension above MAX_DIM are rejected before any term is built."""
     terms = [t.strip() for t in name.split("+")]
-    algebras = []
+    matches = []
     for term in terms:
         m = _TERM_RE.match(term)
         if not m:
             raise InvalidInputError(f"unknown catalog algebra {term!r}")
+        matches.append(m)
+    if sum(map(_term_dim, matches)) > MAX_DIM:
+        raise InvalidInputError(
+            f"catalog algebra {name!r} has dimension above {MAX_DIM}, "
+            f"outside the design envelope")
+    algebras = []
+    for m in matches:
         if m.group(3) == "sl2":
             algebras.append(sl2(field))
         elif m.group(3) == "zero":

@@ -25,12 +25,12 @@ import sys
 import time
 from typing import Optional
 
-from .catalog import (CATALOG_SUITE, SUITE_FIELDS, catalog, is_catalog_name,
-                      is_supported)
+from .catalog import (CATALOG_SUITE, MAX_AMBIENT, MAX_DIM, SUITE_FIELDS,
+                      catalog, is_catalog_name, is_supported)
 from .errors import (InternalCheckError, InvalidInputError, NotNilpotentError,
                      TheoremViolationError)
 from .fields import QQ, Field, field_from_descriptor
-from .freenilp import free_nilpotent
+from .freenilp import dimension_exceeds, free_nilpotent
 from .liealg import LieAlgebra, lie_algebra_from_brackets
 from .presentation import (build_cover, exterior_via_presentation,
                            multiplier_via_presentation, presentation_of,
@@ -46,11 +46,21 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+DOCUMENT_KEYS = ("field", "dim", "basis_names", "brackets")
+
+
 def parse_algebra_document(doc: dict) -> LieAlgebra:
     """Validate and load an algebra document; antisymmetric completion is
-    applied to the sparse i < j bracket list."""
+    applied to the sparse i < j bracket list.
+
+    Nothing is accepted silently: unknown keys, duplicate pairs and a
+    coefficient index repeated within one bracket are all rejected, and so
+    is a dimension above the design envelope, before any table is built."""
     if not isinstance(doc, dict):
         raise InvalidInputError("algebra document must be a JSON object")
+    for key in doc:
+        if key not in DOCUMENT_KEYS:
+            raise InvalidInputError(f"unknown document key {key!r}")
     for key in ("field", "dim", "brackets"):
         if key not in doc:
             raise InvalidInputError(f"algebra document lacks field {key!r}")
@@ -61,11 +71,16 @@ def parse_algebra_document(doc: dict) -> LieAlgebra:
     dim = doc["dim"]
     if not _is_int(dim) or dim < 0:
         raise InvalidInputError(f"dim must be a nonnegative integer, got {dim!r}")
+    if dim > MAX_DIM:
+        raise InvalidInputError(
+            f"dim {dim} is above {MAX_DIM}, outside the design envelope")
     names = doc.get("basis_names")
     if names is not None:
         if not isinstance(names, list) or len(names) != dim \
                 or not all(isinstance(s, str) for s in names):
             raise InvalidInputError("basis_names must list one string per basis vector")
+    if not isinstance(doc["brackets"], list):
+        raise InvalidInputError("brackets must be a list")
     brackets = {}
     seen = set()
     for entry in doc["brackets"]:
@@ -84,6 +99,8 @@ def parse_algebra_document(doc: dict) -> LieAlgebra:
         if i >= j:
             raise InvalidInputError(
                 f"bracket entry ({i},{j}) must be stored with i < j")
+        if not isinstance(terms, list):
+            raise InvalidInputError(f"terms of bracket ({i},{j}) must be a list")
         parsed = []
         for term in terms:
             try:
@@ -92,6 +109,9 @@ def parse_algebra_document(doc: dict) -> LieAlgebra:
                 raise InvalidInputError(f"malformed coefficient term {term!r}")
             if not _is_int(k) or not 0 <= k < dim:
                 raise InvalidInputError(f"coefficient index {k!r} out of range")
+            if any(k == k2 for k2, _ in parsed):
+                raise InvalidInputError(
+                    f"duplicate coefficient index {k} in bracket ({i},{j})")
             if not isinstance(coeff, str):
                 raise InvalidInputError(
                     f"coefficient for ({i},{j},{k}) must be an exact string")
@@ -450,6 +470,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "free-nilpotent":
             if args.d < 0 or args.c < 1:
                 raise InvalidInputError("need -d >= 0 and -c >= 1")
+            if args.c > MAX_AMBIENT:
+                raise InvalidInputError(
+                    f"class {args.c} is above {MAX_AMBIENT}, outside the "
+                    f"design envelope")
+            if dimension_exceeds(args.d, args.c, MAX_AMBIENT):
+                raise InvalidInputError(
+                    f"free nilpotent algebra (d={args.d}, c={args.c}) has more "
+                    f"than {MAX_AMBIENT} dimensions, outside the design envelope")
             doc = free_nilpotent_document(args.d, args.c,
                                           _parse_field(args.field))
         elif args.command == "verify" and args.catalog:

@@ -79,6 +79,21 @@ def witt_dimension(d: int, k: int) -> int:
     return total // k
 
 
+def dimension_exceeds(d: int, c: int, limit: int) -> bool:
+    """Whether the free nilpotent algebra on d generators of class c has more
+    than limit dimensions, from the Witt layer sums alone; stops as soon as
+    the running sum passes limit.  For d <= 1 every layer above the first is
+    empty, so the dimension is d."""
+    if d <= 1:
+        return d > limit
+    total = 0
+    for k in range(1, c + 1):
+        total += witt_dimension(d, k)
+        if total > limit:
+            return True
+    return False
+
+
 def hall_words(d: int, c: int) -> tuple[HallWord, ...]:
     """All Hall words on d generators of degree at most c, in basis order."""
     by_degree: list[list[HallWord]] = [[] for _ in range(c + 1)]

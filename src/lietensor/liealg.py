@@ -4,6 +4,11 @@ An algebra of dimension n stores the full n x n table of bracket coordinate
 vectors, antisymmetry included; validation checks the stored redundancy rather
 than inferring it, so corrupted input is detectable.  Basis labels are purely
 decorative; all identity decisions use indices.
+
+Brackets, ad, the pairing axioms and the homomorphism checks all evaluate on
+sparse {index: nonzero} vectors over the cached nonzero structure constants
+(LieAlgebra.bracket_sparse and ad_sparse); the dense bracket and ad are thin
+wrappers that densify the result.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ from typing import Optional, Sequence
 
 from .errors import InternalCheckError, NotIdealError
 from .fields import Field, Scalar
-from .linalg import (LinearMap, Matrix, SpanBuilder, Subspace, Vector, kernel,
-                     quotient_structure)
+from .linalg import (LinearMap, Matrix, SparseVector, SpanBuilder, Subspace,
+                     Vector, add_scaled, combine, dense, kernel,
+                     quotient_structure, sparse)
 
 
 @dataclass(frozen=True)
@@ -41,54 +47,72 @@ class LieAlgebra:
         z, o = self.field.zero, self.field.one
         return tuple(o if j == i else z for j in range(self.dim))
 
-    def _nonzero_rows(self) -> list[list[tuple[int, list]]]:
-        """table[i][j] as sparse (k, coeff) lists; cached on first use."""
+    def _nonzero_rows(self) -> list[list[list[tuple[int, Scalar]]]]:
+        """table[i][j] as sparse (k, coeff) lists; cached on first use and
+        read only.  Cells that are one shared tuple (the all-zero cells of
+        free and quotient algebras) are scanned once."""
         cached = getattr(self, "_nz_cache", None)
         if cached is None:
-            cached = [[[(k, c) for k, c in enumerate(row) if c]
-                       for row in table_i] for table_i in self.table]
+            seen: dict[int, list] = {}
+
+            def nonzero(cell):
+                got = seen.get(id(cell))
+                if got is None:
+                    got = seen[id(cell)] = [(k, c) for k, c in enumerate(cell) if c]
+                return got
+
+            cached = [[nonzero(cell) for cell in row] for row in self.table]
             object.__setattr__(self, "_nz_cache", cached)
         return cached
+
+    def bracket_sparse(self, u: SparseVector, v: SparseVector) -> SparseVector:
+        """Bilinear extension of the structure constants to sparse vectors:
+        one term per pair of support entries with a nonzero cell."""
+        nz = self._nonzero_rows()
+        acc: SparseVector = {}
+        for i, ui in u.items():
+            nz_i = nz[i]
+            for j, vj in v.items():
+                cell = nz_i[j]
+                if cell:
+                    add_scaled(acc, ui * vj, cell)
+        return acc
 
     def bracket(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
         """Bilinear extension of the structure constants."""
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        acc = [self.field.zero] * self.dim
-        nz = self._nonzero_rows()
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            nz_i = nz[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                entries = nz_i[j]
-                if entries:
-                    f = ui * vj
-                    for k, c in entries:
-                        acc[k] = acc[k] + f * c
-        return tuple(acc)
+        return dense(self.bracket_sparse(sparse(u), sparse(v)), self.dim,
+                     self.field.zero)
 
-    def ad(self, v: Sequence[Scalar]) -> list[Vector]:
+    def ad_sparse(self, v: SparseVector) -> list[SparseVector]:
         """[v, x_j] for every basis vector x_j, reading the support of v once."""
-        if len(v) != self.dim:
-            raise ValueError("dimension mismatch")
         nz = self._nonzero_rows()
-        support = [(nz[i], vi) for i, vi in enumerate(v) if vi]
+        support = [(nz[i], vi) for i, vi in v.items()]
         out = []
         for j in range(self.dim):
-            acc = [self.field.zero] * self.dim
+            acc: SparseVector = {}
             for nz_i, vi in support:
-                for k, c in nz_i[j]:
-                    acc[k] = acc[k] + vi * c
-            out.append(tuple(acc))
+                cell = nz_i[j]
+                if cell:
+                    add_scaled(acc, vi, cell)
+            out.append(acc)
         return out
+
+    def ad(self, v: Sequence[Scalar]) -> list[Vector]:
+        """[v, x_j] for every basis vector x_j, densified from ad_sparse."""
+        if len(v) != self.dim:
+            raise ValueError("dimension mismatch")
+        zero = self.field.zero
+        return [dense(w, self.dim, zero) for w in self.ad_sparse(sparse(v))]
 
     def validate(self) -> "ValidationReport":
         """Check stored antisymmetry and the Jacobi identity on basis triples.
 
         Trilinearity plus antisymmetry make the i < j < k instances sufficient.
+        A triple whose three cells (i,j), (j,k), (k,i) are all zero sums three
+        zero terms, so only triples meeting a pair with a nonzero cell (in
+        either order) are evaluated, still in increasing order.
         """
         nz = self._nonzero_rows()
         anti_failures = []
@@ -100,31 +124,40 @@ class LieAlgebra:
                 if len(fwd) != len(bwd) or any(
                         k != k2 or c != -c2 for (k, c), (k2, c2) in zip(fwd, bwd)):
                     anti_failures.append((i, j))
+        n = self.dim
+        partners: list[set[int]] = [set() for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i != j and nz[i][j]:
+                    partners[i].add(j)
+                    partners[j].add(i)
         jacobi_failures = []
-        zero = self.field.zero
-        for i in range(self.dim):
+        for i in range(n):
             nz_i = nz[i]
-            for j in range(i + 1, self.dim):
+            for j in range(i + 1, n):
                 nz_ij, nz_j = nz_i[j], nz[j]
-                for k in range(j + 1, self.dim):
-                    acc = None
+                if j in partners[i]:
+                    third = range(j + 1, n)
+                else:
+                    third = sorted(k for k in partners[i] | partners[j] if k > j)
+                for k in third:
+                    acc: SparseVector = {}
                     for first, c in ((nz_ij, k), (nz_j[k], i), (nz[k][i], j)):
                         for m, coeff in first:
                             row = nz[m][c]
                             if row:
-                                if acc is None:
-                                    acc = [zero] * self.dim
-                                for t, s in row:
-                                    acc[t] = acc[t] + coeff * s
-                    if acc is not None and any(acc):
+                                add_scaled(acc, coeff, row)
+                    if acc:
                         jacobi_failures.append((i, j, k))
         return ValidationReport(tuple(anti_failures), tuple(jacobi_failures))
 
     def derived_subalgebra(self) -> Subspace:
         b = SpanBuilder(self.field, self.dim)
+        nz = self._nonzero_rows()
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                b.add(self.table[i][j])
+                if nz[i][j]:
+                    b.insert(dict(nz[i][j]))
         return b.subspace()
 
     def center(self) -> Subspace:
@@ -143,7 +176,8 @@ class LieAlgebra:
             prev = series[-1]
             b = SpanBuilder(self.field, self.dim)
             for row in prev.basis.entries:
-                b.add_all(self.ad(row))
+                for w in self.ad_sparse(sparse(row)):
+                    b.insert(w)
             nxt = b.subspace()
             series.append(nxt)
             if nxt == prev or nxt.dim == 0:
@@ -163,8 +197,7 @@ class LieAlgebra:
 
     @property
     def is_abelian(self) -> bool:
-        return all(not any(self.table[i][j])
-                   for i in range(self.dim) for j in range(self.dim))
+        return not any(any(row) for row in self._nonzero_rows())
 
 
 @dataclass(frozen=True)
@@ -204,24 +237,28 @@ class BilinearMap:
         return (f"BilinearMap({name}^{self.source_dim} x "
                 f"{name}^{self.source_dim} -> {name}^{self.target_dim})")
 
+    def sparse_cells(self) -> list[list[SparseVector]]:
+        """table[i][j] as {k: nonzero} dicts, built once; read only."""
+        cached = getattr(self, "_cells_cache", None)
+        if cached is None:
+            cached = [[sparse(cell) for cell in row] for row in self.table]
+            object.__setattr__(self, "_cells_cache", cached)
+        return cached
+
     def apply(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
         if len(u) != self.source_dim or len(v) != self.source_dim:
             raise ValueError("dimension mismatch")
-        acc = [self.field.zero] * self.target_dim
+        cells = self.sparse_cells()
+        sv = sparse(v)
+        acc: SparseVector = {}
         for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = self.table[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                cell = row[j]
-                if any(cell):
-                    f = ui * vj
-                    for k, c in enumerate(cell):
-                        if c:
-                            acc[k] = acc[k] + f * c
-        return tuple(acc)
+            if ui:
+                row = cells[i]
+                for j, vj in sv.items():
+                    cell = row[j]
+                    if cell:
+                        add_scaled(acc, ui * vj, cell.items())
+        return dense(acc, self.target_dim, self.field.zero)
 
 
 def lie_algebra_from_table(field: Field, table, names=None) -> LieAlgebra:
@@ -255,17 +292,27 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Linear
     """
     if ideal.ambient_dim != L.dim:
         raise ValueError("ambient mismatch")
+    zero = L.field.zero
     for row in ideal.basis.entries:
-        for j, w in enumerate(L.ad(row)):
-            if not ideal.contains(w):
+        for j, w in enumerate(L.ad_sparse(sparse(row))):
+            if ideal.reduce_sparse(w):
                 raise NotIdealError(
                     f"subspace is not an ideal: [basis row, x{j}] escapes",
-                    witness=w)
+                    witness=dense(w, L.dim, zero))
     qs = quotient_structure(L.dim, ideal)
     q = qs.dim
-    reps = qs.coset_reps
-    table = [[qs.project_vec(L.bracket(reps[a], reps[b])) for b in range(q)]
-             for a in range(q)]
+    free = qs.free_cols
+    nz = L._nonzero_rows()
+    zero_q = (zero,) * q
+
+    def project(cell) -> Vector:
+        # [x_a, x_b] for free columns a, b is the stored cell itself
+        if not cell:
+            return zero_q
+        rest = ideal.reduce_sparse(dict(cell))
+        return tuple(rest.get(c, zero) for c in free)
+
+    table = [[project(nz[a][b]) for b in free] for a in free]
     names = tuple(f"q{c + 1}" for c in range(q))
     quotient = LieAlgebra(L.field, q, tuple(tuple(r) for r in table), names)
     report = quotient.validate()
@@ -303,41 +350,62 @@ class PairingCheck:
 
 
 def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> PairingCheck:
-    """Check the three Lie-pairing compatibility axioms on basis tuples.
+    """Check the three Lie-pairing compatibility axioms on basis tuples
+    (Ellis, Glasgow Math. J. 33, 1991):
+
+        (i)   rho([l, l'], s) = rho(l, [l', s]) - rho(l', [l, s])
+        (ii)  rho(l, [l', s]) = rho([s, l], l') - rho([l', l], s)
+        (iii) rho([l, s], [l', s']) = -[rho(s, l), rho(l', s')]
 
     Each side of each axiom is multilinear in every argument, so basis
     instances suffice.  Returns the first violated instance as a witness.
+
+    Every side is evaluated sparsely, as {k: nonzero} dicts: rho on a
+    bracket is a combination of the sparse cells rho(x_a, x_b) over the
+    nonzero structure constants of L, and the bracket of (iii) runs over
+    H's nonzero cells.  A dict holds no zero value, so two of them are
+    equal exactly when the dense vectors they stand for are equal.  The
+    instances are visited in the dense order, (l, l', s) for (i) then (ii)
+    and (l, s, l', s') for (iii), so the first witness is the same one.
     """
     if rho.source_dim != L.dim or rho.target_dim != H.dim:
         raise ValueError("pairing dimensions do not match the algebras")
     n = L.dim
-    e = [L.basis_vector(i) for i in range(n)]
-    sc = L.table
+    nz = L._nonzero_rows()
+    cells = rho.sparse_cells()
+    by_right = [[cells[a][s] for a in range(n)] for s in range(n)]
+    # outer[l'][s][a] = rho(x_a, [x_l', x_s]); inner[l][l'][s] = rho([x_l, x_l'], x_s)
+    outer = [[[combine(nz[lp][s], cells[a]) for a in range(n)]
+              for s in range(n)] for lp in range(n)]
+    inner = [[[combine(nz[l][lp], by_right[s]) for s in range(n)]
+              for lp in range(n)] for l in range(n)]
+
+    def difference(u: SparseVector, v: SparseVector) -> SparseVector:
+        out = dict(u)
+        add_scaled(out, -H.field.one, v.items())
+        return out
+
     for l in range(n):
         for lp in range(n):
             for s in range(n):
-                lhs = rho.apply(sc[l][lp], e[s])
-                rhs = tuple(x - y for x, y in
-                            zip(rho.apply(e[l], sc[lp][s]),
-                                rho.apply(e[lp], sc[l][s])))
-                if lhs != rhs:
+                if inner[l][lp][s] != difference(outer[lp][s][l],
+                                                 outer[l][s][lp]):
                     return PairingCheck(False, ("axiom-i", (l, lp, s)))
-                lhs2 = rho.apply(e[l], sc[lp][s])
-                rhs2 = tuple(x - y for x, y in
-                             zip(rho.apply(sc[s][l], e[lp]),
-                                 rho.apply(sc[lp][l], e[s])))
-                if lhs2 != rhs2:
+                if outer[lp][s][l] != difference(inner[s][l][lp],
+                                                 inner[lp][l][s]):
                     return PairingCheck(False, ("axiom-ii", (l, lp, s)))
+    minus_one = -H.field.one
     for l in range(n):
         for s in range(n):
-            u = sc[l][s]
+            u, rho_sl = nz[l][s], cells[s][l]
+            if not u and not rho_sl:
+                continue  # both sides vanish for every (l', s')
             for lp in range(n):
                 for sp in range(n):
-                    v = sc[lp][sp]
-                    lhs = rho.apply(u, v)
-                    rhs = tuple(-x for x in H.bracket(rho.apply(e[s], e[l]),
-                                                      rho.apply(e[lp], e[sp])))
-                    if lhs != rhs:
+                    rhs: SparseVector = {}
+                    add_scaled(rhs, minus_one,
+                               H.bracket_sparse(rho_sl, cells[lp][sp]).items())
+                    if combine(u, outer[lp][sp]) != rhs:
                         return PairingCheck(False, ("axiom-iii", (l, s, lp, sp)))
     return PairingCheck(True)
 
@@ -350,10 +418,10 @@ def bracket_pairing(L: LieAlgebra) -> BilinearMap:
 def ideal_closure(L: LieAlgebra, vectors: Sequence[Sequence[Scalar]]) -> Subspace:
     """Smallest ideal of L containing the given vectors."""
     builder = SpanBuilder(L.field, L.dim)
-    work = [tuple(v) for v in vectors if builder.add(v)]
+    work = [sparse(v) for v in vectors if builder.add(v)]
     while work:
-        for w in L.ad(work.pop()):
-            if builder.add(w):
+        for w in L.ad_sparse(work.pop()):
+            if builder.insert(w):
                 work.append(w)
     return builder.subspace()
 
@@ -367,21 +435,30 @@ class Subalgebra:
             raise ValueError("ambient mismatch")
         self.parent = parent
         self.space = space
-        basis = space.basis.entries
+        self._pivot_row = {p: r for r, p in enumerate(space.pivots)}
+        self._zero = (parent.field.zero,) * space.dim
+        basis = [sparse(r) for r in space.basis.entries]
         k = space.dim
-        table = []
-        for a in range(k):
-            row = []
-            for b in range(k):
-                w = parent.bracket(basis[a], basis[b])
-                row.append(self.coords_of(w))
-            table.append(tuple(row))
+        table = tuple(tuple(self._coords(parent.bracket_sparse(u, v))
+                            for v in basis) for u in basis)
         names = tuple(f"s{c + 1}" for c in range(k))
-        self.algebra = LieAlgebra(parent.field, k, tuple(table), names)
+        self.algebra = LieAlgebra(parent.field, k, table, names)
         self.inclusion = LinearMap(Matrix.from_rows(
             parent.field,
-            [[basis[r][i] for r in range(k)] for i in range(parent.dim)],
+            [[r[i] for r in space.basis.entries] for i in range(parent.dim)],
             cols=k))
+
+    def _coords(self, v: SparseVector) -> Vector:
+        if self.space.reduce_sparse(v):
+            raise ValueError("vector does not lie in the subalgebra")
+        if not v:
+            return self._zero  # one shared cell, scanned once by _nonzero_rows
+        out = [self.space.field.zero] * self.space.dim
+        for col, x in v.items():
+            r = self._pivot_row.get(col)
+            if r is not None:
+                out[r] = x
+        return tuple(out)
 
     def coords_of(self, v: Sequence[Scalar]) -> Vector:
         """Coordinates of an ambient vector in the canonical basis.
@@ -389,9 +466,28 @@ class Subalgebra:
         For an RREF basis these are just the pivot-column entries; membership
         is verified by checking the residual.
         """
-        coords = tuple(v[p] for p in self.space.pivots)
-        residual = self.space.reduce(v)
-        if any(residual):
-            raise ValueError("vector does not lie in the subalgebra")
-        return coords
+        if len(v) != self.space.ambient_dim:
+            raise ValueError("ambient mismatch")
+        return self._coords(sparse(v))
 
+
+def homomorphism_failure(images: Sequence[SparseVector], source: LieAlgebra,
+                         target: LieAlgebra) -> Optional[tuple[int, int]]:
+    """The first basis pair (i, j), in row-major order, with
+    f[x_i, x_j] != [f x_i, f x_j] for the linear map f: x_i -> images[i];
+    None when f is a homomorphism.
+
+    Both sides are sparse {k: nonzero} dicts: f[x_i, x_j] combines the
+    images over the nonzero entries of source's cell (i, j), and
+    [f x_i, f x_j] is target.bracket_sparse.  Neither holds a zero value, so
+    they are equal exactly when the dense vectors are; and every (i, j) is
+    visited in the order of the dense double loop, so the first failing pair
+    is the same one.
+    """
+    nz = source._nonzero_rows()
+    for i, fi in enumerate(images):
+        nz_i = nz[i]
+        for j, fj in enumerate(images):
+            if combine(nz_i[j], images) != target.bracket_sparse(fi, fj):
+                return i, j
+    return None

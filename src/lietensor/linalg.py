@@ -7,7 +7,9 @@ basis, complement and report is bit-reproducible.  All elimination goes
 through SpanBuilder, which keeps its echelon rows sparse as
 {pivot: {column: value}}: relation vectors touch a handful of the n^2
 coordinates, so reductions cost the nonzeros they meet, not the ambient
-width.  Matrices and the vectors exchanged with callers stay dense tuples.
+width.  Matrices and the vectors exchanged with callers stay dense tuples;
+the sparse core (sparse, dense, add_scaled, combine, Matrix.sparse_columns,
+Subspace.reduce_sparse) is shared with the structure-constant checks.
 """
 
 from __future__ import annotations
@@ -22,8 +24,40 @@ Vector = tuple[Scalar, ...]
 SparseVector = dict[int, Scalar]
 
 
-def _sparse(v: Sequence[Scalar]) -> SparseVector:
+def sparse(v: Sequence[Scalar]) -> SparseVector:
+    """A dense vector as {index: nonzero value}."""
     return {j: x for j, x in enumerate(v) if x}
+
+
+def dense(v: SparseVector, n: int, zero: Scalar) -> Vector:
+    """A sparse vector as a dense tuple of length n."""
+    out = [zero] * n
+    for j, x in v.items():
+        out[j] = x
+    return tuple(out)
+
+
+def add_scaled(out: SparseVector, f: Scalar,
+               terms: Iterable[tuple[int, Scalar]]) -> None:
+    """out += f * terms in place, for nonzero f and (index, nonzero value)
+    terms, dropping the entries that cancel; out never holds a zero."""
+    for j, x in terms:
+        y = out.get(j)
+        y = f * x if y is None else y + f * x
+        if y:
+            out[j] = y
+        else:
+            del out[j]
+
+
+def combine(terms: Iterable[tuple[int, Scalar]],
+            columns: Sequence[SparseVector]) -> SparseVector:
+    """The sum of c * columns[k] over the (k, c) terms: the linear map with
+    these sparse columns, applied to a sparse vector."""
+    out: SparseVector = {}
+    for k, c in terms:
+        add_scaled(out, c, columns[k].items())
+    return out
 
 
 @dataclass(frozen=True, repr=False)
@@ -66,6 +100,16 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 
+    @cached_property
+    def sparse_columns(self) -> tuple[SparseVector, ...]:
+        """Every column as {row: nonzero value}, built once; read only."""
+        cols: list[SparseVector] = [{} for _ in range(self.cols)]
+        for r, row in enumerate(self.entries):
+            for j, x in enumerate(row):
+                if x:
+                    cols[j][r] = x
+        return tuple(cols)
+
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.cols, self.rows,
                       tuple(zip(*self.entries)) if self.entries else
@@ -81,10 +125,8 @@ class Matrix:
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
-        nz = [(j, vj) for j, vj in enumerate(v) if vj]
-        z = self.field.zero
-        return tuple(sum((row[j] * vj for j, vj in nz), z)
-                     for row in self.entries)
+        return dense(combine(sparse(v).items(), self.sparse_columns),
+                     self.rows, self.field.zero)
 
     def select_columns(self, cols: Sequence[int]) -> "Matrix":
         """The submatrix on the given columns, in the given order."""
@@ -161,17 +203,21 @@ class Subspace:
     @cached_property
     def _echelon(self) -> "SpanBuilder":
         builder = SpanBuilder(self.field, self.ambient_dim)
-        builder._rows = {p: _sparse(row)
+        builder._rows = {p: sparse(row)
                          for p, row in zip(self.pivots, self.basis.entries)}
         return builder
+
+    def reduce_sparse(self, v: SparseVector) -> SparseVector:
+        """Canonical residual of a sparse vector; empty exactly when v lies
+        in the subspace."""
+        return self._echelon.reduce(v)
 
     def reduce(self, v: Sequence[Scalar]) -> Vector:
         """Canonical residual of v after clearing all pivot coordinates."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient mismatch")
-        rest = self._echelon.reduce(_sparse(v))
-        zero = self.field.zero
-        return tuple(rest.get(j, zero) for j in range(self.ambient_dim))
+        return dense(self.reduce_sparse(sparse(v)), self.ambient_dim,
+                     self.field.zero)
 
     def contains(self, v: Sequence[Scalar]) -> bool:
         return self._echelon.contains(v)
@@ -209,13 +255,13 @@ class SpanBuilder:
         for p, f in v.items():
             row = self._rows.get(p)
             if row is not None:
-                _subtract(out, f, row)
+                add_scaled(out, -f, row.items())
         return out
 
     def contains(self, v: Sequence[Scalar]) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("ambient mismatch")
-        return not self.reduce(_sparse(v))
+        return not self.reduce(sparse(v))
 
     def insert(self, v: SparseVector) -> bool:
         """Insert one sparse vector {column: nonzero value}; returns True if
@@ -230,7 +276,7 @@ class SpanBuilder:
         for row in self._rows.values():
             f = row.get(pivot)
             if f:
-                _subtract(row, f, out)
+                add_scaled(row, -f, out.items())
         self._rows[pivot] = out
         return True
 
@@ -238,7 +284,7 @@ class SpanBuilder:
         """Insert one dense vector; returns True if it enlarged the span."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient mismatch")
-        return self.insert(_sparse(v))
+        return self.insert(sparse(v))
 
     def add_all(self, vectors: Iterable[Sequence[Scalar]]) -> None:
         for v in vectors:
@@ -249,21 +295,9 @@ class SpanBuilder:
         zero = self.field.zero
         basis = Matrix.from_rows(
             self.field,
-            [tuple(self._rows[p].get(j, zero) for j in range(self.ambient_dim))
-             for p in pivots],
+            [dense(self._rows[p], self.ambient_dim, zero) for p in pivots],
             cols=self.ambient_dim)
         return Subspace(self.field, self.ambient_dim, basis, pivots)
-
-
-def _subtract(out: SparseVector, f: Scalar, row: SparseVector) -> None:
-    """out -= f * row in place, dropping the entries that cancel."""
-    for j, x in row.items():
-        y = out.get(j)
-        y = -(f * x) if y is None else y - f * x
-        if y:
-            out[j] = y
-        else:
-            del out[j]
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -366,8 +400,11 @@ class QuotientStructure:
                      for c in self.free_cols)
 
     def project_vec(self, v: Sequence[Scalar]) -> Vector:
-        reduced = self.sub.reduce(v)
-        return tuple(reduced[c] for c in self.free_cols)
+        if len(v) != self.ambient_dim:
+            raise ValueError("ambient mismatch")
+        rest = self.sub.reduce_sparse(sparse(v))
+        zero = self.sub.field.zero
+        return tuple(rest.get(c, zero) for c in self.free_cols)
 
     def lift_vec(self, y: Sequence[Scalar]) -> Vector:
         return self.lift.apply(y)

@@ -18,9 +18,10 @@ from typing import Optional
 
 from .errors import (InternalCheckError, NotNilpotentError,
                      TheoremViolationError)
-from .liealg import LieAlgebra, Subalgebra, quotient_algebra
+from .liealg import (LieAlgebra, Subalgebra, homomorphism_failure,
+                     quotient_algebra)
 from .linalg import (LinearMap, SpanBuilder, Subspace, complement_within,
-                     subspace_intersect)
+                     dense, sparse, subspace_intersect)
 from .freenilp import FreeNilpotent, free_nilpotent
 from .tensor import TensorSquare, Verdict, build_tensor_square
 
@@ -67,44 +68,47 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
     if cls is None:
         raise NotNilpotentError("free presentations require a nilpotent algebra")
     derived = L.derived_subalgebra()
-    lifts = [L.basis_vector(c) for c in derived.free_cols]
+    lifts = derived.free_cols  # x_c for each non-pivot column c
     d = len(lifts)
     F = free_nilpotent(d, cls + 1, L.field)
 
+    # Sparse images of the Hall words: a generator goes to its lift, a
+    # bracket word to the bracket of the images of its halves.
     images: list = [None] * F.algebra.dim
     position = {w: i for i, w in enumerate(F.words)}
 
-    def image_of(w) -> tuple:
+    def image_of(w) -> dict:
         i = position[w]
         if images[i] is None:
             if w.index is not None:
-                images[i] = lifts[w.index]
+                images[i] = {lifts[w.index]: L.field.one}
             else:
-                images[i] = L.bracket(image_of(w.left), image_of(w.right))
+                images[i] = L.bracket_sparse(image_of(w.left), image_of(w.right))
         return images[i]
 
     for w in F.words:
         image_of(w)
-    onto = LinearMap.from_images(L.field, L.dim, images)
+    zero = L.field.zero
+    onto = LinearMap.from_images(L.field, L.dim,
+                                 [dense(im, L.dim, zero) for im in images])
     if onto.rank() != L.dim:
         raise InternalCheckError("canonical lifts do not generate the algebra")
-    for i in range(F.algebra.dim):
-        for j in range(F.algebra.dim):
-            lhs = onto.apply(F.algebra.table[i][j])
-            rhs = L.bracket(images[i], images[j])
-            if lhs != rhs:
-                raise InternalCheckError(
-                    f"presentation map is not a homomorphism at ({i},{j})")
+    bad = homomorphism_failure(images, F.algebra, L)
+    if bad is not None:
+        raise InternalCheckError(
+            "presentation map is not a homomorphism at (%d,%d)" % bad)
 
     relations = onto.kernel()
     rf = SpanBuilder(L.field, F.algebra.dim)
     for r in relations.basis.entries:
-        rf.add_all(F.algebra.ad(r))
+        for w in F.algebra.ad_sparse(sparse(r)):
+            rf.insert(w)
     relations_commutator = rf.subspace()
     # Ideal property follows from the Jacobi identity; assert instead of
     # re-closing.
     for t in relations_commutator.basis.entries:
-        if not all(map(relations_commutator.contains, F.algebra.ad(t))):
+        if any(map(relations_commutator.reduce_sparse,
+                   F.algebra.ad_sparse(sparse(t)))):
             raise InternalCheckError("commutator span is not an ideal")
     free_derived = F.algebra.derived_subalgebra()
     relations_in_derived = subspace_intersect(relations, free_derived)
@@ -112,7 +116,7 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
         raise InternalCheckError("kernel commutator escapes the derived part")
     # The truncation layer (degree c + 1) must die in L.
     for i, deg in enumerate(F.degrees):
-        if deg == cls + 1 and not relations.contains(F.algebra.basis_vector(i)):
+        if deg == cls + 1 and relations.reduce_sparse({i: L.field.one}):
             raise InternalCheckError("top truncation layer survives in L")
     return FreePresentation(L, F, onto, relations, relations_commutator,
                             relations_in_derived)
@@ -190,14 +194,10 @@ def _check_isomorphism(f: LinearMap, source: LieAlgebra, target: LieAlgebra):
     """
     if not f.is_bijective():
         raise TheoremViolationError("map is not bijective")
-    images = [f.matrix.column(i) for i in range(source.dim)]
-    for i in range(source.dim):
-        for j in range(source.dim):
-            lhs = f.apply(source.table[i][j])
-            rhs = target.bracket(images[i], images[j])
-            if lhs != rhs:
-                raise TheoremViolationError(
-                    f"map is not a homomorphism at basis pair ({i},{j})")
+    bad = homomorphism_failure(f.matrix.sparse_columns, source, target)
+    if bad is not None:
+        raise TheoremViolationError(
+            "map is not a homomorphism at basis pair (%d,%d)" % bad)
 
 
 def multiplier_via_presentation(P: FreePresentation) -> Subspace:

@@ -25,10 +25,11 @@ from typing import Sequence
 
 from .errors import InternalCheckError, InvalidInputError
 from .fields import Scalar
-from .liealg import (BilinearMap, LieAlgebra, is_lie_pairing,
-                     quotient_algebra)
-from .linalg import (LinearMap, Matrix, SpanBuilder, Subspace, Vector,
-                     quotient_structure, subspace_intersect, subspace_sum)
+from .liealg import (BilinearMap, LieAlgebra, homomorphism_failure,
+                     is_lie_pairing, quotient_algebra)
+from .linalg import (LinearMap, Matrix, SpanBuilder, Subspace, Vector, combine,
+                     quotient_structure, sparse, subspace_intersect,
+                     subspace_sum)
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class TensorSquare:
                                   zip(self.pure(i, j), self.pure(j, i))))
         space = builder.subspace()
         for row in space.basis.entries:
-            if any(map(any, self.algebra.ad(row))):
+            if any(self.algebra.ad_sparse(sparse(row))):
                 raise InternalCheckError(
                     "square submodule is not central in the tensor square")
         return space
@@ -127,14 +128,10 @@ class TensorSquare:
             if any(amb.apply(row)):
                 raise InternalCheckError("commutator map does not kill a relation")
         kappa = LinearMap(amb.matrix.select_columns(self.quotient.free_cols))
-        images = [kappa.matrix.column(a) for a in range(self.dim)]
-        for a in range(self.dim):
-            for b in range(self.dim):
-                lhs = kappa.apply(self.algebra.table[a][b])
-                rhs = L.bracket(images[a], images[b])
-                if lhs != rhs:
-                    raise InternalCheckError(
-                        f"commutator map is not a homomorphism at basis pair ({a},{b})")
+        bad = homomorphism_failure(kappa.matrix.sparse_columns, self.algebra, L)
+        if bad is not None:
+            raise InternalCheckError(
+                "commutator map is not a homomorphism at basis pair (%d,%d)" % bad)
         return kappa, kappa.kernel()
 
     def schur_multiplier(self) -> Subspace:
@@ -241,19 +238,22 @@ class TensorSquare:
         if subspace_sum(comp, sq).dim != full:
             return Verdict(False, "complement + square submodule is not everything")
         alg = self.algebra
-        for row in comp.basis.entries:
-            if not all(map(comp.contains, alg.ad(row))):
+        rows = [sparse(row) for row in comp.basis.entries]
+        for row in rows:
+            if any(map(comp.reduce_sparse, alg.ad_sparse(row))):
                 return Verdict(False, "complement is not an ideal")
         ext, proj = self._exterior
         images = [proj.apply(row) for row in comp.basis.entries]
         if Subspace.span(self.base.field, ext.dim, images).dim != comp.dim \
                 or comp.dim != ext.dim:
             return Verdict(False, "complement does not map bijectively onto the exterior square")
-        for a, ra in enumerate(comp.basis.entries):
-            for rb in comp.basis.entries:
-                lhs = proj.apply(alg.bracket(ra, rb))
-                rhs = ext.bracket(proj.apply(ra), proj.apply(rb))
-                if lhs != rhs:
+        # Sparse {k: nonzero} sides are equal exactly when the dense ones are.
+        cols = proj.matrix.sparse_columns
+        sparse_images = [sparse(im) for im in images]
+        for ra, pa in zip(rows, sparse_images):
+            for rb, pb in zip(rows, sparse_images):
+                if combine(alg.bracket_sparse(ra, rb).items(), cols) \
+                        != ext.bracket_sparse(pa, pb):
                     return Verdict(False, "restriction to the complement is not a homomorphism")
         return Verdict(True, f"{full} = {sq.dim} + {comp.dim}")
 
