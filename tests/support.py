@@ -11,8 +11,12 @@ import random
 
 import sympy
 
-from lietensor import QQ, Field, LieAlgebra, ideal_closure, quotient_algebra
+from lietensor import (QQ, BilinearMap, Field, LieAlgebra, ideal_closure,
+                       quotient_algebra)
 from lietensor.freenilp import free_nilpotent
+from lietensor.liealg import PairingCheck
+from lietensor.linalg import Subspace
+from lietensor.tensor import Verdict
 
 
 def to_sympy(x) -> sympy.Rational:
@@ -110,3 +114,164 @@ def random_nilpotent_quotient(rng: random.Random, d: int, c: int,
     ideal = ideal_closure(F.algebra, seeds)
     quotient, _ = quotient_algebra(F.algebra, ideal)
     return quotient
+
+
+# ----------------------------------------------------------------------
+# dense reference oracles: the plain loops the sparse kernels replaced
+# ----------------------------------------------------------------------
+
+def dense_bilinear(table, field, target_dim, u, v):
+    """sum_{i,j} u_i v_j table[i][j], entry by entry."""
+    acc = [field.zero] * target_dim
+    for i, ui in enumerate(u):
+        if ui:
+            for j, vj in enumerate(v):
+                if vj:
+                    for k, c in enumerate(table[i][j]):
+                        acc[k] = acc[k] + ui * vj * c
+    return tuple(acc)
+
+
+def dense_bracket(L: LieAlgebra, u, v):
+    return dense_bilinear(L.table, L.field, L.dim, u, v)
+
+
+def dense_apply(matrix, v):
+    """Matrix times column vector, row by row."""
+    return tuple(sum((a * b for a, b in zip(row, v)), matrix.field.zero)
+                 for row in matrix.entries)
+
+
+def basis(L: LieAlgebra):
+    return [tuple(L.field.one if j == i else L.field.zero
+                  for j in range(L.dim)) for i in range(L.dim)]
+
+
+def dense_is_lie_pairing(rho: BilinearMap, L: LieAlgebra,
+                         H: LieAlgebra) -> PairingCheck:
+    """The three pairing axioms instance by instance on dense vectors, in the
+    order (l, l', s) for (i) and (ii), then (l, s, l', s') for (iii)."""
+    n = L.dim
+    e = basis(L)
+    sc = L.table
+
+    def apply(u, v):
+        return dense_bilinear(rho.table, rho.field, rho.target_dim, u, v)
+
+    for l in range(n):
+        for lp in range(n):
+            for s in range(n):
+                lhs = apply(sc[l][lp], e[s])
+                rhs = tuple(x - y for x, y in zip(apply(e[l], sc[lp][s]),
+                                                  apply(e[lp], sc[l][s])))
+                if lhs != rhs:
+                    return PairingCheck(False, ("axiom-i", (l, lp, s)))
+                lhs2 = apply(e[l], sc[lp][s])
+                rhs2 = tuple(x - y for x, y in zip(apply(sc[s][l], e[lp]),
+                                                   apply(sc[lp][l], e[s])))
+                if lhs2 != rhs2:
+                    return PairingCheck(False, ("axiom-ii", (l, lp, s)))
+    for l in range(n):
+        for s in range(n):
+            for lp in range(n):
+                for sp in range(n):
+                    lhs = apply(sc[l][s], sc[lp][sp])
+                    rhs = tuple(-x for x in dense_bracket(
+                        H, apply(e[s], e[l]), apply(e[lp], e[sp])))
+                    if lhs != rhs:
+                        return PairingCheck(False, ("axiom-iii", (l, s, lp, sp)))
+    return PairingCheck(True)
+
+
+def corrupted_pairings(rho: BilinearMap):
+    """Every copy of rho with one table entry shifted by one, together with
+    the position (i, j, k) of the shifted entry."""
+    for i in range(rho.source_dim):
+        for j in range(rho.source_dim):
+            for k in range(rho.target_dim):
+                table = [[list(cell) for cell in row] for row in rho.table]
+                table[i][j][k] += rho.field.one
+                yield (i, j, k), BilinearMap(
+                    rho.field, rho.source_dim, rho.target_dim,
+                    tuple(tuple(tuple(cell) for cell in row) for row in table))
+
+
+def dense_subalgebra_table(parent: LieAlgebra, space: Subspace):
+    """Coordinates of every bracket of two basis rows in the canonical
+    basis (the pivot entries), after checking by rank that the bracket lies
+    in the span; raises ValueError otherwise."""
+    rows = space.basis.entries
+    table = []
+    for a in rows:
+        row = []
+        for b in rows:
+            w = dense_bracket(parent, a, b)
+            grown = Subspace.span(parent.field, parent.dim, list(rows) + [w])
+            if grown.dim != space.dim:
+                raise ValueError("vector does not lie in the subalgebra")
+            row.append(tuple(w[p] for p in space.pivots))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def dense_validation_failures(L: LieAlgebra):
+    """Antisymmetry failures (i <= j) and Jacobi failures (i < j < k) by
+    plain loops over every basis pair and triple."""
+    n = L.dim
+    e = basis(L)
+    anti = [(i, j) for i in range(n) for j in range(i, n)
+            if (any(L.table[i][i]) if i == j else
+                tuple(-x for x in L.table[j][i]) != tuple(L.table[i][j]))]
+    zero = (L.field.zero,) * n
+    jacobi = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                terms = (dense_bracket(L, L.table[i][j], e[k]),
+                         dense_bracket(L, L.table[j][k], e[i]),
+                         dense_bracket(L, L.table[k][i], e[j]))
+                if tuple(map(lambda *xs: sum(xs, L.field.zero), *terms)) != zero:
+                    jacobi.append((i, j, k))
+    return tuple(anti), tuple(jacobi)
+
+
+def dense_homomorphism_failure(images, source: LieAlgebra, target: LieAlgebra):
+    """First (i, j) in row-major order with f[x_i, x_j] != [f x_i, f x_j]."""
+    def f(v):
+        acc = [target.field.zero] * target.dim
+        for k, c in enumerate(v):
+            for t, x in enumerate(images[k]):
+                acc[t] = acc[t] + c * x
+        return tuple(acc)
+
+    for i in range(source.dim):
+        for j in range(source.dim):
+            if f(source.table[i][j]) != dense_bracket(target, images[i], images[j]):
+                return i, j
+    return None
+
+
+def dense_decomposition_verdict(T) -> Verdict:
+    """verify_decomposition's ideal and restriction checks on dense vectors
+    (the intersection, sum and bijectivity checks go through the package's
+    elimination as before)."""
+    from lietensor.linalg import subspace_intersect, subspace_sum
+    sq, comp, alg = T.square_submodule, T._complement, T.algebra
+    if subspace_intersect(comp, sq).dim != 0:
+        return Verdict(False, "complement meets the square submodule")
+    if subspace_sum(comp, sq).dim != T.dim:
+        return Verdict(False, "complement + square submodule is not everything")
+    for row in comp.basis.entries:
+        if not all(comp.contains(dense_bracket(alg, row, x)) for x in basis(alg)):
+            return Verdict(False, "complement is not an ideal")
+    ext, proj = T._exterior
+    images = [dense_apply(proj.matrix, row) for row in comp.basis.entries]
+    if Subspace.span(alg.field, ext.dim, images).dim != comp.dim \
+            or comp.dim != ext.dim:
+        return Verdict(False, "complement does not map bijectively onto the exterior square")
+    for ra, pa in zip(comp.basis.entries, images):
+        for rb, pb in zip(comp.basis.entries, images):
+            if dense_apply(proj.matrix, dense_bracket(alg, ra, rb)) \
+                    != dense_bracket(ext, pa, pb):
+                return Verdict(False, "restriction to the complement is not a homomorphism")
+    return Verdict(True, f"{T.dim} = {sq.dim} + {comp.dim}")

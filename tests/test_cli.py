@@ -277,3 +277,76 @@ def test_document_path_is_not_routed_by_catalog_prefix(tmp_path, monkeypatch,
     for unreadable in ("binary.json", "deep.json"):
         assert main(["info", unreadable]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_design_envelope_is_enforced_before_anything_is_built(tmp_path,
+                                                               capsys):
+    # Each of these used to build (or start building) an algebra far above
+    # n = 16; now each ends with exit 2 and a message at once.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"field": "Q", "dim": 100000, "brackets": []}))
+    for args in (["info", "abelian(400)"], ["info", "heisenberg(9)"],
+                 ["tensor", "abelian(" + "9" * 5000 + ")"],
+                 ["info", "+".join(["abelian(1)"] * 17)],
+                 ["info", str(path)],
+                 ["free-nilpotent", "-d", "50", "-c", "50"],
+                 ["free-nilpotent", "-d", "1", "-c", "1000000000"]):
+        started = time.perf_counter()
+        assert main(args) == 2, args
+        assert time.perf_counter() - started < 5, args
+        err = capsys.readouterr().err
+        assert "design envelope" in err and "Traceback" not in err, args
+    # the largest algebras inside the envelope are still accepted
+    for args in (["info", "heisenberg(7)+abelian(1)"], ["info", "abelian(16)"],
+                 ["free-nilpotent", "-d", "16", "-c", "2"],
+                 ["free-nilpotent", "-d", "1", "-c", "256"]):
+        code, doc = run(args, capsys)
+        assert code == 0, args
+    assert doc["dim"] == 1
+
+
+def test_free_nilpotent_envelope_reads_the_witt_layer_sums():
+    from lietensor.freenilp import dimension_exceeds, witt_dimension
+    for d in range(0, 7):
+        for c in range(1, 9):
+            dim = sum(witt_dimension(d, k) for k in range(1, c + 1))
+            for limit in (dim - 1, dim, 256):
+                assert dimension_exceeds(d, c, limit) == (dim > limit), (d, c)
+
+
+def test_unknown_keys_and_repeated_coefficient_indices_are_rejected(
+        tmp_path, capsys):
+    cases = [
+        (dict(H1_DOC, comment="x"), "unknown document key 'comment'"),
+        (dict(H1_DOC, Brackets=[]), "unknown document key 'Brackets'"),
+        ({"field": "Q", "dim": 3, "brackets": [[0, 1, [[2, "1"], [2, "1"]]]]},
+         "duplicate coefficient index 2 in bracket (0,1)"),
+        ({"field": "Q", "dim": 3, "brackets": [[0, 1, [[2, "1"], [2, "-1"]]]]},
+         "duplicate coefficient index 2"),
+        ({"field": "Q", "dim": 3, "brackets": 5}, "brackets must be a list"),
+        ({"field": "Q", "dim": 3, "brackets": [[0, 1, 7]]}, "must be a list"),
+    ]
+    for doc, fragment in cases:
+        code, err = run_document(doc, tmp_path, capsys)
+        assert code == 2 and fragment in err, doc
+
+
+def test_algebra_documents_still_round_trip():
+    # Echo documents carry exactly the accepted keys, with no repeated
+    # coefficient index, for catalog algebras, free nilpotent algebras and
+    # the random quotients of the cross-oracle workload.
+    import random
+
+    from lietensor import GF, catalog, free_nilpotent
+    from support import random_nilpotent_quotient
+
+    algebras = [catalog("heisenberg(2)+sl2", GF(5)), catalog("abelian(16)")]
+    algebras += [free_nilpotent(3, 3, field).algebra for field in (GF(0), GF(5))]
+    rng = random.Random(20260810)
+    algebras += [random_nilpotent_quotient(rng, d, c) for d, c in
+                 ((2, 3), (2, 4), (3, 2), (3, 3))]
+    for L in algebras:
+        echo = algebra_document(L)
+        again = parse_algebra_document(json.loads(json.dumps(echo)))
+        assert again.table == L.table and again.basis_names == L.basis_names
+        assert algebra_document(again) == echo

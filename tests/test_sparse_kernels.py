@@ -1,0 +1,182 @@
+"""The sparse verification kernels against the dense loops they replaced.
+
+Each rewritten check is run on every single corrupted structure constant of
+small algebras and must give exactly what the plain dense loop in
+support.py gives: the same verdict, witness, table or exception.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lietensor import (GF, QQ, Field, LieAlgebra, build_tensor_square,
+                       bracket_pairing, catalog, free_nilpotent, heisenberg,
+                       is_lie_pairing, quotient_algebra, sl2)
+from lietensor.errors import InternalCheckError
+from lietensor.liealg import Subalgebra, homomorphism_failure
+from lietensor.linalg import Subspace, dense, sparse
+from lietensor.tensor import TensorSquare
+
+from support import (corrupted_pairings, corrupted_tables, dense_bracket,
+                     dense_decomposition_verdict, dense_homomorphism_failure,
+                     dense_is_lie_pairing, dense_subalgebra_table,
+                     dense_validation_failures)
+
+
+@st.composite
+def brackets_of_two_vectors(draw):
+    """An arbitrary bilinear table (not necessarily Lie) over Q, GF(2) or
+    GF(5), and two vectors, each zero, sparse or dense."""
+    field = Field(draw(st.sampled_from([0, 2, 5])))
+    n = draw(st.integers(1, 5))
+    ints = st.integers(-3, 3)
+    raw = draw(st.lists(ints, min_size=n ** 3, max_size=n ** 3))
+    table = tuple(tuple(tuple(field.scalar(raw[(i * n + j) * n + k])
+                              for k in range(n)) for j in range(n))
+                  for i in range(n))
+    L = LieAlgebra(field, n, table, tuple(f"x{i}" for i in range(n)))
+    vector = st.one_of(st.just([0] * n),
+                       st.lists(st.sampled_from([0, 0, 0, 1, -2]),
+                                min_size=n, max_size=n),
+                       st.lists(ints, min_size=n, max_size=n))
+    u, v = draw(vector), draw(vector)
+    return (L, tuple(map(field.scalar, u)), tuple(map(field.scalar, v)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(brackets_of_two_vectors())
+def test_sparse_bracket_equals_bracket(case):
+    L, u, v = case
+    w = L.bracket_sparse(sparse(u), sparse(v))
+    assert all(w.values())  # no stored zeros, so dict equality is exact
+    assert w == sparse(L.bracket(u, v))
+    assert dense(w, L.dim, L.field.zero) == dense_bracket(L, u, v)
+    assert [sparse(x) for x in L.ad(u)] == L.ad_sparse(sparse(u))
+
+
+def pairing_cases():
+    """(rho, L, H) for the bracket pairing of sl2 and the universal pairings
+    of heisenberg(1) over Q and GF(2) and of sl2 over GF(3)."""
+    L = sl2()
+    yield bracket_pairing(L), L, L
+    for base in (heisenberg(1), heisenberg(1, GF(2)), sl2(GF(3))):
+        T = build_tensor_square(base)
+        yield T.pairing, base, T.algebra
+
+
+def test_pairing_check_matches_the_dense_oracle_under_every_corruption():
+    kinds = set()
+    for rho, L, H in pairing_cases():
+        assert is_lie_pairing(rho, L, H) == dense_is_lie_pairing(rho, L, H)
+        variants = ([(bad, L, H) for _, bad in corrupted_pairings(rho)]
+                    + [(rho, bad, H) for _, bad in corrupted_tables(L)]
+                    + [(rho, L, bad) for _, bad in corrupted_tables(H)])
+        for args in variants:
+            expected = dense_is_lie_pairing(*args)
+            assert is_lie_pairing(*args) == expected, (L.field, expected)
+            kinds.add(expected.witness[0] if expected.witness else "ok")
+    assert kinds == {"ok", "axiom-i", "axiom-ii", "axiom-iii"}
+
+
+def subalgebra_cases():
+    F = free_nilpotent(2, 3).algebra
+    H2 = heisenberg(2)
+    h_gf2 = heisenberg(1, GF(2))
+    yield F, F.derived_subalgebra()
+    yield H2, H2.derived_subalgebra()
+    yield H2, Subspace.span(QQ, 5, [H2.basis_vector(0), H2.basis_vector(2),
+                                    H2.basis_vector(4)])
+    yield sl2(GF(5)), Subspace.full_space(GF(5), 3)
+    yield h_gf2, Subspace.span(GF(2), 3, [h_gf2.basis_vector(0),
+                                          h_gf2.basis_vector(2)])
+
+
+def test_subalgebra_matches_the_bracket_loop_under_every_corruption():
+    outcomes = set()
+    for L, space in subalgebra_cases():
+        assert Subalgebra(L, space).algebra.table == \
+            dense_subalgebra_table(L, space)
+        for where, bad in corrupted_tables(L):
+            try:
+                expected = dense_subalgebra_table(bad, space)
+            except ValueError as exc:
+                expected = str(exc)
+            try:
+                got = Subalgebra(bad, space).algebra.table
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected, (L, where)
+            outcomes.add(isinstance(expected, str))
+    assert outcomes == {True, False}
+
+
+def test_subalgebra_rejects_a_subspace_not_closed_under_the_bracket():
+    L = heisenberg(1)
+    open_plane = Subspace.span(QQ, 3, [L.basis_vector(0), L.basis_vector(1)])
+    with pytest.raises(ValueError, match="does not lie in the subalgebra"):
+        Subalgebra(L, open_plane)
+    with pytest.raises(ValueError, match="does not lie in the subalgebra"):
+        Subalgebra(L, L.derived_subalgebra()).coords_of(L.basis_vector(0))
+
+
+def test_validate_matches_the_dense_triple_loop_under_every_corruption():
+    # heisenberg(1)+abelian(2) has mostly zero cells, so most triples are
+    # skipped by the sparse loop until a corruption makes them nonzero.
+    found = set()
+    for L in (heisenberg(2), sl2(GF(5)), free_nilpotent(2, 3).algebra,
+              catalog("heisenberg(1)+abelian(2)", GF(3))):
+        report = L.validate()
+        assert (report.antisymmetry_failures, report.jacobi_failures) == \
+            dense_validation_failures(L) == ((), ())
+        for where, bad in corrupted_tables(L):
+            report = bad.validate()
+            got = (report.antisymmetry_failures, report.jacobi_failures)
+            assert got == dense_validation_failures(bad), where
+            found.add(bool(report.jacobi_failures))
+    assert found == {True, False}
+
+
+def test_homomorphism_failure_matches_the_dense_loop_under_every_corruption():
+    # The projection onto a quotient and the identity, with one corrupted
+    # constant in the source or in the target.
+    outcomes = set()
+    for L in (heisenberg(2), sl2(GF(3)), heisenberg(1, GF(2))):
+        ideal = L.center() if L.center().dim else Subspace.zero_space(L.field, L.dim)
+        Q, proj = quotient_algebra(L, ideal)
+        maps = [(proj.matrix.sparse_columns, L, Q),
+                ([sparse(L.basis_vector(i)) for i in range(L.dim)], L, L)]
+        for images, source, target in maps:
+            dense_images = [dense(im, target.dim, L.field.zero) for im in images]
+            assert homomorphism_failure(images, source, target) is None
+            for _, bad in corrupted_tables(source):
+                expected = dense_homomorphism_failure(dense_images, bad, target)
+                assert homomorphism_failure(images, bad, target) == expected
+                outcomes.add(expected is None)
+            for _, bad in corrupted_tables(target):
+                expected = dense_homomorphism_failure(dense_images, source, bad)
+                assert homomorphism_failure(images, source, bad) == expected
+                outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def test_decomposition_verdict_matches_the_dense_loops_under_every_corruption():
+    # Every verdict of verify_decomposition, including the restriction to
+    # the complement, on every corrupted constant of the tensor square.
+    details = set()
+    for base in (heisenberg(1), heisenberg(1, GF(2)), sl2(GF(3)),
+                 heisenberg(1, GF(3))):
+        T = build_tensor_square(base)
+        for where, bad in corrupted_tables(T.algebra):
+            results = []
+            for check in (TensorSquare.verify_decomposition,
+                          dense_decomposition_verdict):
+                fresh = TensorSquare(base, T.relation_space, T.quotient, bad,
+                                     T.pairing)
+                try:
+                    results.append(check(fresh))
+                except InternalCheckError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1], (base.field, where)
+            details.add(getattr(results[1], "detail", "raised"))
+    assert "complement is not an ideal" in details
+    assert "restriction to the complement is not a homomorphism" in details
