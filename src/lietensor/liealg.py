@@ -394,7 +394,6 @@ def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> PairingChe
                 if outer[lp][s][l] != difference(inner[s][l][lp],
                                                  inner[lp][l][s]):
                     return PairingCheck(False, ("axiom-ii", (l, lp, s)))
-    minus_one = -H.field.one
     for l in range(n):
         for s in range(n):
             u, rho_sl = nz[l][s], cells[s][l]
@@ -402,10 +401,8 @@ def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> PairingChe
                 continue  # both sides vanish for every (l', s')
             for lp in range(n):
                 for sp in range(n):
-                    rhs: SparseVector = {}
-                    add_scaled(rhs, minus_one,
-                               H.bracket_sparse(rho_sl, cells[lp][sp]).items())
-                    if combine(u, outer[lp][sp]) != rhs:
+                    rhs = H.bracket_sparse(rho_sl, cells[lp][sp])
+                    if combine(u, outer[lp][sp]) != {k: -x for k, x in rhs.items()}:
                         return PairingCheck(False, ("axiom-iii", (l, s, lp, sp)))
     return PairingCheck(True)
 
