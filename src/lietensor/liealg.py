@@ -380,9 +380,11 @@ def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> PairingChe
     inner = [[[combine(nz[l][lp], by_right[s]) for s in range(n)]
               for lp in range(n)] for l in range(n)]
 
+    minus_one = -H.field.one
+
     def difference(u: SparseVector, v: SparseVector) -> SparseVector:
         out = dict(u)
-        add_scaled(out, -H.field.one, v.items())
+        add_scaled(out, minus_one, v.items())
         return out
 
     for l in range(n):
