@@ -15,7 +15,7 @@ from lietensor import (QQ, BilinearMap, Field, LieAlgebra, ideal_closure,
                        quotient_algebra)
 from lietensor.freenilp import free_nilpotent
 from lietensor.liealg import PairingCheck
-from lietensor.linalg import Subspace
+from lietensor.linalg import Subspace, subspace_intersect, subspace_sum
 from lietensor.tensor import Verdict
 
 
@@ -255,7 +255,6 @@ def dense_decomposition_verdict(T) -> Verdict:
     """verify_decomposition's ideal and restriction checks on dense vectors
     (the intersection, sum and bijectivity checks go through the package's
     elimination as before)."""
-    from lietensor.linalg import subspace_intersect, subspace_sum
     sq, comp, alg = T.square_submodule, T._complement, T.algebra
     if subspace_intersect(comp, sq).dim != 0:
         return Verdict(False, "complement meets the square submodule")
