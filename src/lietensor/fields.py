@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any
 
 try:
@@ -129,11 +129,12 @@ class Field:
             return _rational(value)
         return _residue_class(self.characteristic)(value)
 
-    @property
+    # Scalars are immutable, so each field builds its zero and one once.
+    @cached_property
     def zero(self) -> Scalar:
         return self.scalar(0)
 
-    @property
+    @cached_property
     def one(self) -> Scalar:
         return self.scalar(1)
 

@@ -144,10 +144,9 @@ def _commutator(a: dict, b: dict, c: int) -> dict[tuple, int]:
     return {k: v for k, v in out.items() if v}
 
 
-@lru_cache(maxsize=None)
-def _integer_structure(d: int, c: int):
-    """Integer structure constant table of the free nilpotent algebra,
-    shared by all coefficient fields."""
+def _hall_table(d: int, c: int):
+    """Integer structure constant table of the free nilpotent algebra, with
+    the Hall word labels, degrees and words; not yet validated."""
     words = hall_words(d, c)
     nw = len(words)
     memo: dict = {}
@@ -199,6 +198,38 @@ def _integer_structure(d: int, c: int):
     return tuple(tuple(r) for r in table), labels, degrees, words
 
 
+@lru_cache(maxsize=None)
+def _integer_structure(d: int, c: int):
+    """The validated _hall_table, shared by all coefficient fields.
+
+    One validation over Q stands for every field.  Antisymmetry and the
+    Jacobi identity on basis triples are polynomial identities with integer
+    coefficients in the structure constants, and validate() checks exactly
+    these identities on the converted table.  The conversion Z -> Q is
+    injective, so the check over Q decides them over Z; reduction Z -> GF(p)
+    is a ring homomorphism, so an identity that holds over Z holds in every
+    GF(p).  A table that passes here therefore passes validate() over every
+    field, and free_nilpotent does not validate again.
+    """
+    int_table, labels, degrees, words = _hall_table(d, c)
+    algebra = LieAlgebra(QQ, len(words), _convert(int_table, QQ), labels)
+    report = algebra.validate()
+    if not report.ok:
+        raise InternalCheckError(
+            f"free nilpotent algebra fails validation: {report.describe()}")
+    return int_table, labels, degrees, words
+
+
+def _convert(int_table, field: Field):
+    """The integer table over field.  Most cells are all zero: each distinct
+    integer and each distinct cell is converted once, and equal cells share
+    one tuple of field scalars."""
+    distinct = {cell for row in int_table for cell in row}
+    scalars = {x: field.scalar(x) for x in {x for cell in distinct for x in cell}}
+    cells = {cell: tuple(scalars[x] for x in cell) for cell in distinct}
+    return tuple(tuple(cells[cell] for cell in row) for row in int_table)
+
+
 @dataclass(frozen=True, repr=False)
 class FreeNilpotent:
     d: int
@@ -224,16 +255,7 @@ def free_nilpotent(d: int, c: int, field: Field = QQ) -> FreeNilpotent:
     if d < 0 or c < 1:
         raise ValueError("need d >= 0 and c >= 1")
     int_table, labels, degrees, words = _integer_structure(d, c)
-    # Most cells are all zero: convert each distinct cell once, and let
-    # equal cells share one tuple of field scalars.
-    cells = {cell: tuple(field.scalar(x) for x in cell)
-             for cell in {c for row in int_table for c in row}}
-    table = tuple(tuple(cells[cell] for cell in row) for row in int_table)
-    algebra = LieAlgebra(field, len(words), table, labels)
-    report = algebra.validate()
-    if not report.ok:
-        raise InternalCheckError(
-            f"free nilpotent algebra fails validation: {report.describe()}")
+    algebra = LieAlgebra(field, len(words), _convert(int_table, field), labels)
     for k in range(1, c + 1):
         expected = witt_dimension(d, k)
         actual = sum(1 for deg in degrees if deg == k)

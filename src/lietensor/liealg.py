@@ -175,8 +175,8 @@ class LieAlgebra:
         while True:
             prev = series[-1]
             b = SpanBuilder(self.field, self.dim)
-            for row in prev.basis.entries:
-                for w in self.ad_sparse(sparse(row)):
+            for row in prev.sparse_rows:
+                for w in self.ad_sparse(row):
                     b.insert(w)
             nxt = b.subspace()
             series.append(nxt)
@@ -293,8 +293,8 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Linear
     if ideal.ambient_dim != L.dim:
         raise ValueError("ambient mismatch")
     zero = L.field.zero
-    for row in ideal.basis.entries:
-        for j, w in enumerate(L.ad_sparse(sparse(row))):
+    for row in ideal.sparse_rows:
+        for j, w in enumerate(L.ad_sparse(row)):
             if ideal.reduce_sparse(w):
                 raise NotIdealError(
                     f"subspace is not an ideal: [basis row, x{j}] escapes",
@@ -436,7 +436,7 @@ class Subalgebra:
         self.space = space
         self._pivot_row = {p: r for r, p in enumerate(space.pivots)}
         self._zero = (parent.field.zero,) * space.dim
-        basis = [sparse(r) for r in space.basis.entries]
+        basis = space.sparse_rows
         k = space.dim
         table = tuple(tuple(self._coords(parent.bracket_sparse(u, v))
                             for v in basis) for u in basis)

@@ -7,13 +7,19 @@ basis, complement and report is bit-reproducible.  All elimination goes
 through SpanBuilder, which keeps its echelon rows sparse as
 {pivot: {column: value}}: relation vectors touch a handful of the n^2
 coordinates, so reductions cost the nonzeros they meet, not the ambient
-width.  Matrices and the vectors exchanged with callers stay dense tuples;
-the sparse core (sparse, dense, add_scaled, combine, Matrix.sparse_columns,
+width.  A Subspace keeps those rows: Subspace.sparse_rows hands them out
+read only, and kernel, subspace_sum, subspace_intersect and
+complement_within work on them without a dense round trip.  The dense
+basis matrix, Matrix entries and the vectors of the dense API (reduce,
+contains, project_vec) stay tuples; QuotientStructure builds its dense
+project and lift matrices only on demand.  The sparse core (sparse, dense,
+add_scaled, combine, Matrix.sparse_columns, Subspace.sparse_rows,
 Subspace.reduce_sparse) is shared with the structure-constant checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -161,13 +167,17 @@ class Subspace:
     """A subspace of a fixed coordinate space, in canonical RREF basis form.
 
     Two subspaces of the same ambient space over the same field are equal iff
-    their basis matrices are entry-identical.
+    their basis matrices are entry-identical.  The same rows are kept sparse
+    for sparse_rows; a subspace made by SpanBuilder is given them, one made
+    from a basis matrix alone reads them off it on first use.
     """
 
     field: Field
     ambient_dim: int
     basis: Matrix
     pivots: tuple[int, ...]
+    _rows: Optional[tuple[SparseVector, ...]] = dataclasses.field(
+        default=None, compare=False, repr=False)
 
     def __repr__(self):
         return (f"Subspace(dim {self.dim} of "
@@ -200,12 +210,18 @@ class Subspace:
         pivots = set(self.pivots)
         return tuple(j for j in range(self.ambient_dim) if j not in pivots)
 
+    @property
+    def sparse_rows(self) -> tuple[SparseVector, ...]:
+        """The basis rows as {column: nonzero value}, in pivot order; read
+        only, because the subspace and its reductions share them."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows",
+                               tuple(sparse(r) for r in self.basis.entries))
+        return self._rows
+
     @cached_property
     def _echelon(self) -> "SpanBuilder":
-        builder = SpanBuilder(self.field, self.ambient_dim)
-        builder._rows = {p: sparse(row)
-                         for p, row in zip(self.pivots, self.basis.entries)}
-        return builder
+        return SpanBuilder.of(self)
 
     def reduce_sparse(self, v: SparseVector) -> SparseVector:
         """Canonical residual of a sparse vector; empty exactly when v lies
@@ -223,7 +239,9 @@ class Subspace:
         return self._echelon.contains(v)
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis.entries)
+        if other.ambient_dim != self.ambient_dim:
+            raise ValueError("ambient mismatch")
+        return not any(map(self.reduce_sparse, other.sparse_rows))
 
 
 class SpanBuilder:
@@ -234,12 +252,25 @@ class SpanBuilder:
     subtracts, for each pivot p in its support, its original coordinate at p
     times row p, in any order.  The finished subspace is independent of
     insertion order (RREF is unique).
+
+    subspace() hands the row dicts themselves to the Subspace it returns;
+    the builder copies them before it next changes one, so a subspace never
+    shares a row with a builder that can still mutate it.
     """
 
     def __init__(self, field: Field, ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
         self._rows: dict[int, SparseVector] = {}
+        self._shared = False  # whether a Subspace holds these row dicts
+
+    @classmethod
+    def of(cls, space: Subspace) -> "SpanBuilder":
+        """A builder that starts from the echelon rows of space."""
+        builder = cls(space.field, space.ambient_dim)
+        builder._rows = dict(zip(space.pivots, space.sparse_rows))
+        builder._shared = True
+        return builder
 
     @property
     def dim(self) -> int:
@@ -269,6 +300,9 @@ class SpanBuilder:
         out = self.reduce(v)
         if not out:
             return False
+        if self._shared:
+            self._rows = {p: dict(row) for p, row in self._rows.items()}
+            self._shared = False
         pivot = min(out)
         inv = out[pivot]
         if inv != self.field.one:
@@ -291,37 +325,50 @@ class SpanBuilder:
             self.add(v)
 
     def subspace(self) -> Subspace:
-        pivots = self.pivots
-        zero = self.field.zero
-        basis = Matrix.from_rows(
-            self.field,
-            [dense(self._rows[p], self.ambient_dim, zero) for p in pivots],
-            cols=self.ambient_dim)
-        return Subspace(self.field, self.ambient_dim, basis, pivots)
+        """The span so far; the Subspace takes the echelon rows."""
+        self._shared = True
+        return _subspace(self.field, self.ambient_dim, self._rows)
+
+
+def _subspace(field: Field, ambient_dim: int,
+              rows: dict[int, SparseVector]) -> Subspace:
+    """The subspace whose fully reduced echelon rows are {pivot: row}; the
+    row dicts are taken, not copied."""
+    pivots = tuple(sorted(rows))
+    ordered = tuple(rows[p] for p in pivots)
+    zero = field.zero
+    basis = Matrix.from_rows(field, [dense(r, ambient_dim, zero) for r in ordered],
+                             cols=ambient_dim)
+    return Subspace(field, ambient_dim, basis, pivots, ordered)
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Null space {x : m x = 0}, as a canonical subspace of the column space."""
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    zero, one = m.field.zero, m.field.one
-    vectors = []
-    for f in free:
-        v = [zero] * m.cols
-        v[f] = one
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.entries[r][f]
-        vectors.append(v)
-    return Subspace.span(m.field, m.cols, vectors)
+    """Null space {x : m x = 0}, as a canonical subspace of the column space.
+
+    Echelon row p of m reads x_p = -sum row_p[f] x_f over the free columns f
+    (a fully reduced row is zero at every other pivot), so each free column
+    f gives the kernel vector with x_f = 1 and the other free variables 0.
+    """
+    builder = SpanBuilder(m.field, m.cols)
+    builder.add_all(m.entries)
+    one = m.field.one
+    vectors = {f: {f: one} for f in range(m.cols) if f not in builder._rows}
+    for p, row in builder._rows.items():
+        for f, x in row.items():
+            if f != p:
+                vectors[f][p] = -x
+    out = SpanBuilder(m.field, m.cols)
+    for v in vectors.values():
+        out.insert(v)
+    return out.subspace()
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise ValueError("ambient mismatch")
-    builder = SpanBuilder(a.field, a.ambient_dim)
-    builder.add_all(a.basis.entries)
-    builder.add_all(b.basis.entries)
+    builder = SpanBuilder.of(a)
+    for row in b.sparse_rows:
+        builder.insert(row)
     return builder.subspace()
 
 
@@ -330,18 +377,24 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
 
     In the span of the rows (u, u) for u in a and (w, 0) for w in b, the
     vectors with zero first half are exactly (0, v) with v in both, and the
-    echelon rows with a pivot in the second half are a basis of them.
+    echelon rows with a pivot in the second half are a basis of them.  A
+    fully reduced echelon row has no support before its pivot, so those rows
+    lie in the second half, and shifted back by n they are already the
+    canonical rows of the intersection: 1 at their own pivot, 0 at the
+    others.
     """
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise ValueError("ambient mismatch")
     n = a.ambient_dim
-    zeros = (a.field.zero,) * n
-    stacked = Subspace.span(a.field, 2 * n,
-                            [r + r for r in a.basis.entries]
-                            + [r + zeros for r in b.basis.entries])
-    return Subspace.span(a.field, n, [r[n:] for r, p in
-                                      zip(stacked.basis.entries, stacked.pivots)
-                                      if p >= n])
+    builder = SpanBuilder(a.field, 2 * n)
+    for u in a.sparse_rows:
+        doubled = dict(u)
+        doubled.update((j + n, x) for j, x in u.items())
+        builder.insert(doubled)
+    for w in b.sparse_rows:
+        builder.insert(w)
+    return _subspace(a.field, n, {p - n: {j - n: x for j, x in row.items()}
+                                  for p, row in builder._rows.items() if p >= n})
 
 
 def complement_within(inner: Subspace, outer: Subspace) -> Subspace:
@@ -354,8 +407,10 @@ def complement_within(inner: Subspace, outer: Subspace) -> Subspace:
     if not outer.contains_space(inner):
         raise ValueError("inner subspace not contained in outer")
     skip = set(inner.pivots)
-    rows = [r for r, p in zip(outer.basis.entries, outer.pivots) if p not in skip]
-    return Subspace.span(outer.field, outer.ambient_dim, rows)
+    # The kept rows are still 1 at their own pivot and 0 at the others.
+    return _subspace(outer.field, outer.ambient_dim,
+                     {p: r for p, r in zip(outer.pivots, outer.sparse_rows)
+                      if p not in skip})
 
 
 @dataclass(frozen=True)
@@ -369,7 +424,6 @@ class QuotientStructure:
 
     sub: Subspace
     free_cols: tuple[int, ...]
-    project: Matrix
 
     def __repr__(self):
         name = self.sub.field.name
@@ -382,7 +436,24 @@ class QuotientStructure:
 
     @property
     def dim(self) -> int:
-        return self.project.rows
+        return len(self.free_cols)
+
+    @property
+    def project(self) -> Matrix:
+        """Matrix of project_vec, built on demand: row r reads coordinate
+        free_cols[r] of the canonical residual, which is v at free_cols[r]
+        minus, for each pivot p, v at p times row p at free_cols[r]."""
+        sub = self.sub
+        zero, one = sub.field.zero, sub.field.one
+        index = {c: r for r, c in enumerate(self.free_cols)}
+        rows = [[zero] * self.ambient_dim for _ in self.free_cols]
+        for c, r in index.items():
+            rows[r][c] = one
+        for p, row in zip(sub.pivots, sub.sparse_rows):
+            for c, x in row.items():
+                if c != p:
+                    rows[index[c]][p] = -x
+        return Matrix.from_rows(sub.field, rows, cols=self.ambient_dim)
 
     @property
     def lift(self) -> Matrix:
@@ -413,19 +484,7 @@ class QuotientStructure:
 def quotient_structure(ambient_dim: int, sub: Subspace) -> QuotientStructure:
     if sub.ambient_dim != ambient_dim:
         raise ValueError("ambient mismatch")
-    field = sub.field
-    zero, one = field.zero, field.one
-    free = sub.free_cols
-    # project(v)[r] reads coordinate free[r] of the canonical residual of v.
-    proj_rows = []
-    for c in free:
-        row = [zero] * ambient_dim
-        row[c] = one
-        for brow, p in zip(sub.basis.entries, sub.pivots):
-            row[p] = -brow[c]
-        proj_rows.append(row)
-    project = Matrix.from_rows(field, proj_rows, cols=ambient_dim)
-    return QuotientStructure(sub, free, project)
+    return QuotientStructure(sub, sub.free_cols)
 
 
 def solve(m: Matrix, rhs: Sequence[Scalar]) -> Optional[Vector]:

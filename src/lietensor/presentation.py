@@ -21,7 +21,7 @@ from .errors import (InternalCheckError, NotNilpotentError,
 from .liealg import (LieAlgebra, Subalgebra, homomorphism_failure,
                      quotient_algebra)
 from .linalg import (LinearMap, SpanBuilder, Subspace, complement_within,
-                     dense, sparse, subspace_intersect)
+                     dense, subspace_intersect)
 from .freenilp import FreeNilpotent, free_nilpotent
 from .tensor import TensorSquare, Verdict, build_tensor_square
 
@@ -100,15 +100,15 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
 
     relations = onto.kernel()
     rf = SpanBuilder(L.field, F.algebra.dim)
-    for r in relations.basis.entries:
-        for w in F.algebra.ad_sparse(sparse(r)):
+    for r in relations.sparse_rows:
+        for w in F.algebra.ad_sparse(r):
             rf.insert(w)
     relations_commutator = rf.subspace()
     # Ideal property follows from the Jacobi identity; assert instead of
     # re-closing.
-    for t in relations_commutator.basis.entries:
+    for t in relations_commutator.sparse_rows:
         if any(map(relations_commutator.reduce_sparse,
-                   F.algebra.ad_sparse(sparse(t)))):
+                   F.algebra.ad_sparse(t))):
             raise InternalCheckError("commutator span is not an ideal")
     free_derived = F.algebra.derived_subalgebra()
     relations_in_derived = subspace_intersect(relations, free_derived)

@@ -10,11 +10,24 @@ divided by the span of all basis instances of the two crossed relations
     r2(i,j,k) = xi(x)[xj,xk] - [xk,xi](x)xj + [xj,xi](x)xk
 
 (each relation is linear in every slot, so basis instances generate the
-whole relation space).  The bracket of two generators is the pure tensor of
-the two brackets; since that again lies in the generator span, the quotient
-vector space is already the entire tensor square and no further closure pass
-is needed.  Well-definedness of the bracket modulo relations and the Jacobi
-identity of the quotient are asserted at build time, never assumed.
+whole relation space), together with the symmetric tensors on the derived
+subalgebra, which only GF(2) needs.  The bracket of two generators is the
+pure tensor of the two brackets; since that again lies in the generator
+span, the quotient vector space is already the entire tensor square and no
+further closure pass is needed.  Well-definedness of the bracket modulo
+relations and the Jacobi identity of the quotient are asserted at build
+time, never assumed.
+
+The construction stays sparse from end to end.  Each relation instance is a
+{i*n+j: c} dict built from the nonzero structure constants and inserted into
+one SpanBuilder, and the relation space keeps the resulting echelon rows
+(Subspace.sparse_rows).  The quotient coordinates are its free columns: a
+pure tensor is a unit vector there when its column is free, and otherwise
+minus its pivot row read there; a bracket cell is the residual of a sparse
+vector.  Every check that a map kills the relations (the bracket's
+well-definedness, the commutator map, induced maps, factored pairings)
+combines the map's sparse ambient columns over those rows.  The dense
+quotient.project matrix is built only if a caller asks for it.
 """
 
 from __future__ import annotations
@@ -27,9 +40,9 @@ from .errors import InternalCheckError, InvalidInputError
 from .fields import Scalar
 from .liealg import (BilinearMap, LieAlgebra, homomorphism_failure,
                      is_lie_pairing, quotient_algebra)
-from .linalg import (LinearMap, Matrix, SpanBuilder, Subspace, Vector, combine,
-                     quotient_structure, sparse, subspace_intersect,
-                     subspace_sum)
+from .linalg import (LinearMap, Matrix, SparseVector, SpanBuilder, Subspace,
+                     Vector, add_scaled, combine, quotient_structure, sparse,
+                     subspace_intersect, subspace_sum)
 
 
 @dataclass(frozen=True)
@@ -86,15 +99,18 @@ class TensorSquare:
         characteristic.  Centrality in the tensor square is asserted.
         """
         n = self.base.dim
+        one = self.base.field.one
+        cells = self.pairing.sparse_cells()
         builder = SpanBuilder(self.base.field, self.dim)
         for i in range(n):
-            builder.add(self.pure(i, i))
+            builder.insert(cells[i][i])
             for j in range(i + 1, n):
-                builder.add(tuple(a + b for a, b in
-                                  zip(self.pure(i, j), self.pure(j, i))))
+                v = dict(cells[i][j])
+                add_scaled(v, one, cells[j][i].items())
+                builder.insert(v)
         space = builder.subspace()
-        for row in space.basis.entries:
-            if any(self.algebra.ad_sparse(sparse(row))):
+        for row in space.sparse_rows:
+            if any(self.algebra.ad_sparse(row)):
                 raise InternalCheckError(
                     "square submodule is not central in the tensor square")
         return space
@@ -122,12 +138,11 @@ class TensorSquare:
         property are asserted."""
         L = self.base
         n = L.dim
-        amb_cols = [L.table[i][j] for i in range(n) for j in range(n)]
-        amb = LinearMap.from_images(L.field, n, amb_cols)
-        for row in self.relation_space.basis.entries:
-            if any(amb.apply(row)):
-                raise InternalCheckError("commutator map does not kill a relation")
-        kappa = LinearMap(amb.matrix.select_columns(self.quotient.free_cols))
+        if not _kills_relations(self.relation_space, _commutator_columns(L)):
+            raise InternalCheckError("commutator map does not kill a relation")
+        free = self.quotient.free_cols
+        kappa = LinearMap.from_images(
+            L.field, n, [L.table[p // n][p % n] for p in free])
         bad = homomorphism_failure(kappa.matrix.sparse_columns, self.algebra, L)
         if bad is not None:
             raise InternalCheckError(
@@ -137,8 +152,9 @@ class TensorSquare:
     def schur_multiplier(self) -> Subspace:
         """Kernel of the induced commutator map on the exterior square."""
         kappa, _ = self.commutator_map
-        for row in self.square_submodule.basis.entries:
-            if any(kappa.apply(row)):
+        cols = kappa.matrix.sparse_columns
+        for row in self.square_submodule.sparse_rows:
+            if combine(row.items(), cols):
                 raise InternalCheckError(
                     "commutator map does not vanish on the square submodule")
         induced = LinearMap(
@@ -208,8 +224,8 @@ class TensorSquare:
                 left.add(self.pair(e, w))
                 right.add(self.pair(w, e))
         s_left = left.subspace()
-        for row in s_left.basis.entries:
-            right.add(row)
+        for row in s_left.sparse_rows:
+            right.insert(row)
         s_both = right.subspace()
         ok = s_left == s_both == ab.kernel
         return Verdict(ok, f"dim {s_left.dim}/{s_both.dim}/{ab.kernel.dim}")
@@ -224,7 +240,8 @@ class TensorSquare:
         for i in range(m):
             for j in range(i + 1, m):
                 builder.add(self.pair(ab.lifts[i], ab.lifts[j]))
-        builder.add_all(ab.kernel.basis.entries)
+        for row in ab.kernel.sparse_rows:
+            builder.insert(row)
         return builder.subspace()
 
     def verify_decomposition(self) -> Verdict:
@@ -238,7 +255,7 @@ class TensorSquare:
         if subspace_sum(comp, sq).dim != full:
             return Verdict(False, "complement + square submodule is not everything")
         alg = self.algebra
-        rows = [sparse(row) for row in comp.basis.entries]
+        rows = comp.sparse_rows
         for row in rows:
             if any(map(comp.reduce_sparse, alg.ad_sparse(row))):
                 return Verdict(False, "complement is not an ideal")
@@ -318,13 +335,13 @@ class TensorSquare:
         if not check.ok:
             raise InvalidInputError(f"not a Lie pairing: witness {check.witness}")
         n = self.base.dim
-        amb_cols = [rho.table[i][j] for i in range(n) for j in range(n)]
-        amb = LinearMap.from_images(self.base.field, H.dim, amb_cols)
-        for row in self.relation_space.basis.entries:
-            if any(amb.apply(row)):
-                raise InvalidInputError(
-                    "pairing does not vanish on the tensor relations")
-        zeta = LinearMap(amb.matrix.select_columns(self.quotient.free_cols))
+        columns = [cell for row in rho.sparse_cells() for cell in row]
+        if not _kills_relations(self.relation_space, columns):
+            raise InvalidInputError(
+                "pairing does not vanish on the tensor relations")
+        zeta = LinearMap.from_images(
+            self.base.field, H.dim,
+            [rho.table[p // n][p % n] for p in self.quotient.free_cols])
         for i in range(n):
             for j in range(n):
                 if zeta.apply(self.pure(i, j)) != tuple(rho.table[i][j]):
@@ -395,7 +412,8 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     n = L.dim
     amb = n * n
     field = L.field
-    zero = field.zero
+    zero, one = field.zero, field.one
+    minus_one = -one
     nz = L._nonzero_rows()
 
     builder = SpanBuilder(field, amb)
@@ -406,14 +424,11 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
                 nz_jk, nz_ik = nz[j][k], nz[i][k]
                 if not (nz_ij or nz_jk or nz_ik):
                     continue
-                v = [zero] * amb
-                for a, c in nz_ij:
-                    v[a * n + k] += c
-                for b, c in nz_jk:
-                    v[i * n + b] -= c
-                for b, c in nz_ik:
-                    v[j * n + b] += c
-                builder.add(v)
+                v: SparseVector = {}
+                add_scaled(v, one, [(a * n + k, c) for a, c in nz_ij])
+                add_scaled(v, minus_one, [(i * n + b, c) for b, c in nz_jk])
+                add_scaled(v, one, [(j * n + b, c) for b, c in nz_ik])
+                builder.insert(v)
     for i in range(n):
         for j in range(n):
             nz_ji = nz[j][i]
@@ -421,14 +436,11 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
                 nz_jk, nz_ki = nz[j][k], nz[k][i]
                 if not (nz_jk or nz_ki or nz_ji):
                     continue
-                v = [zero] * amb
-                for b, c in nz_jk:
-                    v[i * n + b] += c
-                for a, c in nz_ki:
-                    v[a * n + j] -= c
-                for a, c in nz_ji:
-                    v[a * n + k] += c
-                builder.add(v)
+                v = {}
+                add_scaled(v, one, [(i * n + b, c) for b, c in nz_jk])
+                add_scaled(v, minus_one, [(a * n + j, c) for a, c in nz_ki])
+                add_scaled(v, one, [(a * n + k, c) for a, c in nz_ji])
+                builder.insert(v)
     # The bracket relation on a generator paired with itself forces the
     # symmetric square of the derived subalgebra to vanish (brackets of a
     # Lie algebra are alternating).  Away from characteristic 2 these
@@ -436,72 +448,45 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     # GF(2) they are independent and must be imposed explicitly.  Basis
     # instances suffice: the cross terms are bilinear and the diagonal map
     # is additive whenever it is not redundant.
-    derived_rows = L.derived_subalgebra().basis.entries
+    derived_rows = L.derived_subalgebra().sparse_rows
     for a, wa in enumerate(derived_rows):
-        v = [zero] * amb
-        for x, cx in enumerate(wa):
-            if cx:
-                base = x * n
-                for y, cy in enumerate(wa):
-                    if cy:
-                        v[base + y] += cx * cy
-        builder.add(v)
+        v = {}
+        for x, cx in wa.items():
+            add_scaled(v, cx, [(x * n + y, cy) for y, cy in wa.items()])
+        builder.insert(v)
         for wb in derived_rows[a + 1:]:
-            v = [zero] * amb
-            for x, cx in enumerate(wa):
-                if cx:
-                    base = x * n
-                    for y, cy in enumerate(wb):
-                        if cy:
-                            v[base + y] += cx * cy
-            for x, cx in enumerate(wb):
-                if cx:
-                    base = x * n
-                    for y, cy in enumerate(wa):
-                        if cy:
-                            v[base + y] += cx * cy
-            builder.add(v)
+            v = {}
+            for x, cx in wa.items():
+                add_scaled(v, cx, [(x * n + y, cy) for y, cy in wb.items()])
+            for x, cx in wb.items():
+                add_scaled(v, cx, [(x * n + y, cy) for y, cy in wa.items()])
+            builder.insert(v)
     relations = builder.subspace()
     qs = quotient_structure(amb, relations)
+    _check_well_defined(L, relations)
 
-    # Bracket of generators: [a(x)b, c(x)d] = [a,b](x)[c,d].  This is bilinear
-    # in the ambient coordinates and factors through the ambient commutator
-    # map in each slot, so the bracket respects the relation space exactly
-    # when every relation has zero commutator image.
-    for row in relations.basis.entries:
-        acc = [zero] * n
-        hit = False
-        for pos, c in enumerate(row):
-            if c:
-                i, j = divmod(pos, n)
-                for a, s in nz[i][j]:
-                    acc[a] += c * s
-                    hit = True
-        if hit and any(acc):
-            raise InternalCheckError(
-                "tensor-square bracket is not well defined on the relation quotient")
-
-    reps = [divmod(p, n) for p in qs.free_cols]
-    q = len(reps)
+    free = qs.free_cols
+    q = len(free)
+    reps = [divmod(p, n) for p in free]
     zero_q = (zero,) * q
+
+    def project(v: SparseVector) -> Vector:
+        rest = relations.reduce_sparse(v)
+        return tuple(rest.get(c, zero) for c in free) if rest else zero_q
+
     table = []
     for (i, j) in reps:
-        u = L.table[i][j]
-        u_any = any(u)
+        u = nz[i][j]
         row = []
         for (k, l) in reps:
-            w = L.table[k][l]
-            if not u_any or not any(w):
+            w = nz[k][l]
+            if not u or not w:
                 row.append(zero_q)
             else:
-                v = [zero] * amb
-                for a, ua in enumerate(u):
-                    if ua:
-                        base = a * n
-                        for b, wb in enumerate(w):
-                            if wb:
-                                v[base + b] += ua * wb
-                row.append(qs.project_vec(v))
+                v = {}
+                for a, ua in u:
+                    add_scaled(v, ua, [(a * n + b, wb) for b, wb in w])
+                row.append(project(v))
         table.append(tuple(row))
     names = tuple(f"{L.basis_names[i]}(x){L.basis_names[j]}" for i, j in reps)
     algebra = LieAlgebra(field, q, tuple(table), names)
@@ -509,10 +494,50 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     if not report.ok:
         raise InternalCheckError(f"tensor square fails validation: {report.describe()}")
 
-    pairing_table = tuple(
-        tuple(qs.project.column(i * n + j) for j in range(n)) for i in range(n))
+    index = {c: r for r, c in enumerate(free)}
+    pivot_rows = dict(zip(relations.pivots, relations.sparse_rows))
+
+    def pure(p: int) -> Vector:
+        # x_i (x) x_j is the unit vector at p = i*n+j when p is free, and
+        # otherwise its residual e_p - row_p: minus the pivot row, which is
+        # zero at the other pivots, read at the free columns.
+        cell = [zero] * q
+        if p in index:
+            cell[index[p]] = one
+        else:
+            for c, x in pivot_rows[p].items():
+                if c != p:
+                    cell[index[c]] = -x
+        return tuple(cell)
+
+    pairing_table = tuple(tuple(pure(i * n + j) for j in range(n))
+                          for i in range(n))
     pairing = BilinearMap(field, n, q, pairing_table)
     return TensorSquare(L, relations, qs, algebra, pairing)
+
+
+def _check_well_defined(L: LieAlgebra, relations: Subspace) -> None:
+    """Bracket of generators: [a(x)b, c(x)d] = [a,b](x)[c,d].  This is
+    bilinear in the ambient coordinates and factors through the ambient
+    commutator map in each slot, so the bracket respects the relation space
+    exactly when every relation has zero commutator image."""
+    if not _kills_relations(relations, _commutator_columns(L)):
+        raise InternalCheckError(
+            "tensor-square bracket is not well defined on the relation quotient")
+
+
+def _commutator_columns(L: LieAlgebra) -> list[SparseVector]:
+    """The ambient commutator map x_i (x) x_j -> [x_i, x_j] as sparse
+    columns, column i*n+j."""
+    return [dict(cell) for row in L._nonzero_rows() for cell in row]
+
+
+def _kills_relations(relations: Subspace,
+                     columns: Sequence[SparseVector]) -> bool:
+    """Whether the linear map with these sparse ambient columns vanishes on
+    every relation; checking the echelon rows suffices by linearity."""
+    return not any(combine(row.items(), columns)
+                   for row in relations.sparse_rows)
 
 
 def induced_map(src: TensorSquare, f: LinearMap, dst: TensorSquare) -> LinearMap:
@@ -520,16 +545,11 @@ def induced_map(src: TensorSquare, f: LinearMap, dst: TensorSquare) -> LinearMap
     bases; asserted to kill the source relations."""
     n = src.base.dim
     images_of_basis = [f.apply(src.base.basis_vector(i)) for i in range(n)]
-    cols = []
-    for i in range(n):
-        fi = images_of_basis[i]
-        for j in range(n):
-            cols.append(dst.pair(fi, images_of_basis[j]))
-    amb = LinearMap.from_images(src.base.field, dst.dim, cols)
-    for row in src.relation_space.basis.entries:
-        if any(amb.apply(row)):
-            raise InternalCheckError("induced map does not kill a relation")
-    return LinearMap(amb.matrix.select_columns(src.quotient.free_cols))
+    cols = [dst.pair(fi, fj) for fi in images_of_basis for fj in images_of_basis]
+    if not _kills_relations(src.relation_space, [sparse(c) for c in cols]):
+        raise InternalCheckError("induced map does not kill a relation")
+    return LinearMap.from_images(src.base.field, dst.dim,
+                                 [cols[p] for p in src.quotient.free_cols])
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,39 @@ def tensor_relation_vectors(L: LieAlgebra) -> list[list]:
     return [v for v in out if any(v)]
 
 
+def symmetric_derived_vectors(L: LieAlgebra) -> list[list]:
+    """u (x) u and u (x) w + w (x) u for the nonzero brackets u, w of basis
+    vectors, as dense vectors: they span the symmetric tensors on the
+    derived subalgebra, which the construction imposes on a basis of it."""
+    n = L.dim
+    zero = L.field.zero
+    brackets = [L.table[i][j] for i in range(n) for j in range(i + 1, n)
+                if any(L.table[i][j])]
+    out = []
+    for a, u in enumerate(brackets):
+        for w in brackets[a:]:
+            v = [zero] * (n * n)
+            for x in range(n):
+                for y in range(n):
+                    v[x * n + y] += u[x] * w[y]
+                    if w is not u:
+                        v[x * n + y] += w[x] * u[y]
+            out.append(v)
+    return [v for v in out if any(v)]
+
+
+def dense_residual(space: Subspace, v) -> list:
+    """v minus its pivot coordinates times the canonical basis rows; one
+    pass in pivot order suffices, because each row is 0 at the other
+    pivots."""
+    v = list(v)
+    for row, p in zip(space.basis.entries, space.pivots):
+        f = v[p]
+        if f:
+            v = [x - f * y for x, y in zip(v, row)]
+    return v
+
+
 def corrupted_tables(L: LieAlgebra):
     """Every copy of L with one structure constant shifted by one, together
     with the position (i, j, k) of the shifted constant."""

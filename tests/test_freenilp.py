@@ -2,8 +2,13 @@ import pytest
 import sympy
 
 from lietensor import GF, QQ, free_nilpotent, hall_words, witt_dimension
+from lietensor import freenilp
+from lietensor.errors import InternalCheckError
 from lietensor.freenilp import (HallWord, _commutator, _expansion,
                                 _integer_structure, mobius)
+from lietensor.liealg import LieAlgebra
+
+from support import dense_validation_failures
 
 
 def test_mobius_against_sympy():
@@ -146,3 +151,43 @@ def test_table_is_the_cellwise_conversion_of_the_integer_table(d, c, field):
                                 for cell in row) for row in int_table)
     assert {type(x) for row in table for cell in row for x in cell} == \
         {type(field.zero)}
+
+
+@pytest.mark.parametrize("d,c", [(2, 3), (3, 2)])
+def test_a_corrupted_integer_cell_is_rejected_for_every_field(d, c, monkeypatch):
+    # The integer table is validated once, over Q, for every field.  Shift
+    # one integer constant (antisymmetry breaks), or a constant and its
+    # mirror (only Jacobi can break): whenever the dense check over some
+    # field finds the corrupted table invalid, so does the one over Q, and
+    # free_nilpotent then rejects it for every field.
+    table, labels, degrees, words = freenilp._hall_table(d, c)
+    n = len(words)
+    fields = (QQ, GF(2), GF(3), GF(5))
+    monkeypatch.setattr(freenilp, "_integer_structure",
+                        freenilp._integer_structure.__wrapped__)
+    corruptions = [((i, j, k),) for i in range(n) for j in range(n)
+                   for k in range(n)]
+    corruptions += [((i, j, k), (j, i, k)) for i in range(n)
+                    for j in range(i + 1, n) for k in range(n)]
+    outcomes = set()
+    for shift in (1, 5):
+        for cells in corruptions:
+            bad = [[list(cell) for cell in row] for row in table]
+            for sign, (i, j, k) in zip((1, -1), cells):
+                bad[i][j][k] += sign * shift
+            bad = tuple(tuple(tuple(cell) for cell in row) for row in bad)
+            monkeypatch.setattr(freenilp, "_hall_table",
+                                lambda d, c: (bad, labels, degrees, words))
+            invalid = {field: any(dense_validation_failures(LieAlgebra(
+                           field, n, freenilp._convert(bad, field), labels)))
+                       for field in fields}
+            assert invalid[QQ] or not any(invalid.values()), cells
+            for field in fields:
+                if invalid[QQ]:
+                    with pytest.raises(InternalCheckError, match="fails validation"):
+                        freenilp.free_nilpotent.__wrapped__(d, c, field)
+                else:
+                    freenilp.free_nilpotent.__wrapped__(d, c, field)
+            outcomes.add((len(cells), invalid[QQ], invalid[GF(5)]))
+    assert (1, True, True) in outcomes and (2, True, True) in outcomes
+    assert (2, True, False) in outcomes  # a shift by 5 vanishes over GF(5)

@@ -2,11 +2,14 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import GF as SympyGF
+from sympy.polys.domains import QQ as SympyQQ
+from sympy.polys.matrices import DomainMatrix
 
 from lietensor.fields import GF, QQ
 from lietensor.linalg import (LinearMap, Matrix, SpanBuilder, Subspace,
                               complement_within, inverse, kernel,
-                              quotient_structure, rref, solve,
+                              quotient_structure, rref, solve, sparse,
                               subspace_intersect, subspace_sum)
 
 from support import sympy_nullity, sympy_rank, to_sympy
@@ -241,3 +244,101 @@ def test_span_builder_is_order_independent(m, data):
         assert pivots == tuple(oracle_pivots)
         assert [[to_sympy(x) for x in r] for r in reduced.entries] == \
             oracle.tolist()[:len(pivots)]
+
+
+@st.composite
+def spans_with_more_rows(draw, max_dim=5):
+    field = draw(fields_st)
+    ncols = draw(st.integers(1, max_dim))
+    row_st = st.lists(entry_st, min_size=ncols, max_size=ncols)
+    first = draw(st.lists(row_st, max_size=max_dim))
+    later = draw(st.lists(row_st, min_size=1, max_size=max_dim))
+    probes = draw(st.lists(row_st, min_size=1, max_size=3))
+
+    def scalars(rows):
+        return [tuple(field.scalar(x) for x in r) for r in rows]
+    return field, ncols, scalars(first), scalars(later), scalars(probes)
+
+
+@settings(deadline=None)
+@given(spans_with_more_rows())
+def test_subspace_keeps_its_sparse_rows_apart_from_the_builder(case):
+    field, ncols, first, later, probes = case
+    builder = SpanBuilder(field, ncols)
+    builder.add_all(first)
+    space = builder.subspace()
+    assert list(space.sparse_rows) == [sparse(r) for r in space.basis.entries]
+    snapshot = [dict(r) for r in space.sparse_rows]
+    copy = Subspace(field, ncols, space.basis, space.pivots)
+    residuals = [space.reduce_sparse(sparse(v)) for v in probes]
+    other = Subspace.span(field, ncols, later)
+    # Growing the builder, or a sum seeded from the subspace's own rows,
+    # must not reach the rows the subspace was handed.
+    builder.add_all(later)
+    grown = builder.subspace()
+    total = subspace_sum(space, other)
+    assert grown == total == subspace_sum(copy, other)
+    assert list(space.sparse_rows) == snapshot
+    assert space == copy and space.basis == copy.basis
+    assert [space.reduce_sparse(sparse(v)) for v in probes] == residuals == \
+        [copy.reduce_sparse(sparse(v)) for v in probes]
+    builder.add_all(probes)
+    assert list(grown.sparse_rows) == [sparse(r) for r in grown.basis.entries]
+
+
+def sympy_domain(field):
+    return SympyQQ if field.is_rational else SympyGF(field.characteristic)
+
+
+def sympy_matrix(field, rows, cols):
+    domain = sympy_domain(field)
+    if field.is_rational:
+        entries = [[domain(int(x.numerator), int(x.denominator)) for x in r]
+                   for r in rows]
+    else:
+        entries = [[domain(int(x)) for x in r] for r in rows]
+    if not rows:
+        return DomainMatrix.zeros((0, cols), domain)
+    return DomainMatrix(entries, (len(rows), cols), domain)
+
+
+def from_sympy(field, x):
+    if field.is_rational:
+        return field.scalar(int(x.numerator)) / field.scalar(int(x.denominator))
+    return field.scalar(int(x))
+
+
+@st.composite
+def matrix_pairs(draw, max_dim=5):
+    field = draw(fields_st)
+    ncols = draw(st.integers(1, max_dim))
+    row_st = st.lists(entry_st, min_size=ncols, max_size=ncols)
+    a, b = (draw(st.lists(row_st, max_size=max_dim)) for _ in range(2))
+    return (field, ncols, [[field.scalar(x) for x in r] for r in a],
+            [[field.scalar(x) for x in r] for r in b])
+
+
+@settings(deadline=None)
+@given(matrix_pairs())
+def test_kernel_and_intersection_agree_with_sympy(case):
+    # sympy's DomainMatrix over QQ and GF(p) never goes through the
+    # package's elimination.
+    field, ncols, a_rows, b_rows = case
+
+    def rank(rows):
+        return sympy_matrix(field, rows, ncols).rank()
+
+    m = Matrix.from_rows(field, a_rows, cols=ncols)
+    null = sympy_matrix(field, a_rows, ncols).nullspace().to_list()
+    oracle = Subspace.span(field, ncols,
+                           [[from_sympy(field, x) for x in r] for r in null])
+    k = kernel(m)
+    assert k == oracle and k.dim == ncols - rank(a_rows)
+    a = Subspace.span(field, ncols, a_rows)
+    b = Subspace.span(field, ncols, b_rows)
+    meet = subspace_intersect(a, b)
+    assert meet.dim == rank(a_rows) + rank(b_rows) - rank(a_rows + b_rows)
+    for v in meet.basis.entries:
+        assert rank(a_rows + [list(v)]) == rank(a_rows)
+        assert rank(b_rows + [list(v)]) == rank(b_rows)
+    assert list(meet.sparse_rows) == [sparse(r) for r in meet.basis.entries]

@@ -8,13 +8,15 @@ from lietensor import (GF, QQ, abelian, build_tensor_square, catalog,
                        heisenberg, induced_map, is_lie_pairing, sl2,
                        tensor_report)
 from lietensor.errors import InternalCheckError, InvalidInputError
+from lietensor.freenilp import free_nilpotent
 from lietensor.liealg import (BilinearMap, LieAlgebra, bracket_pairing,
                               lie_algebra_from_brackets)
 from lietensor.linalg import LinearMap, Matrix, Subspace, inverse
-from lietensor.tensor import TensorSquare
+from lietensor.tensor import TensorSquare, _check_well_defined
 
-from support import (corrupted_tables, random_nilpotent_quotient, sympy_rank,
-                     tensor_relation_vectors)
+from support import (corrupted_tables, dense_apply, dense_bilinear,
+                     dense_residual, random_nilpotent_quotient, sympy_rank,
+                     symmetric_derived_vectors, tensor_relation_vectors)
 
 
 def vec(field, entries):
@@ -544,4 +546,93 @@ def test_tensor_checks_agree_with_the_bracket_loop_under_every_corruption():
                 assert bad_T.commutator_map[0] == kappa, (L.field, where)
             outcomes.add((not_central, not_ideal, bool(broken)))
     for position in range(3):
+        assert {o[position] for o in outcomes} == {True, False}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)],
+                         ids=lambda f: f.name)
+def test_construction_matches_a_dense_re_expansion(field):
+    # Independent oracle for the sparse construction: every relation
+    # instance expanded densely, each pure tensor as the dense residual of
+    # its unit vector, and each bracket cell as [x_i,x_j] (x) [x_k,x_l]
+    # expanded over the pure tensors.
+    rng = random.Random(field.characteristic)
+    names = ["heisenberg(1)", "heisenberg(2)", "heisenberg(1)+abelian(1)"]
+    if field.characteristic != 2:
+        names += ["sl2", "sl2+abelian(1)"]  # sl2 is not defined over GF(2)
+    algebras = [catalog(name, field) for name in names]
+    algebras.append(free_nilpotent(2, 4, field).algebra)
+    algebras += [random_nilpotent_quotient(rng, d, c, field)
+                 for d, c in ((2, 3), (3, 2), (2, 4), (3, 3))]
+    for L in algebras:
+        T = build_tensor_square(L)
+        n = L.dim
+        relations = T.relation_space
+        vectors = tensor_relation_vectors(L) + symmetric_derived_vectors(L)
+        assert relations == Subspace.span(field, n * n, vectors), L
+        free = relations.free_cols
+        assert T.dim == T.quotient.dim == len(free)
+        project = T.quotient.project
+        for i in range(n):
+            for j in range(n):
+                unit = [field.zero] * (n * n)
+                unit[i * n + j] = field.one
+                residual = dense_residual(relations, unit)
+                assert T.pure(i, j) == tuple(residual[c] for c in free), (L, i, j)
+                assert project.column(i * n + j) == T.pure(i, j)
+        reps = [divmod(p, n) for p in free]
+        for a, (i, j) in enumerate(reps):
+            for b, (k, l) in enumerate(reps):
+                assert T.algebra.table[a][b] == dense_bilinear(
+                    T.pairing.table, field, T.dim, L.table[i][j], L.table[k][l])
+
+
+def test_relation_checks_agree_with_the_dense_loop_under_every_corruption():
+    # Mutation test for the four checks that read the relation rows
+    # sparsely: the build's well-definedness check, commutator_map,
+    # factor_pairing and induced_map.  With one entry of one echelon row
+    # shifted, each must fail exactly when the dense loop over the basis
+    # rows finds a row that its ambient map does not kill.
+    outcomes = set()
+    for base in (heisenberg(1), heisenberg(1, GF(2)), sl2(GF(3)),
+                 catalog("heisenberg(1)+abelian(1)", GF(5))):
+        T = build_tensor_square(base)
+        L, n, field = T.base, T.base.dim, T.base.field
+        relations = T.relation_space
+        kappa = LinearMap.from_images(field, n, [L.table[i][j] for i in range(n)
+                                                 for j in range(n)]).matrix
+        pure = LinearMap.from_images(field, T.dim, [T.pure(i, j) for i in range(n)
+                                                    for j in range(n)]).matrix
+        identity = LinearMap(Matrix.identity(field, n))
+        rho = bracket_pairing(L)
+        for r in range(relations.dim):
+            for c in range(n * n):
+                rows = [list(row) for row in relations.basis.entries]
+                rows[r][c] += field.one
+                bad = Subspace(field, n * n, Matrix.from_rows(field, rows),
+                               relations.pivots)
+                bad_T = TensorSquare(L, bad, T.quotient, T.algebra, T.pairing)
+                kappa_fails = any(any(dense_apply(kappa, row)) for row in rows)
+                pure_fails = any(any(dense_apply(pure, row)) for row in rows)
+                if kappa_fails:
+                    with pytest.raises(InternalCheckError, match="not well defined"):
+                        _check_well_defined(L, bad)
+                    with pytest.raises(InternalCheckError,
+                                       match="commutator map does not kill"):
+                        bad_T.commutator_map
+                    with pytest.raises(InvalidInputError, match="does not vanish"):
+                        bad_T.factor_pairing(rho, L)
+                else:
+                    _check_well_defined(L, bad)
+                    assert bad_T.commutator_map[0] == T.commutator_map[0]
+                    assert bad_T.factor_pairing(rho, L) == T.factor_pairing(rho, L)
+                if pure_fails:
+                    with pytest.raises(InternalCheckError,
+                                       match="induced map does not kill"):
+                        induced_map(bad_T, identity, T)
+                else:
+                    assert induced_map(bad_T, identity, T) == \
+                        induced_map(T, identity, T)
+                outcomes.add((kappa_fails, pure_fails))
+    for position in range(2):
         assert {o[position] for o in outcomes} == {True, False}
