@@ -28,7 +28,7 @@ from typing import Optional
 from .catalog import (CATALOG_SUITE, MAX_AMBIENT, MAX_DIM, SUITE_FIELDS,
                       catalog, is_catalog_name, is_supported)
 from .errors import (InternalCheckError, InvalidInputError, NotNilpotentError,
-                     TheoremViolationError)
+                     OutsideEnvelopeError, TheoremViolationError)
 from .fields import QQ, Field, field_from_descriptor
 from .freenilp import dimension_exceeds, free_nilpotent
 from .liealg import LieAlgebra, lie_algebra_from_brackets
@@ -132,8 +132,7 @@ def algebra_document(L: LieAlgebra) -> dict:
     brackets = []
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            terms = [[k, L.field.to_str(c)]
-                     for k, c in enumerate(L.table[i][j]) if c]
+            terms = [[k, L.field.to_str(c)] for k, c in L.cells[i][j]]
             if terms:
                 brackets.append([i, j, terms])
     return {
@@ -310,17 +309,14 @@ def verify_document(L: LieAlgebra, source: str) -> dict:
     T = build_tensor_square(L)
     rep = tensor_report(T)
     verdicts = {k: _verdict_str(v) for k, v in rep.verdicts.items()}
-    if L.is_nilpotent:
-        verdicts["cross_oracle"] = _verdict_str(_cross_oracle_verdict(L, T))
-        try:
-            P = presentation_of(L)
-            cover = build_cover(P)
-            verdicts["cover"] = _verdict_str(verify_cover_theorem(P, cover, T))
-        except (TheoremViolationError, InternalCheckError) as exc:
-            verdicts["cover"] = f"fail: {exc}"
+    if not L.is_nilpotent:
+        verdicts["cross_oracle"] = verdicts["cover"] = "skipped: not nilpotent"
     else:
-        verdicts["cross_oracle"] = "skipped: not nilpotent"
-        verdicts["cover"] = "skipped: not nilpotent"
+        try:
+            verdicts["cross_oracle"] = _verdict_str(_cross_oracle_verdict(L, T))
+            verdicts["cover"] = _verdict_str(_cover_verdict(L, T))
+        except OutsideEnvelopeError as exc:
+            verdicts["cross_oracle"] = verdicts["cover"] = f"skipped: {exc}"
     return {
         "command": "verify",
         "input": _input_section(L, source),
@@ -347,6 +343,14 @@ def _cross_oracle_verdict(L: LieAlgebra, T) -> Verdict:
         return Verdict(False,
                        f"multiplier dims disagree: {mult.dim} vs {mult_dim}")
     return Verdict(True)
+
+
+def _cover_verdict(L: LieAlgebra, T) -> Verdict:
+    try:
+        P = presentation_of(L)
+        return verify_cover_theorem(P, build_cover(P), T)
+    except (TheoremViolationError, InternalCheckError) as exc:
+        return Verdict(False, str(exc))
 
 
 def catalog_document() -> dict:

@@ -5,6 +5,11 @@ class InvalidInputError(ValueError):
     """User-supplied document or CLI argument is malformed or inconsistent."""
 
 
+class OutsideEnvelopeError(InvalidInputError):
+    """An object a computation would build from valid input exceeds the
+    design envelope; nothing has been built."""
+
+
 class NotIdealError(ValueError):
     """A subspace handed to a quotient construction is not an ideal."""
 

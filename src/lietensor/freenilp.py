@@ -12,6 +12,9 @@ are re-expressed in the Hall basis by exact linear algebra.  The expansions
 are linearly independent, the expressing coordinates are integers, and the
 associative model satisfies the Jacobi identity on the nose, which makes
 this construction a robust alternative to hand-rolled collection rewriting.
+
+The integer structure constants are sparse cells ((k, c), ...), the stored
+form of LieAlgebra, validated once per (d, c) and converted to each field.
 """
 
 from __future__ import annotations
@@ -145,8 +148,9 @@ def _commutator(a: dict, b: dict, c: int) -> dict[tuple, int]:
 
 
 def _hall_table(d: int, c: int):
-    """Integer structure constant table of the free nilpotent algebra, with
-    the Hall word labels, degrees and words; not yet validated."""
+    """Integer structure constants of the free nilpotent algebra as sparse
+    cells, cells[i][j] = ((k, c), ...) sorted by k and zero-free, with the
+    Hall word labels, degrees and words; not yet validated."""
     words = hall_words(d, c)
     nw = len(words)
     memo: dict = {}
@@ -168,34 +172,28 @@ def _hall_table(d: int, c: int):
     if any(p >= nm for p in builder.pivots):
         raise InternalCheckError("Hall expansions are not independent")
 
-    def express(poly: dict) -> list[int]:
+    def express(poly: dict) -> tuple[tuple[int, int], ...]:
         rest = builder.reduce({mono_index[m]: QQ.scalar(v)
                                for m, v in poly.items()})
-        coords = [0] * nw
+        coords = []
         for j, x in rest.items():
             if j < nm:
                 raise InternalCheckError("bracket does not lie in the Hall span")
             if x.denominator != 1:
                 raise InternalCheckError("non-integral Hall coordinate")
-            coords[j - nm] = -int(x)
-        return coords
+            coords.append((j - nm, -int(x)))
+        return tuple(sorted(coords))
 
-    table = [[None] * nw for _ in range(nw)]
-    zero_row = (0,) * nw
+    cells = [[()] * nw for _ in range(nw)]
     for i in range(nw):
-        table[i][i] = zero_row
         for j in range(i):
-            if words[i].degree + words[j].degree > c:
-                table[i][j] = zero_row
-                table[j][i] = zero_row
-            else:
-                comm = _commutator(expansions[i], expansions[j], c)
-                coords = express(comm)
-                table[i][j] = tuple(coords)
-                table[j][i] = tuple(-x for x in coords)
+            if words[i].degree + words[j].degree <= c:
+                cell = express(_commutator(expansions[i], expansions[j], c))
+                cells[i][j] = cell
+                cells[j][i] = tuple((k, -x) for k, x in cell)
     labels = tuple(w.label() for w in words)
     degrees = tuple(w.degree for w in words)
-    return tuple(tuple(r) for r in table), labels, degrees, words
+    return tuple(map(tuple, cells)), labels, degrees, words
 
 
 @lru_cache(maxsize=None)
@@ -205,29 +203,30 @@ def _integer_structure(d: int, c: int):
     One validation over Q stands for every field.  Antisymmetry and the
     Jacobi identity on basis triples are polynomial identities with integer
     coefficients in the structure constants, and validate() checks exactly
-    these identities on the converted table.  The conversion Z -> Q is
+    these identities on the converted cells.  The conversion Z -> Q is
     injective, so the check over Q decides them over Z; reduction Z -> GF(p)
     is a ring homomorphism, so an identity that holds over Z holds in every
     GF(p).  A table that passes here therefore passes validate() over every
     field, and free_nilpotent does not validate again.
     """
-    int_table, labels, degrees, words = _hall_table(d, c)
-    algebra = LieAlgebra(QQ, len(words), _convert(int_table, QQ), labels)
+    int_cells, labels, degrees, words = _hall_table(d, c)
+    algebra = LieAlgebra(QQ, len(words), _convert(int_cells, QQ), labels)
     report = algebra.validate()
     if not report.ok:
         raise InternalCheckError(
             f"free nilpotent algebra fails validation: {report.describe()}")
-    return int_table, labels, degrees, words
+    return int_cells, labels, degrees, words
 
 
-def _convert(int_table, field: Field):
-    """The integer table over field.  Most cells are all zero: each distinct
-    integer and each distinct cell is converted once, and equal cells share
-    one tuple of field scalars."""
-    distinct = {cell for row in int_table for cell in row}
-    scalars = {x: field.scalar(x) for x in {x for cell in distinct for x in cell}}
-    cells = {cell: tuple(scalars[x] for x in cell) for cell in distinct}
-    return tuple(tuple(cells[cell] for cell in row) for row in int_table)
+def _convert(int_cells, field: Field):
+    """The sparse integer cells over field.  Each distinct integer is
+    converted once, and a coefficient that vanishes in field (a multiple of
+    p over GF(p)) is dropped, so every cell stays canonical: sorted and
+    zero-free."""
+    scalars = {x: field.scalar(x)
+               for x in {x for row in int_cells for cell in row for _, x in cell}}
+    return tuple(tuple(tuple((k, scalars[x]) for k, x in cell if scalars[x])
+                       if cell else () for cell in row) for row in int_cells)
 
 
 @dataclass(frozen=True, repr=False)
@@ -254,8 +253,8 @@ def free_nilpotent(d: int, c: int, field: Field = QQ) -> FreeNilpotent:
     """The free nilpotent Lie algebra on d generators of class c."""
     if d < 0 or c < 1:
         raise ValueError("need d >= 0 and c >= 1")
-    int_table, labels, degrees, words = _integer_structure(d, c)
-    algebra = LieAlgebra(field, len(words), _convert(int_table, field), labels)
+    int_cells, labels, degrees, words = _integer_structure(d, c)
+    algebra = LieAlgebra(field, len(words), _convert(int_cells, field), labels)
     for k in range(1, c + 1):
         expected = witt_dimension(d, k)
         actual = sum(1 for deg in degrees if deg == k)

@@ -1,19 +1,24 @@
 """Finite-dimensional Lie algebras given by structure constants.
 
-An algebra of dimension n stores the full n x n table of bracket coordinate
-vectors, antisymmetry included; validation checks the stored redundancy rather
-than inferring it, so corrupted input is detectable.  Basis labels are purely
-decorative; all identity decisions use indices.
+An algebra of dimension n stores its structure constants sparsely: cells[i][j]
+is the tuple ((k, c), ...) of the nonzero coordinates of [x_i, x_j], in
+increasing k.  Both (i, j) and (j, i) are stored, so validation checks the
+stored antisymmetry rather than inferring it, and corrupted input is
+detectable.  A cell is sorted and holds no zero, so two algebras are equal
+exactly when their dense tables are.  The dense n x n table is a view built
+on first use; dense tables enter only through lie_algebra_from_table.  Basis
+labels are purely decorative; all identity decisions use indices.
 
 Brackets, ad, the pairing axioms and the homomorphism checks all evaluate on
-sparse {index: nonzero} vectors over the cached nonzero structure constants
-(LieAlgebra.bracket_sparse and ad_sparse); the dense bracket and ad are thin
-wrappers that densify the result.
+sparse {index: nonzero} vectors over the cells (LieAlgebra.bracket_sparse and
+ad_sparse); the dense bracket and ad are thin wrappers that densify the
+result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError, NotIdealError
@@ -23,22 +28,44 @@ from .linalg import (LinearMap, Matrix, SparseVector, SpanBuilder, Subspace,
                      quotient_structure, sparse)
 
 
+Cell = tuple[tuple[int, Scalar], ...]
+
+
+def _cell(v: SparseVector) -> Cell:
+    """A zero-free sparse vector as a canonical cell, sorted by index."""
+    return tuple(sorted(v.items()))
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
     field: Field
     dim: int
-    table: tuple[tuple[Vector, ...], ...]
+    cells: tuple[tuple[Cell, ...], ...]
     basis_names: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.table) != self.dim or len(self.basis_names) != self.dim:
-            raise ValueError("table/name size mismatch")
+        n = self.dim
+        if len(self.cells) != n or len(self.basis_names) != n \
+                or any(len(row) != n for row in self.cells):
+            raise ValueError("cells/name size mismatch")
+        for row in self.cells:
+            for cell in row:
+                if cell and cell != _cell({k: c for k, c in cell if c and 0 <= k < n}):
+                    raise ValueError(f"cell {cell!r} is not sorted, in range and zero-free")
 
     def __repr__(self):
         shown = ",".join(self.basis_names[:6])
         if self.dim > 6:
             shown += ",..."
         return f"LieAlgebra(dim {self.dim} over {self.field.name}: {shown})"
+
+    @cached_property
+    def table(self) -> tuple[tuple[Vector, ...], ...]:
+        """The dense n x n table of bracket coordinate vectors, built on
+        first use; nothing on the verification path reads it."""
+        n, zero = self.dim, self.field.zero
+        return tuple(tuple(dense(dict(cell), n, zero) for cell in row)
+                     for row in self.cells)
 
     def zero_vector(self) -> Vector:
         return (self.field.zero,) * self.dim
@@ -47,28 +74,10 @@ class LieAlgebra:
         z, o = self.field.zero, self.field.one
         return tuple(o if j == i else z for j in range(self.dim))
 
-    def _nonzero_rows(self) -> list[list[list[tuple[int, Scalar]]]]:
-        """table[i][j] as sparse (k, coeff) lists; cached on first use and
-        read only.  Cells that are one shared tuple (the all-zero cells of
-        free and quotient algebras) are scanned once."""
-        cached = getattr(self, "_nz_cache", None)
-        if cached is None:
-            seen: dict[int, list] = {}
-
-            def nonzero(cell):
-                got = seen.get(id(cell))
-                if got is None:
-                    got = seen[id(cell)] = [(k, c) for k, c in enumerate(cell) if c]
-                return got
-
-            cached = [[nonzero(cell) for cell in row] for row in self.table]
-            object.__setattr__(self, "_nz_cache", cached)
-        return cached
-
     def bracket_sparse(self, u: SparseVector, v: SparseVector) -> SparseVector:
         """Bilinear extension of the structure constants to sparse vectors:
         one term per pair of support entries with a nonzero cell."""
-        nz = self._nonzero_rows()
+        nz = self.cells
         acc: SparseVector = {}
         for i, ui in u.items():
             nz_i = nz[i]
@@ -87,7 +96,7 @@ class LieAlgebra:
 
     def ad_sparse(self, v: SparseVector) -> list[SparseVector]:
         """[v, x_j] for every basis vector x_j, reading the support of v once."""
-        nz = self._nonzero_rows()
+        nz = self.cells
         support = [(nz[i], vi) for i, vi in v.items()]
         out = []
         for j in range(self.dim):
@@ -114,7 +123,7 @@ class LieAlgebra:
         zero terms, so only triples meeting a pair with a nonzero cell (in
         either order) are evaluated, still in increasing order.
         """
-        nz = self._nonzero_rows()
+        nz = self.cells
         anti_failures = []
         for i in range(self.dim):
             if nz[i][i]:
@@ -153,7 +162,7 @@ class LieAlgebra:
 
     def derived_subalgebra(self) -> Subspace:
         b = SpanBuilder(self.field, self.dim)
-        nz = self._nonzero_rows()
+        nz = self.cells
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 if nz[i][j]:
@@ -161,13 +170,15 @@ class LieAlgebra:
         return b.subspace()
 
     def center(self) -> Subspace:
-        """Kernel of the stacked adjoint map v -> ([v, x_1], ..., [v, x_n])."""
-        rows = []
-        for j in range(self.dim):
-            for c in range(self.dim):
-                rows.append([self.table[i][j][c] for i in range(self.dim)])
-        m = Matrix.from_rows(self.field, rows, cols=self.dim)
-        return kernel(m)
+        """Kernel of the stacked adjoint map v -> ([v, x_1], ..., [v, x_n]):
+        row j*n + k, column i holds coordinate k of [x_i, x_j]."""
+        n = self.dim
+        rows = [[self.field.zero] * n for _ in range(n * n)]
+        for i, row in enumerate(self.cells):
+            for j, cell in enumerate(row):
+                for k, c in cell:
+                    rows[j * n + k][i] = c
+        return kernel(Matrix.from_rows(self.field, rows, cols=n))
 
     def lower_central_series(self) -> list[Subspace]:
         """Terms L = L^1 >= L^2 >= ... including the first stabilized term."""
@@ -197,7 +208,7 @@ class LieAlgebra:
 
     @property
     def is_abelian(self) -> bool:
-        return not any(any(row) for row in self._nonzero_rows())
+        return not any(any(row) for row in self.cells)
 
 
 @dataclass(frozen=True)
@@ -262,27 +273,33 @@ class BilinearMap:
 
 
 def lie_algebra_from_table(field: Field, table, names=None) -> LieAlgebra:
+    """The algebra of a dense n x n table of bracket coordinate vectors: the
+    only dense entry point."""
     dim = len(table)
-    tbl = tuple(tuple(tuple(v) for v in row) for row in table)
-    if names is None:
-        names = tuple(f"x{i + 1}" for i in range(dim))
-    return LieAlgebra(field, dim, tbl, tuple(names))
+    if any(len(v) != dim for row in table for v in row):
+        raise ValueError("table vectors must have one coordinate per basis vector")
+    cells = tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row)
+                  for row in table)
+    names = tuple(f"x{i + 1}" for i in range(dim)) if names is None else names
+    return LieAlgebra(field, dim, cells, tuple(names))
 
 
 def lie_algebra_from_brackets(field: Field, dim: int,
                               brackets: dict[tuple[int, int], Sequence[tuple[int, Scalar]]],
                               names=None) -> LieAlgebra:
-    """Build a full antisymmetric table from sparse i < j bracket data."""
-    zero = field.zero
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    """Build the antisymmetric cells from sparse i < j bracket data; terms
+    with a repeated index are summed."""
+    cells = [[() for _ in range(dim)] for _ in range(dim)]
     for (i, j), entries in brackets.items():
         if not 0 <= i < j < dim:
             raise ValueError(f"bracket indices ({i},{j}) out of order or range")
+        v: SparseVector = {}
         for k, c in entries:
-            table[i][j][k] = table[i][j][k] + c
-        for k in range(dim):
-            table[j][i][k] = -table[i][j][k]
-    return lie_algebra_from_table(field, table, names)
+            v[k] = v.get(k, field.zero) + c
+        cells[i][j] = _cell({k: c for k, c in v.items() if c})
+        cells[j][i] = tuple((k, -c) for k, c in cells[i][j])
+    names = tuple(f"x{i + 1}" for i in range(dim)) if names is None else names
+    return LieAlgebra(field, dim, tuple(map(tuple, cells)), tuple(names))
 
 
 def quotient_algebra(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LinearMap]:
@@ -302,19 +319,17 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Linear
     qs = quotient_structure(L.dim, ideal)
     q = qs.dim
     free = qs.free_cols
-    nz = L._nonzero_rows()
-    zero_q = (zero,) * q
+    index = {c: r for r, c in enumerate(free)}
 
-    def project(cell) -> Vector:
-        # [x_a, x_b] for free columns a, b is the stored cell itself
-        if not cell:
-            return zero_q
-        rest = ideal.reduce_sparse(dict(cell))
-        return tuple(rest.get(c, zero) for c in free)
+    def project(cell: Cell) -> Cell:
+        # [x_a, x_b] for free columns a, b is the stored cell itself; its
+        # residual is zero at every pivot, so it lives on the free columns
+        rest = ideal.reduce_sparse(dict(cell)) if cell else {}
+        return tuple((index[c], x) for c, x in sorted(rest.items()))
 
-    table = [[project(nz[a][b]) for b in free] for a in free]
+    cells = tuple(tuple(project(L.cells[a][b]) for b in free) for a in free)
     names = tuple(f"q{c + 1}" for c in range(q))
-    quotient = LieAlgebra(L.field, q, tuple(tuple(r) for r in table), names)
+    quotient = LieAlgebra(L.field, q, cells, names)
     report = quotient.validate()
     if not report.ok:
         raise InternalCheckError(
@@ -326,18 +341,11 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     if a.field != b.field:
         raise ValueError("field mismatch")
     n, m = a.dim, b.dim
-    zero = a.field.zero
-    table = [[[zero] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                table[i][j][k] = a.table[i][j][k]
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                table[n + i][n + j][n + k] = b.table[i][j][k]
-    return lie_algebra_from_table(a.field, table,
-                                  names=a.basis_names + b.basis_names)
+    shifted = (tuple(tuple((n + k, c) for k, c in cell) for cell in row)
+               for row in b.cells)
+    cells = tuple(row + ((),) * m for row in a.cells) + \
+        tuple(((),) * n + row for row in shifted)
+    return LieAlgebra(a.field, n + m, cells, a.basis_names + b.basis_names)
 
 
 @dataclass(frozen=True)
@@ -371,7 +379,7 @@ def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> PairingChe
     if rho.source_dim != L.dim or rho.target_dim != H.dim:
         raise ValueError("pairing dimensions do not match the algebras")
     n = L.dim
-    nz = L._nonzero_rows()
+    nz = L.cells
     cells = rho.sparse_cells()
     by_right = [[cells[a][s] for a in range(n)] for s in range(n)]
     # outer[l'][s][a] = rho(x_a, [x_l', x_s]); inner[l][l'][s] = rho([x_l, x_l'], x_s)
@@ -435,29 +443,24 @@ class Subalgebra:
         self.parent = parent
         self.space = space
         self._pivot_row = {p: r for r, p in enumerate(space.pivots)}
-        self._zero = (parent.field.zero,) * space.dim
         basis = space.sparse_rows
         k = space.dim
-        table = tuple(tuple(self._coords(parent.bracket_sparse(u, v))
+        cells = tuple(tuple(self._coords(parent.bracket_sparse(u, v))
                             for v in basis) for u in basis)
         names = tuple(f"s{c + 1}" for c in range(k))
-        self.algebra = LieAlgebra(parent.field, k, table, names)
+        self.algebra = LieAlgebra(parent.field, k, cells, names)
         self.inclusion = LinearMap(Matrix.from_rows(
             parent.field,
             [[r[i] for r in space.basis.entries] for i in range(parent.dim)],
             cols=k))
 
-    def _coords(self, v: SparseVector) -> Vector:
+    def _coords(self, v: SparseVector) -> Cell:
+        """The cell of a member's coordinates, its pivot-column entries for
+        an RREF basis; membership is verified by checking the residual."""
         if self.space.reduce_sparse(v):
             raise ValueError("vector does not lie in the subalgebra")
-        if not v:
-            return self._zero  # one shared cell, scanned once by _nonzero_rows
-        out = [self.space.field.zero] * self.space.dim
-        for col, x in v.items():
-            r = self._pivot_row.get(col)
-            if r is not None:
-                out[r] = x
-        return tuple(out)
+        return _cell({self._pivot_row[col]: x for col, x in v.items()
+                      if col in self._pivot_row})
 
     def coords_of(self, v: Sequence[Scalar]) -> Vector:
         """Coordinates of an ambient vector in the canonical basis.
@@ -467,7 +470,8 @@ class Subalgebra:
         """
         if len(v) != self.space.ambient_dim:
             raise ValueError("ambient mismatch")
-        return self._coords(sparse(v))
+        return dense(dict(self._coords(sparse(v))), self.space.dim,
+                     self.space.field.zero)
 
 
 def homomorphism_failure(images: Sequence[SparseVector], source: LieAlgebra,
@@ -483,7 +487,7 @@ def homomorphism_failure(images: Sequence[SparseVector], source: LieAlgebra,
     visited in the order of the dense double loop, so the first failing pair
     is the same one.
     """
-    nz = source._nonzero_rows()
+    nz = source.cells
     for i, fi in enumerate(images):
         nz_i = nz[i]
         for j, fj in enumerate(images):

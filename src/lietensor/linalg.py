@@ -81,9 +81,10 @@ class Matrix:
                   cols: Optional[int] = None) -> "Matrix":
         data = tuple(tuple(r) for r in rows)
         if data:
-            cols = len(data[0])
+            if cols is None:
+                cols = len(data[0])
             if any(len(r) != cols for r in data):
-                raise ValueError("ragged rows")
+                raise ValueError(f"rows must all have {cols} entries")
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
         return cls(field, len(data), cols, data)
@@ -120,12 +121,6 @@ class Matrix:
         return Matrix(self.field, self.cols, self.rows,
                       tuple(zip(*self.entries)) if self.entries else
                       tuple(() for _ in range(self.cols)))
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        if other.cols != self.cols:
-            raise ValueError("column mismatch")
-        return Matrix(self.field, self.rows + other.rows, self.cols,
-                      self.entries + other.entries)
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         """Matrix times column vector."""
@@ -535,6 +530,8 @@ class LinearMap:
     @classmethod
     def from_images(cls, field: Field, target_dim: int,
                     images: Sequence[Sequence[Scalar]]) -> "LinearMap":
+        if any(len(im) != target_dim for im in images):
+            raise ValueError(f"images must all have {target_dim} coordinates")
         rows = [[images[j][i] for j in range(len(images))]
                 for i in range(target_dim)]
         return cls(Matrix.from_rows(field, rows, cols=len(images)))

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+from .catalog import MAX_AMBIENT
 from .errors import (InternalCheckError, NotNilpotentError,
-                     TheoremViolationError)
+                     OutsideEnvelopeError, TheoremViolationError)
 from .liealg import (LieAlgebra, Subalgebra, homomorphism_failure,
                      quotient_algebra)
 from .linalg import (LinearMap, SpanBuilder, Subspace, complement_within,
                      dense, subspace_intersect)
-from .freenilp import FreeNilpotent, free_nilpotent
+from .freenilp import FreeNilpotent, dimension_exceeds, free_nilpotent
 from .tensor import TensorSquare, Verdict, build_tensor_square
 
 
@@ -63,13 +64,23 @@ class Cover:
 @lru_cache(maxsize=None)
 def presentation_of(L: LieAlgebra) -> FreePresentation:
     """Present a nilpotent algebra by the free nilpotent algebra on canonical
-    lifts of a basis of L modulo its derived subalgebra."""
+    lifts of a basis of L modulo its derived subalgebra.
+
+    The free algebra is held to the bound that the free-nilpotent command
+    puts on the same object, MAX_AMBIENT dimensions, and is not built when
+    it would exceed it: a valid algebra of dimension at most MAX_DIM can
+    still need a free algebra of thousands of dimensions (the filiform
+    algebra of dimension 16 needs the one on 2 generators of class 16)."""
     cls = L.nilpotency_class()
     if cls is None:
         raise NotNilpotentError("free presentations require a nilpotent algebra")
     derived = L.derived_subalgebra()
     lifts = derived.free_cols  # x_c for each non-pivot column c
     d = len(lifts)
+    if dimension_exceeds(d, cls + 1, MAX_AMBIENT):
+        raise OutsideEnvelopeError(
+            f"the presenting free nilpotent algebra (d={d}, c={cls + 1}) has "
+            f"more than {MAX_AMBIENT} dimensions, outside the design envelope")
     F = free_nilpotent(d, cls + 1, L.field)
 
     # Sparse images of the Hall words: a generator goes to its lift, a

@@ -38,11 +38,11 @@ from typing import Sequence
 
 from .errors import InternalCheckError, InvalidInputError
 from .fields import Scalar
-from .liealg import (BilinearMap, LieAlgebra, homomorphism_failure,
+from .liealg import (BilinearMap, Cell, LieAlgebra, homomorphism_failure,
                      is_lie_pairing, quotient_algebra)
 from .linalg import (LinearMap, Matrix, SparseVector, SpanBuilder, Subspace,
-                     Vector, add_scaled, combine, quotient_structure, sparse,
-                     subspace_intersect, subspace_sum)
+                     Vector, add_scaled, combine, dense, quotient_structure,
+                     sparse, subspace_intersect, subspace_sum)
 
 
 @dataclass(frozen=True)
@@ -140,9 +140,10 @@ class TensorSquare:
         n = L.dim
         if not _kills_relations(self.relation_space, _commutator_columns(L)):
             raise InternalCheckError("commutator map does not kill a relation")
-        free = self.quotient.free_cols
+        zero = L.field.zero
         kappa = LinearMap.from_images(
-            L.field, n, [L.table[p // n][p % n] for p in free])
+            L.field, n, [dense(dict(L.cells[p // n][p % n]), n, zero)
+                         for p in self.quotient.free_cols])
         bad = homomorphism_failure(kappa.matrix.sparse_columns, self.algebra, L)
         if bad is not None:
             raise InternalCheckError(
@@ -414,7 +415,7 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     field = L.field
     zero, one = field.zero, field.one
     minus_one = -one
-    nz = L._nonzero_rows()
+    nz = L.cells
 
     builder = SpanBuilder(field, amb)
     for i in range(n):
@@ -468,33 +469,25 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     free = qs.free_cols
     q = len(free)
     reps = [divmod(p, n) for p in free]
-    zero_q = (zero,) * q
+    index = {c: r for r, c in enumerate(free)}
 
-    def project(v: SparseVector) -> Vector:
+    def bracket(u: Cell, w: Cell) -> Cell:
+        # [x_i (x) x_j, x_k (x) x_l] = [x_i, x_j] (x) [x_k, x_l], whose
+        # residual is zero at every pivot, so it lives on the free columns
+        v: SparseVector = {}
+        for a, ua in u:
+            add_scaled(v, ua, [(a * n + b, wb) for b, wb in w])
         rest = relations.reduce_sparse(v)
-        return tuple(rest.get(c, zero) for c in free) if rest else zero_q
+        return tuple((index[c], x) for c, x in sorted(rest.items()))
 
-    table = []
-    for (i, j) in reps:
-        u = nz[i][j]
-        row = []
-        for (k, l) in reps:
-            w = nz[k][l]
-            if not u or not w:
-                row.append(zero_q)
-            else:
-                v = {}
-                for a, ua in u:
-                    add_scaled(v, ua, [(a * n + b, wb) for b, wb in w])
-                row.append(project(v))
-        table.append(tuple(row))
+    cells = tuple(tuple(bracket(nz[i][j], nz[k][l]) if nz[i][j] and nz[k][l]
+                        else () for (k, l) in reps) for (i, j) in reps)
     names = tuple(f"{L.basis_names[i]}(x){L.basis_names[j]}" for i, j in reps)
-    algebra = LieAlgebra(field, q, tuple(table), names)
+    algebra = LieAlgebra(field, q, cells, names)
     report = algebra.validate()
     if not report.ok:
         raise InternalCheckError(f"tensor square fails validation: {report.describe()}")
 
-    index = {c: r for r, c in enumerate(free)}
     pivot_rows = dict(zip(relations.pivots, relations.sparse_rows))
 
     def pure(p: int) -> Vector:
@@ -529,7 +522,7 @@ def _check_well_defined(L: LieAlgebra, relations: Subspace) -> None:
 def _commutator_columns(L: LieAlgebra) -> list[SparseVector]:
     """The ambient commutator map x_i (x) x_j -> [x_i, x_j] as sparse
     columns, column i*n+j."""
-    return [dict(cell) for row in L._nonzero_rows() for cell in row]
+    return [dict(cell) for row in L.cells for cell in row]
 
 
 def _kills_relations(relations: Subspace,

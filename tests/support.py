@@ -12,7 +12,7 @@ import random
 import sympy
 
 from lietensor import (QQ, BilinearMap, Field, LieAlgebra, ideal_closure,
-                       quotient_algebra)
+                       lie_algebra_from_table, quotient_algebra)
 from lietensor.freenilp import free_nilpotent
 from lietensor.liealg import PairingCheck
 from lietensor.linalg import Subspace, subspace_intersect, subspace_sum
@@ -104,10 +104,8 @@ def corrupted_tables(L: LieAlgebra):
             for k in range(L.dim):
                 table = [[list(cell) for cell in row] for row in L.table]
                 table[i][j][k] += L.field.one
-                yield (i, j, k), LieAlgebra(
-                    L.field, L.dim,
-                    tuple(tuple(tuple(cell) for cell in row) for row in table),
-                    L.basis_names)
+                yield (i, j, k), lie_algebra_from_table(
+                    L.field, table, L.basis_names)
 
 
 def random_vector(rng: random.Random, field: Field, n: int, span: int = 2):

@@ -305,6 +305,42 @@ def test_design_envelope_is_enforced_before_anything_is_built(tmp_path,
     assert doc["dim"] == 1
 
 
+def filiform_document(n: int) -> dict:
+    """[e0, ei] = e(i+1) for i = 1 .. n-2: nilpotent of class n - 1 on two
+    generators, so its presentation needs the free algebra F(2, n)."""
+    return {"field": "Q", "dim": n,
+            "brackets": [[0, i, [[i + 1, "1"]]] for i in range(1, n - 1)]}
+
+
+def test_presentation_engine_is_held_to_the_envelope(tmp_path, capsys):
+    # F(2, 16) has 8800 dimensions, and verify used to run for minutes on
+    # this valid 16-dimensional document.  Now both presentation verdicts
+    # are skipped with the reason, and present and cover end with exit 2.
+    path = tmp_path / "filiform16.json"
+    path.write_text(json.dumps(filiform_document(16)))
+    started = time.perf_counter()
+    code, doc = run(["verify", str(path)], capsys)
+    assert time.perf_counter() - started < 10
+    assert code == 0
+    reason = ("skipped: the presenting free nilpotent algebra (d=2, c=16) has "
+              "more than 256 dimensions, outside the design envelope")
+    verdicts = doc["verdicts"]
+    assert verdicts.pop("cross_oracle") == verdicts.pop("cover") == reason
+    assert set(verdicts.values()) == {"pass"}
+    for command in ("present", "cover"):
+        started = time.perf_counter()
+        assert main([command, str(path)]) == 2, command
+        assert time.perf_counter() - started < 10, command
+        err = capsys.readouterr().err
+        assert "design envelope" in err and "Traceback" not in err, command
+    # F(2, 10) has 226 dimensions, inside the bound: both engines still run
+    path = tmp_path / "filiform10.json"
+    path.write_text(json.dumps(filiform_document(10)))
+    code, doc = run(["verify", str(path)], capsys)
+    assert code == 0
+    assert doc["verdicts"]["cross_oracle"] == doc["verdicts"]["cover"] == "pass"
+
+
 def test_free_nilpotent_envelope_reads_the_witt_layer_sums():
     from lietensor.freenilp import dimension_exceeds, witt_dimension
     for d in range(0, 7):

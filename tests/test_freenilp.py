@@ -140,12 +140,24 @@ def test_brackets_expand_to_associative_commutators(d, c):
                 _commutator(ei, ej, c), (i, j)
 
 
+def dense_integer_table(int_cells):
+    """Sparse integer cells ((k, x), ...) as a dense n x n table of lists."""
+    n = len(int_cells)
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(int_cells):
+        for j, cell in enumerate(row):
+            for k, x in cell:
+                table[i][j][k] = x
+    return table
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=lambda f: f.name)
 @pytest.mark.parametrize("d,c", [(2, 4), (3, 3), (4, 3)])
 def test_table_is_the_cellwise_conversion_of_the_integer_table(d, c, field):
-    # Converting each distinct integer cell once must give exactly the
-    # elementwise conversion, scalar types included.
-    int_table = _integer_structure(d, c)[0]
+    # Converting each distinct integer once, and dropping the coefficients
+    # that vanish in the field, must give exactly the elementwise conversion
+    # of the dense integer table, scalar types included.
+    int_table = dense_integer_table(_integer_structure(d, c)[0])
     table = free_nilpotent(d, c, field).algebra.table
     assert table == tuple(tuple(tuple(field.scalar(x) for x in cell)
                                 for cell in row) for row in int_table)
@@ -160,7 +172,8 @@ def test_a_corrupted_integer_cell_is_rejected_for_every_field(d, c, monkeypatch)
     # mirror (only Jacobi can break): whenever the dense check over some
     # field finds the corrupted table invalid, so does the one over Q, and
     # free_nilpotent then rejects it for every field.
-    table, labels, degrees, words = freenilp._hall_table(d, c)
+    int_cells, labels, degrees, words = freenilp._hall_table(d, c)
+    table = dense_integer_table(int_cells)
     n = len(words)
     fields = (QQ, GF(2), GF(3), GF(5))
     monkeypatch.setattr(freenilp, "_integer_structure",
@@ -175,7 +188,8 @@ def test_a_corrupted_integer_cell_is_rejected_for_every_field(d, c, monkeypatch)
             bad = [[list(cell) for cell in row] for row in table]
             for sign, (i, j, k) in zip((1, -1), cells):
                 bad[i][j][k] += sign * shift
-            bad = tuple(tuple(tuple(cell) for cell in row) for row in bad)
+            bad = tuple(tuple(tuple((k, x) for k, x in enumerate(cell) if x)
+                              for cell in row) for row in bad)
             monkeypatch.setattr(freenilp, "_hall_table",
                                 lambda d, c: (bad, labels, degrees, words))
             invalid = {field: any(dense_validation_failures(LieAlgebra(

@@ -1,16 +1,23 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lietensor import (GF, QQ, Field, BilinearMap, LieAlgebra, abelian,
-                       bracket_pairing, catalog, direct_sum, heisenberg,
-                       is_lie_pairing, quotient_algebra, sl2, zero_algebra)
+                       bracket_pairing, build_tensor_square, catalog,
+                       direct_sum, free_nilpotent, heisenberg, is_lie_pairing,
+                       lie_algebra_from_brackets, lie_algebra_from_table,
+                       presentation_of,
+                       quotient_algebra, sl2, zero_algebra)
+from lietensor.cli import verify_document
 from lietensor.errors import (InternalCheckError, InvalidInputError,
                               NotIdealError)
 from lietensor.liealg import Subalgebra, ideal_closure
 from lietensor.linalg import Matrix, Subspace
 
-from support import corrupted_tables, sympy_rank
+from support import (corrupted_tables, random_nilpotent_quotient,
+                     random_vector, sympy_rank)
 
 ALL_CATALOG = ["zero", "abelian(1)", "abelian(3)", "heisenberg(1)",
                "heisenberg(2)", "sl2", "heisenberg(1)+abelian(1)"]
@@ -29,8 +36,7 @@ def test_validate_reports_antisymmetry_corruption():
     good = sl2()
     table = [[list(v) for v in row] for row in good.table]
     table[0][1] = [QQ.zero, QQ.zero, QQ.scalar(5)]  # no longer -table[1][0]
-    bad = LieAlgebra(QQ, 3, tuple(tuple(tuple(v) for v in r) for r in table),
-                     good.basis_names)
+    bad = lie_algebra_from_table(QQ, table, good.basis_names)
     report = bad.validate()
     assert not report.ok
     assert (0, 1) in report.antisymmetry_failures
@@ -215,7 +221,7 @@ def tables_and_vectors(draw):
     table = tuple(tuple(tuple(field.scalar(raw[(i * n + j) * n + k])
                               for k in range(n)) for j in range(n))
                   for i in range(n))
-    L = LieAlgebra(field, n, table, tuple(f"x{i}" for i in range(n)))
+    L = lie_algebra_from_table(field, table, tuple(f"x{i}" for i in range(n)))
     top = field.characteristic - 1 if field.characteristic else 4
     v = draw(st.one_of(st.just([0] * n),
                        st.lists(st.integers(1, top), min_size=n, max_size=n),
@@ -265,3 +271,114 @@ def test_ideal_checks_agree_with_the_bracket_loop_under_every_corruption():
                 closure = grown
             assert ideal_closure(bad, ideal.basis.entries) == closure, where
     assert outcomes == {True, False}
+
+
+# ----------------------------------------------------------------------
+# the stored form: canonical sparse cells, the dense table a view
+# ----------------------------------------------------------------------
+
+@st.composite
+def pairs_of_tables(draw):
+    """Two dense tables (not necessarily Lie) over Q, GF(2) or GF(5) that
+    differ in at most one integer entry, shifted by 0, 2 or 5: so the two
+    are equal exactly when the shift vanishes in the field."""
+    field = Field(draw(st.sampled_from([0, 2, 5])))
+    n = draw(st.integers(0, 4))
+    raw = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 5]),
+                        min_size=n ** 3, max_size=n ** 3))
+    other = list(raw)
+    if n:
+        other[draw(st.integers(0, n ** 3 - 1))] += draw(st.sampled_from([0, 2, 5]))
+
+    def table(ints):
+        return tuple(tuple(tuple(field.scalar(ints[(i * n + j) * n + k])
+                                 for k in range(n)) for j in range(n))
+                     for i in range(n))
+
+    return field, table(raw), table(other)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs_of_tables())
+def test_cells_are_canonical_and_decide_equality(case):
+    field, t1, t2 = case
+    names = tuple(f"x{i}" for i in range(len(t1)))
+    a = lie_algebra_from_table(field, t1, names)
+    b = lie_algebra_from_table(field, t2, names)
+    assert a.table == t1 and b.table == t2
+    for i, row in enumerate(a.cells):
+        for j, cell in enumerate(row):
+            indices = [k for k, _ in cell]
+            assert indices == sorted(set(indices)) and all(c for _, c in cell)
+            assert cell == tuple((k, c) for k, c in enumerate(t1[i][j]) if c)
+    assert (a == b) == (t1 == t2)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_a_cell_that_is_not_canonical_is_rejected():
+    one = QQ.one
+    empty = ((), ())
+    for cell in (((1, one), (0, one)), ((0, one), (0, one)), ((0, QQ.zero),),
+                 ((2, one),), ((-1, one),)):
+        with pytest.raises(ValueError, match="sorted, in range and zero-free"):
+            LieAlgebra(QQ, 2, (((), cell), empty), ("a", "b"))
+    with pytest.raises(ValueError, match="size mismatch"):
+        LieAlgebra(QQ, 2, (empty, ((),)), ("a", "b"))
+    with pytest.raises(ValueError, match="one coordinate per basis vector"):
+        lie_algebra_from_table(QQ, [[(one,), (one,)], [(one, one), (one, one)]])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)],
+                         ids=lambda f: f.name)
+def test_every_constructor_stores_the_cells_of_its_dense_view(field):
+    # F(3, 4) has constants +-2, which vanish over GF(2); the random
+    # quotient, the subalgebra and the tensor square of F(2, 4) reduce
+    # brackets whose residuals come out of index order.
+    F = free_nilpotent(2, 3, field).algebra
+    F33 = free_nilpotent(3, 3, field).algebra
+    h2 = heisenberg(2, field)
+    seed = random_vector(random.Random(1), field, F33.dim)
+    one, two = field.one, field.scalar(2)
+    # unsorted terms, a repeated index that cancels, a zero and a 2
+    brackets = {(0, 1): [(2, one), (1, one), (1, -one), (0, field.zero)],
+                (0, 2): [(2, two), (1, one)]}
+    algebras = [lie_algebra_from_brackets(field, 3, brackets),
+                F, free_nilpotent(3, 4, field).algebra,
+                quotient_algebra(h2, h2.center())[0],
+                quotient_algebra(F, F.lower_central_series()[2])[0],
+                random_nilpotent_quotient(random.Random(0), 3, 4, field),
+                Subalgebra(F, F.derived_subalgebra()).algebra,
+                Subalgebra(F33, ideal_closure(F33, [seed])).algebra,
+                direct_sum(heisenberg(1, field), abelian(2, field)),
+                build_tensor_square(heisenberg(1, field)).algebra,
+                build_tensor_square(F).algebra,
+                build_tensor_square(free_nilpotent(2, 4, field).algebra).algebra]
+    if field.characteristic != 2:
+        s = sl2(field)
+        algebras += [direct_sum(s, h2), Subalgebra(s, s.derived_subalgebra()).algebra,
+                     build_tensor_square(s).algebra]
+    for A in algebras:
+        assert A == lie_algebra_from_table(field, A.table, A.basis_names), A
+
+
+def test_the_dense_view_is_off_the_verification_path(monkeypatch):
+    # Nothing that verify runs (both engines, the cover and the report
+    # layer) may read the dense table, from the catalog or a random
+    # cross-oracle quotient onwards.  The caches are cleared so that every
+    # construction happens under the patch.
+    def refuse(self):
+        raise AssertionError("the dense table was read")
+
+    for cached in (build_tensor_square, presentation_of, free_nilpotent):
+        cached.cache_clear()
+    monkeypatch.setattr(LieAlgebra, "table", property(refuse))
+    algebras = [catalog("heisenberg(2)+abelian(1)"),
+                catalog("heisenberg(2)+abelian(1)", GF(2)), sl2(GF(3)),
+                random_nilpotent_quotient(random.Random(20260810), 3, 3)]
+    for L in algebras:
+        doc = verify_document(L, "test")
+        assert all(v == "pass" or v == "skipped: not nilpotent"
+                   for v in doc["verdicts"].values()), doc["verdicts"]
+    with pytest.raises(AssertionError, match="dense table"):
+        algebras[0].table

@@ -132,6 +132,21 @@ def test_linear_map_basics():
     assert f.image() == span(QQ, 2, [[1, 0]])
 
 
+def test_wrong_widths_are_rejected_not_truncated():
+    # An image longer than the target used to lose its extra coordinates,
+    # and rows narrower than an explicit column count used to set it.
+    for images in ([vec(QQ, [1, 0, 7])], [vec(QQ, [1])],
+                   [vec(QQ, [1, 0]), vec(QQ, [1, 0, 0])]):
+        with pytest.raises(ValueError, match="2 coordinates"):
+            LinearMap.from_images(QQ, 2, images)
+    with pytest.raises(ValueError, match="5 entries"):
+        mat(QQ, [[1, 2, 3]], cols=5)
+    with pytest.raises(ValueError, match="3 entries"):
+        mat(QQ, [[1, 2, 3], [4, 5]])
+    assert mat(QQ, [[1, 2, 3]], cols=3).cols == 3
+    assert mat(QQ, [], cols=5).cols == 5
+
+
 # ----------------------------------------------------------------------
 # properties
 # ----------------------------------------------------------------------

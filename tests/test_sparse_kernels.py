@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lietensor import (GF, QQ, Field, LieAlgebra, build_tensor_square,
-                       bracket_pairing, catalog, free_nilpotent, heisenberg,
-                       is_lie_pairing, quotient_algebra, sl2)
+from lietensor import (GF, QQ, Field, build_tensor_square, bracket_pairing,
+                       catalog, free_nilpotent, heisenberg, is_lie_pairing,
+                       lie_algebra_from_table, quotient_algebra, sl2)
 from lietensor.errors import InternalCheckError
 from lietensor.liealg import Subalgebra, homomorphism_failure
 from lietensor.linalg import Subspace, dense, sparse
@@ -34,7 +34,7 @@ def brackets_of_two_vectors(draw):
     table = tuple(tuple(tuple(field.scalar(raw[(i * n + j) * n + k])
                               for k in range(n)) for j in range(n))
                   for i in range(n))
-    L = LieAlgebra(field, n, table, tuple(f"x{i}" for i in range(n)))
+    L = lie_algebra_from_table(field, table, tuple(f"x{i}" for i in range(n)))
     vector = st.one_of(st.just([0] * n),
                        st.lists(st.sampled_from([0, 0, 0, 1, -2]),
                                 min_size=n, max_size=n),

@@ -10,7 +10,8 @@ from lietensor import (GF, QQ, abelian, build_tensor_square, catalog,
 from lietensor.errors import InternalCheckError, InvalidInputError
 from lietensor.freenilp import free_nilpotent
 from lietensor.liealg import (BilinearMap, LieAlgebra, bracket_pairing,
-                              lie_algebra_from_brackets)
+                              lie_algebra_from_brackets,
+                              lie_algebra_from_table)
 from lietensor.linalg import LinearMap, Matrix, Subspace, inverse
 from lietensor.tensor import TensorSquare, _check_well_defined
 
@@ -374,7 +375,7 @@ def change_basis(L: LieAlgebra, p: Matrix) -> LieAlgebra:
     table = tuple(
         tuple(p_inv.apply(L.bracket(cols[i], cols[j])) for j in range(n))
         for i in range(n))
-    return LieAlgebra(L.field, n, table, L.basis_names)
+    return lie_algebra_from_table(L.field, table, L.basis_names)
 
 
 def test_dimensions_are_basis_independent():
