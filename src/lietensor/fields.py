@@ -21,7 +21,9 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 
 Scalar = Any
 
-_SCALAR_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# ASCII digits only: \d also matches Arabic-Indic, fullwidth and other
+# Unicode digits, which int() and Fraction() would then accept.
+_SCALAR_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 # Miller-Rabin on the first thirteen prime bases decides primality for every
@@ -141,7 +143,7 @@ class Field:
     def parse(self, text: str) -> Scalar:
         """Parse an exact scalar string: "3", "-4", or "num/den" over Q."""
         text = text.strip()
-        if not _SCALAR_RE.match(text):
+        if not _SCALAR_RE.fullmatch(text):
             raise ValueError(f"cannot parse scalar {text!r}")
         if self.is_rational:
             return _rational(text)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .errors import InternalCheckError, NotIdealError
 from .fields import Field, Scalar
 from .linalg import (LinearMap, Matrix, SparseVector, SpanBuilder, Subspace,
-                     Vector, add_scaled, combine, dense, kernel,
+                     Vector, add_scaled, annihilator, combine, dense,
                      quotient_structure, sparse)
 
 
@@ -170,15 +170,9 @@ class LieAlgebra:
         return b.subspace()
 
     def center(self) -> Subspace:
-        """Kernel of the stacked adjoint map v -> ([v, x_1], ..., [v, x_n]):
-        row j*n + k, column i holds coordinate k of [x_i, x_j]."""
-        n = self.dim
-        rows = [[self.field.zero] * n for _ in range(n * n)]
-        for i, row in enumerate(self.cells):
-            for j, cell in enumerate(row):
-                for k, c in cell:
-                    rows[j * n + k][i] = c
-        return kernel(Matrix.from_rows(self.field, rows, cols=n))
+        """Kernel of the stacked adjoint map v -> ([v, x_1], ..., [v, x_n])."""
+        return annihilator(self.field, self.dim, self.dim,
+                           lambda i, j: self.cells[i][j])
 
     def lower_central_series(self) -> list[Subspace]:
         """Terms L = L^1 >= L^2 >= ... including the first stabilized term."""
@@ -248,28 +242,29 @@ class BilinearMap:
         return (f"BilinearMap({name}^{self.source_dim} x "
                 f"{name}^{self.source_dim} -> {name}^{self.target_dim})")
 
+    @cached_property
     def sparse_cells(self) -> list[list[SparseVector]]:
         """table[i][j] as {k: nonzero} dicts, built once; read only."""
-        cached = getattr(self, "_cells_cache", None)
-        if cached is None:
-            cached = [[sparse(cell) for cell in row] for row in self.table]
-            object.__setattr__(self, "_cells_cache", cached)
-        return cached
+        return [[sparse(cell) for cell in row] for row in self.table]
+
+    def apply_sparse(self, u: SparseVector, v: SparseVector) -> SparseVector:
+        """The map on sparse vectors: one term per pair of support entries
+        with a nonzero cell."""
+        cells = self.sparse_cells
+        acc: SparseVector = {}
+        for i, ui in u.items():
+            row = cells[i]
+            for j, vj in v.items():
+                cell = row[j]
+                if cell:
+                    add_scaled(acc, ui * vj, cell.items())
+        return acc
 
     def apply(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
         if len(u) != self.source_dim or len(v) != self.source_dim:
             raise ValueError("dimension mismatch")
-        cells = self.sparse_cells()
-        sv = sparse(v)
-        acc: SparseVector = {}
-        for i, ui in enumerate(u):
-            if ui:
-                row = cells[i]
-                for j, vj in sv.items():
-                    cell = row[j]
-                    if cell:
-                        add_scaled(acc, ui * vj, cell.items())
-        return dense(acc, self.target_dim, self.field.zero)
+        return dense(self.apply_sparse(sparse(u), sparse(v)), self.target_dim,
+                     self.field.zero)
 
 
 def lie_algebra_from_table(field: Field, table, names=None) -> LieAlgebra:
@@ -380,7 +375,7 @@ def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> PairingChe
         raise ValueError("pairing dimensions do not match the algebras")
     n = L.dim
     nz = L.cells
-    cells = rho.sparse_cells()
+    cells = rho.sparse_cells
     by_right = [[cells[a][s] for a in range(n)] for s in range(n)]
     # outer[l'][s][a] = rho(x_a, [x_l', x_s]); inner[l][l'][s] = rho([x_l, x_l'], x_s)
     outer = [[[combine(nz[lp][s], cells[a]) for a in range(n)]
@@ -445,33 +440,35 @@ class Subalgebra:
         self._pivot_row = {p: r for r, p in enumerate(space.pivots)}
         basis = space.sparse_rows
         k = space.dim
-        cells = tuple(tuple(self._coords(parent.bracket_sparse(u, v))
-                            for v in basis) for u in basis)
+        cells = tuple(tuple(_cell(self.coords_sparse(
+            parent.bracket_sparse(u, v))) for v in basis) for u in basis)
         names = tuple(f"s{c + 1}" for c in range(k))
         self.algebra = LieAlgebra(parent.field, k, cells, names)
-        self.inclusion = LinearMap(Matrix.from_rows(
-            parent.field,
-            [[r[i] for r in space.basis.entries] for i in range(parent.dim)],
-            cols=k))
+        self.inclusion = LinearMap(Matrix(parent.field, parent.dim, k, basis))
 
-    def _coords(self, v: SparseVector) -> Cell:
-        """The cell of a member's coordinates, its pivot-column entries for
-        an RREF basis; membership is verified by checking the residual."""
+    def coords_sparse(self, v: SparseVector) -> SparseVector:
+        """Coordinates of a member in the canonical basis: for an RREF basis
+        these are just its pivot-column entries.  Membership is verified by
+        checking the residual."""
         if self.space.reduce_sparse(v):
             raise ValueError("vector does not lie in the subalgebra")
-        return _cell({self._pivot_row[col]: x for col, x in v.items()
-                      if col in self._pivot_row})
+        return {self._pivot_row[col]: x for col, x in v.items()
+                if col in self._pivot_row}
 
     def coords_of(self, v: Sequence[Scalar]) -> Vector:
-        """Coordinates of an ambient vector in the canonical basis.
-
-        For an RREF basis these are just the pivot-column entries; membership
-        is verified by checking the residual.
-        """
+        """Coordinates of an ambient vector in the canonical basis."""
         if len(v) != self.space.ambient_dim:
             raise ValueError("ambient mismatch")
-        return dense(dict(self._coords(sparse(v))), self.space.dim,
+        return dense(self.coords_sparse(sparse(v)), self.space.dim,
                      self.space.field.zero)
+
+    def coords_space(self, space: Subspace) -> Subspace:
+        """A subspace of the parent lying in this subalgebra, in its
+        coordinates."""
+        builder = SpanBuilder(self.space.field, self.space.dim)
+        for row in space.sparse_rows:
+            builder.insert(self.coords_sparse(row))
+        return builder.subspace()
 
 
 def homomorphism_failure(images: Sequence[SparseVector], source: LieAlgebra,

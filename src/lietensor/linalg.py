@@ -1,20 +1,17 @@
 """Deterministic exact linear algebra: RREF, kernels, canonical subspaces,
 sums, intersections and quotient structures.
 
-Every subspace is stored by the unique reduced row-echelon basis of its row
-span, so subspace equality is plain structural equality, and every downstream
-basis, complement and report is bit-reproducible.  All elimination goes
-through SpanBuilder, which keeps its echelon rows sparse as
-{pivot: {column: value}}: relation vectors touch a handful of the n^2
-coordinates, so reductions cost the nonzeros they meet, not the ambient
-width.  A Subspace keeps those rows: Subspace.sparse_rows hands them out
-read only, and kernel, subspace_sum, subspace_intersect and
-complement_within work on them without a dense round trip.  The dense
-basis matrix, Matrix entries and the vectors of the dense API (reduce,
-contains, project_vec) stay tuples; QuotientStructure builds its dense
-project and lift matrices only on demand.  The sparse core (sparse, dense,
-add_scaled, combine, Matrix.sparse_columns, Subspace.sparse_rows,
-Subspace.reduce_sparse) is shared with the structure-constant checks.
+Everything is stored as zero-free {index: value} dicts: a Matrix as its
+columns, a Subspace as its fully reduced echelon rows, so subspace equality
+is plain structural equality and every downstream basis, complement and
+report is bit-reproducible.  All elimination goes through SpanBuilder, whose
+rows are {pivot: {column: value}}: relation vectors touch a handful of the
+n^2 coordinates, so reductions cost the nonzeros they meet, not the ambient
+width.  Products, ranks, kernels, solutions and inverses work on those
+columns and rows, and _transpose is the one change of orientation.  The
+dense Matrix.entries and Subspace.basis are views built on first use for
+reports and tests; the dense API (apply, reduce, contains, project_vec)
+takes and returns tuples.
 """
 
 from __future__ import annotations
@@ -66,12 +63,27 @@ def combine(terms: Iterable[tuple[int, Scalar]],
     return out
 
 
+def _transpose(vectors: Sequence[SparseVector],
+               n: int) -> tuple[SparseVector, ...]:
+    """The n rows of the matrix with these sparse columns; equally, the n
+    columns of the matrix with these sparse rows."""
+    out: tuple[SparseVector, ...] = tuple({} for _ in range(n))
+    for j, v in enumerate(vectors):
+        for i, x in v.items():
+            out[i][j] = x
+    return out
+
+
 @dataclass(frozen=True, repr=False)
 class Matrix:
+    """A matrix stored as its columns {row: nonzero value}, read only (other
+    matrices and subspaces share them).  Zero-free columns are canonical, so
+    equality is that of the dense entries; the hash reads the shape."""
+
     field: Field
     rows: int
     cols: int
-    entries: tuple[tuple[Scalar, ...], ...]
+    sparse_columns: tuple[SparseVector, ...] = dataclasses.field(hash=False)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field.name})"
@@ -79,7 +91,7 @@ class Matrix:
     @classmethod
     def from_rows(cls, field: Field, rows: Iterable[Sequence[Scalar]],
                   cols: Optional[int] = None) -> "Matrix":
-        data = tuple(tuple(r) for r in rows)
+        data = [tuple(r) for r in rows]
         if data:
             if cols is None:
                 cols = len(data[0])
@@ -87,40 +99,26 @@ class Matrix:
                 raise ValueError(f"rows must all have {cols} entries")
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        return cls(field, len(data), cols, data)
+        return cls(field, len(data), cols,
+                   _transpose([sparse(r) for r in data], cols))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(field, n, n,
-                   tuple(tuple(one if i == j else zero for j in range(n))
-                         for i in range(n)))
+        return cls(field, n, n, tuple({i: field.one} for i in range(n)))
 
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, rows, cols, tuple((z,) * cols for _ in range(rows)))
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
+        return cls(field, rows, cols, tuple({} for _ in range(cols)))
 
     @cached_property
-    def sparse_columns(self) -> tuple[SparseVector, ...]:
-        """Every column as {row: nonzero value}, built once; read only."""
-        cols: list[SparseVector] = [{} for _ in range(self.cols)]
-        for r, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                if x:
-                    cols[j][r] = x
-        return tuple(cols)
+    def entries(self) -> tuple[Vector, ...]:
+        """The dense rows, a view that the verification path never reads."""
+        zero = self.field.zero
+        return tuple(dense(row, self.cols, zero)
+                     for row in _transpose(self.sparse_columns, self.rows))
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      tuple(zip(*self.entries)) if self.entries else
-                      tuple(() for _ in range(self.cols)))
+    def column(self, j: int) -> Vector:
+        return dense(self.sparse_columns[j], self.rows, self.field.zero)
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         """Matrix times column vector."""
@@ -132,47 +130,53 @@ class Matrix:
     def select_columns(self, cols: Sequence[int]) -> "Matrix":
         """The submatrix on the given columns, in the given order."""
         return Matrix(self.field, self.rows, len(cols),
-                      tuple(tuple(r[c] for c in cols) for r in self.entries))
+                      tuple(self.sparse_columns[c] for c in cols))
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """Column j of the product is self applied to column j of other."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        z = self.field.zero
-        cols_t = other.transpose().entries
         return Matrix(self.field, self.rows, other.cols,
-                      tuple(tuple(sum((a * b for a, b in zip(r, c) if a and b), z)
-                                  for c in cols_t)
-                            for r in self.entries))
+                      tuple(combine(c.items(), self.sparse_columns)
+                            for c in other.sparse_columns))
 
     def rank(self) -> int:
-        return len(rref(self)[1])
+        builder = SpanBuilder(self.field, self.rows)
+        for c in self.sparse_columns:
+            builder.insert(c)
+        return builder.dim
+
+
+def _row_echelon(m: Matrix, *tail: SparseVector) -> "SpanBuilder":
+    """The echelon form of the rows of [m | tail], the tail given as sparse
+    columns."""
+    columns = m.sparse_columns + tail
+    builder = SpanBuilder(m.field, len(columns))
+    for row in _transpose(columns, m.rows):
+        builder.insert(row)
+    return builder
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Unique reduced row-echelon basis of the row space of m (no zero rows),
     together with its pivot columns."""
-    builder = SpanBuilder(m.field, m.cols)
-    builder.add_all(m.entries)
-    space = builder.subspace()
+    space = _row_echelon(m).subspace()
     return space.basis, space.pivots
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of a fixed coordinate space, in canonical RREF basis form.
-
-    Two subspaces of the same ambient space over the same field are equal iff
-    their basis matrices are entry-identical.  The same rows are kept sparse
-    for sparse_rows; a subspace made by SpanBuilder is given them, one made
-    from a basis matrix alone reads them off it on first use.
-    """
+    """A subspace of a fixed coordinate space, stored as its fully reduced
+    echelon rows {column: nonzero value} in pivot order: the unique RREF
+    basis, so equal subspaces have equal rows.  The rows are read only,
+    because reductions and builders seeded from them share them; the hash
+    reads the pivots."""
 
     field: Field
     ambient_dim: int
-    basis: Matrix
     pivots: tuple[int, ...]
-    _rows: Optional[tuple[SparseVector, ...]] = dataclasses.field(
-        default=None, compare=False, repr=False)
+    sparse_rows: tuple[SparseVector, ...] = dataclasses.field(
+        hash=False, repr=False)
 
     def __repr__(self):
         return (f"Subspace(dim {self.dim} of "
@@ -187,32 +191,28 @@ class Subspace:
 
     @classmethod
     def zero_space(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim,
-                   Matrix.from_rows(field, [], cols=ambient_dim), ())
+        return cls(field, ambient_dim, (), ())
 
     @classmethod
     def full_space(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim),
-                   tuple(range(ambient_dim)))
+        return cls(field, ambient_dim, tuple(range(ambient_dim)),
+                   tuple({i: field.one} for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivots)
+
+    @cached_property
+    def basis(self) -> Matrix:
+        """The dense basis matrix of the echelon rows, a view."""
+        return Matrix(self.field, self.dim, self.ambient_dim,
+                      _transpose(self.sparse_rows, self.ambient_dim))
 
     @property
     def free_cols(self) -> tuple[int, ...]:
         """The non-pivot columns, in increasing order."""
         pivots = set(self.pivots)
         return tuple(j for j in range(self.ambient_dim) if j not in pivots)
-
-    @property
-    def sparse_rows(self) -> tuple[SparseVector, ...]:
-        """The basis rows as {column: nonzero value}, in pivot order; read
-        only, because the subspace and its reductions share them."""
-        if self._rows is None:
-            object.__setattr__(self, "_rows",
-                               tuple(sparse(r) for r in self.basis.entries))
-        return self._rows
 
     @cached_property
     def _echelon(self) -> "SpanBuilder":
@@ -330,11 +330,7 @@ def _subspace(field: Field, ambient_dim: int,
     """The subspace whose fully reduced echelon rows are {pivot: row}; the
     row dicts are taken, not copied."""
     pivots = tuple(sorted(rows))
-    ordered = tuple(rows[p] for p in pivots)
-    zero = field.zero
-    basis = Matrix.from_rows(field, [dense(r, ambient_dim, zero) for r in ordered],
-                             cols=ambient_dim)
-    return Subspace(field, ambient_dim, basis, pivots, ordered)
+    return Subspace(field, ambient_dim, pivots, tuple(rows[p] for p in pivots))
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -344,8 +340,7 @@ def kernel(m: Matrix) -> Subspace:
     (a fully reduced row is zero at every other pivot), so each free column
     f gives the kernel vector with x_f = 1 and the other free variables 0.
     """
-    builder = SpanBuilder(m.field, m.cols)
-    builder.add_all(m.entries)
+    builder = _row_echelon(m)
     one = m.field.one
     vectors = {f: {f: one} for f in range(m.cols) if f not in builder._rows}
     for p, row in builder._rows.items():
@@ -356,6 +351,15 @@ def kernel(m: Matrix) -> Subspace:
     for v in vectors.values():
         out.insert(v)
     return out.subspace()
+
+
+def annihilator(field: Field, n: int, m: int, cell) -> Subspace:
+    """Kernel of v -> (sum_i v_i cell(i, j))_j, stacked over j < n, for a
+    bilinear map F^n x F^n -> F^m given by its (k, nonzero c) cells: column
+    i of the stacked map holds c at row j*m + k.  Each cell is read once."""
+    columns = tuple({j * m + k: c for j in range(n) for k, c in cell(i, j)}
+                    for i in range(n))
+    return kernel(Matrix(field, n * m, n, columns))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -435,27 +439,25 @@ class QuotientStructure:
 
     @property
     def project(self) -> Matrix:
-        """Matrix of project_vec, built on demand: row r reads coordinate
-        free_cols[r] of the canonical residual, which is v at free_cols[r]
-        minus, for each pivot p, v at p times row p at free_cols[r]."""
+        """Matrix of project_vec, built on demand: column c is the residual
+        of e_c at the free columns, a unit vector when c is free and else
+        minus row c off its pivot (a reduced row is 0 at other pivots)."""
         sub = self.sub
-        zero, one = sub.field.zero, sub.field.one
+        one = sub.field.one
         index = {c: r for r, c in enumerate(self.free_cols)}
-        rows = [[zero] * self.ambient_dim for _ in self.free_cols]
-        for c, r in index.items():
-            rows[r][c] = one
+        columns = [{index[c]: one} if c in index else None
+                   for c in range(self.ambient_dim)]
         for p, row in zip(sub.pivots, sub.sparse_rows):
-            for c, x in row.items():
-                if c != p:
-                    rows[index[c]][p] = -x
-        return Matrix.from_rows(sub.field, rows, cols=self.ambient_dim)
+            columns[p] = {index[c]: -x for c, x in row.items() if c != p}
+        return Matrix(sub.field, self.dim, self.ambient_dim, tuple(columns))
 
     @property
     def lift(self) -> Matrix:
         """Matrix of lift_vec, built on demand: a 0/1 column selector, so
         code that would multiply by it selects free_cols instead."""
-        return Matrix.from_rows(self.sub.field, self.coset_reps,
-                                cols=self.ambient_dim).transpose()
+        one = self.sub.field.one
+        return Matrix(self.sub.field, self.ambient_dim, self.dim,
+                      tuple({c: one} for c in self.free_cols))
 
     @property
     def coset_reps(self) -> tuple[Vector, ...]:
@@ -486,27 +488,25 @@ def solve(m: Matrix, rhs: Sequence[Scalar]) -> Optional[Vector]:
     """One exact solution x of m x = rhs (free variables set to 0), or None."""
     if len(rhs) != m.rows:
         raise ValueError("dimension mismatch")
-    aug = Matrix(m.field, m.rows, m.cols + 1,
-                 tuple(r + (b,) for r, b in zip(m.entries, rhs)))
-    reduced, pivots = rref(aug)
-    if m.cols in pivots:
+    rows = _row_echelon(m, sparse(rhs))._rows
+    if m.cols in rows:
         return None
-    x = [m.field.zero] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.entries[r][m.cols]
-    return tuple(x)
+    return dense({p: row[m.cols] for p, row in rows.items() if m.cols in row},
+                 m.cols, m.field.zero)
 
 
 def inverse(m: Matrix) -> Matrix:
+    """The rows of [m | I] reduce to [I | m^-1] exactly when m is
+    invertible; the tail rows are read back as columns."""
     if m.rows != m.cols:
         raise ValueError("not square")
     n = m.rows
-    eye = Matrix.identity(m.field, n).entries
-    aug = Matrix(m.field, n, 2 * n, tuple(r + i for r, i in zip(m.entries, eye)))
-    reduced, pivots = rref(aug)
-    if tuple(pivots) != tuple(range(n)):
+    builder = _row_echelon(m, *Matrix.identity(m.field, n).sparse_columns)
+    if builder.pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix.from_rows(m.field, [r[n:] for r in reduced.entries], cols=n)
+    tail = [{j - n: x for j, x in builder._rows[r].items() if j >= n}
+            for r in range(n)]
+    return Matrix(m.field, n, n, _transpose(tail, n))
 
 
 @dataclass(frozen=True)
@@ -532,9 +532,8 @@ class LinearMap:
                     images: Sequence[Sequence[Scalar]]) -> "LinearMap":
         if any(len(im) != target_dim for im in images):
             raise ValueError(f"images must all have {target_dim} coordinates")
-        rows = [[images[j][i] for j in range(len(images))]
-                for i in range(target_dim)]
-        return cls(Matrix.from_rows(field, rows, cols=len(images)))
+        return cls(Matrix(field, target_dim, len(images),
+                          tuple(sparse(im) for im in images)))
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         return self.matrix.apply(v)
@@ -542,9 +541,17 @@ class LinearMap:
     def compose(self, inner: "LinearMap") -> "LinearMap":
         return LinearMap(self.matrix.mul(inner.matrix))
 
+    def image_of(self, space: Subspace) -> Subspace:
+        """The image of a subspace of the source, spanned by the images of
+        its echelon rows."""
+        builder = SpanBuilder(self.matrix.field, self.target_dim)
+        for row in space.sparse_rows:
+            builder.insert(combine(row.items(), self.matrix.sparse_columns))
+        return builder.subspace()
+
     def image(self) -> Subspace:
-        return Subspace.span(self.matrix.field, self.target_dim,
-                             [self.matrix.column(j) for j in range(self.source_dim)])
+        return self.image_of(Subspace.full_space(self.matrix.field,
+                                                 self.source_dim))
 
     def kernel(self) -> Subspace:
         return kernel(self.matrix)

@@ -13,7 +13,7 @@ cover) are unchanged by cutting F off at class c + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .catalog import MAX_AMBIENT
@@ -21,8 +21,8 @@ from .errors import (InternalCheckError, NotNilpotentError,
                      OutsideEnvelopeError, TheoremViolationError)
 from .liealg import (LieAlgebra, Subalgebra, homomorphism_failure,
                      quotient_algebra)
-from .linalg import (LinearMap, SpanBuilder, Subspace, complement_within,
-                     dense, subspace_intersect)
+from .linalg import (LinearMap, Matrix, SpanBuilder, Subspace,
+                     combine, complement_within, subspace_intersect)
 from .freenilp import FreeNilpotent, dimension_exceeds, free_nilpotent
 from .tensor import TensorSquare, Verdict, build_tensor_square
 
@@ -47,6 +47,10 @@ class FreePresentation:
     def __repr__(self):
         return (f"FreePresentation(L dim {self.L.dim}, free dim "
                 f"{self.free.algebra.dim}, relations dim {self.relations.dim})")
+
+    @cached_property
+    def exterior_quotient(self) -> "_ExteriorQuotient":
+        return _ExteriorQuotient(self)
 
 
 @dataclass(frozen=True)
@@ -99,9 +103,7 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
 
     for w in F.words:
         image_of(w)
-    zero = L.field.zero
-    onto = LinearMap.from_images(L.field, L.dim,
-                                 [dense(im, L.dim, zero) for im in images])
+    onto = LinearMap(Matrix(L.field, L.dim, F.algebra.dim, tuple(images)))
     if onto.rank() != L.dim:
         raise InternalCheckError("canonical lifts do not generate the algebra")
     bad = homomorphism_failure(images, F.algebra, L)
@@ -140,21 +142,10 @@ class _ExteriorQuotient:
     def __init__(self, P: FreePresentation):
         F = P.free.algebra
         self.derived_sub = Subalgebra(F, F.derived_subalgebra())
-        self.commutator_rows = [self.derived_sub.coords_of(r)
-                                for r in P.relations_commutator.basis.entries]
-        rf_inside = Subspace.span(F.field, self.derived_sub.algebra.dim,
-                                  self.commutator_rows)
+        self.commutator = self.derived_sub.coords_space(P.relations_commutator)
         self.algebra, self.projection = quotient_algebra(
-            self.derived_sub.algebra, rf_inside)
-        self.free_cols = rf_inside.free_cols
-
-
-def _exterior_quotient(P: FreePresentation) -> _ExteriorQuotient:
-    cached = getattr(P, "_ext_cache", None)
-    if cached is None:
-        cached = _ExteriorQuotient(P)
-        object.__setattr__(P, "_ext_cache", cached)
-    return cached
+            self.derived_sub.algebra, self.commutator)
+        self.free_cols = self.commutator.free_cols
 
 
 def exterior_via_presentation(
@@ -167,26 +158,30 @@ def exterior_via_presentation(
     Raises TheoremViolationError if the explicit map fails to be a bijective
     homomorphism.
     """
-    ext = _exterior_quotient(P)
+    ext = P.exterior_quotient
     if tensor is None:
         tensor = build_tensor_square(P.L)
-    wedge_alg, _ = tensor.exterior_square()
+    wedge_alg, to_wedge = tensor.exterior_square()
     F = P.free
     index = {w: i for i, w in enumerate(F.words)}
+    onto = P.onto.matrix.sparse_columns
     images = []
-    for r, p in enumerate(ext.derived_sub.space.pivots):
+    one = P.L.field.one
+    space = ext.derived_sub.space
+    for p, row in zip(space.pivots, space.sparse_rows):
         # derived subalgebra of a free nilpotent algebra is spanned by the
         # standard coordinates of the composite Hall words
-        if ext.derived_sub.space.basis.entries[r] != F.algebra.basis_vector(p):
+        if row != {p: one}:
             raise InternalCheckError("derived basis is not coordinate-aligned")
         w = F.words[p]
-        images.append(tensor.wedge(P.onto.matrix.column(index[w.left]),
-                                   P.onto.matrix.column(index[w.right])))
-    eps_on_derived = LinearMap.from_images(P.L.field, wedge_alg.dim, images)
-    for r in ext.commutator_rows:
-        if any(eps_on_derived.apply(r)):
-            raise TheoremViolationError(
-                "wedge map does not kill the relation commutator")
+        pure = tensor.pairing.apply_sparse(onto[index[w.left]],
+                                           onto[index[w.right]])
+        images.append(combine(pure.items(), to_wedge.matrix.sparse_columns))
+    eps_on_derived = LinearMap(Matrix(P.L.field, wedge_alg.dim, len(images),
+                                      tuple(images)))
+    if eps_on_derived.image_of(ext.commutator).dim:
+        raise TheoremViolationError(
+            "wedge map does not kill the relation commutator")
     eps = LinearMap(eps_on_derived.matrix.select_columns(ext.free_cols))
     if not eps.is_bijective():
         raise TheoremViolationError(
@@ -214,11 +209,9 @@ def _check_isomorphism(f: LinearMap, source: LieAlgebra, target: LieAlgebra):
 def multiplier_via_presentation(P: FreePresentation) -> Subspace:
     """Image of the derived part of the relations in the presentation
     quotient; its dimension is the Schur multiplier dimension."""
-    ext = _exterior_quotient(P)
-    rows = []
-    for r in P.relations_in_derived.basis.entries:
-        rows.append(ext.projection.apply(ext.derived_sub.coords_of(r)))
-    return Subspace.span(P.L.field, ext.algebra.dim, rows)
+    ext = P.exterior_quotient
+    return ext.projection.image_of(
+        ext.derived_sub.coords_space(P.relations_in_derived))
 
 
 def build_cover(P: FreePresentation) -> Cover:
@@ -238,21 +231,15 @@ def build_cover(P: FreePresentation) -> Cover:
     """
     F = P.free.algebra
     G, to_G = quotient_algebra(F, P.relations_commutator)
-    rel_bar = Subspace.span(F.field, G.dim,
-                            [to_G.apply(r) for r in P.relations.basis.entries])
-    mult_bar = Subspace.span(F.field, G.dim,
-                             [to_G.apply(r)
-                              for r in P.relations_in_derived.basis.entries])
-    extra = complement_within(mult_bar, rel_bar)
+    extra = complement_within(to_G.image_of(P.relations_in_derived),
+                              to_G.image_of(P.relations))
     K, to_K = quotient_algebra(G, extra)
     from_free = to_K.compose(to_G)
-    multiplier = Subspace.span(F.field, K.dim,
-                               [from_free.apply(r)
-                                for r in P.relations_in_derived.basis.entries])
+    multiplier = from_free.image_of(P.relations_in_derived)
 
     g_free = P.relations_commutator.free_cols
-    images = [P.onto.matrix.column(g_free[c]) for c in extra.free_cols]
-    onto_L = LinearMap.from_images(F.field, P.L.dim, images)
+    onto_L = LinearMap(P.onto.matrix.select_columns(
+        [g_free[c] for c in extra.free_cols]))
     if onto_L.compose(from_free).matrix != P.onto.matrix:
         raise InternalCheckError("cover projection does not factor the presentation")
 
@@ -293,15 +280,15 @@ def verify_cover_theorem(P: FreePresentation, cover: Cover,
     # cover; the kernel of (free -> cover) meets the derived subalgebra of
     # the free algebra exactly in the relation commutator, so this is a
     # bijection and the theorem map is eps composed with its inverse.
-    ext = _exterior_quotient(P)
-    cols = []
-    for c in ext.free_cols:
-        ambient = ext.derived_sub.space.basis.entries[c]
-        cols.append(derived_K.coords_of(cover.from_free.apply(ambient)))
-    psi = LinearMap.from_images(P.L.field, derived_K.algebra.dim, cols)
+    ext = P.exterior_quotient
+    rows = ext.derived_sub.space.sparse_rows
+    to_K = cover.from_free.matrix.sparse_columns
+    cols = tuple(derived_K.coords_sparse(combine(rows[c].items(), to_K))
+                 for c in ext.free_cols)
+    psi = LinearMap(Matrix(P.L.field, derived_K.algebra.dim, len(cols), cols))
     try:
         _check_isomorphism(psi, ext.algebra, derived_K.algebra)
-        theorem_map = LinearMap(eps.matrix.mul(psi.inverse().matrix))
+        theorem_map = eps.compose(psi.inverse())
         _check_isomorphism(theorem_map, derived_K.algebra, wedge_alg)
     except TheoremViolationError as exc:
         return Verdict(False, str(exc))

@@ -26,8 +26,9 @@ pure tensor is a unit vector there when its column is free, and otherwise
 minus its pivot row read there; a bracket cell is the residual of a sparse
 vector.  Every check that a map kills the relations (the bracket's
 well-definedness, the commutator map, induced maps, factored pairings)
-combines the map's sparse ambient columns over those rows.  The dense
-quotient.project matrix is built only if a caller asks for it.
+combines the map's sparse ambient columns over those rows.  The universal
+pairing is read off the sparse columns of quotient.project, and the three
+centers off the pairing's sparse cells.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .fields import Scalar
 from .liealg import (BilinearMap, Cell, LieAlgebra, homomorphism_failure,
                      is_lie_pairing, quotient_algebra)
 from .linalg import (LinearMap, Matrix, SparseVector, SpanBuilder, Subspace,
-                     Vector, add_scaled, combine, dense, quotient_structure,
-                     sparse, subspace_intersect, subspace_sum)
+                     Vector, add_scaled, annihilator, combine, dense,
+                     quotient_structure, subspace_intersect, subspace_sum)
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class TensorSquare:
         """
         n = self.base.dim
         one = self.base.field.one
-        cells = self.pairing.sparse_cells()
+        cells = self.pairing.sparse_cells
         builder = SpanBuilder(self.base.field, self.dim)
         for i in range(n):
             builder.insert(cells[i][i])
@@ -140,10 +141,9 @@ class TensorSquare:
         n = L.dim
         if not _kills_relations(self.relation_space, _commutator_columns(L)):
             raise InternalCheckError("commutator map does not kill a relation")
-        zero = L.field.zero
-        kappa = LinearMap.from_images(
-            L.field, n, [dense(dict(L.cells[p // n][p % n]), n, zero)
-                         for p in self.quotient.free_cols])
+        kappa = LinearMap(Matrix(L.field, n, self.dim,
+                                 tuple(dict(L.cells[p // n][p % n])
+                                       for p in self.quotient.free_cols)))
         bad = homomorphism_failure(kappa.matrix.sparse_columns, self.algebra, L)
         if bad is not None:
             raise InternalCheckError(
@@ -162,26 +162,28 @@ class TensorSquare:
             kappa.matrix.select_columns(self.square_submodule.free_cols))
         return induced.kernel()
 
-    def _center_from(self, pure_of) -> Subspace:
-        """Kernel of v -> (pure_of(v, x_j))_j, stacked over all j."""
-        n = self.base.dim
-        rows = [row for j in range(n)
-                for row in zip(*[pure_of(i, j) for i in range(n)])]
-        m = Matrix.from_rows(self.base.field, rows, cols=n)
-        return LinearMap(m).kernel()
+    # Each center is the kernel of v -> (cell(v, x_j))_j, stacked over all
+    # j, read off the pairing's sparse cells.
 
     @cached_property
     def _tensor_center(self) -> Subspace:
-        return self._center_from(self.pure)
+        cells = self.pairing.sparse_cells
+        return annihilator(self.base.field, self.base.dim, self.dim,
+                           lambda i, j: cells[i][j].items())
 
     @cached_property
     def _tensor_center_right(self) -> Subspace:
-        return self._center_from(lambda i, j: self.pure(j, i))
+        cells = self.pairing.sparse_cells
+        return annihilator(self.base.field, self.base.dim, self.dim,
+                           lambda i, j: cells[j][i].items())
 
     @cached_property
     def _exterior_center(self) -> Subspace:
-        proj = self._exterior[1]
-        return self._center_from(lambda i, j: proj.apply(self.pure(i, j)))
+        cells = self.pairing.sparse_cells
+        ext, proj = self._exterior
+        cols = proj.matrix.sparse_columns
+        return annihilator(self.base.field, self.base.dim, ext.dim,
+                           lambda i, j: combine(cells[i][j].items(), cols).items())
 
     def tensor_center(self) -> Subspace:
         """Elements annihilating every partner in the left slot."""
@@ -217,13 +219,14 @@ class TensorSquare:
         ab = self.abelianization
         L = self.base
         derived = L.derived_subalgebra()
+        cells = self.pairing.sparse_cells
+        by_right = list(zip(*cells))  # by_right[i][a] = x_a (x) x_i
         left = SpanBuilder(L.field, self.dim)
         right = SpanBuilder(L.field, self.dim)
-        for w in derived.basis.entries:
+        for w in derived.sparse_rows:
             for i in range(L.dim):
-                e = L.basis_vector(i)
-                left.add(self.pair(e, w))
-                right.add(self.pair(w, e))
+                left.insert(combine(w.items(), cells[i]))
+                right.insert(combine(w.items(), by_right[i]))
         s_left = left.subspace()
         for row in s_left.sparse_rows:
             right.insert(row)
@@ -261,15 +264,13 @@ class TensorSquare:
             if any(map(comp.reduce_sparse, alg.ad_sparse(row))):
                 return Verdict(False, "complement is not an ideal")
         ext, proj = self._exterior
-        images = [proj.apply(row) for row in comp.basis.entries]
-        if Subspace.span(self.base.field, ext.dim, images).dim != comp.dim \
-                or comp.dim != ext.dim:
+        if proj.image_of(comp).dim != comp.dim or comp.dim != ext.dim:
             return Verdict(False, "complement does not map bijectively onto the exterior square")
         # Sparse {k: nonzero} sides are equal exactly when the dense ones are.
         cols = proj.matrix.sparse_columns
-        sparse_images = [sparse(im) for im in images]
-        for ra, pa in zip(rows, sparse_images):
-            for rb, pb in zip(rows, sparse_images):
+        images = [combine(row.items(), cols) for row in rows]
+        for ra, pa in zip(rows, images):
+            for rb, pb in zip(rows, images):
                 if combine(alg.bracket_sparse(ra, rb).items(), cols) \
                         != ext.bracket_sparse(pa, pb):
                     return Verdict(False, "restriction to the complement is not a homomorphism")
@@ -288,10 +289,7 @@ class TensorSquare:
             return Verdict(False, "summands intersect")
         if subspace_sum(sq, cj) != j2:
             return Verdict(False, "summands do not fill the kernel")
-        proj = self._exterior[1]
-        image = Subspace.span(self.base.field, self._exterior[0].dim,
-                              [proj.apply(r) for r in cj.basis.entries])
-        if image != mult or cj.dim != mult.dim:
+        if self._exterior[1].image_of(cj) != mult or cj.dim != mult.dim:
             return Verdict(False, "complement part does not map onto the multiplier")
         return Verdict(True, f"{j2.dim} = {sq.dim} + {mult.dim}")
 
@@ -317,9 +315,7 @@ class TensorSquare:
         m = ab.algebra.dim
         if subspace_intersect(sq, ab.kernel).dim != 0:
             return Verdict(False, "restriction is not injective")
-        image = Subspace.span(self.base.field, ab.tensor.dim,
-                              [ab.map.apply(r) for r in sq.basis.entries])
-        if image != ab.tensor.square_submodule:
+        if ab.map.image_of(sq) != ab.tensor.square_submodule:
             return Verdict(False, "image differs from the abelian square submodule")
         if sq.dim != m * (m + 1) // 2:
             return Verdict(False, f"dim {sq.dim} != {m}({m}+1)/2")
@@ -336,16 +332,17 @@ class TensorSquare:
         if not check.ok:
             raise InvalidInputError(f"not a Lie pairing: witness {check.witness}")
         n = self.base.dim
-        columns = [cell for row in rho.sparse_cells() for cell in row]
+        columns = [cell for row in rho.sparse_cells for cell in row]
         if not _kills_relations(self.relation_space, columns):
             raise InvalidInputError(
                 "pairing does not vanish on the tensor relations")
-        zeta = LinearMap.from_images(
-            self.base.field, H.dim,
-            [rho.table[p // n][p % n] for p in self.quotient.free_cols])
+        zeta = LinearMap(Matrix(self.base.field, H.dim, self.dim,
+                                tuple(columns[p] for p in self.quotient.free_cols)))
+        pure = self.pairing.sparse_cells
         for i in range(n):
             for j in range(n):
-                if zeta.apply(self.pure(i, j)) != tuple(rho.table[i][j]):
+                if combine(pure[i][j].items(), zeta.matrix.sparse_columns) \
+                        != columns[i * n + j]:
                     raise InternalCheckError("factorization does not recover the pairing")
         return zeta
 
@@ -488,23 +485,10 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     if not report.ok:
         raise InternalCheckError(f"tensor square fails validation: {report.describe()}")
 
-    pivot_rows = dict(zip(relations.pivots, relations.sparse_rows))
-
-    def pure(p: int) -> Vector:
-        # x_i (x) x_j is the unit vector at p = i*n+j when p is free, and
-        # otherwise its residual e_p - row_p: minus the pivot row, which is
-        # zero at the other pivots, read at the free columns.
-        cell = [zero] * q
-        if p in index:
-            cell[index[p]] = one
-        else:
-            for c, x in pivot_rows[p].items():
-                if c != p:
-                    cell[index[c]] = -x
-        return tuple(cell)
-
-    pairing_table = tuple(tuple(pure(i * n + j) for j in range(n))
-                          for i in range(n))
+    # x_i (x) x_j in quotient coordinates is column i*n+j of the projection.
+    pure = qs.project.sparse_columns
+    pairing_table = tuple(tuple(dense(pure[i * n + j], q, zero)
+                                for j in range(n)) for i in range(n))
     pairing = BilinearMap(field, n, q, pairing_table)
     return TensorSquare(L, relations, qs, algebra, pairing)
 
@@ -536,13 +520,12 @@ def _kills_relations(relations: Subspace,
 def induced_map(src: TensorSquare, f: LinearMap, dst: TensorSquare) -> LinearMap:
     """Functorial map of tensor squares induced by a homomorphism of the
     bases; asserted to kill the source relations."""
-    n = src.base.dim
-    images_of_basis = [f.apply(src.base.basis_vector(i)) for i in range(n)]
-    cols = [dst.pair(fi, fj) for fi in images_of_basis for fj in images_of_basis]
-    if not _kills_relations(src.relation_space, [sparse(c) for c in cols]):
+    images = f.matrix.sparse_columns
+    cols = [dst.pairing.apply_sparse(fi, fj) for fi in images for fj in images]
+    if not _kills_relations(src.relation_space, cols):
         raise InternalCheckError("induced map does not kill a relation")
-    return LinearMap.from_images(src.base.field, dst.dim,
-                                 [cols[p] for p in src.quotient.free_cols])
+    return LinearMap(Matrix(src.base.field, dst.dim, src.dim,
+                            tuple(cols[p] for p in src.quotient.free_cols)))
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,19 @@ def test_document_rejections():
         assert fragment in str(err.value), doc
 
 
+def test_non_ascii_digits_are_rejected_with_exit_2(tmp_path, capsys):
+    # \d used to accept any Unicode digit: "\u0661" parsed as 1 and
+    # "\uff11\uff12" as 12, while "\u0663/\u0664" was rejected.
+    for coeff in ("\u0661", "\uff11\uff12", "\u0663/\u0664"):
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps({"field": "Q", "dim": 3,
+                                    "brackets": [[0, 1, [[2, coeff]]]]}))
+        assert main(["verify", str(path)]) == 2, coeff
+        captured = capsys.readouterr()
+        assert "cannot parse" in captured.err, coeff
+        assert "Traceback" not in captured.err and not captured.out, coeff
+
+
 def test_jacobi_rejection_carries_witness():
     # [x1,x2] = x1 and [x1,x3] = x2 violate the Jacobi identity at (0,1,2)
     doc = {"field": "Q", "dim": 3,

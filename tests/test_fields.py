@@ -27,9 +27,12 @@ def test_rational_scalars_are_canonical():
 
 
 def test_rational_parse_rejects_junk():
-    for bad in ("1.5", "a", "1/0", "2/-3", ""):
+    for bad in ("1.5", "a", "1/0", "2/-3", "", "\u0661", "\uff11\uff12",
+                "\u0663/\u0664", "1/\u0664", "\u0663/4"):
         with pytest.raises(ValueError):
             QQ.parse(bad)
+        with pytest.raises(ValueError):
+            GF(5).parse(bad)
 
 
 def test_residue_arithmetic():

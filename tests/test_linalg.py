@@ -1,3 +1,5 @@
+import random
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -6,13 +8,18 @@ from sympy.polys.domains import GF as SympyGF
 from sympy.polys.domains import QQ as SympyQQ
 from sympy.polys.matrices import DomainMatrix
 
+from lietensor import build_tensor_square, catalog, free_nilpotent
+from lietensor.cli import verify_document
 from lietensor.fields import GF, QQ
+from lietensor.presentation import (build_cover, presentation_of,
+                                    verify_cover_theorem)
 from lietensor.linalg import (LinearMap, Matrix, SpanBuilder, Subspace,
                               complement_within, inverse, kernel,
                               quotient_structure, rref, solve, sparse,
                               subspace_intersect, subspace_sum)
 
-from support import sympy_nullity, sympy_rank, to_sympy
+from support import (random_nilpotent_quotient, sympy_nullity, sympy_rank,
+                     to_sympy)
 
 
 def mat(field, rows, cols=None):
@@ -251,7 +258,8 @@ def test_span_builder_is_order_independent(m, data):
     shuffled = data.draw(st.permutations(m.entries))
     reduced, pivots = rref(m)
     assert built(shuffled) == built(m.entries) == \
-        Subspace(m.field, m.cols, reduced, pivots)
+        Subspace(m.field, m.cols, pivots,
+                 tuple(sparse(r) for r in reduced.entries))
     if m.field.is_rational and m.rows:
         # sympy's RREF never goes through the package's elimination.
         oracle, oracle_pivots = sympy.Matrix(
@@ -284,7 +292,8 @@ def test_subspace_keeps_its_sparse_rows_apart_from_the_builder(case):
     space = builder.subspace()
     assert list(space.sparse_rows) == [sparse(r) for r in space.basis.entries]
     snapshot = [dict(r) for r in space.sparse_rows]
-    copy = Subspace(field, ncols, space.basis, space.pivots)
+    copy = Subspace(field, ncols, space.pivots,
+                    tuple(sparse(r) for r in space.basis.entries))
     residuals = [space.reduce_sparse(sparse(v)) for v in probes]
     other = Subspace.span(field, ncols, later)
     # Growing the builder, or a sum seeded from the subspace's own rows,
@@ -357,3 +366,94 @@ def test_kernel_and_intersection_agree_with_sympy(case):
         assert rank(a_rows + [list(v)]) == rank(a_rows)
         assert rank(b_rows + [list(v)]) == rank(b_rows)
     assert list(meet.sparse_rows) == [sparse(r) for r in meet.basis.entries]
+
+
+# ----------------------------------------------------------------------
+# the stored forms: sparse columns and echelon rows
+# ----------------------------------------------------------------------
+
+@st.composite
+def matrix_cases(draw, max_dim=4):
+    field = draw(fields_st)
+    nrows, ncols, k = (draw(st.integers(lo, max_dim)) for lo in (0, 1, 1))
+
+    def rows(nr, nc, entries=entry_st):
+        drawn = draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                              min_size=nr, max_size=nr))
+        return tuple(tuple(field.scalar(x) for x in r) for r in drawn)
+    return (field, ncols, rows(nrows, ncols), rows(ncols, k),
+            rows(ncols, ncols), rows(nrows, ncols, st.integers(0, 1)),
+            tuple(field.scalar(x) for x in draw(
+                st.lists(entry_st, min_size=nrows, max_size=nrows))))
+
+
+@settings(deadline=None)
+@given(matrix_cases())
+def test_stored_forms_agree_with_sympy(case):
+    # sympy's DomainMatrix over QQ and GF(p) never goes through the
+    # package's elimination.
+    field, ncols, a_rows, b_rows, s_rows, c_rows, rhs = case
+
+    def rows_of(dm):
+        return tuple(tuple(from_sympy(field, x) for x in r)
+                     for r in dm.to_list())
+
+    a = Matrix.from_rows(field, a_rows, cols=ncols)
+    b = Matrix.from_rows(field, b_rows)
+    s = Matrix.from_rows(field, s_rows)
+    A, S = (sympy_matrix(field, r, ncols).to_dense() for r in (a_rows, s_rows))
+    B = sympy_matrix(field, b_rows, b.cols)
+    for m, rows in ((a, a_rows), (b, b_rows), (s, s_rows)):
+        assert m.entries == rows
+        assert all(all(col.values()) and all(0 <= r < m.rows for r in col)
+                   for col in m.sparse_columns)
+    assert a.mul(b).entries == rows_of(A.matmul(B))
+    assert a.rank() == A.rank()
+    null = [[from_sympy(field, x) for x in r] for r in A.nullspace().to_list()]
+    assert kernel(a) == Subspace.span(field, ncols, null)
+    x = solve(a, rhs)
+    solvable = sympy_matrix(field, [r + (y,) for r, y in zip(a_rows, rhs)],
+                            ncols + 1).rank() == A.rank()
+    assert (x is not None) == solvable
+    assert x is None or a.apply(x) == rhs
+    if S.rank() == ncols:
+        assert inverse(s).entries == rows_of(S.inv())
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(s)
+    # Equal stored forms, equal dense entries and equal hashes coincide.
+    c = Matrix.from_rows(field, c_rows, cols=ncols)
+    for other in (Matrix.from_rows(field, list(a_rows), cols=ncols), c):
+        assert (a == other) == (a.entries == other.entries)
+        assert a != other or hash(a) == hash(other)
+    span_a = Subspace.span(field, ncols, a_rows)
+    for other in (Subspace.span(field, ncols, a_rows[::-1] + a_rows[:1]),
+                  Subspace.span(field, ncols, c_rows)):
+        assert (span_a == other) == \
+            (span_a.basis.entries == other.basis.entries)
+        assert span_a != other or hash(span_a) == hash(other)
+
+
+def test_the_dense_views_are_off_the_verification_path(monkeypatch):
+    # Nothing that verify runs (both engines, the cover and the report
+    # layer) may read a dense matrix or basis, from the catalog, abelian(16)
+    # or a random cross-oracle quotient onwards.  The caches are cleared so
+    # that every construction happens under the patch.
+    def refuse(self):
+        raise AssertionError("a dense view was read")
+
+    for cached in (build_tensor_square, presentation_of, free_nilpotent):
+        cached.cache_clear()
+    monkeypatch.setattr(Matrix, "entries", property(refuse))
+    monkeypatch.setattr(Subspace, "basis", property(refuse))
+    algebras = [catalog("heisenberg(2)+abelian(1)"),
+                catalog("heisenberg(2)+abelian(1)", GF(2)),
+                catalog("abelian(16)"),
+                random_nilpotent_quotient(random.Random(20260810), 3, 3)]
+    for L in algebras:
+        verdicts = verify_document(L, "test")["verdicts"]
+        assert set(verdicts.values()) == {"pass"}, (L, verdicts)
+    P = presentation_of(catalog("heisenberg(2)+abelian(1)", GF(5)))
+    assert verify_cover_theorem(P, build_cover(P)).ok
+    with pytest.raises(AssertionError, match="dense view"):
+        Matrix.identity(QQ, 1).entries
