@@ -395,8 +395,8 @@ def catalog_document() -> dict:
 # argument handling
 # ----------------------------------------------------------------------
 
-def _parse_field(text: str) -> Field:
-    if text in ("Q", "q"):
+def _parse_field(text: Optional[str]) -> Field:
+    if text is None or text in ("Q", "q"):
         return QQ
     raw = text[1:] if text.lower().startswith("f") else text
     try:
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="catalog name (e.g. heisenberg(2), sl2, "
                                 "abelian(3), heisenberg(1)+abelian(1)) or a "
                                 "path to a JSON algebra document")
-            p.add_argument("--field", default="Q",
+            p.add_argument("--field",
                            help="coefficient field for catalog names: Q or a "
                                 "prime p (default Q)")
         p.add_argument("--out", default=None, help="write the report here "
@@ -441,13 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="free nilpotent algebra on a Hall basis")
     fn.add_argument("-d", type=int, required=True, help="generator count")
     fn.add_argument("-c", type=int, required=True, help="nilpotency class")
-    fn.add_argument("--field", default="Q")
+    fn.add_argument("--field")
     add_common(fn, with_algebra=False)
 
     ver = sub.add_parser("verify", help="run every theorem check")
     ver.add_argument("algebra", nargs="?",
                      help="catalog name or JSON document path")
-    ver.add_argument("--field", default="Q")
+    ver.add_argument("--field")
     ver.add_argument("--catalog", action="store_true",
                      help="verify the whole built-in catalog over Q and "
                           "GF(2), GF(3), GF(5)")
@@ -485,6 +485,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             doc = free_nilpotent_document(args.d, args.c,
                                           _parse_field(args.field))
         elif args.command == "verify" and args.catalog:
+            if args.algebra is not None or args.field is not None:
+                raise InvalidInputError(
+                    "--catalog runs its own algebras and fields; it takes "
+                    "no algebra and no --field")
             doc = catalog_document()
         else:
             if args.command == "verify" and not args.algebra:

@@ -462,14 +462,6 @@ class Subalgebra:
         return dense(self.coords_sparse(sparse(v)), self.space.dim,
                      self.space.field.zero)
 
-    def coords_space(self, space: Subspace) -> Subspace:
-        """A subspace of the parent lying in this subalgebra, in its
-        coordinates."""
-        builder = SpanBuilder(self.space.field, self.space.dim)
-        for row in space.sparse_rows:
-            builder.insert(self.coords_sparse(row))
-        return builder.subspace()
-
 
 def homomorphism_failure(images: Sequence[SparseVector], source: LieAlgebra,
                          target: LieAlgebra) -> Optional[tuple[int, int]]:

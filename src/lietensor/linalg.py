@@ -396,22 +396,6 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
                                   for p, row in builder._rows.items() if p >= n})
 
 
-def complement_within(inner: Subspace, outer: Subspace) -> Subspace:
-    """Canonical complement of `inner` inside `outer` (echelon rule).
-
-    Requires inner to be contained in outer; takes the rows of outer's RREF
-    basis whose pivots are not pivots of inner.  Leading coordinates of such
-    combinations avoid inner's pivot set, so the span meets inner trivially.
-    """
-    if not outer.contains_space(inner):
-        raise ValueError("inner subspace not contained in outer")
-    skip = set(inner.pivots)
-    # The kept rows are still 1 at their own pivot and 0 at the others.
-    return _subspace(outer.field, outer.ambient_dim,
-                     {p: r for p, r in zip(outer.pivots, outer.sparse_rows)
-                      if p not in skip})
-
-
 @dataclass(frozen=True)
 class QuotientStructure:
     """Coordinates for an ambient space modulo a subspace.

@@ -1,4 +1,4 @@
-"""Free presentations of nilpotent Lie algebras: the second computation path
+r"""Free presentations of nilpotent Lie algebras: the second computation path
 for the exterior square and the Schur multiplier, plus cover construction.
 
 For an algebra L of nilpotency class c with d = dim L/[L,L], the presenting
@@ -8,6 +8,23 @@ bracket of weight above c, so the commutator of the kernel with F contains
 every bracket of weight above c + 1, and the quotients built here (the
 derived subalgebra modulo that commutator, its multiplier part, and the
 cover) are unchanged by cutting F off at class c + 1.
+
+Write L = F/R, with X the d generators of F.  Everything is read off one
+quotient G = F/[R,F], on three arguments:
+
+- R lies in F' (Hopf).  The generators go to lifts that are independent
+  modulo L^2, and every composite Hall word goes into L^2, so a relation
+  has zero generator coordinates.  F' is the span of the composite Hall
+  words, so R = R /\ F' and no intersection is computed.
+- [R,F] = [R,X].  By the Jacobi identity [r,[u,x]] = [[r,u],x] - [[r,x],u];
+  R is an ideal, so induction on the degree of the left-normed word [u,x]
+  spans [R,F] by the brackets [r, x] with r in R and x in X.  Likewise ad is
+  a Lie homomorphism and X generates F, so a subspace closed under ad(x)
+  for x in X is closed under ad(F): an ideal.
+- G is the cover.  R/[R,F] is central in G and equals (R /\ F')/[R,F], the
+  multiplier, so the complement of the multiplier inside R/[R,F] is zero
+  and the cover F/[R,F] needs no second quotient.  The exterior square
+  F'/[R,F] is G restricted to its composite positions.
 """
 
 from __future__ import annotations
@@ -21,8 +38,7 @@ from .errors import (InternalCheckError, NotNilpotentError,
                      OutsideEnvelopeError, TheoremViolationError)
 from .liealg import (LieAlgebra, Subalgebra, homomorphism_failure,
                      quotient_algebra)
-from .linalg import (LinearMap, Matrix, SpanBuilder, Subspace,
-                     combine, complement_within, subspace_intersect)
+from .linalg import LinearMap, Matrix, SpanBuilder, Subspace, combine
 from .freenilp import FreeNilpotent, dimension_exceeds, free_nilpotent
 from .tensor import TensorSquare, Verdict, build_tensor_square
 
@@ -34,7 +50,8 @@ class FreePresentation:
     relations is the kernel of the surjection; relations_commutator is the
     span of brackets of kernel elements with the whole algebra; and
     relations_in_derived is the part of the kernel inside the derived
-    subalgebra of the free algebra.
+    subalgebra of the free algebra (all of it, by the Hopf argument of the
+    module docstring).
     """
 
     L: LieAlgebra
@@ -49,8 +66,28 @@ class FreePresentation:
                 f"{self.free.algebra.dim}, relations dim {self.relations.dim})")
 
     @cached_property
-    def exterior_quotient(self) -> "_ExteriorQuotient":
-        return _ExteriorQuotient(self)
+    def quotient(self) -> tuple[LieAlgebra, LinearMap]:
+        """G = F/[R,F] and the projection onto it: the cover, and the
+        exterior square at its composite positions."""
+        return quotient_algebra(self.free.algebra, self.relations_commutator)
+
+    @cached_property
+    def exterior(self) -> LieAlgebra:
+        """F'/[R,F]: G after its first d positions.  [R,F] lies in F', so
+        those are the generator columns; brackets and their residuals mod
+        [R,F] stay in F'; and the restriction needs no validation, as its
+        antisymmetry and Jacobi instances are instances in G, which
+        quotient_algebra validated."""
+        G, _ = self.quotient
+        d = self.free.d
+        if self.relations_commutator.free_cols[:d] != tuple(range(d)):
+            raise InternalCheckError("generators are not the first cover columns")
+        cells = tuple(tuple(tuple((k - d, x) for k, x in cell) for cell in row[d:])
+                      for row in G.cells[d:])
+        if any(k < 0 for row in cells for cell in row for k, _ in cell):
+            raise InternalCheckError("a bracket of composite words leaves F'")
+        return LieAlgebra(G.field, G.dim - d, cells,
+                          tuple(f"q{c + 1}" for c in range(G.dim - d)))
 
 
 @dataclass(frozen=True)
@@ -86,24 +123,18 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
             f"the presenting free nilpotent algebra (d={d}, c={cls + 1}) has "
             f"more than {MAX_AMBIENT} dimensions, outside the design envelope")
     F = free_nilpotent(d, cls + 1, L.field)
+    n = F.algebra.dim
 
     # Sparse images of the Hall words: a generator goes to its lift, a
-    # bracket word to the bracket of the images of its halves.
-    images: list = [None] * F.algebra.dim
+    # bracket word to the bracket of the images of its halves, which come
+    # earlier because the words are ordered by degree.
     position = {w: i for i, w in enumerate(F.words)}
-
-    def image_of(w) -> dict:
-        i = position[w]
-        if images[i] is None:
-            if w.index is not None:
-                images[i] = {lifts[w.index]: L.field.one}
-            else:
-                images[i] = L.bracket_sparse(image_of(w.left), image_of(w.right))
-        return images[i]
-
+    images: list = []
     for w in F.words:
-        image_of(w)
-    onto = LinearMap(Matrix(L.field, L.dim, F.algebra.dim, tuple(images)))
+        images.append({lifts[w.index]: L.field.one} if w.index is not None
+                      else L.bracket_sparse(images[position[w.left]],
+                                            images[position[w.right]]))
+    onto = LinearMap(Matrix(L.field, L.dim, n, tuple(images)))
     if onto.rank() != L.dim:
         raise InternalCheckError("canonical lifts do not generate the algebra")
     bad = homomorphism_failure(images, F.algebra, L)
@@ -112,40 +143,36 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
             "presentation map is not a homomorphism at (%d,%d)" % bad)
 
     relations = onto.kernel()
-    rf = SpanBuilder(L.field, F.algebra.dim)
+    # [R, F] = [R, X], and closure under ad(X) makes it an ideal (module
+    # docstring); the generators are the first d Hall words.
+    generators = [{g: L.field.one} for g in range(d)]
+    rf = SpanBuilder(L.field, n)
     for r in relations.sparse_rows:
-        for w in F.algebra.ad_sparse(r):
-            rf.insert(w)
+        for x in generators:
+            rf.insert(F.algebra.bracket_sparse(r, x))
     relations_commutator = rf.subspace()
-    # Ideal property follows from the Jacobi identity; assert instead of
-    # re-closing.
     for t in relations_commutator.sparse_rows:
-        if any(map(relations_commutator.reduce_sparse,
-                   F.algebra.ad_sparse(t))):
+        if any(relations_commutator.reduce_sparse(F.algebra.bracket_sparse(t, x))
+               for x in generators):
             raise InternalCheckError("commutator span is not an ideal")
-    free_derived = F.algebra.derived_subalgebra()
-    relations_in_derived = subspace_intersect(relations, free_derived)
-    if not relations_in_derived.contains_space(relations_commutator):
+    # F' is the span of the composite Hall words d..n-1: a fully reduced
+    # row has no support left of its pivot and none at the other pivots,
+    # so pivots d..n-1 make every row a unit vector.
+    if F.algebra.derived_subalgebra().pivots != tuple(range(d, n)):
+        raise InternalCheckError("derived basis is not coordinate-aligned")
+    # R lies in F' (Hopf, module docstring); an echelon pivot is the
+    # leftmost support of its row, so no pivot below d means no relation
+    # has a generator coordinate.
+    if relations.pivots and relations.pivots[0] < d:
+        raise InternalCheckError("a relation leaves the derived subalgebra")
+    if not relations.contains_space(relations_commutator):
         raise InternalCheckError("kernel commutator escapes the derived part")
     # The truncation layer (degree c + 1) must die in L.
     for i, deg in enumerate(F.degrees):
         if deg == cls + 1 and relations.reduce_sparse({i: L.field.one}):
             raise InternalCheckError("top truncation layer survives in L")
     return FreePresentation(L, F, onto, relations, relations_commutator,
-                            relations_in_derived)
-
-
-class _ExteriorQuotient:
-    """Shared internals: the derived subalgebra of the free algebra as an
-    algebra of its own, divided by the commutator of the relations."""
-
-    def __init__(self, P: FreePresentation):
-        F = P.free.algebra
-        self.derived_sub = Subalgebra(F, F.derived_subalgebra())
-        self.commutator = self.derived_sub.coords_space(P.relations_commutator)
-        self.algebra, self.projection = quotient_algebra(
-            self.derived_sub.algebra, self.commutator)
-        self.free_cols = self.commutator.free_cols
+                            relations)
 
 
 def exterior_via_presentation(
@@ -158,37 +185,34 @@ def exterior_via_presentation(
     Raises TheoremViolationError if the explicit map fails to be a bijective
     homomorphism.
     """
-    ext = P.exterior_quotient
+    ext = P.exterior
     if tensor is None:
         tensor = build_tensor_square(P.L)
     wedge_alg, to_wedge = tensor.exterior_square()
     F = P.free
     index = {w: i for i, w in enumerate(F.words)}
     onto = P.onto.matrix.sparse_columns
-    images = []
-    one = P.L.field.one
-    space = ext.derived_sub.space
-    for p, row in zip(space.pivots, space.sparse_rows):
-        # derived subalgebra of a free nilpotent algebra is spanned by the
-        # standard coordinates of the composite Hall words
-        if row != {p: one}:
-            raise InternalCheckError("derived basis is not coordinate-aligned")
-        w = F.words[p]
+    # A map on F that wedges the images of the two halves of each composite
+    # Hall word; only its restriction to F' (those words) is used, so the
+    # generators go to zero.
+    images = [{} for _ in range(F.d)]
+    for w in F.words[F.d:]:
         pure = tensor.pairing.apply_sparse(onto[index[w.left]],
                                            onto[index[w.right]])
         images.append(combine(pure.items(), to_wedge.matrix.sparse_columns))
-    eps_on_derived = LinearMap(Matrix(P.L.field, wedge_alg.dim, len(images),
-                                      tuple(images)))
-    if eps_on_derived.image_of(ext.commutator).dim:
+    eps_on_free = LinearMap(Matrix(P.L.field, wedge_alg.dim, len(images),
+                                   tuple(images)))
+    if eps_on_free.image_of(P.relations_commutator).dim:
         raise TheoremViolationError(
             "wedge map does not kill the relation commutator")
-    eps = LinearMap(eps_on_derived.matrix.select_columns(ext.free_cols))
+    eps = LinearMap(eps_on_free.matrix.select_columns(
+        P.relations_commutator.free_cols[F.d:]))
     if not eps.is_bijective():
         raise TheoremViolationError(
-            f"presentation exterior square has dimension {ext.algebra.dim}, "
+            f"presentation exterior square has dimension {ext.dim}, "
             f"tensor engine gives {wedge_alg.dim}")
-    _check_isomorphism(eps, ext.algebra, wedge_alg)
-    return ext.algebra, eps
+    _check_isomorphism(eps, ext, wedge_alg)
+    return ext, eps
 
 
 def _check_isomorphism(f: LinearMap, source: LieAlgebra, target: LieAlgebra):
@@ -208,38 +232,34 @@ def _check_isomorphism(f: LinearMap, source: LieAlgebra, target: LieAlgebra):
 
 def multiplier_via_presentation(P: FreePresentation) -> Subspace:
     """Image of the derived part of the relations in the presentation
-    quotient; its dimension is the Schur multiplier dimension."""
-    ext = P.exterior_quotient
-    return ext.projection.image_of(
-        ext.derived_sub.coords_space(P.relations_in_derived))
+    quotient; its dimension is the Schur multiplier dimension.  The image
+    lies in F'/[R,F], G after its first d positions, and is given in the
+    coordinates of P.exterior: shifting every column by d keeps the rows
+    fully reduced."""
+    _, to_G = P.quotient
+    image, d = to_G.image_of(P.relations_in_derived), P.free.d
+    return Subspace(image.field, image.ambient_dim - d,
+                    tuple(p - d for p in image.pivots),
+                    tuple({j - d: x for j, x in row.items()}
+                          for row in image.sparse_rows))
 
 
 def build_cover(P: FreePresentation) -> Cover:
-    """Construct the canonical cover via the presentation.
+    """Construct the canonical cover via the presentation: G = F/[R,F]
+    itself, since R lies in F' (module docstring).  Defining-pair
+    properties are asserted.
 
-    The relations modulo their commutator with the free algebra are central,
-    so any complement of the multiplier part inside them is an ideal; the
-    canonical echelon complement makes the construction deterministic.
-    Defining-pair properties are asserted.
-
-    onto_L needs no linear solve: F -> G -> K are quotient projections, and
-    a projection sends the standard basis vector at its r-th free column to
-    the r-th unit vector.  So e_(g_free[k_free[a]]) is a preimage of K's
-    basis vector a, and its image under P.onto is that column of P.onto
-    (preimages differ by ker(F -> K), which lies in the relations).  As
-    from_free is onto, the factorization check still pins down onto_L.
+    onto_L needs no linear solve: F -> G is a quotient projection, and it
+    sends the standard basis vector at its r-th free column to the r-th unit
+    vector.  So e_(g_free[a]) is a preimage of G's basis vector a, and its
+    image under P.onto is that column of P.onto (preimages differ by [R,F],
+    which lies in the relations).  As from_free is onto, the factorization
+    check still pins down onto_L.
     """
-    F = P.free.algebra
-    G, to_G = quotient_algebra(F, P.relations_commutator)
-    extra = complement_within(to_G.image_of(P.relations_in_derived),
-                              to_G.image_of(P.relations))
-    K, to_K = quotient_algebra(G, extra)
-    from_free = to_K.compose(to_G)
+    K, from_free = P.quotient
     multiplier = from_free.image_of(P.relations_in_derived)
-
-    g_free = P.relations_commutator.free_cols
     onto_L = LinearMap(P.onto.matrix.select_columns(
-        [g_free[c] for c in extra.free_cols]))
+        P.relations_commutator.free_cols))
     if onto_L.compose(from_free).matrix != P.onto.matrix:
         raise InternalCheckError("cover projection does not factor the presentation")
 
@@ -279,15 +299,14 @@ def verify_cover_theorem(P: FreePresentation, cover: Cover,
     # Transport the presentation quotient onto the derived subalgebra of the
     # cover; the kernel of (free -> cover) meets the derived subalgebra of
     # the free algebra exactly in the relation commutator, so this is a
-    # bijection and the theorem map is eps composed with its inverse.
-    ext = P.exterior_quotient
-    rows = ext.derived_sub.space.sparse_rows
+    # bijection and the theorem map is eps composed with its inverse.  The
+    # exterior basis is the unit vectors at the composite free columns.
     to_K = cover.from_free.matrix.sparse_columns
-    cols = tuple(derived_K.coords_sparse(combine(rows[c].items(), to_K))
-                 for c in ext.free_cols)
+    cols = tuple(derived_K.coords_sparse(to_K[c])
+                 for c in P.relations_commutator.free_cols[P.free.d:])
     psi = LinearMap(Matrix(P.L.field, derived_K.algebra.dim, len(cols), cols))
     try:
-        _check_isomorphism(psi, ext.algebra, derived_K.algebra)
+        _check_isomorphism(psi, ext_alg, derived_K.algebra)
         theorem_map = eps.compose(psi.inverse())
         _check_isomorphism(theorem_map, derived_K.algebra, wedge_alg)
     except TheoremViolationError as exc:

@@ -207,10 +207,10 @@ class TensorSquare:
         L = self.base
         derived = L.derived_subalgebra()
         ab, to_ab = quotient_algebra(L, derived)
-        lifts = quotient_structure(L.dim, derived).coset_reps
         tab = build_tensor_square(ab)
         pi = induced_map(self, to_ab, tab)
-        return Abelianization(ab, to_ab, lifts, tab, pi, pi.kernel())
+        return Abelianization(ab, to_ab, derived.free_cols, tab, pi,
+                              pi.kernel())
 
     def verify_kernel_identity(self) -> Verdict:
         """The kernel of the abelianization map, computed three ways:
@@ -238,13 +238,13 @@ class TensorSquare:
     def _complement(self) -> Subspace:
         """The canonical complement of the square submodule: lifted
         off-diagonal pure tensors plus the abelianization kernel."""
-        ab = self.abelianization
-        m = ab.algebra.dim
+        f = self.abelianization.lift_cols
+        cells = self.pairing.sparse_cells
         builder = SpanBuilder(self.base.field, self.dim)
-        for i in range(m):
-            for j in range(i + 1, m):
-                builder.add(self.pair(ab.lifts[i], ab.lifts[j]))
-        for row in ab.kernel.sparse_rows:
+        for i, a in enumerate(f):
+            for b in f[i + 1:]:
+                builder.insert(cells[a][b])
+        for row in self.abelianization.kernel.sparse_rows:
             builder.insert(row)
         return builder.subspace()
 
@@ -350,17 +350,19 @@ class TensorSquare:
     def whitehead_gamma(self) -> "WhiteheadGamma":
         """The universal quadratic functor on L modulo its derived subalgebra,
         with its natural map onto the square submodule (asserted bijective)."""
-        ab = self.abelianization
-        m = ab.algebra.dim
+        f = self.abelianization.lift_cols
+        m = len(f)
         field = self.base.field
         gamma_dim = m * (m + 1) // 2
-        cols = [self.pair(ab.lifts[i], ab.lifts[i]) for i in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                cols.append(tuple(a + b for a, b in
-                                  zip(self.pair(ab.lifts[i], ab.lifts[j]),
-                                      self.pair(ab.lifts[j], ab.lifts[i]))))
-        to_square = LinearMap.from_images(field, self.dim, cols)
+        cells = self.pairing.sparse_cells
+        cols = [cells[a][a] for a in f]
+        for i, a in enumerate(f):
+            for b in f[i + 1:]:
+                v = dict(cells[a][b])
+                add_scaled(v, field.one, cells[b][a].items())
+                cols.append(v)
+        to_square = LinearMap(Matrix(field, self.dim, len(cols),
+                                     tuple(cols)))
         image = to_square.image()
         if image != self.square_submodule:
             raise InternalCheckError("Whitehead map is not onto the square submodule")
@@ -371,9 +373,12 @@ class TensorSquare:
 
 @dataclass(frozen=True)
 class Abelianization:
+    """L/L^2 and its tensor square; the canonical lifts of its basis are the
+    unit vectors of L at lift_cols, the free columns of L^2."""
+
     algebra: LieAlgebra
     to_ab: LinearMap
-    lifts: tuple[Vector, ...]
+    lift_cols: tuple[int, ...]
     tensor: "TensorSquare"
     map: LinearMap
     kernel: Subspace

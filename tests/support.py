@@ -14,8 +14,9 @@ import sympy
 from lietensor import (QQ, BilinearMap, Field, LieAlgebra, ideal_closure,
                        lie_algebra_from_table, quotient_algebra)
 from lietensor.freenilp import free_nilpotent
-from lietensor.liealg import PairingCheck
-from lietensor.linalg import Subspace, subspace_intersect, subspace_sum
+from lietensor.liealg import PairingCheck, Subalgebra
+from lietensor.linalg import (LinearMap, SpanBuilder, Subspace,
+                              subspace_intersect, subspace_sum)
 from lietensor.tensor import Verdict
 
 
@@ -305,3 +306,75 @@ def dense_decomposition_verdict(T) -> Verdict:
                     != dense_bracket(ext, pa, pb):
                 return Verdict(False, "restriction to the complement is not a homomorphism")
     return Verdict(True, f"{T.dim} = {sq.dim} + {comp.dim}")
+
+
+# ----------------------------------------------------------------------
+# presentation oracles: the generic constructions the presentation engine
+# replaced by reading F', R /\ F' and the cover off the Hall grading
+# ----------------------------------------------------------------------
+
+def complement_within(inner: Subspace, outer: Subspace) -> Subspace:
+    """Canonical complement of `inner` inside `outer` (echelon rule).
+
+    Requires inner to be contained in outer; takes the rows of outer's RREF
+    basis whose pivots are not pivots of inner.  Leading coordinates of such
+    combinations avoid inner's pivot set, so the span meets inner trivially.
+    """
+    if not outer.contains_space(inner):
+        raise ValueError("inner subspace not contained in outer")
+    skip = set(inner.pivots)
+    # The kept rows are still 1 at their own pivot and 0 at the others.
+    kept = [(p, r) for p, r in zip(outer.pivots, outer.sparse_rows)
+            if p not in skip]
+    return Subspace(outer.field, outer.ambient_dim,
+                    tuple(p for p, _ in kept), tuple(r for _, r in kept))
+
+
+def all_columns_commutator(F: LieAlgebra, relations: Subspace) -> Subspace:
+    """[R, F] as the span of the dense brackets [r, x_j] over every basis
+    vector x_j of F, not only the generators."""
+    return Subspace.span(F.field, F.dim, [
+        F.bracket(r, F.basis_vector(j))
+        for r in relations.basis.entries for j in range(F.dim)])
+
+
+def zassenhaus_relations_in_derived(P) -> Subspace:
+    """R /\\ F' by the Zassenhaus intersection."""
+    return subspace_intersect(P.relations, P.free.algebra.derived_subalgebra())
+
+
+def coords_space(sub: Subalgebra, space: Subspace) -> Subspace:
+    """A subspace of sub's parent lying in sub, in sub's coordinates."""
+    builder = SpanBuilder(space.field, sub.space.dim)
+    for row in space.sparse_rows:
+        builder.insert(sub.coords_sparse(row))
+    return builder.subspace()
+
+
+def subalgebra_exterior(P):
+    """F'/[R,F] as the Subalgebra F' of F divided by [R,F] in its own
+    coordinates, with the multiplier image of R /\\ F' in the quotient."""
+    F = P.free.algebra
+    derived = Subalgebra(F, F.derived_subalgebra())
+    algebra, projection = quotient_algebra(
+        derived.algebra, coords_space(derived, P.relations_commutator))
+    multiplier = projection.image_of(
+        coords_space(derived, zassenhaus_relations_in_derived(P)))
+    return algebra, multiplier
+
+
+def complement_cover(P):
+    """The cover as F/[R,F] divided by the canonical complement of the image
+    of R /\\ F' inside the image of R: (algebra, from_free, multiplier,
+    onto)."""
+    F = P.free.algebra
+    in_derived = zassenhaus_relations_in_derived(P)
+    G, to_G = quotient_algebra(F, P.relations_commutator)
+    extra = complement_within(to_G.image_of(in_derived),
+                              to_G.image_of(P.relations))
+    K, to_K = quotient_algebra(G, extra)
+    from_free = to_K.compose(to_G)
+    g_free = P.relations_commutator.free_cols
+    onto = LinearMap(P.onto.matrix.select_columns(
+        [g_free[c] for c in extra.free_cols]))
+    return K, from_free, from_free.image_of(in_derived), onto

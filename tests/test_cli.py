@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lietensor import heisenberg
 from lietensor.cli import (algebra_document, canonical_hash, load_algebra,
@@ -399,3 +405,152 @@ def test_algebra_documents_still_round_trip():
         again = parse_algebra_document(json.loads(json.dumps(echo)))
         assert again.table == L.table and again.basis_names == L.basis_names
         assert algebra_document(again) == echo
+
+
+def test_catalog_takes_no_algebra_and_no_field(capsys):
+    # verify --catalog used to drop an algebra argument and --field and run
+    # the whole catalog anyway.
+    for args in (["verify", "--catalog", "heisenberg(1)"],
+                 ["verify", "--catalog", "--field", "5"],
+                 ["verify", "heisenberg(1)", "--catalog", "--field", "Q"]):
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.out == "", args
+        assert "--catalog" in captured.err and "Traceback" not in captured.err
+    # without --field an algebra is still read over Q
+    code, doc = run(["verify", "heisenberg(1)"], capsys)
+    assert code == 0 and doc["input"]["document"]["field"] == "Q"
+
+
+# sha256 of canonical_json(present_document(L, "pinned")) and of the cover
+# document, recorded before the presentation engine was moved onto the one
+# quotient F/[R,F].
+PINNED_PRESENTATION_REPORTS = {
+    "heisenberg(1)": (
+        "5a2b89ca7adcd4ff32a3a4654854d85e8e8eaddb7385976518ea8a0e81bfc742",
+        "38635af5db79b9413d5e716f1f72834c54401bc03c0950e32a9ca5d4e4ef584e"),
+    "heisenberg(3)": (
+        "5b72c279029900ed3a9a3d9a4a34b0321ef35cc07ecd66244ab4ad6d762afbae",
+        "b3fbfc69f94be15d713c6c2fb10cbe416c0e52eb5ef70831a2cea21fa777176c"),
+    "heisenberg(2)+abelian(1) over GF(5)": (
+        "98792842b05c938f8f9e4a586149b4123f5b518a0a55422c1c5417dd7a1456f4",
+        "f444bf758be93316343e2d5ae71cf1eedf36b91ae8488b1aee9ac5ed835f7810"),
+    "abelian(16)": (
+        "2f53d24499e49aa3da4bf1e0502c084ec7e5dc4b156ac4b35b8d571679fbd21b",
+        "5193b838f024554c43605ec86f59b5b5bf16684e15c57e8751b304ee8d36b7a5"),
+    "filiform(10)": (
+        "13f72e53d5ce61456c8326cf225205c45cc9ece321176c7a005025314f3206d0",
+        "8e69e193ce34838c4d142c9ac891cd648a8380b8dd4fec6a63a4c5fe4d36611f"),
+    "random_nilpotent_quotient(Random(6), 2, 4)": (
+        "26ab1706ee97a2e05ef7f261410b792439dd1c7c101684d9c9fc2ffc6b4cbb48",
+        "0e48f9333c41b5f17a96f49db347e6a3d1683cbc49278647e8d1dcf7a15fcb67"),
+}
+
+
+def test_present_and_cover_reports_are_pinned():
+    import hashlib
+    import random
+
+    from lietensor import GF, catalog
+    from lietensor.cli import canonical_json, cover_document, present_document
+    from support import random_nilpotent_quotient
+
+    algebras = {
+        "heisenberg(1)": catalog("heisenberg(1)"),
+        "heisenberg(3)": catalog("heisenberg(3)"),
+        "heisenberg(2)+abelian(1) over GF(5)":
+            catalog("heisenberg(2)+abelian(1)", GF(5)),
+        "abelian(16)": catalog("abelian(16)"),
+        "filiform(10)": parse_algebra_document(filiform_document(10)),
+        "random_nilpotent_quotient(Random(6), 2, 4)":
+            random_nilpotent_quotient(random.Random(6), 2, 4),
+    }
+    for name, L in algebras.items():
+        got = tuple(hashlib.sha256(canonical_json(build(L, "pinned")).encode())
+                    .hexdigest() for build in (present_document, cover_document))
+        assert got == PINNED_PRESENTATION_REPORTS[name], name
+
+
+# ----------------------------------------------------------------------
+# the input boundary: arbitrary documents and argument lists
+# ----------------------------------------------------------------------
+
+def json_values():
+    keys = st.sampled_from(["field", "dim", "brackets", "basis_names", "Fp",
+                            "x"])
+    leaves = (st.none() | st.booleans() | st.integers(-3, 20)
+              | st.sampled_from(["Q", "1", "-2", "1/2", "F5", ""]))
+    return st.recursive(
+        leaves, lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(keys, inner, max_size=5), max_leaves=16)
+
+
+@st.composite
+def upper_triangular_documents(draw):
+    """[x_i, x_j] = c x_k with k > j > i for a random set of pairs: a
+    nilpotent table when it satisfies the Jacobi identity, and an invalid
+    document otherwise."""
+    n = draw(st.integers(1, 9))
+    brackets = []
+    for i in range(n):
+        for j in range(i + 1, n - 1):
+            if draw(st.booleans()):
+                k = draw(st.integers(j + 1, n - 1))
+                brackets.append([i, j, [[k, str(draw(st.integers(-2, 2)))]]])
+    field = draw(st.sampled_from(["Q", {"Fp": 2}, {"Fp": 5}]))
+    return {"field": field, "dim": n, "brackets": brackets}
+
+
+documents = (json_values()
+             | st.integers(2, 16).map(filiform_document)
+             | upper_triangular_documents())
+
+OPTIONS = st.sampled_from([
+    ["--field", "Q"], ["--field", "5"], ["--field", "F2"], ["--field", "4"],
+    ["--field", "x"], ["--catalog"], ["--timings"], ["-d", "2"], ["-d", "-1"],
+    ["-c", "3"], ["-c", "0"], ["--out", "OUT"], ["--bogus"], ["extra"],
+])
+
+
+@st.composite
+def argument_lists(draw):
+    command = draw(st.sampled_from(["info", "tensor", "present", "cover",
+                                    "verify", "free-nilpotent", "frobnicate"]))
+    args = [command]
+    which = draw(st.integers(0, 7))
+    if which == 1:
+        args.append(draw(st.text(max_size=6)))
+    elif which == 2:
+        args.append(draw(st.sampled_from(
+            ["heisenberg(1)", "abelian(2)", "sl2", "heisenberg(1)+abelian(1)",
+             "abelian(400)", "nosuch(1)", ""])))
+    elif which > 2:
+        args.append("DOC")
+    for option in draw(st.lists(OPTIONS, max_size=3)):
+        args.extend(option)
+    return args
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(documents, argument_lists())
+def test_every_document_and_argument_list_ends_with_an_exit_code(doc, args):
+    # Any JSON document and argument list ends with exit 0, 1 or 2 within a
+    # time bound, and never with a traceback.  The documents include valid
+    # filiform algebras of every dimension up to the envelope and random
+    # strictly upper-triangular structure constants.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if a == "DOC" else
+                str(Path(tmp) / "out.json") if a == "OUT" else a for a in args]
+        out, err = io.StringIO(), io.StringIO()
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors and --help
+                code = exc.code
+        assert time.perf_counter() - started < 10, argv
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

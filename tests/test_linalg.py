@@ -14,12 +14,11 @@ from lietensor.fields import GF, QQ
 from lietensor.presentation import (build_cover, presentation_of,
                                     verify_cover_theorem)
 from lietensor.linalg import (LinearMap, Matrix, SpanBuilder, Subspace,
-                              complement_within, inverse, kernel,
-                              quotient_structure, rref, solve, sparse,
-                              subspace_intersect, subspace_sum)
+                              inverse, kernel, quotient_structure, rref,
+                              solve, sparse, subspace_intersect, subspace_sum)
 
-from support import (random_nilpotent_quotient, sympy_nullity, sympy_rank,
-                     to_sympy)
+from support import (complement_within, random_nilpotent_quotient,
+                     sympy_nullity, sympy_rank, to_sympy)
 
 
 def mat(field, rows, cols=None):

@@ -14,7 +14,9 @@ from lietensor.liealg import lie_algebra_from_table
 from lietensor.linalg import LinearMap, Subspace, solve
 from lietensor.presentation import _check_isomorphism
 
-from support import corrupted_tables, random_nilpotent_quotient
+from support import (all_columns_commutator, complement_cover,
+                     corrupted_tables, random_nilpotent_quotient,
+                     subalgebra_exterior, zassenhaus_relations_in_derived)
 
 NILPOTENT_CATALOG = ["zero", "abelian(1)", "abelian(2)", "abelian(3)",
                      "heisenberg(1)", "heisenberg(2)",
@@ -229,11 +231,14 @@ def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
         monkeypatch):
     # Mutation test for presentation_of on a free algebra with one corrupted
     # constant.  The relations do not read the free table, so they stay put;
-    # the homomorphism check must fail exactly where the plain loop does,
-    # and otherwise the ad-built relation commutator must equal the span of
-    # bracket(r, x_j).  (No single corruption of these algebras reaches the
-    # commutator-ideal assertion: the homomorphism check or the later
-    # containment check fires first, or the span stays an ideal.)
+    # the homomorphism check must fail exactly where the plain loop does.
+    # Otherwise the relation commutator, spanned by [r, x_g] over the
+    # generators only, must equal the span of [r, x_j] over every column,
+    # unless the corrupted table fails validate(): [R, F] = [R, X] rests on
+    # the Jacobi identity, and free_nilpotent validates every table it
+    # hands out (_integer_structure), so such a table never reaches
+    # presentation_of outside this test.
+    outcomes = {"raise": 0, "equal": 0, "invalid": 0}
     changed = 0
     cleans = [presentation_of(L)
               for L in (heisenberg(1), heisenberg(1, GF(2)), abelian(3))]
@@ -247,10 +252,7 @@ def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
             broken = [(i, j) for i in range(bad.dim) for j in range(bad.dim)
                       if onto.apply(bad.table[i][j]) !=
                       L.bracket(images[i], images[j])]
-            span = Subspace.span(L.field, bad.dim, [
-                bad.bracket(r, bad.basis_vector(j))
-                for r in clean.relations.basis.entries
-                for j in range(bad.dim)])
+            span = all_columns_commutator(bad, clean.relations)
             try:
                 P = presentation_of.__wrapped__(L)
             except InternalCheckError as exc:
@@ -258,12 +260,48 @@ def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
                 assert not broken or message.endswith(
                     "homomorphism at (%d,%d)" % broken[0]), where
                 assert broken or "homomorphism" not in message, where
+                outcomes["raise"] += 1
                 continue
             assert not broken, where
             assert P.relations == clean.relations, where
-            assert P.relations_commutator == span, where
-            changed += span != clean.relations_commutator
-    assert changed
+            if P.relations_commutator == span:
+                outcomes["equal"] += 1
+                changed += span != clean.relations_commutator
+            else:
+                assert not bad.validate().ok, where
+                outcomes["invalid"] += 1
+    assert changed and all(outcomes.values()), outcomes
+
+
+def test_graded_constructions_match_the_generic_oracles():
+    # [R, F] from the generators, R /\ F' read off the grading, the exterior
+    # square as G restricted to its composite positions and the cover as G
+    # itself equal the generic constructions they replaced: the all-columns
+    # span, the Zassenhaus intersection, the Subalgebra quotient and the
+    # complement with its second quotient.
+    algebras = [catalog(name, field)
+                for name in NILPOTENT_CATALOG + ["heisenberg(3)", "abelian(5)"]
+                for field in (QQ, GF(2), GF(5))]
+    rng = random.Random(777)
+    algebras += [random_nilpotent_quotient(rng, d, c, field)
+                 for field in (QQ, GF(2), GF(5))
+                 for d, c in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3))]
+    for L in algebras:
+        P = presentation_of(L)
+        F = P.free.algebra
+        assert P.relations_commutator == \
+            all_columns_commutator(F, P.relations), L
+        assert P.relations_in_derived == zassenhaus_relations_in_derived(P), L
+        ext, mult = subalgebra_exterior(P)
+        assert P.exterior == ext, L
+        assert multiplier_via_presentation(P) == mult, L
+        assert exterior_via_presentation(P)[0] == ext, L
+        K, from_free, multiplier, onto = complement_cover(P)
+        cover = build_cover(P)
+        assert cover.algebra == K, L
+        assert cover.from_free == from_free, L
+        assert cover.multiplier == multiplier, L
+        assert cover.onto == onto, L
 
 
 def test_cover_projection_matches_a_linear_solve():

@@ -287,8 +287,8 @@ def test_whitehead_quadratic_property():
         for _ in range(10):
             coords = [field.scalar(rng.randint(-2, 2)) for _ in range(gamma.rank)]
             lifted = [field.zero] * L.dim
-            for c, rep in zip(coords, ab.lifts):
-                lifted = [a + c * b for a, b in zip(lifted, rep)]
+            for c, col in zip(coords, ab.lift_cols):
+                lifted[col] += c
             assert gamma.to_square.apply(gamma.quadratic(coords)) == \
                 T.pair(lifted, lifted)
 
