@@ -32,9 +32,8 @@ from .errors import (InternalCheckError, InvalidInputError, NotNilpotentError,
 from .fields import QQ, Field, field_from_descriptor
 from .freenilp import dimension_exceeds, free_nilpotent
 from .liealg import LieAlgebra, lie_algebra_from_brackets
-from .presentation import (build_cover, exterior_via_presentation,
-                           multiplier_via_presentation, presentation_of,
-                           verify_cover_theorem)
+from .presentation import (build_cover, multiplier_via_presentation,
+                           presentation_of, verify_cover_theorem)
 from .tensor import Verdict, build_tensor_square, tensor_report
 
 # ----------------------------------------------------------------------
@@ -330,7 +329,7 @@ def verify_document(L: LieAlgebra, source: str) -> dict:
 def _cross_oracle_verdict(L: LieAlgebra, T) -> Verdict:
     try:
         P = presentation_of(L)
-        ext_alg, _ = exterior_via_presentation(P, T)
+        ext_alg, _ = P.exterior_map(T)
         mult = multiplier_via_presentation(P)
     except (TheoremViolationError, InternalCheckError) as exc:
         return Verdict(False, str(exc))

@@ -1,17 +1,42 @@
 """Free nilpotent Lie algebras on a Hall-word basis.
 
 The basis of the free nilpotent algebra on d generators of class c consists
-of the Hall words of degree at most c; the layer of degree k has dimension
-given by the Witt formula (1/k) sum_{e | k} mu(e) d^(k/e).
+of the Hall words of degree at most c (M. Hall, Proc. AMS 1 (1950));
+the layer of degree k has dimension given by the Witt formula
+(1/k) sum_{e | k} mu(e) d^(k/e).  Words are ordered by degree first, which
+makes the order a Hall order: a bracket is greater than both its factors.
 
-Structure constants are obtained through the embedding of the free Lie
-algebra into the free associative algebra: every Hall word expands to an
-integer noncommutative polynomial (its iterated commutator), brackets are
-computed as associative commutators truncated above degree c, and results
-are re-expressed in the Hall basis by exact linear algebra.  The expansions
-are linearly independent, the expressing coordinates are integers, and the
-associative model satisfies the Jacobi identity on the nose, which makes
-this construction a robust alternative to hand-rolled collection rewriting.
+Structure constants come from rewriting in the Hall basis (C. Reutenauer,
+Free Lie Algebras (1993), section 4), truncated above degree c.  For Hall
+words u, v: [u, u] = 0; if u < v then [u, v] = -[v, u]; if u > v and u is
+a generator or u = [a, b] with b <= v, then (u, v) is a Hall pair and
+[u, v] is that basis word; otherwise u = [a, b] with b > v, and the Jacobi
+identity gives [[a, b], v] = [[a, v], b] + [a, [b, v]], expanded bilinearly.
+
+Termination.  Take u > v of total degree n and u = [a, b] with a > b > v.
+The inner brackets [a, v] and [b, v] have total degree below n.  Each word
+w of [a, v] has degree deg a + deg v > deg b, so w > b, and the pair (w, b)
+has smaller word b > v.  Each word w of [b, v] has degree above deg b, so
+w > b, and the pair (a, w) has smaller word min(a, w) > b > v.  So the
+rewriting descends in total degree, and within a total degree it strictly
+raises the smaller word of the pair, of which there are finitely many.
+_hall_table fills its memo, keyed by word index, in exactly this order: by
+increasing total degree, and within it by decreasing smaller word.  Every rewrite then
+reads cells already filled, and there is no recursion.
+
+Three self-checks of the former construction, which expanded every Hall
+word into the free associative algebra and solved for the brackets over Q,
+are gone with it: "expansions are not independent", "not in the Hall span"
+and "non-integral".  Rewriting solves no linear system, every cell is a
+combination of Hall words with integer coefficients by construction, and a
+Hall pair missing from the basis raises InternalCheckError.  The table
+depends on (d, c) alone, the design envelope admits finitely many (d, c)
+(295 pairs with d >= 2, where c <= 10, and the d <= 1 cases, whose brackets
+all vanish), and the test suite checks every one of them against the
+associative model: each bracket, expanded through the Hall words, is the
+commutator of their expansions, and the expansions of each layer are
+linearly independent.  The Witt layer count, the validation over Q in
+_integer_structure and every check downstream are kept.
 
 The integer structure constants are sparse cells ((k, c), ...), the stored
 form of LieAlgebra, validated once per (d, c) and converted to each field.
@@ -26,7 +51,6 @@ from typing import Optional
 from .errors import InternalCheckError
 from .fields import QQ, Field
 from .liealg import LieAlgebra
-from .linalg import SpanBuilder
 
 
 @dataclass(frozen=True)
@@ -118,82 +142,53 @@ def hall_words(d: int, c: int) -> tuple[HallWord, ...]:
     return tuple(words)
 
 
-def _expansion(w: HallWord, c: int, memo: dict) -> dict[tuple, int]:
-    """Integer expansion of a Hall word in the free associative algebra,
-    truncated above degree c."""
-    cached = memo.get(w)
-    if cached is not None:
-        return cached
-    if w.index is not None:
-        result = {(w.index,): 1}
-    else:
-        a = _expansion(w.left, c, memo)
-        b = _expansion(w.right, c, memo)
-        result = _commutator(a, b, c)
-    memo[w] = result
-    return result
-
-
-def _commutator(a: dict, b: dict, c: int) -> dict[tuple, int]:
-    out: dict[tuple, int] = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            if len(ka) + len(kb) > c:
-                continue
-            key = ka + kb
-            out[key] = out.get(key, 0) + va * vb
-            key = kb + ka
-            out[key] = out.get(key, 0) - va * vb
-    return {k: v for k, v in out.items() if v}
-
-
 def _hall_table(d: int, c: int):
     """Integer structure constants of the free nilpotent algebra as sparse
     cells, cells[i][j] = ((k, c), ...) sorted by k and zero-free, with the
-    Hall word labels, degrees and words; not yet validated."""
+    Hall word labels, degrees and words; not yet validated.  Computed by
+    the rewriting in the module docstring; indices follow the Hall order."""
     words = hall_words(d, c)
     nw = len(words)
-    memo: dict = {}
-    expansions = [_expansion(w, c, memo) for w in words]
-    monomials = sorted({m for e in expansions for m in e},
-                       key=lambda t: (len(t), t))
-    mono_index = {m: i for i, m in enumerate(monomials)}
-    nm = len(monomials)
+    index = {w: i for i, w in enumerate(words)}
+    degree = [w.degree for w in words]
+    left = [index[w.left] if w.index is None else None for w in words]
+    right = [index[w.right] if w.index is None else None for w in words]
+    pair_word = {(left[k], right[k]): k for k in range(d, nw)}
+    # memo[i][j] is the bracket of words i and j as {k: coefficient}, for
+    # both orders of a pair once it is filled; [u, u] = 0.
+    memo: list[dict[int, dict[int, int]]] = [{i: {}} for i in range(nw)]
 
-    # Each expansion enters with an identity tail at column nm + r, so the
-    # echelon rows record which combination of expansions they are.  Reducing
-    # a polynomial in their span clears its monomial part and leaves minus
-    # its Hall coordinates in the tail.
-    builder = SpanBuilder(QQ, nm + nw)
-    for r, e in enumerate(expansions):
-        row = {mono_index[m]: QQ.scalar(v) for m, v in e.items()}
-        row[nm + r] = QQ.one
-        builder.insert(row)
-    if any(p >= nm for p in builder.pivots):
-        raise InternalCheckError("Hall expansions are not independent")
-
-    def express(poly: dict) -> tuple[tuple[int, int], ...]:
-        rest = builder.reduce({mono_index[m]: QQ.scalar(v)
-                               for m, v in poly.items()})
-        coords = []
-        for j, x in rest.items():
-            if j < nm:
-                raise InternalCheckError("bracket does not lie in the Hall span")
-            if x.denominator != 1:
-                raise InternalCheckError("non-integral Hall coordinate")
-            coords.append((j - nm, -int(x)))
-        return tuple(sorted(coords))
-
+    # Degrees are sorted, so the words of degree at most k are words[:ends[k]].
+    ends = [sum(1 for g in degree if g <= k) for k in range(c + 1)]
+    for n in range(2, c + 1):
+        for j in reversed(range(ends[n // 2])):
+            for i in range(max(j + 1, ends[n - degree[j] - 1]),
+                           ends[n - degree[j]]):
+                if left[i] is None or right[i] <= j:
+                    k = pair_word.get((i, j))
+                    if k is None:
+                        raise InternalCheckError(
+                            f"Hall pair ({words[i].label()}, "
+                            f"{words[j].label()}) is not a basis word")
+                    cell = {k: 1}
+                else:
+                    a, b = left[i], right[i]
+                    cell = {}
+                    for w, x in memo[a][j].items():  # [[a, v], b]
+                        for k, z in memo[w][b].items():
+                            cell[k] = cell.get(k, 0) + x * z
+                    for w, x in memo[b][j].items():  # [a, [b, v]]
+                        for k, z in memo[a][w].items():
+                            cell[k] = cell.get(k, 0) + x * z
+                    cell = {k: x for k, x in cell.items() if x}
+                memo[i][j] = cell
+                memo[j][i] = {k: -x for k, x in cell.items()}
     cells = [[()] * nw for _ in range(nw)]
-    for i in range(nw):
-        for j in range(i):
-            if words[i].degree + words[j].degree <= c:
-                cell = express(_commutator(expansions[i], expansions[j], c))
-                cells[i][j] = cell
-                cells[j][i] = tuple((k, -x) for k, x in cell)
+    for i, row in enumerate(memo):
+        for j, cell in row.items():
+            cells[i][j] = tuple(sorted(cell.items()))
     labels = tuple(w.label() for w in words)
-    degrees = tuple(w.degree for w in words)
-    return tuple(map(tuple, cells)), labels, degrees, words
+    return tuple(map(tuple, cells)), labels, tuple(degree), words
 
 
 @lru_cache(maxsize=None)

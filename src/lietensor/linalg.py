@@ -10,8 +10,8 @@ n^2 coordinates, so reductions cost the nonzeros they meet, not the ambient
 width.  Products, ranks, kernels, solutions and inverses work on those
 columns and rows, and _transpose is the one change of orientation.  The
 dense Matrix.entries and Subspace.basis are views built on first use for
-reports and tests; the dense API (apply, reduce, contains, project_vec)
-takes and returns tuples.
+reports and tests; the dense API (Subspace.span, SpanBuilder.add, column,
+apply, reduce, contains, project_vec, solve) takes or returns tuples.
 """
 
 from __future__ import annotations
@@ -401,8 +401,9 @@ class QuotientStructure:
     """Coordinates for an ambient space modulo a subspace.
 
     Coset representatives are the standard basis vectors at the non-pivot
-    columns of the subspace, so project(lift(y)) = y and project(v) = 0 exactly
-    when v lies in the subspace.
+    columns of the subspace, so project sends the one at the r-th free column
+    to the r-th unit vector, and project(v) = 0 exactly when v lies in the
+    subspace.
     """
 
     sub: Subspace
@@ -435,31 +436,12 @@ class QuotientStructure:
             columns[p] = {index[c]: -x for c, x in row.items() if c != p}
         return Matrix(sub.field, self.dim, self.ambient_dim, tuple(columns))
 
-    @property
-    def lift(self) -> Matrix:
-        """Matrix of lift_vec, built on demand: a 0/1 column selector, so
-        code that would multiply by it selects free_cols instead."""
-        one = self.sub.field.one
-        return Matrix(self.sub.field, self.ambient_dim, self.dim,
-                      tuple({c: one} for c in self.free_cols))
-
-    @property
-    def coset_reps(self) -> tuple[Vector, ...]:
-        """The standard basis vectors at free_cols, built on demand."""
-        zero, one = self.sub.field.zero, self.sub.field.one
-        return tuple(tuple(one if j == c else zero
-                           for j in range(self.ambient_dim))
-                     for c in self.free_cols)
-
     def project_vec(self, v: Sequence[Scalar]) -> Vector:
         if len(v) != self.ambient_dim:
             raise ValueError("ambient mismatch")
         rest = self.sub.reduce_sparse(sparse(v))
         zero = self.sub.field.zero
         return tuple(rest.get(c, zero) for c in self.free_cols)
-
-    def lift_vec(self, y: Sequence[Scalar]) -> Vector:
-        return self.lift.apply(y)
 
 
 def quotient_structure(ambient_dim: int, sub: Subspace) -> QuotientStructure:

@@ -89,6 +89,20 @@ class FreePresentation:
         return LieAlgebra(G.field, G.dim - d, cells,
                           tuple(f"q{c + 1}" for c in range(G.dim - d)))
 
+    def exterior_map(self, tensor: TensorSquare) -> tuple[LieAlgebra, LinearMap]:
+        """exterior_via_presentation(self, tensor), built and checked once
+        per tensor square: the cross-oracle and the cover verdicts of verify
+        both read it.  A failure is not kept, so it is raised again, with
+        the same message, on the next call."""
+        maps = self._exterior_maps
+        if tensor not in maps:
+            maps[tensor] = exterior_via_presentation(self, tensor)
+        return maps[tensor]
+
+    @cached_property
+    def _exterior_maps(self) -> dict:
+        return {}
+
 
 @dataclass(frozen=True)
 class Cover:
@@ -286,7 +300,7 @@ def verify_cover_theorem(P: FreePresentation, cover: Cover,
     if tensor is None:
         tensor = build_tensor_square(P.L)
     try:
-        ext_alg, eps = exterior_via_presentation(P, tensor)
+        ext_alg, eps = P.exterior_map(tensor)
     except TheoremViolationError as exc:
         return Verdict(False, f"presentation exterior square failed: {exc}")
     K = cover.algebra

@@ -126,13 +126,6 @@ class TensorSquare:
         return self._exterior
 
     @cached_property
-    def _exterior_lift(self) -> Matrix:
-        return quotient_structure(self.dim, self.square_submodule).lift
-
-    def wedge(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-        return self._exterior[1].apply(self.pair(u, v))
-
-    @cached_property
     def commutator_map(self) -> tuple[LinearMap, Subspace]:
         """The map sending a generator to the bracket of its two slots, with
         its kernel.  Vanishing on the relation space and the homomorphism

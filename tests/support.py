@@ -13,7 +13,8 @@ import sympy
 
 from lietensor import (QQ, BilinearMap, Field, LieAlgebra, ideal_closure,
                        lie_algebra_from_table, quotient_algebra)
-from lietensor.freenilp import free_nilpotent
+from lietensor.catalog import MAX_AMBIENT
+from lietensor.freenilp import dimension_exceeds, free_nilpotent
 from lietensor.liealg import PairingCheck, Subalgebra
 from lietensor.linalg import (LinearMap, SpanBuilder, Subspace,
                               subspace_intersect, subspace_sum)
@@ -378,3 +379,49 @@ def complement_cover(P):
     onto = LinearMap(P.onto.matrix.select_columns(
         [g_free[c] for c in extra.free_cols]))
     return K, from_free, from_free.image_of(in_derived), onto
+
+
+# ----------------------------------------------------------------------
+# the free associative model: the construction the Hall rewriting replaced,
+# kept as the oracle for the free nilpotent structure constants
+# ----------------------------------------------------------------------
+
+def hall_expansion(w, c: int, memo: dict) -> dict[tuple, int]:
+    """Integer expansion of a Hall word in the free associative algebra,
+    truncated above degree c: {monomial: coefficient}."""
+    cached = memo.get(w)
+    if cached is not None:
+        return cached
+    if w.index is not None:
+        result = {(w.index,): 1}
+    else:
+        result = associative_commutator(hall_expansion(w.left, c, memo),
+                                        hall_expansion(w.right, c, memo), c)
+    memo[w] = result
+    return result
+
+
+def associative_commutator(a: dict, b: dict, c: int) -> dict[tuple, int]:
+    """ab - ba for noncommutative polynomials, truncated above degree c."""
+    out: dict[tuple, int] = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            if len(ka) + len(kb) > c:
+                continue
+            key = ka + kb
+            out[key] = out.get(key, 0) + va * vb
+            key = kb + ka
+            out[key] = out.get(key, 0) - va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+def free_envelope() -> list[tuple[int, int]]:
+    """Every (d, c) with d >= 2 whose free nilpotent algebra lies inside the
+    design envelope, dim F(d, c) <= MAX_AMBIENT."""
+    pairs = []
+    for d in range(2, MAX_AMBIENT + 1):
+        c = 1
+        while not dimension_exceeds(d, c, MAX_AMBIENT):
+            pairs.append((d, c))
+            c += 1
+    return pairs

@@ -205,6 +205,33 @@ def test_failed_verdict_gives_exit_code_1(monkeypatch, capsys):
     assert doc["verdicts"]["cover"] == "fail: forced"
 
 
+def test_verify_builds_the_presentation_exterior_once_per_algebra(monkeypatch):
+    # The cross-oracle and the cover verdict both read the wedge map of the
+    # presentation; verify --catalog builds and checks it once for each
+    # nilpotent entry.  The caches are cleared so that no presentation keeps
+    # a map from an earlier test.
+    from collections import Counter
+
+    from lietensor import catalog, cli, presentation
+    from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
+
+    nilpotent = [L for L in (catalog(name, field) for name in CATALOG_SUITE
+                             for field in SUITE_FIELDS if is_supported(name, field))
+                 if L.is_nilpotent]
+    built = []
+    original = presentation.exterior_via_presentation
+
+    def counted(P, tensor=None):
+        built.append(P.L)
+        return original(P, tensor)
+
+    monkeypatch.setattr(presentation, "exterior_via_presentation", counted)
+    presentation.presentation_of.cache_clear()
+    cli.catalog_document()
+    assert len(nilpotent) == 44
+    assert Counter(built) == Counter(nilpotent)
+
+
 def test_document_schemas_are_stable(capsys):
     code, doc = run(["verify", "heisenberg(1)"], capsys)
     assert sorted(doc) == ["command", "diagnostics", "dimensions", "input",
@@ -352,6 +379,26 @@ def test_presentation_engine_is_held_to_the_envelope(tmp_path, capsys):
         assert time.perf_counter() - started < 10, command
         err = capsys.readouterr().err
         assert "design envelope" in err and "Traceback" not in err, command
+    # Valid inputs whose presenting free algebra lies above the bound end
+    # at once, with a skip naming the free algebra they would need.
+    path = tmp_path / "filiform12.json"
+    path.write_text(json.dumps(filiform_document(12)))
+    h1 = "heisenberg(1)"
+    rows = [(["heisenberg(7)+abelian(1)"] + field, 15, 3)
+            for field in ([], ["--field", "2"], ["--field", "5"])]
+    rows += [(["+".join([h1] * 5 + ["abelian(1)"])], 11, 3),
+             ([str(path)], 2, 12)]
+    for args, d, c in rows:
+        started = time.perf_counter()
+        code, doc = run(["verify"] + args, capsys)
+        assert time.perf_counter() - started < 10, args
+        assert code == 0, args
+        reason = (f"skipped: the presenting free nilpotent algebra (d={d}, "
+                  f"c={c}) has more than 256 dimensions, outside the design "
+                  f"envelope")
+        verdicts = doc["verdicts"]
+        assert verdicts.pop("cross_oracle") == verdicts.pop("cover") == reason
+        assert set(verdicts.values()) == {"pass"}, args
     # F(2, 10) has 226 dimensions, inside the bound: both engines still run
     path = tmp_path / "filiform10.json"
     path.write_text(json.dumps(filiform_document(10)))

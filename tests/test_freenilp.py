@@ -1,14 +1,19 @@
+import hashlib
+
 import pytest
 import sympy
 
 from lietensor import GF, QQ, free_nilpotent, hall_words, witt_dimension
 from lietensor import freenilp
+from lietensor.catalog import MAX_AMBIENT
+from lietensor.cli import canonical_json, free_nilpotent_document
 from lietensor.errors import InternalCheckError
-from lietensor.freenilp import (HallWord, _commutator, _expansion,
-                                _integer_structure, mobius)
+from lietensor.freenilp import HallWord, _integer_structure, mobius
 from lietensor.liealg import LieAlgebra
+from lietensor.linalg import SpanBuilder
 
-from support import dense_validation_failures
+from support import (associative_commutator, dense_validation_failures,
+                     free_envelope, hall_expansion)
 
 
 def test_mobius_against_sympy():
@@ -122,22 +127,85 @@ def test_hall_word_ordering():
     assert w <= w and not w < w
 
 
-@pytest.mark.parametrize("d,c", [(2, 4), (3, 3)])
-def test_brackets_expand_to_associative_commutators(d, c):
-    # No elimination involved: expanding table[i][j] back through the Hall
-    # expansions must give the commutator of the two expansions.  Jacobi and
-    # dimension checks cannot see a global sign error in the table; this can.
-    F = free_nilpotent(d, c)
-    memo: dict = {}
-    expansions = [_expansion(w, c, memo) for w in F.words]
-    for i, ei in enumerate(expansions):
-        for j, ej in enumerate(expansions):
-            combo: dict = {}
-            for k, x in enumerate(F.algebra.table[i][j]):
-                for m, v in expansions[k].items():
-                    combo[m] = combo.get(m, 0) + x * v
-            assert {m: v for m, v in combo.items() if v} == \
-                _commutator(ei, ej, c), (i, j)
+ENVELOPE = free_envelope()
+
+
+def test_the_envelope_admits_295_free_algebras_with_two_or_more_generators():
+    assert len(ENVELOPE) == 295
+    assert max(c for d, c in ENVELOPE) == 10 and (2, 10) in ENVELOPE
+    assert max(d for d, c in ENVELOPE) == MAX_AMBIENT
+
+
+@pytest.mark.parametrize("d,classes", [
+    pytest.param(d, (c,), id=f"{d}-{c}") for d, c in ENVELOPE] + [
+    pytest.param(d, range(1, MAX_AMBIENT + 1), id=f"{d}-1..{MAX_AMBIENT}")
+    for d in (0, 1)])
+def test_brackets_expand_to_associative_commutators(d, classes):
+    # No elimination involved: expanding cells[i][j] back through the Hall
+    # expansions must give the commutator of the two expansions, for every
+    # (d, c) the design envelope admits.  The expansions are linearly
+    # independent, so this pins every cell; Jacobi and dimension checks
+    # cannot see a global sign error in the table, and this can.
+    for c in classes:
+        cells, _, _, words = freenilp._hall_table(d, c)
+        memo: dict = {}
+        expansions = [hall_expansion(w, c, memo) for w in words]
+        monomials = {m: i for i, m in enumerate({m for e in expansions
+                                                 for m in e})}
+        builder = SpanBuilder(QQ, len(monomials))
+        for r, e in enumerate(expansions):
+            assert builder.insert({monomials[m]: QQ.scalar(v)
+                                   for m, v in e.items()}), (c, r)
+        for i, ei in enumerate(expansions):
+            for j, ej in enumerate(expansions):
+                if words[i].degree + words[j].degree > c:
+                    assert not cells[i][j], (c, i, j)  # truncated away
+                    continue
+                combo: dict = {}
+                for k, x in cells[i][j]:
+                    assert type(x) is int and x, (c, i, j)
+                    for m, v in expansions[k].items():
+                        combo[m] = combo.get(m, 0) + x * v
+                assert {m: v for m, v in combo.items() if v} == \
+                    associative_commutator(ei, ej, c), (c, i, j)
+
+
+def test_a_hall_pair_missing_from_the_basis_is_an_internal_error(monkeypatch):
+    # Drop the last word of top degree: the rewriting reaches the Hall pair
+    # that names it, and the lookup of its index must fail loudly.
+    words = hall_words(2, 4)
+    monkeypatch.setattr(freenilp, "hall_words", lambda d, c: words[:-1])
+    with pytest.raises(InternalCheckError, match="is not a basis word"):
+        freenilp._hall_table(2, 4)
+
+
+# sha256 of canonical_json(free_nilpotent_document(d, c, field)), recorded
+# from the associative-expansion construction the Hall rewriting replaced.
+PINNED_FREE_NILPOTENT_DOCUMENTS = {
+    (2, 10): ("60007da297f156cb038b6e52bc24e03ab7e01b49ed8a4957f7dd4ec55f407d9e",
+              "85fd654cd388ef52d70f6f73e788597158fea1038456f7007242b6c950e7795e",
+              "fd98c7ae054b03c3fc9badfc80b1d01e462b32973b62eff29e38325542304e5e"),
+    (3, 5): ("226b3f77885a69fd5a6aadebd0684bd5fafd9d249d80942ddd8c1658d944667d",
+             "8327e3ced47dbc6bbdc2e92be270a35302ca6f382f1e7cd36b711c78f8658fdf",
+             "5e95e927ac832765cfa1fbfd52363bd4a5e6967bf5006fcc35f973232e046cbe"),
+    (4, 4): ("2f46bbec7b73d48edbff20780707c89ee8c55742630eaac55d5e1c5cdffcc101",
+             "57cb0d185abd6841ec322182e62206177395479abbdbc363ce436bb074a08f8c",
+             "b3524b8a537cb96ab9043a13680c306287c113a57988a973b28cc183343d35c7"),
+    (6, 3): ("be8c845f85b97b19c5d6d4fa8be6d25e99304be0581764835da23c1fcdcc809f",
+             "dd5b286fd5cc4b9e06efa6e88cd888bcbcc0e4fc2eab4a09bdf3e4debb6941da",
+             "eb860b409e9d161dcd4e745d90090d048a47116d8d4aaea8490a90cf8035d70b"),
+    (16, 2): ("9e476b6733ab81bb315c4254c6ed432a45a29b1f054ab66db8329071276bf9aa",
+              "e41171779f2291e486f28be4380f1717f9d9e78abba3631d1673db4e02efccf5",
+              "2893f6496112903e01d8828b586b89f988bc9d32dc75ea64ae835044cc6f086c"),
+}
+
+
+@pytest.mark.parametrize("d,c", sorted(PINNED_FREE_NILPOTENT_DOCUMENTS))
+def test_free_nilpotent_documents_are_pinned(d, c):
+    got = tuple(hashlib.sha256(canonical_json(
+        free_nilpotent_document(d, c, field)).encode()).hexdigest()
+        for field in (QQ, GF(2), GF(5)))
+    assert got == PINNED_FREE_NILPOTENT_DOCUMENTS[d, c]
 
 
 def dense_integer_table(int_cells):

@@ -86,11 +86,10 @@ def test_contains_examples():
 def test_quotient_examples():
     qs = quotient_structure(3, span(QQ, 3, [[0, 0, 1]]))
     assert qs.dim == 2
-    assert qs.coset_reps == (vec(QQ, [1, 0, 0]), vec(QQ, [0, 1, 0]))
     qs = quotient_structure(3, Subspace.zero_space(QQ, 3))
     assert qs.project == Matrix.identity(QQ, 3)
     qs = quotient_structure(2, span(QQ, 2, [[1, 1]]))
-    assert qs.dim == 1 and qs.coset_reps == (vec(QQ, [0, 1]),)
+    assert qs.dim == 1
 
 
 def test_subspace_equality_is_structural():
@@ -222,9 +221,6 @@ def test_quotient_round_trip(sub, raw):
     v = tuple(sub.field.scalar(x) for x in raw)
     y = qs.project_vec(v)
     assert qs.project.apply(v) == y
-    back = qs.lift_vec(y)
-    assert sub.contains(tuple(a - b for a, b in zip(back, v)))
-    assert qs.project.mul(qs.lift) == Matrix.identity(sub.field, qs.dim)
     assert (not any(y)) == sub.contains(v)
 
 
