@@ -60,7 +60,7 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _residue_class(p: int) -> type:
     """Build the element type of GF(p): an int subclass reduced mod p."""
 

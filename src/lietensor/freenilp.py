@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Optional
 
 from .errors import InternalCheckError
@@ -191,7 +192,7 @@ def _hall_table(d: int, c: int):
     return tuple(map(tuple, cells)), labels, tuple(degree), words
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _integer_structure(d: int, c: int):
     """The validated _hall_table, shared by all coefficient fields.
 
@@ -214,14 +215,22 @@ def _integer_structure(d: int, c: int):
 
 
 def _convert(int_cells, field: Field):
-    """The sparse integer cells over field.  Each distinct integer is
-    converted once, and a coefficient that vanishes in field (a multiple of
-    p over GF(p)) is dropped, so every cell stays canonical: sorted and
+    """The sparse integer cells over field.  Only the nonzero cells are
+    converted (compress finds them at C speed), and a row without one, such
+    as every row of top degree, is shared as it is.  Each distinct integer
+    is converted once, and a coefficient that vanishes in field (a multiple
+    of p over GF(p)) is dropped, so every cell stays canonical: sorted and
     zero-free."""
-    scalars = {x: field.scalar(x)
-               for x in {x for row in int_cells for cell in row for _, x in cell}}
-    return tuple(tuple(tuple((k, scalars[x]) for k, x in cell if scalars[x])
-                       if cell else () for cell in row) for row in int_cells)
+    n = len(int_cells)
+    nonzero = [(i, j) for i, row in enumerate(int_cells)
+               for j in compress(range(n), row)]
+    scalars = {x: field.scalar(x) for i, j in nonzero for _, x in int_cells[i][j]}
+    rows = list(int_cells)
+    for i, j in nonzero:
+        if rows[i] is int_cells[i]:
+            rows[i] = list(int_cells[i])
+        rows[i][j] = tuple((k, scalars[x]) for k, x in int_cells[i][j] if scalars[x])
+    return tuple(map(tuple, rows))
 
 
 @dataclass(frozen=True, repr=False)
@@ -243,7 +252,7 @@ class FreeNilpotent:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def free_nilpotent(d: int, c: int, field: Field = QQ) -> FreeNilpotent:
     """The free nilpotent Lie algebra on d generators of class c."""
     if d < 0 or c < 1:

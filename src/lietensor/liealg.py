@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError, NotIdealError
@@ -119,45 +120,49 @@ class LieAlgebra:
         """Check stored antisymmetry and the Jacobi identity on basis triples.
 
         Trilinearity plus antisymmetry make the i < j < k instances sufficient.
-        A triple whose three cells (i,j), (j,k), (k,i) are all zero sums three
-        zero terms, so only triples meeting a pair with a nonzero cell (in
-        either order) are evaluated, still in increasing order.
+        Only the nonzero cells are walked.  partners[a] holds every b with a
+        nonzero cell (a, b) or (b, a), a itself when the diagonal cell (a, a)
+        is nonzero.  A pair whose two cells are zero is antisymmetric.  The
+        Jacobi sum of (i, j, k) has the terms [[x_i, x_j], x_k],
+        [[x_j, x_k], x_i] and [[x_k, x_i], x_j], and the first is
+        nonzero only if the cell (i, j) has a word m with a nonzero cell
+        (m, k), that is k in partners[m]; likewise for the other two, with
+        the cells (j, k) and (k, i).  So every triple with a nonzero sum is
+        an edge {a, b} of nonzero cells together with a partner of a word
+        in the cell (a, b) or (b, a), and only those triples are evaluated,
+        in increasing order.  m may equal k, so a nonzero diagonal cell must
+        be in the partner sets.
         """
-        nz = self.cells
+        nz, n = self.cells, self.dim
+        partners: list[set[int]] = [set() for _ in range(n)]
+        for a, row in enumerate(nz):
+            for b in compress(range(n), row):
+                partners[a].add(b)
+                partners[b].add(a)
         anti_failures = []
-        for i in range(self.dim):
-            if nz[i][i]:
-                anti_failures.append((i, i))
-            for j in range(i + 1, self.dim):
-                fwd, bwd = nz[i][j], nz[j][i]
+        triples = set()
+        for a in range(n):
+            if nz[a][a]:
+                anti_failures.append((a, a))
+            for b in sorted(b for b in partners[a] if b > a):
+                fwd, bwd = nz[a][b], nz[b][a]
                 if len(fwd) != len(bwd) or any(
                         k != k2 or c != -c2 for (k, c), (k2, c2) in zip(fwd, bwd)):
-                    anti_failures.append((i, j))
-        n = self.dim
-        partners: list[set[int]] = [set() for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i != j and nz[i][j]:
-                    partners[i].add(j)
-                    partners[j].add(i)
+                    anti_failures.append((a, b))
+                for m, _ in fwd + bwd:
+                    for c in partners[m]:
+                        if c != a and c != b:
+                            triples.add(tuple(sorted((a, b, c))))
         jacobi_failures = []
-        for i in range(n):
-            nz_i = nz[i]
-            for j in range(i + 1, n):
-                nz_ij, nz_j = nz_i[j], nz[j]
-                if j in partners[i]:
-                    third = range(j + 1, n)
-                else:
-                    third = sorted(k for k in partners[i] | partners[j] if k > j)
-                for k in third:
-                    acc: SparseVector = {}
-                    for first, c in ((nz_ij, k), (nz_j[k], i), (nz[k][i], j)):
-                        for m, coeff in first:
-                            row = nz[m][c]
-                            if row:
-                                add_scaled(acc, coeff, row)
-                    if acc:
-                        jacobi_failures.append((i, j, k))
+        for i, j, k in sorted(triples):
+            acc: SparseVector = {}
+            for first, c in ((nz[i][j], k), (nz[j][k], i), (nz[k][i], j)):
+                for m, coeff in first:
+                    row = nz[m][c]
+                    if row:
+                        add_scaled(acc, coeff, row)
+            if acc:
+                jacobi_failures.append((i, j, k))
         return ValidationReport(tuple(anti_failures), tuple(jacobi_failures))
 
     def derived_subalgebra(self) -> Subspace:
@@ -311,6 +316,12 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Linear
                 raise NotIdealError(
                     f"subspace is not an ideal: [basis row, x{j}] escapes",
                     witness=dense(w, L.dim, zero))
+    return quotient_by_ideal(L, ideal)
+
+
+def quotient_by_ideal(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LinearMap]:
+    """The quotient construction of quotient_algebra, for a subspace the
+    caller has already proved to be an ideal.  The quotient is validated."""
     qs = quotient_structure(L.dim, ideal)
     q = qs.dim
     free = qs.free_cols
@@ -399,16 +410,23 @@ def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> PairingChe
                 if outer[lp][s][l] != difference(inner[s][l][lp],
                                                  inner[lp][l][s]):
                     return PairingCheck(False, ("axiom-ii", (l, lp, s)))
+    every_pair = [(lp, sp) for lp in range(n) for sp in range(n)]
+    # The left side of (iii) is rho([l, s], [l', s']), zero wherever the
+    # cell (l', s') is; when rho(s, l) is central in H the right side is
+    # zero at every (l', s').  Such an (l, s) visits only the nonzero cells,
+    # in the same order, so the first witness is unchanged.
+    nonzero_pairs = [(lp, sp) for lp in range(n)
+                     for sp in compress(range(n), nz[lp])]
     for l in range(n):
         for s in range(n):
             u, rho_sl = nz[l][s], cells[s][l]
             if not u and not rho_sl:
                 continue  # both sides vanish for every (l', s')
-            for lp in range(n):
-                for sp in range(n):
-                    rhs = H.bracket_sparse(rho_sl, cells[lp][sp])
-                    if combine(u, outer[lp][sp]) != {k: -x for k, x in rhs.items()}:
-                        return PairingCheck(False, ("axiom-iii", (l, s, lp, sp)))
+            central = not any(H.ad_sparse(rho_sl))
+            for lp, sp in nonzero_pairs if central else every_pair:
+                rhs = H.bracket_sparse(rho_sl, cells[lp][sp])
+                if combine(u, outer[lp][sp]) != {k: -x for k, x in rhs.items()}:
+                    return PairingCheck(False, ("axiom-iii", (l, s, lp, sp)))
     return PairingCheck(True)
 
 
@@ -464,10 +482,12 @@ class Subalgebra:
 
 
 def homomorphism_failure(images: Sequence[SparseVector], source: LieAlgebra,
-                         target: LieAlgebra) -> Optional[tuple[int, int]]:
+                         target: LieAlgebra,
+                         rows: Optional[int] = None) -> Optional[tuple[int, int]]:
     """The first basis pair (i, j), in row-major order, with
     f[x_i, x_j] != [f x_i, f x_j] for the linear map f: x_i -> images[i];
-    None when f is a homomorphism.
+    None when f is a homomorphism.  Given rows, only the pairs with
+    i < rows are visited, the first rows of the same order.
 
     Both sides are sparse {k: nonzero} dicts: f[x_i, x_j] combines the
     images over the nonzero entries of source's cell (i, j), and
@@ -477,7 +497,7 @@ def homomorphism_failure(images: Sequence[SparseVector], source: LieAlgebra,
     is the same one.
     """
     nz = source.cells
-    for i, fi in enumerate(images):
+    for i, fi in enumerate(images[:rows]):
         nz_i = nz[i]
         for j, fj in enumerate(images):
             if combine(nz_i[j], images) != target.bracket_sparse(fi, fj):

@@ -20,7 +20,16 @@ quotient G = F/[R,F], on three arguments:
   R is an ideal, so induction on the degree of the left-normed word [u,x]
   spans [R,F] by the brackets [r, x] with r in R and x in X.  Likewise ad is
   a Lie homomorphism and X generates F, so a subspace closed under ad(x)
-  for x in X is closed under ad(F): an ideal.
+  for x in X is closed under ad(F): an ideal.  presentation_of proves [R,F]
+  closed under ad(X), so G is built without a second ideal check.
+- X decides the other checks too.  The linear map f: F -> L is a
+  homomorphism once f[x, y] = [fx, fy] for x in X and every y: the set S of
+  u with f[u, y] = [fu, fy] for all y is a subspace, and for u, v in S the
+  Jacobi identity in F and in L gives
+  f[[u,v],y] = [fu, f[v,y]] - [fv, f[u,y]] = [[fu,fv],fy] = [f[u,v], fy],
+  so S is a subalgebra containing X, hence F.  Likewise the centralizer of
+  an element is a subalgebra, so an element of G that commutes with the
+  images of X is central.
 - G is the cover.  R/[R,F] is central in G and equals (R /\ F')/[R,F], the
   multiplier, so the complement of the multiplier inside R/[R,F] is zero
   and the cover F/[R,F] needs no second quotient.  The exterior square
@@ -31,13 +40,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Optional
 
 from .catalog import MAX_AMBIENT
 from .errors import (InternalCheckError, NotNilpotentError,
                      OutsideEnvelopeError, TheoremViolationError)
 from .liealg import (LieAlgebra, Subalgebra, homomorphism_failure,
-                     quotient_algebra)
+                     quotient_by_ideal)
 from .linalg import LinearMap, Matrix, SpanBuilder, Subspace, combine
 from .freenilp import FreeNilpotent, dimension_exceeds, free_nilpotent
 from .tensor import TensorSquare, Verdict, build_tensor_square
@@ -68,20 +78,22 @@ class FreePresentation:
     @cached_property
     def quotient(self) -> tuple[LieAlgebra, LinearMap]:
         """G = F/[R,F] and the projection onto it: the cover, and the
-        exterior square at its composite positions."""
-        return quotient_algebra(self.free.algebra, self.relations_commutator)
+        exterior square at its composite positions.  presentation_of proved
+        [R,F] an ideal (module docstring); G is validated.  [R,F] lies in F',
+        so the generators are G's first d positions."""
+        if self.relations_commutator.free_cols[:self.free.d] != \
+                tuple(range(self.free.d)):
+            raise InternalCheckError("generators are not the first cover columns")
+        return quotient_by_ideal(self.free.algebra, self.relations_commutator)
 
     @cached_property
     def exterior(self) -> LieAlgebra:
-        """F'/[R,F]: G after its first d positions.  [R,F] lies in F', so
-        those are the generator columns; brackets and their residuals mod
-        [R,F] stay in F'; and the restriction needs no validation, as its
-        antisymmetry and Jacobi instances are instances in G, which
-        quotient_algebra validated."""
+        """F'/[R,F]: G after its first d positions, the generator columns;
+        brackets and their residuals mod [R,F] stay in F'; and the
+        restriction needs no validation, as its antisymmetry and Jacobi
+        instances are instances in G, which was validated."""
         G, _ = self.quotient
         d = self.free.d
-        if self.relations_commutator.free_cols[:d] != tuple(range(d)):
-            raise InternalCheckError("generators are not the first cover columns")
         cells = tuple(tuple(tuple((k - d, x) for k, x in cell) for cell in row[d:])
                       for row in G.cells[d:])
         if any(k < 0 for row in cells for cell in row for k, _ in cell):
@@ -116,10 +128,12 @@ class Cover:
                 f"{self.multiplier.dim})")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def presentation_of(L: LieAlgebra) -> FreePresentation:
     """Present a nilpotent algebra by the free nilpotent algebra on canonical
-    lifts of a basis of L modulo its derived subalgebra.
+    lifts of a basis of L modulo its derived subalgebra.  L must satisfy the
+    Jacobi identity, as every algebra the catalog and the CLI build is
+    validated: the homomorphism check rests on it (module docstring).
 
     The free algebra is held to the bound that the free-nilpotent command
     puts on the same object, MAX_AMBIENT dimensions, and is not built when
@@ -151,7 +165,10 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
     onto = LinearMap(Matrix(L.field, L.dim, n, tuple(images)))
     if onto.rank() != L.dim:
         raise InternalCheckError("canonical lifts do not generate the algebra")
-    bad = homomorphism_failure(images, F.algebra, L)
+    # Only the generator rows: they generate F, and F and L satisfy Jacobi
+    # (module docstring).  They come first in row-major order, so the first
+    # failing pair is the one the loop over every row would report.
+    bad = homomorphism_failure(images, F.algebra, L, rows=d)
     if bad is not None:
         raise InternalCheckError(
             "presentation map is not a homomorphism at (%d,%d)" % bad)
@@ -169,10 +186,15 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
         if any(relations_commutator.reduce_sparse(F.algebra.bracket_sparse(t, x))
                for x in generators):
             raise InternalCheckError("commutator span is not an ideal")
-    # F' is the span of the composite Hall words d..n-1: a fully reduced
-    # row has no support left of its pivot and none at the other pivots,
-    # so pivots d..n-1 make every row a unit vector.
-    if F.algebra.derived_subalgebra().pivots != tuple(range(d, n)):
+    # F' is the span of the composite Hall words d..n-1, read off the cells
+    # without elimination: no cell has support below d, so F' lies in their
+    # span; and each composite word w is the cell (left(w), right(w)), so
+    # their span lies in F'.  (A cell is sorted, so its first index is its
+    # least.)
+    cells = F.algebra.cells
+    if any(cell[0][0] < d for row in cells for cell in compress(row, row)) or \
+            any(cells[position[w.left]][position[w.right]] != ((k, 1),)
+                for k, w in enumerate(F.words[d:], d)):
         raise InternalCheckError("derived basis is not coordinate-aligned")
     # R lies in F' (Hopf, module docstring); an echelon pivot is the
     # leftmost support of its row, so no pivot below d means no relation
@@ -282,7 +304,12 @@ def build_cover(P: FreePresentation) -> Cover:
             f"cover dimension {K.dim} != {P.L.dim} + {multiplier.dim}")
     if onto_L.kernel() != multiplier:
         raise TheoremViolationError("cover sequence is not exact")
-    if not K.center().contains_space(multiplier):
+    # The centralizer of m is a subalgebra and the generators, K's first d
+    # positions (FreePresentation.quotient), generate K: m is central once
+    # it commutes with them.
+    d, one = P.free.d, K.field.one
+    if any(K.bracket_sparse(m, {g: one}) for m in multiplier.sparse_rows
+           for g in range(d)):
         raise TheoremViolationError("multiplier is not central in the cover")
     if not K.derived_subalgebra().contains_space(multiplier):
         raise TheoremViolationError("multiplier escapes the derived subalgebra")

@@ -397,7 +397,9 @@ class WhiteheadGamma:
         return tuple(coords)
 
 
-@lru_cache(maxsize=None)
+# Bounded, like every cache in the package; verify --catalog reuses a square
+# up to 62 distinct builds later.
+@lru_cache(maxsize=128)
 def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     """Construct the tensor square of a validated algebra.
 

@@ -54,6 +54,42 @@ def test_residue_mixed_int_arithmetic():
     assert sum([x, x, x], f.zero) == f.scalar(2)
 
 
+def test_scalars_of_an_evicted_residue_class_still_compare_hash_and_print():
+    # The cache of residue classes is bounded: building the classes of as
+    # many other moduli as it holds evicts GF(13)'s, and GF(13) then gets a
+    # fresh class.  Scalars of the old and the new class must still be
+    # interchangeable, as the old ones live on in cached algebras.  Run in
+    # a fresh interpreter, since the eviction would hand the other tests new
+    # classes for the moduli they share with the cached algebras.
+    probe = """
+from lietensor.fields import GF, _residue_class, is_prime
+f = GF(13)
+old = [f.scalar(v) for v in range(-3, 16)]
+old_zero, old_one = f.zero, f.one
+size = _residue_class.cache_info().maxsize
+for p in [p for p in range(17, 1000) if is_prime(p)][:size]:
+    GF(p).scalar(1)
+new = [GF(13).scalar(v) for v in range(-3, 16)]
+assert type(new[0]) is not type(old[0])
+assert old == new and set(old) == set(new)
+assert [hash(x) for x in old] == [hash(x) for x in new]
+assert [(repr(x), str(x), f.to_str(x)) for x in old] == \\
+    [(repr(x), str(x), f.to_str(x)) for x in new]
+assert {x: i for i, x in enumerate(old)} == {x: i for i, x in enumerate(new)}
+for x, y in zip(old, new[3:]):
+    assert x + y == y + x == GF(13).scalar(int(x) + int(y))
+    assert x * y == y * x and x - y == -(y - x)
+    if y:
+        assert x / y * y == x
+assert old_zero == GF(13).zero and old_one == GF(13).one
+print("evicted-ok")
+"""
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "evicted-ok" in result.stdout
+
+
 def test_field_descriptors():
     assert QQ.descriptor() == "Q"
     assert GF(5).descriptor() == {"Fp": 5}

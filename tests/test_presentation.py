@@ -6,12 +6,13 @@ from lietensor import (GF, QQ, abelian, build_cover, build_tensor_square,
                        catalog, exterior_via_presentation, heisenberg,
                        multiplier_via_presentation, presentation_of, sl2,
                        verify_cover_theorem, zero_algebra)
-from lietensor import presentation
+from lietensor import presentation, quotient_algebra
+from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
 from lietensor.errors import (InternalCheckError, NotNilpotentError,
                               TheoremViolationError)
 from lietensor.freenilp import FreeNilpotent
-from lietensor.liealg import lie_algebra_from_table
-from lietensor.linalg import LinearMap, Subspace, solve
+from lietensor.liealg import homomorphism_failure, lie_algebra_from_table
+from lietensor.linalg import LinearMap, Subspace, add_scaled, solve
 from lietensor.presentation import _check_isomorphism
 
 from support import (all_columns_commutator, complement_cover,
@@ -232,7 +233,10 @@ def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
     # Mutation test for presentation_of on a free algebra with one corrupted
     # constant.  The relations do not read the free table, so they stay put;
     # the homomorphism check must fail exactly where the plain loop does.
-    # Otherwise the relation commutator, spanned by [r, x_g] over the
+    # It visits the generator rows only, which decide the rest by the Jacobi
+    # identity in F; so for a table that fails validate() it must fail
+    # exactly where the plain loop first fails in those rows.  Otherwise
+    # the relation commutator, spanned by [r, x_g] over the
     # generators only, must equal the span of [r, x_j] over every column,
     # unless the corrupted table fails validate(): [R, F] = [R, X] rests on
     # the Jacobi identity, and free_nilpotent validates every table it
@@ -252,6 +256,8 @@ def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
             broken = [(i, j) for i in range(bad.dim) for j in range(bad.dim)
                       if onto.apply(bad.table[i][j]) !=
                       L.bracket(images[i], images[j])]
+            if not bad.validate().ok:
+                broken = [(i, j) for i, j in broken if i < F.d]
             span = all_columns_commutator(bad, clean.relations)
             try:
                 P = presentation_of.__wrapped__(L)
@@ -296,6 +302,7 @@ def test_graded_constructions_match_the_generic_oracles():
         assert P.exterior == ext, L
         assert multiplier_via_presentation(P) == mult, L
         assert exterior_via_presentation(P)[0] == ext, L
+        assert P.quotient == quotient_algebra(F, P.relations_commutator), L
         K, from_free, multiplier, onto = complement_cover(P)
         cover = build_cover(P)
         assert cover.algebra == K, L
@@ -323,3 +330,58 @@ def test_cover_projection_matches_a_linear_solve():
             P.onto.apply(solve(cover.from_free.matrix, K.basis_vector(a)))
             for a in range(K.dim)])
         assert cover.onto == solved, L
+
+
+def nilpotent_cases():
+    """The catalog's nilpotent entries over every suite field, and random
+    nilpotent quotients over Q, GF(2) and GF(5)."""
+    algebras = [catalog(name, field) for name in CATALOG_SUITE
+                for field in SUITE_FIELDS if is_supported(name, field)]
+    rng = random.Random(2718)
+    algebras += [random_nilpotent_quotient(rng, d, c, field)
+                 for field in (QQ, GF(2), GF(5))
+                 for d, c in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3))]
+    return [L for L in algebras if L.nilpotency_class() is not None]
+
+
+def test_generator_rows_decide_the_presentation_homomorphism():
+    # presentation_of checks F -> L on the d generator rows only.  With one
+    # coordinate of one image shifted, it must still report the first
+    # failing pair of the loop over every row, or None with it.
+    outcomes = set()
+    for L in nilpotent_cases():
+        P = presentation_of(L)
+        F, d, one = P.free.algebra, P.free.d, L.field.one
+        images = P.onto.matrix.sparse_columns
+        assert homomorphism_failure(images, F, L, rows=d) is None
+        for w in range(F.dim):
+            for k in range(L.dim):
+                bad = list(images)
+                bad[w] = dict(images[w])
+                add_scaled(bad[w], one, [(k, one)])
+                got = homomorphism_failure(bad, F, L, rows=d)
+                assert got == homomorphism_failure(bad, F, L), (L, w, k)
+                outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_generator_centrality_agrees_with_the_center():
+    # build_cover checks that the multiplier is central by bracketing it
+    # with the d generators of the cover only.  On every basis vector, the
+    # sum of them and each multiplier row that test must agree with the
+    # center of the cover.
+    outcomes = set()
+    for L in nilpotent_cases():
+        P = presentation_of(L)
+        cover = build_cover(P)
+        K, d, one = cover.algebra, P.free.d, L.field.one
+        center = K.center()
+        vectors = [{a: one} for a in range(K.dim)] + \
+            [{a: one for a in range(K.dim)}] + list(cover.multiplier.sparse_rows)
+        for v in vectors:
+            by_generators = not any(K.bracket_sparse(v, {g: one})
+                                    for g in range(d))
+            assert by_generators == (not center.reduce_sparse(v)), (L, v)
+            outcomes.add(by_generators)
+        assert center.contains_space(cover.multiplier), L
+    assert outcomes == {True, False}

@@ -121,9 +121,12 @@ def test_subalgebra_rejects_a_subspace_not_closed_under_the_bracket():
 
 def test_validate_matches_the_dense_triple_loop_under_every_corruption():
     # heisenberg(1)+abelian(2) has mostly zero cells, so most triples are
-    # skipped by the sparse loop until a corruption makes them nonzero.
+    # skipped by the sparse loop until a corruption makes them nonzero;
+    # free_nilpotent(2, 4) has degree-3 words in its cells, whose partners
+    # supply the third index.
     found = set()
     for L in (heisenberg(2), sl2(GF(5)), free_nilpotent(2, 3).algebra,
+              free_nilpotent(2, 4).algebra,
               catalog("heisenberg(1)+abelian(2)", GF(3))):
         report = L.validate()
         assert (report.antisymmetry_failures, report.jacobi_failures) == \
