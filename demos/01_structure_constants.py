@@ -7,7 +7,7 @@ from lietensor import (GF, abelian, direct_sum, heisenberg,
 ## The catalog constructors return validated algebras.
 h = heisenberg(1)
 print("Heisenberg algebra H(1):", h.basis_names, "dim", h.dim)
-print("validation:", h.validate().describe())
+print("validation:", h.validate().detail)
 
 ## Brackets extend bilinearly from the structure constants.
 x, y, z = (h.basis_vector(i) for i in range(3))

@@ -13,12 +13,12 @@ mechanically on concrete algebras.
 from .fields import GF, QQ, Field
 from .linalg import (LinearMap, Matrix, Subspace, kernel, quotient_structure,
                      rref, subspace_intersect, subspace_sum)
-from .liealg import (BilinearMap, LieAlgebra, Subalgebra, bracket_pairing,
-                     direct_sum, ideal_closure, is_lie_pairing,
-                     lie_algebra_from_brackets, lie_algebra_from_table,
-                     quotient_algebra)
+from .errors import Verdict
+from .liealg import (BilinearMap, LieAlgebra, bracket_pairing, direct_sum,
+                     ideal_closure, is_lie_pairing, lie_algebra_from_brackets,
+                     lie_algebra_from_table, quotient_algebra)
 from .catalog import abelian, catalog, heisenberg, sl2, zero_algebra
-from .tensor import (TensorSquare, Verdict, build_tensor_square, induced_map,
+from .tensor import (TensorSquare, build_tensor_square, induced_map,
                      tensor_report)
 from .freenilp import FreeNilpotent, free_nilpotent, hall_words, witt_dimension
 from .presentation import (Cover, FreePresentation, build_cover,
@@ -30,7 +30,7 @@ __all__ = [
     "GF", "QQ", "Field",
     "LinearMap", "Matrix", "Subspace", "kernel", "quotient_structure",
     "rref", "subspace_intersect", "subspace_sum",
-    "BilinearMap", "LieAlgebra", "Subalgebra", "bracket_pairing",
+    "BilinearMap", "LieAlgebra", "bracket_pairing",
     "direct_sum", "ideal_closure", "is_lie_pairing",
     "lie_algebra_from_brackets", "lie_algebra_from_table",
     "quotient_algebra",

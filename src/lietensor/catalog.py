@@ -104,7 +104,7 @@ def catalog(name: str, field: Field = QQ) -> LieAlgebra:
         result = direct_sum(result, extra)
     report = result.validate()
     if not report.ok:
-        raise AssertionError(f"catalog algebra invalid: {report.describe()}")
+        raise AssertionError(f"catalog algebra invalid: {report.detail}")
     return result
 
 

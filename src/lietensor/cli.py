@@ -28,13 +28,13 @@ from typing import Optional
 from .catalog import (CATALOG_SUITE, MAX_AMBIENT, MAX_DIM, SUITE_FIELDS,
                       catalog, is_catalog_name, is_supported)
 from .errors import (InternalCheckError, InvalidInputError, NotNilpotentError,
-                     OutsideEnvelopeError, TheoremViolationError)
+                     OutsideEnvelopeError, TheoremViolationError, Verdict)
 from .fields import QQ, Field, field_from_descriptor
 from .freenilp import dimension_exceeds, free_nilpotent
 from .liealg import LieAlgebra, lie_algebra_from_brackets
 from .presentation import (build_cover, multiplier_via_presentation,
                            presentation_of, verify_cover_theorem)
-from .tensor import Verdict, build_tensor_square, tensor_report
+from .tensor import build_tensor_square, tensor_report
 
 # ----------------------------------------------------------------------
 # documents
@@ -122,7 +122,7 @@ def parse_algebra_document(doc: dict) -> LieAlgebra:
     L = lie_algebra_from_brackets(field, dim, brackets, names=names)
     report = L.validate()
     if not report.ok:
-        raise InvalidInputError(f"not a Lie algebra: {report.describe()}")
+        raise InvalidInputError(f"not a Lie algebra: {report.detail}")
     return L
 
 
@@ -205,7 +205,7 @@ def info_document(L: LieAlgebra, source: str) -> dict:
     return {
         "command": "info",
         "input": _input_section(L, source),
-        "validation": report.describe(),
+        "validation": report.detail,
         "dimensions": {
             "algebra": L.dim,
             "derived": L.derived_subalgebra().dim,

@@ -1,4 +1,24 @@
-"""Exception classes shared across the package."""
+"""Exception classes and the one check result type shared across the
+package."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The result of a check: whether it passed, a detail for reports and
+    messages, and a structured witness of what failed (an axiom kind with
+    its basis indices, or failing basis pairs and triples)."""
+
+    ok: bool
+    detail: str = ""
+    witness: Optional[tuple] = None
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 class InvalidInputError(ValueError):

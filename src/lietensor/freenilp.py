@@ -210,7 +210,7 @@ def _integer_structure(d: int, c: int):
     report = algebra.validate()
     if not report.ok:
         raise InternalCheckError(
-            f"free nilpotent algebra fails validation: {report.describe()}")
+            f"free nilpotent algebra fails validation: {report.detail}")
     return int_cells, labels, degrees, words
 
 

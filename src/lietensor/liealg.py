@@ -11,21 +11,25 @@ labels are purely decorative; all identity decisions use indices.
 
 Brackets, ad, the pairing axioms and the homomorphism checks all evaluate on
 sparse {index: nonzero} vectors over the cells (LieAlgebra.bracket_sparse and
-ad_sparse); the dense bracket and ad are thin wrappers that densify the
-result.
+ad_sparse); the dense bracket is a thin wrapper that densifies the result.
+A BilinearMap stores its {k: nonzero} cells in the same way, with its dense
+table a view.  Every check returns a Verdict, whose witness is structured:
+the failing pairs and triples of validate(), the first violated axiom
+instance of is_lie_pairing.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Optional, Sequence
 
-from .errors import InternalCheckError, NotIdealError
+from .errors import InternalCheckError, NotIdealError, Verdict
 from .fields import Field, Scalar
-from .linalg import (LinearMap, Matrix, SparseVector, SpanBuilder, Subspace,
-                     Vector, add_scaled, annihilator, combine, dense,
+from .linalg import (LinearMap, SparseVector, SpanBuilder, Subspace, Vector,
+                     add_scaled, annihilator, combine, dense,
                      quotient_structure, sparse)
 
 
@@ -50,8 +54,8 @@ class LieAlgebra:
                 or any(len(row) != n for row in self.cells):
             raise ValueError("cells/name size mismatch")
         for row in self.cells:
-            for cell in row:
-                if cell and cell != _cell({k: c for k, c in cell if c and 0 <= k < n}):
+            for cell in compress(row, row):
+                if cell != _cell({k: c for k, c in cell if c and 0 <= k < n}):
                     raise ValueError(f"cell {cell!r} is not sorted, in range and zero-free")
 
     def __repr__(self):
@@ -67,9 +71,6 @@ class LieAlgebra:
         n, zero = self.dim, self.field.zero
         return tuple(tuple(dense(dict(cell), n, zero) for cell in row)
                      for row in self.cells)
-
-    def zero_vector(self) -> Vector:
-        return (self.field.zero,) * self.dim
 
     def basis_vector(self, i: int) -> Vector:
         z, o = self.field.zero, self.field.one
@@ -109,15 +110,11 @@ class LieAlgebra:
             out.append(acc)
         return out
 
-    def ad(self, v: Sequence[Scalar]) -> list[Vector]:
-        """[v, x_j] for every basis vector x_j, densified from ad_sparse."""
-        if len(v) != self.dim:
-            raise ValueError("dimension mismatch")
-        zero = self.field.zero
-        return [dense(w, self.dim, zero) for w in self.ad_sparse(sparse(v))]
-
-    def validate(self) -> "ValidationReport":
+    def validate(self) -> Verdict:
         """Check stored antisymmetry and the Jacobi identity on basis triples.
+        The witness is the pair (antisymmetry failures (i, j) with i <= j,
+        Jacobi failures (i, j, k) with i < j < k), and the detail says
+        "valid" or names both lists.
 
         Trilinearity plus antisymmetry make the i < j < k instances sufficient.
         Only the nonzero cells are walked.  partners[a] holds every b with a
@@ -163,7 +160,13 @@ class LieAlgebra:
                         add_scaled(acc, coeff, row)
             if acc:
                 jacobi_failures.append((i, j, k))
-        return ValidationReport(tuple(anti_failures), tuple(jacobi_failures))
+        parts = []
+        if anti_failures:
+            parts.append("antisymmetry fails at %s" % (anti_failures,))
+        if jacobi_failures:
+            parts.append("Jacobi fails at %s" % (jacobi_failures,))
+        return Verdict(not parts, "; ".join(parts) or "valid",
+                       (tuple(anti_failures), tuple(jacobi_failures)))
 
     def derived_subalgebra(self) -> Subspace:
         b = SpanBuilder(self.field, self.dim)
@@ -211,36 +214,17 @@ class LieAlgebra:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    antisymmetry_failures: tuple[tuple[int, int], ...]
-    jacobi_failures: tuple[tuple[int, int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.antisymmetry_failures and not self.jacobi_failures
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def describe(self) -> str:
-        if self.ok:
-            return "valid"
-        parts = []
-        if self.antisymmetry_failures:
-            parts.append("antisymmetry fails at %s" % (list(self.antisymmetry_failures),))
-        if self.jacobi_failures:
-            parts.append("Jacobi fails at %s" % (list(self.jacobi_failures),))
-        return "; ".join(parts)
-
-
-@dataclass(frozen=True)
 class BilinearMap:
-    """A bilinear map between coordinate spaces, tabulated on basis pairs."""
+    """A bilinear map between coordinate spaces, stored as its cells:
+    cells[i][j] is the image of (x_i, x_j) as {k: nonzero}, read only (the
+    tensor square shares them with its projection).  Zero-free cells are
+    canonical, so equality is that of the dense tables; the hash reads the
+    dimensions."""
 
     field: Field
     source_dim: int
     target_dim: int
-    table: tuple[tuple[Vector, ...], ...]
+    cells: tuple[tuple[SparseVector, ...], ...] = dataclasses.field(hash=False)
 
     def __repr__(self):
         name = self.field.name
@@ -248,14 +232,17 @@ class BilinearMap:
                 f"{name}^{self.source_dim} -> {name}^{self.target_dim})")
 
     @cached_property
-    def sparse_cells(self) -> list[list[SparseVector]]:
-        """table[i][j] as {k: nonzero} dicts, built once; read only."""
-        return [[sparse(cell) for cell in row] for row in self.table]
+    def table(self) -> tuple[tuple[Vector, ...], ...]:
+        """The dense table of the cells, a view that the verification path
+        never reads."""
+        zero = self.field.zero
+        return tuple(tuple(dense(cell, self.target_dim, zero) for cell in row)
+                     for row in self.cells)
 
     def apply_sparse(self, u: SparseVector, v: SparseVector) -> SparseVector:
         """The map on sparse vectors: one term per pair of support entries
         with a nonzero cell."""
-        cells = self.sparse_cells
+        cells = self.cells
         acc: SparseVector = {}
         for i, ui in u.items():
             row = cells[i]
@@ -324,22 +311,26 @@ def quotient_by_ideal(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Linea
     caller has already proved to be an ideal.  The quotient is validated."""
     qs = quotient_structure(L.dim, ideal)
     q = qs.dim
-    free = qs.free_cols
-    index = {c: r for r, c in enumerate(free)}
-
-    def project(cell: Cell) -> Cell:
-        # [x_a, x_b] for free columns a, b is the stored cell itself; its
-        # residual is zero at every pivot, so it lives on the free columns
-        rest = ideal.reduce_sparse(dict(cell)) if cell else {}
-        return tuple((index[c], x) for c, x in sorted(rest.items()))
-
-    cells = tuple(tuple(project(L.cells[a][b]) for b in free) for a in free)
+    index = {c: r for r, c in enumerate(qs.free_cols)}
+    # [x_a, x_b] for free columns a, b is the stored cell itself; its
+    # residual is zero at every pivot, so it lives on the free columns.
+    # Only the nonzero cells of each free row are reduced (compress finds
+    # them); the others stay empty.
+    cells = []
+    for a in qs.free_cols:
+        row, stored = [()] * q, L.cells[a]
+        for b in compress(range(L.dim), stored):
+            if b in index:
+                rest = ideal.reduce_sparse(dict(stored[b]))
+                row[index[b]] = tuple((index[c], x)
+                                      for c, x in sorted(rest.items()))
+        cells.append(tuple(row))
     names = tuple(f"q{c + 1}" for c in range(q))
-    quotient = LieAlgebra(L.field, q, cells, names)
+    quotient = LieAlgebra(L.field, q, tuple(cells), names)
     report = quotient.validate()
     if not report.ok:
         raise InternalCheckError(
-            f"quotient algebra fails validation: {report.describe()}")
+            f"quotient algebra fails validation: {report.detail}")
     return quotient, LinearMap(qs.project)
 
 
@@ -354,16 +345,7 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(a.field, n + m, cells, a.basis_names + b.basis_names)
 
 
-@dataclass(frozen=True)
-class PairingCheck:
-    ok: bool
-    witness: Optional[tuple] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> PairingCheck:
+def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> Verdict:
     """Check the three Lie-pairing compatibility axioms on basis tuples
     (Ellis, Glasgow Math. J. 33, 1991):
 
@@ -372,7 +354,8 @@ def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> PairingChe
         (iii) rho([l, s], [l', s']) = -[rho(s, l), rho(l', s')]
 
     Each side of each axiom is multilinear in every argument, so basis
-    instances suffice.  Returns the first violated instance as a witness.
+    instances suffice.  The witness of a failure is the first violated
+    instance, ("axiom-i", (l, l', s)) and so on.
 
     Every side is evaluated sparsely, as {k: nonzero} dicts: rho on a
     bracket is a combination of the sparse cells rho(x_a, x_b) over the
@@ -386,7 +369,7 @@ def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> PairingChe
         raise ValueError("pairing dimensions do not match the algebras")
     n = L.dim
     nz = L.cells
-    cells = rho.sparse_cells
+    cells = rho.cells
     by_right = [[cells[a][s] for a in range(n)] for s in range(n)]
     # outer[l'][s][a] = rho(x_a, [x_l', x_s]); inner[l][l'][s] = rho([x_l, x_l'], x_s)
     outer = [[[combine(nz[lp][s], cells[a]) for a in range(n)]
@@ -406,10 +389,10 @@ def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> PairingChe
             for s in range(n):
                 if inner[l][lp][s] != difference(outer[lp][s][l],
                                                  outer[l][s][lp]):
-                    return PairingCheck(False, ("axiom-i", (l, lp, s)))
+                    return Verdict(False, witness=("axiom-i", (l, lp, s)))
                 if outer[lp][s][l] != difference(inner[s][l][lp],
                                                  inner[lp][l][s]):
-                    return PairingCheck(False, ("axiom-ii", (l, lp, s)))
+                    return Verdict(False, witness=("axiom-ii", (l, lp, s)))
     every_pair = [(lp, sp) for lp in range(n) for sp in range(n)]
     # The left side of (iii) is rho([l, s], [l', s']), zero wherever the
     # cell (l', s') is; when rho(s, l) is central in H the right side is
@@ -426,13 +409,14 @@ def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> PairingChe
             for lp, sp in nonzero_pairs if central else every_pair:
                 rhs = H.bracket_sparse(rho_sl, cells[lp][sp])
                 if combine(u, outer[lp][sp]) != {k: -x for k, x in rhs.items()}:
-                    return PairingCheck(False, ("axiom-iii", (l, s, lp, sp)))
-    return PairingCheck(True)
+                    return Verdict(False, witness=("axiom-iii", (l, s, lp, sp)))
+    return Verdict(True)
 
 
 def bracket_pairing(L: LieAlgebra) -> BilinearMap:
     """The motivating Lie pairing: (u, v) -> [u, v] landing in L itself."""
-    return BilinearMap(L.field, L.dim, L.dim, L.table)
+    return BilinearMap(L.field, L.dim, L.dim,
+                       tuple(tuple(map(dict, row)) for row in L.cells))
 
 
 def ideal_closure(L: LieAlgebra, vectors: Sequence[Sequence[Scalar]]) -> Subspace:
@@ -444,41 +428,6 @@ def ideal_closure(L: LieAlgebra, vectors: Sequence[Sequence[Scalar]]) -> Subspac
             if builder.insert(w):
                 work.append(w)
     return builder.subspace()
-
-
-class Subalgebra:
-    """A bracket-closed subspace of L realized as an algebra in its own
-    coordinates (the pivot coordinates of the canonical basis)."""
-
-    def __init__(self, parent: LieAlgebra, space: Subspace):
-        if space.ambient_dim != parent.dim:
-            raise ValueError("ambient mismatch")
-        self.parent = parent
-        self.space = space
-        self._pivot_row = {p: r for r, p in enumerate(space.pivots)}
-        basis = space.sparse_rows
-        k = space.dim
-        cells = tuple(tuple(_cell(self.coords_sparse(
-            parent.bracket_sparse(u, v))) for v in basis) for u in basis)
-        names = tuple(f"s{c + 1}" for c in range(k))
-        self.algebra = LieAlgebra(parent.field, k, cells, names)
-        self.inclusion = LinearMap(Matrix(parent.field, parent.dim, k, basis))
-
-    def coords_sparse(self, v: SparseVector) -> SparseVector:
-        """Coordinates of a member in the canonical basis: for an RREF basis
-        these are just its pivot-column entries.  Membership is verified by
-        checking the residual."""
-        if self.space.reduce_sparse(v):
-            raise ValueError("vector does not lie in the subalgebra")
-        return {self._pivot_row[col]: x for col, x in v.items()
-                if col in self._pivot_row}
-
-    def coords_of(self, v: Sequence[Scalar]) -> Vector:
-        """Coordinates of an ambient vector in the canonical basis."""
-        if len(v) != self.space.ambient_dim:
-            raise ValueError("ambient mismatch")
-        return dense(self.coords_sparse(sparse(v)), self.space.dim,
-                     self.space.field.zero)
 
 
 def homomorphism_failure(images: Sequence[SparseVector], source: LieAlgebra,

@@ -7,11 +7,11 @@ is plain structural equality and every downstream basis, complement and
 report is bit-reproducible.  All elimination goes through SpanBuilder, whose
 rows are {pivot: {column: value}}: relation vectors touch a handful of the
 n^2 coordinates, so reductions cost the nonzeros they meet, not the ambient
-width.  Products, ranks, kernels, solutions and inverses work on those
-columns and rows, and _transpose is the one change of orientation.  The
-dense Matrix.entries and Subspace.basis are views built on first use for
-reports and tests; the dense API (Subspace.span, SpanBuilder.add, column,
-apply, reduce, contains, project_vec, solve) takes or returns tuples.
+width.  Products, ranks and kernels work on those columns and rows, and
+_transpose is the one change of orientation.  The dense Matrix.entries and
+Subspace.basis are views built on first use for reports and tests.  Two
+entry points take dense tuples: SpanBuilder.add, for ideal_closure's seed
+vectors, and Matrix.apply; every other vector is sparse.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .fields import Field, Scalar
 
@@ -89,20 +89,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field.name})"
 
     @classmethod
-    def from_rows(cls, field: Field, rows: Iterable[Sequence[Scalar]],
-                  cols: Optional[int] = None) -> "Matrix":
-        data = [tuple(r) for r in rows]
-        if data:
-            if cols is None:
-                cols = len(data[0])
-            if any(len(r) != cols for r in data):
-                raise ValueError(f"rows must all have {cols} entries")
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return cls(field, len(data), cols,
-                   _transpose([sparse(r) for r in data], cols))
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         return cls(field, n, n, tuple({i: field.one} for i in range(n)))
 
@@ -116,9 +102,6 @@ class Matrix:
         zero = self.field.zero
         return tuple(dense(row, self.cols, zero)
                      for row in _transpose(self.sparse_columns, self.rows))
-
-    def column(self, j: int) -> Vector:
-        return dense(self.sparse_columns[j], self.rows, self.field.zero)
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         """Matrix times column vector."""
@@ -147,12 +130,10 @@ class Matrix:
         return builder.dim
 
 
-def _row_echelon(m: Matrix, *tail: SparseVector) -> "SpanBuilder":
-    """The echelon form of the rows of [m | tail], the tail given as sparse
-    columns."""
-    columns = m.sparse_columns + tail
-    builder = SpanBuilder(m.field, len(columns))
-    for row in _transpose(columns, m.rows):
+def _row_echelon(m: Matrix) -> "SpanBuilder":
+    """The echelon form of the rows of m."""
+    builder = SpanBuilder(m.field, m.cols)
+    for row in _transpose(m.sparse_columns, m.rows):
         builder.insert(row)
     return builder
 
@@ -181,13 +162,6 @@ class Subspace:
     def __repr__(self):
         return (f"Subspace(dim {self.dim} of "
                 f"{self.field.name}^{self.ambient_dim})")
-
-    @classmethod
-    def span(cls, field: Field, ambient_dim: int,
-             vectors: Iterable[Sequence[Scalar]]) -> "Subspace":
-        b = SpanBuilder(field, ambient_dim)
-        b.add_all(vectors)
-        return b.subspace()
 
     @classmethod
     def zero_space(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -222,16 +196,6 @@ class Subspace:
         """Canonical residual of a sparse vector; empty exactly when v lies
         in the subspace."""
         return self._echelon.reduce(v)
-
-    def reduce(self, v: Sequence[Scalar]) -> Vector:
-        """Canonical residual of v after clearing all pivot coordinates."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient mismatch")
-        return dense(self.reduce_sparse(sparse(v)), self.ambient_dim,
-                     self.field.zero)
-
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        return self._echelon.contains(v)
 
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -284,11 +248,6 @@ class SpanBuilder:
                 add_scaled(out, -f, row.items())
         return out
 
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient mismatch")
-        return not self.reduce(sparse(v))
-
     def insert(self, v: SparseVector) -> bool:
         """Insert one sparse vector {column: nonzero value}; returns True if
         it enlarged the span."""
@@ -314,10 +273,6 @@ class SpanBuilder:
         if len(v) != self.ambient_dim:
             raise ValueError("ambient mismatch")
         return self.insert(sparse(v))
-
-    def add_all(self, vectors: Iterable[Sequence[Scalar]]) -> None:
-        for v in vectors:
-            self.add(v)
 
     def subspace(self) -> Subspace:
         """The span so far; the Subspace takes the echelon rows."""
@@ -424,8 +379,8 @@ class QuotientStructure:
 
     @property
     def project(self) -> Matrix:
-        """Matrix of project_vec, built on demand: column c is the residual
-        of e_c at the free columns, a unit vector when c is free and else
+        """The projection onto the free columns, built on demand: column c
+        is the residual of e_c there, a unit vector when c is free and else
         minus row c off its pivot (a reduced row is 0 at other pivots)."""
         sub = self.sub
         one = sub.field.one
@@ -436,43 +391,11 @@ class QuotientStructure:
             columns[p] = {index[c]: -x for c, x in row.items() if c != p}
         return Matrix(sub.field, self.dim, self.ambient_dim, tuple(columns))
 
-    def project_vec(self, v: Sequence[Scalar]) -> Vector:
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient mismatch")
-        rest = self.sub.reduce_sparse(sparse(v))
-        zero = self.sub.field.zero
-        return tuple(rest.get(c, zero) for c in self.free_cols)
-
 
 def quotient_structure(ambient_dim: int, sub: Subspace) -> QuotientStructure:
     if sub.ambient_dim != ambient_dim:
         raise ValueError("ambient mismatch")
     return QuotientStructure(sub, sub.free_cols)
-
-
-def solve(m: Matrix, rhs: Sequence[Scalar]) -> Optional[Vector]:
-    """One exact solution x of m x = rhs (free variables set to 0), or None."""
-    if len(rhs) != m.rows:
-        raise ValueError("dimension mismatch")
-    rows = _row_echelon(m, sparse(rhs))._rows
-    if m.cols in rows:
-        return None
-    return dense({p: row[m.cols] for p, row in rows.items() if m.cols in row},
-                 m.cols, m.field.zero)
-
-
-def inverse(m: Matrix) -> Matrix:
-    """The rows of [m | I] reduce to [I | m^-1] exactly when m is
-    invertible; the tail rows are read back as columns."""
-    if m.rows != m.cols:
-        raise ValueError("not square")
-    n = m.rows
-    builder = _row_echelon(m, *Matrix.identity(m.field, n).sparse_columns)
-    if builder.pivots != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    tail = [{j - n: x for j, x in builder._rows[r].items() if j >= n}
-            for r in range(n)]
-    return Matrix(m.field, n, n, _transpose(tail, n))
 
 
 @dataclass(frozen=True)
@@ -492,17 +415,6 @@ class LinearMap:
     @property
     def target_dim(self) -> int:
         return self.matrix.rows
-
-    @classmethod
-    def from_images(cls, field: Field, target_dim: int,
-                    images: Sequence[Sequence[Scalar]]) -> "LinearMap":
-        if any(len(im) != target_dim for im in images):
-            raise ValueError(f"images must all have {target_dim} coordinates")
-        return cls(Matrix(field, target_dim, len(images),
-                          tuple(sparse(im) for im in images)))
-
-    def apply(self, v: Sequence[Scalar]) -> Vector:
-        return self.matrix.apply(v)
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
         return LinearMap(self.matrix.mul(inner.matrix))
@@ -528,6 +440,3 @@ class LinearMap:
     def is_bijective(self) -> bool:
         return (self.source_dim == self.target_dim
                 and self.rank() == self.source_dim)
-
-    def inverse(self) -> "LinearMap":
-        return LinearMap(inverse(self.matrix))

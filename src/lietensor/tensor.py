@@ -27,8 +27,8 @@ minus its pivot row read there; a bracket cell is the residual of a sparse
 vector.  Every check that a map kills the relations (the bracket's
 well-definedness, the commutator map, induced maps, factored pairings)
 combines the map's sparse ambient columns over those rows.  The universal
-pairing is read off the sparse columns of quotient.project, and the three
-centers off the pairing's sparse cells.
+pairing stores the sparse columns of quotient.project as its cells, and the
+three centers are read off them.
 """
 
 from __future__ import annotations
@@ -37,22 +37,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .errors import InternalCheckError, InvalidInputError
+from .errors import InternalCheckError, InvalidInputError, Verdict
 from .fields import Scalar
 from .liealg import (BilinearMap, Cell, LieAlgebra, homomorphism_failure,
                      is_lie_pairing, quotient_algebra)
 from .linalg import (LinearMap, Matrix, SparseVector, SpanBuilder, Subspace,
-                     Vector, add_scaled, annihilator, combine, dense,
+                     Vector, add_scaled, annihilator, combine,
                      quotient_structure, subspace_intersect, subspace_sum)
-
-
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 class TensorSquare:
@@ -79,14 +70,6 @@ class TensorSquare:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def pure(self, i: int, j: int) -> Vector:
-        """Image of the pure tensor x_i (x) x_j in quotient coordinates."""
-        return self.pairing.table[i][j]
-
-    def pair(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-        """The universal pairing on arbitrary coordinate vectors."""
-        return self.pairing.apply(u, v)
-
     # ------------------------------------------------------------------
     # distinguished subobjects
     # ------------------------------------------------------------------
@@ -101,7 +84,7 @@ class TensorSquare:
         """
         n = self.base.dim
         one = self.base.field.one
-        cells = self.pairing.sparse_cells
+        cells = self.pairing.cells
         builder = SpanBuilder(self.base.field, self.dim)
         for i in range(n):
             builder.insert(cells[i][i])
@@ -160,19 +143,19 @@ class TensorSquare:
 
     @cached_property
     def _tensor_center(self) -> Subspace:
-        cells = self.pairing.sparse_cells
+        cells = self.pairing.cells
         return annihilator(self.base.field, self.base.dim, self.dim,
                            lambda i, j: cells[i][j].items())
 
     @cached_property
     def _tensor_center_right(self) -> Subspace:
-        cells = self.pairing.sparse_cells
+        cells = self.pairing.cells
         return annihilator(self.base.field, self.base.dim, self.dim,
                            lambda i, j: cells[j][i].items())
 
     @cached_property
     def _exterior_center(self) -> Subspace:
-        cells = self.pairing.sparse_cells
+        cells = self.pairing.cells
         ext, proj = self._exterior
         cols = proj.matrix.sparse_columns
         return annihilator(self.base.field, self.base.dim, ext.dim,
@@ -212,7 +195,7 @@ class TensorSquare:
         ab = self.abelianization
         L = self.base
         derived = L.derived_subalgebra()
-        cells = self.pairing.sparse_cells
+        cells = self.pairing.cells
         by_right = list(zip(*cells))  # by_right[i][a] = x_a (x) x_i
         left = SpanBuilder(L.field, self.dim)
         right = SpanBuilder(L.field, self.dim)
@@ -232,7 +215,7 @@ class TensorSquare:
         """The canonical complement of the square submodule: lifted
         off-diagonal pure tensors plus the abelianization kernel."""
         f = self.abelianization.lift_cols
-        cells = self.pairing.sparse_cells
+        cells = self.pairing.cells
         builder = SpanBuilder(self.base.field, self.dim)
         for i, a in enumerate(f):
             for b in f[i + 1:]:
@@ -325,13 +308,13 @@ class TensorSquare:
         if not check.ok:
             raise InvalidInputError(f"not a Lie pairing: witness {check.witness}")
         n = self.base.dim
-        columns = [cell for row in rho.sparse_cells for cell in row]
+        columns = [cell for row in rho.cells for cell in row]
         if not _kills_relations(self.relation_space, columns):
             raise InvalidInputError(
                 "pairing does not vanish on the tensor relations")
         zeta = LinearMap(Matrix(self.base.field, H.dim, self.dim,
                                 tuple(columns[p] for p in self.quotient.free_cols)))
-        pure = self.pairing.sparse_cells
+        pure = self.pairing.cells
         for i in range(n):
             for j in range(n):
                 if combine(pure[i][j].items(), zeta.matrix.sparse_columns) \
@@ -347,7 +330,7 @@ class TensorSquare:
         m = len(f)
         field = self.base.field
         gamma_dim = m * (m + 1) // 2
-        cells = self.pairing.sparse_cells
+        cells = self.pairing.cells
         cols = [cells[a][a] for a in f]
         for i, a in enumerate(f):
             for b in f[i + 1:]:
@@ -410,7 +393,7 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     n = L.dim
     amb = n * n
     field = L.field
-    zero, one = field.zero, field.one
+    one = field.one
     minus_one = -one
     nz = L.cells
 
@@ -483,13 +466,12 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     algebra = LieAlgebra(field, q, cells, names)
     report = algebra.validate()
     if not report.ok:
-        raise InternalCheckError(f"tensor square fails validation: {report.describe()}")
+        raise InternalCheckError(f"tensor square fails validation: {report.detail}")
 
     # x_i (x) x_j in quotient coordinates is column i*n+j of the projection.
     pure = qs.project.sparse_columns
-    pairing_table = tuple(tuple(dense(pure[i * n + j], q, zero)
-                                for j in range(n)) for i in range(n))
-    pairing = BilinearMap(field, n, q, pairing_table)
+    pairing = BilinearMap(field, n, q,
+                          tuple(pure[i * n:(i + 1) * n] for i in range(n)))
     return TensorSquare(L, relations, qs, algebra, pairing)
 
 

@@ -11,14 +11,116 @@ import random
 
 import sympy
 
-from lietensor import (QQ, BilinearMap, Field, LieAlgebra, ideal_closure,
+from lietensor import (QQ, BilinearMap, Field, LieAlgebra, Verdict,
+                       build_tensor_square, ideal_closure,
                        lie_algebra_from_table, quotient_algebra)
 from lietensor.catalog import MAX_AMBIENT
+from lietensor.errors import TheoremViolationError
 from lietensor.freenilp import dimension_exceeds, free_nilpotent
-from lietensor.liealg import PairingCheck, Subalgebra
-from lietensor.linalg import (LinearMap, SpanBuilder, Subspace,
-                              subspace_intersect, subspace_sum)
-from lietensor.tensor import Verdict
+from lietensor.liealg import _cell
+from lietensor.linalg import (LinearMap, Matrix, SpanBuilder, Subspace,
+                              _transpose, dense, sparse, subspace_intersect,
+                              subspace_sum)
+from lietensor.presentation import _check_isomorphism
+
+
+# ----------------------------------------------------------------------
+# dense constructors: tuples in, stored sparse forms out
+# ----------------------------------------------------------------------
+
+def span(field: Field, ambient_dim: int, vectors) -> Subspace:
+    """The span of dense vectors."""
+    builder = SpanBuilder(field, ambient_dim)
+    for v in vectors:
+        builder.add(v)
+    return builder.subspace()
+
+
+def matrix_from_rows(field: Field, rows, cols=None) -> Matrix:
+    """The matrix with these dense rows, of cols entries each."""
+    rows = list(rows)
+    cols = len(rows[0]) if cols is None else cols
+    return Matrix(field, len(rows), cols,
+                  _transpose([sparse(r) for r in rows], cols))
+
+
+def linear_map(field: Field, target_dim: int, images) -> LinearMap:
+    """The linear map sending x_i to the dense vector images[i]."""
+    return LinearMap(Matrix(field, target_dim, len(images),
+                            tuple(sparse(im) for im in images)))
+
+
+def bilinear_from_table(field: Field, source_dim: int, target_dim: int,
+                        table) -> BilinearMap:
+    """The bilinear map with the dense table[i][j] as its cells."""
+    return BilinearMap(field, source_dim, target_dim,
+                       tuple(tuple(sparse(cell) for cell in row)
+                             for row in table))
+
+
+def column(m: Matrix, j: int):
+    return dense(m.sparse_columns[j], m.rows, m.field.zero)
+
+
+def contains(space: Subspace, v) -> bool:
+    return not space.reduce_sparse(sparse(v))
+
+
+def solve(m: Matrix, rhs):
+    """One solution x of m x = rhs with the free variables 0, or None: the
+    echelon rows of [m | rhs] have a pivot in the last column exactly when
+    there is none."""
+    rows = [tuple(r) + (y,) for r, y in zip(m.entries, rhs)]
+    space = span(m.field, m.cols + 1, rows)
+    if m.cols in space.pivots:
+        return None
+    x = [m.field.zero] * m.cols
+    for p, row in zip(space.pivots, space.sparse_rows):
+        x[p] = row.get(m.cols, m.field.zero)
+    return tuple(x)
+
+
+def inverse(m: Matrix) -> Matrix:
+    """The rows of [m | I] reduce to [I | m^-1] exactly when m is
+    invertible; the tail rows are read back as columns."""
+    if m.rows != m.cols:
+        raise ValueError("not square")
+    n = m.rows
+    builder = SpanBuilder(m.field, 2 * n)
+    for i, row in enumerate(_transpose(m.sparse_columns, n)):
+        builder.insert({**row, n + i: m.field.one})
+    space = builder.subspace()
+    if space.pivots != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    tail = [{j - n: x for j, x in row.items() if j >= n}
+            for row in space.sparse_rows]
+    return Matrix(m.field, n, n, _transpose(tail, n))
+
+
+class Subalgebra:
+    """A bracket-closed subspace of L realized as an algebra in its own
+    coordinates (the pivot coordinates of the canonical basis)."""
+
+    def __init__(self, parent: LieAlgebra, space: Subspace):
+        if space.ambient_dim != parent.dim:
+            raise ValueError("ambient mismatch")
+        self.space = space
+        self._pivot_row = {p: r for r, p in enumerate(space.pivots)}
+        basis = space.sparse_rows
+        k = space.dim
+        cells = tuple(tuple(_cell(self.coords_sparse(
+            parent.bracket_sparse(u, v))) for v in basis) for u in basis)
+        names = tuple(f"s{c + 1}" for c in range(k))
+        self.algebra = LieAlgebra(parent.field, k, cells, names)
+
+    def coords_sparse(self, v):
+        """Coordinates of a member in the canonical basis: for an RREF basis
+        these are just its pivot-column entries.  Membership is verified by
+        checking the residual."""
+        if self.space.reduce_sparse(v):
+            raise ValueError("vector does not lie in the subalgebra")
+        return {self._pivot_row[col]: x for col, x in v.items()
+                if col in self._pivot_row}
 
 
 def to_sympy(x) -> sympy.Rational:
@@ -181,7 +283,7 @@ def basis(L: LieAlgebra):
 
 
 def dense_is_lie_pairing(rho: BilinearMap, L: LieAlgebra,
-                         H: LieAlgebra) -> PairingCheck:
+                         H: LieAlgebra) -> Verdict:
     """The three pairing axioms instance by instance on dense vectors, in the
     order (l, l', s) for (i) and (ii), then (l, s, l', s') for (iii)."""
     n = L.dim
@@ -198,12 +300,12 @@ def dense_is_lie_pairing(rho: BilinearMap, L: LieAlgebra,
                 rhs = tuple(x - y for x, y in zip(apply(e[l], sc[lp][s]),
                                                   apply(e[lp], sc[l][s])))
                 if lhs != rhs:
-                    return PairingCheck(False, ("axiom-i", (l, lp, s)))
+                    return Verdict(False, witness=("axiom-i", (l, lp, s)))
                 lhs2 = apply(e[l], sc[lp][s])
                 rhs2 = tuple(x - y for x, y in zip(apply(sc[s][l], e[lp]),
                                                    apply(sc[lp][l], e[s])))
                 if lhs2 != rhs2:
-                    return PairingCheck(False, ("axiom-ii", (l, lp, s)))
+                    return Verdict(False, witness=("axiom-ii", (l, lp, s)))
     for l in range(n):
         for s in range(n):
             for lp in range(n):
@@ -212,8 +314,8 @@ def dense_is_lie_pairing(rho: BilinearMap, L: LieAlgebra,
                     rhs = tuple(-x for x in dense_bracket(
                         H, apply(e[s], e[l]), apply(e[lp], e[sp])))
                     if lhs != rhs:
-                        return PairingCheck(False, ("axiom-iii", (l, s, lp, sp)))
-    return PairingCheck(True)
+                        return Verdict(False, witness=("axiom-iii", (l, s, lp, sp)))
+    return Verdict(True)
 
 
 def corrupted_pairings(rho: BilinearMap):
@@ -224,9 +326,8 @@ def corrupted_pairings(rho: BilinearMap):
             for k in range(rho.target_dim):
                 table = [[list(cell) for cell in row] for row in rho.table]
                 table[i][j][k] += rho.field.one
-                yield (i, j, k), BilinearMap(
-                    rho.field, rho.source_dim, rho.target_dim,
-                    tuple(tuple(tuple(cell) for cell in row) for row in table))
+                yield (i, j, k), bilinear_from_table(
+                    rho.field, rho.source_dim, rho.target_dim, table)
 
 
 def dense_subalgebra_table(parent: LieAlgebra, space: Subspace):
@@ -239,7 +340,7 @@ def dense_subalgebra_table(parent: LieAlgebra, space: Subspace):
         row = []
         for b in rows:
             w = dense_bracket(parent, a, b)
-            grown = Subspace.span(parent.field, parent.dim, list(rows) + [w])
+            grown = span(parent.field, parent.dim, list(rows) + [w])
             if grown.dim != space.dim:
                 raise ValueError("vector does not lie in the subalgebra")
             row.append(tuple(w[p] for p in space.pivots))
@@ -247,9 +348,10 @@ def dense_subalgebra_table(parent: LieAlgebra, space: Subspace):
     return tuple(table)
 
 
-def dense_validation_failures(L: LieAlgebra):
-    """Antisymmetry failures (i <= j) and Jacobi failures (i < j < k) by
-    plain loops over every basis pair and triple."""
+def dense_validate(L: LieAlgebra) -> Verdict:
+    """validate() by plain loops over every basis pair and triple: the
+    antisymmetry failures (i <= j) and Jacobi failures (i < j < k) as the
+    witness, and a detail naming them."""
     n = L.dim
     e = basis(L)
     anti = [(i, j) for i in range(n) for j in range(i, n)
@@ -265,7 +367,13 @@ def dense_validation_failures(L: LieAlgebra):
                          dense_bracket(L, L.table[k][i], e[j]))
                 if tuple(map(lambda *xs: sum(xs, L.field.zero), *terms)) != zero:
                     jacobi.append((i, j, k))
-    return tuple(anti), tuple(jacobi)
+    parts = []
+    if anti:
+        parts.append(f"antisymmetry fails at {anti}")
+    if jacobi:
+        parts.append(f"Jacobi fails at {jacobi}")
+    return Verdict(not parts, "; ".join(parts) or "valid",
+                   (tuple(anti), tuple(jacobi)))
 
 
 def dense_homomorphism_failure(images, source: LieAlgebra, target: LieAlgebra):
@@ -294,11 +402,11 @@ def dense_decomposition_verdict(T) -> Verdict:
     if subspace_sum(comp, sq).dim != T.dim:
         return Verdict(False, "complement + square submodule is not everything")
     for row in comp.basis.entries:
-        if not all(comp.contains(dense_bracket(alg, row, x)) for x in basis(alg)):
+        if not all(contains(comp, dense_bracket(alg, row, x)) for x in basis(alg)):
             return Verdict(False, "complement is not an ideal")
     ext, proj = T._exterior
     images = [dense_apply(proj.matrix, row) for row in comp.basis.entries]
-    if Subspace.span(alg.field, ext.dim, images).dim != comp.dim \
+    if span(alg.field, ext.dim, images).dim != comp.dim \
             or comp.dim != ext.dim:
         return Verdict(False, "complement does not map bijectively onto the exterior square")
     for ra, pa in zip(comp.basis.entries, images):
@@ -334,7 +442,7 @@ def complement_within(inner: Subspace, outer: Subspace) -> Subspace:
 def all_columns_commutator(F: LieAlgebra, relations: Subspace) -> Subspace:
     """[R, F] as the span of the dense brackets [r, x_j] over every basis
     vector x_j of F, not only the generators."""
-    return Subspace.span(F.field, F.dim, [
+    return span(F.field, F.dim, [
         F.bracket(r, F.basis_vector(j))
         for r in relations.basis.entries for j in range(F.dim)])
 
@@ -379,6 +487,39 @@ def complement_cover(P):
     onto = LinearMap(P.onto.matrix.select_columns(
         [g_free[c] for c in extra.free_cols]))
     return K, from_free, from_free.image_of(in_derived), onto
+
+
+def subalgebra_cover_theorem(P, cover, tensor=None):
+    """The cover theorem by re-derivation: the derived subalgebra of the
+    cover found by elimination and realized as a Subalgebra, the map psi
+    onto it from F'/[R,F] through cover.from_free, and the theorem map
+    eps psi^-1, both checked to be isomorphisms.  Returns the verdict and
+    the theorem map, which is None when the verdict fails."""
+    if tensor is None:
+        tensor = build_tensor_square(P.L)
+    try:
+        ext_alg, eps = P.exterior_map(tensor)
+    except TheoremViolationError as exc:
+        return Verdict(False, f"presentation exterior square failed: {exc}"), None
+    K = cover.algebra
+    wedge_alg, _ = tensor.exterior_square()
+    try:
+        derived_K = Subalgebra(K, K.derived_subalgebra())
+        if derived_K.algebra.dim != wedge_alg.dim or ext_alg.dim != wedge_alg.dim:
+            return Verdict(False,
+                           f"dims differ: cover derived {derived_K.algebra.dim}, "
+                           f"exterior {wedge_alg.dim}, presentation {ext_alg.dim}"), None
+        to_K = cover.from_free.matrix.sparse_columns
+        cols = tuple(derived_K.coords_sparse(to_K[c])
+                     for c in P.relations_commutator.free_cols[P.free.d:])
+        psi = LinearMap(Matrix(P.L.field, derived_K.algebra.dim, len(cols), cols))
+        _check_isomorphism(psi, ext_alg, derived_K.algebra)
+        theorem_map = eps.compose(LinearMap(inverse(psi.matrix)))
+        _check_isomorphism(theorem_map, derived_K.algebra, wedge_alg)
+    except (TheoremViolationError, ValueError) as exc:
+        return Verdict(False, str(exc)), None
+    return Verdict(True, f"cover derived dim {derived_K.algebra.dim} = exterior "
+                         f"dim {wedge_alg.dim}"), theorem_map
 
 
 # ----------------------------------------------------------------------

@@ -18,10 +18,10 @@ from lietensor import (QQ, build_cover, build_tensor_square, catalog,
                        verify_cover_theorem, witt_dimension)
 from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
 from lietensor.cli import main
-from lietensor.linalg import LinearMap, Subspace
+from lietensor.linalg import LinearMap
 
-from support import random_nilpotent_quotient, sympy_rank, \
-    tensor_relation_vectors
+from support import (random_nilpotent_quotient, span, sympy_rank,
+                     tensor_relation_vectors)
 
 THEOREMS = ("verify_decomposition", "verify_j2_decomposition",
             "verify_center_identity", "verify_square_restriction",
@@ -70,7 +70,7 @@ def test_criterion_2_heisenberg_golden_table():
     # H(2)
     h2 = heisenberg(2)
     T2 = build_tensor_square(h2)
-    z = Subspace.span(QQ, 5, [tuple(QQ.scalar(int(i == 4)) for i in range(5))])
+    z = span(QQ, 5, [tuple(QQ.scalar(int(i == 4)) for i in range(5))])
     ok &= T2.square_submodule.dim == 10
     ok &= T2.tensor_center() == z and T2.exterior_center() == z
     P2 = presentation_of(h2)

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import pathlib
 import subprocess
 import sys
@@ -13,3 +15,31 @@ def test_demo_runs_clean(script):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert "FAIL" not in result.stdout
+
+
+def _benchmark_table(name):
+    """A tuple constant of perfbench/tracer.py, read from its source."""
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and \
+                any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} not found in {path}")
+
+
+def test_every_benchmark_tracer_target_resolves():
+    # The benchmark tracer rebinds these names at run time; a name deleted
+    # from the package must fail here rather than only in the benchmark.
+    # A "Class.method" target is patched in the class's own __dict__.
+    targets = _benchmark_table("TARGETS")
+    assert len(targets) > 30
+    for module, attr, _ in targets:
+        owner = importlib.import_module(f"lietensor.{module}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(owner, cls_name)), (module, attr)
+        else:
+            assert callable(getattr(owner, attr)), (module, attr)
+    for module, attr, _ in _benchmark_table("CACHED"):
+        owner = importlib.import_module(f"lietensor.{module}")
+        assert hasattr(getattr(owner, attr), "cache_info"), (module, attr)

@@ -12,8 +12,8 @@ from lietensor.freenilp import HallWord, _integer_structure, mobius
 from lietensor.liealg import LieAlgebra
 from lietensor.linalg import SpanBuilder
 
-from support import (associative_commutator, dense_validation_failures,
-                     free_envelope, hall_expansion)
+from support import (associative_commutator, dense_validate, free_envelope,
+                     hall_expansion)
 
 
 def test_mobius_against_sympy():
@@ -260,8 +260,8 @@ def test_a_corrupted_integer_cell_is_rejected_for_every_field(d, c, monkeypatch)
                               for cell in row) for row in bad)
             monkeypatch.setattr(freenilp, "_hall_table",
                                 lambda d, c: (bad, labels, degrees, words))
-            invalid = {field: any(dense_validation_failures(LieAlgebra(
-                           field, n, freenilp._convert(bad, field), labels)))
+            invalid = {field: not dense_validate(LieAlgebra(
+                           field, n, freenilp._convert(bad, field), labels)).ok
                        for field in fields}
             assert invalid[QQ] or not any(invalid.values()), cells
             for field in fields:

@@ -1,4 +1,7 @@
+import dataclasses
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +15,14 @@ from lietensor.errors import (InternalCheckError, NotNilpotentError,
                               TheoremViolationError)
 from lietensor.freenilp import FreeNilpotent
 from lietensor.liealg import homomorphism_failure, lie_algebra_from_table
-from lietensor.linalg import LinearMap, Subspace, add_scaled, solve
+from lietensor.linalg import add_scaled
 from lietensor.presentation import _check_isomorphism
 
-from support import (all_columns_commutator, complement_cover,
-                     corrupted_tables, random_nilpotent_quotient,
-                     subalgebra_exterior, zassenhaus_relations_in_derived)
+from support import (all_columns_commutator, column, complement_cover,
+                     contains, corrupted_tables, linear_map,
+                     random_nilpotent_quotient, solve, span,
+                     subalgebra_cover_theorem, subalgebra_exterior,
+                     zassenhaus_relations_in_derived)
 
 NILPOTENT_CATALOG = ["zero", "abelian(1)", "abelian(2)", "abelian(3)",
                      "heisenberg(1)", "heisenberg(2)",
@@ -34,8 +39,8 @@ def test_presentation_of_abelian():
         assert P.relations_in_derived == P.relations
         # the kernel is exactly the degree-2 layer
         for i, deg in enumerate(P.free.degrees):
-            assert P.relations.contains(
-                P.free.algebra.basis_vector(i)) == (deg == 2)
+            assert contains(P.relations,
+                            P.free.algebra.basis_vector(i)) == (deg == 2)
 
 
 def test_presentation_of_heisenberg1():
@@ -45,8 +50,8 @@ def test_presentation_of_heisenberg1():
     assert P.relations.dim == 2
     assert P.relations_commutator.dim == 0
     # kernel = span of the two degree-3 Hall words
-    expected = Subspace.span(QQ, 5, [P.free.algebra.basis_vector(3),
-                                     P.free.algebra.basis_vector(4)])
+    expected = span(QQ, 5, [P.free.algebra.basis_vector(3),
+                            P.free.algebra.basis_vector(4)])
     assert P.relations == expected
 
 
@@ -248,17 +253,17 @@ def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
               for L in (heisenberg(1), heisenberg(1, GF(2)), abelian(3))]
     for clean in cleans:
         L, F, onto = clean.L, clean.free, clean.onto
-        images = [onto.matrix.column(i) for i in range(F.algebra.dim)]
+        images = [column(onto.matrix, i) for i in range(F.algebra.dim)]
         for where, bad in corrupted_tables(F.algebra):
             fake = FreeNilpotent(F.d, F.c, bad, F.words, F.degrees)
             monkeypatch.setattr(presentation, "free_nilpotent",
                                 lambda d, c, field: fake)
             broken = [(i, j) for i in range(bad.dim) for j in range(bad.dim)
-                      if onto.apply(bad.table[i][j]) !=
+                      if onto.matrix.apply(bad.table[i][j]) !=
                       L.bracket(images[i], images[j])]
             if not bad.validate().ok:
                 broken = [(i, j) for i, j in broken if i < F.d]
-            span = all_columns_commutator(bad, clean.relations)
+            all_columns = all_columns_commutator(bad, clean.relations)
             try:
                 P = presentation_of.__wrapped__(L)
             except InternalCheckError as exc:
@@ -270,9 +275,9 @@ def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
                 continue
             assert not broken, where
             assert P.relations == clean.relations, where
-            if P.relations_commutator == span:
+            if P.relations_commutator == all_columns:
                 outcomes["equal"] += 1
-                changed += span != clean.relations_commutator
+                changed += all_columns != clean.relations_commutator
             else:
                 assert not bad.validate().ok, where
                 outcomes["invalid"] += 1
@@ -326,8 +331,8 @@ def test_cover_projection_matches_a_linear_solve():
         P = presentation_of(L)
         cover = build_cover(P)
         K = cover.algebra
-        solved = LinearMap.from_images(L.field, L.dim, [
-            P.onto.apply(solve(cover.from_free.matrix, K.basis_vector(a)))
+        solved = linear_map(L.field, L.dim, [
+            P.onto.matrix.apply(solve(cover.from_free.matrix, K.basis_vector(a)))
             for a in range(K.dim)])
         assert cover.onto == solved, L
 
@@ -385,3 +390,47 @@ def test_generator_centrality_agrees_with_the_center():
             outcomes.add(by_generators)
         assert center.contains_space(cover.multiplier), L
     assert outcomes == {True, False}
+
+
+def cross_oracle_quotients(seeds):
+    """The random quotients of the benchmark's cross_oracle workload at
+    these seeds, drawn by its own generator (read, not changed)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen_inputs.py"
+    spec = importlib.util.spec_from_file_location("gen_inputs", path)
+    gen_inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen_inputs)
+    reference = gen_inputs.quotients(gen_inputs.DEFAULT_SEED)
+    shapes = [gen_inputs.shape(L, reference[:i]) for i, L in enumerate(reference)]
+    return [L for seed in seeds for L in gen_inputs.quotients(seed, shapes)]
+
+
+def test_cover_theorem_read_off_G_matches_the_subalgebra_oracle():
+    # verify_cover_theorem reads K' off the composite positions of G and
+    # takes eps as the theorem map.  The oracle re-derives K' by
+    # elimination as a Subalgebra and builds eps psi^-1; both must agree on
+    # every input, the theorem maps must be equal, and both must reject a
+    # cover with one corrupted composite-position cell.
+    algebras = nilpotent_cases() + cross_oracle_quotients(range(4))
+    rejected = 0
+    for L in algebras:
+        P = presentation_of(L)
+        cover = build_cover(P)
+        T = build_tensor_square(L)
+        verdict = verify_cover_theorem(P, cover, T)
+        expected, theorem_map = subalgebra_cover_theorem(P, cover, T)
+        assert verdict == expected and verdict.ok, (L, verdict, expected)
+        assert theorem_map.matrix == P.exterior_map(T)[1].matrix, L
+        K, d = cover.algebra, P.free.d
+        if K.dim == d:
+            continue
+        cells = [list(row) for row in K.cells]
+        top = K.dim - 1
+        shifted = dict(cells[d][top])
+        add_scaled(shifted, L.field.one, [(top, L.field.one)])
+        cells[d][top] = tuple(sorted(shifted.items()))
+        bad = dataclasses.replace(cover, algebra=dataclasses.replace(
+            K, cells=tuple(map(tuple, cells))))
+        assert not verify_cover_theorem(P, bad, T).ok, L
+        assert not subalgebra_cover_theorem(P, bad, T)[0].ok, L
+        rejected += 1
+    assert rejected > 40

@@ -2,25 +2,28 @@
 
 Each rewritten check is run on every single corrupted structure constant of
 small algebras and must give exactly what the plain dense loop in
-support.py gives: the same verdict, witness, table or exception.
+support.py gives: the same verdict, witness, table or exception.  The
+checks and their oracles both return Verdict, so a verdict is compared
+whole: its ok, its detail and its structured witness.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lietensor import (GF, QQ, Field, build_tensor_square, bracket_pairing,
-                       catalog, free_nilpotent, heisenberg, is_lie_pairing,
-                       lie_algebra_from_table, quotient_algebra, sl2)
+from lietensor import (GF, QQ, Field, Verdict, build_tensor_square,
+                       bracket_pairing, catalog, free_nilpotent, heisenberg,
+                       is_lie_pairing, lie_algebra_from_table,
+                       quotient_algebra, sl2)
 from lietensor.errors import InternalCheckError
-from lietensor.liealg import Subalgebra, homomorphism_failure
+from lietensor.liealg import homomorphism_failure
 from lietensor.linalg import Subspace, dense, sparse
 from lietensor.tensor import TensorSquare
 
-from support import (corrupted_pairings, corrupted_tables, dense_bracket,
-                     dense_decomposition_verdict, dense_homomorphism_failure,
-                     dense_is_lie_pairing, dense_subalgebra_table,
-                     dense_validation_failures)
+from support import (Subalgebra, corrupted_pairings, corrupted_tables,
+                     dense_bracket, dense_decomposition_verdict,
+                     dense_homomorphism_failure, dense_is_lie_pairing,
+                     dense_subalgebra_table, dense_validate, span)
 
 
 @st.composite
@@ -51,7 +54,8 @@ def test_sparse_bracket_equals_bracket(case):
     assert all(w.values())  # no stored zeros, so dict equality is exact
     assert w == sparse(L.bracket(u, v))
     assert dense(w, L.dim, L.field.zero) == dense_bracket(L, u, v)
-    assert [sparse(x) for x in L.ad(u)] == L.ad_sparse(sparse(u))
+    assert L.ad_sparse(sparse(u)) == \
+        [sparse(dense_bracket(L, u, L.basis_vector(j))) for j in range(L.dim)]
 
 
 def pairing_cases():
@@ -67,13 +71,19 @@ def pairing_cases():
 def test_pairing_check_matches_the_dense_oracle_under_every_corruption():
     kinds = set()
     for rho, L, H in pairing_cases():
-        assert is_lie_pairing(rho, L, H) == dense_is_lie_pairing(rho, L, H)
+        assert is_lie_pairing(rho, L, H) == dense_is_lie_pairing(rho, L, H) \
+            == Verdict(True)
         variants = ([(bad, L, H) for _, bad in corrupted_pairings(rho)]
                     + [(rho, bad, H) for _, bad in corrupted_tables(L)]
                     + [(rho, L, bad) for _, bad in corrupted_tables(H)])
         for args in variants:
             expected = dense_is_lie_pairing(*args)
-            assert is_lie_pairing(*args) == expected, (L.field, expected)
+            got = is_lie_pairing(*args)
+            assert got == expected, (L.field, expected)
+            if not got.ok:
+                kind, indices = got.witness
+                assert all(0 <= i < L.dim for i in indices)
+                assert len(indices) == (4 if kind == "axiom-iii" else 3)
             kinds.add(expected.witness[0] if expected.witness else "ok")
     assert kinds == {"ok", "axiom-i", "axiom-ii", "axiom-iii"}
 
@@ -84,11 +94,11 @@ def subalgebra_cases():
     h_gf2 = heisenberg(1, GF(2))
     yield F, F.derived_subalgebra()
     yield H2, H2.derived_subalgebra()
-    yield H2, Subspace.span(QQ, 5, [H2.basis_vector(0), H2.basis_vector(2),
-                                    H2.basis_vector(4)])
+    yield H2, span(QQ, 5, [H2.basis_vector(0), H2.basis_vector(2),
+                           H2.basis_vector(4)])
     yield sl2(GF(5)), Subspace.full_space(GF(5), 3)
-    yield h_gf2, Subspace.span(GF(2), 3, [h_gf2.basis_vector(0),
-                                          h_gf2.basis_vector(2)])
+    yield h_gf2, span(GF(2), 3, [h_gf2.basis_vector(0),
+                                 h_gf2.basis_vector(2)])
 
 
 def test_subalgebra_matches_the_bracket_loop_under_every_corruption():
@@ -112,11 +122,11 @@ def test_subalgebra_matches_the_bracket_loop_under_every_corruption():
 
 def test_subalgebra_rejects_a_subspace_not_closed_under_the_bracket():
     L = heisenberg(1)
-    open_plane = Subspace.span(QQ, 3, [L.basis_vector(0), L.basis_vector(1)])
+    open_plane = span(QQ, 3, [L.basis_vector(0), L.basis_vector(1)])
     with pytest.raises(ValueError, match="does not lie in the subalgebra"):
         Subalgebra(L, open_plane)
     with pytest.raises(ValueError, match="does not lie in the subalgebra"):
-        Subalgebra(L, L.derived_subalgebra()).coords_of(L.basis_vector(0))
+        Subalgebra(L, L.derived_subalgebra()).coords_sparse({0: QQ.one})
 
 
 def test_validate_matches_the_dense_triple_loop_under_every_corruption():
@@ -128,14 +138,16 @@ def test_validate_matches_the_dense_triple_loop_under_every_corruption():
     for L in (heisenberg(2), sl2(GF(5)), free_nilpotent(2, 3).algebra,
               free_nilpotent(2, 4).algebra,
               catalog("heisenberg(1)+abelian(2)", GF(3))):
-        report = L.validate()
-        assert (report.antisymmetry_failures, report.jacobi_failures) == \
-            dense_validation_failures(L) == ((), ())
+        assert L.validate() == dense_validate(L) == \
+            Verdict(True, "valid", ((), ()))
         for where, bad in corrupted_tables(L):
             report = bad.validate()
-            got = (report.antisymmetry_failures, report.jacobi_failures)
-            assert got == dense_validation_failures(bad), where
-            found.add(bool(report.jacobi_failures))
+            assert report == dense_validate(bad), where
+            anti, jacobi = report.witness
+            assert report.ok == (not anti and not jacobi)
+            assert all(i <= j for i, j in anti)
+            assert all(i < j < k for i, j, k in jacobi)
+            found.add(bool(jacobi))
     assert found == {True, False}
 
 

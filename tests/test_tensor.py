@@ -13,17 +13,23 @@ from lietensor.freenilp import free_nilpotent
 from lietensor.liealg import (BilinearMap, LieAlgebra, bracket_pairing,
                               lie_algebra_from_brackets,
                               lie_algebra_from_table)
-from lietensor.linalg import (LinearMap, Matrix, Subspace, annihilator, inverse,
-                             sparse)
+from lietensor.linalg import LinearMap, Matrix, Subspace, annihilator, sparse
 from lietensor.tensor import TensorSquare, _check_well_defined
 
-from support import (corrupted_tables, dense_apply, dense_bilinear,
-                     dense_residual, random_nilpotent_quotient, sympy_rank,
-                     symmetric_derived_vectors, tensor_relation_vectors)
+from support import (bilinear_from_table, column, contains, corrupted_tables,
+                     dense_apply, dense_bilinear, dense_residual, inverse,
+                     linear_map, matrix_from_rows, random_nilpotent_quotient,
+                     span, sympy_rank, symmetric_derived_vectors,
+                     tensor_relation_vectors)
 
 
 def vec(field, entries):
     return tuple(field.scalar(x) for x in entries)
+
+
+def pure(T, i, j):
+    """x_i (x) x_j in the quotient coordinates of T, as a dense vector."""
+    return T.pairing.table[i][j]
 
 
 # ----------------------------------------------------------------------
@@ -67,15 +73,15 @@ def test_abelian_square_submodule_spanning_set():
     for field in (QQ, GF(2)):
         n = 3
         T = build_tensor_square(abelian(n, field))
-        spanning = [T.pure(i, i) for i in range(n)]
-        spanning += [tuple(a + b for a, b in zip(T.pure(i, j), T.pure(j, i)))
+        spanning = [pure(T, i, i) for i in range(n)]
+        spanning += [tuple(a + b for a, b in zip(pure(T, i, j), pure(T, j, i)))
                      for i in range(n) for j in range(i + 1, n)]
-        assert T.square_submodule == Subspace.span(field, T.dim, spanning)
-        off_diag = Subspace.span(field, T.dim,
-                                 [T.pure(i, j) for i in range(n)
+        assert T.square_submodule == span(field, T.dim, spanning)
+        off_diag = span(field, T.dim,
+                                 [pure(T, i, j) for i in range(n)
                                   for j in range(i + 1, n)])
         assert off_diag.dim == n * (n - 1) // 2
-        total = Subspace.span(field, T.dim,
+        total = span(field, T.dim,
                               list(T.square_submodule.basis.entries)
                               + list(off_diag.basis.entries))
         assert total.dim == T.dim  # direct sum by dimensions
@@ -112,7 +118,7 @@ def test_sl2_golden_dims():
 def test_heisenberg2_centers():
     L = heisenberg(2)
     T = build_tensor_square(L)
-    z = Subspace.span(QQ, 5, [vec(QQ, [0, 0, 0, 0, 1])])
+    z = span(QQ, 5, [vec(QQ, [0, 0, 0, 0, 1])])
     assert T.square_submodule.dim == 10
     assert T.tensor_center() == z
     assert T.exterior_center() == z
@@ -124,7 +130,7 @@ def test_heisenberg1_tensor_center_is_zero():
     T = build_tensor_square(heisenberg(1))
     z = vec(QQ, [0, 0, 1])
     x = vec(QQ, [1, 0, 0])
-    assert any(T.pair(z, x))
+    assert any(T.pairing.apply(z, x))
     assert T.tensor_center().dim == 0
 
 
@@ -159,8 +165,8 @@ def test_pairing_is_bilinear_projection():
             for j, vj in enumerate(v):
                 if ui and vj:
                     expected = [a + ui * vj * b
-                                for a, b in zip(expected, T.pure(i, j))]
-        assert T.pair(u, v) == tuple(expected)
+                                for a, b in zip(expected, pure(T, i, j))]
+        assert T.pairing.apply(u, v) == tuple(expected)
 
 
 # ----------------------------------------------------------------------
@@ -217,8 +223,9 @@ def test_abelianization_functoriality():
         for _ in range(8):
             u = vec(L.field, [rng.randint(-2, 2) for _ in range(L.dim)])
             v = vec(L.field, [rng.randint(-2, 2) for _ in range(L.dim)])
-            assert ab.map.apply(T.pair(u, v)) == \
-                ab.tensor.pair(ab.to_ab.apply(u), ab.to_ab.apply(v))
+            to_ab = ab.to_ab.matrix
+            assert ab.map.matrix.apply(T.pairing.apply(u, v)) == \
+                ab.tensor.pairing.apply(to_ab.apply(u), to_ab.apply(v))
         again = induced_map(T, ab.to_ab, ab.tensor)
         assert again.matrix == ab.map.matrix
 
@@ -234,8 +241,7 @@ def test_factor_pairing_recovers_commutator_map():
 def test_factor_pairing_zero_and_identity():
     L = heisenberg(1)
     T = build_tensor_square(L)
-    zero_cell = (QQ.zero,) * 3
-    zero_rho = BilinearMap(QQ, 3, 3, tuple(tuple(zero_cell for _ in range(3))
+    zero_rho = BilinearMap(QQ, 3, 3, tuple(tuple({} for _ in range(3))
                                            for _ in range(3)))
     zeta = T.factor_pairing(zero_rho, L)
     assert zeta.matrix == Matrix.zero(QQ, 3, T.dim)
@@ -250,9 +256,9 @@ def test_factor_pairing_recovers_any_homomorphism():
     L = heisenberg(2)
     T = build_tensor_square(L)
     ext, proj = T.exterior_square()
-    table = tuple(tuple(proj.apply(T.pure(i, j)) for j in range(L.dim))
+    table = tuple(tuple(proj.matrix.apply(pure(T, i, j)) for j in range(L.dim))
                   for i in range(L.dim))
-    rho = BilinearMap(QQ, L.dim, ext.dim, table)
+    rho = bilinear_from_table(QQ, L.dim, ext.dim, table)
     zeta = T.factor_pairing(rho, ext)
     assert zeta.matrix == proj.matrix
 
@@ -262,8 +268,7 @@ def test_factor_pairing_rejects_non_pairing():
     T = build_tensor_square(L)
     table = [[list(v) for v in row] for row in L.table]
     table[0][1][0] = table[0][1][0] + QQ.one
-    rho = BilinearMap(QQ, 3, 3,
-                      tuple(tuple(tuple(v) for v in r) for r in table))
+    rho = bilinear_from_table(QQ, 3, 3, table)
     with pytest.raises(InvalidInputError):
         T.factor_pairing(rho, L)
 
@@ -290,8 +295,8 @@ def test_whitehead_quadratic_property():
             lifted = [field.zero] * L.dim
             for c, col in zip(coords, ab.lift_cols):
                 lifted[col] += c
-            assert gamma.to_square.apply(gamma.quadratic(coords)) == \
-                T.pair(lifted, lifted)
+            assert gamma.to_square.matrix.apply(gamma.quadratic(coords)) == \
+                T.pairing.apply(lifted, lifted)
 
 
 def test_whitehead_char2_dimension():
@@ -374,7 +379,7 @@ def change_basis(L: LieAlgebra, p: Matrix) -> LieAlgebra:
     """Transport the structure constants through an invertible matrix."""
     p_inv = inverse(p)
     n = L.dim
-    cols = [p.column(i) for i in range(n)]
+    cols = [column(p, i) for i in range(n)]
     table = tuple(
         tuple(p_inv.apply(L.bracket(cols[i], cols[j])) for j in range(n))
         for i in range(n))
@@ -390,7 +395,7 @@ def test_dimensions_are_basis_independent():
             while True:
                 raw = [[QQ.scalar(rng.randint(-2, 2)) for _ in range(L.dim)]
                        for _ in range(L.dim)]
-                p = Matrix.from_rows(QQ, raw, cols=L.dim)
+                p = matrix_from_rows(QQ, raw, cols=L.dim)
                 if p.rank() == L.dim:
                     break
             moved = change_basis(L, p)
@@ -486,9 +491,9 @@ def test_centers_are_cached_and_read_each_pure_tensor_once(monkeypatch):
     T = build_tensor_square.__wrapped__(L)
     n = L.dim
     proj = T.exterior_square()[1]  # builds the square submodule first
-    readers = {"tensor_center": T.pure,
-               "tensor_center_right": lambda i, j: T.pure(j, i),
-               "exterior_center": lambda i, j: proj.apply(T.pure(i, j))}
+    readers = {"tensor_center": lambda i, j: pure(T, i, j),
+               "tensor_center_right": lambda i, j: pure(T, j, i),
+               "exterior_center": lambda i, j: proj.matrix.apply(pure(T, i, j))}
     calls = []
 
     def counted(field, n, m, cell):
@@ -499,7 +504,7 @@ def test_centers_are_cached_and_read_each_pure_tensor_once(monkeypatch):
         # the stacked adjoint, entry by entry, as the kernel's definition
         rows = [[pure_of(i, j)[c] for i in range(n)]
                 for j in range(n) for c in range(len(pure_of(0, 0)))]
-        expected = LinearMap(Matrix.from_rows(L.field, rows, cols=n)).kernel()
+        expected = LinearMap(matrix_from_rows(L.field, rows, cols=n)).kernel()
         calls.clear()
         first = getattr(T, name)()
         assert sorted(calls) == sorted(set(calls)) and len(calls) == n * n, name
@@ -528,11 +533,11 @@ def test_tensor_checks_agree_with_the_bracket_loop_under_every_corruption():
             e = [bad.basis_vector(c) for c in range(n)]
             not_central = any(any(bad.bracket(r, x))
                               for r in sq_rows for x in e)
-            not_ideal = any(not comp.contains(bad.bracket(r, x))
+            not_ideal = any(not contains(comp, bad.bracket(r, x))
                             for r in comp.basis.entries for x in e)
             broken = [(i, j) for i in range(n) for j in range(n)
-                      if kappa.apply(bad.table[i][j]) !=
-                      L.bracket(kappa.apply(e[i]), kappa.apply(e[j]))]
+                      if kappa.matrix.apply(bad.table[i][j]) != L.bracket(
+                          kappa.matrix.apply(e[i]), kappa.matrix.apply(e[j]))]
             bad_T = TensorSquare(L, T.relation_space, T.quotient, bad,
                                  T.pairing)
             if not_central:
@@ -576,7 +581,7 @@ def test_construction_matches_a_dense_re_expansion(field):
         n = L.dim
         relations = T.relation_space
         vectors = tensor_relation_vectors(L) + symmetric_derived_vectors(L)
-        assert relations == Subspace.span(field, n * n, vectors), L
+        assert relations == span(field, n * n, vectors), L
         free = relations.free_cols
         assert T.dim == T.quotient.dim == len(free)
         project = T.quotient.project
@@ -585,8 +590,8 @@ def test_construction_matches_a_dense_re_expansion(field):
                 unit = [field.zero] * (n * n)
                 unit[i * n + j] = field.one
                 residual = dense_residual(relations, unit)
-                assert T.pure(i, j) == tuple(residual[c] for c in free), (L, i, j)
-                assert project.column(i * n + j) == T.pure(i, j)
+                assert pure(T, i, j) == tuple(residual[c] for c in free), (L, i, j)
+                assert column(project, i * n + j) == pure(T, i, j)
         reps = [divmod(p, n) for p in free]
         for a, (i, j) in enumerate(reps):
             for b, (k, l) in enumerate(reps):
@@ -606,10 +611,10 @@ def test_relation_checks_agree_with_the_dense_loop_under_every_corruption():
         T = build_tensor_square(base)
         L, n, field = T.base, T.base.dim, T.base.field
         relations = T.relation_space
-        kappa = LinearMap.from_images(field, n, [L.table[i][j] for i in range(n)
-                                                 for j in range(n)]).matrix
-        pure = LinearMap.from_images(field, T.dim, [T.pure(i, j) for i in range(n)
-                                                    for j in range(n)]).matrix
+        kappa = linear_map(field, n, [L.table[i][j] for i in range(n)
+                                      for j in range(n)]).matrix
+        pure_map = linear_map(field, T.dim, [pure(T, i, j) for i in range(n)
+                                             for j in range(n)]).matrix
         identity = LinearMap(Matrix.identity(field, n))
         rho = bracket_pairing(L)
         for r in range(relations.dim):
@@ -620,7 +625,7 @@ def test_relation_checks_agree_with_the_dense_loop_under_every_corruption():
                                tuple(sparse(r) for r in rows))
                 bad_T = TensorSquare(L, bad, T.quotient, T.algebra, T.pairing)
                 kappa_fails = any(any(dense_apply(kappa, row)) for row in rows)
-                pure_fails = any(any(dense_apply(pure, row)) for row in rows)
+                pure_fails = any(any(dense_apply(pure_map, row)) for row in rows)
                 if kappa_fails:
                     with pytest.raises(InternalCheckError, match="not well defined"):
                         _check_well_defined(L, bad)
