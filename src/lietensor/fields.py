@@ -1,10 +1,21 @@
 """Exact scalar arithmetic over the rationals and over prime fields GF(p).
 
-Rational scalars are arbitrary-precision fractions in lowest terms with a
-positive denominator (gmpy2.mpq when available, fractions.Fraction otherwise).
-GF(p) scalars are canonical residues in [0, p), implemented as int subclasses
-so that all linear algebra can be written once in terms of +, -, *, / and
-truthiness tests.
+Every scalar is exact by type, so all linear algebra is written once in
+terms of +, -, *, / and truthiness tests:
+
+- Over Q an integral value is an Integer, an exact int subclass, and any
+  other value is a _rational (gmpy2.mpq when available, fractions.Fraction
+  otherwise) in lowest terms with a positive denominator.  Integer +, -, *
+  and unary - stay Integer on plain int arithmetic; mixed with a _rational
+  they fall through to the rational's own operator.  /, reflected / and **
+  with a negative exponent give an exact rational in canonical form (an
+  Integer when integral, see canonical), never a float.  Field.scalar,
+  parse, zero and one give canonical values.  An Integer equals, hashes
+  and prints like the _rational of the same value, so a stored form, cache
+  key or report does not depend on which of the two holds a coordinate.
+- GF(p) scalars are canonical residues in [0, p), int subclasses whose
+  operators compute on the int values and reduce mod p; ** reduces too, and
+  a negative exponent takes the inverse.
 """
 
 from __future__ import annotations
@@ -24,6 +35,75 @@ Scalar = Any
 # ASCII digits only: \d also matches Arabic-Indic, fullwidth and other
 # Unicode digits, which int() and Fraction() would then accept.
 _SCALAR_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+
+# The int slots the scalar operators compute on, bound once: going through
+# int() and a Python-level __new__ on every operation costs several times
+# the arithmetic itself.
+_new = int.__new__
+_add, _sub, _rsub = int.__add__, int.__sub__, int.__rsub__
+_mul, _neg, _pow = int.__mul__, int.__neg__, int.__pow__
+
+
+class Integer(int):
+    """An integral rational scalar: plain int arithmetic, exact by type."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        r = _add(self, other)
+        return r if r is NotImplemented else _new(Integer, r)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        r = _sub(self, other)
+        return r if r is NotImplemented else _new(Integer, r)
+
+    def __rsub__(self, other):
+        r = _rsub(self, other)
+        return r if r is NotImplemented else _new(Integer, r)
+
+    def __mul__(self, other):
+        r = _mul(self, other)
+        return r if r is NotImplemented else _new(Integer, r)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _new(Integer, _neg(self))
+
+    def __truediv__(self, other):
+        if isinstance(other, int):
+            q, r = divmod(self, other)
+            return _rational(int(self), int(other)) if r else _new(Integer, q)
+        if isinstance(other, _rational):
+            return canonical(_rational(int(self)) / other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, int):
+            return _new(Integer, other) / self
+        return NotImplemented
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            raise TypeError("the exponent of an exact scalar must be an integer")
+        if k >= 0:
+            return _new(Integer, _pow(self, k))
+        return canonical(_rational(1, _pow(self, -k)))
+
+    def __rpow__(self, other):
+        if isinstance(other, int):
+            return _new(Integer, other) ** self
+        return NotImplemented
+
+
+def canonical(x: Scalar) -> Scalar:
+    """x with an integral _rational turned into the Integer of its value;
+    every other scalar is returned as it is."""
+    if type(x) is _rational and x.denominator == 1:
+        return _new(Integer, x.numerator)
+    return x
 
 
 # Miller-Rabin on the first thirteen prime bases decides primality for every
@@ -69,32 +149,35 @@ def _residue_class(p: int) -> type:
         modulus = p
 
         def __new__(cls, value):
-            return int.__new__(cls, value % p)
+            return _new(cls, value % p)
 
         def __add__(self, other):
-            return Residue(int(self) + int(other))
+            return _new(Residue, _add(self, other) % p)
 
         __radd__ = __add__
 
         def __sub__(self, other):
-            return Residue(int(self) - int(other))
+            return _new(Residue, _sub(self, other) % p)
 
         def __rsub__(self, other):
-            return Residue(int(other) - int(self))
+            return _new(Residue, _rsub(self, other) % p)
 
         def __mul__(self, other):
-            return Residue(int(self) * int(other))
+            return _new(Residue, _mul(self, other) % p)
 
         __rmul__ = __mul__
 
         def __neg__(self):
-            return Residue(-int(self))
+            return _new(Residue, _neg(self) % p)
 
         def __truediv__(self, other):
-            return Residue(int(self) * pow(int(other), -1, p))
+            return _new(Residue, _mul(self, _pow(other, -1, p)) % p)
 
         def __rtruediv__(self, other):
-            return Residue(int(other) * pow(int(self), -1, p))
+            return _new(Residue, _mul(_pow(self, -1, p), other) % p)
+
+        def __pow__(self, k):
+            return _new(Residue, _pow(self, k, p))
 
         def __repr__(self):
             return "%d" % int(self)
@@ -128,7 +211,7 @@ class Field:
 
     def scalar(self, value: int) -> Scalar:
         if self.is_rational:
-            return _rational(value)
+            return canonical(_rational(value))
         return _residue_class(self.characteristic)(value)
 
     # Scalars are immutable, so each field builds its zero and one once.
@@ -146,7 +229,7 @@ class Field:
         if not _SCALAR_RE.fullmatch(text):
             raise ValueError(f"cannot parse scalar {text!r}")
         if self.is_rational:
-            return _rational(text)
+            return canonical(_rational(text))
         if "/" in text:
             num, den = text.split("/")
             return self.scalar(int(num)) / self.scalar(int(den))

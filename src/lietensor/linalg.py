@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .fields import Field, Scalar
+from .fields import Field, Scalar, canonical
 
 Vector = tuple[Scalar, ...]
 SparseVector = dict[int, Scalar]
@@ -260,7 +260,7 @@ class SpanBuilder:
         pivot = min(out)
         inv = out[pivot]
         if inv != self.field.one:
-            out = {j: x / inv for j, x in out.items()}
+            out = {j: canonical(x / inv) for j, x in out.items()}
         for row in self._rows.values():
             f = row.get(pivot)
             if f:

@@ -47,6 +47,7 @@ quotient G = F/[R,F], on three arguments:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
@@ -184,13 +185,24 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
     relations = onto.kernel()
     # [R, F] = [R, X], and closure under ad(X) makes it an ideal (module
     # docstring); the generators are the first d Hall words.
+    # Only the rows below the top layer, degree c + 1, are bracketed.  The
+    # words are ordered by degree and an echelon row has no support before
+    # its pivot, so a row with its pivot in the top layer lies in that
+    # layer; its bracket with a generator has degree c + 2, zero in F, so it
+    # spans nothing and cannot fail the ideal check.  Pivots increase, so
+    # those rows are a prefix.
+    top = bisect_left(F.degrees, cls + 1)
+
+    def below_top(space: Subspace) -> tuple:
+        return space.sparse_rows[:bisect_left(space.pivots, top)]
+
     generators = [{g: L.field.one} for g in range(d)]
     rf = SpanBuilder(L.field, n)
-    for r in relations.sparse_rows:
+    for r in below_top(relations):
         for x in generators:
             rf.insert(F.algebra.bracket_sparse(r, x))
     relations_commutator = rf.subspace()
-    for t in relations_commutator.sparse_rows:
+    for t in below_top(relations_commutator):
         if any(relations_commutator.reduce_sparse(F.algebra.bracket_sparse(t, x))
                for x in generators):
             raise InternalCheckError("commutator span is not an ideal")

@@ -14,7 +14,8 @@ from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
 from lietensor.errors import (InternalCheckError, NotNilpotentError,
                               TheoremViolationError)
 from lietensor.freenilp import FreeNilpotent
-from lietensor.liealg import homomorphism_failure, lie_algebra_from_table
+from lietensor.liealg import (homomorphism_failure, lie_algebra_from_brackets,
+                              lie_algebra_from_table)
 from lietensor.linalg import add_scaled
 from lietensor.presentation import _check_isomorphism
 
@@ -246,11 +247,16 @@ def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
     # unless the corrupted table fails validate(): [R, F] = [R, X] rests on
     # the Jacobi identity, and free_nilpotent validates every table it
     # hands out (_integer_structure), so such a table never reaches
-    # presentation_of outside this test.
+    # presentation_of outside this test.  The filiform algebra of dimension 4
+    # has a relation below the top degree c + 1 of F: the others have none,
+    # and a top-degree relation is not bracketed, as its brackets vanish in F.
     outcomes = {"raise": 0, "equal": 0, "invalid": 0}
     changed = 0
+    filiform4 = lie_algebra_from_brackets(
+        QQ, 4, {(0, 1): [(2, QQ.one)], (0, 2): [(3, QQ.one)]})
     cleans = [presentation_of(L)
-              for L in (heisenberg(1), heisenberg(1, GF(2)), abelian(3))]
+              for L in (heisenberg(1), heisenberg(1, GF(2)), abelian(3),
+                        filiform4)]
     for clean in cleans:
         L, F, onto = clean.L, clean.free, clean.onto
         images = [column(onto.matrix, i) for i in range(F.algebra.dim)]
