@@ -5,9 +5,9 @@ rationals or a prime field, the tensor square L(x)L with its universal Lie
 pairing, the square submodule, the exterior square, the commutator map and
 its kernel, the Schur multiplier, the tensor and exterior centers, and the
 Whitehead quadratic functor.  A second, independent engine computes the
-exterior square and multiplier from a free nilpotent presentation and builds
-covers, and every structure theorem relating these objects is verified
-mechanically on concrete algebras.
+exterior square and multiplier from a free nilpotent presentation, covers
+are built from the exterior square, and every structure theorem relating
+these objects is verified mechanically on concrete algebras.
 """
 
 from .fields import GF, QQ, Field

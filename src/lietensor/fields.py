@@ -252,7 +252,7 @@ def field_from_descriptor(desc) -> Field:
         return QQ
     if isinstance(desc, dict) and set(desc) == {"Fp"}:
         p = desc["Fp"]
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ValueError(f"field modulus must be an integer, got {p!r}")
+        if not isinstance(p, int) or isinstance(p, bool) or p == 0:
+            raise ValueError(f"field modulus must be a prime integer, got {p!r}")
         return Field(p)
     raise ValueError(f"unrecognized field descriptor {desc!r}")

@@ -1,16 +1,16 @@
-r"""Free presentations of nilpotent Lie algebras: the second computation path
-for the exterior square and the Schur multiplier, plus cover construction.
+r"""Free presentations of nilpotent Lie algebras, the second computation path
+for the exterior square and the Schur multiplier; and the cover, built from
+the exterior square with no free algebra.
 
 For an algebra L of nilpotency class c with d = dim L/[L,L], the presenting
 free algebra is the free nilpotent algebra F on d generators of class c + 1.
 Truncating one class above L is enough: the kernel of F -> L contains every
 bracket of weight above c, so the commutator of the kernel with F contains
-every bracket of weight above c + 1, and the quotients built here (the
-derived subalgebra modulo that commutator, its multiplier part, and the
-cover) are unchanged by cutting F off at class c + 1.
+every bracket of weight above c + 1, and the quotients built here are
+unchanged by cutting F off at class c + 1.
 
-Write L = F/R, with X the d generators of F.  Everything is read off one
-quotient G = F/[R,F], on three arguments:
+Write L = F/R, with X the d generators of F.  Both are read off one quotient
+G = F/[R,F], on four arguments:
 
 - R lies in F' (Hopf).  The generators go to lifts that are independent
   modulo L^2, and every composite Hall word goes into L^2, so a relation
@@ -27,22 +27,27 @@ quotient G = F/[R,F], on three arguments:
   u with f[u, y] = [fu, fy] for all y is a subspace, and for u, v in S the
   Jacobi identity in F and in L gives
   f[[u,v],y] = [fu, f[v,y]] - [fv, f[u,y]] = [[fu,fv],fy] = [f[u,v], fy],
-  so S is a subalgebra containing X, hence F.  Likewise the centralizer of
-  an element is a subalgebra, so an element of G that commutes with the
-  images of X is central.
-- G is the cover.  R/[R,F] is central in G and equals (R /\ F')/[R,F], the
-  multiplier, so the complement of the multiplier inside R/[R,F] is zero
-  and the cover F/[R,F] needs no second quotient.  The exterior square
-  F'/[R,F] is G restricted to its composite positions.
-- G' is the span of those composite positions d..dim G - 1, so the cover
-  theorem is read off G.  No cell of F has support below d, and no [R,F]
-  pivot lies below d (an echelon row has no support before its pivot), so
-  no cell of G, a residual of a cell of F modulo [R,F], has support below
-  d: G' lies in their span.  And each composite free column w is the image
-  of the Hall bracket [left(w), right(w)], so their span lies in G'.  In
-  the coordinates of G' (its echelon rows are those unit vectors) its cells
-  are exactly the cells of F'/[R,F], and the map from F'/[R,F] is the
-  identity.
+  so S is a subalgebra containing X, hence F.
+- The exterior square F'/[R,F] is G restricted to its composite positions,
+  and the multiplier R/[R,F] lies in it.
+
+The cover.  A2 is the alternating square of L on the pairs x_i^x_j, i < j,
+and d3(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x.  E = A2/d3(A3) is the exterior
+square (G. Ellis, Glasgow Math. J. 33, 1991), and kappa: x^y -> [x,y] kills
+d3(A3) by the Jacobi identity.  V is spanned by the lifts above, the unit
+vectors at the free columns of L^2.  The cover is C = V (+) E with
+pi(v + a) = v + kappa(a) and [c, c'] = the class of pi(c)^pi(c').
+- pi is onto, so the pi(c)^pi(c') span A2 and C' = E; and
+  pi[c, c'] = kappa(pi(c)^pi(c')) = [pi c, pi c'].
+- ker pi = ker kappa|E, as kappa(E) = L^2 meets V in 0; this is M(L)
+  (Ellis).  It is central, as [m, c] is the class of 0^pi(c), and lies in
+  C'.  So C is a cover (P. Batten, K. Moneyhun and E. Stitzinger, Comm.
+  Algebra 24, 1996), and C = F/[R,F] by Hopf: C is nilpotent and V spans
+  it modulo C', so F -> C, X -> V, is onto; it kills [R,F], as R lands in
+  the central ker pi; and dim C = dim L + dim M(L) = dim F/[R,F].
+- V generates C, so it decides the self-checks as X does in F: pi is a
+  homomorphism once it is one on the rows of V, and an element is central
+  once it commutes with V (a centralizer is a subalgebra).
 """
 
 from __future__ import annotations
@@ -50,16 +55,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import combinations, compress
 from typing import Optional
 
 from .catalog import MAX_AMBIENT
 from .errors import (InternalCheckError, NotNilpotentError,
                      OutsideEnvelopeError, TheoremViolationError, Verdict)
-from .liealg import LieAlgebra, homomorphism_failure, quotient_by_ideal
-from .linalg import LinearMap, Matrix, SpanBuilder, Subspace, combine
+from .liealg import (BilinearMap, LieAlgebra, _cell, homomorphism_failure,
+                     quotient_by_ideal)
+from .linalg import (LinearMap, Matrix, SpanBuilder, Subspace, add_scaled,
+                     combine, quotient_structure)
 from .freenilp import FreeNilpotent, dimension_exceeds, free_nilpotent
-from .tensor import TensorSquare, build_tensor_square
+from .tensor import TensorSquare, _kills_relations, build_tensor_square
 
 
 @dataclass(frozen=True)
@@ -86,13 +93,12 @@ class FreePresentation:
 
     @cached_property
     def quotient(self) -> tuple[LieAlgebra, LinearMap]:
-        """G = F/[R,F] and the projection onto it: the cover, and the
-        exterior square at its composite positions.  presentation_of proved
-        [R,F] an ideal (module docstring); G is validated.  [R,F] lies in F',
-        so the generators are G's first d positions."""
+        """G = F/[R,F] and the projection onto it.  presentation_of proved
+        [R,F] an ideal (module docstring); G is validated.  [R,F] lies in
+        F', so the generators are G's first d positions."""
         if self.relations_commutator.free_cols[:self.free.d] != \
                 tuple(range(self.free.d)):
-            raise InternalCheckError("generators are not the first cover columns")
+            raise InternalCheckError("generators are not the first quotient columns")
         return quotient_by_ideal(self.free.algebra, self.relations_commutator)
 
     @cached_property
@@ -102,39 +108,20 @@ class FreePresentation:
         restriction needs no validation, as its antisymmetry and Jacobi
         instances are instances in G, which was validated."""
         G, _ = self.quotient
-        d = self.free.d
-        cells = tuple(tuple(tuple((k - d, x) for k, x in cell) for cell in row[d:])
-                      for row in G.cells[d:])
-        if any(k < 0 for row in cells for cell in row for k, _ in cell):
-            raise InternalCheckError("a bracket of composite words leaves F'")
-        return LieAlgebra(G.field, G.dim - d, cells,
-                          tuple(f"q{c + 1}" for c in range(G.dim - d)))
-
-    def exterior_map(self, tensor: TensorSquare) -> tuple[LieAlgebra, LinearMap]:
-        """exterior_via_presentation(self, tensor), built and checked once
-        per tensor square: the cross-oracle and the cover verdicts of verify
-        both read it.  A failure is not kept, so it is raised again, with
-        the same message, on the next call."""
-        maps = self._exterior_maps
-        if tensor not in maps:
-            maps[tensor] = exterior_via_presentation(self, tensor)
-        return maps[tensor]
-
-    @cached_property
-    def _exterior_maps(self) -> dict:
-        return {}
+        return _restrict(G, self.free.d)
 
 
 @dataclass(frozen=True)
 class Cover:
+    """C = V (+) E (module docstring): V at C's first d positions, E at the
+    free columns of boundaries; onto is pi and multiplier its kernel."""
+
+    L: LieAlgebra
     algebra: LieAlgebra
     multiplier: Subspace
     onto: LinearMap
-    from_free: LinearMap
-
-    def __repr__(self):
-        return (f"Cover(dim {self.algebra.dim} = {self.onto.target_dim} + "
-                f"{self.multiplier.dim})")
+    boundaries: Subspace
+    d: int
 
 
 @lru_cache(maxsize=64)
@@ -241,7 +228,6 @@ def exterior_via_presentation(
     Raises TheoremViolationError if the explicit map fails to be a bijective
     homomorphism.
     """
-    ext = P.exterior
     if tensor is None:
         tensor = build_tensor_square(P.L)
     wedge_alg, to_wedge = tensor.exterior_square()
@@ -263,12 +249,8 @@ def exterior_via_presentation(
             "wedge map does not kill the relation commutator")
     eps = LinearMap(eps_on_free.matrix.select_columns(
         P.relations_commutator.free_cols[F.d:]))
-    if not eps.is_bijective():
-        raise TheoremViolationError(
-            f"presentation exterior square has dimension {ext.dim}, "
-            f"tensor engine gives {wedge_alg.dim}")
-    _check_isomorphism(eps, ext, wedge_alg)
-    return ext, eps
+    _check_isomorphism(eps, P.exterior, wedge_alg)
+    return P.exterior, eps
 
 
 def _check_isomorphism(f: LinearMap, source: LieAlgebra, target: LieAlgebra):
@@ -279,7 +261,8 @@ def _check_isomorphism(f: LinearMap, source: LieAlgebra, target: LieAlgebra):
     gf[gx, gy] = [gx, gy], using only that f is a bijective homomorphism.
     """
     if not f.is_bijective():
-        raise TheoremViolationError("map is not bijective")
+        raise TheoremViolationError(f"map from dimension {source.dim} to "
+                                    f"{target.dim} is not bijective")
     bad = homomorphism_failure(f.matrix.sparse_columns, source, target)
     if bad is not None:
         raise TheoremViolationError(
@@ -300,82 +283,115 @@ def multiplier_via_presentation(P: FreePresentation) -> Subspace:
                           for row in image.sparse_rows))
 
 
-def build_cover(P: FreePresentation) -> Cover:
-    """Construct the canonical cover via the presentation: G = F/[R,F]
-    itself, since R lies in F' (module docstring).  Defining-pair
-    properties are asserted.
+def _restrict(K: LieAlgebra, d: int) -> LieAlgebra:
+    """K on its positions d..dim K - 1, which must hold every bracket."""
+    cells = tuple(tuple(tuple((k - d, x) for k, x in cell) for cell in row[d:])
+                  for row in K.cells[d:])
+    if any(k < 0 for row in cells for cell in row for k, _ in cell):
+        raise InternalCheckError(f"a bracket leaves the positions from {d}")
+    return LieAlgebra(K.field, K.dim - d, cells,
+                      tuple(f"q{c + 1}" for c in range(K.dim - d)))
 
-    onto_L needs no linear solve: F -> G is a quotient projection, and it
-    sends the standard basis vector at its r-th free column to the r-th unit
-    vector.  So e_(g_free[a]) is a preimage of G's basis vector a, and its
-    image under P.onto is that column of P.onto (preimages differ by [R,F],
-    which lies in the relations).  As from_free is onto, the factorization
-    check still pins down onto_L.
-    """
-    K, from_free = P.quotient
-    multiplier = from_free.image_of(P.relations_in_derived)
-    onto_L = LinearMap(P.onto.matrix.select_columns(
-        P.relations_commutator.free_cols))
-    if onto_L.compose(from_free).matrix != P.onto.matrix:
-        raise InternalCheckError("cover projection does not factor the presentation")
 
-    if K.dim != P.L.dim + multiplier.dim:
+def _wedge(n: int, one) -> list:
+    """wedge[i][j] = x_i^x_j on A2's pairs i < j, in combinations order."""
+    index = {p: r for r, p in enumerate(combinations(range(n), 2))}
+    return [[{index[i, j]: one} if i < j else {index[j, i]: -one} if i > j
+             else {} for j in range(n)] for i in range(n)]
+
+
+def boundaries(L: LieAlgebra) -> Subspace:
+    """d3(A3) in the pair coordinates: A2 modulo it is the exterior square
+    of L, for every L (module docstring).  combine(cell, wedge[m]) is
+    x_m^cell, and a triple whose three cells are empty has d3 = 0."""
+    nz, one, wedge = L.cells, L.field.one, _wedge(L.dim, L.field.one)
+    builder = SpanBuilder(L.field, L.dim * (L.dim - 1) // 2)
+    for i, j, k in combinations(range(L.dim), 3):
+        if nz[i][j] or nz[i][k] or nz[j][k]:
+            row: dict = {}
+            for cell, m, sign in ((nz[i][j], k, -one), (nz[i][k], j, one),
+                                  (nz[j][k], i, -one)):
+                add_scaled(row, sign, combine(cell, wedge[m]).items())
+            builder.insert(row)
+    return builder.subspace()
+
+
+def build_cover(L: LieAlgebra) -> Cover:
+    """The cover C = V (+) E of a validated nilpotent algebra, with its
+    defining-pair properties checked (module docstring).  C exists for every
+    L, but a non-nilpotent L is refused, as presentation_of refuses it.
+    Cell (a, b), a < b, is pi(a)^pi(b) through x_i^x_j -> its class in C,
+    and (b, a) is its negative."""
+    if not L.is_nilpotent:
+        raise NotNilpotentError("covers are built for nilpotent algebras")
+    field, n, one = L.field, L.dim, L.field.one
+    space = boundaries(L)
+    kappa = [dict(L.cells[i][j]) for i, j in combinations(range(n), 2)]
+    if not _kills_relations(space, kappa):
+        raise InternalCheckError("the commutator map does not kill a boundary")
+    lifts, free = L.derived_subalgebra().free_cols, space.free_cols
+    d, dim = len(lifts), len(lifts) + len(free)
+    pi = tuple([{c: one} for c in lifts] + [kappa[p] for p in free])
+    project = quotient_structure(len(kappa), space).project.sparse_columns
+    in_C = [{d + r: x for r, x in col.items()} for col in project]
+    classes = BilinearMap(field, n, dim, tuple(
+        tuple(combine(w.items(), in_C) for w in row) for row in _wedge(n, one)))
+    cells = [[()] * dim for _ in range(dim)]
+    for a, b in combinations(compress(range(dim), pi), 2):
+        v = classes.apply_sparse(pi[a], pi[b])
+        if v:
+            cells[a][b] = _cell(v)
+            cells[b][a] = _cell({k: -x for k, x in v.items()})
+    C = LieAlgebra(field, dim, tuple(map(tuple, cells)),
+                   tuple(f"c{k + 1}" for k in range(dim)))
+    report = C.validate()
+    if not report.ok:
+        raise InternalCheckError(f"cover fails validation: {report.detail}")
+    bad = homomorphism_failure(pi, C, L, rows=d)  # V generates C
+    if bad is not None:
+        raise InternalCheckError(
+            "cover projection is not a homomorphism at (%d,%d)" % bad)
+    onto = LinearMap(Matrix(field, n, dim, pi))
+    multiplier = onto.kernel()
+    if dim != n + multiplier.dim:  # so pi is onto, by rank-nullity
         raise TheoremViolationError(
-            f"cover dimension {K.dim} != {P.L.dim} + {multiplier.dim}")
-    if onto_L.kernel() != multiplier:
-        raise TheoremViolationError("cover sequence is not exact")
-    # The centralizer of m is a subalgebra and the generators, K's first d
-    # positions (FreePresentation.quotient), generate K: m is central once
-    # it commutes with them.
-    d, one = P.free.d, K.field.one
-    if any(K.bracket_sparse(m, {g: one}) for m in multiplier.sparse_rows
+            f"cover dimension {dim} != {n} + {multiplier.dim}")
+    # A centralizer is a subalgebra and V generates C (module docstring).
+    if any(C.bracket_sparse(m, {g: one}) for m in multiplier.sparse_rows
            for g in range(d)):
         raise TheoremViolationError("multiplier is not central in the cover")
-    if not K.derived_subalgebra().contains_space(multiplier):
+    if not C.derived_subalgebra().contains_space(multiplier):
         raise TheoremViolationError("multiplier escapes the derived subalgebra")
-    expected_mult = P.relations_in_derived.dim - P.relations_commutator.dim
-    if multiplier.dim != expected_mult:
-        raise TheoremViolationError(
-            f"multiplier dimension {multiplier.dim} != {expected_mult}")
-    return Cover(K, multiplier, onto_L, from_free)
+    return Cover(L, C, multiplier, onto, space, d)
 
 
-def verify_cover_theorem(P: FreePresentation, cover: Cover,
-                         tensor: Optional[TensorSquare] = None) -> Verdict:
-    """The derived subalgebra of the cover is isomorphic to the exterior
-    square, through the map induced by wedging images of Hall brackets.
-
-    The cover is G = F/[R,F], whose derived subalgebra is the span of its
-    composite positions d..dim G - 1 with the cells of F'/[R,F] there
-    (module docstring).  Both facts are checked on the cover given: its
-    derived subalgebra has exactly those pivots, so its echelon rows are
-    those unit vectors and its coordinates are the positions shifted by d;
-    and its cells there, shifted by d, are P.exterior's.  Then the identity
-    is an isomorphism from P.exterior onto the derived subalgebra, and the
-    theorem map is eps, which exterior_map has checked to be a bijective
-    homomorphism onto the exterior square.
-    """
-    if tensor is None:
-        tensor = build_tensor_square(P.L)
-    try:
-        ext_alg, _ = P.exterior_map(tensor)
-    except TheoremViolationError as exc:
-        return Verdict(False, f"presentation exterior square failed: {exc}")
-    K = cover.algebra
-    derived = K.derived_subalgebra()
-    wedge_alg, _ = tensor.exterior_square()
-    if derived.dim != wedge_alg.dim or ext_alg.dim != wedge_alg.dim:
-        return Verdict(False,
-                       f"dims differ: cover derived {derived.dim}, "
-                       f"exterior {wedge_alg.dim}, presentation {ext_alg.dim}")
-    d = P.free.d
-    if derived.pivots != tuple(range(d, K.dim)):
+def verify_cover_theorem(cover: Cover, tensor: TensorSquare) -> Verdict:
+    """C' is isomorphic to the exterior square of L's tensor square, through
+    x_i^x_j -> the wedge class of the pairing cell (i, j).  C' = E (module
+    docstring) is checked: C' has the pivots d..dim C - 1, so its
+    coordinates are those positions shifted by d.  The map must kill
+    d3(A3), to be defined on E, and be a bijective homomorphism."""
+    L, C, d = cover.L, cover.algebra, cover.d
+    wedge_alg, to_wedge = tensor.exterior_square()
+    derived = C.derived_subalgebra()
+    if derived.dim != wedge_alg.dim:
+        return Verdict(False, f"dims differ: cover derived {derived.dim}, "
+                              f"exterior {wedge_alg.dim}")
+    if tensor.base != L:
+        return Verdict(False, "the tensor square is of another algebra")
+    if derived.pivots != tuple(range(d, C.dim)):
         return Verdict(False, "cover derived subalgebra is not the span of "
-                              "its composite positions")
-    if tuple(tuple(tuple((k - d, x) for k, x in cell) for cell in row[d:])
-             for row in K.cells[d:]) != ext_alg.cells:
-        return Verdict(False, "cover brackets differ from the presentation "
-                              "exterior square")
-    return Verdict(True,
-                   f"cover derived dim {derived.dim} = exterior dim "
-                   f"{wedge_alg.dim}")
+                              "its positions d..dim C - 1")
+    images = tuple(combine(tensor.pairing.cells[i][j].items(),
+                           to_wedge.matrix.sparse_columns)
+                   for i, j in combinations(range(L.dim), 2))
+    if not _kills_relations(cover.boundaries, images):
+        return Verdict(False, "the wedge map does not kill d3")
+    eps = LinearMap(Matrix(L.field, wedge_alg.dim, len(images), images)
+                    .select_columns(cover.boundaries.free_cols))
+    try:
+        _check_isomorphism(eps, _restrict(C, d), wedge_alg)
+    except TheoremViolationError as exc:
+        return Verdict(False, f"cover derived subalgebra: {exc}")
+    return Verdict(True, f"cover derived dim {derived.dim} = exterior dim "
+                         f"{wedge_alg.dim}")

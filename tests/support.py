@@ -12,15 +12,15 @@ import random
 import sympy
 
 from lietensor import (QQ, BilinearMap, Field, LieAlgebra, Verdict,
-                       build_tensor_square, ideal_closure,
+                       ideal_closure, lie_algebra_from_brackets,
                        lie_algebra_from_table, quotient_algebra)
 from lietensor.catalog import MAX_AMBIENT
 from lietensor.errors import TheoremViolationError
 from lietensor.freenilp import dimension_exceeds, free_nilpotent
 from lietensor.liealg import _cell
 from lietensor.linalg import (LinearMap, Matrix, SpanBuilder, Subspace,
-                              _transpose, dense, sparse, subspace_intersect,
-                              subspace_sum)
+                              _transpose, combine, dense, sparse,
+                              subspace_intersect, subspace_sum)
 from lietensor.presentation import _check_isomorphism
 
 
@@ -251,6 +251,15 @@ def random_nilpotent_quotient(rng: random.Random, d: int, c: int,
     return quotient
 
 
+def random_semidirect(rng: random.Random, m: int,
+                      field: Field = QQ) -> LieAlgebra:
+    """V x| <t> with V abelian of dimension m and [t, v] = D v for a random
+    m x m matrix D: solvable, and nilpotent exactly when D is."""
+    D = random_matrix_rows(rng, field, m, m, span=2)
+    return lie_algebra_from_brackets(field, m + 1, {
+        (i, m): [(k, -D[k][i]) for k in range(m)] for i in range(m)})
+
+
 # ----------------------------------------------------------------------
 # dense reference oracles: the plain loops the sparse kernels replaced
 # ----------------------------------------------------------------------
@@ -419,7 +428,8 @@ def dense_decomposition_verdict(T) -> Verdict:
 
 # ----------------------------------------------------------------------
 # presentation oracles: the generic constructions the presentation engine
-# replaced by reading F', R /\ F' and the cover off the Hall grading
+# replaced by reading F' and R /\ F' off the Hall grading, and the cover
+# F/[R,F] that the exterior-square cover replaced
 # ----------------------------------------------------------------------
 
 def complement_within(inner: Subspace, outer: Subspace) -> Subspace:
@@ -489,37 +499,78 @@ def complement_cover(P):
     return K, from_free, from_free.image_of(in_derived), onto
 
 
-def subalgebra_cover_theorem(P, cover, tensor=None):
-    """The cover theorem by re-derivation: the derived subalgebra of the
-    cover found by elimination and realized as a Subalgebra, the map psi
-    onto it from F'/[R,F] through cover.from_free, and the theorem map
-    eps psi^-1, both checked to be isomorphisms.  Returns the verdict and
-    the theorem map, which is None when the verdict fails."""
-    if tensor is None:
-        tensor = build_tensor_square(P.L)
+def free_cover(P):
+    """The cover as G = F/[R,F] itself, the construction the exterior-square
+    cover replaced: (algebra, from_free, multiplier, onto).  onto is read as
+    columns of the presentation map, since F -> G sends the unit vector at
+    its r-th free column to the r-th unit vector, and is checked to factor
+    the presentation map."""
+    G, from_free = P.quotient
+    onto = LinearMap(P.onto.matrix.select_columns(
+        P.relations_commutator.free_cols))
+    if onto.compose(from_free).matrix != P.onto.matrix:
+        raise ValueError("cover projection does not factor the presentation")
+    return G, from_free, from_free.image_of(P.relations_in_derived), onto
+
+
+def generator_map(P, cover) -> LinearMap:
+    """G = F/[R,F] -> C induced by F -> C, which sends the generators of F
+    to C's first d basis vectors and each Hall bracket to the bracket of
+    the images of its halves (they come earlier, the words being ordered by
+    degree); checked to kill [R,F]."""
+    F, C = P.free, cover.algebra
+    position = {w: i for i, w in enumerate(F.words)}
+    images: list = []
+    for w in F.words:
+        images.append({w.index: C.field.one} if w.index is not None
+                      else C.bracket_sparse(images[position[w.left]],
+                                            images[position[w.right]]))
+    to_C = LinearMap(Matrix(C.field, C.dim, len(images), tuple(images)))
+    if to_C.image_of(P.relations_commutator).dim:
+        raise ValueError("F -> C does not kill [R,F]")
+    return LinearMap(to_C.matrix.select_columns(
+        P.relations_commutator.free_cols))
+
+
+def subalgebra_cover_theorem(cover, tensor):
+    """The cover theorem by re-derivation, for any cover (algebra C, onto
+    pi): C' found by elimination and realized as a Subalgebra, and the
+    theorem map C' -> L /\\ L, [x_a, x_b] -> the wedge class of
+    pi(x_a) (x) pi(x_b), solved for from the brackets of C's basis.  Its
+    graph is the span of the vectors (coordinates of [x_a, x_b], image),
+    with pivots 0..k-1 exactly when the map is well defined; the map is
+    then checked to be an isomorphism.  Returns the verdict and the map,
+    which is None when the verdict fails."""
+    C = cover.algebra
+    wedge_alg, to_wedge = tensor.exterior_square()
     try:
-        ext_alg, eps = P.exterior_map(tensor)
-    except TheoremViolationError as exc:
-        return Verdict(False, f"presentation exterior square failed: {exc}"), None
-    K = cover.algebra
-    wedge_alg, _ = tensor.exterior_square()
-    try:
-        derived_K = Subalgebra(K, K.derived_subalgebra())
-        if derived_K.algebra.dim != wedge_alg.dim or ext_alg.dim != wedge_alg.dim:
-            return Verdict(False,
-                           f"dims differ: cover derived {derived_K.algebra.dim}, "
-                           f"exterior {wedge_alg.dim}, presentation {ext_alg.dim}"), None
-        to_K = cover.from_free.matrix.sparse_columns
-        cols = tuple(derived_K.coords_sparse(to_K[c])
-                     for c in P.relations_commutator.free_cols[P.free.d:])
-        psi = LinearMap(Matrix(P.L.field, derived_K.algebra.dim, len(cols), cols))
-        _check_isomorphism(psi, ext_alg, derived_K.algebra)
-        theorem_map = eps.compose(LinearMap(inverse(psi.matrix)))
-        _check_isomorphism(theorem_map, derived_K.algebra, wedge_alg)
+        derived = Subalgebra(C, C.derived_subalgebra())
+        k = derived.algebra.dim
+        if k != wedge_alg.dim:
+            return Verdict(False, f"dims differ: cover derived {k}, "
+                                  f"exterior {wedge_alg.dim}"), None
+        pi, wedge_cols = cover.onto.matrix.sparse_columns, \
+            to_wedge.matrix.sparse_columns
+        graph = SpanBuilder(C.field, k + wedge_alg.dim)
+        for a in range(C.dim):
+            for b in range(a + 1, C.dim):
+                if C.cells[a][b]:
+                    image = combine(
+                        tensor.pairing.apply_sparse(pi[a], pi[b]).items(),
+                        wedge_cols)
+                    graph.insert({**derived.coords_sparse(dict(C.cells[a][b])),
+                                  **{k + t: x for t, x in image.items()}})
+        graph = graph.subspace()
+        if graph.pivots != tuple(range(k)):
+            return Verdict(False, "the theorem map is not well defined"), None
+        theorem_map = LinearMap(Matrix(C.field, wedge_alg.dim, k, tuple(
+            {t - k: x for t, x in row.items() if t >= k}
+            for row in graph.sparse_rows)))
+        _check_isomorphism(theorem_map, derived.algebra, wedge_alg)
     except (TheoremViolationError, ValueError) as exc:
         return Verdict(False, str(exc)), None
-    return Verdict(True, f"cover derived dim {derived_K.algebra.dim} = exterior "
-                         f"dim {wedge_alg.dim}"), theorem_map
+    return Verdict(True, f"cover derived dim {k} = exterior dim "
+                         f"{wedge_alg.dim}"), theorem_map
 
 
 # ----------------------------------------------------------------------

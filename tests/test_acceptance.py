@@ -173,14 +173,13 @@ def test_criterion_7_cover_suite():
     for name, (dim_l, dim_m) in (("abelian(2)", (2, 1)),
                                  ("heisenberg(1)", (3, 2))):
         L = catalog(name)
-        P = presentation_of(L)
-        cover = build_cover(P)
+        cover = build_cover(L)
         K = cover.algebra
         ok &= K.dim == dim_l + dim_m
         ok &= cover.multiplier.dim == dim_m
         ok &= K.center().contains_space(cover.multiplier)
         ok &= K.derived_subalgebra().contains_space(cover.multiplier)
-        verdict = verify_cover_theorem(P, cover)
+        verdict = verify_cover_theorem(cover, build_tensor_square(L))
         ok &= verdict.ok
         details.append(f"{name}: {K.dim}={dim_l}+{dim_m}")
     report(7, ok, "; ".join(details))

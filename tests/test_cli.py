@@ -48,6 +48,7 @@ def test_document_rejections():
         ({"field": "R", "dim": 1, "brackets": []}, "field"),
         ({"field": "Q", "dim": 3}, "lacks"),
         ({"field": {"Fp": 6}, "dim": 1, "brackets": []}, "not prime"),
+        ({"field": {"Fp": 0}, "dim": 1, "brackets": []}, "prime integer, got 0"),
     ]
     for doc, fragment in cases:
         with pytest.raises(InvalidInputError) as err:
@@ -199,17 +200,17 @@ def test_failed_verdict_gives_exit_code_1(monkeypatch, capsys):
     from lietensor.tensor import Verdict
 
     monkeypatch.setattr(cli, "verify_cover_theorem",
-                        lambda P, cover, tensor=None: Verdict(False, "forced"))
+                        lambda cover, tensor=None: Verdict(False, "forced"))
     code, doc = run(["verify", "heisenberg(1)"], capsys)
     assert code == 1
     assert doc["verdicts"]["cover"] == "fail: forced"
 
 
 def test_verify_builds_the_presentation_exterior_once_per_algebra(monkeypatch):
-    # The cross-oracle and the cover verdict both read the wedge map of the
-    # presentation; verify --catalog builds and checks it once for each
-    # nilpotent entry.  The caches are cleared so that no presentation keeps
-    # a map from an earlier test.
+    # The cross-oracle verdict reads the wedge map of the presentation, and
+    # the cover verdict does not; verify --catalog builds and checks it once
+    # for each nilpotent entry.  The caches are cleared so that every
+    # presentation is built under the patch.
     from collections import Counter
 
     from lietensor import catalog, cli, presentation
@@ -225,7 +226,7 @@ def test_verify_builds_the_presentation_exterior_once_per_algebra(monkeypatch):
         built.append(P.L)
         return original(P, tensor)
 
-    monkeypatch.setattr(presentation, "exterior_via_presentation", counted)
+    monkeypatch.setattr(cli, "exterior_via_presentation", counted)
     presentation.presentation_of.cache_clear()
     cli.catalog_document()
     assert len(nilpotent) == 44
@@ -282,7 +283,8 @@ def test_large_and_pseudoprime_moduli_end_at_once(tmp_path, capsys):
     code, _ = run_document(doc, tmp_path, capsys)
     assert code == 0
     assert time.perf_counter() - started < 10
-    for p, fragment in ((561, "not prime"), (2047, "not prime"),
+    for p, fragment in ((0, "prime"), (561, "not prime"),
+                        (2047, "not prime"),
                         (2 ** 89 - 1, "outside the supported envelope")):
         code, err = run_document(dict(H1_DOC, field={"Fp": p}), tmp_path, capsys)
         assert code == 2 and fragment in err, p
@@ -360,8 +362,9 @@ def filiform_document(n: int) -> dict:
 
 def test_presentation_engine_is_held_to_the_envelope(tmp_path, capsys):
     # F(2, 16) has 8800 dimensions, and verify used to run for minutes on
-    # this valid 16-dimensional document.  Now both presentation verdicts
-    # are skipped with the reason, and present and cover end with exit 2.
+    # this valid 16-dimensional document.  Now the cross_oracle verdict is
+    # skipped with the reason and present ends with exit 2, while the cover,
+    # which needs no free algebra, passes and the cover command exits 0.
     path = tmp_path / "filiform16.json"
     path.write_text(json.dumps(filiform_document(16)))
     started = time.perf_counter()
@@ -371,14 +374,17 @@ def test_presentation_engine_is_held_to_the_envelope(tmp_path, capsys):
     reason = ("skipped: the presenting free nilpotent algebra (d=2, c=16) has "
               "more than 256 dimensions, outside the design envelope")
     verdicts = doc["verdicts"]
-    assert verdicts.pop("cross_oracle") == verdicts.pop("cover") == reason
+    assert verdicts.pop("cross_oracle") == reason
     assert set(verdicts.values()) == {"pass"}
-    for command in ("present", "cover"):
-        started = time.perf_counter()
-        assert main([command, str(path)]) == 2, command
-        assert time.perf_counter() - started < 10, command
-        err = capsys.readouterr().err
-        assert "design envelope" in err and "Traceback" not in err, command
+    started = time.perf_counter()
+    assert main(["present", str(path)]) == 2
+    assert time.perf_counter() - started < 10
+    err = capsys.readouterr().err
+    assert "design envelope" in err and "Traceback" not in err
+    started = time.perf_counter()
+    code, doc = run(["cover", str(path)], capsys)
+    assert time.perf_counter() - started < 10
+    assert code == 0 and set(doc["verdicts"].values()) == {"pass"}
     # Valid inputs whose presenting free algebra lies above the bound end
     # at once, with a skip naming the free algebra they would need.
     path = tmp_path / "filiform12.json"
@@ -397,7 +403,7 @@ def test_presentation_engine_is_held_to_the_envelope(tmp_path, capsys):
                   f"c={c}) has more than 256 dimensions, outside the design "
                   f"envelope")
         verdicts = doc["verdicts"]
-        assert verdicts.pop("cross_oracle") == verdicts.pop("cover") == reason
+        assert verdicts.pop("cross_oracle") == reason
         assert set(verdicts.values()) == {"pass"}, args
     # F(2, 10) has 226 dimensions, inside the bound: both engines still run
     path = tmp_path / "filiform10.json"
@@ -466,6 +472,22 @@ def test_catalog_takes_no_algebra_and_no_field(capsys):
         assert "--catalog" in captured.err and "Traceback" not in captured.err
     # without --field an algebra is still read over Q
     code, doc = run(["verify", "heisenberg(1)"], capsys)
+    assert code == 0 and doc["input"]["document"]["field"] == "Q"
+
+
+def test_field_is_refused_with_a_document_path(tmp_path, capsys):
+    # info doc.json --field 5 used to report over the document's own field
+    # and drop --field without a word.
+    path = tmp_path / "h1.json"
+    path.write_text(json.dumps(H1_DOC))
+    for command in ("info", "tensor", "present", "cover", "verify"):
+        for field in ("5", "Q"):
+            assert main([command, str(path), "--field", field]) == 2, command
+            captured = capsys.readouterr()
+            assert captured.out == "", command
+            assert "--field" in captured.err and "Traceback" not in captured.err
+    # without --field the document is read over its own field
+    code, doc = run(["info", str(path)], capsys)
     assert code == 0 and doc["input"]["document"]["field"] == "Q"
 
 

@@ -467,7 +467,7 @@ def test_the_dense_views_are_off_the_verification_path(monkeypatch):
     for L in algebras:
         verdicts = verify_document(L, "test")["verdicts"]
         assert set(verdicts.values()) == {"pass"}, (L, verdicts)
-    P = presentation_of(catalog("heisenberg(2)+abelian(1)", GF(5)))
-    assert verify_cover_theorem(P, build_cover(P)).ok
+    L = catalog("heisenberg(2)+abelian(1)", GF(5))
+    assert verify_cover_theorem(build_cover(L), build_tensor_square(L)).ok
     with pytest.raises(AssertionError, match="dense view"):
         Matrix.identity(QQ, 1).entries
