@@ -21,7 +21,7 @@ print("\npairing satisfies the Lie-pairing axioms:",
 zeta = T.factor_pairing(bracket_pairing(h), h)
 kappa, j2 = T.commutator_map
 print("factoring the bracket pairing recovers the commutator map:",
-      zeta.matrix == kappa.matrix)
+      zeta == kappa)
 
 ## The full dimension table. For H(1):
 ## tensor 6, square submodule 3, exterior 3, commutator kernel 5,

@@ -7,12 +7,13 @@ its kernel, the Schur multiplier, the tensor and exterior centers, and the
 Whitehead quadratic functor.  A second, independent engine computes the
 exterior square and multiplier from a free nilpotent presentation, covers
 are built from the exterior square, and every structure theorem relating
-these objects is verified mechanically on concrete algebras.
+these objects is verified mechanically on concrete algebras.  Every linear
+map is a Matrix and every subspace, with the quotient by it, a Subspace.
 """
 
 from .fields import GF, QQ, Field
-from .linalg import (LinearMap, Matrix, Subspace, kernel, quotient_structure,
-                     rref, subspace_intersect, subspace_sum)
+from .linalg import (Matrix, Subspace, kernel, rref, subspace_intersect,
+                     subspace_sum)
 from .errors import Verdict
 from .liealg import (BilinearMap, LieAlgebra, bracket_pairing, direct_sum,
                      ideal_closure, is_lie_pairing, lie_algebra_from_brackets,
@@ -28,8 +29,8 @@ from .presentation import (Cover, FreePresentation, build_cover,
 
 __all__ = [
     "GF", "QQ", "Field",
-    "LinearMap", "Matrix", "Subspace", "kernel", "quotient_structure",
-    "rref", "subspace_intersect", "subspace_sum",
+    "Matrix", "Subspace", "kernel", "rref", "subspace_intersect",
+    "subspace_sum",
     "BilinearMap", "LieAlgebra", "bracket_pairing",
     "direct_sum", "ideal_closure", "is_lie_pairing",
     "lie_algebra_from_brackets", "lie_algebra_from_table",

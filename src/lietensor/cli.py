@@ -162,14 +162,20 @@ def emit_report(doc: dict, path: Optional[str] = None) -> None:
             fh.write(text)
 
 
-def load_algebra(source: str, field: Field = QQ) -> tuple[LieAlgebra, str]:
-    """Resolve a catalog name or a JSON document path.
+def load_algebra(source: str,
+                 field: Optional[Field] = None) -> tuple[LieAlgebra, str]:
+    """Resolve a catalog name, over field (default Q), or a JSON document
+    path, over the document's own field; a field given with a document is
+    refused rather than dropped.
 
     Only a string that is a catalog name in full routes to the catalog, so a
     file such as heisenberg_copy.json is read as a document.
     """
     if is_catalog_name(source):
-        return catalog(source, field), f"catalog:{source}"
+        return catalog(source, field or QQ), f"catalog:{source}"
+    if field is not None:
+        raise InvalidInputError(
+            "--field applies to catalog names, not documents")
     try:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -238,8 +244,6 @@ def present_document(L: LieAlgebra, source: str) -> dict:
     P = presentation_of(L)
     mult = multiplier_via_presentation(P)
     F = P.free
-    ext_dim = (F.algebra.derived_subalgebra().dim
-               - P.relations_commutator.dim)
     return {
         "command": "present",
         "input": _input_section(L, source),
@@ -253,8 +257,8 @@ def present_document(L: LieAlgebra, source: str) -> dict:
         "dimensions": {
             "relations": P.relations.dim,
             "relations_commutator": P.relations_commutator.dim,
-            "relations_in_derived": P.relations_in_derived.dim,
-            "exterior_square": ext_dim,
+            "relations_in_derived": P.relations.dim,  # R lies in F' (Hopf)
+            "exterior_square": P.exterior.dim,  # presentation_of aligned F'
             "schur_multiplier": mult.dim,
         },
         "timings": None,
@@ -392,7 +396,6 @@ def _parse_field(text: Optional[str]) -> Field:
         raise InvalidInputError(str(exc))
 
 
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lietensor",
@@ -476,10 +479,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             if args.command == "verify" and not args.algebra:
                 raise InvalidInputError("verify needs an algebra or --catalog")
-            L, source = load_algebra(args.algebra, _parse_field(args.field))
-            if args.field is not None and not is_catalog_name(args.algebra):
-                raise InvalidInputError(
-                    "--field applies to catalog names, not documents")
+            L, source = load_algebra(args.algebra, None if args.field is None
+                                     else _parse_field(args.field))
             builder = {
                 "info": info_document,
                 "tensor": tensor_document,

@@ -28,9 +28,8 @@ from typing import Optional, Sequence
 
 from .errors import InternalCheckError, NotIdealError, Verdict
 from .fields import Field, Scalar
-from .linalg import (LinearMap, SparseVector, SpanBuilder, Subspace, Vector,
-                     add_scaled, annihilator, combine, dense,
-                     quotient_structure, sparse)
+from .linalg import (Matrix, SparseVector, SpanBuilder, Subspace, Vector,
+                     add_scaled, annihilator, combine, dense, sparse)
 
 
 Cell = tuple[tuple[int, Scalar], ...]
@@ -182,8 +181,8 @@ class LieAlgebra:
         return annihilator(self.field, self.dim, self.dim,
                            lambda i, j: self.cells[i][j])
 
-    def lower_central_series(self) -> list[Subspace]:
-        """Terms L = L^1 >= L^2 >= ... including the first stabilized term."""
+    @cached_property
+    def _lower_central_series(self) -> tuple[Subspace, ...]:
         series = [Subspace.full_space(self.field, self.dim)]
         while True:
             prev = series[-1]
@@ -195,7 +194,12 @@ class LieAlgebra:
             series.append(nxt)
             if nxt == prev or nxt.dim == 0:
                 break
-        return series
+        return tuple(series)
+
+    def lower_central_series(self) -> tuple[Subspace, ...]:
+        """Terms L = L^1 >= L^2 >= ... including the first stabilized term;
+        computed once, as verify reads it three times."""
+        return self._lower_central_series
 
     def nilpotency_class(self) -> Optional[int]:
         """Largest k with L^k nonzero, or None when the series stabilizes high."""
@@ -289,7 +293,7 @@ def lie_algebra_from_brackets(field: Field, dim: int,
     return LieAlgebra(field, dim, tuple(map(tuple, cells)), tuple(names))
 
 
-def quotient_algebra(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LinearMap]:
+def quotient_algebra(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     """Quotient of L by an ideal, on the canonical complement coordinates.
 
     The ideal property [ideal, L] <= ideal is checked, not trusted.
@@ -306,18 +310,20 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Linear
     return quotient_by_ideal(L, ideal)
 
 
-def quotient_by_ideal(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, LinearMap]:
+def quotient_by_ideal(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     """The quotient construction of quotient_algebra, for a subspace the
-    caller has already proved to be an ideal.  The quotient is validated."""
-    qs = quotient_structure(L.dim, ideal)
-    q = qs.dim
-    index = {c: r for r, c in enumerate(qs.free_cols)}
+    caller has already proved to be an ideal of L, of ambient dimension
+    dim L (quotient_algebra checks it, and presentation_of builds [R,F] in
+    F's coordinates).  The quotient is validated."""
+    free = ideal.free_cols
+    q = len(free)
+    index = {c: r for r, c in enumerate(free)}
     # [x_a, x_b] for free columns a, b is the stored cell itself; its
     # residual is zero at every pivot, so it lives on the free columns.
     # Only the nonzero cells of each free row are reduced (compress finds
     # them); the others stay empty.
     cells = []
-    for a in qs.free_cols:
+    for a in free:
         row, stored = [()] * q, L.cells[a]
         for b in compress(range(L.dim), stored):
             if b in index:
@@ -331,7 +337,7 @@ def quotient_by_ideal(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Linea
     if not report.ok:
         raise InternalCheckError(
             f"quotient algebra fails validation: {report.detail}")
-    return quotient, LinearMap(qs.project)
+    return quotient, ideal.project
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:

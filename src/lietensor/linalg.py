@@ -1,5 +1,10 @@
-"""Deterministic exact linear algebra: RREF, kernels, canonical subspaces,
-sums, intersections and quotient structures.
+"""Deterministic exact linear algebra: RREF, kernels, images, canonical
+subspaces, sums, intersections and quotients.
+
+A Matrix is a linear map acting on columns, with products, ranks, images
+and kernel(m).  A Subspace also stands for the quotient of its ambient
+space by it, on its free columns, and project maps onto them.  SpanBuilder
+is the one elimination routine.
 
 Everything is stored as zero-free {index: value} dicts: a Matrix as its
 columns, a Subspace as its fully reduced echelon rows, so subspace equality
@@ -129,6 +134,20 @@ class Matrix:
             builder.insert(c)
         return builder.dim
 
+    def image_of(self, space: "Subspace") -> "Subspace":
+        """The image of a subspace of the column space, spanned by the
+        images of its echelon rows."""
+        builder = SpanBuilder(self.field, self.rows)
+        for row in space.sparse_rows:
+            builder.insert(combine(row.items(), self.sparse_columns))
+        return builder.subspace()
+
+    def image(self) -> "Subspace":
+        return self.image_of(Subspace.full_space(self.field, self.cols))
+
+    def is_bijective(self) -> bool:
+        return self.rows == self.cols and self.rank() == self.cols
+
 
 def _row_echelon(m: Matrix) -> "SpanBuilder":
     """The echelon form of the rows of m."""
@@ -182,11 +201,28 @@ class Subspace:
         return Matrix(self.field, self.dim, self.ambient_dim,
                       _transpose(self.sparse_rows, self.ambient_dim))
 
-    @property
+    @cached_property
     def free_cols(self) -> tuple[int, ...]:
-        """The non-pivot columns, in increasing order."""
+        """The non-pivot columns, in increasing order: the coordinates of
+        the ambient space modulo this subspace."""
         pivots = set(self.pivots)
         return tuple(j for j in range(self.ambient_dim) if j not in pivots)
+
+    @property
+    def project(self) -> Matrix:
+        """The projection of the ambient space modulo this subspace onto the
+        free columns, built on demand: column c is the residual of e_c
+        there, the r-th unit vector when c is the r-th free column and else
+        minus row c off its pivot (a reduced row is 0 at other pivots).  So
+        project(v) = 0 exactly when v lies in the subspace."""
+        one = self.field.one
+        index = {c: r for r, c in enumerate(self.free_cols)}
+        columns = [{index[c]: one} if c in index else None
+                   for c in range(self.ambient_dim)]
+        for p, row in zip(self.pivots, self.sparse_rows):
+            columns[p] = {index[c]: -x for c, x in row.items() if c != p}
+        return Matrix(self.field, len(index), self.ambient_dim,
+                      tuple(columns))
 
     @cached_property
     def _echelon(self) -> "SpanBuilder":
@@ -349,94 +385,3 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         builder.insert(w)
     return _subspace(a.field, n, {p - n: {j - n: x for j, x in row.items()}
                                   for p, row in builder._rows.items() if p >= n})
-
-
-@dataclass(frozen=True)
-class QuotientStructure:
-    """Coordinates for an ambient space modulo a subspace.
-
-    Coset representatives are the standard basis vectors at the non-pivot
-    columns of the subspace, so project sends the one at the r-th free column
-    to the r-th unit vector, and project(v) = 0 exactly when v lies in the
-    subspace.
-    """
-
-    sub: Subspace
-    free_cols: tuple[int, ...]
-
-    def __repr__(self):
-        name = self.sub.field.name
-        return (f"QuotientStructure({name}^{self.ambient_dim} modulo "
-                f"dim {self.sub.dim} -> dim {self.dim})")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.sub.ambient_dim
-
-    @property
-    def dim(self) -> int:
-        return len(self.free_cols)
-
-    @property
-    def project(self) -> Matrix:
-        """The projection onto the free columns, built on demand: column c
-        is the residual of e_c there, a unit vector when c is free and else
-        minus row c off its pivot (a reduced row is 0 at other pivots)."""
-        sub = self.sub
-        one = sub.field.one
-        index = {c: r for r, c in enumerate(self.free_cols)}
-        columns = [{index[c]: one} if c in index else None
-                   for c in range(self.ambient_dim)]
-        for p, row in zip(sub.pivots, sub.sparse_rows):
-            columns[p] = {index[c]: -x for c, x in row.items() if c != p}
-        return Matrix(sub.field, self.dim, self.ambient_dim, tuple(columns))
-
-
-def quotient_structure(ambient_dim: int, sub: Subspace) -> QuotientStructure:
-    if sub.ambient_dim != ambient_dim:
-        raise ValueError("ambient mismatch")
-    return QuotientStructure(sub, sub.free_cols)
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """Linear map stored as a (target_dim x source_dim) matrix acting on columns."""
-
-    matrix: Matrix
-
-    def __repr__(self):
-        name = self.matrix.field.name
-        return f"LinearMap({name}^{self.source_dim} -> {name}^{self.target_dim})"
-
-    @property
-    def source_dim(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def target_dim(self) -> int:
-        return self.matrix.rows
-
-    def compose(self, inner: "LinearMap") -> "LinearMap":
-        return LinearMap(self.matrix.mul(inner.matrix))
-
-    def image_of(self, space: Subspace) -> Subspace:
-        """The image of a subspace of the source, spanned by the images of
-        its echelon rows."""
-        builder = SpanBuilder(self.matrix.field, self.target_dim)
-        for row in space.sparse_rows:
-            builder.insert(combine(row.items(), self.matrix.sparse_columns))
-        return builder.subspace()
-
-    def image(self) -> Subspace:
-        return self.image_of(Subspace.full_space(self.matrix.field,
-                                                 self.source_dim))
-
-    def kernel(self) -> Subspace:
-        return kernel(self.matrix)
-
-    def rank(self) -> int:
-        return self.matrix.rank()
-
-    def is_bijective(self) -> bool:
-        return (self.source_dim == self.target_dim
-                and self.rank() == self.source_dim)

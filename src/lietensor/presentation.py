@@ -56,43 +56,40 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, compress
-from typing import Optional
 
 from .catalog import MAX_AMBIENT
 from .errors import (InternalCheckError, NotNilpotentError,
                      OutsideEnvelopeError, TheoremViolationError, Verdict)
 from .liealg import (BilinearMap, LieAlgebra, _cell, homomorphism_failure,
                      quotient_by_ideal)
-from .linalg import (LinearMap, Matrix, SpanBuilder, Subspace, add_scaled,
-                     combine, quotient_structure)
+from .linalg import (Matrix, SpanBuilder, Subspace, add_scaled, combine,
+                     kernel)
 from .freenilp import FreeNilpotent, dimension_exceeds, free_nilpotent
-from .tensor import TensorSquare, _kills_relations, build_tensor_square
+from .tensor import TensorSquare, _kills_relations
 
 
 @dataclass(frozen=True)
 class FreePresentation:
     """A surjection from a truncated free algebra onto L with its kernel data.
 
-    relations is the kernel of the surjection; relations_commutator is the
-    span of brackets of kernel elements with the whole algebra; and
-    relations_in_derived is the part of the kernel inside the derived
-    subalgebra of the free algebra (all of it, by the Hopf argument of the
-    module docstring).
+    relations is the kernel of the surjection, inside the derived subalgebra
+    of the free algebra by the Hopf argument of the module docstring; and
+    relations_commutator is the span of brackets of kernel elements with
+    the whole algebra.
     """
 
     L: LieAlgebra
     free: FreeNilpotent
-    onto: LinearMap
+    onto: Matrix
     relations: Subspace
     relations_commutator: Subspace
-    relations_in_derived: Subspace
 
     def __repr__(self):
         return (f"FreePresentation(L dim {self.L.dim}, free dim "
                 f"{self.free.algebra.dim}, relations dim {self.relations.dim})")
 
     @cached_property
-    def quotient(self) -> tuple[LieAlgebra, LinearMap]:
+    def quotient(self) -> tuple[LieAlgebra, Matrix]:
         """G = F/[R,F] and the projection onto it.  presentation_of proved
         [R,F] an ideal (module docstring); G is validated.  [R,F] lies in
         F', so the generators are G's first d positions."""
@@ -119,7 +116,7 @@ class Cover:
     L: LieAlgebra
     algebra: LieAlgebra
     multiplier: Subspace
-    onto: LinearMap
+    onto: Matrix
     boundaries: Subspace
     d: int
 
@@ -158,8 +155,11 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
         images.append({lifts[w.index]: L.field.one} if w.index is not None
                       else L.bracket_sparse(images[position[w.left]],
                                             images[position[w.right]]))
-    onto = LinearMap(Matrix(L.field, L.dim, n, tuple(images)))
-    if onto.rank() != L.dim:
+    onto = Matrix(L.field, L.dim, n, tuple(images))
+    # rank + nullity = n, so onto has rank dim L, and the lifts generate L,
+    # exactly when the kernel has dimension n - dim L: one elimination.
+    relations = kernel(onto)
+    if relations.dim != n - L.dim:
         raise InternalCheckError("canonical lifts do not generate the algebra")
     # Only the generator rows: they generate F, and F and L satisfy Jacobi
     # (module docstring).  They come first in row-major order, so the first
@@ -169,7 +169,6 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
         raise InternalCheckError(
             "presentation map is not a homomorphism at (%d,%d)" % bad)
 
-    relations = onto.kernel()
     # [R, F] = [R, X], and closure under ad(X) makes it an ideal (module
     # docstring); the generators are the first d Hall words.
     # Only the rows below the top layer, degree c + 1, are bracketed.  The
@@ -214,13 +213,12 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
     for i, deg in enumerate(F.degrees):
         if deg == cls + 1 and relations.reduce_sparse({i: L.field.one}):
             raise InternalCheckError("top truncation layer survives in L")
-    return FreePresentation(L, F, onto, relations, relations_commutator,
-                            relations)
+    return FreePresentation(L, F, onto, relations, relations_commutator)
 
 
 def exterior_via_presentation(
         P: FreePresentation,
-        tensor: Optional[TensorSquare] = None) -> tuple[LieAlgebra, LinearMap]:
+        tensor: TensorSquare) -> tuple[LieAlgebra, Matrix]:
     """The exterior square computed from the presentation, together with the
     explicit isomorphism onto the tensor engine's exterior square (each basis
     bracket maps to the wedge of the images of its two halves).
@@ -228,12 +226,10 @@ def exterior_via_presentation(
     Raises TheoremViolationError if the explicit map fails to be a bijective
     homomorphism.
     """
-    if tensor is None:
-        tensor = build_tensor_square(P.L)
     wedge_alg, to_wedge = tensor.exterior_square()
     F = P.free
     index = {w: i for i, w in enumerate(F.words)}
-    onto = P.onto.matrix.sparse_columns
+    onto = P.onto.sparse_columns
     # A map on F that wedges the images of the two halves of each composite
     # Hall word; only its restriction to F' (those words) is used, so the
     # generators go to zero.
@@ -241,19 +237,17 @@ def exterior_via_presentation(
     for w in F.words[F.d:]:
         pure = tensor.pairing.apply_sparse(onto[index[w.left]],
                                            onto[index[w.right]])
-        images.append(combine(pure.items(), to_wedge.matrix.sparse_columns))
-    eps_on_free = LinearMap(Matrix(P.L.field, wedge_alg.dim, len(images),
-                                   tuple(images)))
+        images.append(combine(pure.items(), to_wedge.sparse_columns))
+    eps_on_free = Matrix(P.L.field, wedge_alg.dim, len(images), tuple(images))
     if eps_on_free.image_of(P.relations_commutator).dim:
         raise TheoremViolationError(
             "wedge map does not kill the relation commutator")
-    eps = LinearMap(eps_on_free.matrix.select_columns(
-        P.relations_commutator.free_cols[F.d:]))
+    eps = eps_on_free.select_columns(P.relations_commutator.free_cols[F.d:])
     _check_isomorphism(eps, P.exterior, wedge_alg)
     return P.exterior, eps
 
 
-def _check_isomorphism(f: LinearMap, source: LieAlgebra, target: LieAlgebra):
+def _check_isomorphism(f: Matrix, source: LieAlgebra, target: LieAlgebra):
     """Assert that a linear map is a bijective homomorphism, hence an
     isomorphism of Lie algebras.
 
@@ -263,20 +257,20 @@ def _check_isomorphism(f: LinearMap, source: LieAlgebra, target: LieAlgebra):
     if not f.is_bijective():
         raise TheoremViolationError(f"map from dimension {source.dim} to "
                                     f"{target.dim} is not bijective")
-    bad = homomorphism_failure(f.matrix.sparse_columns, source, target)
+    bad = homomorphism_failure(f.sparse_columns, source, target)
     if bad is not None:
         raise TheoremViolationError(
             "map is not a homomorphism at basis pair (%d,%d)" % bad)
 
 
 def multiplier_via_presentation(P: FreePresentation) -> Subspace:
-    """Image of the derived part of the relations in the presentation
-    quotient; its dimension is the Schur multiplier dimension.  The image
+    """Image of the relations in the presentation quotient, R/[R,F]; its
+    dimension is the Schur multiplier dimension.  The image
     lies in F'/[R,F], G after its first d positions, and is given in the
     coordinates of P.exterior: shifting every column by d keeps the rows
     fully reduced."""
     _, to_G = P.quotient
-    image, d = to_G.image_of(P.relations_in_derived), P.free.d
+    image, d = to_G.image_of(P.relations), P.free.d
     return Subspace(image.field, image.ambient_dim - d,
                     tuple(p - d for p in image.pivots),
                     tuple({j - d: x for j, x in row.items()}
@@ -332,7 +326,7 @@ def build_cover(L: LieAlgebra) -> Cover:
     lifts, free = L.derived_subalgebra().free_cols, space.free_cols
     d, dim = len(lifts), len(lifts) + len(free)
     pi = tuple([{c: one} for c in lifts] + [kappa[p] for p in free])
-    project = quotient_structure(len(kappa), space).project.sparse_columns
+    project = space.project.sparse_columns
     in_C = [{d + r: x for r, x in col.items()} for col in project]
     classes = BilinearMap(field, n, dim, tuple(
         tuple(combine(w.items(), in_C) for w in row) for row in _wedge(n, one)))
@@ -351,8 +345,8 @@ def build_cover(L: LieAlgebra) -> Cover:
     if bad is not None:
         raise InternalCheckError(
             "cover projection is not a homomorphism at (%d,%d)" % bad)
-    onto = LinearMap(Matrix(field, n, dim, pi))
-    multiplier = onto.kernel()
+    onto = Matrix(field, n, dim, pi)
+    multiplier = kernel(onto)
     if dim != n + multiplier.dim:  # so pi is onto, by rank-nullity
         raise TheoremViolationError(
             f"cover dimension {dim} != {n} + {multiplier.dim}")
@@ -383,12 +377,12 @@ def verify_cover_theorem(cover: Cover, tensor: TensorSquare) -> Verdict:
         return Verdict(False, "cover derived subalgebra is not the span of "
                               "its positions d..dim C - 1")
     images = tuple(combine(tensor.pairing.cells[i][j].items(),
-                           to_wedge.matrix.sparse_columns)
+                           to_wedge.sparse_columns)
                    for i, j in combinations(range(L.dim), 2))
     if not _kills_relations(cover.boundaries, images):
         return Verdict(False, "the wedge map does not kill d3")
-    eps = LinearMap(Matrix(L.field, wedge_alg.dim, len(images), images)
-                    .select_columns(cover.boundaries.free_cols))
+    eps = Matrix(L.field, wedge_alg.dim, len(images), images).select_columns(
+        cover.boundaries.free_cols)
     try:
         _check_isomorphism(eps, _restrict(C, d), wedge_alg)
     except TheoremViolationError as exc:

@@ -27,8 +27,8 @@ minus its pivot row read there; a bracket cell is the residual of a sparse
 vector.  Every check that a map kills the relations (the bracket's
 well-definedness, the commutator map, induced maps, factored pairings)
 combines the map's sparse ambient columns over those rows.  The universal
-pairing stores the sparse columns of quotient.project as its cells, and the
-three centers are read off them.
+pairing stores the sparse columns of the relation space's projection as its
+cells, and the three centers are read off them.
 """
 
 from __future__ import annotations
@@ -41,20 +41,19 @@ from .errors import InternalCheckError, InvalidInputError, Verdict
 from .fields import Scalar
 from .liealg import (BilinearMap, Cell, LieAlgebra, homomorphism_failure,
                      is_lie_pairing, quotient_algebra)
-from .linalg import (LinearMap, Matrix, SparseVector, SpanBuilder, Subspace,
-                     Vector, add_scaled, annihilator, combine,
-                     quotient_structure, subspace_intersect, subspace_sum)
+from .linalg import (Matrix, SparseVector, SpanBuilder, Subspace, Vector,
+                     add_scaled, annihilator, combine, kernel,
+                     subspace_intersect, subspace_sum)
 
 
 class TensorSquare:
     """The tensor square of ``base`` as an explicit quotient of the pure
     tensor coordinate space, together with the universal pairing."""
 
-    def __init__(self, base: LieAlgebra, relation_space: Subspace, quotient,
+    def __init__(self, base: LieAlgebra, relation_space: Subspace,
                  algebra: LieAlgebra, pairing: BilinearMap):
         self.base = base
         self.relation_space = relation_space
-        self.quotient = quotient
         self.algebra = algebra
         self.pairing = pairing
 
@@ -100,43 +99,39 @@ class TensorSquare:
         return space
 
     @cached_property
-    def _exterior(self) -> tuple[LieAlgebra, LinearMap]:
+    def _exterior(self) -> tuple[LieAlgebra, Matrix]:
         return quotient_algebra(self.algebra, self.square_submodule)
 
-    def exterior_square(self) -> tuple[LieAlgebra, LinearMap]:
+    def exterior_square(self) -> tuple[LieAlgebra, Matrix]:
         """The exterior square (quotient by the square submodule) and the
         projection onto it."""
         return self._exterior
 
     @cached_property
-    def commutator_map(self) -> tuple[LinearMap, Subspace]:
+    def commutator_map(self) -> tuple[Matrix, Subspace]:
         """The map sending a generator to the bracket of its two slots, with
         its kernel.  Vanishing on the relation space and the homomorphism
         property are asserted."""
-        L = self.base
-        n = L.dim
-        if not _kills_relations(self.relation_space, _commutator_columns(L)):
+        L, columns = self.base, _commutator_columns(self.base)
+        if not _kills_relations(self.relation_space, columns):
             raise InternalCheckError("commutator map does not kill a relation")
-        kappa = LinearMap(Matrix(L.field, n, self.dim,
-                                 tuple(dict(L.cells[p // n][p % n])
-                                       for p in self.quotient.free_cols)))
-        bad = homomorphism_failure(kappa.matrix.sparse_columns, self.algebra, L)
+        kappa = Matrix(L.field, L.dim, self.dim,
+                       tuple(columns[p] for p in self.relation_space.free_cols))
+        bad = homomorphism_failure(kappa.sparse_columns, self.algebra, L)
         if bad is not None:
             raise InternalCheckError(
                 "commutator map is not a homomorphism at basis pair (%d,%d)" % bad)
-        return kappa, kappa.kernel()
+        return kappa, kernel(kappa)
 
     def schur_multiplier(self) -> Subspace:
         """Kernel of the induced commutator map on the exterior square."""
         kappa, _ = self.commutator_map
-        cols = kappa.matrix.sparse_columns
+        cols = kappa.sparse_columns
         for row in self.square_submodule.sparse_rows:
             if combine(row.items(), cols):
                 raise InternalCheckError(
                     "commutator map does not vanish on the square submodule")
-        induced = LinearMap(
-            kappa.matrix.select_columns(self.square_submodule.free_cols))
-        return induced.kernel()
+        return kernel(kappa.select_columns(self.square_submodule.free_cols))
 
     # Each center is the kernel of v -> (cell(v, x_j))_j, stacked over all
     # j, read off the pairing's sparse cells.
@@ -157,7 +152,7 @@ class TensorSquare:
     def _exterior_center(self) -> Subspace:
         cells = self.pairing.cells
         ext, proj = self._exterior
-        cols = proj.matrix.sparse_columns
+        cols = proj.sparse_columns
         return annihilator(self.base.field, self.base.dim, ext.dim,
                            lambda i, j: combine(cells[i][j].items(), cols).items())
 
@@ -186,7 +181,7 @@ class TensorSquare:
         tab = build_tensor_square(ab)
         pi = induced_map(self, to_ab, tab)
         return Abelianization(ab, to_ab, derived.free_cols, tab, pi,
-                              pi.kernel())
+                              kernel(pi))
 
     def verify_kernel_identity(self) -> Verdict:
         """The kernel of the abelianization map, computed three ways:
@@ -243,7 +238,7 @@ class TensorSquare:
         if proj.image_of(comp).dim != comp.dim or comp.dim != ext.dim:
             return Verdict(False, "complement does not map bijectively onto the exterior square")
         # Sparse {k: nonzero} sides are equal exactly when the dense ones are.
-        cols = proj.matrix.sparse_columns
+        cols = proj.sparse_columns
         images = [combine(row.items(), cols) for row in rows]
         for ra, pa in zip(rows, images):
             for rb, pb in zip(rows, images):
@@ -301,7 +296,7 @@ class TensorSquare:
     # universal property and the Whitehead functor
     # ------------------------------------------------------------------
 
-    def factor_pairing(self, rho: BilinearMap, H: LieAlgebra) -> LinearMap:
+    def factor_pairing(self, rho: BilinearMap, H: LieAlgebra) -> Matrix:
         """The unique linear factorization of a Lie pairing through the
         universal one."""
         check = is_lie_pairing(rho, self.base, H)
@@ -312,12 +307,12 @@ class TensorSquare:
         if not _kills_relations(self.relation_space, columns):
             raise InvalidInputError(
                 "pairing does not vanish on the tensor relations")
-        zeta = LinearMap(Matrix(self.base.field, H.dim, self.dim,
-                                tuple(columns[p] for p in self.quotient.free_cols)))
+        zeta = Matrix(self.base.field, H.dim, self.dim,
+                      tuple(columns[p] for p in self.relation_space.free_cols))
         pure = self.pairing.cells
         for i in range(n):
             for j in range(n):
-                if combine(pure[i][j].items(), zeta.matrix.sparse_columns) \
+                if combine(pure[i][j].items(), zeta.sparse_columns) \
                         != columns[i * n + j]:
                     raise InternalCheckError("factorization does not recover the pairing")
         return zeta
@@ -337,12 +332,11 @@ class TensorSquare:
                 v = dict(cells[a][b])
                 add_scaled(v, field.one, cells[b][a].items())
                 cols.append(v)
-        to_square = LinearMap(Matrix(field, self.dim, len(cols),
-                                     tuple(cols)))
+        to_square = Matrix(field, self.dim, len(cols), tuple(cols))
         image = to_square.image()
         if image != self.square_submodule:
             raise InternalCheckError("Whitehead map is not onto the square submodule")
-        if to_square.rank() != gamma_dim:
+        if image.dim != gamma_dim:  # the rank, on gamma_dim columns
             raise InternalCheckError("Whitehead map is not injective")
         return WhiteheadGamma(m, gamma_dim, to_square)
 
@@ -353,10 +347,10 @@ class Abelianization:
     unit vectors of L at lift_cols, the free columns of L^2."""
 
     algebra: LieAlgebra
-    to_ab: LinearMap
+    to_ab: Matrix
     lift_cols: tuple[int, ...]
     tensor: "TensorSquare"
-    map: LinearMap
+    map: Matrix
     kernel: Subspace
 
 
@@ -367,7 +361,7 @@ class WhiteheadGamma:
 
     rank: int
     dim: int
-    to_square: LinearMap
+    to_square: Matrix
 
     def quadratic(self, v: Sequence[Scalar]) -> Vector:
         """The universal quadratic map in these coordinates."""
@@ -391,13 +385,12 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     signals an implementation bug rather than bad input).
     """
     n = L.dim
-    amb = n * n
     field = L.field
     one = field.one
     minus_one = -one
     nz = L.cells
 
-    builder = SpanBuilder(field, amb)
+    builder = SpanBuilder(field, n * n)
     for i in range(n):
         for j in range(i + 1, n):
             nz_ij = nz[i][j]
@@ -443,10 +436,9 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
                 add_scaled(v, cx, [(x * n + y, cy) for y, cy in wa.items()])
             builder.insert(v)
     relations = builder.subspace()
-    qs = quotient_structure(amb, relations)
     _check_well_defined(L, relations)
 
-    free = qs.free_cols
+    free = relations.free_cols
     q = len(free)
     reps = [divmod(p, n) for p in free]
     index = {c: r for r, c in enumerate(free)}
@@ -469,10 +461,10 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
         raise InternalCheckError(f"tensor square fails validation: {report.detail}")
 
     # x_i (x) x_j in quotient coordinates is column i*n+j of the projection.
-    pure = qs.project.sparse_columns
+    pure = relations.project.sparse_columns
     pairing = BilinearMap(field, n, q,
                           tuple(pure[i * n:(i + 1) * n] for i in range(n)))
-    return TensorSquare(L, relations, qs, algebra, pairing)
+    return TensorSquare(L, relations, algebra, pairing)
 
 
 def _check_well_defined(L: LieAlgebra, relations: Subspace) -> None:
@@ -499,15 +491,15 @@ def _kills_relations(relations: Subspace,
                    for row in relations.sparse_rows)
 
 
-def induced_map(src: TensorSquare, f: LinearMap, dst: TensorSquare) -> LinearMap:
+def induced_map(src: TensorSquare, f: Matrix, dst: TensorSquare) -> Matrix:
     """Functorial map of tensor squares induced by a homomorphism of the
     bases; asserted to kill the source relations."""
-    images = f.matrix.sparse_columns
+    images = f.sparse_columns
     cols = [dst.pairing.apply_sparse(fi, fj) for fi in images for fj in images]
     if not _kills_relations(src.relation_space, cols):
         raise InternalCheckError("induced map does not kill a relation")
-    return LinearMap(Matrix(src.base.field, dst.dim, src.dim,
-                            tuple(cols[p] for p in src.quotient.free_cols)))
+    return Matrix(src.base.field, dst.dim, src.dim,
+                  tuple(cols[p] for p in src.relation_space.free_cols))
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from lietensor.catalog import MAX_AMBIENT
 from lietensor.errors import TheoremViolationError
 from lietensor.freenilp import dimension_exceeds, free_nilpotent
 from lietensor.liealg import _cell
-from lietensor.linalg import (LinearMap, Matrix, SpanBuilder, Subspace,
-                              _transpose, combine, dense, sparse,
-                              subspace_intersect, subspace_sum)
+from lietensor.linalg import (Matrix, SpanBuilder, Subspace, _transpose,
+                              combine, dense, sparse, subspace_intersect,
+                              subspace_sum)
 from lietensor.presentation import _check_isomorphism
 
 
@@ -44,10 +44,10 @@ def matrix_from_rows(field: Field, rows, cols=None) -> Matrix:
                   _transpose([sparse(r) for r in rows], cols))
 
 
-def linear_map(field: Field, target_dim: int, images) -> LinearMap:
+def linear_map(field: Field, target_dim: int, images) -> Matrix:
     """The linear map sending x_i to the dense vector images[i]."""
-    return LinearMap(Matrix(field, target_dim, len(images),
-                            tuple(sparse(im) for im in images)))
+    return Matrix(field, target_dim, len(images),
+                  tuple(sparse(im) for im in images))
 
 
 def bilinear_from_table(field: Field, source_dim: int, target_dim: int,
@@ -414,13 +414,13 @@ def dense_decomposition_verdict(T) -> Verdict:
         if not all(contains(comp, dense_bracket(alg, row, x)) for x in basis(alg)):
             return Verdict(False, "complement is not an ideal")
     ext, proj = T._exterior
-    images = [dense_apply(proj.matrix, row) for row in comp.basis.entries]
+    images = [dense_apply(proj, row) for row in comp.basis.entries]
     if span(alg.field, ext.dim, images).dim != comp.dim \
             or comp.dim != ext.dim:
         return Verdict(False, "complement does not map bijectively onto the exterior square")
     for ra, pa in zip(comp.basis.entries, images):
         for rb, pb in zip(comp.basis.entries, images):
-            if dense_apply(proj.matrix, dense_bracket(alg, ra, rb)) \
+            if dense_apply(proj, dense_bracket(alg, ra, rb)) \
                     != dense_bracket(ext, pa, pb):
                 return Verdict(False, "restriction to the complement is not a homomorphism")
     return Verdict(True, f"{T.dim} = {sq.dim} + {comp.dim}")
@@ -492,10 +492,9 @@ def complement_cover(P):
     extra = complement_within(to_G.image_of(in_derived),
                               to_G.image_of(P.relations))
     K, to_K = quotient_algebra(G, extra)
-    from_free = to_K.compose(to_G)
+    from_free = to_K.mul(to_G)
     g_free = P.relations_commutator.free_cols
-    onto = LinearMap(P.onto.matrix.select_columns(
-        [g_free[c] for c in extra.free_cols]))
+    onto = P.onto.select_columns([g_free[c] for c in extra.free_cols])
     return K, from_free, from_free.image_of(in_derived), onto
 
 
@@ -506,14 +505,13 @@ def free_cover(P):
     its r-th free column to the r-th unit vector, and is checked to factor
     the presentation map."""
     G, from_free = P.quotient
-    onto = LinearMap(P.onto.matrix.select_columns(
-        P.relations_commutator.free_cols))
-    if onto.compose(from_free).matrix != P.onto.matrix:
+    onto = P.onto.select_columns(P.relations_commutator.free_cols)
+    if onto.mul(from_free) != P.onto:
         raise ValueError("cover projection does not factor the presentation")
-    return G, from_free, from_free.image_of(P.relations_in_derived), onto
+    return G, from_free, from_free.image_of(P.relations), onto
 
 
-def generator_map(P, cover) -> LinearMap:
+def generator_map(P, cover) -> Matrix:
     """G = F/[R,F] -> C induced by F -> C, which sends the generators of F
     to C's first d basis vectors and each Hall bracket to the bracket of
     the images of its halves (they come earlier, the words being ordered by
@@ -525,11 +523,10 @@ def generator_map(P, cover) -> LinearMap:
         images.append({w.index: C.field.one} if w.index is not None
                       else C.bracket_sparse(images[position[w.left]],
                                             images[position[w.right]]))
-    to_C = LinearMap(Matrix(C.field, C.dim, len(images), tuple(images)))
+    to_C = Matrix(C.field, C.dim, len(images), tuple(images))
     if to_C.image_of(P.relations_commutator).dim:
         raise ValueError("F -> C does not kill [R,F]")
-    return LinearMap(to_C.matrix.select_columns(
-        P.relations_commutator.free_cols))
+    return to_C.select_columns(P.relations_commutator.free_cols)
 
 
 def subalgebra_cover_theorem(cover, tensor):
@@ -549,8 +546,7 @@ def subalgebra_cover_theorem(cover, tensor):
         if k != wedge_alg.dim:
             return Verdict(False, f"dims differ: cover derived {k}, "
                                   f"exterior {wedge_alg.dim}"), None
-        pi, wedge_cols = cover.onto.matrix.sparse_columns, \
-            to_wedge.matrix.sparse_columns
+        pi, wedge_cols = cover.onto.sparse_columns, to_wedge.sparse_columns
         graph = SpanBuilder(C.field, k + wedge_alg.dim)
         for a in range(C.dim):
             for b in range(a + 1, C.dim):
@@ -563,9 +559,9 @@ def subalgebra_cover_theorem(cover, tensor):
         graph = graph.subspace()
         if graph.pivots != tuple(range(k)):
             return Verdict(False, "the theorem map is not well defined"), None
-        theorem_map = LinearMap(Matrix(C.field, wedge_alg.dim, k, tuple(
+        theorem_map = Matrix(C.field, wedge_alg.dim, k, tuple(
             {t - k: x for t, x in row.items() if t >= k}
-            for row in graph.sparse_rows)))
+            for row in graph.sparse_rows))
         _check_isomorphism(theorem_map, derived.algebra, wedge_alg)
     except (TheoremViolationError, ValueError) as exc:
         return Verdict(False, str(exc)), None

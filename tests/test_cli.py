@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lietensor import heisenberg
+from lietensor import GF, QQ, heisenberg
 from lietensor.cli import (algebra_document, canonical_hash, load_algebra,
                            main, parse_algebra_document)
 from lietensor.errors import InvalidInputError
@@ -89,6 +89,19 @@ def test_load_algebra_from_file(tmp_path):
     bad.write_text("{")
     with pytest.raises(InvalidInputError):
         load_algebra(str(bad))
+
+
+def test_load_algebra_refuses_a_field_with_a_document(tmp_path):
+    # load_algebra(path, GF(5)) used to return the document's Q algebra
+    # without a word; only the CLI refused --field with a document.
+    path = tmp_path / "h1.json"
+    path.write_text(json.dumps(H1_DOC))
+    for field in (GF(5), QQ):
+        with pytest.raises(InvalidInputError, match="not documents"):
+            load_algebra(str(path), field)
+    L, source = load_algebra("heisenberg(1)", GF(5))
+    assert L.field == GF(5) and source == "catalog:heisenberg(1)"
+    assert load_algebra("heisenberg(1)")[0].field == QQ
 
 
 def test_info_command(capsys):
@@ -222,7 +235,7 @@ def test_verify_builds_the_presentation_exterior_once_per_algebra(monkeypatch):
     built = []
     original = presentation.exterior_via_presentation
 
-    def counted(P, tensor=None):
+    def counted(P, tensor):
         built.append(P.L)
         return original(P, tensor)
 
@@ -231,6 +244,33 @@ def test_verify_builds_the_presentation_exterior_once_per_algebra(monkeypatch):
     cli.catalog_document()
     assert len(nilpotent) == 44
     assert Counter(built) == Counter(nilpotent)
+
+
+def test_verify_computes_the_lower_central_series_once(monkeypatch):
+    # verify used to compute the series three times on a nilpotent input,
+    # for is_nilpotent, presentation_of and build_cover.  Each computation
+    # starts from the full space, the one Subspace that liealg builds.
+    from lietensor import liealg, presentation
+    from lietensor.cli import verify_document
+    from lietensor.linalg import Subspace
+
+    started = []
+    full_space = Subspace.full_space
+
+    class Counted(Subspace):
+        @classmethod
+        def full_space(cls, field, ambient_dim):
+            started.append(ambient_dim)
+            return full_space(field, ambient_dim)
+
+    monkeypatch.setattr(liealg, "Subspace", Counted)
+    presentation.presentation_of.cache_clear()
+    L = heisenberg(2)
+    doc = verify_document(L, "counted")
+    assert doc["verdicts"]["cross_oracle"] == doc["verdicts"]["cover"] == "pass"
+    assert started == [L.dim]
+    assert L.lower_central_series() is L.lower_central_series()
+    assert [s.dim for s in L.lower_central_series()] == [5, 1, 0]
 
 
 def test_document_schemas_are_stable(capsys):

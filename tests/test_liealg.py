@@ -101,7 +101,7 @@ def test_quotient_algebra():
     assert q.validate().ok
     full, ident = quotient_algebra(h, Subspace.zero_space(QQ, 3))
     assert full.dim == 3
-    assert ident.matrix == Matrix.identity(QQ, 3)
+    assert ident == Matrix.identity(QQ, 3)
     assert full.table == h.table
     nothing, _ = quotient_algebra(h, Subspace.full_space(QQ, 3))
     assert nothing.dim == 0
@@ -114,9 +114,9 @@ def test_quotient_projection_is_homomorphism():
         q, proj = quotient_algebra(L, derived)
         for i in range(L.dim):
             for j in range(L.dim):
-                lhs = proj.matrix.apply(L.table[i][j])
-                rhs = q.bracket(proj.matrix.apply(L.basis_vector(i)),
-                                proj.matrix.apply(L.basis_vector(j)))
+                lhs = proj.apply(L.table[i][j])
+                rhs = q.bracket(proj.apply(L.basis_vector(i)),
+                                proj.apply(L.basis_vector(j)))
                 assert lhs == rhs
 
 

@@ -158,7 +158,7 @@ def test_homomorphism_failure_matches_the_dense_loop_under_every_corruption():
     for L in (heisenberg(2), sl2(GF(3)), heisenberg(1, GF(2))):
         ideal = L.center() if L.center().dim else Subspace.zero_space(L.field, L.dim)
         Q, proj = quotient_algebra(L, ideal)
-        maps = [(proj.matrix.sparse_columns, L, Q),
+        maps = [(proj.sparse_columns, L, Q),
                 ([sparse(L.basis_vector(i)) for i in range(L.dim)], L, L)]
         for images, source, target in maps:
             dense_images = [dense(im, target.dim, L.field.zero) for im in images]
@@ -185,8 +185,7 @@ def test_decomposition_verdict_matches_the_dense_loops_under_every_corruption():
             results = []
             for check in (TensorSquare.verify_decomposition,
                           dense_decomposition_verdict):
-                fresh = TensorSquare(base, T.relation_space, T.quotient, bad,
-                                     T.pairing)
+                fresh = TensorSquare(base, T.relation_space, bad, T.pairing)
                 try:
                     results.append(check(fresh))
                 except InternalCheckError as exc:

@@ -13,7 +13,7 @@ from lietensor.freenilp import free_nilpotent
 from lietensor.liealg import (BilinearMap, LieAlgebra, bracket_pairing,
                               lie_algebra_from_brackets,
                               lie_algebra_from_table)
-from lietensor.linalg import LinearMap, Matrix, Subspace, annihilator, sparse
+from lietensor.linalg import Matrix, Subspace, annihilator, kernel, sparse
 from lietensor.tensor import TensorSquare, _check_well_defined
 
 from support import (bilinear_from_table, column, contains, corrupted_tables,
@@ -110,8 +110,7 @@ def test_sl2_golden_dims():
     assert rep.dims["schur_multiplier"] == 0
     # the induced commutator map on the exterior square is bijective
     kappa, _ = T.commutator_map
-    induced = LinearMap(
-        kappa.matrix.select_columns(T.square_submodule.free_cols))
+    induced = kappa.select_columns(T.square_submodule.free_cols)
     assert induced.is_bijective()
 
 
@@ -223,11 +222,11 @@ def test_abelianization_functoriality():
         for _ in range(8):
             u = vec(L.field, [rng.randint(-2, 2) for _ in range(L.dim)])
             v = vec(L.field, [rng.randint(-2, 2) for _ in range(L.dim)])
-            to_ab = ab.to_ab.matrix
-            assert ab.map.matrix.apply(T.pairing.apply(u, v)) == \
+            to_ab = ab.to_ab
+            assert ab.map.apply(T.pairing.apply(u, v)) == \
                 ab.tensor.pairing.apply(to_ab.apply(u), to_ab.apply(v))
         again = induced_map(T, ab.to_ab, ab.tensor)
-        assert again.matrix == ab.map.matrix
+        assert again == ab.map
 
 
 def test_factor_pairing_recovers_commutator_map():
@@ -235,7 +234,7 @@ def test_factor_pairing_recovers_commutator_map():
     T = build_tensor_square(L)
     zeta = T.factor_pairing(bracket_pairing(L), L)
     kappa, _ = T.commutator_map
-    assert zeta.matrix == kappa.matrix
+    assert zeta == kappa
 
 
 def test_factor_pairing_zero_and_identity():
@@ -244,9 +243,9 @@ def test_factor_pairing_zero_and_identity():
     zero_rho = BilinearMap(QQ, 3, 3, tuple(tuple({} for _ in range(3))
                                            for _ in range(3)))
     zeta = T.factor_pairing(zero_rho, L)
-    assert zeta.matrix == Matrix.zero(QQ, 3, T.dim)
+    assert zeta == Matrix.zero(QQ, 3, T.dim)
     ident = T.factor_pairing(T.pairing, T.algebra)
-    assert ident.matrix == Matrix.identity(QQ, T.dim)
+    assert ident == Matrix.identity(QQ, T.dim)
 
 
 def test_factor_pairing_recovers_any_homomorphism():
@@ -256,11 +255,11 @@ def test_factor_pairing_recovers_any_homomorphism():
     L = heisenberg(2)
     T = build_tensor_square(L)
     ext, proj = T.exterior_square()
-    table = tuple(tuple(proj.matrix.apply(pure(T, i, j)) for j in range(L.dim))
+    table = tuple(tuple(proj.apply(pure(T, i, j)) for j in range(L.dim))
                   for i in range(L.dim))
     rho = bilinear_from_table(QQ, L.dim, ext.dim, table)
     zeta = T.factor_pairing(rho, ext)
-    assert zeta.matrix == proj.matrix
+    assert zeta == proj
 
 
 def test_factor_pairing_rejects_non_pairing():
@@ -295,7 +294,7 @@ def test_whitehead_quadratic_property():
             lifted = [field.zero] * L.dim
             for c, col in zip(coords, ab.lift_cols):
                 lifted[col] += c
-            assert gamma.to_square.matrix.apply(gamma.quadratic(coords)) == \
+            assert gamma.to_square.apply(gamma.quadratic(coords)) == \
                 T.pairing.apply(lifted, lifted)
 
 
@@ -493,7 +492,7 @@ def test_centers_are_cached_and_read_each_pure_tensor_once(monkeypatch):
     proj = T.exterior_square()[1]  # builds the square submodule first
     readers = {"tensor_center": lambda i, j: pure(T, i, j),
                "tensor_center_right": lambda i, j: pure(T, j, i),
-               "exterior_center": lambda i, j: proj.matrix.apply(pure(T, i, j))}
+               "exterior_center": lambda i, j: proj.apply(pure(T, i, j))}
     calls = []
 
     def counted(field, n, m, cell):
@@ -504,7 +503,7 @@ def test_centers_are_cached_and_read_each_pure_tensor_once(monkeypatch):
         # the stacked adjoint, entry by entry, as the kernel's definition
         rows = [[pure_of(i, j)[c] for i in range(n)]
                 for j in range(n) for c in range(len(pure_of(0, 0)))]
-        expected = LinearMap(matrix_from_rows(L.field, rows, cols=n)).kernel()
+        expected = kernel(matrix_from_rows(L.field, rows, cols=n))
         calls.clear()
         first = getattr(T, name)()
         assert sorted(calls) == sorted(set(calls)) and len(calls) == n * n, name
@@ -536,10 +535,9 @@ def test_tensor_checks_agree_with_the_bracket_loop_under_every_corruption():
             not_ideal = any(not contains(comp, bad.bracket(r, x))
                             for r in comp.basis.entries for x in e)
             broken = [(i, j) for i in range(n) for j in range(n)
-                      if kappa.matrix.apply(bad.table[i][j]) != L.bracket(
-                          kappa.matrix.apply(e[i]), kappa.matrix.apply(e[j]))]
-            bad_T = TensorSquare(L, T.relation_space, T.quotient, bad,
-                                 T.pairing)
+                      if kappa.apply(bad.table[i][j]) != L.bracket(
+                          kappa.apply(e[i]), kappa.apply(e[j]))]
+            bad_T = TensorSquare(L, T.relation_space, bad, T.pairing)
             if not_central:
                 with pytest.raises(InternalCheckError, match="not central"):
                     bad_T.square_submodule
@@ -583,8 +581,8 @@ def test_construction_matches_a_dense_re_expansion(field):
         vectors = tensor_relation_vectors(L) + symmetric_derived_vectors(L)
         assert relations == span(field, n * n, vectors), L
         free = relations.free_cols
-        assert T.dim == T.quotient.dim == len(free)
-        project = T.quotient.project
+        assert T.dim == len(free)
+        project = relations.project
         for i in range(n):
             for j in range(n):
                 unit = [field.zero] * (n * n)
@@ -612,10 +610,10 @@ def test_relation_checks_agree_with_the_dense_loop_under_every_corruption():
         L, n, field = T.base, T.base.dim, T.base.field
         relations = T.relation_space
         kappa = linear_map(field, n, [L.table[i][j] for i in range(n)
-                                      for j in range(n)]).matrix
+                                      for j in range(n)])
         pure_map = linear_map(field, T.dim, [pure(T, i, j) for i in range(n)
-                                             for j in range(n)]).matrix
-        identity = LinearMap(Matrix.identity(field, n))
+                                             for j in range(n)])
+        identity = Matrix.identity(field, n)
         rho = bracket_pairing(L)
         for r in range(relations.dim):
             for c in range(n * n):
@@ -623,7 +621,7 @@ def test_relation_checks_agree_with_the_dense_loop_under_every_corruption():
                 rows[r][c] += field.one
                 bad = Subspace(field, n * n, relations.pivots,
                                tuple(sparse(r) for r in rows))
-                bad_T = TensorSquare(L, bad, T.quotient, T.algebra, T.pairing)
+                bad_T = TensorSquare(L, bad, T.algebra, T.pairing)
                 kappa_fails = any(any(dense_apply(kappa, row)) for row in rows)
                 pure_fails = any(any(dense_apply(pure_map, row)) for row in rows)
                 if kappa_fails:
