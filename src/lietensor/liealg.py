@@ -167,14 +167,17 @@ class LieAlgebra:
         return Verdict(not parts, "; ".join(parts) or "valid",
                        (tuple(anti_failures), tuple(jacobi_failures)))
 
-    def derived_subalgebra(self) -> Subspace:
+    @cached_property
+    def _derived_subalgebra(self) -> Subspace:
         b = SpanBuilder(self.field, self.dim)
-        nz = self.cells
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if nz[i][j]:
-                    b.insert(dict(nz[i][j]))
+        for i, row in enumerate(self.cells):
+            for cell in compress(row[i + 1:], row[i + 1:]):
+                b.insert(dict(cell))
         return b.subspace()
+
+    def derived_subalgebra(self) -> Subspace:
+        """The span of the brackets, computed once per algebra."""
+        return self._derived_subalgebra
 
     def center(self) -> Subspace:
         """Kernel of the stacked adjoint map v -> ([v, x_1], ..., [v, x_n])."""
@@ -300,44 +303,45 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix
     """
     if ideal.ambient_dim != L.dim:
         raise ValueError("ambient mismatch")
-    zero = L.field.zero
     for row in ideal.sparse_rows:
         for j, w in enumerate(L.ad_sparse(row)):
             if ideal.reduce_sparse(w):
                 raise NotIdealError(
                     f"subspace is not an ideal: [basis row, x{j}] escapes",
-                    witness=dense(w, L.dim, zero))
+                    witness=dense(w, L.dim, L.field.zero))
     return quotient_by_ideal(L, ideal)
 
 
 def quotient_by_ideal(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
-    """The quotient construction of quotient_algebra, for a subspace the
-    caller has already proved to be an ideal of L, of ambient dimension
-    dim L (quotient_algebra checks it, and presentation_of builds [R,F] in
-    F's coordinates).  The quotient is validated."""
-    free = ideal.free_cols
-    q = len(free)
-    index = {c: r for r, c in enumerate(free)}
-    # [x_a, x_b] for free columns a, b is the stored cell itself; its
-    # residual is zero at every pivot, so it lives on the free columns.
-    # Only the nonzero cells of each free row are reduced (compress finds
-    # them); the others stay empty.
+    """The quotient construction of quotient_algebra, for a subspace that
+    the caller has proved to be an ideal of L, of ambient dimension dim L
+    (each caller gives its argument next to the call)."""
+    names = tuple(f"q{c + 1}" for c in range(len(ideal.free_cols)))
+    return descended_algebra(ideal, lambda a: (
+        (b, dict(cell)) for b, cell in enumerate(L.cells[a]) if cell),
+        names), ideal.project
+
+
+def descended_algebra(space: Subspace, brackets, names) -> LieAlgebra:
+    """The quotient by space of an ambient Lie algebra, of which space is an
+    ideal, on the free columns: brackets(a) yields (b, [e_a, e_b]) for the
+    nonzero ambient brackets at a free column a, and a residual modulo space
+    lives on the free columns.  The one such construction; validated."""
+    index = {c: r for r, c in enumerate(space.free_cols)}
     cells = []
-    for a in free:
-        row, stored = [()] * q, L.cells[a]
-        for b in compress(range(L.dim), stored):
+    for a in space.free_cols:
+        row = [()] * len(index)
+        for b, v in brackets(a):
             if b in index:
-                rest = ideal.reduce_sparse(dict(stored[b]))
-                row[index[b]] = tuple((index[c], x)
-                                      for c, x in sorted(rest.items()))
+                row[index[b]] = _cell({index[c]: x for c, x in
+                                       space.reduce_sparse(v).items()})
         cells.append(tuple(row))
-    names = tuple(f"q{c + 1}" for c in range(q))
-    quotient = LieAlgebra(L.field, q, tuple(cells), names)
+    quotient = LieAlgebra(space.field, len(index), tuple(cells), names)
     report = quotient.validate()
     if not report.ok:
         raise InternalCheckError(
             f"quotient algebra fails validation: {report.detail}")
-    return quotient, ideal.project
+    return quotient
 
 
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:

@@ -3,7 +3,8 @@ subspaces, sums, intersections and quotients.
 
 A Matrix is a linear map acting on columns, with products, ranks, images
 and kernel(m).  A Subspace also stands for the quotient of its ambient
-space by it, on its free columns, and project maps onto them.  SpanBuilder
+space by it, on its free columns: project maps onto them, and descend
+gives the map that a map on the ambient space induces there.  SpanBuilder
 is the one elimination routine.
 
 Everything is stored as zero-free {index: value} dicts: a Matrix as its
@@ -24,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .fields import Field, Scalar, canonical
 
@@ -223,6 +224,18 @@ class Subspace:
             columns[p] = {index[c]: -x for c, x in row.items() if c != p}
         return Matrix(self.field, len(index), self.ambient_dim,
                       tuple(columns))
+
+    def descend(self, columns: Sequence[SparseVector],
+                rows: int) -> Optional[Matrix]:
+        """The map that the map to F^rows with these sparse ambient columns
+        induces on the quotient, or None unless it kills the echelon rows.
+        Column r is the map's column at the r-th free column c, the one
+        whose projection is unit vector r; as e_p - row p, for a pivot p,
+        lies on the free columns, descend(f).mul(project) = f."""
+        if any(combine(row.items(), columns) for row in self.sparse_rows):
+            return None
+        return Matrix(self.field, rows, len(self.free_cols),
+                      tuple(columns[c] for c in self.free_cols))
 
     @cached_property
     def _echelon(self) -> "SpanBuilder":

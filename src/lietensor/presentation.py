@@ -65,7 +65,7 @@ from .liealg import (BilinearMap, LieAlgebra, _cell, homomorphism_failure,
 from .linalg import (Matrix, SpanBuilder, Subspace, add_scaled, combine,
                      kernel)
 from .freenilp import FreeNilpotent, dimension_exceeds, free_nilpotent
-from .tensor import TensorSquare, _kills_relations
+from .tensor import TensorSquare
 
 
 @dataclass(frozen=True)
@@ -90,12 +90,10 @@ class FreePresentation:
 
     @cached_property
     def quotient(self) -> tuple[LieAlgebra, Matrix]:
-        """G = F/[R,F] and the projection onto it.  presentation_of proved
-        [R,F] an ideal (module docstring); G is validated.  [R,F] lies in
-        F', so the generators are G's first d positions."""
-        if self.relations_commutator.free_cols[:self.free.d] != \
-                tuple(range(self.free.d)):
-            raise InternalCheckError("generators are not the first quotient columns")
+        """G = F/[R,F] and the projection onto it; G is validated.
+        presentation_of proved [R,F] an ideal (module docstring) inside R,
+        whose vectors have no support below d (R's pivots are at least d),
+        so the generators are G's first d positions."""
         return quotient_by_ideal(self.free.algebra, self.relations_commutator)
 
     @cached_property
@@ -238,11 +236,12 @@ def exterior_via_presentation(
         pure = tensor.pairing.apply_sparse(onto[index[w.left]],
                                            onto[index[w.right]])
         images.append(combine(pure.items(), to_wedge.sparse_columns))
-    eps_on_free = Matrix(P.L.field, wedge_alg.dim, len(images), tuple(images))
-    if eps_on_free.image_of(P.relations_commutator).dim:
+    eps = P.relations_commutator.descend(images, wedge_alg.dim)
+    if eps is None:
         raise TheoremViolationError(
             "wedge map does not kill the relation commutator")
-    eps = eps_on_free.select_columns(P.relations_commutator.free_cols[F.d:])
+    # G's first d positions are the generators (FreePresentation.quotient).
+    eps = eps.select_columns(range(F.d, eps.cols))
     _check_isomorphism(eps, P.exterior, wedge_alg)
     return P.exterior, eps
 
@@ -320,12 +319,13 @@ def build_cover(L: LieAlgebra) -> Cover:
         raise NotNilpotentError("covers are built for nilpotent algebras")
     field, n, one = L.field, L.dim, L.field.one
     space = boundaries(L)
-    kappa = [dict(L.cells[i][j]) for i, j in combinations(range(n), 2)]
-    if not _kills_relations(space, kappa):
+    kappa = space.descend([dict(L.cells[i][j])
+                           for i, j in combinations(range(n), 2)], n)
+    if kappa is None:
         raise InternalCheckError("the commutator map does not kill a boundary")
-    lifts, free = L.derived_subalgebra().free_cols, space.free_cols
-    d, dim = len(lifts), len(lifts) + len(free)
-    pi = tuple([{c: one} for c in lifts] + [kappa[p] for p in free])
+    lifts = L.derived_subalgebra().free_cols
+    d, dim = len(lifts), len(lifts) + kappa.cols
+    pi = tuple([{c: one} for c in lifts] + list(kappa.sparse_columns))
     project = space.project.sparse_columns
     in_C = [{d + r: x for r, x in col.items()} for col in project]
     classes = BilinearMap(field, n, dim, tuple(
@@ -379,10 +379,9 @@ def verify_cover_theorem(cover: Cover, tensor: TensorSquare) -> Verdict:
     images = tuple(combine(tensor.pairing.cells[i][j].items(),
                            to_wedge.sparse_columns)
                    for i, j in combinations(range(L.dim), 2))
-    if not _kills_relations(cover.boundaries, images):
+    eps = cover.boundaries.descend(images, wedge_alg.dim)
+    if eps is None:
         return Verdict(False, "the wedge map does not kill d3")
-    eps = Matrix(L.field, wedge_alg.dim, len(images), images).select_columns(
-        cover.boundaries.free_cols)
     try:
         _check_isomorphism(eps, _restrict(C, d), wedge_alg)
     except TheoremViolationError as exc:

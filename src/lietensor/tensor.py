@@ -21,14 +21,13 @@ time, never assumed.
 The construction stays sparse from end to end.  Each relation instance is a
 {i*n+j: c} dict built from the nonzero structure constants and inserted into
 one SpanBuilder, and the relation space keeps the resulting echelon rows
-(Subspace.sparse_rows).  The quotient coordinates are its free columns: a
-pure tensor is a unit vector there when its column is free, and otherwise
-minus its pivot row read there; a bracket cell is the residual of a sparse
-vector.  Every check that a map kills the relations (the bracket's
-well-definedness, the commutator map, induced maps, factored pairings)
-combines the map's sparse ambient columns over those rows.  The universal
-pairing stores the sparse columns of the relation space's projection as its
-cells, and the three centers are read off them.
+(Subspace.sparse_rows).  The quotient algebra is liealg.descended_algebra
+of the ambient brackets of pure tensors, and each map on it (the commutator
+map, induced maps, factored pairings, the commutator map of the exterior
+square) is Subspace.descend of its sparse ambient columns, which also
+checks that the map kills the relations.  The universal pairing stores the
+sparse columns of the relation space's projection as its cells, and the
+three centers are read off them.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ from typing import Sequence
 
 from .errors import InternalCheckError, InvalidInputError, Verdict
 from .fields import Scalar
-from .liealg import (BilinearMap, Cell, LieAlgebra, homomorphism_failure,
-                     is_lie_pairing, quotient_algebra)
+from .liealg import (BilinearMap, LieAlgebra, descended_algebra,
+                     homomorphism_failure, is_lie_pairing, quotient_by_ideal)
 from .linalg import (Matrix, SparseVector, SpanBuilder, Subspace, Vector,
                      add_scaled, annihilator, combine, kernel,
                      subspace_intersect, subspace_sum)
@@ -100,7 +99,9 @@ class TensorSquare:
 
     @cached_property
     def _exterior(self) -> tuple[LieAlgebra, Matrix]:
-        return quotient_algebra(self.algebra, self.square_submodule)
+        # No ideal check: square_submodule raises unless every row is
+        # central, and a central subspace is an ideal.
+        return quotient_by_ideal(self.algebra, self.square_submodule)
 
     def exterior_square(self) -> tuple[LieAlgebra, Matrix]:
         """The exterior square (quotient by the square submodule) and the
@@ -112,26 +113,28 @@ class TensorSquare:
         """The map sending a generator to the bracket of its two slots, with
         its kernel.  Vanishing on the relation space and the homomorphism
         property are asserted."""
-        L, columns = self.base, _commutator_columns(self.base)
-        if not _kills_relations(self.relation_space, columns):
+        L = self.base
+        kappa = self.relation_space.descend(_commutator_columns(L), L.dim)
+        if kappa is None:
             raise InternalCheckError("commutator map does not kill a relation")
-        kappa = Matrix(L.field, L.dim, self.dim,
-                       tuple(columns[p] for p in self.relation_space.free_cols))
         bad = homomorphism_failure(kappa.sparse_columns, self.algebra, L)
         if bad is not None:
             raise InternalCheckError(
                 "commutator map is not a homomorphism at basis pair (%d,%d)" % bad)
         return kappa, kernel(kappa)
 
+    @cached_property
+    def _schur_multiplier(self) -> Subspace:
+        kappa, _ = self.commutator_map
+        on_ext = self.square_submodule.descend(kappa.sparse_columns, kappa.rows)
+        if on_ext is None:
+            raise InternalCheckError(
+                "commutator map does not vanish on the square submodule")
+        return kernel(on_ext)
+
     def schur_multiplier(self) -> Subspace:
         """Kernel of the induced commutator map on the exterior square."""
-        kappa, _ = self.commutator_map
-        cols = kappa.sparse_columns
-        for row in self.square_submodule.sparse_rows:
-            if combine(row.items(), cols):
-                raise InternalCheckError(
-                    "commutator map does not vanish on the square submodule")
-        return kernel(kappa.select_columns(self.square_submodule.free_cols))
+        return self._schur_multiplier
 
     # Each center is the kernel of v -> (cell(v, x_j))_j, stacked over all
     # j, read off the pairing's sparse cells.
@@ -177,7 +180,9 @@ class TensorSquare:
         subalgebra, its kernel, and the canonical lifts used throughout."""
         L = self.base
         derived = L.derived_subalgebra()
-        ab, to_ab = quotient_algebra(L, derived)
+        # No ideal check: [L^2, L] lies in the span of the cells, which is
+        # L^2.
+        ab, to_ab = quotient_by_ideal(L, derived)
         tab = build_tensor_square(ab)
         pi = induced_map(self, to_ab, tab)
         return Abelianization(ab, to_ab, derived.free_cols, tab, pi,
@@ -302,19 +307,13 @@ class TensorSquare:
         check = is_lie_pairing(rho, self.base, H)
         if not check.ok:
             raise InvalidInputError(f"not a Lie pairing: witness {check.witness}")
-        n = self.base.dim
-        columns = [cell for row in rho.cells for cell in row]
-        if not _kills_relations(self.relation_space, columns):
+        zeta = self.relation_space.descend(
+            [cell for row in rho.cells for cell in row], H.dim)
+        if zeta is None:
             raise InvalidInputError(
                 "pairing does not vanish on the tensor relations")
-        zeta = Matrix(self.base.field, H.dim, self.dim,
-                      tuple(columns[p] for p in self.relation_space.free_cols))
-        pure = self.pairing.cells
-        for i in range(n):
-            for j in range(n):
-                if combine(pure[i][j].items(), zeta.sparse_columns) \
-                        != columns[i * n + j]:
-                    raise InternalCheckError("factorization does not recover the pairing")
+        # zeta recovers rho with no check: the pure tensors are the columns
+        # of the projection, and descend(f).mul(project) = f.
         return zeta
 
     @cached_property
@@ -438,31 +437,23 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     relations = builder.subspace()
     _check_well_defined(L, relations)
 
-    free = relations.free_cols
-    q = len(free)
-    reps = [divmod(p, n) for p in free]
-    index = {c: r for r, c in enumerate(free)}
+    nonzero = [(k * n + l, cell) for k, row in enumerate(nz)
+               for l, cell in enumerate(row) if cell]
 
-    def bracket(u: Cell, w: Cell) -> Cell:
+    def brackets(p: int):
         # [x_i (x) x_j, x_k (x) x_l] = [x_i, x_j] (x) [x_k, x_l], whose
-        # residual is zero at every pivot, so it lives on the free columns
-        v: SparseVector = {}
-        for a, ua in u:
-            add_scaled(v, ua, [(a * n + b, wb) for b, wb in w])
-        rest = relations.reduce_sparse(v)
-        return tuple((index[c], x) for c, x in sorted(rest.items()))
+        # terms land on distinct columns a*n+c and are nonzero
+        u = nz[p // n][p % n]
+        for b, w in nonzero if u else ():
+            yield b, {a * n + c: ua * wc for a, ua in u for c, wc in w}
 
-    cells = tuple(tuple(bracket(nz[i][j], nz[k][l]) if nz[i][j] and nz[k][l]
-                        else () for (k, l) in reps) for (i, j) in reps)
-    names = tuple(f"{L.basis_names[i]}(x){L.basis_names[j]}" for i, j in reps)
-    algebra = LieAlgebra(field, q, cells, names)
-    report = algebra.validate()
-    if not report.ok:
-        raise InternalCheckError(f"tensor square fails validation: {report.detail}")
+    names = tuple(f"{L.basis_names[p // n]}(x){L.basis_names[p % n]}"
+                  for p in relations.free_cols)
+    algebra = descended_algebra(relations, brackets, names)
 
     # x_i (x) x_j in quotient coordinates is column i*n+j of the projection.
     pure = relations.project.sparse_columns
-    pairing = BilinearMap(field, n, q,
+    pairing = BilinearMap(field, n, algebra.dim,
                           tuple(pure[i * n:(i + 1) * n] for i in range(n)))
     return TensorSquare(L, relations, algebra, pairing)
 
@@ -472,7 +463,7 @@ def _check_well_defined(L: LieAlgebra, relations: Subspace) -> None:
     bilinear in the ambient coordinates and factors through the ambient
     commutator map in each slot, so the bracket respects the relation space
     exactly when every relation has zero commutator image."""
-    if not _kills_relations(relations, _commutator_columns(L)):
+    if relations.descend(_commutator_columns(L), L.dim) is None:
         raise InternalCheckError(
             "tensor-square bracket is not well defined on the relation quotient")
 
@@ -483,23 +474,16 @@ def _commutator_columns(L: LieAlgebra) -> list[SparseVector]:
     return [dict(cell) for row in L.cells for cell in row]
 
 
-def _kills_relations(relations: Subspace,
-                     columns: Sequence[SparseVector]) -> bool:
-    """Whether the linear map with these sparse ambient columns vanishes on
-    every relation; checking the echelon rows suffices by linearity."""
-    return not any(combine(row.items(), columns)
-                   for row in relations.sparse_rows)
-
-
 def induced_map(src: TensorSquare, f: Matrix, dst: TensorSquare) -> Matrix:
     """Functorial map of tensor squares induced by a homomorphism of the
     bases; asserted to kill the source relations."""
     images = f.sparse_columns
-    cols = [dst.pairing.apply_sparse(fi, fj) for fi in images for fj in images]
-    if not _kills_relations(src.relation_space, cols):
+    induced = src.relation_space.descend(
+        [dst.pairing.apply_sparse(fi, fj) for fi in images for fj in images],
+        dst.dim)
+    if induced is None:
         raise InternalCheckError("induced map does not kill a relation")
-    return Matrix(src.base.field, dst.dim, src.dim,
-                  tuple(cols[p] for p in src.relation_space.free_cols))
+    return induced
 
 
 @dataclass(frozen=True)

@@ -273,6 +273,32 @@ def test_verify_computes_the_lower_central_series_once(monkeypatch):
     assert [s.dim for s in L.lower_central_series()] == [5, 1, 0]
 
 
+def test_verify_computes_the_derived_subalgebra_once_per_algebra(monkeypatch):
+    # verify asks each algebra for L^2 many times (the tensor build, the
+    # abelianization, two theorem checks, the report, the presentation and
+    # the cover); every answer for one algebra must be the same object.
+    from lietensor import presentation, tensor
+    from lietensor.cli import verify_document
+    from lietensor.liealg import LieAlgebra
+
+    calls = []
+    method = LieAlgebra.derived_subalgebra
+
+    def traced(self):
+        calls.append((self, method(self)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(LieAlgebra, "derived_subalgebra", traced)
+    tensor.build_tensor_square.cache_clear()
+    presentation.presentation_of.cache_clear()
+    L = heisenberg(2)
+    doc = verify_document(L, "counted")
+    assert doc["verdicts"]["cross_oracle"] == doc["verdicts"]["cover"] == "pass"
+    assert sum(a is L for a, _ in calls) >= 7
+    algebras = {id(a) for a, _ in calls}
+    assert len({id(space) for _, space in calls}) == len(algebras)
+
+
 def test_document_schemas_are_stable(capsys):
     code, doc = run(["verify", "heisenberg(1)"], capsys)
     assert sorted(doc) == ["command", "diagnostics", "dimensions", "input",

@@ -1,0 +1,45 @@
+"""Every name that a package module imports is used in that module.  No
+linter runs in CI, and a removal can leave an import behind; this stdlib
+ast check catches it in tier-1."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lietensor"
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by the imports of a module that it never reads; a
+    name listed in __all__ is read, as a re-export."""
+    tree = ast.parse(source)
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_the_check_finds_an_unused_import():
+    source = ("from __future__ import annotations\n"
+              "import os.path\nfrom typing import Optional, Sequence\n"
+              "from .linalg import kernel as k, rref\n"
+              "__all__ = ['rref']\n"
+              "def f(x: Sequence) -> int:\n    return os.sep\n")
+    assert unused_imports(source) == ["Optional", "k"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

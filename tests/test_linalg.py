@@ -240,6 +240,43 @@ def test_quotient_round_trip(sub, raw):
     assert (not any(y)) == contains(sub, v)
 
 
+@st.composite
+def descents(draw):
+    """A random subspace S, a random sparse map f on its ambient space and
+    a random map g on the quotient; half the time f is g after S.project,
+    so that it kills S."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    sparse_entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+
+    def columns(rows, count):
+        return draw(st.lists(st.lists(sparse_entry, min_size=rows,
+                                      max_size=rows),
+                             min_size=count, max_size=count))
+
+    S = support.span(field, n, [[field.scalar(x) for x in r]
+                                for r in columns(n, draw(st.integers(0, n)))])
+
+    def matrix(rows, cols):
+        return Matrix(field, rows, cols, tuple(
+            sparse([field.scalar(x) for x in c]) for c in columns(rows, cols)))
+    g = matrix(m, len(S.free_cols))
+    f = g.mul(S.project) if draw(st.booleans()) else matrix(m, n)
+    return S, f, g
+
+
+@settings(max_examples=150)
+@given(descents())
+def test_descend_is_the_map_induced_on_the_quotient(case):
+    S, f, g = case
+    induced = S.descend(f.sparse_columns, f.rows)
+    assert (induced is None) == (f.image_of(S).dim > 0)
+    if induced is not None:
+        assert induced.mul(S.project) == f
+        # project is onto, so the induced map is unique
+        assert (induced == g) == (g.mul(S.project) == f)
+
+
 @given(matrices(max_dim=4))
 def test_rank_matches_sympy(m):
     if not m.field.is_rational:

@@ -15,6 +15,7 @@ from lietensor import (GF, QQ, abelian, build_cover, build_tensor_square,
                        zero_algebra)
 from lietensor import presentation, quotient_algebra
 from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
+from lietensor.cli import verify_document
 from lietensor.errors import (InternalCheckError, NotNilpotentError,
                               TheoremViolationError)
 from lietensor.freenilp import FreeNilpotent
@@ -489,6 +490,23 @@ def valid_algebras(draw):
 
     L = part()
     return direct_sum(L, part()) if draw(st.booleans()) else L
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(valid_algebras())
+def test_verify_passes_on_every_valid_algebra(L):
+    # The whole verify document: every theorem verdict and both engines.
+    # The second engine and the cover are built for nilpotent inputs only.
+    doc = verify_document(L, "random")
+    verdicts = doc["verdicts"]
+    assert not [v for v in verdicts.values() if v.startswith("fail")], \
+        (L, verdicts)
+    if not L.is_nilpotent:
+        assert verdicts["cross_oracle"] == verdicts["cover"] == \
+            "skipped: not nilpotent", L
+    else:
+        assert verdicts["cover"] == "pass", L
 
 
 @settings(max_examples=40, deadline=None,

@@ -512,6 +512,14 @@ def test_centers_are_cached_and_read_each_pure_tensor_once(monkeypatch):
     assert tensor_report(T).subspaces["tensor_center"] is T.tensor_center()
 
 
+def test_schur_multiplier_is_computed_once_per_tensor_square():
+    # verify reads it in tensor_report, verify_j2_decomposition and the
+    # cross_oracle verdict.
+    T = build_tensor_square.__wrapped__(heisenberg(2))
+    assert T.schur_multiplier() is T.schur_multiplier()
+    assert T.schur_multiplier().dim == 5
+
+
 def test_tensor_checks_agree_with_the_bracket_loop_under_every_corruption():
     # Mutation test for the three rewritten checks that read the tensor
     # square's own structure constants: centrality of the square submodule,
