@@ -340,21 +340,22 @@ def _subspace(field: Field, ambient_dim: int,
 def kernel(m: Matrix) -> Subspace:
     """Null space {x : m x = 0}, as a canonical subspace of the column space.
 
-    Echelon row p of m reads x_p = -sum row_p[f] x_f over the free columns f
-    (a fully reduced row is zero at every other pivot), so each free column
-    f gives the kernel vector with x_f = 1 and the other free variables 0.
+    The rows of m are eliminated with the column order reversed, so echelon
+    row p reads x_p = -sum row_p[f] x_f over free columns f < p.  The kernel
+    vector of free column f (x_f = 1, the other free variables 0) thus leads
+    at f and is 0 at the other free columns: a fully reduced echelon row.
     """
-    builder = _row_echelon(m)
+    last = m.cols - 1
+    builder = SpanBuilder(m.field, m.cols)
+    for row in _transpose(m.sparse_columns, m.rows):
+        builder.insert({last - c: x for c, x in row.items()})
     one = m.field.one
-    vectors = {f: {f: one} for f in range(m.cols) if f not in builder._rows}
-    for p, row in builder._rows.items():
-        for f, x in row.items():
-            if f != p:
-                vectors[f][p] = -x
-    out = SpanBuilder(m.field, m.cols)
-    for v in vectors.values():
-        out.insert(v)
-    return out.subspace()
+    rows = {f: {f: one} for f in range(m.cols) if last - f not in builder._rows}
+    for q, row in builder._rows.items():
+        for r, x in row.items():
+            if r != q:
+                rows[last - r][last - q] = -x
+    return _subspace(m.field, m.cols, rows)
 
 
 def annihilator(field: Field, n: int, m: int, cell) -> Subspace:

@@ -4,30 +4,41 @@ kernel, Schur multiplier, tensor/exterior centers, the Whitehead quadratic
 functor, and executable checks of the structure theorems.
 
 Construction model: the coordinate space on ordered basis pairs (i, j) is
-divided by the span of all basis instances of the two crossed relations
+divided by the span of the two crossed relations
 
     r1(i,j,k) = [xi,xj](x)xk - xi(x)[xj,xk] + xj(x)[xi,xk]
     r2(i,j,k) = xi(x)[xj,xk] - [xk,xi](x)xj + [xj,xi](x)xk
 
-(each relation is linear in every slot, so basis instances generate the
-whole relation space), together with the symmetric tensors on the derived
-subalgebra, which only GF(2) needs.  The bracket of two generators is the
-pure tensor of the two brackets; since that again lies in the generator
-span, the quotient vector space is already the entire tensor square and no
-further closure pass is needed.  Well-definedness of the bracket modulo
-relations and the Jacobi identity of the quotient are asserted at build
-time, never assumed.
+and of the symmetric tensors on the derived subalgebra L^2.  Each relation
+is linear in every slot, so basis instances generate, and fewer suffice.
+With the alternating J(i,j,k) = xi(x)[xj,xk] + xj(x)[xk,xi] + xk(x)[xi,xj],
+two identities hold as vectors in every characteristic:
+
+    r2(i,j,k) = r1(j,i,k) - r1(k,i,j) - J(i,j,k)
+    r1(a,b,z) + J(z,a,b) = [a,b](x)z + z(x)[a,b]
+
+So r1 on i < j (it is antisymmetric in i, j) and J on i < j < k span the
+crossed relations, and u(x)w + w(x)u and 2 u(x)u lie in their span for u, w
+in L^2.  Away from characteristic 2 the symmetric tensors are thus already
+relations; over GF(2), u -> u(x)u is additive modulo the span, and u(x)u
+for u in a basis of L^2 is added.
+
+The bracket of two generators is the pure tensor of the two brackets; since
+that again lies in the generator span, the quotient vector space is already
+the entire tensor square and no further closure pass is needed.
+Well-definedness of the bracket modulo relations and the Jacobi identity of
+the quotient are asserted at build time, never assumed.
 
 The construction stays sparse from end to end.  Each relation instance is a
-{i*n+j: c} dict built from the nonzero structure constants and inserted into
-one SpanBuilder, and the relation space keeps the resulting echelon rows
-(Subspace.sparse_rows).  The quotient algebra is liealg.descended_algebra
-of the ambient brackets of pure tensors, and each map on it (the commutator
-map, induced maps, factored pairings, the commutator map of the exterior
-square) is Subspace.descend of its sparse ambient columns, which also
-checks that the map kills the relations.  The universal pairing stores the
-sparse columns of the relation space's projection as its cells, and the
-three centers are read off them.
+{i*n+j: c} dict built from the nonzero structure constants, inserted
+shortest first into one SpanBuilder, and the relation space keeps the
+resulting echelon rows (Subspace.sparse_rows).  The quotient algebra is
+liealg.descended_algebra of the ambient brackets of pure tensors, and each
+map on it (the commutator map, induced maps, factored pairings, the
+commutator map of the exterior square) is Subspace.descend of its sparse
+ambient columns, which also checks that the map kills the relations.  The
+universal pairing stores the sparse columns of the relation space's
+projection as its cells, and the three centers are read off them.
 """
 
 from __future__ import annotations
@@ -109,15 +120,26 @@ class TensorSquare:
         return self._exterior
 
     @cached_property
+    def _commutator(self) -> Matrix:
+        """x_i (x) x_j -> [x_i, x_j] on T.  The bracket [a(x)b, c(x)d] =
+        [a,b](x)[c,d] factors through it in each slot, so it is well defined
+        exactly when this descent exists; build_tensor_square checks that."""
+        L = self.base
+        kappa = self.relation_space.descend(
+            [dict(cell) for row in L.cells for cell in row], L.dim)
+        if kappa is None:
+            raise InternalCheckError(
+                "commutator map does not kill a relation: the tensor-square "
+                "bracket is not well defined on the relation quotient")
+        return kappa
+
+    @cached_property
     def commutator_map(self) -> tuple[Matrix, Subspace]:
         """The map sending a generator to the bracket of its two slots, with
         its kernel.  Vanishing on the relation space and the homomorphism
         property are asserted."""
-        L = self.base
-        kappa = self.relation_space.descend(_commutator_columns(L), L.dim)
-        if kappa is None:
-            raise InternalCheckError("commutator map does not kill a relation")
-        bad = homomorphism_failure(kappa.sparse_columns, self.algebra, L)
+        kappa = self._commutator
+        bad = homomorphism_failure(kappa.sparse_columns, self.algebra, self.base)
         if bad is not None:
             raise InternalCheckError(
                 "commutator map is not a homomorphism at basis pair (%d,%d)" % bad)
@@ -389,7 +411,9 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     minus_one = -one
     nz = L.cells
 
-    builder = SpanBuilder(field, n * n)
+    # r1 on i < j and J on i < j < k, as sparse {a*n+b: c} dicts; J's three
+    # terms lie in the distinct rows i, j and k of the n x n coordinates.
+    instances: list[SparseVector] = []
     for i in range(n):
         for j in range(i + 1, n):
             nz_ij = nz[i][j]
@@ -401,44 +425,28 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
                 add_scaled(v, one, [(a * n + k, c) for a, c in nz_ij])
                 add_scaled(v, minus_one, [(i * n + b, c) for b, c in nz_jk])
                 add_scaled(v, one, [(j * n + b, c) for b, c in nz_ik])
-                builder.insert(v)
-    for i in range(n):
-        for j in range(n):
-            nz_ji = nz[j][i]
-            for k in range(j + 1, n):
-                nz_jk, nz_ki = nz[j][k], nz[k][i]
-                if not (nz_jk or nz_ki or nz_ji):
-                    continue
-                v = {}
-                add_scaled(v, one, [(i * n + b, c) for b, c in nz_jk])
-                add_scaled(v, minus_one, [(a * n + j, c) for a, c in nz_ki])
-                add_scaled(v, one, [(a * n + k, c) for a, c in nz_ji])
-                builder.insert(v)
-    # The bracket relation on a generator paired with itself forces the
-    # symmetric square of the derived subalgebra to vanish (brackets of a
-    # Lie algebra are alternating).  Away from characteristic 2 these
-    # instances already lie in the span of the crossed relations, but over
-    # GF(2) they are independent and must be imposed explicitly.  Basis
-    # instances suffice: the cross terms are bilinear and the diagonal map
-    # is additive whenever it is not redundant.
-    derived_rows = L.derived_subalgebra().sparse_rows
-    for a, wa in enumerate(derived_rows):
-        v = {}
-        for x, cx in wa.items():
-            add_scaled(v, cx, [(x * n + y, cy) for y, cy in wa.items()])
+                instances.append(v)
+                if k > j:
+                    v = {i * n + b: c for b, c in nz_jk}
+                    v.update((j * n + b, -c) for b, c in nz_ik)
+                    v.update((k * n + b, c) for b, c in nz_ij)
+                    instances.append(v)
+    # The symmetric tensors on L^2, over GF(2) only; the module docstring
+    # shows that the other fields need none and GF(2) only these.
+    if field.characteristic == 2:
+        instances += ({x * n + y: cx * cy for x, cx in w.items()
+                       for y, cy in w.items()}
+                      for w in L.derived_subalgebra().sparse_rows)
+    # Shortest first, so that long instances are reduced against short
+    # echelon rows; RREF is unique, so the order cannot move the result.
+    instances.sort(key=len)
+    builder = SpanBuilder(field, n * n)
+    for v in instances:
         builder.insert(v)
-        for wb in derived_rows[a + 1:]:
-            v = {}
-            for x, cx in wa.items():
-                add_scaled(v, cx, [(x * n + y, cy) for y, cy in wb.items()])
-            for x, cx in wb.items():
-                add_scaled(v, cx, [(x * n + y, cy) for y, cy in wa.items()])
-            builder.insert(v)
     relations = builder.subspace()
-    _check_well_defined(L, relations)
 
-    nonzero = [(k * n + l, cell) for k, row in enumerate(nz)
-               for l, cell in enumerate(row) if cell]
+    nonzero = [(b, cell) for b in relations.free_cols  # the only ones read
+               if (cell := nz[b // n][b % n])]
 
     def brackets(p: int):
         # [x_i (x) x_j, x_k (x) x_l] = [x_i, x_j] (x) [x_k, x_l], whose
@@ -455,23 +463,9 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     pure = relations.project.sparse_columns
     pairing = BilinearMap(field, n, algebra.dim,
                           tuple(pure[i * n:(i + 1) * n] for i in range(n)))
-    return TensorSquare(L, relations, algebra, pairing)
-
-
-def _check_well_defined(L: LieAlgebra, relations: Subspace) -> None:
-    """Bracket of generators: [a(x)b, c(x)d] = [a,b](x)[c,d].  This is
-    bilinear in the ambient coordinates and factors through the ambient
-    commutator map in each slot, so the bracket respects the relation space
-    exactly when every relation has zero commutator image."""
-    if relations.descend(_commutator_columns(L), L.dim) is None:
-        raise InternalCheckError(
-            "tensor-square bracket is not well defined on the relation quotient")
-
-
-def _commutator_columns(L: LieAlgebra) -> list[SparseVector]:
-    """The ambient commutator map x_i (x) x_j -> [x_i, x_j] as sparse
-    columns, column i*n+j."""
-    return [dict(cell) for row in L.cells for cell in row]
+    T = TensorSquare(L, relations, algebra, pairing)
+    T._commutator  # raises unless the bracket is well defined
+    return T
 
 
 def induced_map(src: TensorSquare, f: Matrix, dst: TensorSquare) -> Matrix:

@@ -29,6 +29,7 @@ from support import (all_columns_commutator, column, complement_cover,
                      linear_map, random_nilpotent_quotient,
                      random_semidirect, solve, span,
                      subalgebra_cover_theorem, subalgebra_exterior,
+                     symmetric_derived_vectors, tensor_relation_vectors,
                      zassenhaus_relations_in_derived)
 
 NILPOTENT_CATALOG = ["zero", "abelian(1)", "abelian(2)", "abelian(3)",
@@ -495,6 +496,19 @@ def valid_algebras(draw):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(valid_algebras())
+def test_relation_space_is_spanned_by_every_crossed_instance(L):
+    # The build inserts r1 on i < j, J on i < j < k and, over GF(2) only,
+    # u (x) u on a basis of L^2; the dense oracle expands r1 and r2 on
+    # every basis triple and the symmetric tensors on every bracket pair.
+    n = L.dim
+    vectors = tensor_relation_vectors(L) + symmetric_derived_vectors(L)
+    assert build_tensor_square(L).relation_space == \
+        span(L.field, n * n, vectors), L
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(valid_algebras())
 def test_verify_passes_on_every_valid_algebra(L):
     # The whole verify document: every theorem verdict and both engines.
     # The second engine and the cover are built for nilpotent inputs only.
@@ -509,7 +523,7 @@ def test_verify_passes_on_every_valid_algebra(L):
         assert verdicts["cover"] == "pass", L
 
 
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(valid_algebras())
 def test_alternating_square_modulo_boundaries_is_the_exterior_square(L):
