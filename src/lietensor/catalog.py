@@ -54,7 +54,9 @@ def sl2(field: Field = QQ) -> LieAlgebra:
     return lie_algebra_from_brackets(field, 3, brackets, names=("e", "f", "h"))
 
 
-_TERM_RE = re.compile(r"^(abelian|heisenberg)\((\d+)\)$|^(sl2|zero)$")
+# ASCII digits only, as in fields._SCALAR_RE: \d also matches Arabic-Indic,
+# fullwidth and other Unicode digits, which int() would then accept.
+_TERM_RE = re.compile(r"^(abelian|heisenberg)\(([0-9]+)\)$|^(sl2|zero)$")
 
 
 def is_catalog_name(name: str) -> bool:

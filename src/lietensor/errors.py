@@ -1,21 +1,51 @@
-"""Exception classes and the one check result type shared across the
-package."""
+"""Exception classes, the one check result type, and the immutable base of
+the package's value types."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Immutable:
+    """Base of the package's value types, which are immutable after
+    construction.  Each sets its fields once in __init__, through the
+    instance __dict__, as cached_property does for the views built on first
+    use; assigning or deleting an attribute afterwards raises AttributeError.
+    Each type writes out its own equality, hash and repr."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Verdict(Immutable):
     """The result of a check: whether it passed, a detail for reports and
     messages, and a structured witness of what failed (an axiom kind with
     its basis indices, or failing basis pairs and triples)."""
 
-    ok: bool
-    detail: str = ""
-    witness: Optional[tuple] = None
+    def __init__(self, ok: bool, detail: str = "",
+                 witness: Optional[tuple] = None):
+        d = self.__dict__
+        d["ok"] = ok
+        d["detail"] = detail
+        d["witness"] = witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.detail, self.witness) == \
+            (other.ok, other.detail, other.witness)
+
+    def __hash__(self):
+        return hash((self.ok, self.detail, self.witness))
+
+    def __repr__(self):
+        return (f"Verdict(ok={self.ok!r}, detail={self.detail!r}, "
+                f"witness={self.witness!r})")
 
     def __bool__(self) -> bool:
         return self.ok

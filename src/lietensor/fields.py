@@ -21,9 +21,10 @@ terms of +, -, *, / and truthiness tests:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Any
+
+from .errors import Immutable
 
 try:
     from gmpy2 import mpq as _rational
@@ -186,16 +187,25 @@ def _residue_class(p: int) -> type:
     return Residue
 
 
-@dataclass(frozen=True)
-class Field:
-    """The coefficient field: the rationals (characteristic 0) or GF(p)."""
+class Field(Immutable):
+    """The coefficient field: the rationals (characteristic 0) or GF(p).
+    Immutable; equal exactly when the characteristics are."""
 
-    characteristic: int = 0
+    def __init__(self, characteristic: int = 0):
+        if characteristic != 0 and not is_prime(characteristic):
+            raise ValueError(f"modulus {characteristic} is not prime")
+        self.__dict__["characteristic"] = characteristic
 
-    def __post_init__(self):
-        p = self.characteristic
-        if p != 0 and not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash((self.characteristic,))
+
+    def __repr__(self):
+        return f"Field(characteristic={self.characteristic!r})"
 
     @property
     def is_rational(self) -> bool:

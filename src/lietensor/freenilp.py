@@ -44,26 +44,45 @@ form of LieAlgebra, validated once per (d, c) and converted to each field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import Optional
 
-from .errors import InternalCheckError
+from .errors import Immutable, InternalCheckError
 from .fields import QQ, Field
 from .liealg import LieAlgebra
 
 
-@dataclass(frozen=True)
-class HallWord:
+class HallWord(Immutable):
     """A generator x_i or a bracket (u, v) of Hall words with u > v and,
     when u = (a, b), b <= v.  Ordered by degree, then recursively by
-    (left, right) / generator index."""
+    (left, right) / generator index.  Immutable; the hash is computed once,
+    from the hashes its factors computed once, and words with different
+    hashes are unequal without recursing."""
 
-    degree: int
-    index: Optional[int] = None
-    left: Optional["HallWord"] = None
-    right: Optional["HallWord"] = None
+    def __init__(self, degree: int, index: Optional[int] = None,
+                 left: Optional[HallWord] = None,
+                 right: Optional[HallWord] = None):
+        d = self.__dict__
+        d["degree"] = degree
+        d["index"] = index
+        d["left"] = left
+        d["right"] = right
+        d["_hash"] = hash((degree, index, left, right))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and \
+            (self.degree, self.index, self.left, self.right) == \
+            (other.degree, other.index, other.left, other.right)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return (f"HallWord(degree={self.degree!r}, index={self.index!r}, "
+                f"left={self.left!r}, right={self.right!r})")
 
     def __lt__(self, other: "HallWord") -> bool:
         if self.degree != other.degree:
@@ -233,13 +252,27 @@ def _convert(int_cells, field: Field):
     return tuple(map(tuple, rows))
 
 
-@dataclass(frozen=True, repr=False)
-class FreeNilpotent:
-    d: int
-    c: int
-    algebra: LieAlgebra
-    words: tuple[HallWord, ...]
-    degrees: tuple[int, ...]
+class FreeNilpotent(Immutable):
+    """The free nilpotent algebra on d generators of class c, with its Hall
+    words and their degrees in basis order.  Immutable."""
+
+    def __init__(self, d: int, c: int, algebra: LieAlgebra,
+                 words: tuple[HallWord, ...], degrees: tuple[int, ...]):
+        s = self.__dict__
+        s["d"] = d
+        s["c"] = c
+        s["algebra"] = algebra
+        s["words"] = words
+        s["degrees"] = degrees
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.c, self.algebra, self.words, self.degrees) == \
+            (other.d, other.c, other.algebra, other.words, other.degrees)
+
+    def __hash__(self):
+        return hash((self.d, self.c, self.algebra, self.words, self.degrees))
 
     def __repr__(self):
         return (f"FreeNilpotent(d={self.d}, c={self.c}, "

@@ -20,13 +20,11 @@ instance of is_lie_pairing.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from typing import Optional, Sequence
 
-from .errors import InternalCheckError, NotIdealError, Verdict
+from .errors import Immutable, InternalCheckError, NotIdealError, Verdict
 from .fields import Field, Scalar
 from .linalg import (Matrix, SparseVector, SpanBuilder, Subspace, Vector,
                      add_scaled, annihilator, combine, dense, sparse)
@@ -40,22 +38,37 @@ def _cell(v: SparseVector) -> Cell:
     return tuple(sorted(v.items()))
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
-    field: Field
-    dim: int
-    cells: tuple[tuple[Cell, ...], ...]
-    basis_names: tuple[str, ...]
+class LieAlgebra(Immutable):
+    """An algebra of dimension dim over field by its sparse cells (module
+    docstring), with decorative basis names.  Immutable; the constructor
+    checks the shape and that every cell is canonical, so equal algebras
+    have equal cells."""
 
-    def __post_init__(self):
-        n = self.dim
-        if len(self.cells) != n or len(self.basis_names) != n \
-                or any(len(row) != n for row in self.cells):
+    def __init__(self, field: Field, dim: int,
+                 cells: tuple[tuple[Cell, ...], ...],
+                 basis_names: tuple[str, ...]):
+        n = dim
+        if len(cells) != n or len(basis_names) != n \
+                or any(len(row) != n for row in cells):
             raise ValueError("cells/name size mismatch")
-        for row in self.cells:
+        for row in cells:
             for cell in compress(row, row):
                 if cell != _cell({k: c for k, c in cell if c and 0 <= k < n}):
                     raise ValueError(f"cell {cell!r} is not sorted, in range and zero-free")
+        d = self.__dict__
+        d["field"] = field
+        d["dim"] = dim
+        d["cells"] = cells
+        d["basis_names"] = basis_names
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.dim, self.cells, self.basis_names) == \
+            (other.field, other.dim, other.cells, other.basis_names)
+
+    def __hash__(self):
+        return hash((self.field, self.dim, self.cells, self.basis_names))
 
     def __repr__(self):
         shown = ",".join(self.basis_names[:6])
@@ -220,18 +233,29 @@ class LieAlgebra:
         return not any(any(row) for row in self.cells)
 
 
-@dataclass(frozen=True)
-class BilinearMap:
+class BilinearMap(Immutable):
     """A bilinear map between coordinate spaces, stored as its cells:
     cells[i][j] is the image of (x_i, x_j) as {k: nonzero}, read only (the
-    tensor square shares them with its projection).  Zero-free cells are
-    canonical, so equality is that of the dense tables; the hash reads the
-    dimensions."""
+    tensor square shares them with its projection).  Immutable; zero-free
+    cells are canonical, so equality is that of the dense tables; the hash
+    reads the dimensions."""
 
-    field: Field
-    source_dim: int
-    target_dim: int
-    cells: tuple[tuple[SparseVector, ...], ...] = dataclasses.field(hash=False)
+    def __init__(self, field: Field, source_dim: int, target_dim: int,
+                 cells: tuple[tuple[SparseVector, ...], ...]):
+        d = self.__dict__
+        d["field"] = field
+        d["source_dim"] = source_dim
+        d["target_dim"] = target_dim
+        d["cells"] = cells
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.source_dim, self.target_dim, self.cells) == \
+            (other.field, other.source_dim, other.target_dim, other.cells)
+
+    def __hash__(self):
+        return hash((self.field, self.source_dim, self.target_dim))
 
     def __repr__(self):
         name = self.field.name

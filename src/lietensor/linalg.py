@@ -22,11 +22,10 @@ vectors, and Matrix.apply; every other vector is sparse.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
+from .errors import Immutable
 from .fields import Field, Scalar, canonical
 
 Vector = tuple[Scalar, ...]
@@ -80,16 +79,28 @@ def _transpose(vectors: Sequence[SparseVector],
     return out
 
 
-@dataclass(frozen=True, repr=False)
-class Matrix:
+class Matrix(Immutable):
     """A matrix stored as its columns {row: nonzero value}, read only (other
-    matrices and subspaces share them).  Zero-free columns are canonical, so
-    equality is that of the dense entries; the hash reads the shape."""
+    matrices and subspaces share them).  Immutable; zero-free columns are
+    canonical, so equality is that of the dense entries; the hash reads the
+    shape."""
 
-    field: Field
-    rows: int
-    cols: int
-    sparse_columns: tuple[SparseVector, ...] = dataclasses.field(hash=False)
+    def __init__(self, field: Field, rows: int, cols: int,
+                 sparse_columns: tuple[SparseVector, ...]):
+        d = self.__dict__
+        d["field"] = field
+        d["rows"] = rows
+        d["cols"] = cols
+        d["sparse_columns"] = sparse_columns
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.rows, self.cols, self.sparse_columns) == \
+            (other.field, other.rows, other.cols, other.sparse_columns)
+
+    def __hash__(self):
+        return hash((self.field, self.rows, self.cols))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field.name})"
@@ -165,19 +176,29 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return space.basis, space.pivots
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Immutable):
     """A subspace of a fixed coordinate space, stored as its fully reduced
     echelon rows {column: nonzero value} in pivot order: the unique RREF
-    basis, so equal subspaces have equal rows.  The rows are read only,
-    because reductions and builders seeded from them share them; the hash
-    reads the pivots."""
+    basis, so equal subspaces have equal rows.  Immutable; the rows are read
+    only, because reductions and builders seeded from them share them; the
+    hash reads the pivots."""
 
-    field: Field
-    ambient_dim: int
-    pivots: tuple[int, ...]
-    sparse_rows: tuple[SparseVector, ...] = dataclasses.field(
-        hash=False, repr=False)
+    def __init__(self, field: Field, ambient_dim: int, pivots: tuple[int, ...],
+                 sparse_rows: tuple[SparseVector, ...]):
+        d = self.__dict__
+        d["field"] = field
+        d["ambient_dim"] = ambient_dim
+        d["pivots"] = pivots
+        d["sparse_rows"] = sparse_rows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.field, self.ambient_dim, self.pivots, self.sparse_rows) \
+            == (other.field, other.ambient_dim, other.pivots, other.sparse_rows)
+
+    def __hash__(self):
+        return hash((self.field, self.ambient_dim, self.pivots))
 
     def __repr__(self):
         return (f"Subspace(dim {self.dim} of "

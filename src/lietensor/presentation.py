@@ -53,12 +53,11 @@ pi(v + a) = v + kappa(a) and [c, c'] = the class of pi(c)^pi(c').
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, compress
 
 from .catalog import MAX_AMBIENT
-from .errors import (InternalCheckError, NotNilpotentError,
+from .errors import (Immutable, InternalCheckError, NotNilpotentError,
                      OutsideEnvelopeError, TheoremViolationError, Verdict)
 from .liealg import (BilinearMap, LieAlgebra, _cell, homomorphism_failure,
                      quotient_by_ideal)
@@ -68,21 +67,35 @@ from .freenilp import FreeNilpotent, dimension_exceeds, free_nilpotent
 from .tensor import TensorSquare
 
 
-@dataclass(frozen=True)
-class FreePresentation:
+class FreePresentation(Immutable):
     """A surjection from a truncated free algebra onto L with its kernel data.
 
     relations is the kernel of the surjection, inside the derived subalgebra
     of the free algebra by the Hopf argument of the module docstring; and
     relations_commutator is the span of brackets of kernel elements with
-    the whole algebra.
+    the whole algebra.  Immutable.
     """
 
-    L: LieAlgebra
-    free: FreeNilpotent
-    onto: Matrix
-    relations: Subspace
-    relations_commutator: Subspace
+    def __init__(self, L: LieAlgebra, free: FreeNilpotent, onto: Matrix,
+                 relations: Subspace, relations_commutator: Subspace):
+        d = self.__dict__
+        d["L"] = L
+        d["free"] = free
+        d["onto"] = onto
+        d["relations"] = relations
+        d["relations_commutator"] = relations_commutator
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.L, self.free, self.onto, self.relations,
+                self.relations_commutator) == \
+            (other.L, other.free, other.onto, other.relations,
+             other.relations_commutator)
+
+    def __hash__(self):
+        return hash((self.L, self.free, self.onto, self.relations,
+                     self.relations_commutator))
 
     def __repr__(self):
         return (f"FreePresentation(L dim {self.L.dim}, free dim "
@@ -106,17 +119,38 @@ class FreePresentation:
         return _restrict(G, self.free.d)
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(Immutable):
     """C = V (+) E (module docstring): V at C's first d positions, E at the
-    free columns of boundaries; onto is pi and multiplier its kernel."""
+    free columns of boundaries; onto is pi and multiplier its kernel.
+    Immutable."""
 
-    L: LieAlgebra
-    algebra: LieAlgebra
-    multiplier: Subspace
-    onto: Matrix
-    boundaries: Subspace
-    d: int
+    def __init__(self, L: LieAlgebra, algebra: LieAlgebra,
+                 multiplier: Subspace, onto: Matrix, boundaries: Subspace,
+                 d: int):
+        s = self.__dict__
+        s["L"] = L
+        s["algebra"] = algebra
+        s["multiplier"] = multiplier
+        s["onto"] = onto
+        s["boundaries"] = boundaries
+        s["d"] = d
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.L, self.algebra, self.multiplier, self.onto,
+                self.boundaries, self.d) == \
+            (other.L, other.algebra, other.multiplier, other.onto,
+             other.boundaries, other.d)
+
+    def __hash__(self):
+        return hash((self.L, self.algebra, self.multiplier, self.onto,
+                     self.boundaries, self.d))
+
+    def __repr__(self):
+        return (f"Cover(L={self.L!r}, algebra={self.algebra!r}, "
+                f"multiplier={self.multiplier!r}, onto={self.onto!r}, "
+                f"boundaries={self.boundaries!r}, d={self.d!r})")
 
 
 @lru_cache(maxsize=64)

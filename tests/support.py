@@ -10,11 +10,13 @@ from __future__ import annotations
 import random
 
 import sympy
+from hypothesis import strategies as st
 
-from lietensor import (QQ, BilinearMap, Field, LieAlgebra, Verdict,
-                       ideal_closure, lie_algebra_from_brackets,
-                       lie_algebra_from_table, quotient_algebra)
-from lietensor.catalog import MAX_AMBIENT
+from lietensor import (GF, QQ, BilinearMap, Field, LieAlgebra, Verdict,
+                       catalog, direct_sum, ideal_closure,
+                       lie_algebra_from_brackets, lie_algebra_from_table,
+                       quotient_algebra)
+from lietensor.catalog import MAX_AMBIENT, is_supported
 from lietensor.errors import TheoremViolationError
 from lietensor.freenilp import dimension_exceeds, free_nilpotent
 from lietensor.liealg import _cell
@@ -258,6 +260,31 @@ def random_semidirect(rng: random.Random, m: int,
     D = random_matrix_rows(rng, field, m, m, span=2)
     return lie_algebra_from_brackets(field, m + 1, {
         (i, m): [(k, -D[k][i]) for k in range(m)] for i in range(m)})
+
+
+@st.composite
+def valid_algebras(draw):
+    """Lie algebras valid by construction over Q, GF(2), GF(3) or GF(5):
+    free nilpotent quotients, catalog entries, semidirect products
+    V x| <D> (solvable and, for most D, not nilpotent) and direct sums of
+    two of them."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def part():
+        kind = draw(st.sampled_from(["quotient", "semidirect", "catalog"]))
+        if kind == "quotient":
+            d, c = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4)]))
+            return random_nilpotent_quotient(rng, d, c, field)
+        if kind == "semidirect":
+            return random_semidirect(rng, draw(st.integers(1, 4)), field)
+        names = [name for name in ("heisenberg(1)", "abelian(2)", "sl2",
+                                   "heisenberg(1)+abelian(1)")
+                 if is_supported(name, field)]
+        return catalog(draw(st.sampled_from(names)), field)
+
+    L = part()
+    return direct_sum(L, part()) if draw(st.booleans()) else L
 
 
 # ----------------------------------------------------------------------

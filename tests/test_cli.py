@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lietensor import GF, QQ, heisenberg
+from lietensor import GF, QQ, catalog, heisenberg
 from lietensor.cli import (algebra_document, canonical_hash, load_algebra,
                            main, parse_algebra_document)
 from lietensor.errors import InvalidInputError
@@ -67,6 +67,17 @@ def test_non_ascii_digits_are_rejected_with_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "cannot parse" in captured.err, coeff
         assert "Traceback" not in captured.err and not captured.out, coeff
+
+
+def test_catalog_names_with_non_ascii_digits_are_rejected(capsys):
+    # \d in catalog terms used to resolve "abelian(\u0663)" (Arabic-Indic
+    # 3) and "heisenberg(\uff11)" (fullwidth 1), and info exited 0.
+    for name in ("abelian(\u0663)", "heisenberg(\uff11)"):
+        with pytest.raises(InvalidInputError, match="unknown catalog"):
+            catalog(name)
+        assert main(["info", name]) == 2, name
+        captured = capsys.readouterr()
+        assert not captured.out and "Traceback" not in captured.err, name
 
 
 def test_jacobi_rejection_carries_witness():

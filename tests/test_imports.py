@@ -1,8 +1,12 @@
 """Every name that a package module imports is used in that module.  No
 linter runs in CI, and a removal can leave an import behind; this stdlib
-ast check catches it in tier-1."""
+ast check catches it in tier-1.  And importing the package loads no stdlib
+module that only code generation or introspection needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,25 @@ def test_the_check_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The modules loaded after running code in a fresh interpreter that has
+    this checkout's package on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and @dataclass
+    # generates and execs its methods: together over a third of the time
+    # "import lietensor" took.  The value types write their methods out.
+    added = loaded_modules("import lietensor") - loaded_modules("")
+    assert "lietensor.presentation" in added
+    assert not {"dataclasses", "inspect"} & added, sorted(added)

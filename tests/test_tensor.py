@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lietensor import (GF, QQ, abelian, build_tensor_square, catalog,
                        heisenberg, induced_map, is_lie_pairing, sl2,
                        tensor_report)
 from lietensor import tensor
+from lietensor.cli import verify_document
 from lietensor.errors import InternalCheckError, InvalidInputError
 from lietensor.freenilp import free_nilpotent
 from lietensor.liealg import (BilinearMap, LieAlgebra, bracket_pairing,
@@ -19,9 +20,9 @@ from lietensor.tensor import TensorSquare
 from support import (bilinear_from_table, column, contains, corrupted_tables,
                      dense_apply, dense_bilinear, dense_residual, inverse,
                      linear_map, matrix_from_rows, random_nilpotent_quotient,
-                     random_semidirect,
-                     span, sympy_rank, symmetric_derived_vectors,
-                     tensor_relation_vectors)
+                     random_semidirect, span, sympy_rank,
+                     symmetric_derived_vectors, tensor_relation_vectors,
+                     valid_algebras)
 
 
 def vec(field, entries):
@@ -401,6 +402,35 @@ def test_dimensions_are_basis_independent():
             moved = change_basis(L, p)
             assert moved.validate().ok
             assert tensor_report(build_tensor_square(moved)).dims == reference
+
+
+def random_basis_change(rng: random.Random, field, n: int) -> Matrix:
+    """An invertible matrix: a permuted identity with n shears
+    row_j += +-row_i, which keep the moved structure constants small."""
+    rows = [[field.one if i == j else field.zero for j in range(n)]
+            for i in range(n)]
+    rng.shuffle(rows)
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = field.scalar(rng.choice([-1, 1]))
+        rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
+    return matrix_from_rows(field, rows, cols=n)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(valid_algebras(), st.integers(0, 2 ** 32))
+def test_verify_is_basis_independent_on_valid_algebras(L, seed):
+    # Every dimension, verdict and diagnostic of verify, both engines and
+    # the cover included, over Q, GF(2), GF(3) and GF(5).
+    p = random_basis_change(random.Random(seed), L.field, L.dim)
+    assert p.rank() == L.dim
+    moved = change_basis(L, p)
+    assert moved.validate().ok
+    doc, moved_doc = verify_document(L, "L"), verify_document(moved, "L")
+    for key in ("dimensions", "verdicts", "diagnostics"):
+        assert moved_doc[key] == doc[key], (L, key)
+    assert not [v for v in doc["verdicts"].values() if v.startswith("fail")]
 
 
 def test_full_free_nilpotent_across_characteristics():
