@@ -12,6 +12,7 @@ labels are purely decorative; all identity decisions use indices.
 Brackets, ad, the pairing axioms and the homomorphism checks all evaluate on
 sparse {index: nonzero} vectors over the cells (LieAlgebra.bracket_sparse and
 ad_sparse); the dense bracket is a thin wrapper that densifies the result.
+Each check keeps the dense order, skipping only instances whose sides vanish.
 A BilinearMap stores its {k: nonzero} cells in the same way, with its dense
 table a view.  Every check returns a Verdict, whose witness is structured:
 the failing pairs and triples of validate(), the first violated axiom
@@ -109,17 +110,14 @@ class LieAlgebra(Immutable):
                      self.field.zero)
 
     def ad_sparse(self, v: SparseVector) -> list[SparseVector]:
-        """[v, x_j] for every basis vector x_j, reading the support of v once."""
-        nz = self.cells
-        support = [(nz[i], vi) for i, vi in v.items()]
-        out = []
-        for j in range(self.dim):
-            acc: SparseVector = {}
-            for nz_i, vi in support:
-                cell = nz_i[j]
-                if cell:
-                    add_scaled(acc, vi, cell)
-            out.append(acc)
+        """[v, x_j] for every basis vector x_j, from the nonzero cells of the
+        rows in the support of v, each added in the order of v."""
+        n = self.dim
+        out: list[SparseVector] = [{} for _ in range(n)]
+        for i, vi in v.items():
+            row = self.cells[i]
+            for j in compress(range(n), row):
+                add_scaled(out[j], vi, row[j])
         return out
 
     def validate(self) -> Verdict:
@@ -406,10 +404,12 @@ def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> Verdict:
     cells = rho.cells
     by_right = [[cells[a][s] for a in range(n)] for s in range(n)]
     # outer[l'][s][a] = rho(x_a, [x_l', x_s]); inner[l][l'][s] = rho([x_l, x_l'], x_s)
-    outer = [[[combine(nz[lp][s], cells[a]) for a in range(n)]
-              for s in range(n)] for lp in range(n)]
-    inner = [[[combine(nz[l][lp], by_right[s]) for s in range(n)]
-              for lp in range(n)] for l in range(n)]
+    # A zero cell gets one shared list of empty sides, which nothing mutates.
+    empty = [{}] * n
+    outer = [[[combine(cell, cells[a]) for a in range(n)] if cell else empty
+              for cell in row] for row in nz]
+    inner = [[[combine(cell, by_right[s]) for s in range(n)] if cell else empty
+              for cell in row] for row in nz]
 
     minus_one = -H.field.one
 
@@ -418,9 +418,15 @@ def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> Verdict:
         add_scaled(out, minus_one, v.items())
         return out
 
+    # The five sides of (l, l', s) read only the cells (l, l'), (l', l),
+    # (l', s), (l, s) and (s, l); the s where all five are 0 are skipped.
+    in_row = [set(compress(range(n), row)) for row in nz]
+    near = [in_row[l].union(compress(range(n), col))
+            for l, col in enumerate(zip(*nz))]
     for l in range(n):
         for lp in range(n):
-            for s in range(n):
+            for s in range(n) if lp in in_row[l] or l in in_row[lp] \
+                    else sorted(near[l].union(in_row[lp])):
                 if inner[l][lp][s] != difference(outer[lp][s][l],
                                                  outer[l][s][lp]):
                     return Verdict(False, witness=("axiom-i", (l, lp, s)))
@@ -475,14 +481,17 @@ def homomorphism_failure(images: Sequence[SparseVector], source: LieAlgebra,
     Both sides are sparse {k: nonzero} dicts: f[x_i, x_j] combines the
     images over the nonzero entries of source's cell (i, j), and
     [f x_i, f x_j] is target.bracket_sparse.  Neither holds a zero value, so
-    they are equal exactly when the dense vectors are; and every (i, j) is
-    visited in the order of the dense double loop, so the first failing pair
-    is the same one.
+    they are equal exactly when the dense vectors are.  Both sides are 0
+    unless the cell or both images are nonzero; the other pairs are visited
+    in the dense double loop's order, so the first failing pair is the same.
     """
     nz = source.cells
+    every = range(len(images))
+    nonzero = set(compress(every, images))
     for i, fi in enumerate(images[:rows]):
         nz_i = nz[i]
-        for j, fj in enumerate(images):
-            if combine(nz_i[j], images) != target.bracket_sparse(fi, fj):
+        for j in sorted(nonzero.union(compress(every, nz_i)) if fi
+                        else compress(every, nz_i)):
+            if combine(nz_i[j], images) != target.bracket_sparse(fi, images[j]):
                 return i, j
     return None

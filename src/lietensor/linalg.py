@@ -14,7 +14,9 @@ report is bit-reproducible.  All elimination goes through SpanBuilder, whose
 rows are {pivot: {column: value}}: relation vectors touch a handful of the
 n^2 coordinates, so reductions cost the nonzeros they meet, not the ambient
 width.  Products, ranks and kernels work on those columns and rows, and
-_transpose is the one change of orientation.  The dense Matrix.entries and
+_transpose is the one change of orientation; annihilator, like
+subspace_intersect, eliminates vectors extended by a second block, its few
+columns and not its mostly empty rows.  The dense Matrix.entries and
 Subspace.basis are views built on first use for reports and tests.  Two
 entry points take dense tuples: SpanBuilder.add, for ideal_closure's seed
 vectors, and Matrix.apply; every other vector is sparse.
@@ -382,10 +384,17 @@ def kernel(m: Matrix) -> Subspace:
 def annihilator(field: Field, n: int, m: int, cell) -> Subspace:
     """Kernel of v -> (sum_i v_i cell(i, j))_j, stacked over j < n, for a
     bilinear map F^n x F^n -> F^m given by its (k, nonzero c) cells: column
-    i of the stacked map holds c at row j*m + k.  Each cell is read once."""
-    columns = tuple({j * m + k: c for j in range(n) for k, c in cell(i, j)}
-                    for i in range(n))
-    return kernel(Matrix(field, n * m, n, columns))
+    i of the stacked map holds c at row j*m + k.  Each cell is read once.
+    The n columns, not the n*m mostly empty rows, are eliminated: the span
+    of the rows (column i, e_i) meets 0 (+) F^n in 0 (+) kernel, so as in
+    subspace_intersect its echelon rows with a pivot >= n*m give the kernel."""
+    split = n * m
+    builder = SpanBuilder(field, split + n)
+    for i in range(n):
+        row = {j * m + k: c for j in range(n) for k, c in cell(i, j)}
+        row[split + i] = field.one
+        builder.insert(row)
+    return _second_part(builder, split, n)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -418,5 +427,11 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         builder.insert(doubled)
     for w in b.sparse_rows:
         builder.insert(w)
-    return _subspace(a.field, n, {p - n: {j - n: x for j, x in row.items()}
-                                  for p, row in builder._rows.items() if p >= n})
+    return _second_part(builder, n, n)
+
+
+def _second_part(builder: SpanBuilder, split: int, n: int) -> Subspace:
+    """The echelon rows with a pivot >= split, shifted back into F^n."""
+    return _subspace(builder.field, n,
+                     {p - split: {j - split: x for j, x in row.items()}
+                      for p, row in builder._rows.items() if p >= split})

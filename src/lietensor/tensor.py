@@ -21,7 +21,9 @@ So r1 on i < j (it is antisymmetric in i, j) and J on i < j < k span the
 crossed relations, and u(x)w + w(x)u and 2 u(x)u lie in their span for u, w
 in L^2.  Away from characteristic 2 the symmetric tensors are thus already
 relations; over GF(2), u -> u(x)u is additive modulo the span, and u(x)u
-for u in a basis of L^2 is added.
+for u in a basis of L^2 is added.  Where [xi,xj] = 0 the second identity
+reads r1(i,j,k) = -J(k,i,j) = -J(i,j,k), which is 0 for k in {i, j}, so r1
+is needed only where [xi,xj] != 0.
 
 The bracket of two generators is the pure tensor of the two brackets; since
 that again lies in the generator span, the quotient vector space is already
@@ -252,9 +254,10 @@ class TensorSquare:
         sq = self.square_submodule
         comp = self._complement
         full = self.dim
-        if subspace_intersect(comp, sq).dim != 0:
+        sum_dim = subspace_sum(comp, sq).dim
+        if sum_dim != comp.dim + sq.dim:
             return Verdict(False, "complement meets the square submodule")
-        if subspace_sum(comp, sq).dim != full:
+        if sum_dim != full:
             return Verdict(False, "complement + square submodule is not everything")
         alg = self.algebra
         rows = comp.sparse_rows
@@ -283,9 +286,10 @@ class TensorSquare:
             return Verdict(False,
                            f"dim mismatch: {j2.dim} != {sq.dim} + {mult.dim}")
         cj = subspace_intersect(self._complement, j2)
-        if subspace_intersect(sq, cj).dim != 0:
+        summands = subspace_sum(sq, cj)
+        if summands.dim != sq.dim + cj.dim:
             return Verdict(False, "summands intersect")
-        if subspace_sum(sq, cj) != j2:
+        if summands != j2:
             return Verdict(False, "summands do not fill the kernel")
         if self._exterior[1].image_of(cj) != mult or cj.dim != mult.dim:
             return Verdict(False, "complement part does not map onto the multiplier")
@@ -311,7 +315,7 @@ class TensorSquare:
         ab = self.abelianization
         sq = self.square_submodule
         m = ab.algebra.dim
-        if subspace_intersect(sq, ab.kernel).dim != 0:
+        if subspace_sum(sq, ab.kernel).dim != sq.dim + ab.kernel.dim:
             return Verdict(False, "restriction is not injective")
         if ab.map.image_of(sq) != ab.tensor.square_submodule:
             return Verdict(False, "image differs from the abelian square submodule")
@@ -446,21 +450,23 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     minus_one = -one
     nz = L.cells
 
-    # r1 on i < j and J on i < j < k, as sparse {a*n+b: c} dicts; J's three
-    # terms lie in the distinct rows i, j and k of the n x n coordinates.
+    # r1 on i < j with [x_i, x_j] != 0 (module docstring) and J on i < j < k,
+    # as sparse {a*n+b: c} dicts; J's three terms lie in the distinct rows
+    # i, j and k of the n x n coordinates.
     instances: list[SparseVector] = []
     for i in range(n):
         for j in range(i + 1, n):
             nz_ij = nz[i][j]
-            for k in range(n):
+            for k in range(0 if nz_ij else j + 1, n):
                 nz_jk, nz_ik = nz[j][k], nz[i][k]
                 if not (nz_ij or nz_jk or nz_ik):
                     continue
-                v: SparseVector = {}
-                add_scaled(v, one, [(a * n + k, c) for a, c in nz_ij])
-                add_scaled(v, minus_one, [(i * n + b, c) for b, c in nz_jk])
-                add_scaled(v, one, [(j * n + b, c) for b, c in nz_ik])
-                instances.append(v)
+                if nz_ij:
+                    v: SparseVector = {}
+                    add_scaled(v, one, [(a * n + k, c) for a, c in nz_ij])
+                    add_scaled(v, minus_one, [(i * n + b, c) for b, c in nz_jk])
+                    add_scaled(v, one, [(j * n + b, c) for b, c in nz_ik])
+                    instances.append(v)
                 if k > j:
                     v = {i * n + b: c for b, c in nz_jk}
                     v.update((j * n + b, -c) for b, c in nz_ik)

@@ -14,8 +14,9 @@ from lietensor.fields import GF, QQ
 from lietensor.presentation import (build_cover, presentation_of,
                                     verify_cover_theorem)
 from lietensor.liealg import bracket_pairing, lie_algebra_from_table
-from lietensor.linalg import (Matrix, SpanBuilder, Subspace, kernel, rref,
-                              sparse, subspace_intersect, subspace_sum)
+from lietensor.linalg import (Matrix, SpanBuilder, Subspace, annihilator,
+                              kernel, rref, sparse, subspace_intersect,
+                              subspace_sum)
 
 import support
 from support import (complement_within, contains, inverse, linear_map,
@@ -414,6 +415,37 @@ def test_kernel_and_intersection_agree_with_sympy(case):
         assert rank(a_rows + [list(v)]) == rank(a_rows)
         assert rank(b_rows + [list(v)]) == rank(b_rows)
     assert list(meet.sparse_rows) == [sparse(r) for r in meet.basis.entries]
+
+
+@st.composite
+def bilinear_cells(draw):
+    """An arbitrary bilinear map F^n x F^n -> F^m as an n x n grid of dense
+    cells, over Q, GF(2), GF(3) or GF(5): neither antisymmetric nor free
+    of zero cells."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cell_st = st.one_of(st.just([0] * m),
+                        st.lists(st.sampled_from([0, 0, 1, -1, 2, 3]),
+                                 min_size=m, max_size=m))
+    grid = [[[field.scalar(x) for x in draw(cell_st)] for _ in range(n)]
+            for _ in range(n)]
+    return field, n, m, grid
+
+
+@settings(deadline=None)
+@given(bilinear_cells())
+def test_annihilator_is_the_kernel_of_the_stacked_map(case):
+    # The dense stacked map has row j*m + k and column i holding entry k of
+    # cell (i, j); sympy's null space of it never goes through the package.
+    field, n, m, grid = case
+    stacked = [[grid[i][j][k] for i in range(n)]
+               for j in range(n) for k in range(m)]
+    null = sympy_matrix(field, stacked, n).nullspace().to_list()
+    oracle = support.span(field, n,
+                          [[from_sympy(field, x) for x in r] for r in null])
+    got = annihilator(field, n, m, lambda i, j: sparse(grid[i][j]).items())
+    assert got == oracle
+    assert got == kernel(matrix_from_rows(field, stacked, cols=n))
 
 
 # ----------------------------------------------------------------------

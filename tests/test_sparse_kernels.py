@@ -7,14 +7,16 @@ checks and their oracles both return Verdict, so a verdict is compared
 whole: its ok, its detail and its structured witness.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lietensor import (GF, QQ, Field, Verdict, build_tensor_square,
-                       bracket_pairing, catalog, free_nilpotent, heisenberg,
-                       is_lie_pairing, lie_algebra_from_table,
-                       quotient_algebra, sl2)
+from lietensor import (GF, QQ, BilinearMap, Field, LieAlgebra, Verdict,
+                       build_tensor_square, bracket_pairing, catalog,
+                       free_nilpotent, heisenberg, is_lie_pairing,
+                       lie_algebra_from_table, quotient_algebra, sl2)
 from lietensor.errors import InternalCheckError
 from lietensor.liealg import homomorphism_failure
 from lietensor.linalg import Subspace, dense, sparse
@@ -194,3 +196,72 @@ def test_decomposition_verdict_matches_the_dense_loops_under_every_corruption():
             details.add(getattr(results[1], "detail", "raised"))
     assert "complement is not an ideal" in details
     assert "restriction to the complement is not a homomorphism" in details
+
+
+def test_commutator_check_brackets_only_pairs_with_a_nonzero_side(monkeypatch):
+    # A pair whose source cell is zero and which has a zero image has two
+    # empty sides; the commutator map's homomorphism check on heisenberg(2)'s
+    # tensor square must bracket only the other pairs, in row-major order.
+    T = build_tensor_square(heisenberg(2))
+    fresh = TensorSquare(T.base, T.relation_space, T.algebra, T.pairing)
+    images = fresh._commutator.sparse_columns
+    position = {id(image): j for j, image in enumerate(images)}
+    seen = []
+    real = LieAlgebra.bracket_sparse
+
+    def counted(self, u, v):
+        if self is T.base:
+            seen.append((position[id(u)], position[id(v)]))
+        return real(self, u, v)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_sparse", counted)
+    fresh.commutator_map
+    cells = T.algebra.cells
+    expected = [(i, j) for i in range(T.dim) for j in range(T.dim)
+                if cells[i][j] or (images[i] and images[j])]
+    assert seen == expected
+    assert len(expected) < T.dim ** 2
+
+
+def test_pairing_check_evaluates_axioms_i_and_ii_only_where_a_cell_is_nonzero():
+    # Each evaluation of axiom (i) or (ii) calls is_lie_pairing's inner
+    # difference(); its caller's (l, lp, s) is the triple.  The five sides
+    # read the cells (l, l'), (l', l), (l', s), (l, s) and (s, l).
+    L = heisenberg(2)
+    T = build_tensor_square(L)
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "difference":
+            names = frame.f_back.f_locals
+            seen.append((names["l"], names["lp"], names["s"]))
+
+    sys.setprofile(profile)
+    try:
+        assert is_lie_pairing(T.pairing, L, T.algebra) == Verdict(True)
+    finally:
+        sys.setprofile(None)
+    nz, n = L.cells, L.dim
+    expected = [(l, lp, s) for l in range(n) for lp in range(n)
+                for s in range(n)
+                if nz[l][lp] or nz[lp][l] or nz[lp][s] or nz[l][s] or nz[s][l]]
+    assert sorted(set(seen)) == expected == list(dict.fromkeys(seen))
+    assert len(expected) < n ** 3
+
+
+def test_pairing_check_reads_the_transposed_cell_of_a_table():
+    # [x1, x0] = x2 while [x0, x1] = 0, and rho(x2, x2) is the only nonzero
+    # value: only the cell (l', l) of (l, l', s) = (0, 1, 2) is nonzero, and
+    # axiom (ii) fails there first.  A check that assumed antisymmetry would
+    # skip the triple and report a later one.
+    z, o = QQ.zero, QQ.one
+    table = [[(z, z, z)] * 3 for _ in range(3)]
+    table[1][0] = (z, z, o)
+    L = lie_algebra_from_table(QQ, table)
+    H = lie_algebra_from_table(QQ, [[(z,)]])
+    cells = tuple(tuple({0: o} if (i, j) == (2, 2) else {} for j in range(3))
+                  for i in range(3))
+    rho = BilinearMap(QQ, 3, 1, cells)
+    expected = Verdict(False, witness=("axiom-ii", (0, 1, 2)))
+    assert is_lie_pairing(rho, L, H) == dense_is_lie_pairing(rho, L, H) \
+        == expected

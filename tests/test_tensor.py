@@ -640,8 +640,9 @@ def test_construction_matches_a_dense_re_expansion(field):
                          ids=lambda f: f.name)
 def test_crossed_relation_identities_hold_on_every_basis_triple(field):
     # The two vector identities behind the build's generating set (r1 on
-    # i < j, J on i < j < k, u (x) u on L^2 over GF(2) only), expanded
-    # densely from the table, together with the symmetries it relies on.
+    # i < j with [x_i, x_j] != 0, J on i < j < k, u (x) u on L^2 over GF(2)
+    # only), expanded densely from the table, together with the symmetries
+    # and the vanishing cases it relies on.
     rng = random.Random(17 + field.characteristic)
     algebras = [random_semidirect(rng, 3, field),
                 random_nilpotent_quotient(rng, 2, 3, field)]
@@ -692,6 +693,11 @@ def test_crossed_relation_identities_hold_on_every_basis_triple(field):
                     assert J(j, k, i) == J(i, j, k) == comb((-one, J(j, i, k)))
                     if i == j:
                         assert not any(r1(i, i, k)) and not any(J(i, i, k))
+                    if not any(br(i, j)):
+                        # the r1 instances that the build leaves out
+                        assert r1(i, j, k) == comb((-one, J(i, j, k)))
+                        if k in (i, j):
+                            assert not any(r1(i, j, k))
 
 
 def test_relation_checks_agree_with_the_dense_loop_under_every_corruption():
