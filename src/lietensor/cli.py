@@ -382,18 +382,27 @@ def catalog_document() -> dict:
 # argument handling
 # ----------------------------------------------------------------------
 
+# Arguments take ASCII digits only, as documents do: str.isdigit and int()
+# also accept Arabic-Indic, fullwidth and other Unicode digits.
+
 def _parse_field(text: Optional[str]) -> Field:
     if text is None or text in ("Q", "q"):
         return QQ
-    raw = text[1:] if text.lower().startswith("f") else text
-    try:
-        p = int(raw)
-    except ValueError:
+    raw = text[1:] if text[:1] in ("F", "f") else text
+    if not (raw.isascii() and raw.isdigit()):
         raise InvalidInputError(f"unrecognized field {text!r} (use Q or a prime)")
     try:
-        return field_from_descriptor({"Fp": p})
+        return field_from_descriptor({"Fp": int(raw)})
     except ValueError as exc:
         raise InvalidInputError(str(exc))
+
+
+def _integer(text: str) -> int:
+    """argparse type of -d and -c: an optional minus sign and ASCII digits."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fn = sub.add_parser("free-nilpotent",
                         help="free nilpotent algebra on a Hall basis")
-    fn.add_argument("-d", type=int, required=True, help="generator count")
-    fn.add_argument("-c", type=int, required=True, help="nilpotency class")
+    fn.add_argument("-d", type=_integer, required=True, help="generator count")
+    fn.add_argument("-c", type=_integer, required=True, help="nilpotency class")
     fn.add_argument("--field")
     add_common(fn, with_algebra=False)
 

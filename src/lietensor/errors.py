@@ -1,5 +1,6 @@
-"""Exception classes, the one check result type, and the immutable base of
-the package's value types."""
+"""Exception classes, the one check result type, and Immutable, the base of
+the package's value types, which derives their constructors, equality,
+hashes and reprs from the fields each type declares."""
 
 from __future__ import annotations
 
@@ -7,13 +8,62 @@ from typing import Optional
 
 
 class Immutable:
-    """Base of the package's value types, which are immutable after
-    construction.  Each sets its fields once in __init__, through the
-    instance __dict__, as cached_property does for the views built on first
-    use; assigning or deleting an attribute afterwards raises AttributeError.
-    Each type writes out its own equality, hash and repr."""
+    """Base of the package's value types.  A type declares its fields once,
+    in constructor order, as _fields, the defaults of trailing fields as
+    _defaults, and as _hashed how many leading fields the hash reads (by
+    default all).  From these the base derives:
+
+    - __init__, taking fields by position or keyword and storing them
+      through the instance __dict__, as cached_property does for the views
+      built on first use; too many positional arguments, an unknown or
+      repeated keyword and a missing field raise TypeError.  A type whose
+      constructor checks or adds something ends it by calling this one;
+    - equality: the same type and equal fields;
+    - the hash of the tuple of the first _hashed fields;
+    - the repr Type(field=value, ...).
+
+    Assigning or deleting an attribute raises AttributeError."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+    _hashed: Optional[int] = None
+
+    def __init__(self, *args, **kwargs):
+        fields, d = self._fields, self.__dict__
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} "
+                            f"fields but {len(args)} were given")
+        d.update(zip(fields, args))
+        for name, value in kwargs.items():
+            if name in d or name not in fields:
+                raise TypeError(f"{type(self).__name__}() got "
+                                f"{'repeated' if name in d else 'unknown'} "
+                                f"field {name!r}")
+            d[name] = value
+        if len(d) < len(fields):
+            for name in fields:
+                if name not in d:
+                    if name not in self._defaults:
+                        raise TypeError(f"{type(self).__name__}() is "
+                                        f"missing field {name!r}")
+                    d[name] = self._defaults[name]
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values()[:self._hashed])
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}"
+                          for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({shown})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -27,25 +77,8 @@ class Verdict(Immutable):
     messages, and a structured witness of what failed (an axiom kind with
     its basis indices, or failing basis pairs and triples)."""
 
-    def __init__(self, ok: bool, detail: str = "",
-                 witness: Optional[tuple] = None):
-        d = self.__dict__
-        d["ok"] = ok
-        d["detail"] = detail
-        d["witness"] = witness
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.detail, self.witness) == \
-            (other.ok, other.detail, other.witness)
-
-    def __hash__(self):
-        return hash((self.ok, self.detail, self.witness))
-
-    def __repr__(self):
-        return (f"Verdict(ok={self.ok!r}, detail={self.detail!r}, "
-                f"witness={self.witness!r})")
+    _fields = ("ok", "detail", "witness")
+    _defaults = {"detail": "", "witness": None}
 
     def __bool__(self) -> bool:
         return self.ok

@@ -191,21 +191,12 @@ class Field(Immutable):
     """The coefficient field: the rationals (characteristic 0) or GF(p).
     Immutable; equal exactly when the characteristics are."""
 
+    _fields = ("characteristic",)
+
     def __init__(self, characteristic: int = 0):
         if characteristic != 0 and not is_prime(characteristic):
             raise ValueError(f"modulus {characteristic} is not prime")
-        self.__dict__["characteristic"] = characteristic
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.characteristic == other.characteristic
-
-    def __hash__(self):
-        return hash((self.characteristic,))
-
-    def __repr__(self):
-        return f"Field(characteristic={self.characteristic!r})"
+        super().__init__(characteristic)
 
     @property
     def is_rational(self) -> bool:

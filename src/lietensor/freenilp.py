@@ -60,29 +60,21 @@ class HallWord(Immutable):
     from the hashes its factors computed once, and words with different
     hashes are unequal without recursing."""
 
+    _fields = ("degree", "index", "left", "right")
+
     def __init__(self, degree: int, index: Optional[int] = None,
                  left: Optional[HallWord] = None,
                  right: Optional[HallWord] = None):
-        d = self.__dict__
-        d["degree"] = degree
-        d["index"] = index
-        d["left"] = left
-        d["right"] = right
-        d["_hash"] = hash((degree, index, left, right))
+        super().__init__(degree, index, left, right)
+        self.__dict__["_hash"] = hash((degree, index, left, right))
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._hash == other._hash and \
-            (self.degree, self.index, self.left, self.right) == \
-            (other.degree, other.index, other.left, other.right)
+        if other.__class__ is self.__class__ and self._hash != other._hash:
+            return False
+        return super().__eq__(other)
 
     def __hash__(self):
         return self._hash
-
-    def __repr__(self):
-        return (f"HallWord(degree={self.degree!r}, index={self.index!r}, "
-                f"left={self.left!r}, right={self.right!r})")
 
     def __lt__(self, other: "HallWord") -> bool:
         if self.degree != other.degree:
@@ -256,23 +248,7 @@ class FreeNilpotent(Immutable):
     """The free nilpotent algebra on d generators of class c, with its Hall
     words and their degrees in basis order.  Immutable."""
 
-    def __init__(self, d: int, c: int, algebra: LieAlgebra,
-                 words: tuple[HallWord, ...], degrees: tuple[int, ...]):
-        s = self.__dict__
-        s["d"] = d
-        s["c"] = c
-        s["algebra"] = algebra
-        s["words"] = words
-        s["degrees"] = degrees
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.d, self.c, self.algebra, self.words, self.degrees) == \
-            (other.d, other.c, other.algebra, other.words, other.degrees)
-
-    def __hash__(self):
-        return hash((self.d, self.c, self.algebra, self.words, self.degrees))
+    _fields = ("d", "c", "algebra", "words", "degrees")
 
     def __repr__(self):
         return (f"FreeNilpotent(d={self.d}, c={self.c}, "

@@ -45,6 +45,8 @@ class LieAlgebra(Immutable):
     checks the shape and that every cell is canonical, so equal algebras
     have equal cells."""
 
+    _fields = ("field", "dim", "cells", "basis_names")
+
     def __init__(self, field: Field, dim: int,
                  cells: tuple[tuple[Cell, ...], ...],
                  basis_names: tuple[str, ...]):
@@ -56,20 +58,7 @@ class LieAlgebra(Immutable):
             for cell in compress(row, row):
                 if cell != _cell({k: c for k, c in cell if c and 0 <= k < n}):
                     raise ValueError(f"cell {cell!r} is not sorted, in range and zero-free")
-        d = self.__dict__
-        d["field"] = field
-        d["dim"] = dim
-        d["cells"] = cells
-        d["basis_names"] = basis_names
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.dim, self.cells, self.basis_names) == \
-            (other.field, other.dim, other.cells, other.basis_names)
-
-    def __hash__(self):
-        return hash((self.field, self.dim, self.cells, self.basis_names))
+        super().__init__(field, dim, cells, basis_names)
 
     def __repr__(self):
         shown = ",".join(self.basis_names[:6])
@@ -238,22 +227,8 @@ class BilinearMap(Immutable):
     cells are canonical, so equality is that of the dense tables; the hash
     reads the dimensions."""
 
-    def __init__(self, field: Field, source_dim: int, target_dim: int,
-                 cells: tuple[tuple[SparseVector, ...], ...]):
-        d = self.__dict__
-        d["field"] = field
-        d["source_dim"] = source_dim
-        d["target_dim"] = target_dim
-        d["cells"] = cells
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.source_dim, self.target_dim, self.cells) == \
-            (other.field, other.source_dim, other.target_dim, other.cells)
-
-    def __hash__(self):
-        return hash((self.field, self.source_dim, self.target_dim))
+    _fields = ("field", "source_dim", "target_dim", "cells")
+    _hashed = 3
 
     def __repr__(self):
         name = self.field.name

@@ -87,22 +87,8 @@ class Matrix(Immutable):
     canonical, so equality is that of the dense entries; the hash reads the
     shape."""
 
-    def __init__(self, field: Field, rows: int, cols: int,
-                 sparse_columns: tuple[SparseVector, ...]):
-        d = self.__dict__
-        d["field"] = field
-        d["rows"] = rows
-        d["cols"] = cols
-        d["sparse_columns"] = sparse_columns
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.rows, self.cols, self.sparse_columns) == \
-            (other.field, other.rows, other.cols, other.sparse_columns)
-
-    def __hash__(self):
-        return hash((self.field, self.rows, self.cols))
+    _fields = ("field", "rows", "cols", "sparse_columns")
+    _hashed = 3
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field.name})"
@@ -185,22 +171,8 @@ class Subspace(Immutable):
     only, because reductions and builders seeded from them share them; the
     hash reads the pivots."""
 
-    def __init__(self, field: Field, ambient_dim: int, pivots: tuple[int, ...],
-                 sparse_rows: tuple[SparseVector, ...]):
-        d = self.__dict__
-        d["field"] = field
-        d["ambient_dim"] = ambient_dim
-        d["pivots"] = pivots
-        d["sparse_rows"] = sparse_rows
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.field, self.ambient_dim, self.pivots, self.sparse_rows) \
-            == (other.field, other.ambient_dim, other.pivots, other.sparse_rows)
-
-    def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.pivots))
+    _fields = ("field", "ambient_dim", "pivots", "sparse_rows")
+    _hashed = 3
 
     def __repr__(self):
         return (f"Subspace(dim {self.dim} of "

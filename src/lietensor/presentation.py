@@ -63,7 +63,7 @@ from .liealg import (BilinearMap, LieAlgebra, _cell, homomorphism_failure,
                      quotient_by_ideal)
 from .linalg import (Matrix, SpanBuilder, Subspace, add_scaled, combine,
                      kernel)
-from .freenilp import FreeNilpotent, dimension_exceeds, free_nilpotent
+from .freenilp import dimension_exceeds, free_nilpotent
 from .tensor import TensorSquare
 
 
@@ -76,26 +76,7 @@ class FreePresentation(Immutable):
     the whole algebra.  Immutable.
     """
 
-    def __init__(self, L: LieAlgebra, free: FreeNilpotent, onto: Matrix,
-                 relations: Subspace, relations_commutator: Subspace):
-        d = self.__dict__
-        d["L"] = L
-        d["free"] = free
-        d["onto"] = onto
-        d["relations"] = relations
-        d["relations_commutator"] = relations_commutator
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.L, self.free, self.onto, self.relations,
-                self.relations_commutator) == \
-            (other.L, other.free, other.onto, other.relations,
-             other.relations_commutator)
-
-    def __hash__(self):
-        return hash((self.L, self.free, self.onto, self.relations,
-                     self.relations_commutator))
+    _fields = ("L", "free", "onto", "relations", "relations_commutator")
 
     def __repr__(self):
         return (f"FreePresentation(L dim {self.L.dim}, free dim "
@@ -124,33 +105,7 @@ class Cover(Immutable):
     free columns of boundaries; onto is pi and multiplier its kernel.
     Immutable."""
 
-    def __init__(self, L: LieAlgebra, algebra: LieAlgebra,
-                 multiplier: Subspace, onto: Matrix, boundaries: Subspace,
-                 d: int):
-        s = self.__dict__
-        s["L"] = L
-        s["algebra"] = algebra
-        s["multiplier"] = multiplier
-        s["onto"] = onto
-        s["boundaries"] = boundaries
-        s["d"] = d
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.L, self.algebra, self.multiplier, self.onto,
-                self.boundaries, self.d) == \
-            (other.L, other.algebra, other.multiplier, other.onto,
-             other.boundaries, other.d)
-
-    def __hash__(self):
-        return hash((self.L, self.algebra, self.multiplier, self.onto,
-                     self.boundaries, self.d))
-
-    def __repr__(self):
-        return (f"Cover(L={self.L!r}, algebra={self.algebra!r}, "
-                f"multiplier={self.multiplier!r}, onto={self.onto!r}, "
-                f"boundaries={self.boundaries!r}, d={self.d!r})")
+    _fields = ("L", "algebra", "multiplier", "onto", "boundaries", "d")
 
 
 @lru_cache(maxsize=64)

@@ -370,58 +370,14 @@ class Abelianization(Immutable):
     """L/L^2 and its tensor square; the canonical lifts of its basis are the
     unit vectors of L at lift_cols, the free columns of L^2.  Immutable."""
 
-    def __init__(self, algebra: LieAlgebra, to_ab: Matrix,
-                 lift_cols: tuple[int, ...], tensor: TensorSquare, map: Matrix,
-                 kernel: Subspace):
-        d = self.__dict__
-        d["algebra"] = algebra
-        d["to_ab"] = to_ab
-        d["lift_cols"] = lift_cols
-        d["tensor"] = tensor
-        d["map"] = map
-        d["kernel"] = kernel
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.algebra, self.to_ab, self.lift_cols, self.tensor,
-                self.map, self.kernel) == \
-            (other.algebra, other.to_ab, other.lift_cols, other.tensor,
-             other.map, other.kernel)
-
-    def __hash__(self):
-        return hash((self.algebra, self.to_ab, self.lift_cols, self.tensor,
-                     self.map, self.kernel))
-
-    def __repr__(self):
-        return (f"Abelianization(algebra={self.algebra!r}, "
-                f"to_ab={self.to_ab!r}, lift_cols={self.lift_cols!r}, "
-                f"tensor={self.tensor!r}, map={self.map!r}, "
-                f"kernel={self.kernel!r})")
+    _fields = ("algebra", "to_ab", "lift_cols", "tensor", "map", "kernel")
 
 
 class WhiteheadGamma(Immutable):
     """Basis: one generator per coordinate (diagonal), then one per unordered
     pair i < j; dimension m(m+1)/2 in every characteristic.  Immutable."""
 
-    def __init__(self, rank: int, dim: int, to_square: Matrix):
-        d = self.__dict__
-        d["rank"] = rank
-        d["dim"] = dim
-        d["to_square"] = to_square
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rank, self.dim, self.to_square) == \
-            (other.rank, other.dim, other.to_square)
-
-    def __hash__(self):
-        return hash((self.rank, self.dim, self.to_square))
-
-    def __repr__(self):
-        return (f"WhiteheadGamma(rank={self.rank!r}, dim={self.dim!r}, "
-                f"to_square={self.to_square!r})")
+    _fields = ("rank", "dim", "to_square")
 
     def quadratic(self, v: Sequence[Scalar]) -> Vector:
         """The universal quadratic map in these coordinates."""
@@ -525,28 +481,7 @@ class TensorReport(Immutable):
     """Dimension table and theorem verdicts for one algebra.  Its fields
     cannot be reassigned; the dicts make it unhashable."""
 
-    def __init__(self, dims: dict, verdicts: dict, diagnostics: dict,
-                 subspaces: dict):
-        d = self.__dict__
-        d["dims"] = dims
-        d["verdicts"] = verdicts
-        d["diagnostics"] = diagnostics
-        d["subspaces"] = subspaces
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.dims, self.verdicts, self.diagnostics, self.subspaces) \
-            == (other.dims, other.verdicts, other.diagnostics, other.subspaces)
-
-    def __hash__(self):
-        return hash((self.dims, self.verdicts, self.diagnostics,
-                     self.subspaces))
-
-    def __repr__(self):
-        return (f"TensorReport(dims={self.dims!r}, verdicts={self.verdicts!r}, "
-                f"diagnostics={self.diagnostics!r}, "
-                f"subspaces={self.subspaces!r})")
+    _fields = ("dims", "verdicts", "diagnostics", "subspaces")
 
 
 def tensor_report(T: TensorSquare) -> TensorReport:

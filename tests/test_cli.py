@@ -80,6 +80,29 @@ def test_catalog_names_with_non_ascii_digits_are_rejected(capsys):
         assert not captured.out and "Traceback" not in captured.err, name
 
 
+def test_field_and_integer_arguments_take_ascii_digits_only(capsys):
+    # int() used to read "--field \u0663" (Arabic-Indic 3) as GF(3),
+    # "--field \uff15" (fullwidth 5) as GF(5), and "-d \u0662" as 2.
+    for argv in (["info", "abelian(1)", "--field", "\u0663"],
+                 ["info", "abelian(1)", "--field", "\uff15"],
+                 ["info", "abelian(1)", "--field", "F\u0663"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "unrecognized field" in captured.err, argv
+        assert not captured.out and "Traceback" not in captured.err, argv
+    for argv in (["free-nilpotent", "-d", "\u0662", "-c", "2"],
+                 ["free-nilpotent", "-d", "2", "-c", "\u0662"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "invalid integer" in capsys.readouterr().err, argv
+    for text, descriptor in (("F5", {"Fp": 5}), ("5", {"Fp": 5}), ("Q", "Q")):
+        code, doc = run(["info", "abelian(1)", "--field", text], capsys)
+        assert code == 0 and doc["input"]["document"]["field"] == descriptor
+    code, doc = run(["free-nilpotent", "-d", "2", "-c", "2"], capsys)
+    assert code == 0 and (doc["generators"], doc["class"]) == (2, 2), doc
+
+
 def test_jacobi_rejection_carries_witness():
     # [x1,x2] = x1 and [x1,x3] = x2 violate the Jacobi identity at (0,1,2)
     doc = {"field": "Q", "dim": 3,

@@ -1,17 +1,21 @@
-"""The package's value types are plain immutable classes with written-out
-constructors, equality, hashes and reprs.  These tests pin the semantics
-they keep: constructor order, keywords and defaults; equality by fields and
-type; hashes that skip the sparse payload of Matrix, Subspace and
-BilinearMap; and AttributeError on assignment."""
+"""The package's value types are plain immutable classes that declare their
+fields once; errors.Immutable derives their constructors, equality, hashes
+and reprs from that declaration.  These tests pin the semantics they keep:
+constructor order, keywords and defaults; TypeError on a malformed
+argument list; equality by fields and type; hashes that skip the sparse
+payload of Matrix, Subspace and BilinearMap; and AttributeError on
+assignment."""
 
 from itertools import combinations
 
 import pytest
 
+import lietensor
 from lietensor import (GF, QQ, BilinearMap, Cover, Field, FreeNilpotent,
                        FreePresentation, LieAlgebra, Matrix, Subspace,
                        Verdict, build_cover, build_tensor_square,
                        free_nilpotent, heisenberg, presentation_of)
+from lietensor.errors import Immutable
 from lietensor.freenilp import HallWord
 from lietensor.tensor import (Abelianization, TensorReport, WhiteheadGamma,
                               tensor_report)
@@ -125,3 +129,31 @@ def test_lie_algebra_constructor_checks_its_cells():
     cells[0][1] = ((2, QQ.one), (2, QQ.one))
     with pytest.raises(ValueError, match="not sorted"):
         LieAlgebra(L.field, 3, tuple(map(tuple, cells)), L.basis_names)
+
+
+def test_every_value_type_of_the_package_declares_the_pinned_fields():
+    # A value type added later is covered by the tests above only once it
+    # is listed in FIELDS.
+    found, todo = set(), [Immutable]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith(lietensor.__name__ + "."):
+                found.add(cls)
+    assert found == set(FIELDS)
+    for cls, names in FIELDS.items():
+        assert cls._fields == names, cls
+
+
+def test_malformed_argument_lists_raise_type_error():
+    one = QQ.one
+    for make, message in (
+            (lambda: Verdict(True, "", None, "extra"), "takes 3 fields"),
+            (lambda: Matrix(QQ, 1, 1, ({0: one},), rows=1), "repeated field 'rows'"),
+            (lambda: Verdict(True, reason="x"), "unknown field 'reason'"),
+            (lambda: Verdict(True, ok=False), "repeated field 'ok'"),
+            (lambda: Verdict(detail="x"), "missing field 'ok'"),
+            (lambda: Matrix(QQ, 1, sparse_columns=()), "missing field 'cols'"),
+            (lambda: Cover(), "missing field 'L'")):
+        with pytest.raises(TypeError, match=message):
+            make()
