@@ -130,11 +130,10 @@ def parse_algebra_document(doc: dict) -> LieAlgebra:
 def algebra_document(L: LieAlgebra) -> dict:
     """Canonical echo document for an algebra (inverse of parsing)."""
     brackets = []
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            terms = [[k, L.field.to_str(c)] for k, c in L.cells[i][j]]
-            if terms:
-                brackets.append([i, j, terms])
+    for i, row in enumerate(L.cells):
+        for j in sorted(j for j in row if j > i):
+            brackets.append([i, j, [[k, L.field.to_str(c)]
+                                    for k, c in sorted(row[j].items())]])
     return {
         "field": L.field.descriptor(),
         "dim": L.dim,

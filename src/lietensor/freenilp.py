@@ -38,14 +38,14 @@ commutator of their expansions, and the expansions of each layer are
 linearly independent.  The Witt layer count, the validation over Q in
 _integer_structure and every check downstream are kept.
 
-The integer structure constants are sparse cells ((k, c), ...), the stored
-form of LieAlgebra, validated once per (d, c) and converted to each field.
+The integer structure constants are rows {j: {k: c}} of nonzero cells, the
+stored form of LieAlgebra, validated once per (d, c) and converted to each
+field.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
 from typing import Optional
 
 from .errors import Immutable, InternalCheckError
@@ -155,8 +155,8 @@ def hall_words(d: int, c: int) -> tuple[HallWord, ...]:
 
 
 def _hall_table(d: int, c: int):
-    """Integer structure constants of the free nilpotent algebra as sparse
-    cells, cells[i][j] = ((k, c), ...) sorted by k and zero-free, with the
+    """Integer structure constants of the free nilpotent algebra as rows of
+    nonzero cells, cells[i] = {j: {k: c}} with every c nonzero, with the
     Hall word labels, degrees and words; not yet validated.  Computed by
     the rewriting in the module docstring; indices follow the Hall order."""
     words = hall_words(d, c)
@@ -195,12 +195,9 @@ def _hall_table(d: int, c: int):
                     cell = {k: x for k, x in cell.items() if x}
                 memo[i][j] = cell
                 memo[j][i] = {k: -x for k, x in cell.items()}
-    cells = [[()] * nw for _ in range(nw)]
-    for i, row in enumerate(memo):
-        for j, cell in row.items():
-            cells[i][j] = tuple(sorted(cell.items()))
+    cells = tuple({j: cell for j, cell in row.items() if cell} for row in memo)
     labels = tuple(w.label() for w in words)
-    return tuple(map(tuple, cells)), labels, tuple(degree), words
+    return cells, labels, tuple(degree), words
 
 
 @lru_cache(maxsize=16)
@@ -226,22 +223,16 @@ def _integer_structure(d: int, c: int):
 
 
 def _convert(int_cells, field: Field):
-    """The sparse integer cells over field.  Only the nonzero cells are
-    converted (compress finds them at C speed), and a row without one, such
-    as every row of top degree, is shared as it is.  Each distinct integer
-    is converted once, and a coefficient that vanishes in field (a multiple
-    of p over GF(p)) is dropped, so every cell stays canonical: sorted and
-    zero-free."""
-    n = len(int_cells)
-    nonzero = [(i, j) for i, row in enumerate(int_cells)
-               for j in compress(range(n), row)]
-    scalars = {x: field.scalar(x) for i, j in nonzero for _, x in int_cells[i][j]}
-    rows = list(int_cells)
-    for i, j in nonzero:
-        if rows[i] is int_cells[i]:
-            rows[i] = list(int_cells[i])
-        rows[i][j] = tuple((k, scalars[x]) for k, x in int_cells[i][j] if scalars[x])
-    return tuple(map(tuple, rows))
+    """The integer rows over field.  Each distinct integer is converted
+    once, and a coefficient that vanishes in field (a multiple of p over
+    GF(p)) is dropped, with its cell if that empties it, so every cell stays
+    canonical: nonempty and zero-free."""
+    scalars = {x: field.scalar(x) for row in int_cells
+               for cell in row.values() for x in cell.values()}
+    return tuple({j: c for j, cell in row.items()
+                  if (c := {k: scalars[x] for k, x in cell.items()
+                            if scalars[x]})}
+                 for row in int_cells)
 
 
 class FreeNilpotent(Immutable):

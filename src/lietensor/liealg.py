@@ -1,20 +1,22 @@
 """Finite-dimensional Lie algebras given by structure constants.
 
-An algebra of dimension n stores its structure constants sparsely: cells[i][j]
-is the tuple ((k, c), ...) of the nonzero coordinates of [x_i, x_j], in
-increasing k.  Both (i, j) and (j, i) are stored, so validation checks the
-stored antisymmetry rather than inferring it, and corrupted input is
-detectable.  A cell is sorted and holds no zero, so two algebras are equal
-exactly when their dense tables are.  The dense n x n table is a view built
-on first use; dense tables enter only through lie_algebra_from_table.  Basis
-labels are purely decorative; all identity decisions use indices.
+An algebra of dimension n stores only its nonzero structure constants: row
+cells[i] is a dict {j: {k: c}} holding, for each j with [x_i, x_j] != 0, the
+nonzero coordinates c of that bracket.  Both (i, j) and (j, i) are stored,
+so validation checks the stored antisymmetry rather than inferring it, and
+corrupted input is detectable.  No cell is empty and none holds a zero, so
+two algebras are equal exactly when their dense tables are.  The dense
+n x n table is a view built on first use; dense tables enter only through
+lie_algebra_from_table.  Basis labels are purely decorative; all identity
+decisions use indices.
 
 Brackets, ad, the pairing axioms and the homomorphism checks all evaluate on
 sparse {index: nonzero} vectors over the cells (LieAlgebra.bracket_sparse and
 ad_sparse); the dense bracket is a thin wrapper that densifies the result.
-Each check keeps the dense order, skipping only instances whose sides vanish.
-A BilinearMap stores its {k: nonzero} cells in the same way, with its dense
-table a view.  Every check returns a Verdict, whose witness is structured:
+Each check keeps the dense order, skipping only instances whose sides
+vanish.  A BilinearMap stores its {k: nonzero} cells in an n x n grid, with
+its dense table a view: its source is a base algebra and nearly all of its
+cells are nonzero.  Every check returns a Verdict, whose witness is structured:
 the failing pairs and triples of validate(), the first violated axiom
 instance of is_lie_pairing.
 """
@@ -31,34 +33,29 @@ from .linalg import (Matrix, SparseVector, SpanBuilder, Subspace, Vector,
                      add_scaled, annihilator, combine, dense, sparse)
 
 
-Cell = tuple[tuple[int, Scalar], ...]
-
-
-def _cell(v: SparseVector) -> Cell:
-    """A zero-free sparse vector as a canonical cell, sorted by index."""
-    return tuple(sorted(v.items()))
-
-
 class LieAlgebra(Immutable):
-    """An algebra of dimension dim over field by its sparse cells (module
-    docstring), with decorative basis names.  Immutable; the constructor
-    checks the shape and that every cell is canonical, so equal algebras
-    have equal cells."""
+    """An algebra of dimension dim over field by its rows of nonzero cells
+    (module docstring), with decorative basis names.  Immutable; the
+    constructor checks that there are dim rows and every cell is canonical,
+    so equal algebras have equal cells; the hash reads the field and the
+    dimension."""
 
     _fields = ("field", "dim", "cells", "basis_names")
+    _hashed = 2
 
     def __init__(self, field: Field, dim: int,
-                 cells: tuple[tuple[Cell, ...], ...],
+                 cells: Sequence[dict[int, SparseVector]],
                  basis_names: tuple[str, ...]):
         n = dim
-        if len(cells) != n or len(basis_names) != n \
-                or any(len(row) != n for row in cells):
+        if len(cells) != n or len(basis_names) != n:
             raise ValueError("cells/name size mismatch")
         for row in cells:
-            for cell in compress(row, row):
-                if cell != _cell({k: c for k, c in cell if c and 0 <= k < n}):
-                    raise ValueError(f"cell {cell!r} is not sorted, in range and zero-free")
-        super().__init__(field, dim, cells, basis_names)
+            for j, cell in row.items():
+                if not (0 <= j < n and cell
+                        and all(c and 0 <= k < n for k, c in cell.items())):
+                    raise ValueError(f"cell {j}: {cell!r} is not in range, "
+                                     f"nonempty and zero-free")
+        super().__init__(field, dim, tuple(cells), basis_names)
 
     def __repr__(self):
         shown = ",".join(self.basis_names[:6])
@@ -71,7 +68,7 @@ class LieAlgebra(Immutable):
         """The dense n x n table of bracket coordinate vectors, built on
         first use; nothing on the verification path reads it."""
         n, zero = self.dim, self.field.zero
-        return tuple(tuple(dense(dict(cell), n, zero) for cell in row)
+        return tuple(tuple(dense(row.get(j, {}), n, zero) for j in range(n))
                      for row in self.cells)
 
     def basis_vector(self, i: int) -> Vector:
@@ -86,9 +83,9 @@ class LieAlgebra(Immutable):
         for i, ui in u.items():
             nz_i = nz[i]
             for j, vj in v.items():
-                cell = nz_i[j]
+                cell = nz_i.get(j)
                 if cell:
-                    add_scaled(acc, ui * vj, cell)
+                    add_scaled(acc, ui * vj, cell.items())
         return acc
 
     def bracket(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
@@ -101,12 +98,10 @@ class LieAlgebra(Immutable):
     def ad_sparse(self, v: SparseVector) -> list[SparseVector]:
         """[v, x_j] for every basis vector x_j, from the nonzero cells of the
         rows in the support of v, each added in the order of v."""
-        n = self.dim
-        out: list[SparseVector] = [{} for _ in range(n)]
+        out: list[SparseVector] = [{} for _ in range(self.dim)]
         for i, vi in v.items():
-            row = self.cells[i]
-            for j in compress(range(n), row):
-                add_scaled(out[j], vi, row[j])
+            for j, cell in self.cells[i].items():
+                add_scaled(out[j], vi, cell.items())
         return out
 
     def validate(self) -> Verdict:
@@ -129,34 +124,34 @@ class LieAlgebra(Immutable):
         in increasing order.  m may equal k, so a nonzero diagonal cell must
         be in the partner sets.
         """
-        nz, n = self.cells, self.dim
+        nz, n, empty = self.cells, self.dim, {}
         partners: list[set[int]] = [set() for _ in range(n)]
         for a, row in enumerate(nz):
-            for b in compress(range(n), row):
-                partners[a].add(b)
+            partners[a].update(row)
+            for b in row:
                 partners[b].add(a)
         anti_failures = []
         triples = set()
         for a in range(n):
-            if nz[a][a]:
+            if a in nz[a]:
                 anti_failures.append((a, a))
             for b in sorted(b for b in partners[a] if b > a):
-                fwd, bwd = nz[a][b], nz[b][a]
-                if len(fwd) != len(bwd) or any(
-                        k != k2 or c != -c2 for (k, c), (k2, c2) in zip(fwd, bwd)):
+                fwd, bwd = nz[a].get(b, empty), nz[b].get(a, empty)
+                if bwd != {k: -c for k, c in fwd.items()}:
                     anti_failures.append((a, b))
-                for m, _ in fwd + bwd:
+                for m in fwd.keys() | bwd.keys():
                     for c in partners[m]:
                         if c != a and c != b:
                             triples.add(tuple(sorted((a, b, c))))
         jacobi_failures = []
         for i, j, k in sorted(triples):
             acc: SparseVector = {}
-            for first, c in ((nz[i][j], k), (nz[j][k], i), (nz[k][i], j)):
-                for m, coeff in first:
-                    row = nz[m][c]
-                    if row:
-                        add_scaled(acc, coeff, row)
+            for first, c in ((nz[i].get(j, empty), k), (nz[j].get(k, empty), i),
+                             (nz[k].get(i, empty), j)):
+                for m, coeff in first.items():
+                    cell = nz[m].get(c)
+                    if cell:
+                        add_scaled(acc, coeff, cell.items())
             if acc:
                 jacobi_failures.append((i, j, k))
         parts = []
@@ -171,8 +166,9 @@ class LieAlgebra(Immutable):
     def _derived_subalgebra(self) -> Subspace:
         b = SpanBuilder(self.field, self.dim)
         for i, row in enumerate(self.cells):
-            for cell in compress(row[i + 1:], row[i + 1:]):
-                b.insert(dict(cell))
+            for j, cell in row.items():
+                if j > i:
+                    b.insert(cell)
         return b.subspace()
 
     def derived_subalgebra(self) -> Subspace:
@@ -182,7 +178,7 @@ class LieAlgebra(Immutable):
     def center(self) -> Subspace:
         """Kernel of the stacked adjoint map v -> ([v, x_1], ..., [v, x_n])."""
         return annihilator(self.field, self.dim, self.dim,
-                           lambda i, j: self.cells[i][j])
+                           lambda i, j: self.cells[i].get(j, {}).items())
 
     @cached_property
     def _lower_central_series(self) -> tuple[Subspace, ...]:
@@ -217,7 +213,7 @@ class LieAlgebra(Immutable):
 
     @property
     def is_abelian(self) -> bool:
-        return not any(any(row) for row in self.cells)
+        return not any(self.cells)
 
 
 class BilinearMap(Immutable):
@@ -269,7 +265,7 @@ def lie_algebra_from_table(field: Field, table, names=None) -> LieAlgebra:
     dim = len(table)
     if any(len(v) != dim for row in table for v in row):
         raise ValueError("table vectors must have one coordinate per basis vector")
-    cells = tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row)
+    cells = tuple({j: cell for j, v in enumerate(row) if (cell := sparse(v))}
                   for row in table)
     names = tuple(f"x{i + 1}" for i in range(dim)) if names is None else names
     return LieAlgebra(field, dim, cells, tuple(names))
@@ -280,17 +276,19 @@ def lie_algebra_from_brackets(field: Field, dim: int,
                               names=None) -> LieAlgebra:
     """Build the antisymmetric cells from sparse i < j bracket data; terms
     with a repeated index are summed."""
-    cells = [[() for _ in range(dim)] for _ in range(dim)]
+    cells: list[dict[int, SparseVector]] = [{} for _ in range(dim)]
     for (i, j), entries in brackets.items():
         if not 0 <= i < j < dim:
             raise ValueError(f"bracket indices ({i},{j}) out of order or range")
         v: SparseVector = {}
         for k, c in entries:
             v[k] = v.get(k, field.zero) + c
-        cells[i][j] = _cell({k: c for k, c in v.items() if c})
-        cells[j][i] = tuple((k, -c) for k, c in cells[i][j])
+        v = {k: c for k, c in v.items() if c}
+        if v:
+            cells[i][j] = v
+            cells[j][i] = {k: -c for k, c in v.items()}
     names = tuple(f"x{i + 1}" for i in range(dim)) if names is None else names
-    return LieAlgebra(field, dim, tuple(map(tuple, cells)), tuple(names))
+    return LieAlgebra(field, dim, cells, tuple(names))
 
 
 def quotient_algebra(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
@@ -314,9 +312,8 @@ def quotient_by_ideal(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matri
     the caller has proved to be an ideal of L, of ambient dimension dim L
     (each caller gives its argument next to the call)."""
     names = tuple(f"q{c + 1}" for c in range(len(ideal.free_cols)))
-    return descended_algebra(ideal, lambda a: (
-        (b, dict(cell)) for b, cell in enumerate(L.cells[a]) if cell),
-        names), ideal.project
+    return descended_algebra(ideal, lambda a: L.cells[a].items(),
+                             names), ideal.project
 
 
 def descended_algebra(space: Subspace, brackets, names) -> LieAlgebra:
@@ -327,13 +324,12 @@ def descended_algebra(space: Subspace, brackets, names) -> LieAlgebra:
     index = {c: r for r, c in enumerate(space.free_cols)}
     cells = []
     for a in space.free_cols:
-        row = [()] * len(index)
+        row = {}
         for b, v in brackets(a):
-            if b in index:
-                row[index[b]] = _cell({index[c]: x for c, x in
-                                       space.reduce_sparse(v).items()})
-        cells.append(tuple(row))
-    quotient = LieAlgebra(space.field, len(index), tuple(cells), names)
+            if b in index and (residual := space.reduce_sparse(v)):
+                row[index[b]] = {index[c]: x for c, x in residual.items()}
+        cells.append(row)
+    quotient = LieAlgebra(space.field, len(index), cells, names)
     report = quotient.validate()
     if not report.ok:
         raise InternalCheckError(
@@ -344,12 +340,11 @@ def descended_algebra(space: Subspace, brackets, names) -> LieAlgebra:
 def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     if a.field != b.field:
         raise ValueError("field mismatch")
-    n, m = a.dim, b.dim
-    shifted = (tuple(tuple((n + k, c) for k, c in cell) for cell in row)
-               for row in b.cells)
-    cells = tuple(row + ((),) * m for row in a.cells) + \
-        tuple(((),) * n + row for row in shifted)
-    return LieAlgebra(a.field, n + m, cells, a.basis_names + b.basis_names)
+    n = a.dim
+    shifted = tuple({n + j: {n + k: c for k, c in cell.items()}
+                     for j, cell in row.items()} for row in b.cells)
+    return LieAlgebra(a.field, n + b.dim, a.cells + shifted,
+                      a.basis_names + b.basis_names)
 
 
 def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> Verdict:
@@ -381,10 +376,12 @@ def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> Verdict:
     # outer[l'][s][a] = rho(x_a, [x_l', x_s]); inner[l][l'][s] = rho([x_l, x_l'], x_s)
     # A zero cell gets one shared list of empty sides, which nothing mutates.
     empty = [{}] * n
-    outer = [[[combine(cell, cells[a]) for a in range(n)] if cell else empty
-              for cell in row] for row in nz]
-    inner = [[[combine(cell, by_right[s]) for s in range(n)] if cell else empty
-              for cell in row] for row in nz]
+
+    def sides(columns):
+        return [[[combine(row[s].items(), columns[a]) for a in range(n)]
+                 if s in row else empty for s in range(n)] for row in nz]
+
+    outer, inner = sides(cells), sides(by_right)
 
     minus_one = -H.field.one
 
@@ -395,9 +392,9 @@ def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> Verdict:
 
     # The five sides of (l, l', s) read only the cells (l, l'), (l', l),
     # (l', s), (l, s) and (s, l); the s where all five are 0 are skipped.
-    in_row = [set(compress(range(n), row)) for row in nz]
-    near = [in_row[l].union(compress(range(n), col))
-            for l, col in enumerate(zip(*nz))]
+    in_row = [set(row) for row in nz]
+    near = [in_row[l].union(s for s in range(n) if l in in_row[s])
+            for l in range(n)]
     for l in range(n):
         for lp in range(n):
             for s in range(n) if lp in in_row[l] or l in in_row[lp] \
@@ -413,25 +410,26 @@ def is_lie_pairing(rho: BilinearMap, L: LieAlgebra, H: LieAlgebra) -> Verdict:
     # cell (l', s') is; when rho(s, l) is central in H the right side is
     # zero at every (l', s').  Such an (l, s) visits only the nonzero cells,
     # in the same order, so the first witness is unchanged.
-    nonzero_pairs = [(lp, sp) for lp in range(n)
-                     for sp in compress(range(n), nz[lp])]
+    nonzero_pairs = [(lp, sp) for lp in range(n) for sp in sorted(nz[lp])]
     for l in range(n):
         for s in range(n):
-            u, rho_sl = nz[l][s], cells[s][l]
+            u, rho_sl = nz[l].get(s, {}), cells[s][l]
             if not u and not rho_sl:
                 continue  # both sides vanish for every (l', s')
             central = not any(H.ad_sparse(rho_sl))
             for lp, sp in nonzero_pairs if central else every_pair:
                 rhs = H.bracket_sparse(rho_sl, cells[lp][sp])
-                if combine(u, outer[lp][sp]) != {k: -x for k, x in rhs.items()}:
+                if combine(u.items(), outer[lp][sp]) != \
+                        {k: -x for k, x in rhs.items()}:
                     return Verdict(False, witness=("axiom-iii", (l, s, lp, sp)))
     return Verdict(True)
 
 
 def bracket_pairing(L: LieAlgebra) -> BilinearMap:
     """The motivating Lie pairing: (u, v) -> [u, v] landing in L itself."""
-    return BilinearMap(L.field, L.dim, L.dim,
-                       tuple(tuple(map(dict, row)) for row in L.cells))
+    n = L.dim
+    return BilinearMap(L.field, n, n, tuple(
+        tuple(row.get(j, {}) for j in range(n)) for row in L.cells))
 
 
 def ideal_closure(L: LieAlgebra, vectors: Sequence[Sequence[Scalar]]) -> Subspace:
@@ -461,12 +459,11 @@ def homomorphism_failure(images: Sequence[SparseVector], source: LieAlgebra,
     in the dense double loop's order, so the first failing pair is the same.
     """
     nz = source.cells
-    every = range(len(images))
-    nonzero = set(compress(every, images))
+    nonzero = set(compress(range(len(images)), images))
     for i, fi in enumerate(images[:rows]):
         nz_i = nz[i]
-        for j in sorted(nonzero.union(compress(every, nz_i)) if fi
-                        else compress(every, nz_i)):
-            if combine(nz_i[j], images) != target.bracket_sparse(fi, images[j]):
+        for j in sorted(nonzero.union(nz_i) if fi else nz_i):
+            if combine(nz_i.get(j, {}).items(), images) \
+                    != target.bracket_sparse(fi, images[j]):
                 return i, j
     return None

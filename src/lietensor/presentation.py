@@ -59,7 +59,7 @@ from itertools import combinations, compress
 from .catalog import MAX_AMBIENT
 from .errors import (Immutable, InternalCheckError, NotNilpotentError,
                      OutsideEnvelopeError, TheoremViolationError, Verdict)
-from .liealg import (BilinearMap, LieAlgebra, _cell, homomorphism_failure,
+from .liealg import (BilinearMap, LieAlgebra, homomorphism_failure,
                      quotient_by_ideal)
 from .linalg import (Matrix, SpanBuilder, Subspace, add_scaled, combine,
                      kernel)
@@ -182,11 +182,10 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
     # F' is the span of the composite Hall words d..n-1, read off the cells
     # without elimination: no cell has support below d, so F' lies in their
     # span; and each composite word w is the cell (left(w), right(w)), so
-    # their span lies in F'.  (A cell is sorted, so its first index is its
-    # least.)
+    # their span lies in F'.
     cells = F.algebra.cells
-    if any(cell[0][0] < d for row in cells for cell in compress(row, row)) or \
-            any(cells[position[w.left]][position[w.right]] != ((k, 1),)
+    if any(min(cell) < d for row in cells for cell in row.values()) or \
+            any(cells[position[w.left]].get(position[w.right]) != {k: 1}
                 for k, w in enumerate(F.words[d:], d)):
         raise InternalCheckError("derived basis is not coordinate-aligned")
     # R lies in F' (Hopf, module docstring); an echelon pivot is the
@@ -267,9 +266,9 @@ def multiplier_via_presentation(P: FreePresentation) -> Subspace:
 
 def _restrict(K: LieAlgebra, d: int) -> LieAlgebra:
     """K on its positions d..dim K - 1, which must hold every bracket."""
-    cells = tuple(tuple(tuple((k - d, x) for k, x in cell) for cell in row[d:])
-                  for row in K.cells[d:])
-    if any(k < 0 for row in cells for cell in row for k, _ in cell):
+    cells = tuple({j - d: {k - d: x for k, x in cell.items()}
+                   for j, cell in row.items() if j >= d} for row in K.cells[d:])
+    if any(k < 0 for row in cells for cell in row.values() for k in cell):
         raise InternalCheckError(f"a bracket leaves the positions from {d}")
     return LieAlgebra(K.field, K.dim - d, cells,
                       tuple(f"q{c + 1}" for c in range(K.dim - d)))
@@ -285,15 +284,15 @@ def _wedge(n: int, one) -> list:
 def boundaries(L: LieAlgebra) -> Subspace:
     """d3(A3) in the pair coordinates: A2 modulo it is the exterior square
     of L, for every L (module docstring).  combine(cell, wedge[m]) is
-    x_m^cell, and a triple whose three cells are empty has d3 = 0."""
+    x_m^cell, and a triple whose three cells are zero has d3 = 0."""
     nz, one, wedge = L.cells, L.field.one, _wedge(L.dim, L.field.one)
     builder = SpanBuilder(L.field, L.dim * (L.dim - 1) // 2)
     for i, j, k in combinations(range(L.dim), 3):
-        if nz[i][j] or nz[i][k] or nz[j][k]:
+        ij, ik, jk = nz[i].get(j, {}), nz[i].get(k, {}), nz[j].get(k, {})
+        if ij or ik or jk:
             row: dict = {}
-            for cell, m, sign in ((nz[i][j], k, -one), (nz[i][k], j, one),
-                                  (nz[j][k], i, -one)):
-                add_scaled(row, sign, combine(cell, wedge[m]).items())
+            for cell, m, sign in ((ij, k, -one), (ik, j, one), (jk, i, -one)):
+                add_scaled(row, sign, combine(cell.items(), wedge[m]).items())
             builder.insert(row)
     return builder.subspace()
 
@@ -302,13 +301,13 @@ def build_cover(L: LieAlgebra) -> Cover:
     """The cover C = V (+) E of a validated nilpotent algebra, with its
     defining-pair properties checked (module docstring).  C exists for every
     L, but a non-nilpotent L is refused, as presentation_of refuses it.
-    Cell (a, b), a < b, is pi(a)^pi(b) through x_i^x_j -> its class in C,
+    The cell (a, b), a < b, is pi(a)^pi(b) through x_i^x_j -> its class in C,
     and (b, a) is its negative."""
     if not L.is_nilpotent:
         raise NotNilpotentError("covers are built for nilpotent algebras")
     field, n, one = L.field, L.dim, L.field.one
     space = boundaries(L)
-    kappa = space.descend([dict(L.cells[i][j])
+    kappa = space.descend([L.cells[i].get(j, {})
                            for i, j in combinations(range(n), 2)], n)
     if kappa is None:
         raise InternalCheckError("the commutator map does not kill a boundary")
@@ -319,14 +318,13 @@ def build_cover(L: LieAlgebra) -> Cover:
     in_C = [{d + r: x for r, x in col.items()} for col in project]
     classes = BilinearMap(field, n, dim, tuple(
         tuple(combine(w.items(), in_C) for w in row) for row in _wedge(n, one)))
-    cells = [[()] * dim for _ in range(dim)]
+    cells: list[dict] = [{} for _ in range(dim)]
     for a, b in combinations(compress(range(dim), pi), 2):
         v = classes.apply_sparse(pi[a], pi[b])
         if v:
-            cells[a][b] = _cell(v)
-            cells[b][a] = _cell({k: -x for k, x in v.items()})
-    C = LieAlgebra(field, dim, tuple(map(tuple, cells)),
-                   tuple(f"c{k + 1}" for k in range(dim)))
+            cells[a][b] = v
+            cells[b][a] = {k: -x for k, x in v.items()}
+    C = LieAlgebra(field, dim, cells, tuple(f"c{k + 1}" for k in range(dim)))
     report = C.validate()
     if not report.ok:
         raise InternalCheckError(f"cover fails validation: {report.detail}")

@@ -46,6 +46,7 @@ projection as its cells, and the three centers are read off them.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Sequence
 
 from .errors import (Immutable, InternalCheckError, InvalidInputError,
@@ -128,7 +129,7 @@ class TensorSquare:
         exactly when this descent exists; build_tensor_square checks that."""
         L = self.base
         kappa = self.relation_space.descend(
-            [dict(cell) for row in L.cells for cell in row], L.dim)
+            [row.get(j, {}) for row in L.cells for j in range(L.dim)], L.dim)
         if kappa is None:
             raise InternalCheckError(
                 "commutator map does not kill a relation: the tensor-square "
@@ -268,13 +269,17 @@ class TensorSquare:
         if proj.image_of(comp).dim != comp.dim or comp.dim != ext.dim:
             return Verdict(False, "complement does not map bijectively onto the exterior square")
         # Sparse {k: nonzero} sides are equal exactly when the dense ones are.
+        # Only the pairs a < b are bracketed.  Both algebras are validated
+        # (descended_algebra), so their cells (j, i) are minus their cells
+        # (i, j) and their cells (i, i) are zero: their brackets are
+        # alternating in every characteristic, and combine is linear.  So
+        # the case (b, a) is minus the case (a, b), and (a, a) reads 0 = 0.
         cols = proj.sparse_columns
         images = [combine(row.items(), cols) for row in rows]
-        for ra, pa in zip(rows, images):
-            for rb, pb in zip(rows, images):
-                if combine(alg.bracket_sparse(ra, rb).items(), cols) \
-                        != ext.bracket_sparse(pa, pb):
-                    return Verdict(False, "restriction to the complement is not a homomorphism")
+        for a, b in combinations(range(len(rows)), 2):
+            if combine(alg.bracket_sparse(rows[a], rows[b]).items(), cols) \
+                    != ext.bracket_sparse(images[a], images[b]):
+                return Verdict(False, "restriction to the complement is not a homomorphism")
         return Verdict(True, f"{full} = {sq.dim} + {comp.dim}")
 
     def verify_j2_decomposition(self) -> Verdict:
@@ -404,7 +409,7 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     field = L.field
     one = field.one
     minus_one = -one
-    nz = L.cells
+    nz, empty = L.cells, {}
 
     # r1 on i < j with [x_i, x_j] != 0 (module docstring) and J on i < j < k,
     # as sparse {a*n+b: c} dicts; J's three terms lie in the distinct rows
@@ -412,9 +417,10 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     instances: list[SparseVector] = []
     for i in range(n):
         for j in range(i + 1, n):
-            nz_ij = nz[i][j]
+            nz_ij = nz[i].get(j, empty).items()
             for k in range(0 if nz_ij else j + 1, n):
-                nz_jk, nz_ik = nz[j][k], nz[i][k]
+                nz_jk = nz[j].get(k, empty).items()
+                nz_ik = nz[i].get(k, empty).items()
                 if not (nz_ij or nz_jk or nz_ik):
                     continue
                 if nz_ij:
@@ -442,13 +448,13 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
         builder.insert(v)
     relations = builder.subspace()
 
-    nonzero = [(b, cell) for b in relations.free_cols  # the only ones read
-               if (cell := nz[b // n][b % n])]
+    nonzero = [(b, cell.items())  # the free columns are the only ones read
+               for b in relations.free_cols if (cell := nz[b // n].get(b % n))]
 
     def brackets(p: int):
         # [x_i (x) x_j, x_k (x) x_l] = [x_i, x_j] (x) [x_k, x_l], whose
         # terms land on distinct columns a*n+c and are nonzero
-        u = nz[p // n][p % n]
+        u = nz[p // n].get(p % n, empty).items()
         for b, w in nonzero if u else ():
             yield b, {a * n + c: ua * wc for a, ua in u for c, wc in w}
 

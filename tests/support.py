@@ -8,6 +8,7 @@ ranks and kernels over the rationals.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import sympy
 from hypothesis import strategies as st
@@ -19,7 +20,6 @@ from lietensor import (GF, QQ, BilinearMap, Field, LieAlgebra, Verdict,
 from lietensor.catalog import MAX_AMBIENT, is_supported
 from lietensor.errors import TheoremViolationError
 from lietensor.freenilp import dimension_exceeds, free_nilpotent
-from lietensor.liealg import _cell
 from lietensor.linalg import (Matrix, SpanBuilder, Subspace, _transpose,
                               combine, dense, sparse, subspace_intersect,
                               subspace_sum)
@@ -110,8 +110,10 @@ class Subalgebra:
         self._pivot_row = {p: r for r, p in enumerate(space.pivots)}
         basis = space.sparse_rows
         k = space.dim
-        cells = tuple(tuple(_cell(self.coords_sparse(
-            parent.bracket_sparse(u, v))) for v in basis) for u in basis)
+        cells = tuple(
+            {j: cell for j, v in enumerate(basis)
+             if (cell := self.coords_sparse(parent.bracket_sparse(u, v)))}
+            for u in basis)
         names = tuple(f"s{c + 1}" for c in range(k))
         self.algebra = LieAlgebra(parent.field, k, cells, names)
 
@@ -212,6 +214,19 @@ def corrupted_tables(L: LieAlgebra):
                 table[i][j][k] += L.field.one
                 yield (i, j, k), lie_algebra_from_table(
                     L.field, table, L.basis_names)
+
+
+def corrupted_alternating_tables(L: LieAlgebra):
+    """Every copy of L with one structure constant (i, j, k), i < j, shifted
+    by one and its mirror (j, i, k) by minus one: the bracket stays
+    alternating, and only the Jacobi identity can break."""
+    for i, j in combinations(range(L.dim), 2):
+        for k in range(L.dim):
+            table = [[list(cell) for cell in row] for row in L.table]
+            table[i][j][k] += L.field.one
+            table[j][i][k] -= L.field.one
+            yield (i, j, k), lie_algebra_from_table(
+                L.field, table, L.basis_names)
 
 
 def random_vector(rng: random.Random, field: Field, n: int, span: int = 2):
@@ -577,11 +592,11 @@ def subalgebra_cover_theorem(cover, tensor):
         graph = SpanBuilder(C.field, k + wedge_alg.dim)
         for a in range(C.dim):
             for b in range(a + 1, C.dim):
-                if C.cells[a][b]:
+                if b in C.cells[a]:
                     image = combine(
                         tensor.pairing.apply_sparse(pi[a], pi[b]).items(),
                         wedge_cols)
-                    graph.insert({**derived.coords_sparse(dict(C.cells[a][b])),
+                    graph.insert({**derived.coords_sparse(C.cells[a][b]),
                                   **{k + t: x for t, x in image.items()}})
         graph = graph.subspace()
         if graph.pivots != tuple(range(k)):

@@ -30,6 +30,17 @@ def test_document_round_trip():
     again = parse_algebra_document(echo)
     assert canonical_hash(algebra_document(again)) == canonical_hash(echo)
     assert L.table == heisenberg(1).table
+    # The same brackets, listed in another order of pairs and of terms, are
+    # the same algebra with the same echo document.
+    listed = {"field": "Q", "dim": 4,
+              "brackets": [[0, 1, [[2, "1"], [3, "2"]]], [0, 2, [[3, "1"]]]]}
+    reordered = dict(listed, brackets=[[0, 2, [[3, "1"]]],
+                                       [0, 1, [[3, "2"], [2, "1"]]]])
+    a, b = map(parse_algebra_document, (listed, reordered))
+    assert a == b and algebra_document(a) == algebra_document(b)
+    assert canonical_hash(algebra_document(a)) == \
+        canonical_hash(algebra_document(b))
+    assert algebra_document(b)["brackets"] == listed["brackets"]
 
 
 def test_document_rejections():

@@ -303,7 +303,8 @@ def test_stored_forms_hold_exact_scalars():
     # Every scalar an algebra over Q stores is an Integer or a _rational:
     # never a float, and never a plain int that escaped the scalar layer.
     def scalars_of_cells(L):
-        return [c for row in L.cells for cell in row for _, c in cell]
+        return [c for row in L.cells for cell in row.values()
+                for c in cell.values()]
 
     def check(values, where):
         bad = [x for x in values if type(x) not in (Integer, _rational)]

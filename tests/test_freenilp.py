@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 import sympy
@@ -120,6 +121,24 @@ def test_instances_are_cached():
     assert free_nilpotent(2, 3) is free_nilpotent(2, 3)
 
 
+def test_memory_grows_with_the_nonzero_cells_not_with_dim_squared():
+    # F(2, 13) has 1377 basis words but only a few thousand nonzero cells;
+    # an n x n grid of cells took 34 MB here, the rows of nonzero cells
+    # about 5 MB.  The caches are cleared so that the whole construction,
+    # Hall table and validation included, is traced.
+    for cached in (free_nilpotent, _integer_structure):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        assert free_nilpotent(2, 13).algebra.dim == 1377
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        for cached in (free_nilpotent, _integer_structure):
+            cached.cache_clear()
+    assert peak < 12 * 2 ** 20, peak
+
+
 def test_hall_word_ordering():
     a, b = HallWord(1, index=0), HallWord(1, index=1)
     w = HallWord(2, left=b, right=a)
@@ -159,10 +178,10 @@ def test_brackets_expand_to_associative_commutators(d, classes):
         for i, ei in enumerate(expansions):
             for j, ej in enumerate(expansions):
                 if words[i].degree + words[j].degree > c:
-                    assert not cells[i][j], (c, i, j)  # truncated away
+                    assert j not in cells[i], (c, i, j)  # truncated away
                     continue
                 combo: dict = {}
-                for k, x in cells[i][j]:
+                for k, x in cells[i].get(j, {}).items():
                     assert type(x) is int and x, (c, i, j)
                     for m, v in expansions[k].items():
                         combo[m] = combo.get(m, 0) + x * v
@@ -209,12 +228,12 @@ def test_free_nilpotent_documents_are_pinned(d, c):
 
 
 def dense_integer_table(int_cells):
-    """Sparse integer cells ((k, x), ...) as a dense n x n table of lists."""
+    """Integer rows {j: {k: x}} as a dense n x n table of lists."""
     n = len(int_cells)
     table = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i, row in enumerate(int_cells):
-        for j, cell in enumerate(row):
-            for k, x in cell:
+        for j, cell in row.items():
+            for k, x in cell.items():
                 table[i][j][k] = x
     return table
 
@@ -256,8 +275,9 @@ def test_a_corrupted_integer_cell_is_rejected_for_every_field(d, c, monkeypatch)
             bad = [[list(cell) for cell in row] for row in table]
             for sign, (i, j, k) in zip((1, -1), cells):
                 bad[i][j][k] += sign * shift
-            bad = tuple(tuple(tuple((k, x) for k, x in enumerate(cell) if x)
-                              for cell in row) for row in bad)
+            bad = tuple({j: {k: x for k, x in enumerate(cell) if x}
+                         for j, cell in enumerate(row) if any(cell)}
+                        for row in bad)
             monkeypatch.setattr(freenilp, "_hall_table",
                                 lambda d, c: (bad, labels, degrees, words))
             invalid = {field: not dense_validate(LieAlgebra(

@@ -168,8 +168,8 @@ def test_bracket_pairing_into_derived_subalgebra():
     # there and check the axioms against that algebra's own bracket.
     L = heisenberg(2)
     derived = Subalgebra(L, L.derived_subalgebra())
-    cells = tuple(tuple(derived.coords_sparse(dict(cell)) for cell in row)
-                  for row in L.cells)
+    cells = tuple(tuple(derived.coords_sparse(row.get(j, {}))
+                        for j in range(L.dim)) for row in L.cells)
     rho = BilinearMap(QQ, L.dim, derived.algebra.dim, cells)
     assert is_lie_pairing(rho, L, derived.algebra).ok
 
@@ -308,10 +308,10 @@ def test_cells_are_canonical_and_decide_equality(case):
     b = lie_algebra_from_table(field, t2, names)
     assert a.table == t1 and b.table == t2
     for i, row in enumerate(a.cells):
-        for j, cell in enumerate(row):
-            indices = [k for k, _ in cell]
-            assert indices == sorted(set(indices)) and all(c for _, c in cell)
-            assert cell == tuple((k, c) for k, c in enumerate(t1[i][j]) if c)
+        for j, v in enumerate(t1[i]):
+            cell = {k: c for k, c in enumerate(v) if c}
+            assert row.get(j) == (cell or None)
+        assert all(row.values())
     assert (a == b) == (t1 == t2)
     if a == b:
         assert hash(a) == hash(b)
@@ -319,13 +319,12 @@ def test_cells_are_canonical_and_decide_equality(case):
 
 def test_a_cell_that_is_not_canonical_is_rejected():
     one = QQ.one
-    empty = ((), ())
-    for cell in (((1, one), (0, one)), ((0, one), (0, one)), ((0, QQ.zero),),
-                 ((2, one),), ((-1, one),)):
-        with pytest.raises(ValueError, match="sorted, in range and zero-free"):
-            LieAlgebra(QQ, 2, (((), cell), empty), ("a", "b"))
+    for row in ({1: {0: QQ.zero}}, {1: {2: one}}, {1: {-1: one}}, {2: {0: one}},
+                {-1: {0: one}}, {1: {}}):
+        with pytest.raises(ValueError, match="in range, nonempty and zero-free"):
+            LieAlgebra(QQ, 2, (row, {}), ("a", "b"))
     with pytest.raises(ValueError, match="size mismatch"):
-        LieAlgebra(QQ, 2, (empty, ((),)), ("a", "b"))
+        LieAlgebra(QQ, 2, ({},), ("a", "b"))
     with pytest.raises(ValueError, match="one coordinate per basis vector"):
         lie_algebra_from_table(QQ, [[(one,), (one,)], [(one, one), (one, one)]])
 

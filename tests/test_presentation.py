@@ -432,14 +432,13 @@ def test_cover_theorem_matches_the_subalgebra_oracle():
         K, d = cover.algebra, cover.d
         if K.dim == d:
             continue
-        cells = [list(row) for row in K.cells]
+        cells = [dict(row) for row in K.cells]
         top = K.dim - 1
-        shifted = dict(cells[d][top])
+        shifted = dict(cells[d].get(top, {}))
         add_scaled(shifted, L.field.one, [(top, L.field.one)])
-        cells[d][top] = tuple(sorted(shifted.items()))
+        cells[d][top] = shifted
         bad = Cover(cover.L,
-                    LieAlgebra(K.field, K.dim, tuple(map(tuple, cells)),
-                               K.basis_names),
+                    LieAlgebra(K.field, K.dim, cells, K.basis_names),
                     cover.multiplier, cover.onto, cover.boundaries, cover.d)
         assert not verify_cover_theorem(bad, T).ok, L
         assert not subalgebra_cover_theorem(bad, T)[0].ok, L

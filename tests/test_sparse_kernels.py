@@ -22,7 +22,8 @@ from lietensor.liealg import homomorphism_failure
 from lietensor.linalg import Subspace, dense, sparse
 from lietensor.tensor import TensorSquare
 
-from support import (Subalgebra, corrupted_pairings, corrupted_tables,
+from support import (Subalgebra, corrupted_alternating_tables,
+                     corrupted_pairings, corrupted_tables,
                      dense_bracket, dense_decomposition_verdict,
                      dense_homomorphism_failure, dense_is_lie_pairing,
                      dense_subalgebra_table, dense_validate, span)
@@ -178,16 +179,30 @@ def test_homomorphism_failure_matches_the_dense_loop_under_every_corruption():
 
 def test_decomposition_verdict_matches_the_dense_loops_under_every_corruption():
     # Every verdict of verify_decomposition, including the restriction to
-    # the complement, on every corrupted constant of the tensor square.
+    # the complement, on every corrupted constant of the tensor square's
+    # algebra or of its exterior square.  The constant is corrupted together
+    # with its mirror: both algebras come from descended_algebra, which
+    # validates them, so their brackets are alternating, and the restriction
+    # check brackets only the pairs a < b of complement rows.  An exterior
+    # square computed from the corrupted algebra is a quotient by a central
+    # ideal, onto which the restriction always maps homomorphically; so the
+    # restriction check is reached by corrupting the exterior square itself.
     details = set()
     for base in (heisenberg(1), heisenberg(1, GF(2)), sl2(GF(3)),
                  heisenberg(1, GF(3))):
         T = build_tensor_square(base)
-        for where, bad in corrupted_tables(T.algebra):
+        ext, proj = T.exterior_square()
+        cases = [(where, bad, None) for where, bad
+                 in corrupted_alternating_tables(T.algebra)]
+        cases += [(where, T.algebra, (bad, proj)) for where, bad
+                  in corrupted_alternating_tables(ext)]
+        for where, bad, exterior in cases:
             results = []
             for check in (TensorSquare.verify_decomposition,
                           dense_decomposition_verdict):
                 fresh = TensorSquare(base, T.relation_space, bad, T.pairing)
+                if exterior is not None:
+                    fresh._exterior = exterior
                 try:
                     results.append(check(fresh))
                 except InternalCheckError as exc:
@@ -196,6 +211,28 @@ def test_decomposition_verdict_matches_the_dense_loops_under_every_corruption():
             details.add(getattr(results[1], "detail", "raised"))
     assert "complement is not an ideal" in details
     assert "restriction to the complement is not a homomorphism" in details
+
+
+def test_restriction_check_brackets_each_pair_of_complement_rows_once(monkeypatch):
+    # Both algebras are alternating, so the restriction check of
+    # verify_decomposition brackets the k complement rows pairwise, a < b:
+    # k(k-1)/2 calls on the tensor square and as many on the exterior
+    # square, where every ordered pair would take k^2 each.
+    T = build_tensor_square(heisenberg(2))
+    k, (ext, _) = T._complement.dim, T.exterior_square()
+    T.square_submodule  # every cached input is built before counting
+    seen = []
+    real = LieAlgebra.bracket_sparse
+
+    def counted(self, u, v):
+        seen.append(self)
+        return real(self, u, v)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_sparse", counted)
+    assert T.verify_decomposition().ok
+    pairs = k * (k - 1) // 2
+    assert k > 2 and len(seen) == 2 * pairs
+    assert sum(a is T.algebra for a in seen) == sum(a is ext for a in seen)
 
 
 def test_commutator_check_brackets_only_pairs_with_a_nonzero_side(monkeypatch):
@@ -218,7 +255,7 @@ def test_commutator_check_brackets_only_pairs_with_a_nonzero_side(monkeypatch):
     fresh.commutator_map
     cells = T.algebra.cells
     expected = [(i, j) for i in range(T.dim) for j in range(T.dim)
-                if cells[i][j] or (images[i] and images[j])]
+                if j in cells[i] or (images[i] and images[j])]
     assert seen == expected
     assert len(expected) < T.dim ** 2
 
@@ -244,7 +281,8 @@ def test_pairing_check_evaluates_axioms_i_and_ii_only_where_a_cell_is_nonzero():
     nz, n = L.cells, L.dim
     expected = [(l, lp, s) for l in range(n) for lp in range(n)
                 for s in range(n)
-                if nz[l][lp] or nz[lp][l] or nz[lp][s] or nz[l][s] or nz[s][l]]
+                if lp in nz[l] or l in nz[lp] or s in nz[lp] or s in nz[l]
+                or l in nz[s]]
     assert sorted(set(seen)) == expected == list(dict.fromkeys(seen))
     assert len(expected) < n ** 3
 

@@ -3,8 +3,8 @@ fields once; errors.Immutable derives their constructors, equality, hashes
 and reprs from that declaration.  These tests pin the semantics they keep:
 constructor order, keywords and defaults; TypeError on a malformed
 argument list; equality by fields and type; hashes that skip the sparse
-payload of Matrix, Subspace and BilinearMap; and AttributeError on
-assignment."""
+payload of Matrix, Subspace, LieAlgebra and BilinearMap; and AttributeError
+on assignment."""
 
 from itertools import combinations
 
@@ -103,6 +103,9 @@ def test_sparse_payloads_are_compared_but_not_hashed():
     f = BilinearMap(QQ, 1, 1, (({0: one},),))
     g = BilinearMap(QQ, 1, 1, (({},),))
     assert f != g and hash(f) == hash(g) == hash((QQ, 1, 1))
+    K = LieAlgebra(QQ, 2, ({1: {0: one}}, {0: {0: -one}}), ("a", "b"))
+    M = LieAlgebra(QQ, 2, ({}, {}), ("a", "b"))
+    assert K != M and hash(K) == hash(M) == hash((QQ, 2))
 
 
 def test_keywords_and_defaults():
@@ -125,10 +128,10 @@ def test_lie_algebra_constructor_checks_its_cells():
     L = heisenberg(1)
     with pytest.raises(ValueError, match="size mismatch"):
         LieAlgebra(L.field, 2, L.cells, L.basis_names)
-    cells = [list(row) for row in L.cells]
-    cells[0][1] = ((2, QQ.one), (2, QQ.one))
-    with pytest.raises(ValueError, match="not sorted"):
-        LieAlgebra(L.field, 3, tuple(map(tuple, cells)), L.basis_names)
+    cells = [dict(row) for row in L.cells]
+    cells[0][1] = {3: QQ.one}
+    with pytest.raises(ValueError, match="not in range"):
+        LieAlgebra(L.field, 3, cells, L.basis_names)
 
 
 def test_every_value_type_of_the_package_declares_the_pinned_fields():
