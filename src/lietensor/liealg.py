@@ -175,10 +175,15 @@ class LieAlgebra(Immutable):
         """The span of the brackets, computed once per algebra."""
         return self._derived_subalgebra
 
-    def center(self) -> Subspace:
-        """Kernel of the stacked adjoint map v -> ([v, x_1], ..., [v, x_n])."""
+    @cached_property
+    def _center(self) -> Subspace:
         return annihilator(self.field, self.dim, self.dim,
                            lambda i, j: self.cells[i].get(j, {}).items())
+
+    def center(self) -> Subspace:
+        """Kernel of the stacked adjoint map v -> ([v, x_1], ..., [v, x_n]),
+        computed once per algebra."""
+        return self._center
 
     @cached_property
     def _lower_central_series(self) -> tuple[Subspace, ...]:
@@ -188,7 +193,8 @@ class LieAlgebra(Immutable):
             b = SpanBuilder(self.field, self.dim)
             for row in prev.sparse_rows:
                 for w in self.ad_sparse(row):
-                    b.insert(w)
+                    if w:
+                        b.insert(w)
             nxt = b.subspace()
             series.append(nxt)
             if nxt == prev or nxt.dim == 0:
@@ -310,25 +316,26 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix
 def quotient_by_ideal(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
     """The quotient construction of quotient_algebra, for a subspace that
     the caller has proved to be an ideal of L, of ambient dimension dim L
-    (each caller gives its argument next to the call)."""
-    names = tuple(f"q{c + 1}" for c in range(len(ideal.free_cols)))
-    return descended_algebra(ideal, lambda a: L.cells[a].items(),
-                             names), ideal.project
+    (each caller gives its argument next to the call), with the projection
+    onto it: the class of [x_a, x_b] is the projection of the cell."""
+    project = ideal.project
+    cols, free = project.sparse_columns, set(ideal.free_cols)
+    names = tuple(f"q{c + 1}" for c in range(len(free)))
+    return descended_algebra(
+        ideal, lambda a: ((b, combine(cell.items(), cols))
+                          for b, cell in L.cells[a].items() if b in free),
+        names), project
 
 
-def descended_algebra(space: Subspace, brackets, names) -> LieAlgebra:
+def descended_algebra(space: Subspace, classes, names) -> LieAlgebra:
     """The quotient by space of an ambient Lie algebra, of which space is an
-    ideal, on the free columns: brackets(a) yields (b, [e_a, e_b]) for the
-    nonzero ambient brackets at a free column a, and a residual modulo space
-    lives on the free columns.  The one such construction; validated."""
+    ideal, on the free columns: classes(a) yields (b, the class of
+    [e_a, e_b] in quotient coordinates) for free columns a and b, at least
+    for every b where that class is nonzero.  The one such construction;
+    validated."""
     index = {c: r for r, c in enumerate(space.free_cols)}
-    cells = []
-    for a in space.free_cols:
-        row = {}
-        for b, v in brackets(a):
-            if b in index and (residual := space.reduce_sparse(v)):
-                row[index[b]] = {index[c]: x for c, x in residual.items()}
-        cells.append(row)
+    cells = [{index[b]: v for b, v in classes(a) if v}
+             for a in space.free_cols]
     quotient = LieAlgebra(space.field, len(index), cells, names)
     report = quotient.validate()
     if not report.ok:

@@ -4,43 +4,55 @@ kernel, Schur multiplier, tensor/exterior centers, the Whitehead quadratic
 functor, and executable checks of the structure theorems.
 
 Construction model: the coordinate space on ordered basis pairs (i, j) is
-divided by the span of the two crossed relations
+divided by the span of the two crossed relations (Ellis, Glasgow Math. J.
+33, 1991)
 
     r1(i,j,k) = [xi,xj](x)xk - xi(x)[xj,xk] + xj(x)[xi,xk]
     r2(i,j,k) = xi(x)[xj,xk] - [xk,xi](x)xj + [xj,xi](x)xk
 
-and of the symmetric tensors on the derived subalgebra L^2.  Each relation
-is linear in every slot, so basis instances generate, and fewer suffice.
-With the alternating J(i,j,k) = xi(x)[xj,xk] + xj(x)[xk,xi] + xk(x)[xi,xj],
-two identities hold as vectors in every characteristic:
+and of the squares u(x)u of the derived subalgebra L^2.  Each relation is
+linear in every slot, so basis instances generate, and fewer suffice.  With
+the alternating J(i,j,k) = xi(x)[xj,xk] + xj(x)[xk,xi] + xk(x)[xi,xj] and
+the bilinear symmetric s(u, v) = u(x)v + v(x)u, two identities hold as
+vectors in every characteristic:
 
     r2(i,j,k) = r1(j,i,k) - r1(k,i,j) - J(i,j,k)
-    r1(a,b,z) + J(z,a,b) = [a,b](x)z + z(x)[a,b]
+    r1(a,b,z) + J(z,a,b) = s([a,b], z)
 
-So r1 on i < j (it is antisymmetric in i, j) and J on i < j < k span the
-crossed relations, and u(x)w + w(x)u and 2 u(x)u lie in their span for u, w
-in L^2.  Away from characteristic 2 the symmetric tensors are thus already
-relations; over GF(2), u -> u(x)u is additive modulo the span, and u(x)u
-for u in a basis of L^2 is added.  Where [xi,xj] = 0 the second identity
-reads r1(i,j,k) = -J(k,i,j) = -J(i,j,k), which is 0 for k in {i, j}, so r1
-is needed only where [xi,xj] != 0.
+So the relation space is the span of J, of s(L^2, L) and of u(x)u for u in
+L^2.  J vanishes on a repeated index, and J(i,j,k) is 0 where the cells
+(i,j), (j,k) and (k,i) are, so the triples i < j < k with a nonzero cell
+among them suffice; they are read off the cells.  Let w_r be the echelon
+rows of L^2, with pivots p_r, and f its free columns.  Then x_(p_r) is w_r
+minus its terms on free columns, so by bilinearity s(L^2, L) is spanned by
+the s(w_r, x_f) and the s(w_r, w_s).  By symmetry r <= s suffices, and
+s(w, w) = 2 w(x)w.  The squares are additive modulo the s(u, v), since
+(u+v)(x)(u+v) = u(x)u + v(x)v + s(u, v), so w_r(x)w_r suffice for them,
+and those replace s(w_r, w_r): over GF(2), s(w, w) = 0 while w(x)w is
+needed.  Hence the instances J(i,j,k), s(w_r, x_f), w_r(x)w_r and
+s(w_r, w_s) for r < s span the relation space, with no r1 and no
+characteristic case.  RREF is unique, so any spanning set gives the same
+echelon rows.
 
-The bracket of two generators is the pure tensor of the two brackets; since
-that again lies in the generator span, the quotient vector space is already
-the entire tensor square and no further closure pass is needed.
-Well-definedness of the bracket modulo relations and the Jacobi identity of
-the quotient are asserted at build time, never assumed.
+The bracket of two generators is the pure tensor of the two brackets,
+[xi(x)xj, xk(x)xl] = [xi,xj](x)[xk,xl]; since that again lies in the
+generator span, the quotient vector space is already the entire tensor
+square and no further closure pass is needed.  In quotient coordinates it
+is the universal pairing of the two brackets, so each cell is read from
+the pairing rather than reduced.  Well-definedness of the bracket modulo
+relations and the Jacobi identity of the quotient are asserted at build
+time, never assumed.
 
 The construction stays sparse from end to end.  Each relation instance is a
 {i*n+j: c} dict built from the nonzero structure constants, inserted
 shortest first into one SpanBuilder, and the relation space keeps the
-resulting echelon rows (Subspace.sparse_rows).  The quotient algebra is
-liealg.descended_algebra of the ambient brackets of pure tensors, and each
-map on it (the commutator map, induced maps, factored pairings, the
+resulting echelon rows (Subspace.sparse_rows).  The universal pairing
+stores the sparse columns of the relation space's projection as its cells;
+the quotient algebra is liealg.descended_algebra of its values at the
+brackets, and the three centers are read off the cells.  Each map on the
+quotient (the commutator map, induced maps, factored pairings, the
 commutator map of the exterior square) is Subspace.descend of its sparse
-ambient columns, which also checks that the map kills the relations.  The
-universal pairing stores the sparse columns of the relation space's
-projection as its cells, and the three centers are read off them.
+ambient columns, which also checks that the map kills the relations.
 """
 
 from __future__ import annotations
@@ -408,38 +420,38 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     n = L.dim
     field = L.field
     one = field.one
-    minus_one = -one
     nz, empty = L.cells, {}
 
-    # r1 on i < j with [x_i, x_j] != 0 (module docstring) and J on i < j < k,
-    # as sparse {a*n+b: c} dicts; J's three terms lie in the distinct rows
-    # i, j and k of the n x n coordinates.
+    def symmetric(u: SparseVector, w: SparseVector) -> SparseVector:
+        v: SparseVector = {}  # u (x) w + w (x) u
+        for a, x in u.items():
+            for b, y in w.items():
+                add_scaled(v, one, ((a * n + b, x * y), (b * n + a, x * y)))
+        return v
+
+    # J on the triples i < j < k with a nonzero cell among them (module
+    # docstring), as sparse {a*n+b: c} dicts; its three terms lie in the
+    # distinct rows i, j and k of the n x n coordinates.
+    triples = sorted({tuple(sorted((i, j, k)))
+                      for i, row in enumerate(nz) for j in row if i < j
+                      for k in range(n) if k not in (i, j)})
     instances: list[SparseVector] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            nz_ij = nz[i].get(j, empty).items()
-            for k in range(0 if nz_ij else j + 1, n):
-                nz_jk = nz[j].get(k, empty).items()
-                nz_ik = nz[i].get(k, empty).items()
-                if not (nz_ij or nz_jk or nz_ik):
-                    continue
-                if nz_ij:
-                    v: SparseVector = {}
-                    add_scaled(v, one, [(a * n + k, c) for a, c in nz_ij])
-                    add_scaled(v, minus_one, [(i * n + b, c) for b, c in nz_jk])
-                    add_scaled(v, one, [(j * n + b, c) for b, c in nz_ik])
-                    instances.append(v)
-                if k > j:
-                    v = {i * n + b: c for b, c in nz_jk}
-                    v.update((j * n + b, -c) for b, c in nz_ik)
-                    v.update((k * n + b, c) for b, c in nz_ij)
-                    instances.append(v)
-    # The symmetric tensors on L^2, over GF(2) only; the module docstring
-    # shows that the other fields need none and GF(2) only these.
-    if field.characteristic == 2:
-        instances += ({x * n + y: cx * cy for x, cx in w.items()
-                       for y, cy in w.items()}
-                      for w in L.derived_subalgebra().sparse_rows)
+    for i, j, k in triples:
+        v = {i * n + b: c for b, c in nz[j].get(k, empty).items()}
+        v.update((j * n + b, -c) for b, c in nz[i].get(k, empty).items())
+        v.update((k * n + b, c) for b, c in nz[i].get(j, empty).items())
+        instances.append(v)
+    # s(L^2, L) and the squares on L^2 (module docstring): s(w, x_f) for the
+    # echelon rows w of L^2 and its free columns f, then w_r (x) w_r and
+    # s(w_r, w_s) for r < s.
+    derived = L.derived_subalgebra()
+    rows = derived.sparse_rows
+    instances += (symmetric(w, {f: one})
+                  for w in rows for f in derived.free_cols)
+    for r, w in enumerate(rows):
+        instances.append({a * n + b: x * y for a, x in w.items()
+                          for b, y in w.items()})
+        instances += (symmetric(w, u) for u in rows[r + 1:])
     # Shortest first, so that long instances are reduced against short
     # echelon rows; RREF is unique, so the order cannot move the result.
     instances.sort(key=len)
@@ -448,24 +460,23 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
         builder.insert(v)
     relations = builder.subspace()
 
-    nonzero = [(b, cell.items())  # the free columns are the only ones read
+    # x_i (x) x_j in quotient coordinates is column i*n+j of the projection.
+    pure = relations.project.sparse_columns
+    pairing = BilinearMap(field, n, len(relations.free_cols),
+                          tuple(pure[i * n:(i + 1) * n] for i in range(n)))
+    nonzero = [(b, cell)  # the free columns are the only ones read
                for b in relations.free_cols if (cell := nz[b // n].get(b % n))]
 
-    def brackets(p: int):
-        # [x_i (x) x_j, x_k (x) x_l] = [x_i, x_j] (x) [x_k, x_l], whose
-        # terms land on distinct columns a*n+c and are nonzero
-        u = nz[p // n].get(p % n, empty).items()
+    def classes(p: int):
+        # [x_i (x) x_j, x_k (x) x_l] = [x_i, x_j] (x) [x_k, x_l], whose class
+        # is the pairing of the two brackets
+        u = nz[p // n].get(p % n)
         for b, w in nonzero if u else ():
-            yield b, {a * n + c: ua * wc for a, ua in u for c, wc in w}
+            yield b, pairing.apply_sparse(u, w)
 
     names = tuple(f"{L.basis_names[p // n]}(x){L.basis_names[p % n]}"
                   for p in relations.free_cols)
-    algebra = descended_algebra(relations, brackets, names)
-
-    # x_i (x) x_j in quotient coordinates is column i*n+j of the projection.
-    pure = relations.project.sparse_columns
-    pairing = BilinearMap(field, n, algebra.dim,
-                          tuple(pure[i * n:(i + 1) * n] for i in range(n)))
+    algebra = descended_algebra(relations, classes, names)
     T = TensorSquare(L, relations, algebra, pairing)
     T._commutator  # raises unless the bracket is well defined
     return T

@@ -204,6 +204,27 @@ def dense_residual(space: Subspace, v) -> list:
     return v
 
 
+def reduced_bracket_cells(T) -> tuple[dict, ...]:
+    """The cells of the tensor square's bracket by reduction: for free
+    columns a = i*n+j and b = k*n+l of the relation space, the residual of
+    [x_i, x_j] (x) [x_k, x_l] modulo it, re-indexed to the free columns."""
+    L, space = T.base, T.relation_space
+    n = L.dim
+    index = {c: r for r, c in enumerate(space.free_cols)}
+    brackets = [L.cells[a // n].get(a % n, {}) for a in space.free_cols]
+    cells = []
+    for u in brackets:
+        row = {}
+        for b, w in zip(space.free_cols, brackets):
+            residual = space.reduce_sparse(
+                {x * n + y: ux * wy for x, ux in u.items()
+                 for y, wy in w.items()})
+            if residual:
+                row[index[b]] = {index[c]: x for c, x in residual.items()}
+        cells.append(row)
+    return tuple(cells)
+
+
 def corrupted_tables(L: LieAlgebra):
     """Every copy of L with one structure constant shifted by one, together
     with the position (i, j, k) of the shifted constant."""

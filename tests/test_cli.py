@@ -320,9 +320,8 @@ def test_verify_computes_the_lower_central_series_once(monkeypatch):
 
 def test_verify_computes_the_derived_subalgebra_once_per_algebra(monkeypatch):
     # verify asks each algebra for L^2 many times (the abelianization, two
-    # theorem checks, the report, the presentation and the cover; the
-    # tensor build too, over GF(2)); every answer for one algebra must be
-    # the same object.
+    # theorem checks, the report, the presentation, the cover and the
+    # tensor build); every answer for one algebra must be the same object.
     from lietensor import presentation, tensor
     from lietensor.cli import verify_document
     from lietensor.liealg import LieAlgebra
@@ -341,6 +340,31 @@ def test_verify_computes_the_derived_subalgebra_once_per_algebra(monkeypatch):
     doc = verify_document(L, "counted")
     assert doc["verdicts"]["cross_oracle"] == doc["verdicts"]["cover"] == "pass"
     assert sum(a is L for a, _ in calls) >= 6
+    algebras = {id(a) for a, _ in calls}
+    assert len({id(space) for _, space in calls}) == len(algebras)
+
+
+def test_verify_computes_the_center_once_per_algebra(monkeypatch):
+    # verify asks each algebra for its center in the report and in the
+    # center identity; every answer for one algebra must be the same object.
+    from lietensor import presentation, tensor
+    from lietensor.cli import verify_document
+    from lietensor.liealg import LieAlgebra
+
+    calls = []
+    method = LieAlgebra.center
+
+    def traced(self):
+        calls.append((self, method(self)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(LieAlgebra, "center", traced)
+    tensor.build_tensor_square.cache_clear()
+    presentation.presentation_of.cache_clear()
+    L = heisenberg(2)
+    doc = verify_document(L, "counted")
+    assert doc["verdicts"]["center_identity"] == "pass"
+    assert sum(a is L for a, _ in calls) >= 2
     algebras = {id(a) for a, _ in calls}
     assert len({id(space) for _, space in calls}) == len(algebras)
 

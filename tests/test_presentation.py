@@ -470,9 +470,11 @@ def test_cover_is_the_free_presentation_quotient():
           suppress_health_check=[HealthCheck.too_slow])
 @given(valid_algebras())
 def test_relation_space_is_spanned_by_every_crossed_instance(L):
-    # The build inserts r1 on i < j, J on i < j < k and, over GF(2) only,
-    # u (x) u on a basis of L^2; the dense oracle expands r1 and r2 on
-    # every basis triple and the symmetric tensors on every bracket pair.
+    # The build inserts J on the triples i < j < k with a nonzero cell and,
+    # for the echelon rows w of L^2 and its free columns f, s(w, x_f),
+    # w (x) w and s(w_r, w_s) for r < s, where s(u, v) = u (x) v + v (x) u;
+    # the dense oracle expands r1 and r2 on every basis triple and the
+    # symmetric tensors on every bracket pair.
     n = L.dim
     vectors = tensor_relation_vectors(L) + symmetric_derived_vectors(L)
     assert build_tensor_square(L).relation_space == \

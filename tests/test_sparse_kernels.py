@@ -19,7 +19,7 @@ from lietensor import (GF, QQ, BilinearMap, Field, LieAlgebra, Verdict,
                        lie_algebra_from_table, quotient_algebra, sl2)
 from lietensor.errors import InternalCheckError
 from lietensor.liealg import homomorphism_failure
-from lietensor.linalg import Subspace, dense, sparse
+from lietensor.linalg import SpanBuilder, Subspace, dense, sparse
 from lietensor.tensor import TensorSquare
 
 from support import (Subalgebra, corrupted_alternating_tables,
@@ -258,6 +258,50 @@ def test_commutator_check_brackets_only_pairs_with_a_nonzero_side(monkeypatch):
                 if j in cells[i] or (images[i] and images[j])]
     assert seen == expected
     assert len(expected) < T.dim ** 2
+
+
+def inserts_during(monkeypatch, run):
+    """run() and the vectors that it gives to SpanBuilder.insert."""
+    inserted = []
+    real = SpanBuilder.insert
+
+    def counted(self, v):
+        inserted.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(SpanBuilder, "insert", counted)
+    try:
+        return run(), inserted
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("field, r1_and_j", [(QQ, 283), (GF(2), 294)])
+def test_tensor_square_spans_its_relations_without_r1(monkeypatch, field,
+                                                      r1_and_j):
+    # J on the triples with a nonzero cell, s(w, x_f), w (x) w and
+    # s(w_r, w_s) (tensor module docstring) span the relation space of
+    # free_nilpotent(3, 3) in fewer inserts than r1 and J (and, over GF(2),
+    # u (x) u) took, at the same rank; none of them is empty.
+    L = free_nilpotent(3, 3, field).algebra
+    L.derived_subalgebra()  # cached before counting
+    T, inserted = inserts_during(monkeypatch,
+                                 lambda: build_tensor_square.__wrapped__(L))
+    assert T.relation_space.dim == 161
+    assert all(inserted) and len(inserted) < r1_and_j
+
+
+def test_lower_central_series_inserts_only_nonzero_brackets(monkeypatch):
+    # Each term after L is spanned by the [w, x_j] over the echelon rows w
+    # of the term before; most of them are 0, and only the others are
+    # inserted, in the same order.
+    F = free_nilpotent(3, 3).algebra
+    L = LieAlgebra(F.field, F.dim, F.cells, F.basis_names)  # nothing cached
+    series, inserted = inserts_during(monkeypatch, L.lower_central_series)
+    expected = [w for term in series[:-1] for row in term.sparse_rows
+                for w in L.ad_sparse(row) if w]
+    assert inserted == expected
+    assert len(expected) < sum(term.dim for term in series[:-1]) * L.dim
 
 
 def test_pairing_check_evaluates_axioms_i_and_ii_only_where_a_cell_is_nonzero():

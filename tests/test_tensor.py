@@ -20,9 +20,9 @@ from lietensor.tensor import TensorSquare
 from support import (bilinear_from_table, column, contains, corrupted_tables,
                      dense_apply, dense_bilinear, dense_residual, inverse,
                      linear_map, matrix_from_rows, random_nilpotent_quotient,
-                     random_semidirect, span, sympy_rank,
-                     symmetric_derived_vectors, tensor_relation_vectors,
-                     valid_algebras)
+                     random_semidirect, reduced_bracket_cells, span,
+                     sympy_rank, symmetric_derived_vectors,
+                     tensor_relation_vectors, valid_algebras)
 
 
 def vec(field, entries):
@@ -431,6 +431,16 @@ def test_verify_is_basis_independent_on_valid_algebras(L, seed):
     for key in ("dimensions", "verdicts", "diagnostics"):
         assert moved_doc[key] == doc[key], (L, key)
     assert not [v for v in doc["verdicts"].values() if v.startswith("fail")]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(valid_algebras())
+def test_bracket_cells_are_the_reduced_products_of_pure_tensors(L):
+    # The build reads each cell as the pairing of two brackets; the oracle
+    # reduces each product [x_i, x_j] (x) [x_k, x_l] modulo the relations.
+    T = build_tensor_square(L)
+    assert T.algebra.cells == reduced_bracket_cells(T), L
 
 
 def test_full_free_nilpotent_across_characteristics():
