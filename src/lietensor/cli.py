@@ -32,6 +32,7 @@ from .errors import (InternalCheckError, InvalidInputError, NotNilpotentError,
 from .fields import QQ, Field, field_from_descriptor
 from .freenilp import dimension_exceeds, free_nilpotent
 from .liealg import LieAlgebra, lie_algebra_from_brackets
+from .linalg import dense
 from .presentation import (build_cover, exterior_via_presentation,
                            multiplier_via_presentation, presentation_of,
                            verify_cover_theorem)
@@ -202,7 +203,8 @@ def _input_section(L: LieAlgebra, source: str) -> dict:
 
 def _subspace_rows(space) -> list:
     field = space.field
-    return [[field.to_str(x) for x in row] for row in space.basis.entries]
+    return [[field.to_str(x) for x in dense(row, space.ambient_dim, field.zero)]
+            for row in space.sparse_rows]
 
 
 def info_document(L: LieAlgebra, source: str) -> dict:

@@ -17,7 +17,7 @@ width.  Products, ranks and kernels work on those columns and rows, and
 _transpose is the one change of orientation; annihilator, like
 subspace_intersect, eliminates vectors extended by a second block, its few
 columns and not its mostly empty rows.  The dense Matrix.entries and
-Subspace.basis are views built on first use for reports and tests.  Two
+Subspace.basis are views built on first use, for rref and the tests.  Two
 entry points take dense tuples: SpanBuilder.add, for ideal_closure's seed
 vectors, and Matrix.apply; every other vector is sparse.
 """

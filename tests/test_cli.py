@@ -652,15 +652,34 @@ PINNED_PRESENTATION_REPORTS = {
 }
 
 
-def test_present_and_cover_reports_are_pinned():
-    import hashlib
+# sha256 of canonical_json(tensor_document(L, "pinned")) for the inputs
+# above and sl2 over Q and GF(3), recorded before the five theorem checks
+# that a retained check proves were removed from the verdicts in it.
+PINNED_TENSOR_REPORTS = {
+    "heisenberg(1)":
+        "65d85b60e6447d1144d81add8f18c52bf06866b40ce1bf36b10b47eb37e1d123",
+    "heisenberg(3)":
+        "01b0b9f924b88c5c4a6080cef59fb80419d7eb6ea7fd3c1a41dfc4aa92c4bb6f",
+    "heisenberg(2)+abelian(1) over GF(5)":
+        "665b7c32ccc21e8ade2525f73c302770297e9d3b9f5ec6daf967cc9ad017c0e0",
+    "abelian(16)":
+        "e7d33c919d9d67954b09dd31c34bf706982cbfc03cd0854905526dd2fd5c9f07",
+    "filiform(10)":
+        "978c016ca5574a476f6fe755b347fd1888cf80673590def00b5bbbd467e35e94",
+    "random_nilpotent_quotient(Random(6), 2, 4)":
+        "34ee43756839820e481e7e93e26b7333f66034639c5033b2f0ff033fb38449db",
+    "sl2": "d175c137d03bc5de1aa8c831c72272df30e8138106b47cfa9973ee52fc36a256",
+    "sl2 over GF(3)":
+        "13056457f58065bced3e7616ed29f1c208afd386c6073e60f01c32c62f2b7d32",
+}
+
+
+def pinned_algebras() -> dict:
     import random
 
-    from lietensor import GF, catalog
-    from lietensor.cli import canonical_json, cover_document, present_document
     from support import random_nilpotent_quotient
 
-    algebras = {
+    return {
         "heisenberg(1)": catalog("heisenberg(1)"),
         "heisenberg(3)": catalog("heisenberg(3)"),
         "heisenberg(2)+abelian(1) over GF(5)":
@@ -670,10 +689,35 @@ def test_present_and_cover_reports_are_pinned():
         "random_nilpotent_quotient(Random(6), 2, 4)":
             random_nilpotent_quotient(random.Random(6), 2, 4),
     }
-    for name, L in algebras.items():
-        got = tuple(hashlib.sha256(canonical_json(build(L, "pinned")).encode())
-                    .hexdigest() for build in (present_document, cover_document))
+
+
+def report_digest(build, L) -> str:
+    import hashlib
+
+    from lietensor.cli import canonical_json
+
+    return hashlib.sha256(
+        canonical_json(build(L, "pinned")).encode()).hexdigest()
+
+
+def test_present_and_cover_reports_are_pinned():
+    from lietensor.cli import cover_document, present_document
+
+    for name, L in pinned_algebras().items():
+        got = tuple(report_digest(build, L)
+                    for build in (present_document, cover_document))
         assert got == PINNED_PRESENTATION_REPORTS[name], name
+
+
+def test_tensor_reports_are_pinned():
+    from lietensor.cli import tensor_document
+
+    algebras = pinned_algebras()
+    algebras["sl2"] = catalog("sl2")
+    algebras["sl2 over GF(3)"] = catalog("sl2", GF(3))
+    for name, L in algebras.items():
+        assert report_digest(tensor_document, L) == \
+            PINNED_TENSOR_REPORTS[name], name
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from lietensor import presentation, quotient_algebra
 from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
 from lietensor.cli import verify_document
 from lietensor.errors import (InternalCheckError, NotNilpotentError,
-                              TheoremViolationError)
+                              OutsideEnvelopeError, TheoremViolationError)
 from lietensor.freenilp import FreeNilpotent
 from lietensor.liealg import (homomorphism_failure, lie_algebra_from_brackets,
                               lie_algebra_from_table)
@@ -23,7 +23,8 @@ from lietensor.linalg import add_scaled, combine, kernel
 from lietensor.presentation import _check_isomorphism, boundaries
 
 from support import (all_columns_commutator, column, complement_cover,
-                     contains, corrupted_tables, free_cover, generator_map,
+                     contains, corrupted_tables, dense_restriction_verdict,
+                     free_cover, generator_map,
                      linear_map, random_nilpotent_quotient, solve, span,
                      subalgebra_cover_theorem, subalgebra_exterior,
                      symmetric_derived_vectors, tensor_relation_vectors,
@@ -511,3 +512,29 @@ def test_alternating_square_modulo_boundaries_is_the_exterior_square(L):
     assert pairs - boundaries(L).dim == T.exterior_square()[0].dim, L
     if L.is_nilpotent:
         assert verify_cover_theorem(build_cover(L), T).ok, L
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(valid_algebras())
+def test_facts_that_retained_checks_prove_hold_on_every_valid_algebra(L):
+    # verify_decomposition, verify_center_identity and presentation_of do
+    # not check these five facts, because a check they keep proves each one
+    # (the arguments are written next to the code).  Here they are checked
+    # directly: the restriction to the complement by a dense loop over every
+    # ordered pair, and [R,F] against its span over every basis vector of F.
+    T = build_tensor_square(L)
+    restriction = dense_restriction_verdict(T)
+    assert restriction.ok, (L, restriction.detail)
+    assert T.exterior_center().contains_space(T.tensor_center()), L
+    if not L.is_nilpotent:
+        return
+    try:
+        P = presentation_of(L)
+    except OutsideEnvelopeError:
+        return
+    F, R, RF = P.free.algebra, P.relations, P.relations_commutator
+    assert R.contains_space(RF), L
+    assert RF == all_columns_commutator(F, R), L
+    assert not any(RF.reduce_sparse(w)
+                   for t in RF.sparse_rows for w in F.ad_sparse(t)), L

@@ -178,31 +178,19 @@ def test_homomorphism_failure_matches_the_dense_loop_under_every_corruption():
 
 
 def test_decomposition_verdict_matches_the_dense_loops_under_every_corruption():
-    # Every verdict of verify_decomposition, including the restriction to
-    # the complement, on every corrupted constant of the tensor square's
-    # algebra or of its exterior square.  The constant is corrupted together
-    # with its mirror: both algebras come from descended_algebra, which
-    # validates them, so their brackets are alternating, and the restriction
-    # check brackets only the pairs a < b of complement rows.  An exterior
-    # square computed from the corrupted algebra is a quotient by a central
-    # ideal, onto which the restriction always maps homomorphically; so the
-    # restriction check is reached by corrupting the exterior square itself.
+    # Every verdict of verify_decomposition on every corrupted constant of
+    # the tensor square's algebra.  The constant is corrupted together with
+    # its mirror: the algebra comes from descended_algebra, which validates
+    # it, so its bracket is alternating.
     details = set()
     for base in (heisenberg(1), heisenberg(1, GF(2)), sl2(GF(3)),
                  heisenberg(1, GF(3))):
         T = build_tensor_square(base)
-        ext, proj = T.exterior_square()
-        cases = [(where, bad, None) for where, bad
-                 in corrupted_alternating_tables(T.algebra)]
-        cases += [(where, T.algebra, (bad, proj)) for where, bad
-                  in corrupted_alternating_tables(ext)]
-        for where, bad, exterior in cases:
+        for where, bad in corrupted_alternating_tables(T.algebra):
             results = []
             for check in (TensorSquare.verify_decomposition,
                           dense_decomposition_verdict):
                 fresh = TensorSquare(base, T.relation_space, bad, T.pairing)
-                if exterior is not None:
-                    fresh._exterior = exterior
                 try:
                     results.append(check(fresh))
                 except InternalCheckError as exc:
@@ -210,29 +198,6 @@ def test_decomposition_verdict_matches_the_dense_loops_under_every_corruption():
             assert results[0] == results[1], (base.field, where)
             details.add(getattr(results[1], "detail", "raised"))
     assert "complement is not an ideal" in details
-    assert "restriction to the complement is not a homomorphism" in details
-
-
-def test_restriction_check_brackets_each_pair_of_complement_rows_once(monkeypatch):
-    # Both algebras are alternating, so the restriction check of
-    # verify_decomposition brackets the k complement rows pairwise, a < b:
-    # k(k-1)/2 calls on the tensor square and as many on the exterior
-    # square, where every ordered pair would take k^2 each.
-    T = build_tensor_square(heisenberg(2))
-    k, (ext, _) = T._complement.dim, T.exterior_square()
-    T.square_submodule  # every cached input is built before counting
-    seen = []
-    real = LieAlgebra.bracket_sparse
-
-    def counted(self, u, v):
-        seen.append(self)
-        return real(self, u, v)
-
-    monkeypatch.setattr(LieAlgebra, "bracket_sparse", counted)
-    assert T.verify_decomposition().ok
-    pairs = k * (k - 1) // 2
-    assert k > 2 and len(seen) == 2 * pairs
-    assert sum(a is T.algebra for a in seen) == sum(a is ext for a in seen)
 
 
 def test_commutator_check_brackets_only_pairs_with_a_nonzero_side(monkeypatch):
