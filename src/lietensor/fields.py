@@ -225,7 +225,8 @@ class Field(Immutable):
         return self.scalar(1)
 
     def parse(self, text: str) -> Scalar:
-        """Parse an exact scalar string: "3", "-4", or "num/den" over Q."""
+        """Parse an exact scalar string: "3", "-4", or "num/den" with den > 0,
+        over Q and over GF(p), where den must be prime to p."""
         text = text.strip()
         if not _SCALAR_RE.fullmatch(text):
             raise ValueError(f"cannot parse scalar {text!r}")
@@ -233,6 +234,9 @@ class Field(Immutable):
             return canonical(_rational(text))
         if "/" in text:
             num, den = text.split("/")
+            if not self.scalar(int(den)):
+                raise ValueError(f"scalar {text!r} has a denominator that is "
+                                 f"0 in {self.name}")
             return self.scalar(int(num)) / self.scalar(int(den))
         return self.scalar(int(text))
 

@@ -46,52 +46,10 @@ field.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 from .errors import Immutable, InternalCheckError
 from .fields import QQ, Field
 from .liealg import LieAlgebra
-
-
-class HallWord(Immutable):
-    """A generator x_i or a bracket (u, v) of Hall words with u > v and,
-    when u = (a, b), b <= v.  Ordered by degree, then recursively by
-    (left, right) / generator index.  Immutable; the hash is computed once,
-    from the hashes its factors computed once, and words with different
-    hashes are unequal without recursing."""
-
-    _fields = ("degree", "index", "left", "right")
-
-    def __init__(self, degree: int, index: Optional[int] = None,
-                 left: Optional[HallWord] = None,
-                 right: Optional[HallWord] = None):
-        super().__init__(degree, index, left, right)
-        self.__dict__["_hash"] = hash((degree, index, left, right))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__ and self._hash != other._hash:
-            return False
-        return super().__eq__(other)
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other: "HallWord") -> bool:
-        if self.degree != other.degree:
-            return self.degree < other.degree
-        if self.index is not None:
-            return self.index < other.index
-        if self.left != other.left:
-            return self.left < other.left
-        return self.right < other.right
-
-    def __le__(self, other: "HallWord") -> bool:
-        return self == other or self < other
-
-    def label(self) -> str:
-        if self.index is not None:
-            return f"x{self.index + 1}"
-        return f"[{self.left.label()},{self.right.label()}]"
 
 
 def mobius(n: int) -> int:
@@ -133,39 +91,47 @@ def dimension_exceeds(d: int, c: int, limit: int) -> bool:
     return False
 
 
-def hall_words(d: int, c: int) -> tuple[HallWord, ...]:
-    """All Hall words on d generators of degree at most c, in basis order."""
-    by_degree: list[list[HallWord]] = [[] for _ in range(c + 1)]
-    if c >= 1:
-        by_degree[1] = [HallWord(1, index=i) for i in range(d)]
+def hall_words(d: int, c: int) -> tuple[tuple[int, ...], tuple]:
+    """The Hall words on d generators of degree at most c, in basis order,
+    as two tuples (degrees, factors).  factors[i] is None for the generator
+    x_(i+1), i < d; otherwise it is the Hall pair (u, v) of the indices of
+    the word's left and right factors: u > v and, when u is not a
+    generator, v >= factors[u][1].
+
+    The words are ordered by degree, and each layer by (u, v).  This is the
+    recursive Hall order, which compares degrees, then left factors, then
+    right factors: the factors have lower degree than the word, so their
+    indices already follow that order, and comparing two pairs of indices
+    compares the two pairs of factors.  The loop below emits each layer in
+    that order without sorting: u runs up the earlier layers in index
+    order, and v increases for each u."""
+    degrees = [1] * d if c >= 1 else []
+    factors: list = [None] * len(degrees)
+    starts = [0, 0, len(degrees)]  # layer k is words starts[k]:starts[k+1]
     for k in range(2, c + 1):
-        layer = []
-        for du in range(1, k):
-            dv = k - du
-            for u in by_degree[du]:
-                for v in by_degree[dv]:
-                    if v < u and (u.index is not None or u.right <= v):
-                        layer.append(HallWord(k, left=u, right=v))
-        layer.sort()
-        by_degree[k] = layer
-    words: list[HallWord] = []
-    for k in range(1, c + 1):
-        words.extend(by_degree[k])
-    return tuple(words)
+        for u in range(starts[k]):
+            dv = k - degrees[u]
+            low = starts[dv] if factors[u] is None \
+                else max(starts[dv], factors[u][1])
+            for v in range(low, min(u, starts[dv + 1])):
+                factors.append((u, v))
+                degrees.append(k)
+        starts.append(len(factors))
+    return tuple(degrees), tuple(factors)
 
 
 def _hall_table(d: int, c: int):
     """Integer structure constants of the free nilpotent algebra as rows of
     nonzero cells, cells[i] = {j: {k: c}} with every c nonzero, with the
-    Hall word labels, degrees and words; not yet validated.  Computed by
+    Hall word labels, degrees and factors; not yet validated.  Computed by
     the rewriting in the module docstring; indices follow the Hall order."""
-    words = hall_words(d, c)
-    nw = len(words)
-    index = {w: i for i, w in enumerate(words)}
-    degree = [w.degree for w in words]
-    left = [index[w.left] if w.index is None else None for w in words]
-    right = [index[w.right] if w.index is None else None for w in words]
-    pair_word = {(left[k], right[k]): k for k in range(d, nw)}
+    degree, factors = hall_words(d, c)
+    nw = len(factors)
+    labels: list[str] = []
+    for f in factors:
+        labels.append(f"x{len(labels) + 1}" if f is None
+                      else f"[{labels[f[0]]},{labels[f[1]]}]")
+    pair_word = {factors[k]: k for k in range(d, nw)}
     # memo[i][j] is the bracket of words i and j as {k: coefficient}, for
     # both orders of a pair once it is filled; [u, u] = 0.
     memo: list[dict[int, dict[int, int]]] = [{i: {}} for i in range(nw)]
@@ -176,15 +142,16 @@ def _hall_table(d: int, c: int):
         for j in reversed(range(ends[n // 2])):
             for i in range(max(j + 1, ends[n - degree[j] - 1]),
                            ends[n - degree[j]]):
-                if left[i] is None or right[i] <= j:
+                f = factors[i]
+                if f is None or f[1] <= j:
                     k = pair_word.get((i, j))
                     if k is None:
                         raise InternalCheckError(
-                            f"Hall pair ({words[i].label()}, "
-                            f"{words[j].label()}) is not a basis word")
+                            f"Hall pair ({labels[i]}, {labels[j]}) "
+                            f"is not a basis word")
                     cell = {k: 1}
                 else:
-                    a, b = left[i], right[i]
+                    a, b = f
                     cell = {}
                     for w, x in memo[a][j].items():  # [[a, v], b]
                         for k, z in memo[w][b].items():
@@ -196,8 +163,7 @@ def _hall_table(d: int, c: int):
                 memo[i][j] = cell
                 memo[j][i] = {k: -x for k, x in cell.items()}
     cells = tuple({j: cell for j, cell in row.items() if cell} for row in memo)
-    labels = tuple(w.label() for w in words)
-    return cells, labels, tuple(degree), words
+    return cells, tuple(labels), degree, factors
 
 
 @lru_cache(maxsize=16)
@@ -213,13 +179,13 @@ def _integer_structure(d: int, c: int):
     GF(p).  A table that passes here therefore passes validate() over every
     field, and free_nilpotent does not validate again.
     """
-    int_cells, labels, degrees, words = _hall_table(d, c)
-    algebra = LieAlgebra(QQ, len(words), _convert(int_cells, QQ), labels)
+    int_cells, labels, degrees, factors = _hall_table(d, c)
+    algebra = LieAlgebra(QQ, len(factors), _convert(int_cells, QQ), labels)
     report = algebra.validate()
     if not report.ok:
         raise InternalCheckError(
             f"free nilpotent algebra fails validation: {report.detail}")
-    return int_cells, labels, degrees, words
+    return int_cells, labels, degrees, factors
 
 
 def _convert(int_cells, field: Field):
@@ -236,10 +202,11 @@ def _convert(int_cells, field: Field):
 
 
 class FreeNilpotent(Immutable):
-    """The free nilpotent algebra on d generators of class c, with its Hall
-    words and their degrees in basis order.  Immutable."""
+    """The free nilpotent algebra on d generators of class c, with the
+    factors and degrees of its Hall words in basis order (hall_words).
+    Immutable."""
 
-    _fields = ("d", "c", "algebra", "words", "degrees")
+    _fields = ("d", "c", "algebra", "factors", "degrees")
 
     def __repr__(self):
         return (f"FreeNilpotent(d={self.d}, c={self.c}, "
@@ -257,12 +224,13 @@ def free_nilpotent(d: int, c: int, field: Field = QQ) -> FreeNilpotent:
     """The free nilpotent Lie algebra on d generators of class c."""
     if d < 0 or c < 1:
         raise ValueError("need d >= 0 and c >= 1")
-    int_cells, labels, degrees, words = _integer_structure(d, c)
-    algebra = LieAlgebra(field, len(words), _convert(int_cells, field), labels)
+    int_cells, labels, degrees, factors = _integer_structure(d, c)
+    algebra = LieAlgebra(field, len(factors), _convert(int_cells, field),
+                         labels)
     for k in range(1, c + 1):
         expected = witt_dimension(d, k)
         actual = sum(1 for deg in degrees if deg == k)
         if actual != expected:
             raise InternalCheckError(
                 f"degree-{k} layer has {actual} words, Witt number is {expected}")
-    return FreeNilpotent(d, c, algebra, words, degrees)
+    return FreeNilpotent(d, c, algebra, factors, degrees)

@@ -134,14 +134,11 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
     n = F.algebra.dim
 
     # Sparse images of the Hall words: a generator goes to its lift, a
-    # bracket word to the bracket of the images of its halves, which come
+    # bracket word to the bracket of the images of its factors, which come
     # earlier because the words are ordered by degree.
-    position = {w: i for i, w in enumerate(F.words)}
-    images: list = []
-    for w in F.words:
-        images.append({lifts[w.index]: L.field.one} if w.index is not None
-                      else L.bracket_sparse(images[position[w.left]],
-                                            images[position[w.right]]))
+    images = [{lift: L.field.one} for lift in lifts]
+    for u, v in F.factors[d:]:
+        images.append(L.bracket_sparse(images[u], images[v]))
     onto = Matrix(L.field, L.dim, n, tuple(images))
     # rank + nullity = n, so onto has rank dim L, and the lifts generate L,
     # exactly when the kernel has dimension n - dim L: one elimination.
@@ -174,12 +171,12 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
     relations_commutator = rf.subspace()
     # F' is the span of the composite Hall words d..n-1, read off the cells
     # without elimination: no cell has support below d, so F' lies in their
-    # span; and each composite word w is the cell (left(w), right(w)), so
-    # their span lies in F'.
+    # span; and each composite word k with factors (u, v) is the cell
+    # (u, v), so their span lies in F'.
     cells = F.algebra.cells
     if any(min(cell) < d for row in cells for cell in row.values()) or \
-            any(cells[position[w.left]].get(position[w.right]) != {k: 1}
-                for k, w in enumerate(F.words[d:], d)):
+            any(cells[u].get(v) != {k: 1}
+                for k, (u, v) in enumerate(F.factors[d:], d)):
         raise InternalCheckError("derived basis is not coordinate-aligned")
     # R lies in F' (Hopf, module docstring); an echelon pivot is the
     # leftmost support of its row, so no pivot below d means no relation
@@ -198,22 +195,20 @@ def exterior_via_presentation(
         tensor: TensorSquare) -> tuple[LieAlgebra, Matrix]:
     """The exterior square computed from the presentation, together with the
     explicit isomorphism onto the tensor engine's exterior square (each basis
-    bracket maps to the wedge of the images of its two halves).
+    bracket maps to the wedge of the images of its two factors).
 
     Raises TheoremViolationError if the explicit map fails to be a bijective
     homomorphism.
     """
     wedge_alg, to_wedge = tensor.exterior_square()
     F = P.free
-    index = {w: i for i, w in enumerate(F.words)}
     onto = P.onto.sparse_columns
-    # A map on F that wedges the images of the two halves of each composite
-    # Hall word; only its restriction to F' (those words) is used, so the
-    # generators go to zero.
+    # A map on F that wedges the images of the two factors of each
+    # composite Hall word; only its restriction to F' (those words) is used,
+    # so the generators go to zero.
     images = [{} for _ in range(F.d)]
-    for w in F.words[F.d:]:
-        pure = tensor.pairing.apply_sparse(onto[index[w.left]],
-                                           onto[index[w.right]])
+    for u, v in F.factors[F.d:]:
+        pure = tensor.pairing.apply_sparse(onto[u], onto[v])
         images.append(combine(pure.items(), to_wedge.sparse_columns))
     eps = P.relations_commutator.descend(images, wedge_alg.dim)
     if eps is None:

@@ -591,15 +591,12 @@ def free_cover(P):
 def generator_map(P, cover) -> Matrix:
     """G = F/[R,F] -> C induced by F -> C, which sends the generators of F
     to C's first d basis vectors and each Hall bracket to the bracket of
-    the images of its halves (they come earlier, the words being ordered by
-    degree); checked to kill [R,F]."""
+    the images of its factors (they come earlier, the words being ordered
+    by degree); checked to kill [R,F]."""
     F, C = P.free, cover.algebra
-    position = {w: i for i, w in enumerate(F.words)}
-    images: list = []
-    for w in F.words:
-        images.append({w.index: C.field.one} if w.index is not None
-                      else C.bracket_sparse(images[position[w.left]],
-                                            images[position[w.right]]))
+    images = [{g: C.field.one} for g in range(F.d)]
+    for u, v in F.factors[F.d:]:
+        images.append(C.bracket_sparse(images[u], images[v]))
     to_C = Matrix(C.field, C.dim, len(images), tuple(images))
     if to_C.image_of(P.relations_commutator).dim:
         raise ValueError("F -> C does not kill [R,F]")
@@ -651,19 +648,15 @@ def subalgebra_cover_theorem(cover, tensor):
 # kept as the oracle for the free nilpotent structure constants
 # ----------------------------------------------------------------------
 
-def hall_expansion(w, c: int, memo: dict) -> dict[tuple, int]:
-    """Integer expansion of a Hall word in the free associative algebra,
-    truncated above degree c: {monomial: coefficient}."""
-    cached = memo.get(w)
-    if cached is not None:
-        return cached
-    if w.index is not None:
-        result = {(w.index,): 1}
-    else:
-        result = associative_commutator(hall_expansion(w.left, c, memo),
-                                        hall_expansion(w.right, c, memo), c)
-    memo[w] = result
-    return result
+def hall_expansions(factors, c: int) -> list[dict[tuple, int]]:
+    """Integer expansions of the Hall words with these factors (as returned
+    by hall_words) in the free associative algebra, truncated above degree
+    c: one {monomial: coefficient} per word, in basis order."""
+    expansions: list[dict[tuple, int]] = []
+    for i, f in enumerate(factors):
+        expansions.append({(i,): 1} if f is None else associative_commutator(
+            expansions[f[0]], expansions[f[1]], c))
+    return expansions
 
 
 def associative_commutator(a: dict, b: dict, c: int) -> dict[tuple, int]:

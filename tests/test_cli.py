@@ -60,6 +60,8 @@ def test_document_rejections():
         ({"field": "Q", "dim": 3}, "lacks"),
         ({"field": {"Fp": 6}, "dim": 1, "brackets": []}, "not prime"),
         ({"field": {"Fp": 0}, "dim": 1, "brackets": []}, "prime integer, got 0"),
+        ({"field": {"Fp": 5}, "dim": 3, "brackets": [[0, 1, [[2, "1/5"]]]]},
+         "scalar '1/5' has a denominator that is 0 in F5"),
     ]
     for doc, fragment in cases:
         with pytest.raises(InvalidInputError) as err:
@@ -78,6 +80,24 @@ def test_non_ascii_digits_are_rejected_with_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "cannot parse" in captured.err, coeff
         assert "Traceback" not in captured.err and not captured.out, coeff
+
+
+def test_a_denominator_that_vanishes_mod_p_is_rejected_with_exit_2(
+        tmp_path, capsys):
+    # "1/5" over GF(5) used to end with Python's "base is not invertible
+    # for the given modulus", which names neither the scalar nor the field.
+    path = tmp_path / "denominator.json"
+    for coeff in ("1/5", "2/10", "-3/25"):
+        path.write_text(json.dumps({"field": {"Fp": 5}, "dim": 3,
+                                    "brackets": [[0, 1, [[2, coeff]]]]}))
+        assert main(["verify", str(path)]) == 2, coeff
+        captured = capsys.readouterr()
+        assert f"scalar {coeff!r} has a denominator that is 0 in F5" in \
+            captured.err, coeff
+        assert "Traceback" not in captured.err and not captured.out, coeff
+    path.write_text(json.dumps({"field": {"Fp": 5}, "dim": 3,
+                                "brackets": [[0, 1, [[2, "3/2"]]]]}))
+    assert main(["info", str(path)]) == 0
 
 
 def test_catalog_names_with_non_ascii_digits_are_rejected(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from functools import cmp_to_key
 
 import pytest
 import sympy
@@ -9,12 +10,12 @@ from lietensor import freenilp
 from lietensor.catalog import MAX_AMBIENT
 from lietensor.cli import canonical_json, free_nilpotent_document
 from lietensor.errors import InternalCheckError
-from lietensor.freenilp import HallWord, _integer_structure, mobius
+from lietensor.freenilp import _integer_structure, mobius
 from lietensor.liealg import LieAlgebra
 from lietensor.linalg import SpanBuilder
 
 from support import (associative_commutator, dense_validate, free_envelope,
-                     hall_expansion)
+                     hall_expansions)
 
 
 def test_mobius_against_sympy():
@@ -64,15 +65,51 @@ def test_validation_passes_over_prime_fields():
 
 
 def test_hall_words_satisfy_the_hall_condition():
-    words = hall_words(3, 4)
-    seen = set(words)
-    for w in words:
-        if w.index is None:
-            assert w.left in seen and w.right in seen
-            assert w.right < w.left
-            if w.left.index is None:
-                assert w.left.right <= w.right
-    assert list(words) == sorted(words)
+    degrees, factors = hall_words(3, 4)
+    assert len(degrees) == len(factors) == 3 + 3 + 8 + 18
+    assert degrees[:3] == (1, 1, 1) and factors[:3] == (None, None, None)
+    for i in range(3, len(factors)):
+        u, v = factors[i]
+        assert v < u < i and degrees[i] == degrees[u] + degrees[v]
+        if factors[u] is not None:
+            assert factors[u][1] <= v
+        # ordered by degree, then by the pair of factor indices
+        assert (degrees[i - 1], factors[i - 1] or ()) < (degrees[i], (u, v))
+
+
+def hall_tree(label):
+    """A basis label "x3" or "[a,b]" as its degree and the generator index
+    or the trees of its two factors."""
+    def parse(pos):
+        if label[pos] == "x":
+            end = pos + 1
+            while end < len(label) and label[end].isdigit():
+                end += 1
+            return (1, int(label[pos + 1:end])), end
+        left, pos = parse(pos + 1)  # after "["
+        right, pos = parse(pos + 1)  # after ","
+        return (left[0] + right[0], left, right), pos + 1  # after "]"
+    return parse(0)[0]
+
+
+def recursive_hall_order(a, b):
+    """The Hall order written out recursively: degree first, then the
+    generator index, or the left factor and then the right factor."""
+    if a[0] != b[0]:
+        return a[0] - b[0]
+    if a[0] == 1:
+        return a[1] - b[1]
+    return recursive_hall_order(a[1], b[1]) or recursive_hall_order(a[2], b[2])
+
+
+@pytest.mark.parametrize("d,c", [(2, 16), (15, 3), (3, 6)])
+def test_the_index_pair_order_is_the_recursive_hall_order(d, c):
+    # The basis sorts each layer by the indices of the two factors; this
+    # sorts it by the factors themselves, read back from the labels.
+    labels = freenilp._hall_table(d, c)[1]
+    trees = [hall_tree(label) for label in labels]
+    assert sorted(trees, key=cmp_to_key(recursive_hall_order)) == trees
+    assert len(set(trees)) == len(trees)
 
 
 def test_small_hall_basis_labels():
@@ -139,13 +176,6 @@ def test_memory_grows_with_the_nonzero_cells_not_with_dim_squared():
     assert peak < 12 * 2 ** 20, peak
 
 
-def test_hall_word_ordering():
-    a, b = HallWord(1, index=0), HallWord(1, index=1)
-    w = HallWord(2, left=b, right=a)
-    assert a < b < w
-    assert w <= w and not w < w
-
-
 ENVELOPE = free_envelope()
 
 
@@ -166,9 +196,8 @@ def test_brackets_expand_to_associative_commutators(d, classes):
     # independent, so this pins every cell; Jacobi and dimension checks
     # cannot see a global sign error in the table, and this can.
     for c in classes:
-        cells, _, _, words = freenilp._hall_table(d, c)
-        memo: dict = {}
-        expansions = [hall_expansion(w, c, memo) for w in words]
+        cells, _, degrees, factors = freenilp._hall_table(d, c)
+        expansions = hall_expansions(factors, c)
         monomials = {m: i for i, m in enumerate({m for e in expansions
                                                  for m in e})}
         builder = SpanBuilder(QQ, len(monomials))
@@ -177,7 +206,7 @@ def test_brackets_expand_to_associative_commutators(d, classes):
                                    for m, v in e.items()}), (c, r)
         for i, ei in enumerate(expansions):
             for j, ej in enumerate(expansions):
-                if words[i].degree + words[j].degree > c:
+                if degrees[i] + degrees[j] > c:
                     assert j not in cells[i], (c, i, j)  # truncated away
                     continue
                 combo: dict = {}
@@ -192,8 +221,9 @@ def test_brackets_expand_to_associative_commutators(d, classes):
 def test_a_hall_pair_missing_from_the_basis_is_an_internal_error(monkeypatch):
     # Drop the last word of top degree: the rewriting reaches the Hall pair
     # that names it, and the lookup of its index must fail loudly.
-    words = hall_words(2, 4)
-    monkeypatch.setattr(freenilp, "hall_words", lambda d, c: words[:-1])
+    degrees, factors = hall_words(2, 4)
+    monkeypatch.setattr(freenilp, "hall_words",
+                        lambda d, c: (degrees[:-1], factors[:-1]))
     with pytest.raises(InternalCheckError, match="is not a basis word"):
         freenilp._hall_table(2, 4)
 
@@ -259,9 +289,9 @@ def test_a_corrupted_integer_cell_is_rejected_for_every_field(d, c, monkeypatch)
     # mirror (only Jacobi can break): whenever the dense check over some
     # field finds the corrupted table invalid, so does the one over Q, and
     # free_nilpotent then rejects it for every field.
-    int_cells, labels, degrees, words = freenilp._hall_table(d, c)
+    int_cells, labels, degrees, factors = freenilp._hall_table(d, c)
     table = dense_integer_table(int_cells)
-    n = len(words)
+    n = len(factors)
     fields = (QQ, GF(2), GF(3), GF(5))
     monkeypatch.setattr(freenilp, "_integer_structure",
                         freenilp._integer_structure.__wrapped__)
@@ -279,7 +309,7 @@ def test_a_corrupted_integer_cell_is_rejected_for_every_field(d, c, monkeypatch)
                          for j, cell in enumerate(row) if any(cell)}
                         for row in bad)
             monkeypatch.setattr(freenilp, "_hall_table",
-                                lambda d, c: (bad, labels, degrees, words))
+                                lambda d, c: (bad, labels, degrees, factors))
             invalid = {field: not dense_validate(LieAlgebra(
                            field, n, freenilp._convert(bad, field), labels)).ok
                        for field in fields}

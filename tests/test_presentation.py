@@ -264,7 +264,7 @@ def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
         L, F, onto = clean.L, clean.free, clean.onto
         images = [column(onto, i) for i in range(F.algebra.dim)]
         for where, bad in corrupted_tables(F.algebra):
-            fake = FreeNilpotent(F.d, F.c, bad, F.words, F.degrees)
+            fake = FreeNilpotent(F.d, F.c, bad, F.factors, F.degrees)
             monkeypatch.setattr(presentation, "free_nilpotent",
                                 lambda d, c, field: fake)
             broken = [(i, j) for i in range(bad.dim) for j in range(bad.dim)

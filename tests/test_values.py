@@ -16,7 +16,6 @@ from lietensor import (GF, QQ, BilinearMap, Cover, Field, FreeNilpotent,
                        Verdict, build_cover, build_tensor_square,
                        free_nilpotent, heisenberg, presentation_of)
 from lietensor.errors import Immutable
-from lietensor.freenilp import HallWord
 from lietensor.tensor import (Abelianization, TensorReport, WhiteheadGamma,
                               tensor_report)
 
@@ -28,8 +27,7 @@ FIELDS = {
     Subspace: ("field", "ambient_dim", "pivots", "sparse_rows"),
     LieAlgebra: ("field", "dim", "cells", "basis_names"),
     BilinearMap: ("field", "source_dim", "target_dim", "cells"),
-    HallWord: ("degree", "index", "left", "right"),
-    FreeNilpotent: ("d", "c", "algebra", "words", "degrees"),
+    FreeNilpotent: ("d", "c", "algebra", "factors", "degrees"),
     FreePresentation: ("L", "free", "onto", "relations",
                        "relations_commutator"),
     Cover: ("L", "algebra", "multiplier", "onto", "boundaries", "d"),
@@ -46,7 +44,7 @@ def instances():
     T = build_tensor_square(L)
     return [Verdict(False, "fails", ("axiom-i", (0, 1, 2))), GF(5),
             T.relation_space.project, T.relation_space, L, T.pairing,
-            free_nilpotent(2, 3).words[-1], free_nilpotent(2, 3),
+            free_nilpotent(2, 3),
             presentation_of(L), build_cover(L), T.abelianization,
             T.whitehead_gamma, tensor_report(T)]
 
@@ -116,12 +114,6 @@ def test_keywords_and_defaults():
     assert repr(GF(3)) == "Field(characteristic=3)"
     with pytest.raises(ValueError, match="not prime"):
         Field(4)
-    a, b = HallWord(1, index=0), HallWord(1, index=1)
-    assert (a.left, a.right) == (None, None) and a == HallWord(1, 0)
-    w = HallWord(2, left=b, right=a)
-    assert w.index is None and hash(w) == hash((2, None, b, a))
-    assert repr(a) == "HallWord(degree=1, index=0, left=None, right=None)"
-    assert w != HallWord(2, left=a, right=b) and a < b < w
 
 
 def test_lie_algebra_constructor_checks_its_cells():
