@@ -168,7 +168,9 @@ def _hall_table(d: int, c: int):
 
 @lru_cache(maxsize=16)
 def _integer_structure(d: int, c: int):
-    """The validated _hall_table, shared by all coefficient fields.
+    """The validated _hall_table as the algebra over Q that validated it,
+    with the degrees and factors; shared by all coefficient fields.  Its
+    cells hold integers, which free_nilpotent converts to the other fields.
 
     One validation over Q stands for every field.  Antisymmetry and the
     Jacobi identity on basis triples are polynomial identities with integer
@@ -185,16 +187,18 @@ def _integer_structure(d: int, c: int):
     if not report.ok:
         raise InternalCheckError(
             f"free nilpotent algebra fails validation: {report.detail}")
-    return int_cells, labels, degrees, factors
+    return algebra, degrees, factors
 
 
 def _convert(int_cells, field: Field):
-    """The integer rows over field.  Each distinct integer is converted
-    once, and a coefficient that vanishes in field (a multiple of p over
+    """The integer rows (the cells of the algebra over Q, or of the Hall
+    table) over field.  Each distinct integer is converted once, and a
+    coefficient that vanishes in field (a multiple of p over
     GF(p)) is dropped, with its cell if that empties it, so every cell stays
     canonical: nonempty and zero-free."""
-    scalars = {x: field.scalar(x) for row in int_cells
-               for cell in row.values() for x in cell.values()}
+    values = {x for row in int_cells for cell in row.values()
+              for x in cell.values()}
+    scalars = {x: field.scalar(x) for x in values}
     return tuple({j: c for j, cell in row.items()
                   if (c := {k: scalars[x] for k, x in cell.items()
                             if scalars[x]})}
@@ -224,9 +228,9 @@ def free_nilpotent(d: int, c: int, field: Field = QQ) -> FreeNilpotent:
     """The free nilpotent Lie algebra on d generators of class c."""
     if d < 0 or c < 1:
         raise ValueError("need d >= 0 and c >= 1")
-    int_cells, labels, degrees, factors = _integer_structure(d, c)
-    algebra = LieAlgebra(field, len(factors), _convert(int_cells, field),
-                         labels)
+    over_q, degrees, factors = _integer_structure(d, c)
+    algebra = over_q if field == QQ else LieAlgebra(
+        field, over_q.dim, _convert(over_q.cells, field), over_q.basis_names)
     for k in range(1, c + 1):
         expected = witt_dimension(d, k)
         actual = sum(1 for deg in degrees if deg == k)

@@ -24,7 +24,6 @@ instance of is_lie_pairing.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress
 from typing import Optional, Sequence
 
 from .errors import Immutable, InternalCheckError, NotIdealError, Verdict
@@ -313,17 +312,25 @@ def quotient_algebra(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix
     return quotient_by_ideal(L, ideal)
 
 
-def quotient_by_ideal(L: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix]:
+def quotient_by_ideal(L: LieAlgebra, ideal: Subspace,
+                      start: int = 0) -> tuple[LieAlgebra, Matrix]:
     """The quotient construction of quotient_algebra, for a subspace that
     the caller has proved to be an ideal of L, of ambient dimension dim L
     (each caller gives its argument next to the call), with the projection
-    onto it: the class of [x_a, x_b] is the projection of the cell."""
+    onto it: the class of [x_a, x_b] is the projection of the cell.
+
+    Given start, L stands for its subalgebra on the positions start..,
+    which the caller has shown to hold every bracket of L, and the ideal is
+    given in those positions shifted by -start.  Only the rows of L at the
+    free columns are read, so the subalgebra is never copied."""
     project = ideal.project
-    cols, free = project.sparse_columns, set(ideal.free_cols)
+    cols = ({},) * start + project.sparse_columns  # indexed by L's positions
+    free = set(ideal.free_cols)
     names = tuple(f"q{c + 1}" for c in range(len(free)))
     return descended_algebra(
-        ideal, lambda a: ((b, combine(cell.items(), cols))
-                          for b, cell in L.cells[a].items() if b in free),
+        ideal, lambda a: ((b - start, combine(cell.items(), cols))
+                          for b, cell in L.cells[a + start].items()
+                          if b - start in free),
         names), project
 
 
@@ -461,15 +468,30 @@ def homomorphism_failure(images: Sequence[SparseVector], source: LieAlgebra,
     Both sides are sparse {k: nonzero} dicts: f[x_i, x_j] combines the
     images over the nonzero entries of source's cell (i, j), and
     [f x_i, f x_j] is target.bracket_sparse.  Neither holds a zero value, so
-    they are equal exactly when the dense vectors are.  Both sides are 0
-    unless the cell or both images are nonzero; the other pairs are visited
-    in the dense double loop's order, so the first failing pair is the same.
+    they are equal exactly when the dense vectors are.  The left side is 0
+    unless source's cell (i, j) is nonzero, and the right side is 0 unless
+    target has a nonzero cell (a, b) with a in the support of f x_i and b
+    in that of f x_j.  Only the pairs where one of the two holds are
+    visited: holders[b] lists the j whose image holds b, so reach[a], the
+    union of holders[b] over target's nonzero cells (a, b), is every such
+    j for one a.  Every other pair has two empty sides, and the visited
+    pairs keep the dense double loop's order, so the first failing pair is
+    the same.
     """
-    nz = source.cells
-    nonzero = set(compress(range(len(images)), images))
+    nz, target_cells = source.cells, target.cells
+    holders: list[list[int]] = [[] for _ in range(target.dim)]
+    for j, fj in enumerate(images):
+        for b in fj:
+            holders[b].append(j)
+    reach: dict[int, set[int]] = {}
     for i, fi in enumerate(images[:rows]):
         nz_i = nz[i]
-        for j in sorted(nonzero.union(nz_i) if fi else nz_i):
+        partners = set(nz_i)
+        for a in fi:
+            if a not in reach:
+                reach[a] = {j for b in target_cells[a] for j in holders[b]}
+            partners |= reach[a]
+        for j in sorted(partners):
             if combine(nz_i.get(j, {}).items(), images) \
                     != target.bracket_sparse(fi, images[j]):
                 return i, j

@@ -256,6 +256,15 @@ class SpanBuilder:
     times row p, in any order.  The finished subspace is independent of
     insertion order (RREF is unique).
 
+    A new row with pivot p must be subtracted from every stored row that is
+    nonzero at p.  The builder keeps the set of columns that a stored row
+    can hold: the union of the supports of the rows it inserted, and of the
+    seed rows for a builder made by of.  Every stored row lies in that set:
+    an inserted row starts in it, and back-reduction changes a row only by
+    a multiple of a new row, which joins the set.  So when p is not in the
+    set, no stored row is nonzero at p, and the scan over the rows is
+    skipped.
+
     subspace() hands the row dicts themselves to the Subspace it returns;
     the builder copies them before it next changes one, so a subspace never
     shares a row with a builder that can still mutate it.
@@ -266,6 +275,9 @@ class SpanBuilder:
         self.ambient_dim = ambient_dim
         self._rows: dict[int, SparseVector] = {}
         self._shared = False  # whether a Subspace holds these row dicts
+        # The columns a stored row can hold (class docstring); None until a
+        # seeded builder first grows, as most of them only reduce.
+        self._columns: Optional[set[int]] = set()
 
     @classmethod
     def of(cls, space: Subspace) -> "SpanBuilder":
@@ -273,6 +285,7 @@ class SpanBuilder:
         builder = cls(space.field, space.ambient_dim)
         builder._rows = dict(zip(space.pivots, space.sparse_rows))
         builder._shared = True
+        builder._columns = None
         return builder
 
     @property
@@ -305,10 +318,15 @@ class SpanBuilder:
         inv = out[pivot]
         if inv != self.field.one:
             out = {j: canonical(x / inv) for j, x in out.items()}
-        for row in self._rows.values():
-            f = row.get(pivot)
-            if f:
-                add_scaled(row, -f, out.items())
+        columns = self._columns
+        if columns is None:  # the seed rows of of
+            columns = self._columns = set().union(*self._rows.values())
+        if pivot in columns:
+            for row in self._rows.values():
+                f = row.get(pivot)
+                if f:
+                    add_scaled(row, -f, out.items())
+        columns.update(out)
         self._rows[pivot] = out
         return True
 

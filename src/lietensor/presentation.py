@@ -10,7 +10,7 @@ every bracket of weight above c + 1, and the quotients built here are
 unchanged by cutting F off at class c + 1.
 
 Write L = F/R, with X the d generators of F.  Both are read off one quotient
-G = F/[R,F], on four arguments:
+E = F'/[R,F], on four arguments:
 
 - R lies in F' (Hopf).  The generators go to lifts that are independent
   modulo L^2, and every composite Hall word goes into L^2, so a relation
@@ -20,7 +20,7 @@ G = F/[R,F], on four arguments:
   R is an ideal, so induction on the degree of the left-normed word [u,x]
   spans [R,F] by the brackets [r, x] with r in R and x in X.  [R,F] is an
   ideal with no check: R is one, and F satisfies Jacobi, so
-  [[r,u],y] = [[r,y],u] + [r,[u,y]] lies in [R,F].  So G is built without
+  [[r,u],y] = [[r,y],u] + [r,[u,y]] lies in [R,F].  So E is built without
   an ideal check.
 - X decides the other checks too.  The linear map f: F -> L is a
   homomorphism once f[x, y] = [fx, fy] for x in X and every y: the set S of
@@ -28,8 +28,14 @@ G = F/[R,F], on four arguments:
   Jacobi identity in F and in L gives
   f[[u,v],y] = [fu, f[v,y]] - [fv, f[u,y]] = [[fu,fv],fy] = [f[u,v], fy],
   so S is a subalgebra containing X, hence F.
-- The exterior square F'/[R,F] is G restricted to its composite positions,
-  and the multiplier R/[R,F] lies in it.
+- The exterior square F'/[R,F] is the quotient of F' alone: F' is F on
+  its composite positions d.., which hold every bracket, and [R,F] lies
+  in R, inside F', so on those positions shifted by -d it is an ideal of
+  F'.  The multiplier R/[R,F] is the image of R, shifted the same way,
+  under the projection onto E.  G = F/[R,F] is never built: its
+  generator rows hold most of F's nonzero cells, and neither result reads
+  them.  Nor is F' copied: the quotient reads only F's rows at E's free
+  columns.
 
 The cover.  A2 is the alternating square of L on the pairs x_i^x_j, i < j,
 and d3(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x.  E = A2/d3(A3) is the exterior
@@ -83,21 +89,21 @@ class FreePresentation(Immutable):
                 f"{self.free.algebra.dim}, relations dim {self.relations.dim})")
 
     @cached_property
-    def quotient(self) -> tuple[LieAlgebra, Matrix]:
-        """G = F/[R,F] and the projection onto it; G is validated.  [R,F]
-        is an ideal, as R is one and F satisfies Jacobi (module docstring).
-        It lies in R, whose vectors have no support below d (R's pivots are
-        at least d), so the generators are G's first d positions."""
-        return quotient_by_ideal(self.free.algebra, self.relations_commutator)
+    def exterior_quotient(self) -> tuple[LieAlgebra, Matrix]:
+        """E = F'/[R,F] and the projection of F' onto it; E is validated (in
+        descended_algebra).  F' is F on its positions d.., which hold every
+        bracket (checked in presentation_of).  [R,F] lies in R, whose
+        vectors have no support below d (R's pivots are at least d), so
+        shifted by -d it is a subspace of F'; it is an ideal of F, as R is
+        one and F satisfies Jacobi (module docstring), hence of F'."""
+        F = self.free
+        return quotient_by_ideal(F.algebra,
+                                 _shift(self.relations_commutator, F.d), F.d)
 
-    @cached_property
+    @property
     def exterior(self) -> LieAlgebra:
-        """F'/[R,F]: G after its first d positions, the generator columns;
-        brackets and their residuals mod [R,F] stay in F'; and the
-        restriction needs no validation, as its antisymmetry and Jacobi
-        instances are instances in G, which was validated."""
-        G, _ = self.quotient
-        return _restrict(G, self.free.d)
+        """F'/[R,F] (exterior_quotient)."""
+        return self.exterior_quotient[0]
 
 
 class Cover(Immutable):
@@ -214,7 +220,8 @@ def exterior_via_presentation(
     if eps is None:
         raise TheoremViolationError(
             "wedge map does not kill the relation commutator")
-    # G's first d positions are the generators (FreePresentation.quotient).
+    # [R,F] has no support below d, so its first d free columns are the
+    # generators; the others, shifted by -d, are those of E.
     eps = eps.select_columns(range(F.d, eps.cols))
     _check_isomorphism(eps, P.exterior, wedge_alg)
     return P.exterior, eps
@@ -238,16 +245,21 @@ def _check_isomorphism(f: Matrix, source: LieAlgebra, target: LieAlgebra):
 
 def multiplier_via_presentation(P: FreePresentation) -> Subspace:
     """Image of the relations in the presentation quotient, R/[R,F]; its
-    dimension is the Schur multiplier dimension.  The image
-    lies in F'/[R,F], G after its first d positions, and is given in the
-    coordinates of P.exterior: shifting every column by d keeps the rows
-    fully reduced."""
-    _, to_G = P.quotient
-    image, d = to_G.image_of(P.relations), P.free.d
-    return Subspace(image.field, image.ambient_dim - d,
-                    tuple(p - d for p in image.pivots),
+    dimension is the Schur multiplier dimension.  R lies in F' (its pivots
+    are at least d), so shifted by -d it is a subspace of F', and its image
+    under the projection onto E is given in the coordinates of
+    P.exterior."""
+    _, project = P.exterior_quotient
+    return project.image_of(_shift(P.relations, P.free.d))
+
+
+def _shift(space: Subspace, d: int) -> Subspace:
+    """A subspace with no support below d, on the positions d.. shifted by
+    -d: shifting every column keeps the rows fully reduced."""
+    return Subspace(space.field, space.ambient_dim - d,
+                    tuple(p - d for p in space.pivots),
                     tuple({j - d: x for j, x in row.items()}
-                          for row in image.sparse_rows))
+                          for row in space.sparse_rows))
 
 
 def _restrict(K: LieAlgebra, d: int) -> LieAlgebra:

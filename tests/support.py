@@ -575,13 +575,20 @@ def complement_cover(P):
     return K, from_free, from_free.image_of(in_derived), onto
 
 
+def presentation_quotient(P):
+    """G = F/[R,F] with the projection onto it, an oracle for the
+    presentation engine, which builds only F'/[R,F]; quotient_algebra
+    checks that [R,F] is an ideal."""
+    return quotient_algebra(P.free.algebra, P.relations_commutator)
+
+
 def free_cover(P):
     """The cover as G = F/[R,F] itself, the construction the exterior-square
     cover replaced: (algebra, from_free, multiplier, onto).  onto is read as
     columns of the presentation map, since F -> G sends the unit vector at
     its r-th free column to the r-th unit vector, and is checked to factor
     the presentation map."""
-    G, from_free = P.quotient
+    G, from_free = presentation_quotient(P)
     onto = P.onto.select_columns(P.relations_commutator.free_cols)
     if onto.mul(from_free) != P.onto:
         raise ValueError("cover projection does not factor the presentation")

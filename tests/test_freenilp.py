@@ -10,6 +10,7 @@ from lietensor import freenilp
 from lietensor.catalog import MAX_AMBIENT
 from lietensor.cli import canonical_json, free_nilpotent_document
 from lietensor.errors import InternalCheckError
+from lietensor.fields import Field
 from lietensor.freenilp import _integer_structure, mobius
 from lietensor.liealg import LieAlgebra
 from lietensor.linalg import SpanBuilder
@@ -274,12 +275,44 @@ def test_table_is_the_cellwise_conversion_of_the_integer_table(d, c, field):
     # Converting each distinct integer once, and dropping the coefficients
     # that vanish in the field, must give exactly the elementwise conversion
     # of the dense integer table, scalar types included.
-    int_table = dense_integer_table(_integer_structure(d, c)[0])
+    int_table = dense_integer_table(freenilp._hall_table(d, c)[0])
     table = free_nilpotent(d, c, field).algebra.table
     assert table == tuple(tuple(tuple(field.scalar(x) for x in cell)
                                 for cell in row) for row in int_table)
     assert {type(x) for row in table for cell in row for x in cell} == \
         {type(field.zero)}
+
+
+# Every (d, c) that the tests of this module build with free_nilpotent.
+BUILT_PAIRS = sorted({(d, c) for d in range(1, 5) for c in range(1, 5)}
+                     | {(0, 2), (2, 10), (2, 13), (3, 5), (4, 4), (6, 3),
+                        (16, 2)})
+
+
+@pytest.mark.parametrize("d,c", BUILT_PAIRS, ids=lambda p: str(p))
+def test_each_distinct_integer_is_converted_once(d, c, monkeypatch):
+    # The cells over every field are the coefficient-by-coefficient
+    # conversion of the integer table, zeros dropped; the Q algebra is the
+    # one that _integer_structure validated; and _convert calls
+    # Field.scalar once per distinct integer.
+    int_cells = freenilp._hall_table(d, c)[0]
+    values = {x for row in int_cells for cell in row.values()
+              for x in cell.values()}
+    assert free_nilpotent(d, c, QQ).algebra is _integer_structure(d, c)[0]
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        expected = tuple(
+            {j: v for j, cell in row.items()
+             if (v := {k: field.scalar(x) for k, x in cell.items()
+                       if field.scalar(x)})}
+            for row in int_cells)
+        assert free_nilpotent(d, c, field).algebra.cells == expected, field
+        calls = []
+        real = Field.scalar
+        monkeypatch.setattr(Field, "scalar",
+                            lambda self, x: calls.append(x) or real(self, x))
+        assert freenilp._convert(int_cells, field) == expected, field
+        monkeypatch.undo()
+        assert sorted(calls) == sorted(values), field
 
 
 @pytest.mark.parametrize("d,c", [(2, 3), (3, 2)])

@@ -381,6 +381,54 @@ def from_sympy(field, x):
     return field.scalar(int(x))
 
 
+def test_a_seeded_builder_back_reduces_a_pivot_that_only_a_seed_row_holds():
+    # The seed row (1, 1, 0) is the only row that holds column 1.  Inserting
+    # e_1 makes 1 a pivot, and the seed row must lose its entry there,
+    # although no row that the builder inserted itself held column 1.
+    for field in (QQ, GF(5)):
+        one = field.one
+        seed = span(field, 3, [[1, 1, 0]])
+        builder = SpanBuilder.of(seed)
+        assert builder.insert({1: one})
+        assert builder.subspace().sparse_rows == ({0: one}, {1: one})
+        assert subspace_sum(seed, span(field, 3, [[0, 1, 0]])).sparse_rows \
+            == ({0: one}, {1: one})
+        assert seed.sparse_rows == ({0: one, 1: one},)
+
+
+@st.composite
+def seeded_rows(draw, max_dim=6):
+    # Mostly zero entries, so that many new pivots lie outside every stored
+    # row and the builder skips its scan.
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    ncols = draw(st.integers(1, max_dim))
+    row_st = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 3]),
+                      min_size=ncols, max_size=ncols)
+    seed, later = (draw(st.lists(row_st, max_size=max_dim)) for _ in range(2))
+    return (field, ncols, [vec(field, r) for r in seed],
+            [vec(field, r) for r in later])
+
+
+@settings(deadline=None, max_examples=200)
+@given(seeded_rows())
+def test_seeded_and_fresh_builders_give_the_sympy_rref(case):
+    # sympy's DomainMatrix over QQ and GF(p) never goes through the
+    # package's elimination.
+    field, ncols, seed, later = case
+    rows = seed + later
+    echelon, pivots = sympy_matrix(field, rows, ncols).rref()
+    expected = tuple(sparse([from_sympy(field, x) for x in r])
+                     for r in echelon.to_list()[:len(pivots)])
+    fresh = SpanBuilder(field, ncols)
+    add_all(fresh, rows)
+    seeded = SpanBuilder.of(support.span(field, ncols, seed))
+    add_all(seeded, later)
+    for builder in (fresh, seeded):
+        space = builder.subspace()
+        assert space.pivots == tuple(pivots)
+        assert space.sparse_rows == expected
+
+
 @st.composite
 def matrix_pairs(draw, max_dim=5):
     field = draw(fields_st)

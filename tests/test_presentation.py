@@ -11,7 +11,7 @@ from lietensor import (GF, QQ, Cover, LieAlgebra, abelian, build_cover,
                        exterior_via_presentation, heisenberg,
                        multiplier_via_presentation, presentation_of, sl2,
                        verify_cover_theorem, zero_algebra)
-from lietensor import presentation, quotient_algebra
+from lietensor import presentation
 from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
 from lietensor.cli import verify_document
 from lietensor.errors import (InternalCheckError, NotNilpotentError,
@@ -19,13 +19,14 @@ from lietensor.errors import (InternalCheckError, NotNilpotentError,
 from lietensor.freenilp import FreeNilpotent
 from lietensor.liealg import (homomorphism_failure, lie_algebra_from_brackets,
                               lie_algebra_from_table)
-from lietensor.linalg import add_scaled, combine, kernel
-from lietensor.presentation import _check_isomorphism, boundaries
+from lietensor.linalg import Subspace, add_scaled, combine, kernel
+from lietensor.presentation import _check_isomorphism, _restrict, boundaries
 
 from support import (all_columns_commutator, column, complement_cover,
                      contains, corrupted_tables, dense_restriction_verdict,
                      free_cover, generator_map,
-                     linear_map, random_nilpotent_quotient, solve, span,
+                     linear_map, presentation_quotient,
+                     random_nilpotent_quotient, solve, span,
                      subalgebra_cover_theorem, subalgebra_exterior,
                      symmetric_derived_vectors, tensor_relation_vectors,
                      valid_algebras, zassenhaus_relations_in_derived)
@@ -295,10 +296,11 @@ def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
 
 def test_graded_constructions_match_the_generic_oracles():
     # [R, F] from the generators, R /\ F' read off the grading, the exterior
-    # square as G restricted to its composite positions and G as a cover
-    # equal the generic constructions they replaced: the all-columns span,
-    # the Zassenhaus intersection, the Subalgebra quotient and the
-    # complement with its second quotient.
+    # square as F'/[R,F] and G = F/[R,F] as a cover equal the generic
+    # constructions they replaced: the all-columns span, the Zassenhaus
+    # intersection, the Subalgebra quotient and the complement with its
+    # second quotient.  F'/[R,F] and its multiplier are also G restricted
+    # to its composite positions and G's image of R there.
     algebras = [catalog(name, field)
                 for name in NILPOTENT_CATALOG + ["heisenberg(3)", "abelian(5)"]
                 for field in (QQ, GF(2), GF(5))]
@@ -316,7 +318,15 @@ def test_graded_constructions_match_the_generic_oracles():
         assert P.exterior == ext, L
         assert multiplier_via_presentation(P) == mult, L
         assert exterior_via_presentation(P, build_tensor_square(L))[0] == ext, L
-        assert P.quotient == quotient_algebra(F, P.relations_commutator), L
+        G, to_G = presentation_quotient(P)
+        d = P.free.d
+        assert P.exterior == _restrict(G, d), L
+        image = to_G.image_of(P.relations)
+        assert multiplier_via_presentation(P) == Subspace(
+            image.field, image.ambient_dim - d,
+            tuple(p - d for p in image.pivots),
+            tuple({j - d: x for j, x in row.items()}
+                  for row in image.sparse_rows)), L
         assert free_cover(P) == complement_cover(P), L
 
 

@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lietensor import (GF, QQ, BilinearMap, Field, LieAlgebra, Verdict,
-                       build_tensor_square, bracket_pairing, catalog,
+                       abelian, build_tensor_square, bracket_pairing, catalog,
                        free_nilpotent, heisenberg, is_lie_pairing,
-                       lie_algebra_from_table, quotient_algebra, sl2)
+                       lie_algebra_from_table, presentation_of,
+                       quotient_algebra, sl2)
+from lietensor import presentation
 from lietensor.errors import InternalCheckError
 from lietensor.liealg import homomorphism_failure
 from lietensor.linalg import SpanBuilder, Subspace, dense, sparse
@@ -201,9 +203,10 @@ def test_decomposition_verdict_matches_the_dense_loops_under_every_corruption():
 
 
 def test_commutator_check_brackets_only_pairs_with_a_nonzero_side(monkeypatch):
-    # A pair whose source cell is zero and which has a zero image has two
-    # empty sides; the commutator map's homomorphism check on heisenberg(2)'s
-    # tensor square must bracket only the other pairs, in row-major order.
+    # A pair whose source cell is zero, and whose images meet in no nonzero
+    # cell of the target, has two empty sides; the commutator map's
+    # homomorphism check on heisenberg(2)'s tensor square must bracket only
+    # the other pairs, in row-major order.
     T = build_tensor_square(heisenberg(2))
     fresh = TensorSquare(T.base, T.relation_space, T.algebra, T.pairing)
     images = fresh._commutator.sparse_columns
@@ -212,17 +215,69 @@ def test_commutator_check_brackets_only_pairs_with_a_nonzero_side(monkeypatch):
     real = LieAlgebra.bracket_sparse
 
     def counted(self, u, v):
-        if self is T.base:
-            seen.append((position[id(u)], position[id(v)]))
+        seen.append((self, u, v))
         return real(self, u, v)
 
     monkeypatch.setattr(LieAlgebra, "bracket_sparse", counted)
     fresh.commutator_map
-    cells = T.algebra.cells
+    cells, target = T.algebra.cells, T.base.cells
     expected = [(i, j) for i in range(T.dim) for j in range(T.dim)
-                if j in cells[i] or (images[i] and images[j])]
-    assert seen == expected
-    assert len(expected) < T.dim ** 2
+                if j in cells[i] or any(b in target[a] for a in images[i]
+                                        for b in images[j])]
+    assert [(position[id(u)], position[id(v)])
+            for K, u, v in seen if K is T.base] == expected
+    both_nonzero = [(i, j) for i in range(T.dim) for j in range(T.dim)
+                    if j in cells[i] or (images[i] and images[j])]
+    assert len(expected) < len(both_nonzero) < T.dim ** 2
+    # A zero source cell is still bracketed where the images meet in a
+    # nonzero cell of the target, though here the bracket cancels:
+    # abelian(2) -> heisenberg(1), e0 -> x1 + x2, e1 -> x3.
+    H, one = heisenberg(1), QQ.one
+    assert H.cells[0][1] == {2: one}
+    images = [{0: one, 1: one}, {2: one}]
+    seen.clear()
+    assert homomorphism_failure(images, abelian(2), H) is None
+    assert [(u, v) for _, u, v in seen] == [(images[0], images[0])]
+
+
+def test_presentation_isomorphism_check_visits_fewer_pairs(monkeypatch):
+    # The presentation engine's exterior square of free_nilpotent(3, 3) maps
+    # onto the tensor engine's by a bijection, so every image is nonzero and
+    # the rule "the cell or both images nonzero" visits every pair.  The
+    # check must visit only the pairs whose cell is nonzero or whose images
+    # meet in a nonzero cell of the target.
+    L = free_nilpotent(3, 3).algebra
+    T = build_tensor_square(L)
+    P = presentation_of(L)
+    target, _ = T.exterior_square()
+    checked = []
+    real = presentation.homomorphism_failure
+
+    def recorded(images, source, target_, rows=None):
+        checked.append((images, source, target_))
+        return real(images, source, target_, rows)
+
+    monkeypatch.setattr(presentation, "homomorphism_failure", recorded)
+    seen = []
+    real_bracket = LieAlgebra.bracket_sparse
+
+    def counted(self, u, v):
+        if self is target:
+            seen.append((u, v))
+        return real_bracket(self, u, v)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_sparse", counted)
+    presentation.exterior_via_presentation(P, T)
+    monkeypatch.undo()
+    [(images, source, _)] = checked
+    assert source is P.exterior and all(images)
+    cells = source.cells
+    expected = [(images[i], images[j]) for i in range(source.dim)
+                for j in range(source.dim)
+                if j in cells[i] or any(b in target.cells[a]
+                                        for a in images[i] for b in images[j])]
+    assert len(seen) == len(expected) < source.dim ** 2
+    assert all(u is x and v is y for (u, v), (x, y) in zip(seen, expected))
 
 
 def inserts_during(monkeypatch, run):
