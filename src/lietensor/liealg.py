@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from .errors import Immutable, InternalCheckError, NotIdealError, Verdict
 from .fields import Field, Scalar
 from .linalg import (Matrix, SparseVector, SpanBuilder, Subspace, Vector,
-                     add_scaled, annihilator, combine, dense, sparse)
+                     add_scaled, annihilator, combine, dense, sparse, span)
 
 
 class LieAlgebra(Immutable):
@@ -163,12 +163,9 @@ class LieAlgebra(Immutable):
 
     @cached_property
     def _derived_subalgebra(self) -> Subspace:
-        b = SpanBuilder(self.field, self.dim)
-        for i, row in enumerate(self.cells):
-            for j, cell in row.items():
-                if j > i:
-                    b.insert(cell)
-        return b.subspace()
+        return span(self.field, self.dim,
+                    (cell for i, row in enumerate(self.cells)
+                     for j, cell in row.items() if j > i))
 
     def derived_subalgebra(self) -> Subspace:
         """The span of the brackets, computed once per algebra."""
@@ -189,12 +186,9 @@ class LieAlgebra(Immutable):
         series = [Subspace.full_space(self.field, self.dim)]
         while True:
             prev = series[-1]
-            b = SpanBuilder(self.field, self.dim)
-            for row in prev.sparse_rows:
-                for w in self.ad_sparse(row):
-                    if w:
-                        b.insert(w)
-            nxt = b.subspace()
+            nxt = span(self.field, self.dim,
+                       (w for row in prev.sparse_rows
+                        for w in self.ad_sparse(row) if w))
             series.append(nxt)
             if nxt == prev or nxt.dim == 0:
                 break

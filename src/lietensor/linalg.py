@@ -4,15 +4,17 @@ subspaces, sums, intersections and quotients.
 A Matrix is a linear map acting on columns, with products, ranks, images
 and kernel(m).  A Subspace also stands for the quotient of its ambient
 space by it, on its free columns: project maps onto them, and descend
-gives the map that a map on the ambient space induces there.  SpanBuilder
-is the one elimination routine.
+gives the map that a map on the ambient space induces there.  span is the
+one elimination call: it spans a batch of sparse vectors, in the given
+order, through SpanBuilder.insert.
 
 Everything is stored as zero-free {index: value} dicts: a Matrix as its
 columns, a Subspace as its fully reduced echelon rows, so subspace equality
 is plain structural equality and every downstream basis, complement and
 report is bit-reproducible.  All elimination goes through SpanBuilder, whose
-rows are {pivot: {column: value}}: relation vectors touch a handful of the
-n^2 coordinates, so reductions cost the nonzeros they meet, not the ambient
+rows are {pivot: {column: value}}, and reduction against a Subspace reads
+its rows in the same form: relation vectors touch a handful of the n^2
+coordinates, so reductions cost the nonzeros they meet, not the ambient
 width.  Products, ranks and kernels work on those columns and rows, and
 _transpose is the one change of orientation; annihilator, like
 subspace_intersect, eliminates vectors extended by a second block, its few
@@ -24,7 +26,9 @@ vectors, and Matrix.apply; every other vector is sparse.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .errors import Immutable
@@ -129,38 +133,27 @@ class Matrix(Immutable):
                             for c in other.sparse_columns))
 
     def rank(self) -> int:
-        builder = SpanBuilder(self.field, self.rows)
-        for c in self.sparse_columns:
-            builder.insert(c)
-        return builder.dim
+        return self.image().dim
 
     def image_of(self, space: "Subspace") -> "Subspace":
         """The image of a subspace of the column space, spanned by the
         images of its echelon rows."""
-        builder = SpanBuilder(self.field, self.rows)
-        for row in space.sparse_rows:
-            builder.insert(combine(row.items(), self.sparse_columns))
-        return builder.subspace()
+        return span(self.field, self.rows,
+                    (combine(row.items(), self.sparse_columns)
+                     for row in space.sparse_rows))
 
     def image(self) -> "Subspace":
-        return self.image_of(Subspace.full_space(self.field, self.cols))
+        """The column space, spanned by the columns in order."""
+        return span(self.field, self.rows, self.sparse_columns)
 
     def is_bijective(self) -> bool:
         return self.rows == self.cols and self.rank() == self.cols
 
 
-def _row_echelon(m: Matrix) -> "SpanBuilder":
-    """The echelon form of the rows of m."""
-    builder = SpanBuilder(m.field, m.cols)
-    for row in _transpose(m.sparse_columns, m.rows):
-        builder.insert(row)
-    return builder
-
-
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Unique reduced row-echelon basis of the row space of m (no zero rows),
     together with its pivot columns."""
-    space = _row_echelon(m).subspace()
+    space = span(m.field, m.cols, _transpose(m.sparse_columns, m.rows))
     return space.basis, space.pivots
 
 
@@ -168,8 +161,8 @@ class Subspace(Immutable):
     """A subspace of a fixed coordinate space, stored as its fully reduced
     echelon rows {column: nonzero value} in pivot order: the unique RREF
     basis, so equal subspaces have equal rows.  Immutable; the rows are read
-    only, because reductions and builders seeded from them share them; the
-    hash reads the pivots."""
+    only, because reductions read them in place and the builder that made
+    them shares them; the hash reads the pivots."""
 
     _fields = ("field", "ambient_dim", "pivots", "sparse_rows")
     _hashed = 3
@@ -233,13 +226,13 @@ class Subspace(Immutable):
                       tuple(columns[c] for c in self.free_cols))
 
     @cached_property
-    def _echelon(self) -> "SpanBuilder":
-        return SpanBuilder.of(self)
+    def _by_pivot(self) -> dict[int, SparseVector]:
+        return dict(zip(self.pivots, self.sparse_rows))
 
     def reduce_sparse(self, v: SparseVector) -> SparseVector:
         """Canonical residual of a sparse vector; empty exactly when v lies
         in the subspace."""
-        return self._echelon.reduce(v)
+        return _reduce(self._by_pivot, v)
 
     def contains_space(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -258,12 +251,11 @@ class SpanBuilder:
 
     A new row with pivot p must be subtracted from every stored row that is
     nonzero at p.  The builder keeps the set of columns that a stored row
-    can hold: the union of the supports of the rows it inserted, and of the
-    seed rows for a builder made by of.  Every stored row lies in that set:
-    an inserted row starts in it, and back-reduction changes a row only by
-    a multiple of a new row, which joins the set.  So when p is not in the
-    set, no stored row is nonzero at p, and the scan over the rows is
-    skipped.
+    can hold: the union of the supports of the rows it inserted.  Every
+    stored row lies in that set: an inserted row starts in it, and
+    back-reduction changes a row only by a multiple of a new row, which
+    joins the set.  So when p is not in the set, no stored row is nonzero
+    at p, and the scan over the rows is skipped.
 
     subspace() hands the row dicts themselves to the Subspace it returns;
     the builder copies them before it next changes one, so a subspace never
@@ -275,18 +267,7 @@ class SpanBuilder:
         self.ambient_dim = ambient_dim
         self._rows: dict[int, SparseVector] = {}
         self._shared = False  # whether a Subspace holds these row dicts
-        # The columns a stored row can hold (class docstring); None until a
-        # seeded builder first grows, as most of them only reduce.
-        self._columns: Optional[set[int]] = set()
-
-    @classmethod
-    def of(cls, space: Subspace) -> "SpanBuilder":
-        """A builder that starts from the echelon rows of space."""
-        builder = cls(space.field, space.ambient_dim)
-        builder._rows = dict(zip(space.pivots, space.sparse_rows))
-        builder._shared = True
-        builder._columns = None
-        return builder
+        self._columns: set[int] = set()  # what a stored row can hold
 
     @property
     def dim(self) -> int:
@@ -298,12 +279,7 @@ class SpanBuilder:
 
     def reduce(self, v: SparseVector) -> SparseVector:
         """Canonical residual of a sparse vector {column: nonzero value}."""
-        out = dict(v)
-        for p, f in v.items():
-            row = self._rows.get(p)
-            if row is not None:
-                add_scaled(out, -f, row.items())
-        return out
+        return _reduce(self._rows, v)
 
     def insert(self, v: SparseVector) -> bool:
         """Insert one sparse vector {column: nonzero value}; returns True if
@@ -318,15 +294,12 @@ class SpanBuilder:
         inv = out[pivot]
         if inv != self.field.one:
             out = {j: canonical(x / inv) for j, x in out.items()}
-        columns = self._columns
-        if columns is None:  # the seed rows of of
-            columns = self._columns = set().union(*self._rows.values())
-        if pivot in columns:
+        if pivot in self._columns:
             for row in self._rows.values():
                 f = row.get(pivot)
                 if f:
                     add_scaled(row, -f, out.items())
-        columns.update(out)
+        self._columns.update(out)
         self._rows[pivot] = out
         return True
 
@@ -340,6 +313,27 @@ class SpanBuilder:
         """The span so far; the Subspace takes the echelon rows."""
         self._shared = True
         return _subspace(self.field, self.ambient_dim, self._rows)
+
+
+def span(field: Field, ambient_dim: int,
+         vectors: Iterable[SparseVector]) -> Subspace:
+    """The span of sparse vectors {column: nonzero value}, inserted in the
+    given order; the vectors themselves are not changed or kept."""
+    builder = SpanBuilder(field, ambient_dim)
+    for v in vectors:
+        builder.insert(v)
+    return builder.subspace()
+
+
+def _reduce(rows: dict[int, SparseVector], v: SparseVector) -> SparseVector:
+    """The residual of v against fully reduced echelon rows {pivot: row}
+    (SpanBuilder)."""
+    out = dict(v)
+    for p, f in v.items():
+        row = rows.get(p)
+        if row is not None:
+            add_scaled(out, -f, row.items())
+    return out
 
 
 def _subspace(field: Field, ambient_dim: int,
@@ -359,12 +353,13 @@ def kernel(m: Matrix) -> Subspace:
     at f and is 0 at the other free columns: a fully reduced echelon row.
     """
     last = m.cols - 1
-    builder = SpanBuilder(m.field, m.cols)
-    for row in _transpose(m.sparse_columns, m.rows):
-        builder.insert({last - c: x for c, x in row.items()})
+    echelon = span(m.field, m.cols,
+                   ({last - c: x for c, x in row.items()}
+                    for row in _transpose(m.sparse_columns, m.rows)))
     one = m.field.one
-    rows = {f: {f: one} for f in range(m.cols) if last - f not in builder._rows}
-    for q, row in builder._rows.items():
+    pivots = set(echelon.pivots)
+    rows = {f: {f: one} for f in range(m.cols) if last - f not in pivots}
+    for q, row in zip(echelon.pivots, echelon.sparse_rows):
         for r, x in row.items():
             if r != q:
                 rows[last - r][last - q] = -x
@@ -379,21 +374,21 @@ def annihilator(field: Field, n: int, m: int, cell) -> Subspace:
     of the rows (column i, e_i) meets 0 (+) F^n in 0 (+) kernel, so as in
     subspace_intersect its echelon rows with a pivot >= n*m give the kernel."""
     split = n * m
-    builder = SpanBuilder(field, split + n)
-    for i in range(n):
-        row = {j * m + k: c for j in range(n) for k, c in cell(i, j)}
-        row[split + i] = field.one
-        builder.insert(row)
-    return _second_part(builder, split, n)
+
+    def row(i: int) -> SparseVector:
+        v = {j * m + k: c for j in range(n) for k, c in cell(i, j)}
+        v[split + i] = field.one
+        return v
+
+    return _second_part(span(field, split + n, map(row, range(n))), split)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    """The span of the rows of a, then of b: the rows of a are fully
+    reduced, so each one goes in unchanged and scans no stored row."""
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise ValueError("ambient mismatch")
-    builder = SpanBuilder.of(a)
-    for row in b.sparse_rows:
-        builder.insert(row)
-    return builder.subspace()
+    return span(a.field, a.ambient_dim, a.sparse_rows + b.sparse_rows)
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -410,18 +405,16 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise ValueError("ambient mismatch")
     n = a.ambient_dim
-    builder = SpanBuilder(a.field, 2 * n)
-    for u in a.sparse_rows:
-        doubled = dict(u)
-        doubled.update((j + n, x) for j, x in u.items())
-        builder.insert(doubled)
-    for w in b.sparse_rows:
-        builder.insert(w)
-    return _second_part(builder, n, n)
+    doubled = ({**u, **{j + n: x for j, x in u.items()}} for u in a.sparse_rows)
+    return _second_part(span(a.field, 2 * n, chain(doubled, b.sparse_rows)), n)
 
 
-def _second_part(builder: SpanBuilder, split: int, n: int) -> Subspace:
-    """The echelon rows with a pivot >= split, shifted back into F^n."""
-    return _subspace(builder.field, n,
-                     {p - split: {j - split: x for j, x in row.items()}
-                      for p, row in builder._rows.items() if p >= split})
+def _second_part(space: Subspace, split: int) -> Subspace:
+    """The echelon rows with a pivot >= split, shifted back by split: an
+    echelon row has no support before its pivot, and pivots increase, so
+    they are the rows from bisect_left(pivots, split) on."""
+    k = bisect_left(space.pivots, split)
+    return Subspace(space.field, space.ambient_dim - split,
+                    tuple(p - split for p in space.pivots[k:]),
+                    tuple({j - split: x for j, x in row.items()}
+                          for row in space.sparse_rows[k:]))

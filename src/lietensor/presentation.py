@@ -67,8 +67,7 @@ from .errors import (Immutable, InternalCheckError, NotNilpotentError,
                      OutsideEnvelopeError, TheoremViolationError, Verdict)
 from .liealg import (BilinearMap, LieAlgebra, homomorphism_failure,
                      quotient_by_ideal)
-from .linalg import (Matrix, SpanBuilder, Subspace, add_scaled, combine,
-                     kernel)
+from .linalg import Matrix, Subspace, add_scaled, combine, kernel, span
 from .freenilp import dimension_exceeds, free_nilpotent
 from .tensor import TensorSquare
 
@@ -170,11 +169,10 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
     # spans nothing.  Pivots increase, so those rows are a prefix.
     below_top = bisect_left(relations.pivots, bisect_left(F.degrees, cls + 1))
     generators = [{g: L.field.one} for g in range(d)]
-    rf = SpanBuilder(L.field, n)
-    for r in relations.sparse_rows[:below_top]:
-        for x in generators:
-            rf.insert(F.algebra.bracket_sparse(r, x))
-    relations_commutator = rf.subspace()
+    relations_commutator = span(
+        L.field, n, (F.algebra.bracket_sparse(r, x)
+                     for r in relations.sparse_rows[:below_top]
+                     for x in generators))
     # F' is the span of the composite Hall words d..n-1, read off the cells
     # without elimination: no cell has support below d, so F' lies in their
     # span; and each composite word k with factors (u, v) is the cell
@@ -284,15 +282,15 @@ def boundaries(L: LieAlgebra) -> Subspace:
     of L, for every L (module docstring).  combine(cell, wedge[m]) is
     x_m^cell, and a triple whose three cells are zero has d3 = 0."""
     nz, one, wedge = L.cells, L.field.one, _wedge(L.dim, L.field.one)
-    builder = SpanBuilder(L.field, L.dim * (L.dim - 1) // 2)
+    rows = []
     for i, j, k in combinations(range(L.dim), 3):
         ij, ik, jk = nz[i].get(j, {}), nz[i].get(k, {}), nz[j].get(k, {})
         if ij or ik or jk:
             row: dict = {}
             for cell, m, sign in ((ij, k, -one), (ik, j, one), (jk, i, -one)):
                 add_scaled(row, sign, combine(cell.items(), wedge[m]).items())
-            builder.insert(row)
-    return builder.subspace()
+            rows.append(row)
+    return span(L.field, L.dim * (L.dim - 1) // 2, rows)
 
 
 def build_cover(L: LieAlgebra) -> Cover:

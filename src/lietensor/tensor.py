@@ -44,12 +44,12 @@ relations and the Jacobi identity of the quotient are asserted at build
 time, never assumed.
 
 The construction stays sparse from end to end.  Each relation instance is a
-{i*n+j: c} dict built from the nonzero structure constants, inserted
-shortest first into one SpanBuilder, and the relation space keeps the
-resulting echelon rows (Subspace.sparse_rows).  The universal pairing
-stores the sparse columns of the relation space's projection as its cells;
-the quotient algebra is liealg.descended_algebra of its values at the
-brackets, and the three centers are read off the cells.  Each map on the
+{i*n+j: c} dict built from the nonzero structure constants, and the
+relation space is linalg.span of the instances, inserted shortest first.
+The universal pairing stores the sparse columns of the relation space's
+projection as its cells; the quotient algebra is liealg.descended_algebra
+of its values at the brackets, and the three centers are read off the
+cells.  Each map on the
 quotient (the commutator map, induced maps, factored pairings, the
 commutator map of the exterior square) is Subspace.descend of its sparse
 ambient columns, which also checks that the map kills the relations.
@@ -58,6 +58,7 @@ ambient columns, which also checks that the map kills the relations.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Sequence
 
 from .errors import (Immutable, InternalCheckError, InvalidInputError,
@@ -65,9 +66,9 @@ from .errors import (Immutable, InternalCheckError, InvalidInputError,
 from .fields import Scalar
 from .liealg import (BilinearMap, LieAlgebra, descended_algebra,
                      homomorphism_failure, is_lie_pairing, quotient_by_ideal)
-from .linalg import (Matrix, SparseVector, SpanBuilder, Subspace, Vector,
-                     add_scaled, annihilator, combine, kernel,
-                     subspace_intersect, subspace_sum)
+from .linalg import (Matrix, SparseVector, Subspace, Vector, add_scaled,
+                     annihilator, combine, kernel, span, subspace_intersect,
+                     subspace_sum)
 
 
 class TensorSquare:
@@ -108,14 +109,14 @@ class TensorSquare:
         n = self.base.dim
         one = self.base.field.one
         cells = self.pairing.cells
-        builder = SpanBuilder(self.base.field, self.dim)
+        generators = []
         for i in range(n):
-            builder.insert(cells[i][i])
+            generators.append(cells[i][i])
             for j in range(i + 1, n):
                 v = dict(cells[i][j])
                 add_scaled(v, one, cells[j][i].items())
-                builder.insert(v)
-        space = builder.subspace()
+                generators.append(v)
+        space = span(self.base.field, self.dim, generators)
         for row in space.sparse_rows:
             if any(self.algebra.ad_sparse(row)):
                 raise InternalCheckError(
@@ -233,16 +234,13 @@ class TensorSquare:
         derived = L.derived_subalgebra()
         cells = self.pairing.cells
         by_right = list(zip(*cells))  # by_right[i][a] = x_a (x) x_i
-        left = SpanBuilder(L.field, self.dim)
-        right = SpanBuilder(L.field, self.dim)
-        for w in derived.sparse_rows:
-            for i in range(L.dim):
-                left.insert(combine(w.items(), cells[i]))
-                right.insert(combine(w.items(), by_right[i]))
-        s_left = left.subspace()
-        for row in s_left.sparse_rows:
-            right.insert(row)
-        s_both = right.subspace()
+        s_left = span(L.field, self.dim,
+                      (combine(w.items(), cells[i])
+                       for w in derived.sparse_rows for i in range(L.dim)))
+        s_both = span(L.field, self.dim, chain(
+            (combine(w.items(), by_right[i])
+             for w in derived.sparse_rows for i in range(L.dim)),
+            s_left.sparse_rows))
         ok = s_left == s_both == ab.kernel
         return Verdict(ok, f"dim {s_left.dim}/{s_both.dim}/{ab.kernel.dim}")
 
@@ -252,13 +250,9 @@ class TensorSquare:
         off-diagonal pure tensors plus the abelianization kernel."""
         f = self.abelianization.lift_cols
         cells = self.pairing.cells
-        builder = SpanBuilder(self.base.field, self.dim)
-        for i, a in enumerate(f):
-            for b in f[i + 1:]:
-                builder.insert(cells[a][b])
-        for row in self.abelianization.kernel.sparse_rows:
-            builder.insert(row)
-        return builder.subspace()
+        return span(self.base.field, self.dim, chain(
+            (cells[a][b] for i, a in enumerate(f) for b in f[i + 1:]),
+            self.abelianization.kernel.sparse_rows))
 
     def verify_decomposition(self) -> Verdict:
         """Tensor square = square submodule (+) complement, with the
@@ -445,10 +439,7 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     # Shortest first, so that long instances are reduced against short
     # echelon rows; RREF is unique, so the order cannot move the result.
     instances.sort(key=len)
-    builder = SpanBuilder(field, n * n)
-    for v in instances:
-        builder.insert(v)
-    relations = builder.subspace()
+    relations = span(field, n * n, instances)
 
     # x_i (x) x_j in quotient coordinates is column i*n+j of the projection.
     pure = relations.project.sparse_columns

@@ -1,7 +1,9 @@
 """Every name that a package module imports is used in that module.  No
 linter runs in CI, and a removal can leave an import behind; this stdlib
-ast check catches it in tier-1.  And importing the package loads no stdlib
-module that only code generation or introspection needs."""
+ast check catches it in tier-1.  Importing the package loads no stdlib
+module that only code generation or introspection needs.  And every batch
+of vectors is spanned through linalg.span: no other function builds a
+SpanBuilder or reads one's rows."""
 
 import ast
 import os
@@ -70,3 +72,54 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     added = loaded_modules("import lietensor") - loaded_modules("")
     assert "lietensor.presentation" in added
     assert not {"dataclasses", "inspect"} & added, sorted(added)
+
+
+# The functions that may build a SpanBuilder: linalg.span, the one batch
+# elimination call, and ideal_closure, which reads what each insert returns.
+BUILDERS = {("linalg", "span"), ("liealg", "ideal_closure")}
+
+
+def elimination_outside_span(source: str, module: str) -> list[str]:
+    """Each place in a module, as "scope: what", that builds a SpanBuilder
+    in a function other than BUILDERS, or reads ._rows outside the methods
+    of SpanBuilder."""
+    found = []
+
+    def visit(node, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            where = ".".join(scope) or "<module>"
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) \
+                    == "SpanBuilder" and (module, where) not in BUILDERS:
+                found.append(f"{where}: SpanBuilder(")
+            if isinstance(child, ast.Attribute) and child.attr == "_rows" \
+                    and scope[:1] != ("SpanBuilder",):
+                found.append(f"{where}: ._rows")
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_the_check_finds_a_builder_outside_span():
+    source = ("class SpanBuilder:\n"
+              "    def dim(self):\n        return len(self._rows)\n"
+              "def span(field, n, vs):\n    return SpanBuilder(field, n)\n"
+              "def kernel(m):\n    b = linalg.SpanBuilder(m.field, m.cols)\n"
+              "    return b._rows\n"
+              "class Subspace:\n    def reduce(self, v):\n"
+              "        return self._rows\n")
+    assert elimination_outside_span(source, "linalg") == [
+        "kernel: SpanBuilder(", "kernel: ._rows", "Subspace.reduce: ._rows"]
+    assert elimination_outside_span(source, "tensor")[0] == "span: SpanBuilder("
+
+
+def test_every_batch_is_spanned_through_linalg_span():
+    found = {path.stem: elimination_outside_span(
+        path.read_text(encoding="utf-8"), path.stem)
+        for path in sorted(PACKAGE.glob("*.py"))}
+    assert {"linalg", "liealg", "tensor", "presentation"} <= set(found)
+    assert {module: f for module, f in found.items() if f} == {}

@@ -14,6 +14,7 @@ from lietensor.fields import GF, QQ
 from lietensor.presentation import (build_cover, presentation_of,
                                     verify_cover_theorem)
 from lietensor.liealg import bracket_pairing, lie_algebra_from_table
+from lietensor import linalg
 from lietensor.linalg import (Matrix, SpanBuilder, Subspace, annihilator,
                               kernel, rref, sparse, subspace_intersect,
                               subspace_sum)
@@ -381,19 +382,20 @@ def from_sympy(field, x):
     return field.scalar(int(x))
 
 
-def test_a_seeded_builder_back_reduces_a_pivot_that_only_a_seed_row_holds():
-    # The seed row (1, 1, 0) is the only row that holds column 1.  Inserting
-    # e_1 makes 1 a pivot, and the seed row must lose its entry there,
-    # although no row that the builder inserted itself held column 1.
+def test_a_sum_back_reduces_a_pivot_that_only_a_first_operand_row_holds():
+    # The row (1, 1, 0) of the first operand is the only row that holds
+    # column 1.  The second operand's e_1 makes 1 a pivot, and that row,
+    # which went in unchanged, must lose its entry there; neither operand
+    # changes.
     for field in (QQ, GF(5)):
         one = field.one
         seed = span(field, 3, [[1, 1, 0]])
-        builder = SpanBuilder.of(seed)
-        assert builder.insert({1: one})
-        assert builder.subspace().sparse_rows == ({0: one}, {1: one})
-        assert subspace_sum(seed, span(field, 3, [[0, 1, 0]])).sparse_rows \
-            == ({0: one}, {1: one})
+        later = span(field, 3, [[0, 1, 0]])
+        assert subspace_sum(seed, later).sparse_rows == ({0: one}, {1: one})
+        assert subspace_sum(seed, later) == span(field, 3, [[1, 1, 0],
+                                                            [0, 1, 0]])
         assert seed.sparse_rows == ({0: one, 1: one},)
+        assert later.sparse_rows == ({1: one},)
 
 
 @st.composite
@@ -411,7 +413,7 @@ def seeded_rows(draw, max_dim=6):
 
 @settings(deadline=None, max_examples=200)
 @given(seeded_rows())
-def test_seeded_and_fresh_builders_give_the_sympy_rref(case):
+def test_a_sum_of_spans_and_one_span_give_the_sympy_rref(case):
     # sympy's DomainMatrix over QQ and GF(p) never goes through the
     # package's elimination.
     field, ncols, seed, later = case
@@ -419,12 +421,11 @@ def test_seeded_and_fresh_builders_give_the_sympy_rref(case):
     echelon, pivots = sympy_matrix(field, rows, ncols).rref()
     expected = tuple(sparse([from_sympy(field, x) for x in r])
                      for r in echelon.to_list()[:len(pivots)])
-    fresh = SpanBuilder(field, ncols)
-    add_all(fresh, rows)
-    seeded = SpanBuilder.of(support.span(field, ncols, seed))
-    add_all(seeded, later)
-    for builder in (fresh, seeded):
-        space = builder.subspace()
+    whole = linalg.span(field, ncols, [sparse(r) for r in rows])
+    summed = subspace_sum(support.span(field, ncols, seed),
+                          support.span(field, ncols, later))
+    assert summed == whole
+    for space in (whole, summed):
         assert space.pivots == tuple(pivots)
         assert space.sparse_rows == expected
 
