@@ -19,7 +19,6 @@ failed, 2 invalid input or usage.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -148,6 +147,10 @@ def canonical_json(doc: dict) -> str:
 
 
 def canonical_hash(doc: dict) -> str:
+    """The sha256, in hex, of doc as compact JSON with sorted keys; reports
+    carry it for their input section, so equal inputs hash equally."""
+    # hashlib maps and initialises OpenSSL (about 3.6 MB): only reports hash.
+    import hashlib
     packed = json.dumps(doc, sort_keys=True, separators=(",", ":"),
                         ensure_ascii=True)
     return hashlib.sha256(packed.encode("ascii")).hexdigest()

@@ -380,7 +380,7 @@ def annihilator(field: Field, n: int, m: int, cell) -> Subspace:
         v[split + i] = field.one
         return v
 
-    return _second_part(span(field, split + n, map(row, range(n))), split)
+    return second_part(span(field, split + n, map(row, range(n))), split)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -406,10 +406,10 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient mismatch")
     n = a.ambient_dim
     doubled = ({**u, **{j + n: x for j, x in u.items()}} for u in a.sparse_rows)
-    return _second_part(span(a.field, 2 * n, chain(doubled, b.sparse_rows)), n)
+    return second_part(span(a.field, 2 * n, chain(doubled, b.sparse_rows)), n)
 
 
-def _second_part(space: Subspace, split: int) -> Subspace:
+def second_part(space: Subspace, split: int) -> Subspace:
     """The echelon rows with a pivot >= split, shifted back by split: an
     echelon row has no support before its pivot, and pivots increase, so
     they are the rows from bisect_left(pivots, split) on."""

@@ -67,7 +67,8 @@ from .errors import (Immutable, InternalCheckError, NotNilpotentError,
                      OutsideEnvelopeError, TheoremViolationError, Verdict)
 from .liealg import (BilinearMap, LieAlgebra, homomorphism_failure,
                      quotient_by_ideal)
-from .linalg import Matrix, Subspace, add_scaled, combine, kernel, span
+from .linalg import (Matrix, Subspace, add_scaled, combine, kernel,
+                     second_part, span)
 from .freenilp import dimension_exceeds, free_nilpotent
 from .tensor import TensorSquare
 
@@ -94,10 +95,11 @@ class FreePresentation(Immutable):
         bracket (checked in presentation_of).  [R,F] lies in R, whose
         vectors have no support below d (R's pivots are at least d), so
         shifted by -d it is a subspace of F'; it is an ideal of F, as R is
-        one and F satisfies Jacobi (module docstring), hence of F'."""
+        one and F satisfies Jacobi (module docstring), hence of F'.  With no
+        pivot below d, second_part keeps every row of [R,F] and shifts it."""
         F = self.free
-        return quotient_by_ideal(F.algebra,
-                                 _shift(self.relations_commutator, F.d), F.d)
+        return quotient_by_ideal(
+            F.algebra, second_part(self.relations_commutator, F.d), F.d)
 
     @property
     def exterior(self) -> LieAlgebra:
@@ -246,18 +248,10 @@ def multiplier_via_presentation(P: FreePresentation) -> Subspace:
     dimension is the Schur multiplier dimension.  R lies in F' (its pivots
     are at least d), so shifted by -d it is a subspace of F', and its image
     under the projection onto E is given in the coordinates of
-    P.exterior."""
+    P.exterior.  With no pivot below d, second_part keeps every row of R
+    and shifts it."""
     _, project = P.exterior_quotient
-    return project.image_of(_shift(P.relations, P.free.d))
-
-
-def _shift(space: Subspace, d: int) -> Subspace:
-    """A subspace with no support below d, on the positions d.. shifted by
-    -d: shifting every column keeps the rows fully reduced."""
-    return Subspace(space.field, space.ambient_dim - d,
-                    tuple(p - d for p in space.pivots),
-                    tuple({j - d: x for j, x in row.items()}
-                          for row in space.sparse_rows))
+    return project.image_of(second_part(P.relations, P.free.d))
 
 
 def _restrict(K: LieAlgebra, d: int) -> LieAlgebra:

@@ -1,11 +1,14 @@
 """Every name that a package module imports is used in that module.  No
 linter runs in CI, and a removal can leave an import behind; this stdlib
 ast check catches it in tier-1.  Importing the package loads no stdlib
-module that only code generation or introspection needs.  And every batch
+module that only code generation or introspection needs, and importing
+the CLI loads hashlib only when a report is hashed.  And every batch
 of vectors is spanned through linalg.span: no other function builds a
 SpanBuilder or reads one's rows."""
 
 import ast
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -72,6 +75,24 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     added = loaded_modules("import lietensor") - loaded_modules("")
     assert "lietensor.presentation" in added
     assert not {"dataclasses", "inspect"} & added, sorted(added)
+
+
+def test_the_cli_loads_hashlib_only_to_hash_a_report():
+    # import hashlib maps and initialises OpenSSL's libcrypto, about 3.6 MB
+    # of resident memory; only canonical_hash needs it.
+    added = loaded_modules("import lietensor.cli") - \
+        loaded_modules("import lietensor")
+    assert "lietensor.cli" in added
+    assert not {"hashlib", "_hashlib"} & added, sorted(added)
+    doc = {"field": {"Fp": 5}, "brackets": [[0, 1, [[2, "1/2"]]]], "dim": 3}
+    packed = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert packed == ('{"brackets":[[0,1,[[2,"1/2"]]]],"dim":3,'
+                      '"field":{"Fp":5}}')
+    expected = hashlib.sha256(packed.encode("ascii")).hexdigest()
+    hashed = loaded_modules(
+        "from lietensor import cli\n"
+        f"assert cli.canonical_hash({doc!r}) == {expected!r}")
+    assert "hashlib" in hashed
 
 
 # The functions that may build a SpanBuilder: linalg.span, the one batch
