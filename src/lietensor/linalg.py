@@ -15,13 +15,15 @@ report is bit-reproducible.  All elimination goes through SpanBuilder, whose
 rows are {pivot: {column: value}}, and reduction against a Subspace reads
 its rows in the same form: relation vectors touch a handful of the n^2
 coordinates, so reductions cost the nonzeros they meet, not the ambient
-width.  Products, ranks and kernels work on those columns and rows, and
-_transpose is the one change of orientation; annihilator, like
-subspace_intersect, eliminates vectors extended by a second block, its few
-columns and not its mostly empty rows.  The dense Matrix.entries and
-Subspace.basis are views built on first use, for rref and the tests.  Two
-entry points take dense tuples: SpanBuilder.add, for ideal_closure's seed
-vectors, and Matrix.apply; every other vector is sparse.
+width.  Products, ranks and kernels work on those columns and rows;
+_transpose, the one change of orientation, serves only rref and the dense
+views.  kernel, like subspace_intersect, spans vectors extended by a second
+block and reads the rows that lead there, so annihilator, the kernel of a
+stacked map, eliminates its few columns and not its mostly empty rows.  The
+dense Matrix.entries and Subspace.basis are views built on first use, for
+rref and the tests.  Two entry points take dense tuples: SpanBuilder.add,
+for ideal_closure's seed vectors, and Matrix.apply; every other vector is
+sparse.
 """
 
 from __future__ import annotations
@@ -312,7 +314,9 @@ class SpanBuilder:
     def subspace(self) -> Subspace:
         """The span so far; the Subspace takes the echelon rows."""
         self._shared = True
-        return _subspace(self.field, self.ambient_dim, self._rows)
+        pivots = self.pivots
+        return Subspace(self.field, self.ambient_dim, pivots,
+                        tuple(self._rows[p] for p in pivots))
 
 
 def span(field: Field, ambient_dim: int,
@@ -336,51 +340,33 @@ def _reduce(rows: dict[int, SparseVector], v: SparseVector) -> SparseVector:
     return out
 
 
-def _subspace(field: Field, ambient_dim: int,
-              rows: dict[int, SparseVector]) -> Subspace:
-    """The subspace whose fully reduced echelon rows are {pivot: row}; the
-    row dicts are taken, not copied."""
-    pivots = tuple(sorted(rows))
-    return Subspace(field, ambient_dim, pivots, tuple(rows[p] for p in pivots))
-
-
 def kernel(m: Matrix) -> Subspace:
     """Null space {x : m x = 0}, as a canonical subspace of the column space.
 
-    The rows of m are eliminated with the column order reversed, so echelon
-    row p reads x_p = -sum row_p[f] x_f over free columns f < p.  The kernel
-    vector of free column f (x_f = 1, the other free variables 0) thus leads
-    at f and is 0 at the other free columns: a fully reduced echelon row.
+    The span of the vectors (m e_i, e_i) meets 0 (+) F^cols in 0 (+) kernel,
+    so, as in subspace_intersect, its echelon rows with a pivot >= rows,
+    shifted back, are the kernel's canonical rows.  The columns go in last
+    first: when (m e_i, e_i) goes in, every stored row is a combination of
+    later columns, so no stored row holds unit column i or one before it.
+    A residual that leads in the second block thus leads at unit column i,
+    outside the columns that SpanBuilder's rows can hold, and skips the
+    back-reduction scan; in increasing order it would scan.
     """
-    last = m.cols - 1
-    echelon = span(m.field, m.cols,
-                   ({last - c: x for c, x in row.items()}
-                    for row in _transpose(m.sparse_columns, m.rows)))
     one = m.field.one
-    pivots = set(echelon.pivots)
-    rows = {f: {f: one} for f in range(m.cols) if last - f not in pivots}
-    for q, row in zip(echelon.pivots, echelon.sparse_rows):
-        for r, x in row.items():
-            if r != q:
-                rows[last - r][last - q] = -x
-    return _subspace(m.field, m.cols, rows)
+    return second_part(
+        span(m.field, m.rows + m.cols,
+             ({**m.sparse_columns[i], m.rows + i: one}
+              for i in reversed(range(m.cols)))),
+        m.rows)
 
 
 def annihilator(field: Field, n: int, m: int, cell) -> Subspace:
     """Kernel of v -> (sum_i v_i cell(i, j))_j, stacked over j < n, for a
     bilinear map F^n x F^n -> F^m given by its (k, nonzero c) cells: column
-    i of the stacked map holds c at row j*m + k.  Each cell is read once.
-    The n columns, not the n*m mostly empty rows, are eliminated: the span
-    of the rows (column i, e_i) meets 0 (+) F^n in 0 (+) kernel, so as in
-    subspace_intersect its echelon rows with a pivot >= n*m give the kernel."""
-    split = n * m
-
-    def row(i: int) -> SparseVector:
-        v = {j * m + k: c for j in range(n) for k, c in cell(i, j)}
-        v[split + i] = field.one
-        return v
-
-    return second_part(span(field, split + n, map(row, range(n))), split)
+    i of the stacked map holds c at row j*m + k.  Each cell is read once."""
+    return kernel(Matrix(field, n * m, n, tuple(
+        {j * m + k: c for j in range(n) for k, c in cell(i, j)}
+        for i in range(n))))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

@@ -4,7 +4,8 @@ ast check catches it in tier-1.  Importing the package loads no stdlib
 module that only code generation or introspection needs, and importing
 the CLI loads hashlib only when a report is hashed.  And every batch
 of vectors is spanned through linalg.span: no other function builds a
-SpanBuilder or reads one's rows."""
+SpanBuilder or reads one's rows, and no other function writes a
+Subspace's echelon rows by hand."""
 
 import ast
 import hashlib
@@ -140,6 +141,69 @@ def test_the_check_finds_a_builder_outside_span():
 
 def test_every_batch_is_spanned_through_linalg_span():
     found = {path.stem: elimination_outside_span(
+        path.read_text(encoding="utf-8"), path.stem)
+        for path in sorted(PACKAGE.glob("*.py"))}
+    assert {"linalg", "liealg", "tensor", "presentation"} <= set(found)
+    assert {module: f for module, f in found.items() if f} == {}
+
+
+# The functions that may construct a Subspace: SpanBuilder.subspace hands
+# over the builder's echelon rows, second_part shifts echelon rows that a
+# span returned, and the zero and full spaces need no elimination.
+SUBSPACE_MAKERS = {("linalg", "SpanBuilder.subspace"),
+                   ("linalg", "second_part"),
+                   ("linalg", "Subspace.zero_space"),
+                   ("linalg", "Subspace.full_space")}
+
+
+def subspaces_built_by_hand(source: str, module: str) -> list[str]:
+    """Each place in a module, as "scope: what", outside SUBSPACE_MAKERS
+    that calls Subspace(...), or cls(...) in a method of Subspace."""
+    found = []
+
+    def visit(node, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            where = ".".join(scope) or "<module>"
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id",
+                               getattr(child.func, "attr", None))
+                if (name == "Subspace" or name == "cls"
+                        and scope[:1] == ("Subspace",)) \
+                        and (module, where) not in SUBSPACE_MAKERS:
+                    found.append(f"{where}: {name}(")
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_the_check_finds_a_subspace_built_by_hand():
+    source = ("class Subspace:\n"
+              "    @classmethod\n"
+              "    def zero_space(cls, field, n):\n"
+              "        return cls(field, n, (), ())\n"
+              "    @classmethod\n"
+              "    def of_rows(cls, field, n, rows):\n"
+              "        return cls(field, n, tuple(rows), rows)\n"
+              "class Matrix:\n"
+              "    @classmethod\n"
+              "    def zero(cls, field, n):\n"
+              "        return cls(field, n, n, ())\n"
+              "def second_part(space, split):\n"
+              "    return Subspace(space.field, 0, (), ())\n"
+              "def _subspace(field, n, rows):\n"
+              "    return linalg.Subspace(field, n, tuple(rows), rows)\n")
+    assert subspaces_built_by_hand(source, "linalg") == [
+        "Subspace.of_rows: cls(", "_subspace: Subspace("]
+    assert subspaces_built_by_hand(source, "tensor")[-2:] == [
+        "second_part: Subspace(", "_subspace: Subspace("]
+
+
+def test_only_spans_and_their_second_parts_construct_a_subspace():
+    found = {path.stem: subspaces_built_by_hand(
         path.read_text(encoding="utf-8"), path.stem)
         for path in sorted(PACKAGE.glob("*.py"))}
     assert {"linalg", "liealg", "tensor", "presentation"} <= set(found)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import GF as SympyGF
 from sympy.polys.domains import QQ as SympyQQ
@@ -430,18 +430,34 @@ def test_a_sum_of_spans_and_one_span_give_the_sympy_rref(case):
         assert space.sparse_rows == expected
 
 
+all_fields_st = st.sampled_from([QQ, GF(2), GF(3), GF(5)])
+sparse_entry_st = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 2, 3])
+# fields, most rows, fewest and most columns, entries
+PAIR_SHAPES = [
+    (fields_st, 5, 1, 5, entry_st),  # small and dense
+    (all_fields_st, 4, 0, 16, sparse_entry_st),  # wide, like kappa: L -> T
+    (all_fields_st, 16, 0, 4, sparse_entry_st),  # tall, like a center's map
+]
+
+
 @st.composite
-def matrix_pairs(draw, max_dim=5):
-    field = draw(fields_st)
-    ncols = draw(st.integers(1, max_dim))
-    row_st = st.lists(entry_st, min_size=ncols, max_size=ncols)
-    a, b = (draw(st.lists(row_st, max_size=max_dim)) for _ in range(2))
+def matrix_pairs(draw):
+    """The rows of two matrices of one width, small and dense, or wide or
+    tall and mostly zero, with 0 rows and 0 columns among them."""
+    fields, max_rows, min_cols, max_cols, entries = \
+        draw(st.sampled_from(PAIR_SHAPES))
+    field = draw(fields)
+    ncols = draw(st.integers(min_cols, max_cols))
+    row_st = st.lists(entries, min_size=ncols, max_size=ncols)
+    a, b = (draw(st.lists(row_st, max_size=max_rows)) for _ in range(2))
     return (field, ncols, [[field.scalar(x) for x in r] for r in a],
             [[field.scalar(x) for x in r] for r in b])
 
 
-@settings(deadline=None)
+@settings(deadline=None, max_examples=300)
 @given(matrix_pairs())
+@example((GF(3), 0, [[]] * 16, [[]]))
+@example((QQ, 16, [], [[QQ.zero] * 15 + [QQ.one]]))
 def test_kernel_and_intersection_agree_with_sympy(case):
     # sympy's DomainMatrix over QQ and GF(p) never goes through the
     # package's elimination.

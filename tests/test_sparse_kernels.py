@@ -19,16 +19,18 @@ from lietensor import (GF, QQ, BilinearMap, Field, LieAlgebra, Verdict,
                        lie_algebra_from_table, presentation_of,
                        quotient_algebra, sl2)
 from lietensor import presentation
+from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
 from lietensor.errors import InternalCheckError
 from lietensor.liealg import homomorphism_failure
-from lietensor.linalg import SpanBuilder, Subspace, dense, sparse
+from lietensor.linalg import SpanBuilder, Subspace, dense, kernel, sparse
 from lietensor.tensor import TensorSquare
 
 from support import (Subalgebra, corrupted_alternating_tables,
                      corrupted_pairings, corrupted_tables,
                      dense_bracket, dense_decomposition_verdict,
                      dense_homomorphism_failure, dense_is_lie_pairing,
-                     dense_subalgebra_table, dense_validate, span)
+                     dense_subalgebra_table, dense_validate,
+                     matrix_from_rows, span)
 
 
 @st.composite
@@ -294,6 +296,58 @@ def inserts_during(monkeypatch, run):
         return run(), inserted
     finally:
         monkeypatch.undo()
+
+
+def assert_kernel_rows_skip_the_scan(m):
+    # Each kernel row leads in the second block, at the unit column of the
+    # column just inserted, which no stored row holds when the columns go
+    # in last first (linalg.kernel): SpanBuilder skips its back-reduction
+    # scan, as the pivot is not among the columns its rows can hold.
+    scanned = []
+    real = SpanBuilder.insert
+
+    def counted(self, v):
+        out = self.reduce(v)
+        if out and min(out) >= m.rows:
+            scanned.append(min(out) in self._columns)
+        return real(self, v)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SpanBuilder, "insert", counted)
+        space = kernel(m)
+    assert len(scanned) == space.dim
+    assert not any(scanned)
+
+
+@st.composite
+def wide_sparse_matrices(draw):
+    """At most 4 x 16 and mostly zero, like kappa: L -> T, over Q, GF(2),
+    GF(3) or GF(5)."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(5)]))
+    ncols = draw(st.integers(0, 16))
+    row_st = st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2]),
+                      min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row_st, max_size=4))
+    return matrix_from_rows(field, [list(map(field.scalar, r)) for r in rows],
+                            cols=ncols)
+
+
+@settings(deadline=None)
+@given(wide_sparse_matrices())
+def test_kernel_rows_skip_the_back_reduction_scan(m):
+    assert_kernel_rows_skip_the_scan(m)
+
+
+def test_commutator_kernels_of_the_catalog_skip_the_back_reduction_scan():
+    dims = 0
+    for name in CATALOG_SUITE:
+        for field in SUITE_FIELDS:
+            if is_supported(name, field):
+                T = build_tensor_square(catalog(name, field))
+                kappa, _ = T.commutator_map
+                assert_kernel_rows_skip_the_scan(kappa)
+                dims += kappa.cols - kappa.rank()
+    assert dims > 0
 
 
 @pytest.mark.parametrize("field, r1_and_j", [(QQ, 283), (GF(2), 294)])
