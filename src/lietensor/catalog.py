@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import InvalidInputError
+from .errors import InternalCheckError, InvalidInputError
 from .fields import QQ, Field
 from .liealg import LieAlgebra, direct_sum, lie_algebra_from_brackets
 
@@ -106,7 +106,7 @@ def catalog(name: str, field: Field = QQ) -> LieAlgebra:
         result = direct_sum(result, extra)
     report = result.validate()
     if not report.ok:
-        raise AssertionError(f"catalog algebra invalid: {report.detail}")
+        raise InternalCheckError(f"catalog algebra invalid: {report.detail}")
     return result
 
 

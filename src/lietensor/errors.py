@@ -102,7 +102,8 @@ class NotIdealError(ValueError):
 
 
 class NotNilpotentError(ValueError):
-    """The free-presentation engine only accepts nilpotent algebras."""
+    """Free presentations and covers are built only for nilpotent
+    algebras (presentation_of and build_cover)."""
 
 
 class InternalCheckError(AssertionError):

@@ -24,19 +24,17 @@ _hall_table fills its memo, keyed by word index, in exactly this order: by
 increasing total degree, and within it by decreasing smaller word.  Every rewrite then
 reads cells already filled, and there is no recursion.
 
-Three self-checks of the former construction, which expanded every Hall
-word into the free associative algebra and solved for the brackets over Q,
-are gone with it: "expansions are not independent", "not in the Hall span"
-and "non-integral".  Rewriting solves no linear system, every cell is a
-combination of Hall words with integer coefficients by construction, and a
-Hall pair missing from the basis raises InternalCheckError.  The table
-depends on (d, c) alone, the design envelope admits finitely many (d, c)
-(295 pairs with d >= 2, where c <= 10, and the d <= 1 cases, whose brackets
-all vanish), and the test suite checks every one of them against the
-associative model: each bracket, expanded through the Hall words, is the
-commutator of their expansions, and the expansions of each layer are
-linearly independent.  The Witt layer count, the validation over Q in
-_integer_structure and every check downstream are kept.
+The rewriting needs no self-check of independence, span or integrality.
+It solves no linear system, every cell is a combination of Hall words
+with integer coefficients by construction, and a Hall pair missing from
+the basis raises InternalCheckError.  The table depends on (d, c) alone,
+the design envelope admits finitely many (d, c) (295 pairs with d >= 2,
+where c <= 10, and the d <= 1 cases, whose brackets all vanish), and the
+test suite checks every one of them against the associative model: each
+bracket, expanded through the Hall words, is the commutator of their
+expansions, and the expansions of each layer are linearly independent.
+Each table is checked as it is built: its layer sizes against the Witt
+numbers, and its brackets by the validation over Q in _integer_structure.
 
 The integer structure constants are rows {j: {k: c}} of nonzero cells, the
 stored form of LieAlgebra, validated once per (d, c) and converted to each

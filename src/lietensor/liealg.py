@@ -13,6 +13,7 @@ decisions use indices.
 Brackets, ad, the pairing axioms and the homomorphism checks all evaluate on
 sparse {index: nonzero} vectors over the cells (LieAlgebra.bracket_sparse and
 ad_sparse); the dense bracket is a thin wrapper that densifies the result.
+Every subspace, ideal closures included, is spanned by linalg.span.
 Each check keeps the dense order, skipping only instances whose sides
 vanish.  A BilinearMap stores its {k: nonzero} cells in an n x n grid, with
 its dense table a view: its source is a base algebra and nearly all of its
@@ -24,12 +25,13 @@ instance of is_lie_pairing.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence
 
 from .errors import Immutable, InternalCheckError, NotIdealError, Verdict
 from .fields import Field, Scalar
-from .linalg import (Matrix, SparseVector, SpanBuilder, Subspace, Vector,
-                     add_scaled, annihilator, combine, dense, sparse, span)
+from .linalg import (Matrix, SparseVector, Subspace, Vector, add_scaled,
+                     annihilator, combine, dense, sparse, span)
 
 
 class LieAlgebra(Immutable):
@@ -441,14 +443,23 @@ def bracket_pairing(L: LieAlgebra) -> BilinearMap:
 
 
 def ideal_closure(L: LieAlgebra, vectors: Sequence[Sequence[Scalar]]) -> Subspace:
-    """Smallest ideal of L containing the given vectors."""
-    builder = SpanBuilder(L.field, L.dim)
-    work = [sparse(v) for v in vectors if builder.add(v)]
-    while work:
-        for w in L.ad_sparse(work.pop()):
-            if builder.insert(w):
-                work.append(w)
-    return builder.subspace()
+    """Smallest ideal of L containing the given dense vectors, spanned in
+    rounds.  Each round spans the current rows with the ad-images of the
+    rows at the pivots the last round added: those rows span the current
+    space modulo the last one, so by linearity [I, L] lies in the new span.
+    A round that adds no pivot ends the loop."""
+    if any(len(v) != L.dim for v in vectors):
+        raise ValueError("ambient mismatch")
+    ideal = span(L.field, L.dim, map(sparse, vectors))
+    new = ideal.sparse_rows
+    while new:
+        grown = span(L.field, L.dim,
+                     chain(ideal.sparse_rows, *map(L.ad_sparse, new)))
+        old = set(ideal.pivots)
+        new = [row for p, row in zip(grown.pivots, grown.sparse_rows)
+               if p not in old]
+        ideal = grown
+    return ideal
 
 
 def homomorphism_failure(images: Sequence[SparseVector], source: LieAlgebra,

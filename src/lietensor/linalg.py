@@ -6,7 +6,8 @@ and kernel(m).  A Subspace also stands for the quotient of its ambient
 space by it, on its free columns: project maps onto them, and descend
 gives the map that a map on the ambient space induces there.  span is the
 one elimination call: it spans a batch of sparse vectors, in the given
-order, through SpanBuilder.insert.
+order, through SpanBuilder.insert, and is the only code that builds a
+SpanBuilder or turns its rows into a Subspace.
 
 Everything is stored as zero-free {index: value} dicts: a Matrix as its
 columns, a Subspace as its fully reduced echelon rows, so subspace equality
@@ -21,8 +22,8 @@ views.  kernel, like subspace_intersect, spans vectors extended by a second
 block and reads the rows that lead there, so annihilator, the kernel of a
 stacked map, eliminates its few columns and not its mostly empty rows.  The
 dense Matrix.entries and Subspace.basis are views built on first use, for
-rref and the tests.  Two entry points take dense tuples: SpanBuilder.add,
-for ideal_closure's seed vectors, and Matrix.apply; every other vector is
+rref and the tests.  Matrix.apply takes a dense tuple, and so does
+SpanBuilder.add, which nothing in the package calls; every other vector is
 sparse.
 """
 
@@ -163,8 +164,8 @@ class Subspace(Immutable):
     """A subspace of a fixed coordinate space, stored as its fully reduced
     echelon rows {column: nonzero value} in pivot order: the unique RREF
     basis, so equal subspaces have equal rows.  Immutable; the rows are read
-    only, because reductions read them in place and the builder that made
-    them shares them; the hash reads the pivots."""
+    only, because reductions read them in place; the hash reads the
+    pivots."""
 
     _fields = ("field", "ambient_dim", "pivots", "sparse_rows")
     _hashed = 3
@@ -243,7 +244,8 @@ class Subspace(Immutable):
 
 
 class SpanBuilder:
-    """Incrementally accumulates the row span of vectors, kept in RREF.
+    """Incrementally accumulates the row span of vectors, kept in RREF; only
+    span builds one, and the Subspace it returns takes the rows.
 
     Rows are stored sparse, keyed by pivot, and fully reduced: each row is 1
     at its own pivot and 0 at every other pivot.  Reducing a vector therefore
@@ -258,26 +260,13 @@ class SpanBuilder:
     back-reduction changes a row only by a multiple of a new row, which
     joins the set.  So when p is not in the set, no stored row is nonzero
     at p, and the scan over the rows is skipped.
-
-    subspace() hands the row dicts themselves to the Subspace it returns;
-    the builder copies them before it next changes one, so a subspace never
-    shares a row with a builder that can still mutate it.
     """
 
     def __init__(self, field: Field, ambient_dim: int):
         self.field = field
         self.ambient_dim = ambient_dim
         self._rows: dict[int, SparseVector] = {}
-        self._shared = False  # whether a Subspace holds these row dicts
         self._columns: set[int] = set()  # what a stored row can hold
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(sorted(self._rows))
 
     def reduce(self, v: SparseVector) -> SparseVector:
         """Canonical residual of a sparse vector {column: nonzero value}."""
@@ -289,9 +278,6 @@ class SpanBuilder:
         out = self.reduce(v)
         if not out:
             return False
-        if self._shared:
-            self._rows = {p: dict(row) for p, row in self._rows.items()}
-            self._shared = False
         pivot = min(out)
         inv = out[pivot]
         if inv != self.field.one:
@@ -306,27 +292,25 @@ class SpanBuilder:
         return True
 
     def add(self, v: Sequence[Scalar]) -> bool:
-        """Insert one dense vector; returns True if it enlarged the span."""
+        """Insert one dense vector; returns True if it enlarged the span.
+        Nothing in the package calls it; it stays for the benchmark tracer,
+        which patches it."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient mismatch")
         return self.insert(sparse(v))
-
-    def subspace(self) -> Subspace:
-        """The span so far; the Subspace takes the echelon rows."""
-        self._shared = True
-        pivots = self.pivots
-        return Subspace(self.field, self.ambient_dim, pivots,
-                        tuple(self._rows[p] for p in pivots))
 
 
 def span(field: Field, ambient_dim: int,
          vectors: Iterable[SparseVector]) -> Subspace:
     """The span of sparse vectors {column: nonzero value}, inserted in the
-    given order; the vectors themselves are not changed or kept."""
+    given order; the vectors themselves are not changed or kept.  The
+    builder ends with this call, so the Subspace takes its rows uncopied."""
     builder = SpanBuilder(field, ambient_dim)
     for v in vectors:
         builder.insert(v)
-    return builder.subspace()
+    rows = builder._rows
+    pivots = tuple(sorted(rows))
+    return Subspace(field, ambient_dim, pivots, tuple(rows[p] for p in pivots))
 
 
 def _reduce(rows: dict[int, SparseVector], v: SparseVector) -> SparseVector:

@@ -20,9 +20,9 @@ from lietensor import (GF, QQ, BilinearMap, Field, LieAlgebra, Verdict,
 from lietensor.catalog import MAX_AMBIENT, is_supported
 from lietensor.errors import TheoremViolationError
 from lietensor.freenilp import dimension_exceeds, free_nilpotent
-from lietensor.linalg import (Matrix, SpanBuilder, Subspace, _transpose,
-                              combine, dense, sparse, subspace_intersect,
-                              subspace_sum)
+from lietensor import linalg
+from lietensor.linalg import (Matrix, Subspace, _transpose, combine, dense,
+                              sparse, subspace_intersect, subspace_sum)
 from lietensor.presentation import _check_isomorphism
 
 
@@ -31,11 +31,11 @@ from lietensor.presentation import _check_isomorphism
 # ----------------------------------------------------------------------
 
 def span(field: Field, ambient_dim: int, vectors) -> Subspace:
-    """The span of dense vectors."""
-    builder = SpanBuilder(field, ambient_dim)
-    for v in vectors:
-        builder.add(v)
-    return builder.subspace()
+    """The span of dense vectors, each of width ambient_dim."""
+    vectors = list(vectors)
+    if any(len(v) != ambient_dim for v in vectors):
+        raise ValueError("ambient mismatch")
+    return linalg.span(field, ambient_dim, map(sparse, vectors))
 
 
 def matrix_from_rows(field: Field, rows, cols=None) -> Matrix:
@@ -88,10 +88,9 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("not square")
     n = m.rows
-    builder = SpanBuilder(m.field, 2 * n)
-    for i, row in enumerate(_transpose(m.sparse_columns, n)):
-        builder.insert({**row, n + i: m.field.one})
-    space = builder.subspace()
+    space = linalg.span(m.field, 2 * n, (
+        {**row, n + i: m.field.one}
+        for i, row in enumerate(_transpose(m.sparse_columns, n))))
     if space.pivots != tuple(range(n)):
         raise ValueError("matrix is singular")
     tail = [{j - n: x for j, x in row.items() if j >= n}
@@ -527,11 +526,8 @@ def all_columns_commutator(F: LieAlgebra, relations: Subspace) -> Subspace:
     x_j of F, not only the generators, and every row r of R, the top layer
     included; ad_sparse is held to the dense bracket in
     test_sparse_kernels."""
-    builder = SpanBuilder(F.field, F.dim)
-    for r in relations.sparse_rows:
-        for w in F.ad_sparse(r):
-            builder.insert(w)
-    return builder.subspace()
+    return linalg.span(F.field, F.dim, (
+        w for r in relations.sparse_rows for w in F.ad_sparse(r)))
 
 
 def zassenhaus_relations_in_derived(P) -> Subspace:
@@ -541,10 +537,8 @@ def zassenhaus_relations_in_derived(P) -> Subspace:
 
 def coords_space(sub: Subalgebra, space: Subspace) -> Subspace:
     """A subspace of sub's parent lying in sub, in sub's coordinates."""
-    builder = SpanBuilder(space.field, sub.space.dim)
-    for row in space.sparse_rows:
-        builder.insert(sub.coords_sparse(row))
-    return builder.subspace()
+    return linalg.span(space.field, sub.space.dim,
+                       map(sub.coords_sparse, space.sparse_rows))
 
 
 def subalgebra_exterior(P):
@@ -628,16 +622,15 @@ def subalgebra_cover_theorem(cover, tensor):
             return Verdict(False, f"dims differ: cover derived {k}, "
                                   f"exterior {wedge_alg.dim}"), None
         pi, wedge_cols = cover.onto.sparse_columns, to_wedge.sparse_columns
-        graph = SpanBuilder(C.field, k + wedge_alg.dim)
-        for a in range(C.dim):
-            for b in range(a + 1, C.dim):
-                if b in C.cells[a]:
-                    image = combine(
-                        tensor.pairing.apply_sparse(pi[a], pi[b]).items(),
-                        wedge_cols)
-                    graph.insert({**derived.coords_sparse(C.cells[a][b]),
-                                  **{k + t: x for t, x in image.items()}})
-        graph = graph.subspace()
+        def graph_vector(a, b):
+            image = combine(tensor.pairing.apply_sparse(pi[a], pi[b]).items(),
+                            wedge_cols)
+            return {**derived.coords_sparse(C.cells[a][b]),
+                    **{k + t: x for t, x in image.items()}}
+
+        graph = linalg.span(C.field, k + wedge_alg.dim, (
+            graph_vector(a, b) for a in range(C.dim)
+            for b in range(a + 1, C.dim) if b in C.cells[a]))
         if graph.pivots != tuple(range(k)):
             return Verdict(False, "the theorem map is not well defined"), None
         theorem_map = Matrix(C.field, wedge_alg.dim, k, tuple(

@@ -284,6 +284,22 @@ def test_failed_verdict_gives_exit_code_1(monkeypatch, capsys):
     assert doc["verdicts"]["cover"] == "fail: forced"
 
 
+def test_an_invalid_catalog_algebra_is_a_verification_failure(monkeypatch,
+                                                              capsys):
+    # A catalog constructor that builds an invalid algebra is a bug in the
+    # package: main reports it and exits 1 instead of raising.
+    import importlib
+    from lietensor.liealg import LieAlgebra
+
+    bad = LieAlgebra(QQ, 3, ({0: {2: QQ.one}}, {}, {}), ("x1", "y1", "z"))
+    monkeypatch.setattr(importlib.import_module("lietensor.catalog"),
+                        "heisenberg", lambda m, field=QQ: bad)
+    assert main(["info", "heisenberg(1)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verification failure: catalog algebra invalid" in captured.err
+
+
 def test_verify_builds_the_presentation_exterior_once_per_algebra(monkeypatch):
     # The cross-oracle verdict reads the wedge map of the presentation, and
     # the cover verdict does not; verify --catalog builds and checks it once

@@ -13,7 +13,7 @@ from lietensor.errors import InternalCheckError
 from lietensor.fields import Field
 from lietensor.freenilp import _integer_structure, mobius
 from lietensor.liealg import LieAlgebra
-from lietensor.linalg import SpanBuilder
+from lietensor.linalg import span
 
 from support import (associative_commutator, dense_validate, free_envelope,
                      hall_expansions)
@@ -201,10 +201,9 @@ def test_brackets_expand_to_associative_commutators(d, classes):
         expansions = hall_expansions(factors, c)
         monomials = {m: i for i, m in enumerate({m for e in expansions
                                                  for m in e})}
-        builder = SpanBuilder(QQ, len(monomials))
-        for r, e in enumerate(expansions):
-            assert builder.insert({monomials[m]: QQ.scalar(v)
-                                   for m, v in e.items()}), (c, r)
+        assert span(QQ, len(monomials), (
+            {monomials[m]: QQ.scalar(v) for m, v in e.items()}
+            for e in expansions)).dim == len(expansions), c
         for i, ei in enumerate(expansions):
             for j, ej in enumerate(expansions):
                 if degrees[i] + degrees[j] > c:

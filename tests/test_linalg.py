@@ -13,7 +13,8 @@ from lietensor.cli import verify_document
 from lietensor.fields import GF, QQ
 from lietensor.presentation import (build_cover, presentation_of,
                                     verify_cover_theorem)
-from lietensor.liealg import bracket_pairing, lie_algebra_from_table
+from lietensor.liealg import (bracket_pairing, ideal_closure,
+                              lie_algebra_from_table)
 from lietensor import linalg
 from lietensor.linalg import (Matrix, SpanBuilder, Subspace, annihilator,
                               kernel, rref, sparse, subspace_intersect,
@@ -36,11 +37,6 @@ def vec(field, entries):
 
 def span(field, ambient, rows):
     return support.span(field, ambient, [vec(field, r) for r in rows])
-
-
-def add_all(builder, rows):
-    for row in rows:
-        builder.add(row)
 
 
 # ----------------------------------------------------------------------
@@ -162,12 +158,14 @@ def test_wrong_widths_are_rejected_not_truncated():
     for v in (vec(QQ, [1]), vec(QQ, [1, 2, 3])):
         with pytest.raises(ValueError, match="dimension mismatch"):
             L.bracket(v, vec(QQ, [1, 0]))
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            ideal_closure(L, [vec(QQ, [1, 0]), v])
         with pytest.raises(ValueError, match="dimension mismatch"):
             rho.apply(vec(QQ, [1, 0]), v)
     with pytest.raises(ValueError, match="one coordinate per basis vector"):
         lie_algebra_from_table(QQ, [[(QQ.one,), (QQ.one,)]] * 2)
     assert m.apply(vec(QQ, [1, 1, 1])) == vec(QQ, [6])
-    assert builder.dim == 0
+    assert builder._rows == {}
 
 
 # ----------------------------------------------------------------------
@@ -300,14 +298,10 @@ def test_rref_entries_are_canonical(m):
 @settings(deadline=None)
 @given(matrices(), st.data())
 def test_span_builder_is_order_independent(m, data):
-    def built(rows):
-        builder = SpanBuilder(m.field, m.cols)
-        add_all(builder, rows)
-        return builder.subspace()
-
     shuffled = data.draw(st.permutations(m.entries))
     reduced, pivots = rref(m)
-    assert built(shuffled) == built(m.entries) == \
+    assert support.span(m.field, m.cols, shuffled) == \
+        support.span(m.field, m.cols, m.entries) == \
         Subspace(m.field, m.cols, pivots,
                  tuple(sparse(r) for r in reduced.entries))
     if m.field.is_rational and m.rows:
@@ -337,27 +331,23 @@ def spans_with_more_rows(draw, max_dim=5):
 @given(spans_with_more_rows())
 def test_subspace_keeps_its_sparse_rows_apart_from_the_builder(case):
     field, ncols, first, later, probes = case
-    builder = SpanBuilder(field, ncols)
-    add_all(builder, first)
-    space = builder.subspace()
+    space = support.span(field, ncols, first)
     assert list(space.sparse_rows) == [sparse(r) for r in space.basis.entries]
     snapshot = [dict(r) for r in space.sparse_rows]
     copy = Subspace(field, ncols, space.pivots,
                     tuple(sparse(r) for r in space.basis.entries))
     residuals = [space.reduce_sparse(sparse(v)) for v in probes]
     other = support.span(field, ncols, later)
-    # Growing the builder, or a sum seeded from the subspace's own rows,
-    # must not reach the rows the subspace was handed.
-    add_all(builder, later)
-    grown = builder.subspace()
+    # A sum seeded from the subspace's own rows must not reach the rows
+    # that its span handed over.
     total = subspace_sum(space, other)
-    assert grown == total == subspace_sum(copy, other)
+    assert support.span(field, ncols, first + later) == total == \
+        subspace_sum(copy, other)
     assert list(space.sparse_rows) == snapshot
     assert space == copy and space.basis == copy.basis
     assert [space.reduce_sparse(sparse(v)) for v in probes] == residuals == \
         [copy.reduce_sparse(sparse(v)) for v in probes]
-    add_all(builder, probes)
-    assert list(grown.sparse_rows) == [sparse(r) for r in grown.basis.entries]
+    assert list(total.sparse_rows) == [sparse(r) for r in total.basis.entries]
 
 
 def sympy_domain(field):
