@@ -46,3 +46,14 @@ for name, L in [(name, catalog(name)) for name in
     print(f"{name:16s} cover dim {cover.algebra.dim} "
           f"= {L.dim} + {cover.multiplier.dim}; "
           f"cover theorem: {'pass' if verdict.ok else 'FAIL'} ({verdict.detail})")
+
+## The cover needs no nilpotency either: E = A2/d3(A3) is the exterior
+## square of every Lie algebra, and V (+) E is a cover of it.  sl2 + H(1) is
+## not nilpotent, so it has no presentation here; its cover theorem also
+## checks that ker pi goes onto the tensor engine's multiplier.
+L = catalog("sl2+heisenberg(1)")
+cover = build_cover(L)
+verdict = verify_cover_theorem(cover, build_tensor_square(L))
+print("\nsl2+heisenberg(1): nilpotent", L.is_nilpotent,
+      "| cover dim", cover.algebra.dim, "| multiplier dim", cover.multiplier.dim,
+      "| cover theorem:", "pass" if verdict.ok else "FAIL")

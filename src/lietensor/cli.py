@@ -304,6 +304,8 @@ def verify_document(L: LieAlgebra, source: str) -> dict:
     T = build_tensor_square(L)
     rep = tensor_report(T)
     verdicts = {k: _verdict_str(v) for k, v in rep.verdicts.items()}
+    # build_cover takes every L; skipping the cover with the presentation
+    # here is a report policy, pinned by the catalog report's digest.
     if not L.is_nilpotent:
         verdicts["cross_oracle"] = verdicts["cover"] = "skipped: not nilpotent"
     else:

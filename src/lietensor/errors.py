@@ -102,8 +102,8 @@ class NotIdealError(ValueError):
 
 
 class NotNilpotentError(ValueError):
-    """Free presentations and covers are built only for nilpotent
-    algebras (presentation_of and build_cover)."""
+    """Free presentations are built only for nilpotent algebras
+    (presentation_of); covers are built for every algebra."""
 
 
 class InternalCheckError(AssertionError):

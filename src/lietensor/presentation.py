@@ -39,21 +39,24 @@ E = F'/[R,F], on four arguments:
 
 The cover.  A2 is the alternating square of L on the pairs x_i^x_j, i < j,
 and d3(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x.  E = A2/d3(A3) is the exterior
-square (G. Ellis, Glasgow Math. J. 33, 1991), and kappa: x^y -> [x,y] kills
-d3(A3) by the Jacobi identity.  V is spanned by the lifts above, the unit
-vectors at the free columns of L^2.  The cover is C = V (+) E with
-pi(v + a) = v + kappa(a) and [c, c'] = the class of pi(c)^pi(c').
+square for every L (G. Ellis, Glasgow Math. J. 33, 1991), and
+kappa: x^y -> [x,y] kills d3(A3) by the Jacobi identity.  V is spanned by
+the lifts above, the unit vectors at the free columns of L^2.  The cover is
+C = V (+) E with pi(v + a) = v + kappa(a) and [c, c'] = the class of
+pi(c)^pi(c').  No step needs L nilpotent:
 - pi is onto, so the pi(c)^pi(c') span A2 and C' = E; and
   pi[c, c'] = kappa(pi(c)^pi(c')) = [pi c, pi c'].
 - ker pi = ker kappa|E, as kappa(E) = L^2 meets V in 0; this is M(L)
   (Ellis).  It is central, as [m, c] is the class of 0^pi(c), and lies in
   C'.  So C is a cover (P. Batten, K. Moneyhun and E. Stitzinger, Comm.
-  Algebra 24, 1996), and C = F/[R,F] by Hopf: C is nilpotent and V spans
-  it modulo C', so F -> C, X -> V, is onto; it kills [R,F], as R lands in
-  the central ker pi; and dim C = dim L + dim M(L) = dim F/[R,F].
-- V generates C, so it decides the self-checks as X does in F: pi is a
-  homomorphism once it is one on the rows of V, and an element is central
-  once it commutes with V (a centralizer is a subalgebra).
+  Algebra 24, 1996).  For nilpotent L, C = F/[R,F] by Hopf: C is then
+  nilpotent and V spans it modulo C', so F -> C, X -> V, is onto; it kills
+  [R,F], as R lands in the central ker pi; and
+  dim C = dim L + dim M(L) = dim F/[R,F].
+- The theorem map C' = E -> L /\ L of the tensor engine commutes with the
+  two commutator maps to L, so, being bijective, it carries ker pi onto
+  the tensor engine's multiplier; verify_cover_theorem checks that too,
+  the one second route to M(L) for an L the presentation never sees.
 """
 
 from __future__ import annotations
@@ -288,13 +291,10 @@ def boundaries(L: LieAlgebra) -> Subspace:
 
 
 def build_cover(L: LieAlgebra) -> Cover:
-    """The cover C = V (+) E of a validated nilpotent algebra, with its
-    defining-pair properties checked (module docstring).  C exists for every
-    L, but a non-nilpotent L is refused, as presentation_of refuses it.
-    The cell (a, b), a < b, is pi(a)^pi(b) through x_i^x_j -> its class in C,
-    and (b, a) is its negative."""
-    if not L.is_nilpotent:
-        raise NotNilpotentError("covers are built for nilpotent algebras")
+    """The cover C = V (+) E of a validated algebra, nilpotent or not, with
+    its defining-pair properties checked on every row (module docstring).
+    The cell (a, b), a < b, is pi(a)^pi(b) through x_i^x_j -> its class in
+    C, and (b, a) is its negative."""
     field, n, one = L.field, L.dim, L.field.one
     space = boundaries(L)
     kappa = space.descend([L.cells[i].get(j, {})
@@ -318,7 +318,7 @@ def build_cover(L: LieAlgebra) -> Cover:
     report = C.validate()
     if not report.ok:
         raise InternalCheckError(f"cover fails validation: {report.detail}")
-    bad = homomorphism_failure(pi, C, L, rows=d)  # V generates C
+    bad = homomorphism_failure(pi, C, L)
     if bad is not None:
         raise InternalCheckError(
             "cover projection is not a homomorphism at (%d,%d)" % bad)
@@ -327,9 +327,7 @@ def build_cover(L: LieAlgebra) -> Cover:
     if dim != n + multiplier.dim:  # so pi is onto, by rank-nullity
         raise TheoremViolationError(
             f"cover dimension {dim} != {n} + {multiplier.dim}")
-    # A centralizer is a subalgebra and V generates C (module docstring).
-    if any(C.bracket_sparse(m, {g: one}) for m in multiplier.sparse_rows
-           for g in range(d)):
+    if any(any(C.ad_sparse(m)) for m in multiplier.sparse_rows):
         raise TheoremViolationError("multiplier is not central in the cover")
     if not C.derived_subalgebra().contains_space(multiplier):
         raise TheoremViolationError("multiplier escapes the derived subalgebra")
@@ -341,7 +339,8 @@ def verify_cover_theorem(cover: Cover, tensor: TensorSquare) -> Verdict:
     x_i^x_j -> the wedge class of the pairing cell (i, j).  C' = E (module
     docstring) is checked: C' has the pivots d..dim C - 1, so its
     coordinates are those positions shifted by d.  The map must kill
-    d3(A3), to be defined on E, and be a bijective homomorphism."""
+    d3(A3), to be defined on E, be a bijective homomorphism and carry
+    ker pi, which lies in C', onto the tensor engine's multiplier."""
     L, C, d = cover.L, cover.algebra, cover.d
     wedge_alg, to_wedge = tensor.exterior_square()
     derived = C.derived_subalgebra()
@@ -363,5 +362,15 @@ def verify_cover_theorem(cover: Cover, tensor: TensorSquare) -> Verdict:
         _check_isomorphism(eps, _restrict(C, d), wedge_alg)
     except TheoremViolationError as exc:
         return Verdict(False, f"cover derived subalgebra: {exc}")
+    # ker pi lies in C' when every row has its pivot from d on; eps is
+    # injective, so it carries those rows onto M(L) once their images lie
+    # in M(L) and the dimensions agree.  No elimination.
+    mult = tensor.schur_multiplier()
+    rows = second_part(cover.multiplier, d).sparse_rows
+    if not len(rows) == cover.multiplier.dim == mult.dim or any(
+            mult.reduce_sparse(combine(row.items(), eps.sparse_columns))
+            for row in rows):
+        return Verdict(False, "the theorem map does not carry ker pi onto "
+                              "the multiplier")
     return Verdict(True, f"cover derived dim {derived.dim} = exterior dim "
                          f"{wedge_alg.dim}")

@@ -205,12 +205,21 @@ def test_present_rejects_sl2(capsys):
     assert "nilpotent" in capsys.readouterr().err
 
 
-def test_cover_command(capsys):
-    code, doc = run(["cover", "abelian(2)"], capsys)
-    assert code == 0
-    assert doc["dimensions"]["cover"] == 3
-    assert doc["dimensions"]["multiplier"] == 1
-    assert doc["verdicts"] == {"defining_pair": "pass", "cover_theorem": "pass"}
+def test_cover_command(tmp_path, capsys):
+    # The cover needs no presentation, so sl2 (perfect, M = 0) and the
+    # 2-dimensional solvable algebra [x, y] = y are covered and checked too.
+    path = tmp_path / "borel.json"
+    path.write_text(json.dumps(
+        {"field": "Q", "dim": 2, "brackets": [[0, 1, [[1, "1"]]]]}))
+    for args, dims in ((["cover", "abelian(2)"], (2, 3, 1)),
+                       (["cover", "sl2"], (3, 3, 0)),
+                       (["cover", str(path)], (2, 2, 0))):
+        code, doc = run(args, capsys)
+        assert code == 0, args
+        assert doc["verdicts"] == {"defining_pair": "pass",
+                                   "cover_theorem": "pass"}, args
+        got = doc["dimensions"]
+        assert (got["algebra"], got["cover"], got["multiplier"]) == dims, args
 
 
 def test_free_nilpotent_command_round_trips(tmp_path, capsys):

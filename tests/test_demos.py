@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("0*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
@@ -17,9 +18,28 @@ def test_demo_runs_clean(script):
     assert "FAIL" not in result.stdout
 
 
+def test_readme_quick_start_runs_and_shows_its_values():
+    # The README's python quick start, line by line: a line whose comment
+    # is a literal is evaluated and must equal it, every other line runs.
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1] \
+        .split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, shown = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            value = ast.literal_eval(comment.strip())
+        except (ValueError, SyntaxError):
+            exec(code, namespace)
+            continue
+        assert eval(code, namespace) == value, line
+        shown.append(value)
+    assert shown == [6, 3, 2, True, True]
+
+
 def _benchmark_table(name):
     """A tuple constant of perfbench/tracer.py, read from its source."""
-    path = pathlib.Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    path = ROOT / "perfbench" / "tracer.py"
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.Assign) and \
                 any(getattr(t, "id", None) == name for t in node.targets):

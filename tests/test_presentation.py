@@ -13,7 +13,7 @@ from lietensor import (GF, QQ, Cover, LieAlgebra, abelian, build_cover,
                        verify_cover_theorem, zero_algebra)
 from lietensor import presentation
 from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
-from lietensor.cli import verify_document
+from lietensor.cli import cover_document, verify_document
 from lietensor.errors import (InternalCheckError, NotNilpotentError,
                               OutsideEnvelopeError, TheoremViolationError)
 from lietensor.freenilp import FreeNilpotent
@@ -388,10 +388,12 @@ def test_generator_rows_decide_the_presentation_homomorphism():
 
 
 def test_generator_centrality_agrees_with_the_center():
-    # build_cover checks that the multiplier is central by bracketing it
-    # with the d generators of the cover only.  On every basis vector, the
-    # sum of them and each multiplier row that test must agree with the
-    # center of the cover.
+    # In the cover of a nilpotent algebra the d generators decide
+    # centrality: a centralizer is a subalgebra, and they generate C.
+    # (build_cover reads the whole ad-image of each multiplier row, which
+    # needs no nilpotency.)  On every basis vector, the sum of them and each
+    # multiplier row the generator test must agree with the center of the
+    # cover.
     outcomes = set()
     for L in nilpotent_cases():
         cover = build_cover(L)
@@ -497,7 +499,9 @@ def test_relation_space_is_spanned_by_every_crossed_instance(L):
 @given(valid_algebras())
 def test_verify_passes_on_every_valid_algebra(L):
     # The whole verify document: every theorem verdict and both engines.
-    # The second engine and the cover are built for nilpotent inputs only.
+    # verify presents nilpotent inputs only, and its report skips the cover
+    # with the presentation, a pinned report policy: build_cover itself
+    # takes every input (test_cover_document_passes_on_every_valid_algebra).
     doc = verify_document(L, "random")
     verdicts = doc["verdicts"]
     assert not [v for v in verdicts.values() if v.startswith("fail")], \
@@ -514,14 +518,43 @@ def test_verify_passes_on_every_valid_algebra(L):
 @given(valid_algebras())
 def test_alternating_square_modulo_boundaries_is_the_exterior_square(L):
     # dim A2/d3(A3) is the tensor engine's exterior square for every Lie
-    # algebra (Ellis), nilpotent or not, and a nilpotent L passes the cover
+    # algebra (Ellis), nilpotent or not, and every L passes the cover
     # theorem.  d3 and the tensor square's crossed relations are built by
     # separate code on separate ambients.
     T = build_tensor_square(L)
     pairs = L.dim * (L.dim - 1) // 2
     assert pairs - boundaries(L).dim == T.exterior_square()[0].dim, L
-    if L.is_nilpotent:
-        assert verify_cover_theorem(build_cover(L), T).ok, L
+    assert verify_cover_theorem(build_cover(L), T).ok, L
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(valid_algebras())
+def test_cover_document_passes_on_every_valid_algebra(L):
+    # The cover command's report on every input, nilpotent or not: the
+    # defining pair and the cover theorem, with its multiplier comparison.
+    verdicts = cover_document(L, "random")["verdicts"]
+    assert verdicts == {"defining_pair": "pass", "cover_theorem": "pass"}, \
+        (L, verdicts)
+
+
+def test_cover_theorem_rejects_another_multiplier():
+    # On heisenberg(1), C' has dimension 3 and ker pi dimension 2.  A Cover
+    # whose multiplier is another plane of C' passes every other step of
+    # verify_cover_theorem, so the multiplier comparison must reject it.
+    L = heisenberg(1)
+    cover, T = build_cover(L), build_tensor_square(L)
+    K, d = cover.algebra, cover.d
+    assert (K.dim - d, cover.multiplier.dim) == (3, 2)
+    assert verify_cover_theorem(cover, T).ok
+    planes = [span(L.field, K.dim, [K.basis_vector(a), K.basis_vector(b)])
+              for a, b in combinations(range(d, K.dim), 2)]
+    others = [plane for plane in planes if plane != cover.multiplier]
+    assert others
+    for plane in others:
+        bad = Cover(L, K, plane, cover.onto, cover.boundaries, d)
+        verdict = verify_cover_theorem(bad, T)
+        assert not verdict.ok and "multiplier" in verdict.detail, plane
 
 
 @settings(max_examples=100, deadline=None,
