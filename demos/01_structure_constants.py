@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 ## Defining Lie algebras by structure constants and computing basic invariants.
 
-from lietensor import (GF, abelian, direct_sum, heisenberg,
+from lietensor import (GF, QQ, abelian, direct_sum, heisenberg,
                        quotient_algebra, sl2)
 
 ## The catalog constructors return validated algebras.
@@ -9,10 +9,12 @@ h = heisenberg(1)
 print("Heisenberg algebra H(1):", h.basis_names, "dim", h.dim)
 print("validation:", h.validate().detail)
 
-## Brackets extend bilinearly from the structure constants.
-x, y, z = (h.basis_vector(i) for i in range(3))
-print("[x, y] =", h.bracket(x, y))          # the defining relation: z
-print("[v, v] =", h.bracket(x, x))          # antisymmetry
+## Brackets extend bilinearly from the structure constants, stored as the
+## nonzero cells {j: {k: c}}; vectors are sparse {index: coefficient} dicts.
+print("cells:", h.cells)
+x, y = {0: QQ.one}, {1: QQ.one}
+print("[x, y] =", h.bracket_sparse(x, y))   # the defining relation: z
+print("[x, x] =", h.bracket_sparse(x, x))   # antisymmetry: the empty dict
 
 ## Derived subalgebra, center, lower central series.
 print("derived subalgebra dim:", h.derived_subalgebra().dim)

@@ -2,7 +2,7 @@
 ## Free nilpotent Lie algebras on Hall bases, with layer dimensions given by
 ## the Witt formula.
 
-from lietensor import GF, free_nilpotent, witt_dimension
+from lietensor import GF, QQ, free_nilpotent, witt_dimension
 
 ## Hall words on two generators up to degree 4.
 F = free_nilpotent(2, 4)
@@ -21,12 +21,12 @@ for d in (2, 3, 4):
 F2 = free_nilpotent(2, 3, GF(2))
 A = F2.algebra
 print("\nover GF(2):", A.basis_names)
-print("[x2, x1] =", A.table[1][0])
+print("[x2, x1] =", A.cells[1][0])
 print("validates:", A.validate().ok)
 
-## Brackets add degrees; anything above the class truncates to zero.
+## Brackets add degrees; anything above the class truncates to zero, the
+## empty sparse vector.
 F = free_nilpotent(2, 3)
 A = F.algebra
-deg4 = A.bracket(A.basis_vector(3), A.basis_vector(1))
-print("\n[[x2,x1],x1] bracketed with x2 (degree 4 > 3):",
-      tuple(str(x) for x in deg4))
+deg4 = A.bracket_sparse({3: QQ.one}, {1: QQ.one})
+print("\n[[x2,x1],x1] bracketed with x2 (degree 4 > 3):", deg4)

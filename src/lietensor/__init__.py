@@ -17,7 +17,7 @@ from .linalg import (Matrix, Subspace, kernel, rref, subspace_intersect,
 from .errors import Verdict
 from .liealg import (BilinearMap, LieAlgebra, bracket_pairing, direct_sum,
                      ideal_closure, is_lie_pairing, lie_algebra_from_brackets,
-                     lie_algebra_from_table, quotient_algebra)
+                     quotient_algebra)
 from .catalog import abelian, catalog, heisenberg, sl2, zero_algebra
 from .tensor import (TensorSquare, build_tensor_square, induced_map,
                      tensor_report)
@@ -33,8 +33,7 @@ __all__ = [
     "subspace_sum",
     "BilinearMap", "LieAlgebra", "bracket_pairing",
     "direct_sum", "ideal_closure", "is_lie_pairing",
-    "lie_algebra_from_brackets", "lie_algebra_from_table",
-    "quotient_algebra",
+    "lie_algebra_from_brackets", "quotient_algebra",
     "abelian", "catalog", "heisenberg", "sl2", "zero_algebra",
     "TensorSquare", "Verdict", "build_tensor_square", "induced_map",
     "tensor_report",

@@ -48,6 +48,12 @@ def _is_int(x) -> bool:
 
 DOCUMENT_KEYS = ("field", "dim", "basis_names", "brackets")
 
+# The largest document of the envelope: dim 16 has 120 pairs i < j of at
+# most 16 terms, and a coefficient "-num/den" has at most 4,300 digits a
+# part (Python's limit on int from a string), so a term takes about 8,610
+# bytes: 120 * 16 * 8,610 = 16.5 MB.  The bound is about twice that.
+MAX_DOCUMENT_BYTES = 32 << 20
+
 
 def parse_algebra_document(doc: dict) -> LieAlgebra:
     """Validate and load an algebra document; antisymmetric completion is
@@ -180,12 +186,17 @@ def load_algebra(source: str,
         raise InvalidInputError(
             "--field applies to catalog names, not documents")
     try:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(source, "rb") as fh:
+            data = fh.read(MAX_DOCUMENT_BYTES + 1)
     except OSError as exc:
         raise InvalidInputError(
             f"{source!r} is neither a catalog algebra nor a readable "
             f"document: {exc}") from exc
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise InvalidInputError(f"{source} is longer than {MAX_DOCUMENT_BYTES} "
+                                "bytes, the bound of the design envelope")
+    try:
+        doc = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise InvalidInputError(f"{source} is not valid JSON: {exc}") from exc
     return parse_algebra_document(doc), source

@@ -5,21 +5,18 @@ cells[i] is a dict {j: {k: c}} holding, for each j with [x_i, x_j] != 0, the
 nonzero coordinates c of that bracket.  Both (i, j) and (j, i) are stored,
 so validation checks the stored antisymmetry rather than inferring it, and
 corrupted input is detectable.  No cell is empty and none holds a zero, so
-two algebras are equal exactly when their dense tables are.  The dense
-n x n table is a view built on first use; dense tables enter only through
-lie_algebra_from_table.  Basis labels are purely decorative; all identity
-decisions use indices.
+two algebras are equal exactly when their cells are.  Basis labels are
+purely decorative; all identity decisions use indices.
 
 Brackets, ad, the pairing axioms and the homomorphism checks all evaluate on
 sparse {index: nonzero} vectors over the cells (LieAlgebra.bracket_sparse and
 ad_sparse); the dense bracket is a thin wrapper that densifies the result.
 Every subspace, ideal closures included, is spanned by linalg.span.
 Each check keeps the dense order, skipping only instances whose sides
-vanish.  A BilinearMap stores its {k: nonzero} cells in an n x n grid, with
-its dense table a view: its source is a base algebra and nearly all of its
-cells are nonzero.  Every check returns a Verdict, whose witness is structured:
-the failing pairs and triples of validate(), the first violated axiom
-instance of is_lie_pairing.
+vanish.  A BilinearMap stores its {k: nonzero} cells in an n x n grid: its
+source is a base algebra and nearly all of its cells are nonzero.  Every
+check returns a Verdict, whose witness is structured: the failing pairs and
+triples of validate(), the first violated axiom instance of is_lie_pairing.
 """
 
 from __future__ import annotations
@@ -63,18 +60,6 @@ class LieAlgebra(Immutable):
         if self.dim > 6:
             shown += ",..."
         return f"LieAlgebra(dim {self.dim} over {self.field.name}: {shown})"
-
-    @cached_property
-    def table(self) -> tuple[tuple[Vector, ...], ...]:
-        """The dense n x n table of bracket coordinate vectors, built on
-        first use; nothing on the verification path reads it."""
-        n, zero = self.dim, self.field.zero
-        return tuple(tuple(dense(row.get(j, {}), n, zero) for j in range(n))
-                     for row in self.cells)
-
-    def basis_vector(self, i: int) -> Vector:
-        z, o = self.field.zero, self.field.one
-        return tuple(o if j == i else z for j in range(self.dim))
 
     def bracket_sparse(self, u: SparseVector, v: SparseVector) -> SparseVector:
         """Bilinear extension of the structure constants to sparse vectors:
@@ -221,8 +206,8 @@ class BilinearMap(Immutable):
     """A bilinear map between coordinate spaces, stored as its cells:
     cells[i][j] is the image of (x_i, x_j) as {k: nonzero}, read only (the
     tensor square shares them with its projection).  Immutable; zero-free
-    cells are canonical, so equality is that of the dense tables; the hash
-    reads the dimensions."""
+    cells are canonical, so equal maps have equal cells; the hash reads the
+    dimensions."""
 
     _fields = ("field", "source_dim", "target_dim", "cells")
     _hashed = 3
@@ -231,14 +216,6 @@ class BilinearMap(Immutable):
         name = self.field.name
         return (f"BilinearMap({name}^{self.source_dim} x "
                 f"{name}^{self.source_dim} -> {name}^{self.target_dim})")
-
-    @cached_property
-    def table(self) -> tuple[tuple[Vector, ...], ...]:
-        """The dense table of the cells, a view that the verification path
-        never reads."""
-        zero = self.field.zero
-        return tuple(tuple(dense(cell, self.target_dim, zero) for cell in row)
-                     for row in self.cells)
 
     def apply_sparse(self, u: SparseVector, v: SparseVector) -> SparseVector:
         """The map on sparse vectors: one term per pair of support entries
@@ -258,18 +235,6 @@ class BilinearMap(Immutable):
             raise ValueError("dimension mismatch")
         return dense(self.apply_sparse(sparse(u), sparse(v)), self.target_dim,
                      self.field.zero)
-
-
-def lie_algebra_from_table(field: Field, table, names=None) -> LieAlgebra:
-    """The algebra of a dense n x n table of bracket coordinate vectors: the
-    only dense entry point."""
-    dim = len(table)
-    if any(len(v) != dim for row in table for v in row):
-        raise ValueError("table vectors must have one coordinate per basis vector")
-    cells = tuple({j: cell for j, v in enumerate(row) if (cell := sparse(v))}
-                  for row in table)
-    names = tuple(f"x{i + 1}" for i in range(dim)) if names is None else names
-    return LieAlgebra(field, dim, cells, tuple(names))
 
 
 def lie_algebra_from_brackets(field: Field, dim: int,

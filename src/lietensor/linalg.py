@@ -17,14 +17,12 @@ rows are {pivot: {column: value}}, and reduction against a Subspace reads
 its rows in the same form: relation vectors touch a handful of the n^2
 coordinates, so reductions cost the nonzeros they meet, not the ambient
 width.  Products, ranks and kernels work on those columns and rows;
-_transpose, the one change of orientation, serves only rref and the dense
-views.  kernel, like subspace_intersect, spans vectors extended by a second
-block and reads the rows that lead there, so annihilator, the kernel of a
-stacked map, eliminates its few columns and not its mostly empty rows.  The
-dense Matrix.entries and Subspace.basis are views built on first use, for
-rref and the tests.  Matrix.apply takes a dense tuple, and so does
-SpanBuilder.add, which nothing in the package calls; every other vector is
-sparse.
+_transpose, the one change of orientation, serves only rref.  kernel, like
+subspace_intersect, spans vectors extended by a second block and reads the
+rows that lead there, so annihilator, the kernel of a stacked map,
+eliminates its few columns and not its mostly empty rows.  Matrix.apply
+takes a dense tuple, and so does SpanBuilder.add, which nothing in the
+package calls; every other vector is sparse.
 """
 
 from __future__ import annotations
@@ -91,7 +89,7 @@ def _transpose(vectors: Sequence[SparseVector],
 class Matrix(Immutable):
     """A matrix stored as its columns {row: nonzero value}, read only (other
     matrices and subspaces share them).  Immutable; zero-free columns are
-    canonical, so equality is that of the dense entries; the hash reads the
+    canonical, so equal matrices have equal columns; the hash reads the
     shape."""
 
     _fields = ("field", "rows", "cols", "sparse_columns")
@@ -99,21 +97,6 @@ class Matrix(Immutable):
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field.name})"
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, n, n, tuple({i: field.one} for i in range(n)))
-
-    @classmethod
-    def zero(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, tuple({} for _ in range(cols)))
-
-    @cached_property
-    def entries(self) -> tuple[Vector, ...]:
-        """The dense rows, a view that the verification path never reads."""
-        zero = self.field.zero
-        return tuple(dense(row, self.cols, zero)
-                     for row in _transpose(self.sparse_columns, self.rows))
 
     def apply(self, v: Sequence[Scalar]) -> Vector:
         """Matrix times column vector."""
@@ -157,7 +140,8 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Unique reduced row-echelon basis of the row space of m (no zero rows),
     together with its pivot columns."""
     space = span(m.field, m.cols, _transpose(m.sparse_columns, m.rows))
-    return space.basis, space.pivots
+    return (Matrix(m.field, space.dim, m.cols,
+                   _transpose(space.sparse_rows, m.cols)), space.pivots)
 
 
 class Subspace(Immutable):
@@ -175,10 +159,6 @@ class Subspace(Immutable):
                 f"{self.field.name}^{self.ambient_dim})")
 
     @classmethod
-    def zero_space(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, (), ())
-
-    @classmethod
     def full_space(cls, field: Field, ambient_dim: int) -> "Subspace":
         return cls(field, ambient_dim, tuple(range(ambient_dim)),
                    tuple({i: field.one} for i in range(ambient_dim)))
@@ -186,12 +166,6 @@ class Subspace(Immutable):
     @property
     def dim(self) -> int:
         return len(self.pivots)
-
-    @cached_property
-    def basis(self) -> Matrix:
-        """The dense basis matrix of the echelon rows, a view."""
-        return Matrix(self.field, self.dim, self.ambient_dim,
-                      _transpose(self.sparse_rows, self.ambient_dim))
 
     @cached_property
     def free_cols(self) -> tuple[int, ...]:

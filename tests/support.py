@@ -8,6 +8,7 @@ ranks and kernels over the rationals.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import sympy
@@ -15,8 +16,7 @@ from hypothesis import strategies as st
 
 from lietensor import (GF, QQ, BilinearMap, Field, LieAlgebra, Verdict,
                        catalog, direct_sum, ideal_closure,
-                       lie_algebra_from_brackets, lie_algebra_from_table,
-                       quotient_algebra)
+                       lie_algebra_from_brackets, quotient_algebra)
 from lietensor.catalog import MAX_AMBIENT, is_supported
 from lietensor.errors import TheoremViolationError
 from lietensor.freenilp import dimension_exceeds, free_nilpotent
@@ -27,7 +27,7 @@ from lietensor.presentation import _check_isomorphism
 
 
 # ----------------------------------------------------------------------
-# dense constructors: tuples in, stored sparse forms out
+# dense constructors and views: tuples in and out of the stored sparse forms
 # ----------------------------------------------------------------------
 
 def span(field: Field, ambient_dim: int, vectors) -> Subspace:
@@ -60,6 +60,41 @@ def bilinear_from_table(field: Field, source_dim: int, target_dim: int,
                              for row in table))
 
 
+def cells_of(table) -> tuple[dict, ...]:
+    """The sparse cells {j: {k: c}} of a dense n x n table of bracket
+    coordinate vectors, zero cells dropped: LieAlgebra's stored form."""
+    return tuple({j: cell for j, v in enumerate(row) if (cell := sparse(v))}
+                 for row in table)
+
+
+@lru_cache(maxsize=16)
+def table(L: LieAlgebra):
+    """The dense n x n table of L's bracket coordinate vectors; cached, as
+    dense_bracket reads it on every call."""
+    n, zero = L.dim, L.field.zero
+    return tuple(tuple(dense(row.get(j, {}), n, zero) for j in range(n))
+                 for row in L.cells)
+
+
+def pairing_table(rho: BilinearMap):
+    """The dense table of a bilinear map's cells."""
+    zero = rho.field.zero
+    return tuple(tuple(dense(cell, rho.target_dim, zero) for cell in row)
+                 for row in rho.cells)
+
+
+def entries(m: Matrix):
+    """The dense rows of a matrix."""
+    return tuple(dense(row, m.cols, m.field.zero)
+                 for row in _transpose(m.sparse_columns, m.rows))
+
+
+def basis_rows(space: Subspace):
+    """The dense echelon rows of a subspace."""
+    return tuple(dense(row, space.ambient_dim, space.field.zero)
+                 for row in space.sparse_rows)
+
+
 def column(m: Matrix, j: int):
     return dense(m.sparse_columns[j], m.rows, m.field.zero)
 
@@ -72,7 +107,7 @@ def solve(m: Matrix, rhs):
     """One solution x of m x = rhs with the free variables 0, or None: the
     echelon rows of [m | rhs] have a pivot in the last column exactly when
     there is none."""
-    rows = [tuple(r) + (y,) for r, y in zip(m.entries, rhs)]
+    rows = [tuple(r) + (y,) for r, y in zip(entries(m), rhs)]
     space = span(m.field, m.cols + 1, rows)
     if m.cols in space.pivots:
         return None
@@ -146,7 +181,7 @@ def tensor_relation_vectors(L: LieAlgebra) -> list[list]:
     triples, independent of the package's construction path."""
     n = L.dim
     zero = L.field.zero
-    sc = L.table
+    sc = table(L)
     out = []
     for i in range(n):
         for j in range(n):
@@ -176,8 +211,9 @@ def symmetric_derived_vectors(L: LieAlgebra) -> list[list]:
     derived subalgebra, which the construction imposes on a basis of it."""
     n = L.dim
     zero = L.field.zero
-    brackets = [L.table[i][j] for i in range(n) for j in range(i + 1, n)
-                if any(L.table[i][j])]
+    sc = table(L)
+    brackets = [sc[i][j] for i in range(n) for j in range(i + 1, n)
+                if any(sc[i][j])]
     out = []
     for a, u in enumerate(brackets):
         for w in brackets[a:]:
@@ -196,7 +232,7 @@ def dense_residual(space: Subspace, v) -> list:
     pass in pivot order suffices, because each row is 0 at the other
     pivots."""
     v = list(v)
-    for row, p in zip(space.basis.entries, space.pivots):
+    for row, p in zip(basis_rows(space), space.pivots):
         f = v[p]
         if f:
             v = [x - f * y for x, y in zip(v, row)]
@@ -230,10 +266,10 @@ def corrupted_tables(L: LieAlgebra):
     for i in range(L.dim):
         for j in range(L.dim):
             for k in range(L.dim):
-                table = [[list(cell) for cell in row] for row in L.table]
-                table[i][j][k] += L.field.one
-                yield (i, j, k), lie_algebra_from_table(
-                    L.field, table, L.basis_names)
+                shifted = [[list(cell) for cell in row] for row in table(L)]
+                shifted[i][j][k] += L.field.one
+                yield (i, j, k), LieAlgebra(L.field, L.dim, cells_of(shifted),
+                                            L.basis_names)
 
 
 def corrupted_alternating_tables(L: LieAlgebra):
@@ -242,11 +278,11 @@ def corrupted_alternating_tables(L: LieAlgebra):
     alternating, and only the Jacobi identity can break."""
     for i, j in combinations(range(L.dim), 2):
         for k in range(L.dim):
-            table = [[list(cell) for cell in row] for row in L.table]
-            table[i][j][k] += L.field.one
-            table[j][i][k] -= L.field.one
-            yield (i, j, k), lie_algebra_from_table(
-                L.field, table, L.basis_names)
+            shifted = [[list(cell) for cell in row] for row in table(L)]
+            shifted[i][j][k] += L.field.one
+            shifted[j][i][k] -= L.field.one
+            yield (i, j, k), LieAlgebra(L.field, L.dim, cells_of(shifted),
+                                        L.basis_names)
 
 
 def random_vector(rng: random.Random, field: Field, n: int, span: int = 2):
@@ -339,7 +375,7 @@ def dense_bilinear(table, field, target_dim, u, v):
 
 
 def dense_bracket(L: LieAlgebra, u, v):
-    return dense_bilinear(L.table, L.field, L.dim, u, v)
+    return dense_bilinear(table(L), L.field, L.dim, u, v)
 
 
 def dense_apply(matrix, v):
@@ -347,7 +383,7 @@ def dense_apply(matrix, v):
     the vector."""
     terms = [(j, x) for j, x in enumerate(v) if x]
     return tuple(sum((row[j] * x for j, x in terms), matrix.field.zero)
-                 for row in matrix.entries)
+                 for row in entries(matrix))
 
 
 def basis(L: LieAlgebra):
@@ -361,10 +397,12 @@ def dense_is_lie_pairing(rho: BilinearMap, L: LieAlgebra,
     order (l, l', s) for (i) and (ii), then (l, s, l', s') for (iii)."""
     n = L.dim
     e = basis(L)
-    sc = L.table
+    sc = table(L)
+
+    cells = pairing_table(rho)
 
     def apply(u, v):
-        return dense_bilinear(rho.table, rho.field, rho.target_dim, u, v)
+        return dense_bilinear(cells, rho.field, rho.target_dim, u, v)
 
     for l in range(n):
         for lp in range(n):
@@ -397,18 +435,19 @@ def corrupted_pairings(rho: BilinearMap):
     for i in range(rho.source_dim):
         for j in range(rho.source_dim):
             for k in range(rho.target_dim):
-                table = [[list(cell) for cell in row] for row in rho.table]
-                table[i][j][k] += rho.field.one
+                shifted = [[list(cell) for cell in row]
+                           for row in pairing_table(rho)]
+                shifted[i][j][k] += rho.field.one
                 yield (i, j, k), bilinear_from_table(
-                    rho.field, rho.source_dim, rho.target_dim, table)
+                    rho.field, rho.source_dim, rho.target_dim, shifted)
 
 
 def dense_subalgebra_table(parent: LieAlgebra, space: Subspace):
     """Coordinates of every bracket of two basis rows in the canonical
     basis (the pivot entries), after checking by rank that the bracket lies
     in the span; raises ValueError otherwise."""
-    rows = space.basis.entries
-    table = []
+    rows = basis_rows(space)
+    out = []
     for a in rows:
         row = []
         for b in rows:
@@ -417,8 +456,8 @@ def dense_subalgebra_table(parent: LieAlgebra, space: Subspace):
             if grown.dim != space.dim:
                 raise ValueError("vector does not lie in the subalgebra")
             row.append(tuple(w[p] for p in space.pivots))
-        table.append(tuple(row))
-    return tuple(table)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def dense_validate(L: LieAlgebra) -> Verdict:
@@ -427,17 +466,18 @@ def dense_validate(L: LieAlgebra) -> Verdict:
     witness, and a detail naming them."""
     n = L.dim
     e = basis(L)
+    sc = table(L)
     anti = [(i, j) for i in range(n) for j in range(i, n)
-            if (any(L.table[i][i]) if i == j else
-                tuple(-x for x in L.table[j][i]) != tuple(L.table[i][j]))]
+            if (any(sc[i][i]) if i == j else
+                tuple(-x for x in sc[j][i]) != tuple(sc[i][j]))]
     zero = (L.field.zero,) * n
     jacobi = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                terms = (dense_bracket(L, L.table[i][j], e[k]),
-                         dense_bracket(L, L.table[j][k], e[i]),
-                         dense_bracket(L, L.table[k][i], e[j]))
+                terms = (dense_bracket(L, sc[i][j], e[k]),
+                         dense_bracket(L, sc[j][k], e[i]),
+                         dense_bracket(L, sc[k][i], e[j]))
                 if tuple(map(lambda *xs: sum(xs, L.field.zero), *terms)) != zero:
                     jacobi.append((i, j, k))
     parts = []
@@ -458,9 +498,10 @@ def dense_homomorphism_failure(images, source: LieAlgebra, target: LieAlgebra):
                 acc[t] = acc[t] + c * x
         return tuple(acc)
 
+    sc = table(source)
     for i in range(source.dim):
         for j in range(source.dim):
-            if f(source.table[i][j]) != dense_bracket(target, images[i], images[j]):
+            if f(sc[i][j]) != dense_bracket(target, images[i], images[j]):
                 return i, j
     return None
 
@@ -473,7 +514,7 @@ def dense_decomposition_verdict(T) -> Verdict:
         return Verdict(False, "complement meets the square submodule")
     if subspace_sum(comp, sq).dim != T.dim:
         return Verdict(False, "complement + square submodule is not everything")
-    for row in comp.basis.entries:
+    for row in basis_rows(comp):
         if not all(contains(comp, dense_bracket(alg, row, x)) for x in basis(alg)):
             return Verdict(False, "complement is not an ideal")
     return Verdict(True, f"{T.dim} = {sq.dim} + {comp.dim}")
@@ -486,12 +527,13 @@ def dense_restriction_verdict(T) -> Verdict:
     its others."""
     comp, alg = T._complement, T.algebra
     ext, proj = T.exterior_square()
-    images = [dense_apply(proj, row) for row in comp.basis.entries]
+    rows = basis_rows(comp)
+    images = [dense_apply(proj, row) for row in rows]
     if span(alg.field, ext.dim, images).dim != comp.dim \
             or comp.dim != ext.dim:
         return Verdict(False, "complement does not map bijectively onto the exterior square")
-    for ra, pa in zip(comp.basis.entries, images):
-        for rb, pb in zip(comp.basis.entries, images):
+    for ra, pa in zip(rows, images):
+        for rb, pb in zip(rows, images):
             if dense_apply(proj, dense_bracket(alg, ra, rb)) \
                     != dense_bracket(ext, pa, pb):
                 return Verdict(False, "restriction to the complement is not a homomorphism")

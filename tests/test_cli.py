@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -10,8 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lietensor import GF, QQ, catalog, heisenberg
-from lietensor.cli import (algebra_document, canonical_hash, load_algebra,
-                           main, parse_algebra_document)
+from lietensor.cli import (MAX_DOCUMENT_BYTES, algebra_document,
+                           canonical_hash, load_algebra, main,
+                           parse_algebra_document)
 from lietensor.errors import InvalidInputError
 
 
@@ -29,7 +33,7 @@ def test_document_round_trip():
     echo = algebra_document(L)
     again = parse_algebra_document(echo)
     assert canonical_hash(algebra_document(again)) == canonical_hash(echo)
-    assert L.table == heisenberg(1).table
+    assert L.cells == heisenberg(1).cells
     # The same brackets, listed in another order of pairs and of terms, are
     # the same algebra with the same echo document.
     listed = {"field": "Q", "dim": 4,
@@ -154,6 +158,39 @@ def test_load_algebra_from_file(tmp_path):
     bad.write_text("{")
     with pytest.raises(InvalidInputError):
         load_algebra(str(bad))
+
+
+def test_a_document_longer_than_the_bound_exits_2(tmp_path, capsys):
+    # A valid document padded with spaces to one byte past the bound used
+    # to parse; at the bound it still does.
+    text = json.dumps(H1_DOC)
+    path = tmp_path / "padded.json"
+    path.write_text(text + " " * (MAX_DOCUMENT_BYTES + 1 - len(text)))
+    assert main(["info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(MAX_DOCUMENT_BYTES) in err and "Traceback" not in err
+    path.write_text(text + " " * (MAX_DOCUMENT_BYTES - len(text)))
+    assert main(["info", str(path)]) == 0
+
+
+def test_a_document_path_that_never_ends_exits_2_in_bounded_memory():
+    # /dev/zero never ends: reading all of it grew until a MemoryError
+    # (exit 1, a traceback) under a cap, and without one until the host ran
+    # out.  The child runs under a 600 MB address-space limit and a timeout,
+    # so that a regression fails this test and not the host.
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-m", "lietensor", "info", "/dev/zero"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap)
+    assert result.returncode == 2, result.stderr
+    assert str(MAX_DOCUMENT_BYTES) in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_load_algebra_refuses_a_field_with_a_document(tmp_path):
@@ -637,7 +674,7 @@ def test_algebra_documents_still_round_trip():
     for L in algebras:
         echo = algebra_document(L)
         again = parse_algebra_document(json.loads(json.dumps(echo)))
-        assert again.table == L.table and again.basis_names == L.basis_names
+        assert again.cells == L.cells and again.basis_names == L.basis_names
         assert algebra_document(again) == echo
 
 

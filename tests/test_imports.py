@@ -5,7 +5,9 @@ module that only code generation or introspection needs, and importing
 the CLI loads hashlib only when a report is hashed.  And every batch
 of vectors is spanned through linalg.span: no other function builds a
 SpanBuilder or reads one's rows, and no other function writes a
-Subspace's echelon rows by hand."""
+Subspace's echelon rows by hand.  The package computes on sparse vectors:
+a function whose signature names a dense vector is a benchmark tracer
+target or on a named allowlist."""
 
 import ast
 import hashlib
@@ -152,10 +154,9 @@ def test_every_batch_is_spanned_through_linalg_span():
 
 # The functions that may construct a Subspace: span hands over its
 # builder's echelon rows, second_part shifts echelon rows that a span
-# returned, and the zero and full spaces need no elimination.
+# returned, and the full space needs no elimination.
 SUBSPACE_MAKERS = {("linalg", "span"),
                    ("linalg", "second_part"),
-                   ("linalg", "Subspace.zero_space"),
                    ("linalg", "Subspace.full_space")}
 
 
@@ -186,8 +187,8 @@ def subspaces_built_by_hand(source: str, module: str) -> list[str]:
 def test_the_check_finds_a_subspace_built_by_hand():
     source = ("class Subspace:\n"
               "    @classmethod\n"
-              "    def zero_space(cls, field, n):\n"
-              "        return cls(field, n, (), ())\n"
+              "    def full_space(cls, field, n):\n"
+              "        return cls(field, n, tuple(range(n)), ())\n"
               "    @classmethod\n"
               "    def of_rows(cls, field, n, rows):\n"
               "        return cls(field, n, tuple(rows), rows)\n"
@@ -211,3 +212,85 @@ def test_only_spans_and_their_second_parts_construct_a_subspace():
         for path in sorted(PACKAGE.glob("*.py"))}
     assert {"linalg", "liealg", "tensor", "presentation"} <= set(found)
     assert {module: f for module, f in found.items() if f} == {}
+
+
+# The functions outside the benchmark tracer's targets that may take or
+# return a dense vector, each with its reason.
+DENSE_ALLOWED = {
+    ("linalg", "dense"): "the converter from a sparse vector",
+    ("linalg", "sparse"): "the converter to a sparse vector",
+    ("liealg", "ideal_closure"): "perfbench/gen_inputs.py imports it",
+    ("tensor", "WhiteheadGamma.quadratic"): "the quadratic functor's public map",
+}
+
+
+def names_a_dense_vector(annotation) -> bool:
+    """Whether an annotation mentions Vector or Sequence[Scalar]."""
+    return any(isinstance(node, ast.Name) and node.id == "Vector"
+               or isinstance(node, ast.Subscript)
+               and getattr(node.value, "id", None) == "Sequence"
+               and getattr(node.slice, "id", None) == "Scalar"
+               for node in ast.walk(annotation))
+
+
+def dense_signatures(source: str, module: str, allowed) -> list[str]:
+    """Each def of a module, as its qualified name, whose annotations name
+    a dense vector and which is not in allowed, a set of (module, name)."""
+    found = []
+
+    def visit(node, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = ".".join(scope + (child.name,))
+                if isinstance(child, ast.FunctionDef):
+                    args = child.args
+                    annotations = [a.annotation for a in (
+                        args.posonlyargs + args.args + args.kwonlyargs)
+                        if a.annotation] + [child.returns]
+                    if any(a is not None and names_a_dense_vector(a)
+                           for a in annotations) \
+                            and (module, name) not in allowed:
+                        found.append(name)
+                visit(child, scope + (child.name,))
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_the_check_finds_a_dense_signature():
+    source = ("class LieAlgebra:\n"
+              "    def table(self) -> tuple[tuple[Vector, ...], ...]:\n"
+              "        def cell(j: int) -> Vector:\n            pass\n"
+              "    def bracket(self, u: Sequence[Scalar], v) -> Vector:\n"
+              "        pass\n"
+              "    def bracket_sparse(self, u: SparseVector) -> SparseVector:\n"
+              "        pass\n"
+              "def closure(L, vs: Sequence[Sequence[Scalar]]) -> Subspace:\n"
+              "    pass\n"
+              "def dense(v: SparseVector, n: int) -> Vector:\n    pass\n")
+    allowed = {("liealg", "LieAlgebra.bracket"), ("liealg", "dense")}
+    assert dense_signatures(source, "liealg", allowed) == [
+        "LieAlgebra.table", "LieAlgebra.table.cell", "closure"]
+    assert dense_signatures(source, "linalg", allowed) == [
+        "LieAlgebra.table", "LieAlgebra.table.cell", "LieAlgebra.bracket",
+        "closure", "dense"]
+
+
+def test_only_tracer_targets_and_the_allowlist_take_dense_vectors():
+    # The benchmark tracer patches its targets, so they stay until the
+    # benchmark stops naming them; every other function computes sparse.
+    from test_demos import _benchmark_table
+    allowed = {(module, attr) for module, attr, _ in
+               _benchmark_table("TARGETS")} | set(DENSE_ALLOWED)
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    found = {module: dense_signatures(source, module, allowed)
+             for module, source in sources.items()}
+    assert {"linalg", "liealg", "tensor"} <= set(found)
+    assert {module: f for module, f in found.items() if f} == {}
+    # No allowlist entry outlives its function.
+    every = {(module, name) for module, source in sources.items()
+             for name in dense_signatures(source, module, set())}
+    assert set(DENSE_ALLOWED) <= every

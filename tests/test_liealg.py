@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -7,18 +8,19 @@ from hypothesis import strategies as st
 from lietensor import (GF, QQ, Field, BilinearMap, LieAlgebra, abelian,
                        bracket_pairing, build_tensor_square, catalog,
                        direct_sum, free_nilpotent, heisenberg, is_lie_pairing,
-                       lie_algebra_from_brackets, lie_algebra_from_table,
-                       presentation_of,
+                       lie_algebra_from_brackets, presentation_of,
                        quotient_algebra, sl2, zero_algebra)
 from lietensor.cli import verify_document
 from lietensor.errors import (InternalCheckError, InvalidInputError,
                               NotIdealError)
+from lietensor import liealg, linalg
 from lietensor.liealg import ideal_closure
-from lietensor.linalg import Matrix, Subspace, sparse
+from lietensor.linalg import Subspace, sparse
 
-from support import (Subalgebra, bilinear_from_table, contains,
-                     corrupted_tables, random_nilpotent_quotient,
-                     random_vector, span, sympy_rank)
+from support import (Subalgebra, basis, basis_rows, bilinear_from_table,
+                     cells_of, contains, corrupted_tables,
+                     random_nilpotent_quotient, random_vector, span,
+                     sympy_rank, table)
 
 ALL_CATALOG = ["zero", "abelian(1)", "abelian(3)", "heisenberg(1)",
                "heisenberg(2)", "sl2", "heisenberg(1)+abelian(1)"]
@@ -35,9 +37,9 @@ def test_validate_passes_on_catalog():
 
 def test_validate_reports_antisymmetry_corruption():
     good = sl2()
-    table = [[list(v) for v in row] for row in good.table]
-    table[0][1] = [QQ.zero, QQ.zero, QQ.scalar(5)]  # no longer -table[1][0]
-    bad = lie_algebra_from_table(QQ, table, good.basis_names)
+    cells = [dict(row) for row in good.cells]
+    cells[0][1] = {2: QQ.scalar(5)}  # no longer -cells[1][0]
+    bad = LieAlgebra(QQ, 3, cells, good.basis_names)
     report = bad.validate()
     assert not report.ok
     assert (0, 1) in report.witness[0]
@@ -46,12 +48,12 @@ def test_validate_reports_antisymmetry_corruption():
 
 def test_bracket_examples():
     h = heisenberg(1)
-    x, y, z = (h.basis_vector(i) for i in range(3))
+    x, y, z = basis(h)
     assert h.bracket(x, y) == z
     v = vec(QQ, [3, -2, 5])
     assert h.bracket(v, v) == (QQ.zero,) * 3
     s = sl2()
-    e, f, hh = (s.basis_vector(i) for i in range(3))
+    e, f, hh = basis(s)
     ef = tuple(a + b for a, b in zip(e, f))
     assert s.bracket(hh, ef) == vec(QQ, [2, -2, 0])
 
@@ -62,7 +64,8 @@ def test_derived_subalgebra():
     assert h.derived_subalgebra() == span(QQ, 3, [vec(QQ, [0, 0, 1])])
     s = sl2()
     # oracle: the span of {h, 2e, -2f} has full rank
-    rows = [s.table[0][1], s.table[2][0], s.table[2][1]]
+    sc = table(s)
+    rows = [sc[0][1], sc[2][0], sc[2][1]]
     assert sympy_rank(rows, 3) == 3
     assert s.derived_subalgebra().dim == 3
 
@@ -73,7 +76,8 @@ def test_center():
     assert h.center() == span(QQ, 3, [vec(QQ, [0, 0, 1])])
     s = sl2()
     # oracle: the 9 x 3 stacked adjoint matrix has rank 3
-    stacked = [[s.table[i][j][c] for i in range(3)]
+    sc = table(s)
+    stacked = [[sc[i][j][c] for i in range(3)]
                for j in range(3) for c in range(3)]
     assert sympy_rank(stacked, 3) == 3
     assert s.center().dim == 0
@@ -99,10 +103,10 @@ def test_quotient_algebra():
     q, proj = quotient_algebra(h, h.derived_subalgebra())
     assert q.dim == 2 and q.is_abelian
     assert q.validate().ok
-    full, ident = quotient_algebra(h, Subspace.zero_space(QQ, 3))
+    full, ident = quotient_algebra(h, linalg.span(QQ, 3, ()))
     assert full.dim == 3
-    assert ident == Matrix.identity(QQ, 3)
-    assert full.table == h.table
+    assert ident.sparse_columns == ({0: QQ.one}, {1: QQ.one}, {2: QQ.one})
+    assert full.cells == h.cells
     nothing, _ = quotient_algebra(h, Subspace.full_space(QQ, 3))
     assert nothing.dim == 0
 
@@ -112,11 +116,11 @@ def test_quotient_projection_is_homomorphism():
         L = catalog(name)
         derived = L.derived_subalgebra()
         q, proj = quotient_algebra(L, derived)
+        sc, e = table(L), basis(L)
         for i in range(L.dim):
             for j in range(L.dim):
-                lhs = proj.apply(L.table[i][j])
-                rhs = q.bracket(proj.apply(L.basis_vector(i)),
-                                proj.apply(L.basis_vector(j)))
+                lhs = proj.apply(sc[i][j])
+                rhs = q.bracket(proj.apply(e[i]), proj.apply(e[j]))
                 assert lhs == rhs
 
 
@@ -132,9 +136,10 @@ def test_derived_and_center_are_ideals():
     for name in ALL_CATALOG:
         L = catalog(name)
         for space in (L.derived_subalgebra(), L.center()):
-            for row in space.basis.entries:
+            for row in space.sparse_rows:
                 for j in range(L.dim):
-                    assert contains(space, L.bracket(row, L.basis_vector(j)))
+                    assert not space.reduce_sparse(
+                        L.bracket_sparse(row, {j: L.field.one}))
 
 
 def test_lower_central_series_descends():
@@ -179,14 +184,13 @@ def test_zero_pairing_is_lie_pairing():
     rho = BilinearMap(QQ, 3, 3, tuple(tuple({} for _ in range(3))
                                       for _ in range(3)))
     assert is_lie_pairing(rho, L, L).ok
-    assert rho.table == ((((QQ.zero,) * 3,) * 3,) * 3)
 
 
 def test_broken_pairing_has_witness():
     L = sl2()
-    table = [[list(v) for v in row] for row in L.table]
-    table[0][1][0] = table[0][1][0] + QQ.one  # shift one component of [e,f]
-    rho = bilinear_from_table(QQ, 3, 3, table)
+    shifted = [[list(v) for v in row] for row in table(L)]
+    shifted[0][1][0] = shifted[0][1][0] + QQ.one  # shift one component of [e,f]
+    rho = bilinear_from_table(QQ, 3, 3, shifted)
     check = is_lie_pairing(rho, L, L)
     assert not check.ok
     assert check.witness is not None and check.witness[0].startswith("axiom")
@@ -218,10 +222,10 @@ def tables_and_vectors(draw):
     n = draw(st.integers(1, 5))
     ints = st.integers(-3, 3)
     raw = draw(st.lists(ints, min_size=n ** 3, max_size=n ** 3))
-    table = tuple(tuple(tuple(field.scalar(raw[(i * n + j) * n + k])
-                              for k in range(n)) for j in range(n))
-                  for i in range(n))
-    L = lie_algebra_from_table(field, table, tuple(f"x{i}" for i in range(n)))
+    grid = tuple(tuple(tuple(field.scalar(raw[(i * n + j) * n + k])
+                             for k in range(n)) for j in range(n))
+                 for i in range(n))
+    L = LieAlgebra(field, n, cells_of(grid), tuple(f"x{i}" for i in range(n)))
     top = field.characteristic - 1 if field.characteristic else 4
     v = draw(st.one_of(st.just([0] * n),
                        st.lists(st.integers(1, top), min_size=n, max_size=n),
@@ -233,8 +237,7 @@ def tables_and_vectors(draw):
 @given(tables_and_vectors())
 def test_ad_is_bracket_with_each_basis_vector(case):
     L, v = case
-    assert L.ad_sparse(sparse(v)) == \
-        [sparse(L.bracket(v, L.basis_vector(j))) for j in range(L.dim)]
+    assert L.ad_sparse(sparse(v)) == [sparse(L.bracket(v, x)) for x in basis(L)]
 
 
 def test_ideal_checks_agree_with_the_bracket_loop_under_every_corruption():
@@ -245,11 +248,11 @@ def test_ideal_checks_agree_with_the_bracket_loop_under_every_corruption():
     outcomes = set()
     for L in (heisenberg(2), heisenberg(1, GF(2)), sl2(GF(5))):
         center = L.center() if L.center().dim else L.derived_subalgebra()
-        ideal = span(L.field, L.dim, center.basis.entries[:1])
+        ideal = span(L.field, L.dim, basis_rows(center)[:1])
+        rows, e = basis_rows(ideal), basis(L)
         for where, bad in corrupted_tables(L):
-            escapes = [w for row in ideal.basis.entries
-                       for w in (bad.bracket(row, bad.basis_vector(j))
-                                 for j in range(bad.dim))
+            escapes = [w for row in rows
+                       for w in (bad.bracket(row, x) for x in e)
                        if not contains(ideal, w)]
             try:
                 quotient_algebra(bad, ideal)
@@ -264,18 +267,17 @@ def test_ideal_checks_agree_with_the_bracket_loop_under_every_corruption():
             closure = ideal
             while True:
                 grown = span(
-                    L.field, L.dim, list(closure.basis.entries) +
-                    [bad.bracket(r, bad.basis_vector(j))
-                     for r in closure.basis.entries for j in range(L.dim)])
+                    L.field, L.dim, list(basis_rows(closure)) +
+                    [bad.bracket(r, x) for r in basis_rows(closure) for x in e])
                 if grown == closure:
                     break
                 closure = grown
-            assert ideal_closure(bad, ideal.basis.entries) == closure, where
+            assert ideal_closure(bad, rows) == closure, where
     assert outcomes == {True, False}
 
 
 # ----------------------------------------------------------------------
-# the stored form: canonical sparse cells, the dense table a view
+# the stored form: canonical sparse cells
 # ----------------------------------------------------------------------
 
 @st.composite
@@ -304,9 +306,9 @@ def pairs_of_tables(draw):
 def test_cells_are_canonical_and_decide_equality(case):
     field, t1, t2 = case
     names = tuple(f"x{i}" for i in range(len(t1)))
-    a = lie_algebra_from_table(field, t1, names)
-    b = lie_algebra_from_table(field, t2, names)
-    assert a.table == t1 and b.table == t2
+    a = LieAlgebra(field, len(t1), cells_of(t1), names)
+    b = LieAlgebra(field, len(t2), cells_of(t2), names)
+    assert table(a) == t1 and table(b) == t2
     for i, row in enumerate(a.cells):
         for j, v in enumerate(t1[i]):
             cell = {k: c for k, c in enumerate(v) if c}
@@ -325,8 +327,6 @@ def test_a_cell_that_is_not_canonical_is_rejected():
             LieAlgebra(QQ, 2, (row, {}), ("a", "b"))
     with pytest.raises(ValueError, match="size mismatch"):
         LieAlgebra(QQ, 2, ({},), ("a", "b"))
-    with pytest.raises(ValueError, match="one coordinate per basis vector"):
-        lie_algebra_from_table(QQ, [[(one,), (one,)], [(one, one), (one, one)]])
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)],
@@ -359,29 +359,39 @@ def test_every_constructor_stores_the_cells_of_its_dense_view(field):
         algebras += [direct_sum(s, h2), Subalgebra(s, s.derived_subalgebra()).algebra,
                      build_tensor_square(s).algebra]
     for A in algebras:
-        assert A == lie_algebra_from_table(field, A.table, A.basis_names), A
+        assert A == LieAlgebra(field, A.dim, cells_of(table(A)),
+                               A.basis_names), A
 
 
 def test_the_dense_view_is_off_the_verification_path(monkeypatch):
     # Nothing that verify runs (both engines, the cover and the report
-    # layer) may read the dense table of an algebra or of a pairing, from
-    # the catalog or a random cross-oracle quotient onwards.  The caches are
-    # cleared so that every construction happens under the patch.
-    def refuse(self):
-        raise AssertionError("the dense table was read")
+    # layer) may call the dense forks that remain for the benchmark tracer:
+    # the dense bracket, the dense pairing map and quotient_algebra, from the
+    # catalog or a random cross-oracle quotient onwards.  The inputs are
+    # built first, as the random quotient is a quotient_algebra; the caches
+    # are cleared so that every construction happens under the patch.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense fork was called")
 
-    for cached in (build_tensor_square, presentation_of, free_nilpotent):
-        cached.cache_clear()
-    monkeypatch.setattr(LieAlgebra, "table", property(refuse))
-    monkeypatch.setattr(BilinearMap, "table", property(refuse))
     algebras = [catalog("heisenberg(2)+abelian(1)"),
                 catalog("heisenberg(2)+abelian(1)", GF(2)), sl2(GF(3)),
                 random_nilpotent_quotient(random.Random(20260810), 3, 3)]
+    for cached in (build_tensor_square, presentation_of, free_nilpotent):
+        cached.cache_clear()
+    monkeypatch.setattr(LieAlgebra, "bracket", refuse)
+    monkeypatch.setattr(BilinearMap, "apply", refuse)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lietensor" and \
+                hasattr(module, "quotient_algebra"):
+            monkeypatch.setattr(module, "quotient_algebra", refuse)
     for L in algebras:
         doc = verify_document(L, "test")
         assert all(v == "pass" or v == "skipped: not nilpotent"
                    for v in doc["verdicts"].values()), doc["verdicts"]
-    with pytest.raises(AssertionError, match="dense table"):
-        algebras[0].table
-    with pytest.raises(AssertionError, match="dense table"):
-        bracket_pairing(algebras[0]).table
+    L = algebras[0]
+    x = basis(L)[0]
+    for call in (lambda: L.bracket(x, x),
+                 lambda: bracket_pairing(L).apply(x, x),
+                 lambda: liealg.quotient_algebra(L, L.center())):
+        with pytest.raises(AssertionError, match="dense fork"):
+            call()

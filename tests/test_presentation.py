@@ -11,24 +11,23 @@ from lietensor import (GF, QQ, Cover, LieAlgebra, abelian, build_cover,
                        exterior_via_presentation, heisenberg,
                        multiplier_via_presentation, presentation_of, sl2,
                        verify_cover_theorem, zero_algebra)
-from lietensor import presentation
+from lietensor import linalg, presentation
 from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
 from lietensor.cli import cover_document, verify_document
 from lietensor.errors import (InternalCheckError, NotNilpotentError,
                               OutsideEnvelopeError, TheoremViolationError)
 from lietensor.freenilp import FreeNilpotent
-from lietensor.liealg import (homomorphism_failure, lie_algebra_from_brackets,
-                              lie_algebra_from_table)
+from lietensor.liealg import homomorphism_failure, lie_algebra_from_brackets
 from lietensor.linalg import Subspace, add_scaled, combine, kernel
 from lietensor.presentation import _check_isomorphism, _restrict, boundaries
 
-from support import (all_columns_commutator, column, complement_cover,
-                     contains, corrupted_tables, dense_restriction_verdict,
+from support import (all_columns_commutator, basis, column, complement_cover,
+                     corrupted_tables, dense_restriction_verdict,
                      free_cover, generator_map,
                      linear_map, presentation_quotient,
                      random_nilpotent_quotient, solve, span,
                      subalgebra_cover_theorem, subalgebra_exterior,
-                     symmetric_derived_vectors, tensor_relation_vectors,
+                     symmetric_derived_vectors, table, tensor_relation_vectors,
                      valid_algebras, zassenhaus_relations_in_derived)
 
 NILPOTENT_CATALOG = ["zero", "abelian(1)", "abelian(2)", "abelian(3)",
@@ -46,8 +45,7 @@ def test_presentation_of_abelian():
         assert P.free.algebra.derived_subalgebra().contains_space(P.relations)
         # the kernel is exactly the degree-2 layer
         for i, deg in enumerate(P.free.degrees):
-            assert contains(P.relations,
-                            P.free.algebra.basis_vector(i)) == (deg == 2)
+            assert (not P.relations.reduce_sparse({i: QQ.one})) == (deg == 2)
 
 
 def test_presentation_of_heisenberg1():
@@ -57,8 +55,7 @@ def test_presentation_of_heisenberg1():
     assert P.relations.dim == 2
     assert P.relations_commutator.dim == 0
     # kernel = span of the two degree-3 Hall words
-    expected = span(QQ, 5, [P.free.algebra.basis_vector(3),
-                            P.free.algebra.basis_vector(4)])
+    expected = linalg.span(QQ, 5, [{3: QQ.one}, {4: QQ.one}])
     assert P.relations == expected
 
 
@@ -226,16 +223,9 @@ def test_isomorphism_check_catches_every_corrupted_target_constant():
         ext, eps = exterior_via_presentation(P, T)
         target = T.exterior_square()[0]
         _check_isomorphism(eps, ext, target)
-        n = target.dim
-        for a in range(n):
-            for b in range(n):
-                for k in range(n):
-                    table = [[list(cell) for cell in row] for row in target.table]
-                    table[a][b][k] += target.field.one
-                    bad = lie_algebra_from_table(target.field, table,
-                                                 target.basis_names)
-                    with pytest.raises(TheoremViolationError):
-                        _check_isomorphism(eps, ext, bad)
+        for _, bad in corrupted_tables(target):
+            with pytest.raises(TheoremViolationError):
+                _check_isomorphism(eps, ext, bad)
 
 
 def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
@@ -268,8 +258,9 @@ def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
             fake = FreeNilpotent(F.d, F.c, bad, F.factors, F.degrees)
             monkeypatch.setattr(presentation, "free_nilpotent",
                                 lambda d, c, field: fake)
+            sc = table(bad)
             broken = [(i, j) for i in range(bad.dim) for j in range(bad.dim)
-                      if onto.apply(bad.table[i][j]) !=
+                      if onto.apply(sc[i][j]) !=
                       L.bracket(images[i], images[j])]
             if not bad.validate().ok:
                 broken = [(i, j) for i, j in broken if i < F.d]
@@ -347,8 +338,7 @@ def test_cover_projection_matches_a_linear_solve():
         P = presentation_of(L)
         G, from_free, _, onto = free_cover(P)
         solved = linear_map(L.field, L.dim, [
-            P.onto.apply(solve(from_free, G.basis_vector(a)))
-            for a in range(G.dim)])
+            P.onto.apply(solve(from_free, x)) for x in basis(G)])
         assert onto == solved, L
         cover = build_cover(L)
         assert cover.onto.mul(generator_map(P, cover)) == solved, L
@@ -547,7 +537,8 @@ def test_cover_theorem_rejects_another_multiplier():
     K, d = cover.algebra, cover.d
     assert (K.dim - d, cover.multiplier.dim) == (3, 2)
     assert verify_cover_theorem(cover, T).ok
-    planes = [span(L.field, K.dim, [K.basis_vector(a), K.basis_vector(b)])
+    one = L.field.one
+    planes = [linalg.span(L.field, K.dim, [{a: one}, {b: one}])
               for a, b in combinations(range(d, K.dim), 2)]
     others = [plane for plane in planes if plane != cover.multiplier]
     assert others

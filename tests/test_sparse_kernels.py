@@ -16,21 +16,20 @@ from hypothesis import strategies as st
 from lietensor import (GF, QQ, BilinearMap, Field, LieAlgebra, Verdict,
                        abelian, build_tensor_square, bracket_pairing, catalog,
                        free_nilpotent, heisenberg, is_lie_pairing,
-                       lie_algebra_from_table, presentation_of,
-                       quotient_algebra, sl2)
-from lietensor import presentation
+                       presentation_of, quotient_algebra, sl2)
+from lietensor import linalg, presentation
 from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
 from lietensor.errors import InternalCheckError
 from lietensor.liealg import homomorphism_failure
 from lietensor.linalg import SpanBuilder, Subspace, dense, kernel, sparse
 from lietensor.tensor import TensorSquare
 
-from support import (Subalgebra, corrupted_alternating_tables,
-                     corrupted_pairings, corrupted_tables,
-                     dense_bracket, dense_decomposition_verdict,
-                     dense_homomorphism_failure, dense_is_lie_pairing,
-                     dense_subalgebra_table, dense_validate,
-                     matrix_from_rows, span)
+from support import (Subalgebra, basis, cells_of,
+                     corrupted_alternating_tables, corrupted_pairings,
+                     corrupted_tables, dense_bracket,
+                     dense_decomposition_verdict, dense_homomorphism_failure,
+                     dense_is_lie_pairing, dense_subalgebra_table,
+                     dense_validate, matrix_from_rows, table)
 
 
 @st.composite
@@ -41,10 +40,10 @@ def brackets_of_two_vectors(draw):
     n = draw(st.integers(1, 5))
     ints = st.integers(-3, 3)
     raw = draw(st.lists(ints, min_size=n ** 3, max_size=n ** 3))
-    table = tuple(tuple(tuple(field.scalar(raw[(i * n + j) * n + k])
-                              for k in range(n)) for j in range(n))
-                  for i in range(n))
-    L = lie_algebra_from_table(field, table, tuple(f"x{i}" for i in range(n)))
+    grid = tuple(tuple(tuple(field.scalar(raw[(i * n + j) * n + k])
+                             for k in range(n)) for j in range(n))
+                 for i in range(n))
+    L = LieAlgebra(field, n, cells_of(grid), tuple(f"x{i}" for i in range(n)))
     vector = st.one_of(st.just([0] * n),
                        st.lists(st.sampled_from([0, 0, 0, 1, -2]),
                                 min_size=n, max_size=n),
@@ -62,7 +61,7 @@ def test_sparse_bracket_equals_bracket(case):
     assert w == sparse(L.bracket(u, v))
     assert dense(w, L.dim, L.field.zero) == dense_bracket(L, u, v)
     assert L.ad_sparse(sparse(u)) == \
-        [sparse(dense_bracket(L, u, L.basis_vector(j))) for j in range(L.dim)]
+        [sparse(dense_bracket(L, u, x)) for x in basis(L)]
 
 
 def pairing_cases():
@@ -101,17 +100,17 @@ def subalgebra_cases():
     h_gf2 = heisenberg(1, GF(2))
     yield F, F.derived_subalgebra()
     yield H2, H2.derived_subalgebra()
-    yield H2, span(QQ, 5, [H2.basis_vector(0), H2.basis_vector(2),
-                           H2.basis_vector(4)])
+    one = QQ.one
+    yield H2, linalg.span(QQ, 5, [{0: one}, {2: one}, {4: one}])
     yield sl2(GF(5)), Subspace.full_space(GF(5), 3)
-    yield h_gf2, span(GF(2), 3, [h_gf2.basis_vector(0),
-                                 h_gf2.basis_vector(2)])
+    one = GF(2).one
+    yield h_gf2, linalg.span(GF(2), 3, [{0: one}, {2: one}])
 
 
 def test_subalgebra_matches_the_bracket_loop_under_every_corruption():
     outcomes = set()
     for L, space in subalgebra_cases():
-        assert Subalgebra(L, space).algebra.table == \
+        assert table(Subalgebra(L, space).algebra) == \
             dense_subalgebra_table(L, space)
         for where, bad in corrupted_tables(L):
             try:
@@ -119,7 +118,7 @@ def test_subalgebra_matches_the_bracket_loop_under_every_corruption():
             except ValueError as exc:
                 expected = str(exc)
             try:
-                got = Subalgebra(bad, space).algebra.table
+                got = table(Subalgebra(bad, space).algebra)
             except ValueError as exc:
                 got = str(exc)
             assert got == expected, (L, where)
@@ -129,7 +128,7 @@ def test_subalgebra_matches_the_bracket_loop_under_every_corruption():
 
 def test_subalgebra_rejects_a_subspace_not_closed_under_the_bracket():
     L = heisenberg(1)
-    open_plane = span(QQ, 3, [L.basis_vector(0), L.basis_vector(1)])
+    open_plane = linalg.span(QQ, 3, [{0: QQ.one}, {1: QQ.one}])
     with pytest.raises(ValueError, match="does not lie in the subalgebra"):
         Subalgebra(L, open_plane)
     with pytest.raises(ValueError, match="does not lie in the subalgebra"):
@@ -163,10 +162,10 @@ def test_homomorphism_failure_matches_the_dense_loop_under_every_corruption():
     # constant in the source or in the target.
     outcomes = set()
     for L in (heisenberg(2), sl2(GF(3)), heisenberg(1, GF(2))):
-        ideal = L.center() if L.center().dim else Subspace.zero_space(L.field, L.dim)
+        ideal = L.center() if L.center().dim else linalg.span(L.field, L.dim, ())
         Q, proj = quotient_algebra(L, ideal)
         maps = [(proj.sparse_columns, L, Q),
-                ([sparse(L.basis_vector(i)) for i in range(L.dim)], L, L)]
+                ([{i: L.field.one} for i in range(L.dim)], L, L)]
         for images, source, target in maps:
             dense_images = [dense(im, target.dim, L.field.zero) for im in images]
             assert homomorphism_failure(images, source, target) is None
@@ -410,11 +409,9 @@ def test_pairing_check_reads_the_transposed_cell_of_a_table():
     # value: only the cell (l', l) of (l, l', s) = (0, 1, 2) is nonzero, and
     # axiom (ii) fails there first.  A check that assumed antisymmetry would
     # skip the triple and report a later one.
-    z, o = QQ.zero, QQ.one
-    table = [[(z, z, z)] * 3 for _ in range(3)]
-    table[1][0] = (z, z, o)
-    L = lie_algebra_from_table(QQ, table)
-    H = lie_algebra_from_table(QQ, [[(z,)]])
+    o = QQ.one
+    L = LieAlgebra(QQ, 3, ({}, {0: {2: o}}, {}), ("x1", "x2", "x3"))
+    H = LieAlgebra(QQ, 1, ({},), ("x1",))
     cells = tuple(tuple({0: o} if (i, j) == (2, 2) else {} for j in range(3))
                   for i in range(3))
     rho = BilinearMap(QQ, 3, 1, cells)

@@ -12,16 +12,17 @@ from lietensor.cli import verify_document
 from lietensor.errors import InternalCheckError, InvalidInputError
 from lietensor.freenilp import free_nilpotent
 from lietensor.liealg import (BilinearMap, LieAlgebra, bracket_pairing,
-                              lie_algebra_from_brackets,
-                              lie_algebra_from_table)
-from lietensor.linalg import Matrix, Subspace, annihilator, kernel, sparse
+                              lie_algebra_from_brackets)
+from lietensor.linalg import (Matrix, Subspace, annihilator, dense, kernel,
+                              sparse)
 from lietensor.tensor import TensorSquare
 
-from support import (bilinear_from_table, column, contains, corrupted_tables,
-                     dense_apply, dense_bilinear, dense_residual, inverse,
-                     linear_map, matrix_from_rows, random_nilpotent_quotient,
+from support import (basis, basis_rows, bilinear_from_table, cells_of, column,
+                     contains, corrupted_tables, dense_apply, dense_bilinear,
+                     dense_residual, inverse, linear_map, matrix_from_rows,
+                     pairing_table, random_nilpotent_quotient,
                      random_semidirect, reduced_bracket_cells, span,
-                     sympy_rank, symmetric_derived_vectors,
+                     sympy_rank, symmetric_derived_vectors, table,
                      tensor_relation_vectors, valid_algebras)
 
 
@@ -31,7 +32,7 @@ def vec(field, entries):
 
 def pure(T, i, j):
     """x_i (x) x_j in the quotient coordinates of T, as a dense vector."""
-    return T.pairing.table[i][j]
+    return dense(T.pairing.cells[i][j], T.dim, T.base.field.zero)
 
 
 # ----------------------------------------------------------------------
@@ -84,8 +85,8 @@ def test_abelian_square_submodule_spanning_set():
                                   for j in range(i + 1, n)])
         assert off_diag.dim == n * (n - 1) // 2
         total = span(field, T.dim,
-                              list(T.square_submodule.basis.entries)
-                              + list(off_diag.basis.entries))
+                              list(basis_rows(T.square_submodule))
+                              + list(basis_rows(off_diag)))
         assert total.dim == T.dim  # direct sum by dimensions
 
 
@@ -141,9 +142,9 @@ def test_square_submodule_is_central_and_in_j2():
         sq = T.square_submodule
         _, j2 = T.commutator_map
         assert j2.contains_space(sq)
-        for row in sq.basis.entries:
+        for row in sq.sparse_rows:
             for b in range(T.dim):
-                assert not any(T.algebra.bracket(row, T.algebra.basis_vector(b)))
+                assert not T.algebra.bracket_sparse(row, {b: QQ.one})
 
 
 def test_universal_pairing_axioms():
@@ -245,9 +246,9 @@ def test_factor_pairing_zero_and_identity():
     zero_rho = BilinearMap(QQ, 3, 3, tuple(tuple({} for _ in range(3))
                                            for _ in range(3)))
     zeta = T.factor_pairing(zero_rho, L)
-    assert zeta == Matrix.zero(QQ, 3, T.dim)
+    assert zeta == Matrix(QQ, 3, T.dim, ({},) * T.dim)
     ident = T.factor_pairing(T.pairing, T.algebra)
-    assert ident == Matrix.identity(QQ, T.dim)
+    assert ident.sparse_columns == tuple({i: QQ.one} for i in range(T.dim))
 
 
 def test_factor_pairing_recovers_any_homomorphism():
@@ -267,9 +268,9 @@ def test_factor_pairing_recovers_any_homomorphism():
 def test_factor_pairing_rejects_non_pairing():
     L = sl2()
     T = build_tensor_square(L)
-    table = [[list(v) for v in row] for row in L.table]
-    table[0][1][0] = table[0][1][0] + QQ.one
-    rho = bilinear_from_table(QQ, 3, 3, table)
+    shifted = [[list(v) for v in row] for row in table(L)]
+    shifted[0][1][0] = shifted[0][1][0] + QQ.one
+    rho = bilinear_from_table(QQ, 3, 3, shifted)
     with pytest.raises(InvalidInputError):
         T.factor_pairing(rho, L)
 
@@ -381,10 +382,10 @@ def change_basis(L: LieAlgebra, p: Matrix) -> LieAlgebra:
     p_inv = inverse(p)
     n = L.dim
     cols = [column(p, i) for i in range(n)]
-    table = tuple(
+    grid = tuple(
         tuple(p_inv.apply(L.bracket(cols[i], cols[j])) for j in range(n))
         for i in range(n))
-    return lie_algebra_from_table(L.field, table, L.basis_names)
+    return LieAlgebra(L.field, n, cells_of(grid), L.basis_names)
 
 
 def test_dimensions_are_basis_independent():
@@ -575,16 +576,17 @@ def test_tensor_checks_agree_with_the_bracket_loop_under_every_corruption():
         T = build_tensor_square(base)
         L, n = T.base, T.dim
         kappa, _ = T.commutator_map
-        sq_rows = T.square_submodule.basis.entries
+        sq_rows = basis_rows(T.square_submodule)
         comp = T._complement
+        comp_rows, e = basis_rows(comp), basis(T.algebra)
         for where, bad in corrupted_tables(T.algebra):
-            e = [bad.basis_vector(c) for c in range(n)]
+            sc = table(bad)
             not_central = any(any(bad.bracket(r, x))
                               for r in sq_rows for x in e)
             not_ideal = any(not contains(comp, bad.bracket(r, x))
-                            for r in comp.basis.entries for x in e)
+                            for r in comp_rows for x in e)
             broken = [(i, j) for i in range(n) for j in range(n)
-                      if kappa.apply(bad.table[i][j]) != L.bracket(
+                      if kappa.apply(sc[i][j]) != L.bracket(
                           kappa.apply(e[i]), kappa.apply(e[j]))]
             bad_T = TensorSquare(L, T.relation_space, bad, T.pairing)
             if not_central:
@@ -640,10 +642,11 @@ def test_construction_matches_a_dense_re_expansion(field):
                 assert pure(T, i, j) == tuple(residual[c] for c in free), (L, i, j)
                 assert column(project, i * n + j) == pure(T, i, j)
         reps = [divmod(p, n) for p in free]
+        sc, brackets, cells = table(L), table(T.algebra), pairing_table(T.pairing)
         for a, (i, j) in enumerate(reps):
             for b, (k, l) in enumerate(reps):
-                assert T.algebra.table[a][b] == dense_bilinear(
-                    T.pairing.table, field, T.dim, L.table[i][j], L.table[k][l])
+                assert brackets[a][b] == dense_bilinear(
+                    cells, field, T.dim, sc[i][j], sc[k][l])
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)],
@@ -663,8 +666,10 @@ def test_crossed_relation_identities_hold_on_every_basis_triple(field):
         unit = [tuple(one if a == i else zero for a in range(n))
                 for i in range(n)]
 
+        sc = table(L)
+
         def br(i, j):
-            return L.table[i][j]
+            return sc[i][j]
 
         def t(u, w):
             return [x * y for x in u for y in w]
@@ -723,15 +728,16 @@ def test_relation_checks_agree_with_the_dense_loop_under_every_corruption():
         T = build_tensor_square(base)
         L, n, field = T.base, T.base.dim, T.base.field
         relations = T.relation_space
-        kappa = linear_map(field, n, [L.table[i][j] for i in range(n)
+        sc = table(L)
+        kappa = linear_map(field, n, [sc[i][j] for i in range(n)
                                       for j in range(n)])
         pure_map = linear_map(field, T.dim, [pure(T, i, j) for i in range(n)
                                              for j in range(n)])
-        identity = Matrix.identity(field, n)
+        identity = Matrix(field, n, n, tuple({i: field.one} for i in range(n)))
         rho = bracket_pairing(L)
         for r in range(relations.dim):
             for c in range(n * n):
-                rows = [list(row) for row in relations.basis.entries]
+                rows = [list(row) for row in basis_rows(relations)]
                 rows[r][c] += field.one
                 bad = Subspace(field, n * n, relations.pivots,
                                tuple(sparse(r) for r in rows))

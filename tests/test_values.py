@@ -94,8 +94,8 @@ def test_sparse_payloads_are_compared_but_not_hashed():
     a = Matrix(QQ, 2, 2, ({0: one}, {}))
     b = Matrix(QQ, 2, 2, ({}, {1: one}))
     assert a != b and hash(a) == hash(b) == hash((QQ, 2, 2))
-    assert a.entries == ((one, 0), (0, 0))  # a cached view still works
     u = Subspace(QQ, 2, (0,), ({0: one},))
+    assert u.free_cols == (1,)  # a cached view still works
     v = Subspace(QQ, 2, (0,), ({0: one, 1: one},))
     assert u != v and hash(u) == hash(v) == hash((QQ, 2, (0,)))
     f = BilinearMap(QQ, 1, 1, (({0: one},),))
