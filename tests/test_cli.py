@@ -47,6 +47,22 @@ def test_document_round_trip():
     assert algebra_document(b)["brackets"] == listed["brackets"]
 
 
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_canonical_hash_is_hashlibs_sha256_of_the_compact_json(data):
+    # canonical_hash takes CPython's built-in SHA-256 so that no command
+    # maps OpenSSL; hashlib's, here the reference, must give the same digest.
+    import hashlib
+
+    from support import valid_algebras
+
+    doc = algebra_document(data.draw(valid_algebras()))
+    packed = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert canonical_hash(doc) == \
+        hashlib.sha256(packed.encode("ascii")).hexdigest()
+
+
 def test_document_rejections():
     cases = [
         ({"field": "Q", "dim": 3,

@@ -1,16 +1,18 @@
 """Every name that a package module imports is used in that module.  No
 linter runs in CI, and a removal can leave an import behind; this stdlib
 ast check catches it in tier-1.  Importing the package loads no stdlib
-module that only code generation or introspection needs, and importing
-the CLI loads hashlib only when a report is hashed.  And every batch
-of vectors is spanned through linalg.span: no other function builds a
-SpanBuilder or reads one's rows, and no other function writes a
-Subspace's echelon rows by hand.  The package computes on sparse vectors:
-a function whose signature names a dense vector is a benchmark tracer
-target or on a named allowlist."""
+module that only code generation or introspection needs, and no command
+loads hashlib: reports hash with CPython's built-in SHA-256, so OpenSSL
+is never mapped, and the fallback chain to hashlib still gives the same
+digest.  And every batch of vectors is spanned through linalg.span: no
+other function builds a SpanBuilder or reads one's rows, and no other
+function writes a Subspace's echelon rows by hand.  The package computes
+on sparse vectors: a function whose signature names a dense vector is a
+benchmark tracer target or on a named allowlist."""
 
 import ast
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -80,22 +82,53 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert not {"dataclasses", "inspect"} & added, sorted(added)
 
 
-def test_the_cli_loads_hashlib_only_to_hash_a_report():
-    # import hashlib maps and initialises OpenSSL's libcrypto, about 3.6 MB
-    # of resident memory; only canonical_hash needs it.
+OPENSSL_MODULES = {"hashlib", "_hashlib", "_blake2"}
+HASHED_DOC = {"field": {"Fp": 5}, "brackets": [[0, 1, [[2, "1/2"]]]], "dim": 3}
+
+
+def test_no_command_loads_openssl():
+    # import hashlib maps and initialises OpenSSL's libcrypto and loads
+    # _blake2, about 3.5 MB of peak RSS; canonical_hash uses the built-in
+    # SHA-256 instead, so neither importing the CLI nor a report loads it.
     added = loaded_modules("import lietensor.cli") - \
         loaded_modules("import lietensor")
     assert "lietensor.cli" in added
-    assert not {"hashlib", "_hashlib"} & added, sorted(added)
-    doc = {"field": {"Fp": 5}, "brackets": [[0, 1, [[2, "1/2"]]]], "dim": 3}
-    packed = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert not OPENSSL_MODULES & added, sorted(added)
+    packed = json.dumps(HASHED_DOC, sort_keys=True, separators=(",", ":"))
     assert packed == ('{"brackets":[[0,1,[[2,"1/2"]]]],"dim":3,'
                       '"field":{"Fp":5}}')
     expected = hashlib.sha256(packed.encode("ascii")).hexdigest()
     hashed = loaded_modules(
         "from lietensor import cli\n"
-        f"assert cli.canonical_hash({doc!r}) == {expected!r}")
-    assert "hashlib" in hashed
+        f"assert cli.canonical_hash({HASHED_DOC!r}) == {expected!r}")
+    assert not OPENSSL_MODULES & hashed, sorted(OPENSSL_MODULES & hashed)
+    verified = loaded_modules(
+        "import contextlib, io\nfrom lietensor import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', 'heisenberg(1)']) == 0")
+    assert "lietensor.presentation" in verified
+    assert not OPENSSL_MODULES & verified, sorted(OPENSSL_MODULES & verified)
+
+
+@pytest.mark.parametrize("blocked", [(), ("_sha256",), ("_sha256", "_sha2")],
+                         ids=["none", "_sha256", "both"])
+def test_the_hash_falls_back_to_the_same_digest(blocked):
+    # A None entry in sys.modules makes an import of that name fail, as on a
+    # build without the module.  _sha256 is CPython 3.10 and 3.11's, _sha2
+    # is 3.12's on, and hashlib is the last resort.
+    packed = json.dumps(HASHED_DOC, sort_keys=True, separators=(",", ":"))
+    expected = hashlib.sha256(packed.encode("ascii")).hexdigest()
+    hashed = loaded_modules(
+        "import sys\n"
+        f"for name in {blocked!r}:\n    sys.modules[name] = None\n"
+        "from lietensor import cli\n"
+        f"assert cli.canonical_hash({HASHED_DOC!r}) == {expected!r}")
+    built_in = [name for name in ("_sha256", "_sha2")
+                if name not in blocked and importlib.util.find_spec(name)]
+    if not blocked:
+        assert built_in, "this interpreter has no built-in SHA-256"
+    assert ("hashlib" in hashed) == (not built_in)
+    assert not built_in or built_in[0] in hashed
 
 
 # The one function that may build a SpanBuilder or read its rows:
