@@ -71,16 +71,14 @@ from .linalg import (Matrix, SparseVector, Subspace, Vector, add_scaled,
                      subspace_sum)
 
 
-class TensorSquare:
+class TensorSquare(Immutable):
     """The tensor square of ``base`` as an explicit quotient of the pure
-    tensor coordinate space, together with the universal pairing."""
+    tensor coordinate space, together with the universal pairing.
+    Immutable; the hash reads only the base, from which the other three
+    fields are built."""
 
-    def __init__(self, base: LieAlgebra, relation_space: Subspace,
-                 algebra: LieAlgebra, pairing: BilinearMap):
-        self.base = base
-        self.relation_space = relation_space
-        self.algebra = algebra
-        self.pairing = pairing
+    _fields = ("base", "relation_space", "algebra", "pairing")
+    _hashed = 1
 
     def __repr__(self):
         return (f"TensorSquare(dim {self.dim} over {self.base.field.name}, "
@@ -98,25 +96,24 @@ class TensorSquare:
     # distinguished subobjects
     # ------------------------------------------------------------------
 
+    def _polarised(self, a: int, b: int) -> SparseVector:
+        """x_a (x) x_a if a == b, else x_a (x) x_b + x_b (x) x_a."""
+        cells = self.pairing.cells
+        if a == b:
+            return cells[a][a]
+        v = dict(cells[a][b])
+        add_scaled(v, self.base.field.one, cells[b][a].items())
+        return v
+
     @cached_property
     def square_submodule(self) -> Subspace:
-        """Span of all images of v (x) v.
-
-        By polarization this is generated by the diagonal pure tensors
-        together with the symmetrized off-diagonal ones, in every
-        characteristic.  Centrality in the tensor square is asserted.
-        """
+        """Span of all images of v (x) v, which by polarization the
+        _polarised(i, j) for i <= j generate in every characteristic.
+        Centrality in the tensor square is asserted."""
         n = self.base.dim
-        one = self.base.field.one
-        cells = self.pairing.cells
-        generators = []
-        for i in range(n):
-            generators.append(cells[i][i])
-            for j in range(i + 1, n):
-                v = dict(cells[i][j])
-                add_scaled(v, one, cells[j][i].items())
-                generators.append(v)
-        space = span(self.base.field, self.dim, generators)
+        space = span(self.base.field, self.dim,
+                     (self._polarised(i, j) for i in range(n)
+                      for j in range(i, n)))
         for row in space.sparse_rows:
             if any(self.algebra.ad_sparse(row)):
                 raise InternalCheckError(
@@ -349,16 +346,10 @@ class TensorSquare:
         with its natural map onto the square submodule (asserted bijective)."""
         f = self.abelianization.lift_cols
         m = len(f)
-        field = self.base.field
         gamma_dim = m * (m + 1) // 2
-        cells = self.pairing.cells
-        cols = [cells[a][a] for a in f]
-        for i, a in enumerate(f):
-            for b in f[i + 1:]:
-                v = dict(cells[a][b])
-                add_scaled(v, field.one, cells[b][a].items())
-                cols.append(v)
-        to_square = Matrix(field, self.dim, len(cols), tuple(cols))
+        cols = tuple(self._polarised(a, a) for a in f) + tuple(
+            self._polarised(a, b) for i, a in enumerate(f) for b in f[i + 1:])
+        to_square = Matrix(self.base.field, self.dim, gamma_dim, cols)
         image = to_square.image()
         if image != self.square_submodule:
             raise InternalCheckError("Whitehead map is not onto the square submodule")

@@ -6,7 +6,9 @@ loads hashlib: reports hash with CPython's built-in SHA-256, so OpenSSL
 is never mapped, and the fallback chain to hashlib still gives the same
 digest.  And every batch of vectors is spanned through linalg.span: no
 other function builds a SpanBuilder or reads one's rows, and no other
-function writes a Subspace's echelon rows by hand.  The package computes
+function writes a Subspace's echelon rows by hand.  No method of a class
+assigns an attribute of self, save in the span builder and one exception:
+every other class is a value type on errors.Immutable.  The package computes
 on sparse vectors: a function whose signature names a dense vector is a
 benchmark tracer target or on a named allowlist."""
 
@@ -246,6 +248,78 @@ def test_only_spans_and_their_second_parts_construct_a_subspace():
     assert {"linalg", "liealg", "tensor", "presentation"} <= set(found)
     assert {module: f for module, f in found.items() if f} == {}
 
+
+# The classes whose methods may assign an attribute of self: the span
+# builder, mutable by design, and an exception that carries its witness.
+# Every other class is a value type whose fields errors.Immutable sets once.
+MUTABLE_CLASSES = {("linalg", "SpanBuilder"), ("errors", "NotIdealError")}
+
+
+def assigned_names(target):
+    """The targets that an assignment binds, through tuple unpacking."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from assigned_names(element)
+    elif isinstance(target, ast.Starred):
+        yield from assigned_names(target.value)
+    else:
+        yield target
+
+
+def assignments_to_self(source: str, module: str) -> list[str]:
+    """Each place in a module, as "Class.method: self.name", where a method
+    of a class outside MUTABLE_CLASSES assigns an attribute of self."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) \
+                or (module, cls.name) in MUTABLE_CLASSES:
+            continue
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef):
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                found.extend(
+                    f"{cls.name}.{method.name}: self.{t.attr}"
+                    for target in targets for t in assigned_names(target)
+                    if isinstance(t, ast.Attribute)
+                    and isinstance(t.value, ast.Name) and t.value.id == "self")
+    return found
+
+
+def test_the_check_finds_an_assignment_to_self():
+    source = ("class SpanBuilder:\n"
+              "    def __init__(self, field):\n"
+              "        self.field = field\n"
+              "class Square:\n"
+              "    def __init__(self, base, pairing):\n"
+              "        self.base = base\n"
+              "        self.pairing, n = pairing, 0\n"
+              "    def grow(self, other):\n"
+              "        self.dim += 1\n"
+              "        self.cache: dict = {}\n"
+              "        self.rows[0] = other.rows[0]\n"
+              "        other.base = self.base\n"
+              "        return n\n")
+    assert assignments_to_self(source, "linalg") == [
+        "Square.__init__: self.base", "Square.__init__: self.pairing",
+        "Square.grow: self.dim", "Square.grow: self.cache"]
+    assert assignments_to_self(source, "tensor")[0] == \
+        "SpanBuilder.__init__: self.field"
+
+
+def test_only_the_span_builder_and_an_exception_assign_to_self():
+    found = {path.stem: assignments_to_self(
+        path.read_text(encoding="utf-8"), path.stem)
+        for path in sorted(PACKAGE.glob("*.py"))}
+    assert {"errors", "linalg", "liealg", "tensor", "presentation"} \
+        <= set(found)
+    assert {module: f for module, f in found.items() if f} == {}
 
 # The functions outside the benchmark tracer's targets that may take or
 # return a dense vector, each with its reason.

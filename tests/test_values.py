@@ -3,8 +3,8 @@ fields once; errors.Immutable derives their constructors, equality, hashes
 and reprs from that declaration.  These tests pin the semantics they keep:
 constructor order, keywords and defaults; TypeError on a malformed
 argument list; equality by fields and type; hashes that skip the sparse
-payload of Matrix, Subspace, LieAlgebra and BilinearMap; and AttributeError
-on assignment."""
+payload of Matrix, Subspace, LieAlgebra and BilinearMap, and every field of
+TensorSquare but its base; and AttributeError on assignment."""
 
 from itertools import combinations
 
@@ -13,8 +13,9 @@ import pytest
 import lietensor
 from lietensor import (GF, QQ, BilinearMap, Cover, Field, FreeNilpotent,
                        FreePresentation, LieAlgebra, Matrix, Subspace,
-                       Verdict, build_cover, build_tensor_square,
-                       free_nilpotent, heisenberg, presentation_of)
+                       TensorSquare, Verdict, build_cover,
+                       build_tensor_square, free_nilpotent, heisenberg,
+                       presentation_of)
 from lietensor.errors import Immutable
 from lietensor.tensor import (Abelianization, TensorReport, WhiteheadGamma,
                               tensor_report)
@@ -34,6 +35,7 @@ FIELDS = {
     Abelianization: ("algebra", "to_ab", "lift_cols", "tensor", "map",
                      "kernel"),
     WhiteheadGamma: ("rank", "dim", "to_square"),
+    TensorSquare: ("base", "relation_space", "algebra", "pairing"),
     TensorReport: ("dims", "verdicts", "diagnostics", "subspaces"),
 }
 
@@ -46,7 +48,7 @@ def instances():
             T.relation_space.project, T.relation_space, L, T.pairing,
             free_nilpotent(2, 3),
             presentation_of(L), build_cover(L), T.abelianization,
-            T.whitehead_gamma, tensor_report(T)]
+            T.whitehead_gamma, T, tensor_report(T)]
 
 
 def rebuilt(x, keywords=False):
@@ -104,6 +106,9 @@ def test_sparse_payloads_are_compared_but_not_hashed():
     K = LieAlgebra(QQ, 2, ({1: {0: one}}, {0: {0: -one}}), ("a", "b"))
     M = LieAlgebra(QQ, 2, ({}, {}), ("a", "b"))
     assert K != M and hash(K) == hash(M) == hash((QQ, 2))
+    T = build_tensor_square(heisenberg(1))
+    S = TensorSquare(T.base, T.relation_space, M, T.pairing)
+    assert S != T and hash(S) == hash(T) == hash((T.base,))
 
 
 def test_keywords_and_defaults():
