@@ -17,20 +17,20 @@ print("[x, y] =", h.bracket_sparse(x, y))   # the defining relation: z
 print("[x, x] =", h.bracket_sparse(x, x))   # antisymmetry: the empty dict
 
 ## Derived subalgebra, center, lower central series.
-print("derived subalgebra dim:", h.derived_subalgebra().dim)
-print("center dim:", h.center().dim)
+print("derived subalgebra dim:", h.derived_subalgebra.dim)
+print("center dim:", h.center.dim)
 print("lower central series dims:", [s.dim for s in h.lower_central_series()])
 print("nilpotency class:", h.nilpotency_class())
 
 ## sl2 is perfect (its derived subalgebra is everything) and not nilpotent.
 s = sl2()
-print("\nsl2 derived dim:", s.derived_subalgebra().dim,
-      "center dim:", s.center().dim,
+print("\nsl2 derived dim:", s.derived_subalgebra.dim,
+      "center dim:", s.center.dim,
       "nilpotency class:", s.nilpotency_class())
 
 ## Quotients by ideals come with the projection map; the ideal property is
 ## checked, not trusted.
-ab, proj = quotient_algebra(h, h.derived_subalgebra())
+ab, proj = quotient_algebra(h, h.derived_subalgebra)
 print("\nH(1) mod its derived subalgebra: dim", ab.dim,
       "abelian?", ab.is_abelian)
 

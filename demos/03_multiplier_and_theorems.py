@@ -16,8 +16,8 @@ for m in (1, 2, 3):
 ## z(x)v = 0 for every v (two different bracket expressions for z kill all
 ## generators), so both centers are exactly span{z}.
 T2 = build_tensor_square(heisenberg(2))
-print("\nH(2) tensor center basis:", T2.tensor_center().sparse_rows)
-print("H(2) exterior center basis:", T2.exterior_center().sparse_rows)
+print("\nH(2) tensor center basis:", T2.tensor_center.sparse_rows)
+print("H(2) exterior center basis:", T2.exterior_center.sparse_rows)
 
 ## The Whitehead quadratic functor maps onto the square submodule; the map
 ## is bijective for finite-dimensional algebras, in every characteristic.

@@ -240,8 +240,8 @@ def info_document(L: LieAlgebra, source: str) -> dict:
         "validation": report.detail,
         "dimensions": {
             "algebra": L.dim,
-            "derived": L.derived_subalgebra().dim,
-            "center": L.center().dim,
+            "derived": L.derived_subalgebra.dim,
+            "center": L.center.dim,
         },
         "lower_central_series": series,
         "nilpotency_class": L.nilpotency_class(),
@@ -300,7 +300,7 @@ def cover_document(L: LieAlgebra, source: str) -> dict:
     else:
         dims = {"algebra": L.dim, "cover": cover.algebra.dim,
                 "multiplier": cover.multiplier.dim,
-                "cover_derived": cover.algebra.derived_subalgebra().dim}
+                "cover_derived": cover.algebra.derived_subalgebra.dim}
         theorem = verify_cover_theorem(cover, build_tensor_square(L))
         verdicts = {"defining_pair": "pass",
                     "cover_theorem": _verdict_str(theorem)}

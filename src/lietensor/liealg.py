@@ -149,36 +149,29 @@ class LieAlgebra(Immutable):
                        (tuple(anti_failures), tuple(jacobi_failures)))
 
     @cached_property
-    def _derived_subalgebra(self) -> Subspace:
+    def derived_subalgebra(self) -> Subspace:
+        """The span of the brackets, computed once per algebra."""
         return span(self.field, self.dim,
                     (cell for i, row in enumerate(self.cells)
                      for j, cell in row.items() if j > i))
 
-    def derived_subalgebra(self) -> Subspace:
-        """The span of the brackets, computed once per algebra."""
-        return self._derived_subalgebra
-
     @cached_property
-    def _center(self) -> Subspace:
-        return annihilator(self.field, self.dim, self.dim,
-                           lambda i, j: self.cells[i].get(j, {}).items())
-
     def center(self) -> Subspace:
         """Kernel of the stacked adjoint map v -> ([v, x_1], ..., [v, x_n]),
         computed once per algebra."""
-        return self._center
+        return annihilator(self.field, self.dim, self.dim,
+                           lambda i, j: self.cells[i].get(j, {}).items())
 
     @cached_property
     def _lower_central_series(self) -> tuple[Subspace, ...]:
-        series = [Subspace.full_space(self.field, self.dim)]
-        while True:
-            prev = series[-1]
-            nxt = span(self.field, self.dim,
-                       (w for row in prev.sparse_rows
-                        for w in self.ad_sparse(row) if w))
-            series.append(nxt)
-            if nxt == prev or nxt.dim == 0:
-                break
+        # L^2 is derived_subalgebra: the ad-images of L's unit rows are the
+        # brackets, and RREF is unique, so the span is the same subspace.
+        series = [Subspace.full_space(self.field, self.dim),
+                  self.derived_subalgebra]
+        while series[-1].dim and series[-1] != series[-2]:
+            series.append(span(self.field, self.dim,
+                               (w for row in series[-1].sparse_rows
+                                for w in self.ad_sparse(row) if w)))
         return tuple(series)
 
     def lower_central_series(self) -> tuple[Subspace, ...]:

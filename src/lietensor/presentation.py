@@ -133,7 +133,7 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
     cls = L.nilpotency_class()
     if cls is None:
         raise NotNilpotentError("free presentations require a nilpotent algebra")
-    derived = L.derived_subalgebra()
+    derived = L.derived_subalgebra
     lifts = derived.free_cols  # x_c for each non-pivot column c
     d = len(lifts)
     if dimension_exceeds(d, cls + 1, MAX_AMBIENT):
@@ -301,7 +301,7 @@ def build_cover(L: LieAlgebra) -> Cover:
                            for i, j in combinations(range(n), 2)], n)
     if kappa is None:
         raise InternalCheckError("the commutator map does not kill a boundary")
-    lifts = L.derived_subalgebra().free_cols
+    lifts = L.derived_subalgebra.free_cols
     d, dim = len(lifts), len(lifts) + kappa.cols
     pi = tuple([{c: one} for c in lifts] + list(kappa.sparse_columns))
     project = space.project.sparse_columns
@@ -329,7 +329,7 @@ def build_cover(L: LieAlgebra) -> Cover:
             f"cover dimension {dim} != {n} + {multiplier.dim}")
     if any(any(C.ad_sparse(m)) for m in multiplier.sparse_rows):
         raise TheoremViolationError("multiplier is not central in the cover")
-    if not C.derived_subalgebra().contains_space(multiplier):
+    if not C.derived_subalgebra.contains_space(multiplier):
         raise TheoremViolationError("multiplier escapes the derived subalgebra")
     return Cover(L, C, multiplier, onto, space, d)
 
@@ -343,7 +343,7 @@ def verify_cover_theorem(cover: Cover, tensor: TensorSquare) -> Verdict:
     ker pi, which lies in C', onto the tensor engine's multiplier."""
     L, C, d = cover.L, cover.algebra, cover.d
     wedge_alg, to_wedge = tensor.exterior_square()
-    derived = C.derived_subalgebra()
+    derived = C.derived_subalgebra
     if derived.dim != wedge_alg.dim:
         return Verdict(False, f"dims differ: cover derived {derived.dim}, "
                               f"exterior {wedge_alg.dim}")

@@ -174,35 +174,27 @@ class TensorSquare(Immutable):
     # j, read off the pairing's sparse cells.
 
     @cached_property
-    def _tensor_center(self) -> Subspace:
+    def tensor_center(self) -> Subspace:
+        """Elements annihilating every partner in the left slot."""
         cells = self.pairing.cells
         return annihilator(self.base.field, self.base.dim, self.dim,
                            lambda i, j: cells[i][j].items())
 
     @cached_property
-    def _tensor_center_right(self) -> Subspace:
+    def tensor_center_right(self) -> Subspace:
+        """Right-slot variant; reported as a diagnostic only."""
         cells = self.pairing.cells
         return annihilator(self.base.field, self.base.dim, self.dim,
                            lambda i, j: cells[j][i].items())
 
     @cached_property
-    def _exterior_center(self) -> Subspace:
+    def exterior_center(self) -> Subspace:
+        """Elements annihilating every partner in the exterior square."""
         cells = self.pairing.cells
         ext, proj = self._exterior
         cols = proj.sparse_columns
         return annihilator(self.base.field, self.base.dim, ext.dim,
                            lambda i, j: combine(cells[i][j].items(), cols).items())
-
-    def tensor_center(self) -> Subspace:
-        """Elements annihilating every partner in the left slot."""
-        return self._tensor_center
-
-    def tensor_center_right(self) -> Subspace:
-        """Right-slot variant; reported as a diagnostic only."""
-        return self._tensor_center_right
-
-    def exterior_center(self) -> Subspace:
-        return self._exterior_center
 
     # ------------------------------------------------------------------
     # abelianization and the decomposition machinery
@@ -213,7 +205,7 @@ class TensorSquare(Immutable):
         """The induced map onto the tensor square of L modulo its derived
         subalgebra, its kernel, and the canonical lifts used throughout."""
         L = self.base
-        derived = L.derived_subalgebra()
+        derived = L.derived_subalgebra
         # No ideal check: [L^2, L] lies in the span of the cells, which is
         # L^2.
         ab, to_ab = quotient_by_ideal(L, derived)
@@ -228,7 +220,7 @@ class TensorSquare(Immutable):
         span, and as the matrix kernel.  All three must coincide."""
         ab = self.abelianization
         L = self.base
-        derived = L.derived_subalgebra()
+        derived = L.derived_subalgebra
         cells = self.pairing.cells
         by_right = list(zip(*cells))  # by_right[i][a] = x_a (x) x_i
         s_left = span(L.field, self.dim,
@@ -297,13 +289,13 @@ class TensorSquare(Immutable):
     def verify_center_identity(self) -> Verdict:
         """Exterior center intersected with the derived subalgebra equals the
         tensor center; also the containment chain of the three centers."""
-        tc = self.tensor_center()
-        ec = self.exterior_center()
-        derived = self.base.derived_subalgebra()
+        tc = self.tensor_center
+        ec = self.exterior_center
+        derived = self.base.derived_subalgebra
         if subspace_intersect(ec, derived) != tc:
             return Verdict(False, "intersection identity fails")
         # So tc = ec cap L^2 lies in ec: the chain needs no check there.
-        if not self.base.center().contains_space(ec):
+        if not self.base.center.contains_space(ec):
             return Verdict(False, "exterior center escapes the center")
         return Verdict(True, f"dim {tc.dim} = dim ({ec.dim} cap {derived.dim})")
 
@@ -313,9 +305,12 @@ class TensorSquare(Immutable):
         ab = self.abelianization
         sq = self.square_submodule
         m = ab.algebra.dim
-        if subspace_sum(sq, ab.kernel).dim != sq.dim + ab.kernel.dim:
+        image = ab.map.image_of(sq)
+        # Rank-nullity: image.dim = sq.dim - dim (sq cap ab.kernel), so the
+        # restriction is injective exactly when the image keeps dim sq.
+        if image.dim != sq.dim:
             return Verdict(False, "restriction is not injective")
-        if ab.map.image_of(sq) != ab.tensor.square_submodule:
+        if image != ab.tensor.square_submodule:
             return Verdict(False, "image differs from the abelian square submodule")
         if sq.dim != m * (m + 1) // 2:
             return Verdict(False, f"dim {sq.dim} != {m}({m}+1)/2")
@@ -419,7 +414,7 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     # s(L^2, L) and the squares on L^2 (module docstring): s(w, x_f) for the
     # echelon rows w of L^2 and its free columns f, then w_r (x) w_r and
     # s(w_r, w_s) for r < s.
-    derived = L.derived_subalgebra()
+    derived = L.derived_subalgebra
     rows = derived.sparse_rows
     instances += (symmetric(w, {f: one})
                   for w in rows for f in derived.free_cols)
@@ -475,19 +470,19 @@ class TensorReport(Immutable):
 
 def tensor_report(T: TensorSquare) -> TensorReport:
     L = T.base
-    derived = L.derived_subalgebra()
+    derived = L.derived_subalgebra
     _, j2 = T.commutator_map
     mult = T.schur_multiplier()
     ext, _ = T.exterior_square()
     sq = T.square_submodule
-    tc = T.tensor_center()
-    ec = T.exterior_center()
-    tc_right = T.tensor_center_right()
+    tc = T.tensor_center
+    ec = T.exterior_center
+    tc_right = T.tensor_center_right
     ab = T.abelianization
     dims = {
         "algebra": L.dim,
         "derived": derived.dim,
-        "center": L.center().dim,
+        "center": L.center.dim,
         "tensor_square": T.dim,
         "square_submodule": sq.dim,
         "exterior_square": ext.dim,

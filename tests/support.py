@@ -574,7 +574,7 @@ def all_columns_commutator(F: LieAlgebra, relations: Subspace) -> Subspace:
 
 def zassenhaus_relations_in_derived(P) -> Subspace:
     """R /\\ F' by the Zassenhaus intersection."""
-    return subspace_intersect(P.relations, P.free.algebra.derived_subalgebra())
+    return subspace_intersect(P.relations, P.free.algebra.derived_subalgebra)
 
 
 def coords_space(sub: Subalgebra, space: Subspace) -> Subspace:
@@ -587,7 +587,7 @@ def subalgebra_exterior(P):
     """F'/[R,F] as the Subalgebra F' of F divided by [R,F] in its own
     coordinates, with the multiplier image of R /\\ F' in the quotient."""
     F = P.free.algebra
-    derived = Subalgebra(F, F.derived_subalgebra())
+    derived = Subalgebra(F, F.derived_subalgebra)
     algebra, projection = quotient_algebra(
         derived.algebra, coords_space(derived, P.relations_commutator))
     multiplier = projection.image_of(
@@ -658,7 +658,7 @@ def subalgebra_cover_theorem(cover, tensor):
     C = cover.algebra
     wedge_alg, to_wedge = tensor.exterior_square()
     try:
-        derived = Subalgebra(C, C.derived_subalgebra())
+        derived = Subalgebra(C, C.derived_subalgebra)
         k = derived.algebra.dim
         if k != wedge_alg.dim:
             return Verdict(False, f"dims differ: cover derived {k}, "

@@ -71,7 +71,7 @@ def test_criterion_2_heisenberg_golden_table():
     T2 = build_tensor_square(h2)
     z = span(QQ, 5, [tuple(QQ.scalar(int(i == 4)) for i in range(5))])
     ok &= T2.square_submodule.dim == 10
-    ok &= T2.tensor_center() == z and T2.exterior_center() == z
+    ok &= T2.tensor_center == z and T2.exterior_center == z
     P2 = presentation_of(h2)
     ok &= exterior_via_presentation(P2, T2)[0].dim == T2.exterior_square()[0].dim
     ok &= multiplier_via_presentation(P2).dim == T2.schur_multiplier().dim
@@ -175,8 +175,8 @@ def test_criterion_7_cover_suite():
         K = cover.algebra
         ok &= K.dim == dim_l + dim_m
         ok &= cover.multiplier.dim == dim_m
-        ok &= K.center().contains_space(cover.multiplier)
-        ok &= K.derived_subalgebra().contains_space(cover.multiplier)
+        ok &= K.center.contains_space(cover.multiplier)
+        ok &= K.derived_subalgebra.contains_space(cover.multiplier)
         verdict = verify_cover_theorem(cover, build_tensor_square(L))
         ok &= verdict.ok
         details.append(f"{name}: {K.dim}={dim_l}+{dim_m}")

@@ -416,55 +416,59 @@ def test_verify_computes_the_lower_central_series_once(monkeypatch):
     assert [s.dim for s in L.lower_central_series()] == [5, 1, 0]
 
 
-def test_verify_computes_the_derived_subalgebra_once_per_algebra(monkeypatch):
-    # verify asks each algebra for L^2 many times (the abelianization, two
-    # theorem checks, the report, the presentation, the cover and the
-    # tensor build); every answer for one algebra must be the same object.
+def computations_during_verify(monkeypatch, name):
+    # Wraps the function of the cached property LieAlgebra.<name>, so that
+    # each computation is recorded with its algebra; a read that the cache
+    # answers runs no code to record.  Returns the records, heisenberg(2)
+    # and its verify document.
+    from functools import cached_property
+
     from lietensor import presentation, tensor
     from lietensor.cli import verify_document
     from lietensor.liealg import LieAlgebra
 
     calls = []
-    method = LieAlgebra.derived_subalgebra
+    compute = LieAlgebra.__dict__[name].func
 
     def traced(self):
-        calls.append((self, method(self)))
+        calls.append((self, compute(self)))
         return calls[-1][1]
 
-    monkeypatch.setattr(LieAlgebra, "derived_subalgebra", traced)
+    counted = cached_property(traced)
+    counted.__set_name__(LieAlgebra, name)
+    monkeypatch.setattr(LieAlgebra, name, counted)
     tensor.build_tensor_square.cache_clear()
     presentation.presentation_of.cache_clear()
     L = heisenberg(2)
     doc = verify_document(L, "counted")
-    assert doc["verdicts"]["cross_oracle"] == doc["verdicts"]["cover"] == "pass"
-    assert sum(a is L for a, _ in calls) >= 6
+    return calls, L, doc
+
+
+def assert_one_answer_per_algebra(calls, L, name):
+    # One computation per algebra, one object per computation, and every
+    # later read of L gives that object.
     algebras = {id(a) for a, _ in calls}
+    assert len(calls) == len(algebras)
     assert len({id(space) for _, space in calls}) == len(algebras)
+    (answer,) = [space for a, space in calls if a is L]
+    assert getattr(L, name) is getattr(L, name) is answer
+
+
+def test_verify_computes_the_derived_subalgebra_once_per_algebra(monkeypatch):
+    # verify asks each algebra for L^2 many times (the abelianization, two
+    # theorem checks, the report, the presentation, the cover and the
+    # tensor build); every answer for one algebra must be the same object.
+    calls, L, doc = computations_during_verify(monkeypatch, "derived_subalgebra")
+    assert doc["verdicts"]["cross_oracle"] == doc["verdicts"]["cover"] == "pass"
+    assert_one_answer_per_algebra(calls, L, "derived_subalgebra")
 
 
 def test_verify_computes_the_center_once_per_algebra(monkeypatch):
     # verify asks each algebra for its center in the report and in the
     # center identity; every answer for one algebra must be the same object.
-    from lietensor import presentation, tensor
-    from lietensor.cli import verify_document
-    from lietensor.liealg import LieAlgebra
-
-    calls = []
-    method = LieAlgebra.center
-
-    def traced(self):
-        calls.append((self, method(self)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(LieAlgebra, "center", traced)
-    tensor.build_tensor_square.cache_clear()
-    presentation.presentation_of.cache_clear()
-    L = heisenberg(2)
-    doc = verify_document(L, "counted")
+    calls, L, doc = computations_during_verify(monkeypatch, "center")
     assert doc["verdicts"]["center_identity"] == "pass"
-    assert sum(a is L for a, _ in calls) >= 2
-    algebras = {id(a) for a, _ in calls}
-    assert len({id(space) for _, space in calls}) == len(algebras)
+    assert_one_answer_per_algebra(calls, L, "center")
 
 
 def test_document_schemas_are_stable(capsys):

@@ -10,7 +10,9 @@ function writes a Subspace's echelon rows by hand.  No method of a class
 assigns an attribute of self, save in the span builder and one exception:
 every other class is a value type on errors.Immutable.  The package computes
 on sparse vectors: a function whose signature names a dense vector is a
-benchmark tracer target or on a named allowlist."""
+benchmark tracer target or on a named allowlist.  A cached value has one
+name: no method only returns a cached property of its class, save the few
+that the benchmark calls."""
 
 import ast
 import hashlib
@@ -401,3 +403,77 @@ def test_only_tracer_targets_and_the_allowlist_take_dense_vectors():
     every = {(module, name) for module, source in sources.items()
              for name in dense_signatures(source, module, set())}
     assert set(DENSE_ALLOWED) <= every
+
+
+# The methods that may only return a cached property of their own class,
+# each with the benchmark file that calls it with call syntax.
+PASS_THROUGH_ALLOWED = {
+    ("liealg", "LieAlgebra.lower_central_series"): "perfbench/gen_inputs.py calls it",
+    ("tensor", "TensorSquare.exterior_square"): "perfbench/worker.py calls it",
+    ("tensor", "TensorSquare.schur_multiplier"): "perfbench/worker.py calls it",
+}
+
+
+def is_cached_property(node) -> bool:
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "cached_property"
+               for d in node.decorator_list)
+
+
+def pass_through_methods(source: str, module: str, allowed) -> list[str]:
+    """Each method of a module, as "Class.method", whose body, docstring
+    aside, is only return self.<name> for a cached property <name> of its
+    class, and which is not in allowed, a set of (module, name)."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = [m for m in cls.body if isinstance(m, ast.FunctionDef)]
+        cached = {m.name for m in methods if is_cached_property(m)}
+        for method in methods:
+            body = method.body[ast.get_docstring(method) is not None:]
+            value = body[0].value if len(body) == 1 \
+                and isinstance(body[0], ast.Return) else None
+            name = f"{cls.name}.{method.name}"
+            if isinstance(value, ast.Attribute) \
+                    and getattr(value.value, "id", None) == "self" \
+                    and value.attr in cached and (module, name) not in allowed:
+                found.append(name)
+    return found
+
+
+def test_the_check_finds_a_pass_through_method():
+    source = ("class Square:\n"
+              "    @cached_property\n"
+              "    def _center(self):\n        return 0\n"
+              "    @functools.cached_property\n"
+              "    def _series(self):\n        return ()\n"
+              "    @property\n"
+              "    def dim(self):\n        return 0\n"
+              "    def center(self):\n        return self._center\n"
+              "    def series(self):\n        \"Cached.\"\n"
+              "        return self._series\n"
+              "    def size(self):\n        return self.dim\n"
+              "    def rank(self):\n        return self._center.dim\n"
+              "    def twice(self):\n        x = 1\n        return self._center\n"
+              "    def stub(self):\n        \"Nothing.\"\n"
+              "class Other:\n"
+              "    def center(self, T):\n        return self._center\n")
+    assert pass_through_methods(source, "tensor", set()) == [
+        "Square.center", "Square.series"]
+    assert pass_through_methods(source, "tensor", {("tensor", "Square.series")}) \
+        == ["Square.center"]
+
+
+def test_no_method_only_returns_a_cached_property():
+    # A cached value is read under one name; the allowlisted methods stay
+    # while the benchmark calls them.
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    found = {module: pass_through_methods(source, module, set(PASS_THROUGH_ALLOWED))
+             for module, source in sources.items()}
+    assert {"liealg", "tensor"} <= set(found)
+    assert {module: f for module, f in found.items() if f} == {}
+    # No allowlist entry outlives its method.
+    every = {(module, name) for module, source in sources.items()
+             for name in pass_through_methods(source, module, set())}
+    assert set(PASS_THROUGH_ALLOWED) <= every

@@ -59,28 +59,28 @@ def test_bracket_examples():
 
 
 def test_derived_subalgebra():
-    assert abelian(4).derived_subalgebra().dim == 0
+    assert abelian(4).derived_subalgebra.dim == 0
     h = heisenberg(1)
-    assert h.derived_subalgebra() == span(QQ, 3, [vec(QQ, [0, 0, 1])])
+    assert h.derived_subalgebra == span(QQ, 3, [vec(QQ, [0, 0, 1])])
     s = sl2()
     # oracle: the span of {h, 2e, -2f} has full rank
     sc = table(s)
     rows = [sc[0][1], sc[2][0], sc[2][1]]
     assert sympy_rank(rows, 3) == 3
-    assert s.derived_subalgebra().dim == 3
+    assert s.derived_subalgebra.dim == 3
 
 
 def test_center():
-    assert abelian(3).center() == Subspace.full_space(QQ, 3)
+    assert abelian(3).center == Subspace.full_space(QQ, 3)
     h = heisenberg(1)
-    assert h.center() == span(QQ, 3, [vec(QQ, [0, 0, 1])])
+    assert h.center == span(QQ, 3, [vec(QQ, [0, 0, 1])])
     s = sl2()
     # oracle: the 9 x 3 stacked adjoint matrix has rank 3
     sc = table(s)
     stacked = [[sc[i][j][c] for i in range(3)]
                for j in range(3) for c in range(3)]
     assert sympy_rank(stacked, 3) == 3
-    assert s.center().dim == 0
+    assert s.center.dim == 0
 
 
 def test_lower_central_series():
@@ -100,7 +100,7 @@ def test_lower_central_series():
 
 def test_quotient_algebra():
     h = heisenberg(1)
-    q, proj = quotient_algebra(h, h.derived_subalgebra())
+    q, proj = quotient_algebra(h, h.derived_subalgebra)
     assert q.dim == 2 and q.is_abelian
     assert q.validate().ok
     full, ident = quotient_algebra(h, linalg.span(QQ, 3, ()))
@@ -114,7 +114,7 @@ def test_quotient_algebra():
 def test_quotient_projection_is_homomorphism():
     for name in ALL_CATALOG:
         L = catalog(name)
-        derived = L.derived_subalgebra()
+        derived = L.derived_subalgebra
         q, proj = quotient_algebra(L, derived)
         sc, e = table(L), basis(L)
         for i in range(L.dim):
@@ -135,7 +135,7 @@ def test_quotient_rejects_non_ideal():
 def test_derived_and_center_are_ideals():
     for name in ALL_CATALOG:
         L = catalog(name)
-        for space in (L.derived_subalgebra(), L.center()):
+        for space in (L.derived_subalgebra, L.center):
             for row in space.sparse_rows:
                 for j in range(L.dim):
                     assert not space.reduce_sparse(
@@ -156,8 +156,8 @@ def test_direct_sum():
     assert b.dim == 4 and b.nilpotency_class() == 2
     assert b.validate().ok
     ha = direct_sum(heisenberg(1), heisenberg(2))
-    assert ha.derived_subalgebra().dim == \
-        heisenberg(1).derived_subalgebra().dim + heisenberg(2).derived_subalgebra().dim
+    assert ha.derived_subalgebra.dim == \
+        heisenberg(1).derived_subalgebra.dim + heisenberg(2).derived_subalgebra.dim
     with pytest.raises(ValueError):
         direct_sum(abelian(1, QQ), abelian(1, GF(2)))
 
@@ -172,7 +172,7 @@ def test_bracket_pairing_into_derived_subalgebra():
     # The motivating example lands in the derived subalgebra; express it
     # there and check the axioms against that algebra's own bracket.
     L = heisenberg(2)
-    derived = Subalgebra(L, L.derived_subalgebra())
+    derived = Subalgebra(L, L.derived_subalgebra)
     cells = tuple(tuple(derived.coords_sparse(row.get(j, {}))
                         for j in range(L.dim)) for row in L.cells)
     rho = BilinearMap(QQ, L.dim, derived.algebra.dim, cells)
@@ -247,7 +247,7 @@ def test_ideal_checks_agree_with_the_bracket_loop_under_every_corruption():
     # bracket(row, x_j) finds an escaping vector.
     outcomes = set()
     for L in (heisenberg(2), heisenberg(1, GF(2)), sl2(GF(5))):
-        center = L.center() if L.center().dim else L.derived_subalgebra()
+        center = L.center if L.center.dim else L.derived_subalgebra
         ideal = span(L.field, L.dim, basis_rows(center)[:1])
         rows, e = basis_rows(ideal), basis(L)
         for where, bad in corrupted_tables(L):
@@ -345,10 +345,10 @@ def test_every_constructor_stores_the_cells_of_its_dense_view(field):
                 (0, 2): [(2, two), (1, one)]}
     algebras = [lie_algebra_from_brackets(field, 3, brackets),
                 F, free_nilpotent(3, 4, field).algebra,
-                quotient_algebra(h2, h2.center())[0],
+                quotient_algebra(h2, h2.center)[0],
                 quotient_algebra(F, F.lower_central_series()[2])[0],
                 random_nilpotent_quotient(random.Random(0), 3, 4, field),
-                Subalgebra(F, F.derived_subalgebra()).algebra,
+                Subalgebra(F, F.derived_subalgebra).algebra,
                 Subalgebra(F33, ideal_closure(F33, [seed])).algebra,
                 direct_sum(heisenberg(1, field), abelian(2, field)),
                 build_tensor_square(heisenberg(1, field)).algebra,
@@ -356,7 +356,7 @@ def test_every_constructor_stores_the_cells_of_its_dense_view(field):
                 build_tensor_square(free_nilpotent(2, 4, field).algebra).algebra]
     if field.characteristic != 2:
         s = sl2(field)
-        algebras += [direct_sum(s, h2), Subalgebra(s, s.derived_subalgebra()).algebra,
+        algebras += [direct_sum(s, h2), Subalgebra(s, s.derived_subalgebra).algebra,
                      build_tensor_square(s).algebra]
     for A in algebras:
         assert A == LieAlgebra(field, A.dim, cells_of(table(A)),
@@ -392,6 +392,6 @@ def test_the_dense_view_is_off_the_verification_path(monkeypatch):
     x = basis(L)[0]
     for call in (lambda: L.bracket(x, x),
                  lambda: bracket_pairing(L).apply(x, x),
-                 lambda: liealg.quotient_algebra(L, L.center())):
+                 lambda: liealg.quotient_algebra(L, L.center)):
         with pytest.raises(AssertionError, match="dense fork"):
             call()

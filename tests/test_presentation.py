@@ -42,7 +42,7 @@ def test_presentation_of_abelian():
         assert P.free.d == n and P.free.c == 2
         assert P.relations.dim == n * (n - 1) // 2
         assert P.relations_commutator.dim == 0
-        assert P.free.algebra.derived_subalgebra().contains_space(P.relations)
+        assert P.free.algebra.derived_subalgebra.contains_space(P.relations)
         # the kernel is exactly the degree-2 layer
         for i, deg in enumerate(P.free.degrees):
             assert (not P.relations.reduce_sparse({i: QQ.one})) == (deg == 2)
@@ -77,7 +77,7 @@ def test_presentation_map_properties():
         P = presentation_of(L)
         assert P.onto.rank() == L.dim
         assert P.relations.contains_space(P.relations_commutator)
-        assert P.free.algebra.derived_subalgebra().contains_space(P.relations)
+        assert P.free.algebra.derived_subalgebra.contains_space(P.relations)
 
 
 def test_exterior_via_presentation_dims():
@@ -127,8 +127,8 @@ def test_cover_of_abelian2_is_heisenberg():
     K = cover.algebra
     assert K.dim == 3
     assert cover.multiplier.dim == 1
-    assert K.derived_subalgebra().dim == 1
-    assert cover.multiplier == K.derived_subalgebra()
+    assert K.derived_subalgebra.dim == 1
+    assert cover.multiplier == K.derived_subalgebra
     assert K.nilpotency_class() == 2  # this is the Heisenberg algebra
 
 
@@ -149,8 +149,8 @@ def test_cover_defining_pair_axioms():
         K = cover.algebra
         assert K.dim == L.dim + cover.multiplier.dim
         assert kernel(cover.onto) == cover.multiplier
-        assert K.center().contains_space(cover.multiplier)
-        assert K.derived_subalgebra().contains_space(cover.multiplier)
+        assert K.center.contains_space(cover.multiplier)
+        assert K.derived_subalgebra.contains_space(cover.multiplier)
         assert cover.onto.rank() == L.dim
 
 
@@ -161,7 +161,7 @@ def test_cover_theorem_on_catalog():
         T = build_tensor_square(L)
         verdict = verify_cover_theorem(cover, T)
         assert verdict.ok, f"{name}: {verdict.detail}"
-        assert cover.algebra.derived_subalgebra().dim == \
+        assert cover.algebra.derived_subalgebra.dim == \
             T.exterior_square()[0].dim
 
 
@@ -388,7 +388,7 @@ def test_generator_centrality_agrees_with_the_center():
     for L in nilpotent_cases():
         cover = build_cover(L)
         K, d, one = cover.algebra, cover.d, L.field.one
-        center = K.center()
+        center = K.center
         vectors = [{a: one} for a in range(K.dim)] + \
             [{a: one for a in range(K.dim)}] + list(cover.multiplier.sparse_rows)
         for v in vectors:
@@ -560,7 +560,7 @@ def test_facts_that_retained_checks_prove_hold_on_every_valid_algebra(L):
     T = build_tensor_square(L)
     restriction = dense_restriction_verdict(T)
     assert restriction.ok, (L, restriction.detail)
-    assert T.exterior_center().contains_space(T.tensor_center()), L
+    assert T.exterior_center.contains_space(T.tensor_center), L
     if not L.is_nilpotent:
         return
     try:

@@ -98,8 +98,8 @@ def subalgebra_cases():
     F = free_nilpotent(2, 3).algebra
     H2 = heisenberg(2)
     h_gf2 = heisenberg(1, GF(2))
-    yield F, F.derived_subalgebra()
-    yield H2, H2.derived_subalgebra()
+    yield F, F.derived_subalgebra
+    yield H2, H2.derived_subalgebra
     one = QQ.one
     yield H2, linalg.span(QQ, 5, [{0: one}, {2: one}, {4: one}])
     yield sl2(GF(5)), Subspace.full_space(GF(5), 3)
@@ -132,7 +132,7 @@ def test_subalgebra_rejects_a_subspace_not_closed_under_the_bracket():
     with pytest.raises(ValueError, match="does not lie in the subalgebra"):
         Subalgebra(L, open_plane)
     with pytest.raises(ValueError, match="does not lie in the subalgebra"):
-        Subalgebra(L, L.derived_subalgebra()).coords_sparse({0: QQ.one})
+        Subalgebra(L, L.derived_subalgebra).coords_sparse({0: QQ.one})
 
 
 def test_validate_matches_the_dense_triple_loop_under_every_corruption():
@@ -162,7 +162,7 @@ def test_homomorphism_failure_matches_the_dense_loop_under_every_corruption():
     # constant in the source or in the target.
     outcomes = set()
     for L in (heisenberg(2), sl2(GF(3)), heisenberg(1, GF(2))):
-        ideal = L.center() if L.center().dim else linalg.span(L.field, L.dim, ())
+        ideal = L.center if L.center.dim else linalg.span(L.field, L.dim, ())
         Q, proj = quotient_algebra(L, ideal)
         maps = [(proj.sparse_columns, L, Q),
                 ([{i: L.field.one} for i in range(L.dim)], L, L)]
@@ -357,7 +357,7 @@ def test_tensor_square_spans_its_relations_without_r1(monkeypatch, field,
     # free_nilpotent(3, 3) in fewer inserts than r1 and J (and, over GF(2),
     # u (x) u) took, at the same rank; none of them is empty.
     L = free_nilpotent(3, 3, field).algebra
-    L.derived_subalgebra()  # cached before counting
+    L.derived_subalgebra  # cached before counting
     T, inserted = inserts_during(monkeypatch,
                                  lambda: build_tensor_square.__wrapped__(L))
     assert T.relation_space.dim == 161
@@ -365,14 +365,17 @@ def test_tensor_square_spans_its_relations_without_r1(monkeypatch, field,
 
 
 def test_lower_central_series_inserts_only_nonzero_brackets(monkeypatch):
-    # Each term after L is spanned by the [w, x_j] over the echelon rows w
-    # of the term before; most of them are 0, and only the others are
-    # inserted, in the same order.
+    # L^2 is the derived subalgebra, spanned by the cells [x_i, x_j], j > i,
+    # in row order.  Each later term is spanned by the [w, x_j] over the
+    # echelon rows w of the term before; most of them are 0, and only the
+    # others are inserted, in the same order.
     F = free_nilpotent(3, 3).algebra
     L = LieAlgebra(F.field, F.dim, F.cells, F.basis_names)  # nothing cached
     series, inserted = inserts_during(monkeypatch, L.lower_central_series)
-    expected = [w for term in series[:-1] for row in term.sparse_rows
-                for w in L.ad_sparse(row) if w]
+    expected = [cell for i, row in enumerate(L.cells)
+                for j, cell in row.items() if j > i]
+    expected += [w for term in series[1:-1] for row in term.sparse_rows
+                 for w in L.ad_sparse(row) if w]
     assert inserted == expected
     assert len(expected) < sum(term.dim for term in series[:-1]) * L.dim
 

@@ -122,8 +122,8 @@ def test_heisenberg2_centers():
     T = build_tensor_square(L)
     z = span(QQ, 5, [vec(QQ, [0, 0, 0, 0, 1])])
     assert T.square_submodule.dim == 10
-    assert T.tensor_center() == z
-    assert T.exterior_center() == z
+    assert T.tensor_center == z
+    assert T.exterior_center == z
 
 
 def test_heisenberg1_tensor_center_is_zero():
@@ -133,7 +133,7 @@ def test_heisenberg1_tensor_center_is_zero():
     z = vec(QQ, [0, 0, 1])
     x = vec(QQ, [1, 0, 0])
     assert any(T.pairing.apply(z, x))
-    assert T.tensor_center().dim == 0
+    assert T.tensor_center.dim == 0
 
 
 def test_square_submodule_is_central_and_in_j2():
@@ -208,7 +208,7 @@ def test_decomposition_dims_additive():
         ext, _ = T.exterior_square()
         assert T.dim == T.square_submodule.dim + ext.dim
         assert ext.dim == (T.schur_multiplier().dim
-                           + L.derived_subalgebra().dim)
+                           + L.derived_subalgebra.dim)
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +310,7 @@ def test_whitehead_char2_dimension():
 def test_tensor_center_right_diagnostic():
     for name in ("abelian(3)", "heisenberg(1)", "heisenberg(2)", "sl2"):
         T = build_tensor_square(catalog(name))
-        assert T.tensor_center() == T.tensor_center_right()
+        assert T.tensor_center == T.tensor_center_right
 
 
 def test_tensor_square_cached():
@@ -371,7 +371,7 @@ def test_two_step_dim_additivity_and_theorems(L):
     T = build_tensor_square(L)
     ext, _ = T.exterior_square()
     assert T.dim == T.square_submodule.dim + ext.dim
-    assert ext.dim == T.schur_multiplier().dim + L.derived_subalgebra().dim
+    assert ext.dim == T.schur_multiplier().dim + L.derived_subalgebra.dim
     assert T.verify_decomposition().ok
     assert T.verify_center_identity().ok
     assert is_lie_pairing(T.pairing, L, T.algebra).ok
@@ -469,7 +469,7 @@ def test_multiplier_of_direct_sums():
         return build_tensor_square(L).schur_multiplier().dim
 
     def ab(L):
-        return L.dim - L.derived_subalgebra().dim
+        return L.dim - L.derived_subalgebra.dim
 
     pairs = [(heisenberg(1), abelian(2)), (heisenberg(1), heisenberg(2)),
              (abelian(3), sl2()), (heisenberg(2), sl2()), (sl2(), sl2()),
@@ -547,11 +547,11 @@ def test_centers_are_cached_and_read_each_pure_tensor_once(monkeypatch):
                 for j in range(n) for c in range(len(pure_of(0, 0)))]
         expected = kernel(matrix_from_rows(L.field, rows, cols=n))
         calls.clear()
-        first = getattr(T, name)()
+        first = getattr(T, name)
         assert sorted(calls) == sorted(set(calls)) and len(calls) == n * n, name
-        assert getattr(T, name)() is first and first == expected, name
-    assert T.tensor_center().dim == T.exterior_center().dim == 1
-    assert tensor_report(T).subspaces["tensor_center"] is T.tensor_center()
+        assert getattr(T, name) is first and first == expected, name
+    assert T.tensor_center.dim == T.exterior_center.dim == 1
+    assert tensor_report(T).subspaces["tensor_center"] is T.tensor_center
 
 
 def test_schur_multiplier_is_computed_once_per_tensor_square():
