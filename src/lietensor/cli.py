@@ -206,10 +206,24 @@ def load_algebra(source: str,
         raise InvalidInputError(f"{source} is longer than {MAX_DOCUMENT_BYTES} "
                                 "bytes, the bound of the design envelope")
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except InvalidInputError:
+        raise
     except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise InvalidInputError(f"{source} is not valid JSON: {exc}") from exc
     return parse_algebra_document(doc), source
+
+
+def _unique_keys(pairs: list) -> dict:
+    """json.loads keeps the last value of a key repeated within one object;
+    a document is read as written, so such a key is refused instead."""
+    seen: set = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise InvalidInputError(
+                f"key {key!r} is repeated within one JSON object")
+        seen.add(key)
+    return dict(pairs)
 
 
 # ----------------------------------------------------------------------
@@ -218,6 +232,11 @@ def load_algebra(source: str,
 
 def _verdict_str(v: Verdict) -> str:
     return "pass" if v.ok else f"fail: {v.detail}"
+
+
+def _failed(verdicts: dict) -> bool:
+    """Whether any verdict is "fail: ..." (_verdict_str)."""
+    return any(v.startswith("fail") for v in verdicts.values())
 
 
 def _input_section(L: LieAlgebra, source: str) -> dict:
@@ -383,10 +402,7 @@ def catalog_document() -> dict:
                 continue
             L = catalog(name, field)
             doc = verify_document(L, f"catalog:{name}")
-            statuses = set()
-            for v in doc["verdicts"].values():
-                statuses.add(v.split(":")[0])
-            status = ("fail" if "fail" in statuses else "pass")
+            status = "fail" if _failed(doc["verdicts"]) else "pass"
             counts[status] += 1
             entries.append({
                 "name": name,
@@ -478,14 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code(doc: dict) -> int:
-    def failed(verdicts: dict) -> bool:
-        return any(v.startswith("fail") for v in verdicts.values())
-
     if doc["command"] == "verify-catalog":
         return 1 if doc["summary"]["fail"] else 0
-    if failed(doc.get("verdicts", {})):
-        return 1
-    return 0
+    return 1 if _failed(doc.get("verdicts", {})) else 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:

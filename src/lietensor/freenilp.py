@@ -177,9 +177,17 @@ def _integer_structure(d: int, c: int):
     injective, so the check over Q decides them over Z; reduction Z -> GF(p)
     is a ring homomorphism, so an identity that holds over Z holds in every
     GF(p).  A table that passes here therefore passes validate() over every
-    field, and free_nilpotent does not validate again.
+    field, and free_nilpotent does not validate again.  The layer sizes
+    depend on (d, c) alone, so they too are checked here, against the Witt
+    numbers.
     """
     int_cells, labels, degrees, factors = _hall_table(d, c)
+    for k in range(1, c + 1):
+        expected = witt_dimension(d, k)
+        actual = sum(1 for deg in degrees if deg == k)
+        if actual != expected:
+            raise InternalCheckError(
+                f"degree-{k} layer has {actual} words, Witt number is {expected}")
     algebra = LieAlgebra(QQ, len(factors), _convert(int_cells, QQ), labels)
     report = algebra.validate()
     if not report.ok:
@@ -229,10 +237,4 @@ def free_nilpotent(d: int, c: int, field: Field = QQ) -> FreeNilpotent:
     over_q, degrees, factors = _integer_structure(d, c)
     algebra = over_q if field == QQ else LieAlgebra(
         field, over_q.dim, _convert(over_q.cells, field), over_q.basis_names)
-    for k in range(1, c + 1):
-        expected = witt_dimension(d, k)
-        actual = sum(1 for deg in degrees if deg == k)
-        if actual != expected:
-            raise InternalCheckError(
-                f"degree-{k} layer has {actual} words, Witt number is {expected}")
     return FreeNilpotent(d, c, algebra, factors, degrees)

@@ -105,11 +105,6 @@ class Matrix(Immutable):
         return dense(combine(sparse(v).items(), self.sparse_columns),
                      self.rows, self.field.zero)
 
-    def select_columns(self, cols: Sequence[int]) -> "Matrix":
-        """The submatrix on the given columns, in the given order."""
-        return Matrix(self.field, self.rows, len(cols),
-                      tuple(self.sparse_columns[c] for c in cols))
-
     def mul(self, other: "Matrix") -> "Matrix":
         """Column j of the product is self applied to column j of other."""
         if self.cols != other.rows:

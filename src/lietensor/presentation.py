@@ -32,10 +32,10 @@ E = F'/[R,F], on four arguments:
   its composite positions d.., which hold every bracket, and [R,F] lies
   in R, inside F', so on those positions shifted by -d it is an ideal of
   F'.  The multiplier R/[R,F] is the image of R, shifted the same way,
-  under the projection onto E.  G = F/[R,F] is never built: its
-  generator rows hold most of F's nonzero cells, and neither result reads
-  them.  Nor is F' copied: the quotient reads only F's rows at E's free
-  columns.
+  under the projection onto E, and the theorem map E -> L /\ L is read
+  on F' too.  G = F/[R,F] is never built: its generator rows hold most
+  of F's nonzero cells, and no result reads them.  Nor is F' copied: the
+  quotient reads only F's rows at E's free columns.
 
 The cover.  A2 is the alternating square of L on the pairs x_i^x_j, i < j,
 and d3(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x.  E = A2/d3(A3) is the exterior
@@ -92,17 +92,21 @@ class FreePresentation(Immutable):
                 f"{self.free.algebra.dim}, relations dim {self.relations.dim})")
 
     @cached_property
+    def exterior_ideal(self) -> Subspace:
+        """[R,F] in the coordinates of F', which E = F'/[R,F] divides by.
+        [R,F] lies in R, whose vectors have no support below d (R's pivots
+        are at least d), so shifted by -d it is a subspace of F'.  With no
+        pivot below d, second_part keeps every row of [R,F] and shifts it."""
+        return second_part(self.relations_commutator, self.free.d)
+
+    @cached_property
     def exterior_quotient(self) -> tuple[LieAlgebra, Matrix]:
         """E = F'/[R,F] and the projection of F' onto it; E is validated (in
         descended_algebra).  F' is F on its positions d.., which hold every
-        bracket (checked in presentation_of).  [R,F] lies in R, whose
-        vectors have no support below d (R's pivots are at least d), so
-        shifted by -d it is a subspace of F'; it is an ideal of F, as R is
-        one and F satisfies Jacobi (module docstring), hence of F'.  With no
-        pivot below d, second_part keeps every row of [R,F] and shifts it."""
-        F = self.free
-        return quotient_by_ideal(
-            F.algebra, second_part(self.relations_commutator, F.d), F.d)
+        bracket (checked in presentation_of).  [R,F] is an ideal of F, as R
+        is one and F satisfies Jacobi (module docstring), hence of F'."""
+        return quotient_by_ideal(self.free.algebra, self.exterior_ideal,
+                                 self.free.d)
 
     @property
     def exterior(self) -> LieAlgebra:
@@ -212,20 +216,16 @@ def exterior_via_presentation(
     wedge_alg, to_wedge = tensor.exterior_square()
     F = P.free
     onto = P.onto.sparse_columns
-    # A map on F that wedges the images of the two factors of each
-    # composite Hall word; only its restriction to F' (those words) is used,
-    # so the generators go to zero.
-    images = [{} for _ in range(F.d)]
+    # A map on F' that wedges the images of the two factors of each
+    # composite Hall word.
+    images = []
     for u, v in F.factors[F.d:]:
         pure = tensor.pairing.apply_sparse(onto[u], onto[v])
         images.append(combine(pure.items(), to_wedge.sparse_columns))
-    eps = P.relations_commutator.descend(images, wedge_alg.dim)
+    eps = P.exterior_ideal.descend(images, wedge_alg.dim)
     if eps is None:
         raise TheoremViolationError(
             "wedge map does not kill the relation commutator")
-    # [R,F] has no support below d, so its first d free columns are the
-    # generators; the others, shifted by -d, are those of E.
-    eps = eps.select_columns(range(F.d, eps.cols))
     _check_isomorphism(eps, P.exterior, wedge_alg)
     return P.exterior, eps
 

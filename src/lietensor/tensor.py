@@ -49,10 +49,10 @@ relation space is linalg.span of the instances, inserted shortest first.
 The universal pairing stores the sparse columns of the relation space's
 projection as its cells; the quotient algebra is liealg.descended_algebra
 of its values at the brackets, and the three centers are read off the
-cells.  Each map on the
-quotient (the commutator map, induced maps, factored pairings, the
-commutator map of the exterior square) is Subspace.descend of its sparse
-ambient columns, which also checks that the map kills the relations.
+cells.  Each map on the quotient (the commutator map, induced maps,
+factored pairings, the commutator map of the exterior square) is
+Subspace.descend of its sparse ambient columns, which also checks that
+the map kills the relations.
 """
 
 from __future__ import annotations
@@ -282,7 +282,8 @@ class TensorSquare(Immutable):
             return Verdict(False, "summands intersect")
         if summands != j2:
             return Verdict(False, "summands do not fill the kernel")
-        if self._exterior[1].image_of(cj) != mult or cj.dim != mult.dim:
+        # The three checks above give dim cj = dim j2 - dim sq = dim mult.
+        if self._exterior[1].image_of(cj) != mult:
             return Verdict(False, "complement part does not map onto the multiplier")
         return Verdict(True, f"{j2.dim} = {sq.dim} + {mult.dim}")
 

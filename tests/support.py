@@ -95,6 +95,12 @@ def basis_rows(space: Subspace):
                  for row in space.sparse_rows)
 
 
+def select_columns(m: Matrix, cols) -> Matrix:
+    """The submatrix of m on the given columns, in the given order."""
+    return Matrix(m.field, m.rows, len(cols),
+                  tuple(m.sparse_columns[c] for c in cols))
+
+
 def column(m: Matrix, j: int):
     return dense(m.sparse_columns[j], m.rows, m.field.zero)
 
@@ -607,8 +613,22 @@ def complement_cover(P):
     K, to_K = quotient_algebra(G, extra)
     from_free = to_K.mul(to_G)
     g_free = P.relations_commutator.free_cols
-    onto = P.onto.select_columns([g_free[c] for c in extra.free_cols])
+    onto = select_columns(P.onto, [g_free[c] for c in extra.free_cols])
     return K, from_free, from_free.image_of(in_derived), onto
+
+
+def padded_exterior_map(P, tensor) -> Matrix:
+    """The theorem map E -> L /\\ L built on all of F: the generators go to
+    zero, the map descends on [R,F] in F's coordinates, and its columns
+    from d on are kept, since [R,F] has no support below d and so its
+    first d free columns are the generators."""
+    wedge_alg, to_wedge = tensor.exterior_square()
+    F, onto = P.free, P.onto.sparse_columns
+    images = [{} for _ in range(F.d)] + [
+        combine(tensor.pairing.apply_sparse(onto[u], onto[v]).items(),
+                to_wedge.sparse_columns) for u, v in F.factors[F.d:]]
+    eps = P.relations_commutator.descend(images, wedge_alg.dim)
+    return select_columns(eps, range(F.d, eps.cols))
 
 
 def presentation_quotient(P):
@@ -625,7 +645,7 @@ def free_cover(P):
     its r-th free column to the r-th unit vector, and is checked to factor
     the presentation map."""
     G, from_free = presentation_quotient(P)
-    onto = P.onto.select_columns(P.relations_commutator.free_cols)
+    onto = select_columns(P.onto, P.relations_commutator.free_cols)
     if onto.mul(from_free) != P.onto:
         raise ValueError("cover projection does not factor the presentation")
     return G, from_free, from_free.image_of(P.relations), onto
@@ -643,7 +663,7 @@ def generator_map(P, cover) -> Matrix:
     to_C = Matrix(C.field, C.dim, len(images), tuple(images))
     if to_C.image_of(P.relations_commutator).dim:
         raise ValueError("F -> C does not kill [R,F]")
-    return to_C.select_columns(P.relations_commutator.free_cols)
+    return select_columns(to_C, P.relations_commutator.free_cols)
 
 
 def subalgebra_cover_theorem(cover, tensor):

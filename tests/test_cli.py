@@ -176,6 +176,23 @@ def test_load_algebra_from_file(tmp_path):
         load_algebra(str(bad))
 
 
+def test_a_key_repeated_within_one_object_exits_2(tmp_path, capsys):
+    # json.loads keeps the last value of a repeated key, so each of these
+    # would be read as another algebra than the one written; the control
+    # document, with no repeat, is accepted.
+    path = tmp_path / "repeated.json"
+    for key, text in (
+            ("dim", '{"field":"Q","dim":2,"dim":3,"brackets":[]}'),
+            ("Fp", '{"field":{"Fp":5,"Fp":7},"dim":2,"brackets":[]}'),
+            ("brackets", '{"field":"Q","dim":2,'
+                         '"brackets":[[0,1,[[0,"1"]]]],"brackets":[]}')):
+        path.write_text(text)
+        assert main(["info", str(path)]) == 2, key
+        assert f"key {key!r} is repeated" in capsys.readouterr().err
+    path.write_text('{"field":"Q","dim":2,"brackets":[]}')
+    assert main(["info", str(path)]) == 0
+
+
 def test_a_document_longer_than_the_bound_exits_2(tmp_path, capsys):
     # A valid document padded with spaces to one byte past the bound used
     # to parse; at the bound it still does.
@@ -344,6 +361,27 @@ def test_failed_verdict_gives_exit_code_1(monkeypatch, capsys):
     code, doc = run(["verify", "heisenberg(1)"], capsys)
     assert code == 1
     assert doc["verdicts"]["cover"] == "fail: forced"
+
+
+def test_a_failed_verdict_fails_exactly_its_catalog_entries(monkeypatch,
+                                                            capsys):
+    # verify --catalog marks an entry by the rule of the exit code: with the
+    # cover verdict forced to fail, the 44 nilpotent entries, which run it,
+    # fail, the summary counts them and the command exits 1.
+    from lietensor import cli
+    from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
+    from lietensor.tensor import Verdict
+
+    monkeypatch.setattr(cli, "verify_cover_theorem",
+                        lambda cover, tensor=None: Verdict(False, "forced"))
+    code, doc = run(["verify", "--catalog"], capsys)
+    nilpotent = [(name, field.descriptor()) for name in CATALOG_SUITE
+                 for field in SUITE_FIELDS if is_supported(name, field)
+                 and catalog(name, field).is_nilpotent]
+    assert len(nilpotent) == 44 and doc["summary"]["fail"] == 44
+    assert [(e["name"], e["field"]) for e in doc["entries"]
+            if e["status"] == "fail"] == nilpotent
+    assert code == 1
 
 
 def test_an_invalid_catalog_algebra_is_a_verification_failure(monkeypatch,

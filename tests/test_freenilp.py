@@ -226,6 +226,27 @@ def test_a_hall_pair_missing_from_the_basis_is_an_internal_error(monkeypatch):
         freenilp._hall_table(2, 4)
 
 
+def test_layer_sizes_are_checked_against_witt_once_per_pair(monkeypatch):
+    # The layer sizes depend on (d, c) alone, so _integer_structure checks
+    # them once for every field: c calls to witt_dimension, and a wrong
+    # Witt number is an internal error.
+    real, calls = freenilp.witt_dimension, []
+    monkeypatch.setattr(freenilp, "witt_dimension",
+                        lambda d, k: calls.append(k) or real(d, k))
+    for cached in (free_nilpotent, _integer_structure):
+        cached.cache_clear()
+    for field in (QQ, GF(2), GF(3)):
+        free_nilpotent(2, 3, field)
+    assert calls == [1, 2, 3]
+    monkeypatch.setattr(freenilp, "witt_dimension",
+                        lambda d, k: real(d, k) + (k == 2))
+    for cached in (free_nilpotent, _integer_structure):
+        cached.cache_clear()
+    with pytest.raises(InternalCheckError,
+                       match="degree-2 layer has 1 words, Witt number is 2"):
+        free_nilpotent(2, 3)
+
+
 # sha256 of canonical_json(free_nilpotent_document(d, c, field)), recorded
 # from the associative-expansion construction the Hall rewriting replaced.
 PINNED_FREE_NILPOTENT_DOCUMENTS = {

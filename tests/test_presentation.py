@@ -18,13 +18,14 @@ from lietensor.errors import (InternalCheckError, NotNilpotentError,
                               OutsideEnvelopeError, TheoremViolationError)
 from lietensor.freenilp import FreeNilpotent
 from lietensor.liealg import homomorphism_failure, lie_algebra_from_brackets
-from lietensor.linalg import Subspace, add_scaled, combine, kernel
+from lietensor.linalg import (Subspace, add_scaled, combine, kernel,
+                              subspace_intersect)
 from lietensor.presentation import _check_isomorphism, _restrict, boundaries
 
 from support import (all_columns_commutator, basis, column, complement_cover,
                      corrupted_tables, dense_restriction_verdict,
-                     free_cover, generator_map,
-                     linear_map, presentation_quotient,
+                     free_cover, generator_map, linear_map,
+                     padded_exterior_map, presentation_quotient,
                      random_nilpotent_quotient, solve, span,
                      subalgebra_cover_theorem, subalgebra_exterior,
                      symmetric_derived_vectors, table, tensor_relation_vectors,
@@ -412,6 +413,16 @@ def cross_oracle_quotients(seeds):
     return [L for seed in seeds for L in gen_inputs.quotients(seed, shapes)]
 
 
+def test_the_theorem_map_read_on_f_prime_is_the_one_read_on_f():
+    # exterior_via_presentation descends on [R,F] in F' coordinates; the
+    # map and the quotient are those of the construction on all of F.
+    for L in nilpotent_cases() + cross_oracle_quotients(range(4)):
+        P = presentation_of(L)
+        T = build_tensor_square(L)
+        assert exterior_via_presentation(P, T) == \
+            (P.exterior, padded_exterior_map(P, T)), L
+
+
 def test_cover_theorem_matches_the_subalgebra_oracle():
     # verify_cover_theorem reads C' off the positions d.. of the cover and
     # maps E = A2/d3(A3) by x_i^x_j -> the wedge class of x_i (x) x_j.  The
@@ -552,15 +563,19 @@ def test_cover_theorem_rejects_another_multiplier():
           suppress_health_check=[HealthCheck.too_slow])
 @given(valid_algebras())
 def test_facts_that_retained_checks_prove_hold_on_every_valid_algebra(L):
-    # verify_decomposition, verify_center_identity and presentation_of do
-    # not check these five facts, because a check they keep proves each one
-    # (the arguments are written next to the code).  Here they are checked
-    # directly: the restriction to the complement by a dense loop over every
-    # ordered pair, and [R,F] against its span over every basis vector of F.
+    # verify_decomposition, verify_j2_decomposition, verify_center_identity
+    # and presentation_of do not check these six facts, because a check
+    # they keep proves each one (the arguments are written next to the
+    # code).  Here they are checked directly: the restriction to the
+    # complement by a dense loop over every ordered pair, and [R,F] against
+    # its span over every basis vector of F.
     T = build_tensor_square(L)
     restriction = dense_restriction_verdict(T)
     assert restriction.ok, (L, restriction.detail)
     assert T.exterior_center.contains_space(T.tensor_center), L
+    j2 = T.commutator_map[1]
+    assert subspace_intersect(T._complement, j2).dim == \
+        T.schur_multiplier().dim, L
     if not L.is_nilpotent:
         return
     try:

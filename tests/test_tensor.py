@@ -21,8 +21,8 @@ from support import (basis, basis_rows, bilinear_from_table, cells_of, column,
                      contains, corrupted_tables, dense_apply, dense_bilinear,
                      dense_residual, inverse, linear_map, matrix_from_rows,
                      pairing_table, random_nilpotent_quotient,
-                     random_semidirect, reduced_bracket_cells, span,
-                     sympy_rank, symmetric_derived_vectors, table,
+                     random_semidirect, reduced_bracket_cells, select_columns,
+                     span, sympy_rank, symmetric_derived_vectors, table,
                      tensor_relation_vectors, valid_algebras)
 
 
@@ -113,7 +113,7 @@ def test_sl2_golden_dims():
     assert rep.dims["schur_multiplier"] == 0
     # the induced commutator map on the exterior square is bijective
     kappa, _ = T.commutator_map
-    induced = kappa.select_columns(T.square_submodule.free_cols)
+    induced = select_columns(kappa, T.square_submodule.free_cols)
     assert induced.is_bijective()
 
 
