@@ -69,7 +69,7 @@ from .catalog import MAX_AMBIENT
 from .errors import (Immutable, InternalCheckError, NotNilpotentError,
                      OutsideEnvelopeError, TheoremViolationError, Verdict)
 from .liealg import (BilinearMap, LieAlgebra, homomorphism_failure,
-                     quotient_by_ideal)
+                     lie_algebra_from_brackets, quotient_by_ideal)
 from .linalg import (Matrix, Subspace, add_scaled, combine, kernel,
                      second_part, span)
 from .freenilp import dimension_exceeds, free_nilpotent
@@ -207,22 +207,18 @@ def exterior_via_presentation(
         P: FreePresentation,
         tensor: TensorSquare) -> tuple[LieAlgebra, Matrix]:
     """The exterior square computed from the presentation, together with the
-    explicit isomorphism onto the tensor engine's exterior square (each basis
-    bracket maps to the wedge of the images of its two factors).
+    explicit isomorphism onto the tensor engine's exterior square: on F',
+    each composite Hall word maps to the wedge of the images of its two
+    factors, read from tensor.exterior_pairing.
 
     Raises TheoremViolationError if the explicit map fails to be a bijective
     homomorphism.
     """
-    wedge_alg, to_wedge = tensor.exterior_square()
-    F = P.free
-    onto = P.onto.sparse_columns
-    # A map on F' that wedges the images of the two factors of each
-    # composite Hall word.
-    images = []
-    for u, v in F.factors[F.d:]:
-        pure = tensor.pairing.apply_sparse(onto[u], onto[v])
-        images.append(combine(pure.items(), to_wedge.sparse_columns))
-    eps = P.exterior_ideal.descend(images, wedge_alg.dim)
+    wedge_alg, wedge = tensor.exterior_square()[0], tensor.exterior_pairing
+    F, onto = P.free, P.onto.sparse_columns
+    eps = P.exterior_ideal.descend(
+        [wedge.apply_sparse(onto[u], onto[v]) for u, v in F.factors[F.d:]],
+        wedge_alg.dim)
     if eps is None:
         raise TheoremViolationError(
             "wedge map does not kill the relation commutator")
@@ -258,11 +254,11 @@ def multiplier_via_presentation(P: FreePresentation) -> Subspace:
 
 
 def _restrict(K: LieAlgebra, d: int) -> LieAlgebra:
-    """K on its positions d..dim K - 1, which must hold every bracket."""
+    """K on its positions d..dim K - 1, which must hold every bracket: its
+    one caller, verify_cover_theorem, first checks that K' has the pivots
+    d.., and LieAlgebra refuses an index below 0 all the same."""
     cells = tuple({j - d: {k - d: x for k, x in cell.items()}
                    for j, cell in row.items() if j >= d} for row in K.cells[d:])
-    if any(k < 0 for row in cells for cell in row.values() for k in cell):
-        raise InternalCheckError(f"a bracket leaves the positions from {d}")
     return LieAlgebra(K.field, K.dim - d, cells,
                       tuple(f"q{c + 1}" for c in range(K.dim - d)))
 
@@ -292,9 +288,8 @@ def boundaries(L: LieAlgebra) -> Subspace:
 
 def build_cover(L: LieAlgebra) -> Cover:
     """The cover C = V (+) E of a validated algebra, nilpotent or not, with
-    its defining-pair properties checked on every row (module docstring).
-    The cell (a, b), a < b, is pi(a)^pi(b) through x_i^x_j -> its class in
-    C, and (b, a) is its negative."""
+    its defining-pair properties checked on every row (module docstring):
+    the bracket (a, b) is pi(a)^pi(b) through x_i^x_j -> its class in C."""
     field, n, one = L.field, L.dim, L.field.one
     space = boundaries(L)
     kappa = space.descend([L.cells[i].get(j, {})
@@ -308,13 +303,10 @@ def build_cover(L: LieAlgebra) -> Cover:
     in_C = [{d + r: x for r, x in col.items()} for col in project]
     classes = BilinearMap(field, n, dim, tuple(
         tuple(combine(w.items(), in_C) for w in row) for row in _wedge(n, one)))
-    cells: list[dict] = [{} for _ in range(dim)]
-    for a, b in combinations(compress(range(dim), pi), 2):
-        v = classes.apply_sparse(pi[a], pi[b])
-        if v:
-            cells[a][b] = v
-            cells[b][a] = {k: -x for k, x in v.items()}
-    C = LieAlgebra(field, dim, cells, tuple(f"c{k + 1}" for k in range(dim)))
+    C = lie_algebra_from_brackets(field, dim, {
+        (a, b): classes.apply_sparse(pi[a], pi[b]).items()
+        for a, b in combinations(compress(range(dim), pi), 2)},
+        tuple(f"c{k + 1}" for k in range(dim)))
     report = C.validate()
     if not report.ok:
         raise InternalCheckError(f"cover fails validation: {report.detail}")
@@ -329,20 +321,21 @@ def build_cover(L: LieAlgebra) -> Cover:
             f"cover dimension {dim} != {n} + {multiplier.dim}")
     if any(any(C.ad_sparse(m)) for m in multiplier.sparse_rows):
         raise TheoremViolationError("multiplier is not central in the cover")
-    if not C.derived_subalgebra.contains_space(multiplier):
-        raise TheoremViolationError("multiplier escapes the derived subalgebra")
+    # ker pi lies in C' with no check: pi is onto (rank-nullity above), so
+    # C' is E, positions d..; and ker pi is 0 on V, as kappa lands in L^2,
+    # which meets V (the unit vectors at L^2's free columns) only in 0.
     return Cover(L, C, multiplier, onto, space, d)
 
 
 def verify_cover_theorem(cover: Cover, tensor: TensorSquare) -> Verdict:
     """C' is isomorphic to the exterior square of L's tensor square, through
-    x_i^x_j -> the wedge class of the pairing cell (i, j).  C' = E (module
+    x_i^x_j -> the cell (i, j) of tensor.exterior_pairing.  C' = E (module
     docstring) is checked: C' has the pivots d..dim C - 1, so its
     coordinates are those positions shifted by d.  The map must kill
     d3(A3), to be defined on E, be a bijective homomorphism and carry
     ker pi, which lies in C', onto the tensor engine's multiplier."""
     L, C, d = cover.L, cover.algebra, cover.d
-    wedge_alg, to_wedge = tensor.exterior_square()
+    wedge_alg, wedge = tensor.exterior_square()[0], tensor.exterior_pairing
     derived = C.derived_subalgebra
     if derived.dim != wedge_alg.dim:
         return Verdict(False, f"dims differ: cover derived {derived.dim}, "
@@ -352,10 +345,9 @@ def verify_cover_theorem(cover: Cover, tensor: TensorSquare) -> Verdict:
     if derived.pivots != tuple(range(d, C.dim)):
         return Verdict(False, "cover derived subalgebra is not the span of "
                               "its positions d..dim C - 1")
-    images = tuple(combine(tensor.pairing.cells[i][j].items(),
-                           to_wedge.sparse_columns)
-                   for i, j in combinations(range(L.dim), 2))
-    eps = cover.boundaries.descend(images, wedge_alg.dim)
+    eps = cover.boundaries.descend(
+        [wedge.cells[i][j] for i, j in combinations(range(L.dim), 2)],
+        wedge_alg.dim)
     if eps is None:
         return Verdict(False, "the wedge map does not kill d3")
     try:

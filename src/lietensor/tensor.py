@@ -48,11 +48,11 @@ The construction stays sparse from end to end.  Each relation instance is a
 relation space is linalg.span of the instances, inserted shortest first.
 The universal pairing stores the sparse columns of the relation space's
 projection as its cells; the quotient algebra is liealg.descended_algebra
-of its values at the brackets, and the three centers are read off the
-cells.  Each map on the quotient (the commutator map, induced maps,
-factored pairings, the commutator map of the exterior square) is
-Subspace.descend of its sparse ambient columns, which also checks that
-the map kills the relations.
+of its values at the brackets, and the centers are read off its cells or
+off the exterior pairing's, the cells projected onto L^L.  Each map on
+the quotient (the commutator map, induced maps, factored pairings, the
+commutator map of the exterior square) is Subspace.descend of its sparse
+ambient columns, which also checks that the map kills the relations.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ class TensorSquare(Immutable):
         return self._schur_multiplier
 
     # Each center is the kernel of v -> (cell(v, x_j))_j, stacked over all
-    # j, read off the pairing's sparse cells.
+    # j, read off the sparse cells of the pairing or the exterior pairing.
 
     @cached_property
     def tensor_center(self) -> Subspace:
@@ -190,11 +190,18 @@ class TensorSquare(Immutable):
     @cached_property
     def exterior_center(self) -> Subspace:
         """Elements annihilating every partner in the exterior square."""
-        cells = self.pairing.cells
+        wedge = self.exterior_pairing
+        return annihilator(self.base.field, self.base.dim, wedge.target_dim,
+                           lambda i, j: wedge.cells[i][j].items())
+
+    @cached_property
+    def exterior_pairing(self) -> BilinearMap:
+        """(x, y) -> x^y: the pairing's cells projected onto the exterior
+        square, the one place a wedge is formed."""
         ext, proj = self._exterior
-        cols = proj.sparse_columns
-        return annihilator(self.base.field, self.base.dim, ext.dim,
-                           lambda i, j: combine(cells[i][j].items(), cols).items())
+        return BilinearMap(self.base.field, self.base.dim, ext.dim, tuple(
+            tuple(combine(cell.items(), proj.sparse_columns) for cell in row)
+            for row in self.pairing.cells))
 
     # ------------------------------------------------------------------
     # abelianization and the decomposition machinery

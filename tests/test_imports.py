@@ -12,7 +12,9 @@ every other class is a value type on errors.Immutable.  The package computes
 on sparse vectors: a function whose signature names a dense vector is a
 benchmark tracer target or on a named allowlist.  A cached value has one
 name: no method only returns a cached property of its class, save the few
-that the benchmark calls."""
+that the benchmark calls.  And x^y is formed in one place,
+TensorSquare.exterior_pairing: no module but tensor reads a .pairing
+attribute or the projection onto the exterior square."""
 
 import ast
 import hashlib
@@ -477,3 +479,61 @@ def test_no_method_only_returns_a_cached_property():
     every = {(module, name) for module, source in sources.items()
              for name in pass_through_methods(source, module, set())}
     assert set(PASS_THROUGH_ALLOWED) <= every
+
+
+# The one module that may read a .pairing attribute or the projection
+# exterior_square()[1]: tensor, where TensorSquare.exterior_pairing forms
+# x^y.  Every other module reads exterior_pairing.
+WEDGE_MODULES = {"tensor"}
+
+
+def wedges_formed_outside_tensor(source: str, module: str) -> list[str]:
+    """Each place in a module outside WEDGE_MODULES, as "line: what", that
+    reads a .pairing attribute, or takes more of exterior_square() than its
+    first element: an index other than 0, or an unpacking."""
+    if module in WEDGE_MODULES:
+        return []
+
+    def exterior_call(node) -> bool:
+        return isinstance(node, ast.Call) and getattr(
+            node.func, "attr", getattr(node.func, "id", None)) \
+            == "exterior_square"
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "pairing":
+            found.append((node.lineno, ".pairing"))
+        elif isinstance(node, ast.Subscript) and exterior_call(node.value) \
+                and not (isinstance(node.slice, ast.Constant)
+                         and node.slice.value == 0):
+            found.append((node.lineno, "exterior_square()[...]"))
+        elif isinstance(node, (ast.Assign, ast.For, ast.comprehension)) \
+                and exterior_call(getattr(node, "value", None)
+                                  or getattr(node, "iter", None)):
+            found.append((node.lineno, "unpacks exterior_square()"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_check_finds_a_wedge_formed_outside_tensor():
+    source = ("def f(T, P):\n"
+              "    ext, proj = T.exterior_square()\n"
+              "    cells = T.pairing.cells\n"
+              "    alg = T.exterior_square()[0]\n"
+              "    proj = T.exterior_square()[1]\n"
+              "    wedge = T.exterior_pairing\n"
+              "    for x in T.exterior_square():\n"
+              "        pass\n"
+              "    return P.free.pairing, exterior_square()[-1:]\n")
+    assert wedges_formed_outside_tensor(source, "presentation") == [
+        "2: unpacks exterior_square()", "3: .pairing",
+        "5: exterior_square()[...]", "7: unpacks exterior_square()",
+        "9: .pairing", "9: exterior_square()[...]"]
+    assert wedges_formed_outside_tensor(source, "tensor") == []
+
+
+def test_x_wedge_y_is_formed_only_in_tensor():
+    found = {path.stem: wedges_formed_outside_tensor(
+        path.read_text(encoding="utf-8"), path.stem)
+        for path in sorted(PACKAGE.glob("*.py"))}
+    assert {"tensor", "presentation", "cli"} <= set(found)
+    assert {module: f for module, f in found.items() if f} == {}

@@ -563,12 +563,13 @@ def test_cover_theorem_rejects_another_multiplier():
           suppress_health_check=[HealthCheck.too_slow])
 @given(valid_algebras())
 def test_facts_that_retained_checks_prove_hold_on_every_valid_algebra(L):
-    # verify_decomposition, verify_j2_decomposition, verify_center_identity
-    # and presentation_of do not check these six facts, because a check
-    # they keep proves each one (the arguments are written next to the
-    # code).  Here they are checked directly: the restriction to the
-    # complement by a dense loop over every ordered pair, and [R,F] against
-    # its span over every basis vector of F.
+    # verify_decomposition, verify_j2_decomposition, verify_center_identity,
+    # build_cover, _restrict and presentation_of do not check these eight
+    # facts, because a check they keep proves each one (the arguments are
+    # written next to the code).  Here they are checked directly: the
+    # restriction to the complement by a dense loop over every ordered
+    # pair, the cover's brackets over every cell, and [R,F] against its
+    # span over every basis vector of F.
     T = build_tensor_square(L)
     restriction = dense_restriction_verdict(T)
     assert restriction.ok, (L, restriction.detail)
@@ -576,6 +577,11 @@ def test_facts_that_retained_checks_prove_hold_on_every_valid_algebra(L):
     j2 = T.commutator_map[1]
     assert subspace_intersect(T._complement, j2).dim == \
         T.schur_multiplier().dim, L
+    cover = build_cover(L)
+    K = cover.algebra
+    assert K.derived_subalgebra.contains_space(cover.multiplier), L
+    assert all(k >= cover.d for row in K.cells for cell in row.values()
+               for k in cell), L
     if not L.is_nilpotent:
         return
     try:

@@ -8,6 +8,7 @@ from lietensor import (GF, QQ, abelian, build_tensor_square, catalog,
                        heisenberg, induced_map, is_lie_pairing, sl2,
                        tensor_report)
 from lietensor import tensor
+from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
 from lietensor.cli import verify_document
 from lietensor.errors import InternalCheckError, InvalidInputError
 from lietensor.freenilp import free_nilpotent
@@ -169,6 +170,54 @@ def test_pairing_is_bilinear_projection():
                     expected = [a + ui * vj * b
                                 for a, b in zip(expected, pure(T, i, j))]
         assert T.pairing.apply(u, v) == tuple(expected)
+
+
+def exterior_pairing_is_the_projected_pairing(T):
+    # The dense oracle: the projection applied to each pure tensor.
+    ext, proj = T.exterior_square()
+    wedge = T.exterior_pairing
+    assert (wedge.source_dim, wedge.target_dim) == (T.base.dim, ext.dim)
+    assert pairing_table(wedge) == tuple(
+        tuple(dense_apply(proj, cell) for cell in row)
+        for row in pairing_table(T.pairing))
+
+
+def exterior_pairing_is_alternating(T):
+    cells, n = T.exterior_pairing.cells, T.base.dim
+    assert not any(cells[i][i] for i in range(n))
+    assert all(cells[j][i] == {k: -c for k, c in cells[i][j].items()}
+               for i in range(n) for j in range(n))
+
+
+def exterior_pairing_is_a_lie_pairing(T):
+    verdict = is_lie_pairing(T.exterior_pairing, T.base,
+                             T.exterior_square()[0])
+    assert verdict.ok, verdict.witness
+
+
+EXTERIOR_PAIRING_CHECKS = [exterior_pairing_is_the_projected_pairing,
+                           exterior_pairing_is_alternating,
+                           exterior_pairing_is_a_lie_pairing]
+
+
+@pytest.mark.parametrize("check", EXTERIOR_PAIRING_CHECKS,
+                         ids=lambda check: check.__name__)
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(valid_algebras())
+def test_exterior_pairing_on_valid_algebras(check, L):
+    check(build_tensor_square(L))
+
+
+@pytest.mark.parametrize("check", EXTERIOR_PAIRING_CHECKS,
+                         ids=lambda check: check.__name__)
+def test_exterior_pairing_on_the_catalog(check):
+    squares = [build_tensor_square(catalog(name, field))
+               for name in CATALOG_SUITE for field in SUITE_FIELDS
+               if is_supported(name, field)]
+    assert len(squares) == 47
+    for T in squares:
+        check(T)
 
 
 # ----------------------------------------------------------------------
