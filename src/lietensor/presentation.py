@@ -12,10 +12,12 @@ unchanged by cutting F off at class c + 1.
 Write L = F/R, with X the d generators of F.  Both are read off one quotient
 E = F'/[R,F], on four arguments:
 
-- R lies in F' (Hopf).  The generators go to lifts that are independent
-  modulo L^2, and every composite Hall word goes into L^2, so a relation
-  has zero generator coordinates.  F' is the span of the composite Hall
-  words, so R = R /\ F' and no intersection is computed.
+- R lies in F' (Hopf), so it is computed there: R = ker(F' -> L).  The
+  generators go to the unit vectors at L^2's free columns and every
+  composite Hall word goes into L^2; the two spans meet only in 0, so a
+  vector of ker(F -> L) has zero generator coordinates.  F' is the span
+  of the composite Hall words, so R and [R,F] are held on those positions
+  shifted by -d, and no intersection is computed.
 - [R,F] = [R,X].  By the Jacobi identity [r,[u,x]] = [[r,u],x] - [[r,x],u];
   R is an ideal, so induction on the degree of the left-normed word [u,x]
   spans [R,F] by the brackets [r, x] with r in R and x in X.  [R,F] is an
@@ -30,12 +32,12 @@ E = F'/[R,F], on four arguments:
   so S is a subalgebra containing X, hence F.
 - The exterior square F'/[R,F] is the quotient of F' alone: F' is F on
   its composite positions d.., which hold every bracket, and [R,F] lies
-  in R, inside F', so on those positions shifted by -d it is an ideal of
-  F'.  The multiplier R/[R,F] is the image of R, shifted the same way,
-  under the projection onto E, and the theorem map E -> L /\ L is read
-  on F' too.  G = F/[R,F] is never built: its generator rows hold most
-  of F's nonzero cells, and no result reads them.  Nor is F' copied: the
-  quotient reads only F's rows at E's free columns.
+  in R, inside F', so it is an ideal of F'.  The multiplier R/[R,F] is
+  the image of R under the projection onto E, and the theorem map
+  E -> L /\ L is read on F' too.  G = F/[R,F] is never built: its
+  generator rows hold most of F's nonzero cells, and no result reads
+  them.  Nor is F' copied: the quotient reads only F's rows at E's free
+  columns.
 
 The cover.  A2 is the alternating square of L on the pairs x_i^x_j, i < j,
 and d3(x^y^z) = [x,y]^z - [x,z]^y + [y,z]^x.  E = A2/d3(A3) is the exterior
@@ -77,12 +79,12 @@ from .tensor import TensorSquare
 
 
 class FreePresentation(Immutable):
-    """A surjection from a truncated free algebra onto L with its kernel data.
-
-    relations is the kernel of the surjection, inside the derived subalgebra
-    of the free algebra by the Hopf argument of the module docstring; and
-    relations_commutator is the span of brackets of kernel elements with
-    the whole algebra.  Immutable.
+    """A surjection from a truncated free algebra F onto L with its kernel
+    data.  onto is the surjection on all of F.  relations is its kernel R
+    and relations_commutator is [R,F], the span of brackets of kernel
+    elements with the whole algebra; both lie in F' (module docstring) and
+    are held in its coordinates, F's positions d.. shifted by -d.
+    Immutable.
     """
 
     _fields = ("L", "free", "onto", "relations", "relations_commutator")
@@ -92,20 +94,12 @@ class FreePresentation(Immutable):
                 f"{self.free.algebra.dim}, relations dim {self.relations.dim})")
 
     @cached_property
-    def exterior_ideal(self) -> Subspace:
-        """[R,F] in the coordinates of F', which E = F'/[R,F] divides by.
-        [R,F] lies in R, whose vectors have no support below d (R's pivots
-        are at least d), so shifted by -d it is a subspace of F'.  With no
-        pivot below d, second_part keeps every row of [R,F] and shifts it."""
-        return second_part(self.relations_commutator, self.free.d)
-
-    @cached_property
     def exterior_quotient(self) -> tuple[LieAlgebra, Matrix]:
         """E = F'/[R,F] and the projection of F' onto it; E is validated (in
         descended_algebra).  F' is F on its positions d.., which hold every
         bracket (checked in presentation_of).  [R,F] is an ideal of F, as R
         is one and F satisfies Jacobi (module docstring), hence of F'."""
-        return quotient_by_ideal(self.free.algebra, self.exterior_ideal,
+        return quotient_by_ideal(self.free.algebra, self.relations_commutator,
                                  self.free.d)
 
     @property
@@ -150,13 +144,18 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
     # Sparse images of the Hall words: a generator goes to its lift, a
     # bracket word to the bracket of the images of its factors, which come
     # earlier because the words are ordered by degree.
-    images = [{lift: L.field.one} for lift in lifts]
+    one = L.field.one
+    images = [{lift: one} for lift in lifts]
     for u, v in F.factors[d:]:
         images.append(L.bracket_sparse(images[u], images[v]))
     onto = Matrix(L.field, L.dim, n, tuple(images))
-    # rank + nullity = n, so onto has rank dim L, and the lifts generate L,
-    # exactly when the kernel has dimension n - dim L: one elimination.
-    relations = kernel(onto)
+    # R = ker(F -> L) lies in F' (Hopf): the lifts are the unit vectors at
+    # L^2's free columns, the composite words go into L^2, and the two
+    # spans meet only in 0, so a kernel vector has no generator part.  So
+    # R is the kernel on the composite words, in F' coordinates; and by
+    # rank + nullity = n, onto has rank dim L, so the lifts generate L,
+    # exactly when R has dimension n - dim L: one elimination.
+    relations = kernel(Matrix(L.field, L.dim, n - d, tuple(images[d:])))
     if relations.dim != n - L.dim:
         raise InternalCheckError("canonical lifts do not generate the algebra")
     # Only the generator rows: they generate F, and F and L satisfy Jacobi
@@ -166,8 +165,19 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
     if bad is not None:
         raise InternalCheckError(
             "presentation map is not a homomorphism at (%d,%d)" % bad)
+    # F' is the span of the composite Hall words d..n-1, read off the cells
+    # without elimination: no cell has support below d, so F' lies in their
+    # span; and each composite word k with factors (u, v) is the cell
+    # (u, v), so their span lies in F'.  Checked before any cell is shifted
+    # by -d below.
+    cells = F.algebra.cells
+    if any(min(cell) < d for row in cells for cell in row.values()) or \
+            any(cells[u].get(v) != {k: 1}
+                for k, (u, v) in enumerate(F.factors[d:], d)):
+        raise InternalCheckError("derived basis is not coordinate-aligned")
 
-    # [R, F] = [R, X] on the generators, the first d Hall words.  The
+    # [R, F] = [R, X] on the generators, the first d Hall words, in F'
+    # coordinates: ad[g] holds F's cells (k, g) for k >= d.  The
     # homomorphism check above makes R = ker(F -> L) an ideal, so [R, F]
     # lies in R; and it is an ideal itself, as F satisfies Jacobi (validated
     # in freenilp._integer_structure; module docstring).
@@ -176,30 +186,17 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
     # its pivot, so a row with its pivot in the top layer lies in that
     # layer; its bracket with a generator has degree c + 2, zero in F, so it
     # spans nothing.  Pivots increase, so those rows are a prefix.
-    below_top = bisect_left(relations.pivots, bisect_left(F.degrees, cls + 1))
-    generators = [{g: L.field.one} for g in range(d)]
+    top = bisect_left(F.degrees, cls + 1) - d
+    below_top = bisect_left(relations.pivots, top)
+    ad = [[{m - d: x for m, x in row.get(g, {}).items()} for row in cells[d:]]
+          for g in range(d)]
     relations_commutator = span(
-        L.field, n, (F.algebra.bracket_sparse(r, x)
-                     for r in relations.sparse_rows[:below_top]
-                     for x in generators))
-    # F' is the span of the composite Hall words d..n-1, read off the cells
-    # without elimination: no cell has support below d, so F' lies in their
-    # span; and each composite word k with factors (u, v) is the cell
-    # (u, v), so their span lies in F'.
-    cells = F.algebra.cells
-    if any(min(cell) < d for row in cells for cell in row.values()) or \
-            any(cells[u].get(v) != {k: 1}
-                for k, (u, v) in enumerate(F.factors[d:], d)):
-        raise InternalCheckError("derived basis is not coordinate-aligned")
-    # R lies in F' (Hopf, module docstring); an echelon pivot is the
-    # leftmost support of its row, so no pivot below d means no relation
-    # has a generator coordinate.
-    if relations.pivots and relations.pivots[0] < d:
-        raise InternalCheckError("a relation leaves the derived subalgebra")
+        L.field, n - d, (combine(r.items(), ad_g)
+                         for r in relations.sparse_rows[:below_top]
+                         for ad_g in ad))
     # The truncation layer (degree c + 1) must die in L.
-    for i, deg in enumerate(F.degrees):
-        if deg == cls + 1 and relations.reduce_sparse({i: L.field.one}):
-            raise InternalCheckError("top truncation layer survives in L")
+    if any(relations.reduce_sparse({i: one}) for i in range(top, n - d)):
+        raise InternalCheckError("top truncation layer survives in L")
     return FreePresentation(L, F, onto, relations, relations_commutator)
 
 
@@ -216,7 +213,7 @@ def exterior_via_presentation(
     """
     wedge_alg, wedge = tensor.exterior_square()[0], tensor.exterior_pairing
     F, onto = P.free, P.onto.sparse_columns
-    eps = P.exterior_ideal.descend(
+    eps = P.relations_commutator.descend(
         [wedge.apply_sparse(onto[u], onto[v]) for u, v in F.factors[F.d:]],
         wedge_alg.dim)
     if eps is None:
@@ -244,13 +241,11 @@ def _check_isomorphism(f: Matrix, source: LieAlgebra, target: LieAlgebra):
 
 def multiplier_via_presentation(P: FreePresentation) -> Subspace:
     """Image of the relations in the presentation quotient, R/[R,F]; its
-    dimension is the Schur multiplier dimension.  R lies in F' (its pivots
-    are at least d), so shifted by -d it is a subspace of F', and its image
-    under the projection onto E is given in the coordinates of
-    P.exterior.  With no pivot below d, second_part keeps every row of R
-    and shifts it."""
+    dimension is the Schur multiplier dimension.  R is held on F', and its
+    image under the projection onto E is given in the coordinates of
+    P.exterior."""
     _, project = P.exterior_quotient
-    return project.image_of(second_part(P.relations, P.free.d))
+    return project.image_of(P.relations)
 
 
 def _restrict(K: LieAlgebra, d: int) -> LieAlgebra:

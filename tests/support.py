@@ -101,6 +101,16 @@ def select_columns(m: Matrix, cols) -> Matrix:
                   tuple(m.sparse_columns[c] for c in cols))
 
 
+def lifted(space: Subspace, d: int) -> Subspace:
+    """A subspace held in F' coordinates (positions d.. of F shifted by -d)
+    in F's coordinates: d zero coordinates prepended.  The rows stay fully
+    reduced echelon rows, with their pivots shifted by d."""
+    return Subspace(space.field, space.ambient_dim + d,
+                    tuple(p + d for p in space.pivots),
+                    tuple({j + d: x for j, x in row.items()}
+                          for row in space.sparse_rows))
+
+
 def column(m: Matrix, j: int):
     return dense(m.sparse_columns[j], m.rows, m.field.zero)
 
@@ -549,7 +559,8 @@ def dense_restriction_verdict(T) -> Verdict:
 # ----------------------------------------------------------------------
 # presentation oracles: the generic constructions the presentation engine
 # replaced by reading F' and R /\ F' off the Hall grading, and the cover
-# F/[R,F] that the exterior-square cover replaced
+# F/[R,F] that the exterior-square cover replaced.  They work in F's
+# coordinates, so they read R and [R,F], held on F', through lifted.
 # ----------------------------------------------------------------------
 
 def complement_within(inner: Subspace, outer: Subspace) -> Subspace:
@@ -579,8 +590,10 @@ def all_columns_commutator(F: LieAlgebra, relations: Subspace) -> Subspace:
 
 
 def zassenhaus_relations_in_derived(P) -> Subspace:
-    """R /\\ F' by the Zassenhaus intersection."""
-    return subspace_intersect(P.relations, P.free.algebra.derived_subalgebra)
+    """R /\\ F' by the Zassenhaus intersection, with R = ker(F -> L) the
+    kernel of the presentation map on all of F."""
+    return subspace_intersect(linalg.kernel(P.onto),
+                              P.free.algebra.derived_subalgebra)
 
 
 def coords_space(sub: Subalgebra, space: Subspace) -> Subspace:
@@ -595,7 +608,8 @@ def subalgebra_exterior(P):
     F = P.free.algebra
     derived = Subalgebra(F, F.derived_subalgebra)
     algebra, projection = quotient_algebra(
-        derived.algebra, coords_space(derived, P.relations_commutator))
+        derived.algebra,
+        coords_space(derived, lifted(P.relations_commutator, P.free.d)))
     multiplier = projection.image_of(
         coords_space(derived, zassenhaus_relations_in_derived(P)))
     return algebra, multiplier
@@ -605,14 +619,15 @@ def complement_cover(P):
     """The cover as F/[R,F] divided by the canonical complement of the image
     of R /\\ F' inside the image of R: (algebra, from_free, multiplier,
     onto)."""
-    F = P.free.algebra
+    F, d = P.free.algebra, P.free.d
     in_derived = zassenhaus_relations_in_derived(P)
-    G, to_G = quotient_algebra(F, P.relations_commutator)
+    commutator = lifted(P.relations_commutator, d)
+    G, to_G = quotient_algebra(F, commutator)
     extra = complement_within(to_G.image_of(in_derived),
-                              to_G.image_of(P.relations))
+                              to_G.image_of(lifted(P.relations, d)))
     K, to_K = quotient_algebra(G, extra)
     from_free = to_K.mul(to_G)
-    g_free = P.relations_commutator.free_cols
+    g_free = commutator.free_cols
     onto = select_columns(P.onto, [g_free[c] for c in extra.free_cols])
     return K, from_free, from_free.image_of(in_derived), onto
 
@@ -627,7 +642,7 @@ def padded_exterior_map(P, tensor) -> Matrix:
     images = [{} for _ in range(F.d)] + [
         combine(tensor.pairing.apply_sparse(onto[u], onto[v]).items(),
                 to_wedge.sparse_columns) for u, v in F.factors[F.d:]]
-    eps = P.relations_commutator.descend(images, wedge_alg.dim)
+    eps = lifted(P.relations_commutator, F.d).descend(images, wedge_alg.dim)
     return select_columns(eps, range(F.d, eps.cols))
 
 
@@ -635,7 +650,8 @@ def presentation_quotient(P):
     """G = F/[R,F] with the projection onto it, an oracle for the
     presentation engine, which builds only F'/[R,F]; quotient_algebra
     checks that [R,F] is an ideal."""
-    return quotient_algebra(P.free.algebra, P.relations_commutator)
+    return quotient_algebra(P.free.algebra,
+                            lifted(P.relations_commutator, P.free.d))
 
 
 def free_cover(P):
@@ -645,10 +661,11 @@ def free_cover(P):
     its r-th free column to the r-th unit vector, and is checked to factor
     the presentation map."""
     G, from_free = presentation_quotient(P)
-    onto = select_columns(P.onto, P.relations_commutator.free_cols)
+    d = P.free.d
+    onto = select_columns(P.onto, lifted(P.relations_commutator, d).free_cols)
     if onto.mul(from_free) != P.onto:
         raise ValueError("cover projection does not factor the presentation")
-    return G, from_free, from_free.image_of(P.relations), onto
+    return G, from_free, from_free.image_of(lifted(P.relations, d)), onto
 
 
 def generator_map(P, cover) -> Matrix:
@@ -661,9 +678,10 @@ def generator_map(P, cover) -> Matrix:
     for u, v in F.factors[F.d:]:
         images.append(C.bracket_sparse(images[u], images[v]))
     to_C = Matrix(C.field, C.dim, len(images), tuple(images))
-    if to_C.image_of(P.relations_commutator).dim:
+    commutator = lifted(P.relations_commutator, F.d)
+    if to_C.image_of(commutator).dim:
         raise ValueError("F -> C does not kill [R,F]")
-    return select_columns(to_C, P.relations_commutator.free_cols)
+    return select_columns(to_C, commutator.free_cols)
 
 
 def subalgebra_cover_theorem(cover, tensor):

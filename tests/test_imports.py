@@ -14,7 +14,9 @@ benchmark tracer target or on a named allowlist.  A cached value has one
 name: no method only returns a cached property of its class, save the few
 that the benchmark calls.  And x^y is formed in one place,
 TensorSquare.exterior_pairing: no module but tensor reads a .pairing
-attribute or the projection onto the exterior square."""
+attribute or the projection onto the exterior square.  The presentation
+holds R and [R,F] on F', where it computes them, so no function of
+presentation but the cover theorem shifts a subspace by second_part."""
 
 import ast
 import hashlib
@@ -537,3 +539,44 @@ def test_x_wedge_y_is_formed_only_in_tensor():
         for path in sorted(PACKAGE.glob("*.py"))}
     assert {"tensor", "presentation", "cli"} <= set(found)
     assert {module: f for module, f in found.items() if f} == {}
+
+
+# The one function of presentation that may call second_part:
+# verify_cover_theorem, which shifts ker pi onto C'.  presentation_of
+# computes R and [R,F] on F', where every other function reads them.
+SHIFTERS = {"verify_cover_theorem"}
+
+
+def second_part_callers(source: str, allowed) -> list[str]:
+    """The names of the functions of a module outside allowed that call
+    second_part, by name or as an attribute, in source order."""
+    found = [(node.lineno, node.name) for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.FunctionDef) and node.name not in allowed
+             and any(isinstance(call, ast.Call) and getattr(
+                 call.func, "id", getattr(call.func, "attr", None))
+                 == "second_part" for call in ast.walk(node))]
+    return [name for _, name in sorted(found)]
+
+
+def test_the_check_finds_a_second_part_call():
+    source = ("class P:\n"
+              "    @cached_property\n"
+              "    def exterior_ideal(self):\n"
+              "        return second_part(self.rf, self.d)\n"
+              "    def exterior(self):\n"
+              "        return self.second_part\n"
+              "def multiplier(P):\n"
+              "    return image_of(linalg.second_part(P.r, P.d))\n"
+              "def verify_cover_theorem(cover):\n"
+              "    return second_part(cover.m, cover.d)\n")
+    assert second_part_callers(source, SHIFTERS) == [
+        "exterior_ideal", "multiplier"]
+    assert second_part_callers(source, set()) == [
+        "exterior_ideal", "multiplier", "verify_cover_theorem"]
+
+
+def test_only_the_cover_theorem_shifts_by_second_part_in_presentation():
+    source = (PACKAGE / "presentation.py").read_text(encoding="utf-8")
+    assert second_part_callers(source, SHIFTERS) == []
+    # No allowlist entry outlives its function.
+    assert second_part_callers(source, set()) == sorted(SHIFTERS)

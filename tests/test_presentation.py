@@ -24,7 +24,7 @@ from lietensor.presentation import _check_isomorphism, _restrict, boundaries
 
 from support import (all_columns_commutator, basis, column, complement_cover,
                      corrupted_tables, dense_restriction_verdict,
-                     free_cover, generator_map, linear_map,
+                     free_cover, generator_map, lifted, linear_map,
                      padded_exterior_map, presentation_quotient,
                      random_nilpotent_quotient, solve, span,
                      subalgebra_cover_theorem, subalgebra_exterior,
@@ -43,10 +43,11 @@ def test_presentation_of_abelian():
         assert P.free.d == n and P.free.c == 2
         assert P.relations.dim == n * (n - 1) // 2
         assert P.relations_commutator.dim == 0
-        assert P.free.algebra.derived_subalgebra.contains_space(P.relations)
+        R = lifted(P.relations, n)
+        assert P.free.algebra.derived_subalgebra.contains_space(R)
         # the kernel is exactly the degree-2 layer
         for i, deg in enumerate(P.free.degrees):
-            assert (not P.relations.reduce_sparse({i: QQ.one})) == (deg == 2)
+            assert (not R.reduce_sparse({i: QQ.one})) == (deg == 2)
 
 
 def test_presentation_of_heisenberg1():
@@ -57,7 +58,7 @@ def test_presentation_of_heisenberg1():
     assert P.relations_commutator.dim == 0
     # kernel = span of the two degree-3 Hall words
     expected = linalg.span(QQ, 5, [{3: QQ.one}, {4: QQ.one}])
-    assert P.relations == expected
+    assert lifted(P.relations, P.free.d) == expected
 
 
 def test_presentation_of_zero_algebra():
@@ -78,7 +79,8 @@ def test_presentation_map_properties():
         P = presentation_of(L)
         assert P.onto.rank() == L.dim
         assert P.relations.contains_space(P.relations_commutator)
-        assert P.free.algebra.derived_subalgebra.contains_space(P.relations)
+        assert P.free.algebra.derived_subalgebra.contains_space(
+            lifted(P.relations, P.free.d))
 
 
 def test_exterior_via_presentation_dims():
@@ -265,7 +267,8 @@ def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
                       L.bracket(images[i], images[j])]
             if not bad.validate().ok:
                 broken = [(i, j) for i, j in broken if i < F.d]
-            all_columns = all_columns_commutator(bad, clean.relations)
+            all_columns = all_columns_commutator(
+                bad, lifted(clean.relations, F.d))
             try:
                 P = presentation_of.__wrapped__(L)
             except InternalCheckError as exc:
@@ -277,9 +280,10 @@ def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
                 continue
             assert not broken, where
             assert P.relations == clean.relations, where
-            if P.relations_commutator == all_columns:
+            if lifted(P.relations_commutator, F.d) == all_columns:
                 outcomes["equal"] += 1
-                changed += all_columns != clean.relations_commutator
+                changed += all_columns != lifted(
+                    clean.relations_commutator, F.d)
             else:
                 assert not bad.validate().ok, where
                 outcomes["invalid"] += 1
@@ -302,18 +306,18 @@ def test_graded_constructions_match_the_generic_oracles():
                  for d, c in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3))]
     for L in algebras:
         P = presentation_of(L)
-        F = P.free.algebra
-        assert P.relations_commutator == \
-            all_columns_commutator(F, P.relations), L
-        assert P.relations == zassenhaus_relations_in_derived(P), L
+        F, d = P.free.algebra, P.free.d
+        R = lifted(P.relations, d)
+        assert lifted(P.relations_commutator, d) == \
+            all_columns_commutator(F, R), L
+        assert R == zassenhaus_relations_in_derived(P), L
         ext, mult = subalgebra_exterior(P)
         assert P.exterior == ext, L
         assert multiplier_via_presentation(P) == mult, L
         assert exterior_via_presentation(P, build_tensor_square(L))[0] == ext, L
         G, to_G = presentation_quotient(P)
-        d = P.free.d
         assert P.exterior == _restrict(G, d), L
-        image = to_G.image_of(P.relations)
+        image = to_G.image_of(R)
         assert multiplier_via_presentation(P) == Subspace(
             image.field, image.ambient_dim - d,
             tuple(p - d for p in image.pivots),
@@ -564,12 +568,13 @@ def test_cover_theorem_rejects_another_multiplier():
 @given(valid_algebras())
 def test_facts_that_retained_checks_prove_hold_on_every_valid_algebra(L):
     # verify_decomposition, verify_j2_decomposition, verify_center_identity,
-    # build_cover, _restrict and presentation_of do not check these eight
+    # build_cover, _restrict and presentation_of do not check these nine
     # facts, because a check they keep proves each one (the arguments are
     # written next to the code).  Here they are checked directly: the
     # restriction to the complement by a dense loop over every ordered
-    # pair, the cover's brackets over every cell, and [R,F] against its
-    # span over every basis vector of F.
+    # pair, the cover's brackets over every cell, R, computed on F',
+    # against the whole kernel of F -> L, and [R,F] against its span over
+    # every basis vector of F.
     T = build_tensor_square(L)
     restriction = dense_restriction_verdict(T)
     assert restriction.ok, (L, restriction.detail)
@@ -588,7 +593,9 @@ def test_facts_that_retained_checks_prove_hold_on_every_valid_algebra(L):
         P = presentation_of(L)
     except OutsideEnvelopeError:
         return
-    F, R, RF = P.free.algebra, P.relations, P.relations_commutator
+    F, d = P.free.algebra, P.free.d
+    R, RF = lifted(P.relations, d), lifted(P.relations_commutator, d)
+    assert R == kernel(P.onto), L
     assert R.contains_space(RF), L
     assert RF == all_columns_commutator(F, R), L
     assert not any(RF.reduce_sparse(w)
