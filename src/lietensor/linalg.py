@@ -19,10 +19,10 @@ coordinates, so reductions cost the nonzeros they meet, not the ambient
 width.  Products, ranks and kernels work on those columns and rows;
 _transpose, the one change of orientation, serves only rref.  kernel, like
 subspace_intersect, spans vectors extended by a second block and reads the
-rows that lead there, so annihilator, the kernel of a stacked map,
-eliminates its few columns and not its mostly empty rows.  Matrix.apply
-takes a dense tuple, and so does SpanBuilder.add, which nothing in the
-package calls; every other vector is sparse.
+rows that lead there through the private _second_part, so annihilator, the
+kernel of a stacked map, eliminates its few columns and not its mostly
+empty rows.  Matrix.apply takes a dense tuple, and so does SpanBuilder.add,
+which nothing in the package calls; every other vector is sparse.
 """
 
 from __future__ import annotations
@@ -298,15 +298,15 @@ def kernel(m: Matrix) -> Subspace:
 
     The span of the vectors (m e_i, e_i) meets 0 (+) F^cols in 0 (+) kernel,
     so, as in subspace_intersect, its echelon rows with a pivot >= rows,
-    shifted back, are the kernel's canonical rows.  The columns go in last
-    first: when (m e_i, e_i) goes in, every stored row is a combination of
-    later columns, so no stored row holds unit column i or one before it.
-    A residual that leads in the second block thus leads at unit column i,
-    outside the columns that SpanBuilder's rows can hold, and skips the
-    back-reduction scan; in increasing order it would scan.
+    shifted back by _second_part, are the kernel's canonical rows.  The
+    columns go in last first: when (m e_i, e_i) goes in, every stored row is
+    a combination of later columns, so no stored row holds unit column i or
+    one before it.  A residual that leads in the second block thus leads at
+    unit column i, outside the columns that SpanBuilder's rows can hold, and
+    skips the back-reduction scan; in increasing order it would scan.
     """
     one = m.field.one
-    return second_part(
+    return _second_part(
         span(m.field, m.rows + m.cols,
              ({**m.sparse_columns[i], m.rows + i: one}
               for i in reversed(range(m.cols)))),
@@ -337,21 +337,22 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     vectors with zero first half are exactly (0, v) with v in both, and the
     echelon rows with a pivot in the second half are a basis of them.  A
     fully reduced echelon row has no support before its pivot, so those rows
-    lie in the second half, and shifted back by n they are already the
-    canonical rows of the intersection: 1 at their own pivot, 0 at the
-    others.
+    lie in the second half, and shifted back by n (_second_part) they are
+    already the canonical rows of the intersection: 1 at their own pivot, 0
+    at the others.
     """
     if a.ambient_dim != b.ambient_dim or a.field != b.field:
         raise ValueError("ambient mismatch")
     n = a.ambient_dim
     doubled = ({**u, **{j + n: x for j, x in u.items()}} for u in a.sparse_rows)
-    return second_part(span(a.field, 2 * n, chain(doubled, b.sparse_rows)), n)
+    return _second_part(span(a.field, 2 * n, chain(doubled, b.sparse_rows)), n)
 
 
-def second_part(space: Subspace, split: int) -> Subspace:
+def _second_part(space: Subspace, split: int) -> Subspace:
     """The echelon rows with a pivot >= split, shifted back by split: an
     echelon row has no support before its pivot, and pivots increase, so
-    they are the rows from bisect_left(pivots, split) on."""
+    they are the rows from bisect_left(pivots, split) on.  Only kernel and
+    subspace_intersect read a second block; elsewhere rows stay in place."""
     k = bisect_left(space.pivots, split)
     return Subspace(space.field, space.ambient_dim - split,
                     tuple(p - split for p in space.pivots[k:]),

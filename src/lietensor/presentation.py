@@ -57,8 +57,8 @@ pi(c)^pi(c').  No step needs L nilpotent:
   dim C = dim L + dim M(L) = dim F/[R,F].
 - The theorem map C' = E -> L /\ L of the tensor engine commutes with the
   two commutator maps to L, so, being bijective, it carries ker pi onto
-  the tensor engine's multiplier; verify_cover_theorem checks that too,
-  the one second route to M(L) for an L the presentation never sees.
+  the tensor engine's multiplier; verify_cover_theorem checks it on C's
+  positions, the one second route to M(L) for an L no presentation sees.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ from .errors import (Immutable, InternalCheckError, NotNilpotentError,
                      OutsideEnvelopeError, TheoremViolationError, Verdict)
 from .liealg import (BilinearMap, LieAlgebra, homomorphism_failure,
                      lie_algebra_from_brackets, quotient_by_ideal)
-from .linalg import (Matrix, Subspace, add_scaled, combine, kernel,
-                     second_part, span)
+from .linalg import Matrix, Subspace, add_scaled, combine, kernel, span
 from .freenilp import dimension_exceeds, free_nilpotent
 from .tensor import TensorSquare
 
@@ -328,7 +327,7 @@ def verify_cover_theorem(cover: Cover, tensor: TensorSquare) -> Verdict:
     docstring) is checked: C' has the pivots d..dim C - 1, so its
     coordinates are those positions shifted by d.  The map must kill
     d3(A3), to be defined on E, be a bijective homomorphism and carry
-    ker pi, which lies in C', onto the tensor engine's multiplier."""
+    ker pi, read on C's positions, onto the tensor engine's multiplier."""
     L, C, d = cover.L, cover.algebra, cover.d
     wedge_alg, wedge = tensor.exterior_square()[0], tensor.exterior_pairing
     derived = C.derived_subalgebra
@@ -349,14 +348,14 @@ def verify_cover_theorem(cover: Cover, tensor: TensorSquare) -> Verdict:
         _check_isomorphism(eps, _restrict(C, d), wedge_alg)
     except TheoremViolationError as exc:
         return Verdict(False, f"cover derived subalgebra: {exc}")
-    # ker pi lies in C' when every row has its pivot from d on; eps is
-    # injective, so it carries those rows onto M(L) once their images lie
-    # in M(L) and the dimensions agree.  No elimination.
-    mult = tensor.schur_multiplier()
-    rows = second_part(cover.multiplier, d).sparse_rows
-    if not len(rows) == cover.multiplier.dim == mult.dim or any(
-            mult.reduce_sparse(combine(row.items(), eps.sparse_columns))
-            for row in rows):
+    # ker pi lies in C' when its first pivot is d or more, as an echelon row
+    # has no support before its pivot; eps is injective, so it carries the
+    # rows onto M(L) once their images lie in M(L) and the dimensions agree.
+    ker, mult = cover.multiplier, tensor.schur_multiplier()
+    on_C = ({},) * d + eps.sparse_columns  # indexed by C's positions
+    if ker.dim != mult.dim or min(ker.pivots, default=d) < d or any(
+            mult.reduce_sparse(combine(row.items(), on_C))
+            for row in ker.sparse_rows):
         return Verdict(False, "the theorem map does not carry ker pi onto "
                               "the multiplier")
     return Verdict(True, f"cover derived dim {derived.dim} = exterior dim "

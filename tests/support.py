@@ -8,8 +8,11 @@ ranks and kernels over the rationals.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations
+from types import SimpleNamespace
 
 import sympy
 from hypothesis import strategies as st
@@ -21,8 +24,9 @@ from lietensor.catalog import MAX_AMBIENT, is_supported
 from lietensor.errors import TheoremViolationError
 from lietensor.freenilp import dimension_exceeds, free_nilpotent
 from lietensor import linalg
-from lietensor.linalg import (Matrix, Subspace, _transpose, combine, dense,
-                              sparse, subspace_intersect, subspace_sum)
+from lietensor.linalg import (Matrix, SpanBuilder, Subspace, _transpose,
+                              combine, dense, sparse, subspace_intersect,
+                              subspace_sum)
 from lietensor.presentation import _check_isomorphism
 
 
@@ -372,6 +376,47 @@ def valid_algebras(draw):
 
     L = part()
     return direct_sum(L, part()) if draw(st.booleans()) else L
+
+
+# ----------------------------------------------------------------------
+# the elimination observer: the one place outside linalg's unit tests and
+# the benchmark that patches SpanBuilder or reads its column set
+# ----------------------------------------------------------------------
+
+Insert = namedtuple("Insert", "width vector pivot scanned")
+
+
+@contextmanager
+def elimination_log():
+    """Observe every span that linalg builds while the block runs.  Yields
+    a namespace with sizes, the number of vectors inserted into each span
+    in the order the spans were built, and inserts, one Insert per vector:
+    its span's ambient width, the vector, the pivot of its residual (None
+    when it reduces to 0 and the span does not grow) and scanned, whether
+    that pivot lies in the columns the stored rows can hold, the one case
+    in which SpanBuilder.insert runs its back-reduction scan.  The patches
+    are undone on exit."""
+    log = SimpleNamespace(sizes=[], inserts=[])
+    init, insert = SpanBuilder.__init__, SpanBuilder.insert
+
+    def observed_init(self, *args):
+        init(self, *args)
+        self.logged_as = len(log.sizes)
+        log.sizes.append(0)
+
+    def observed_insert(self, v):
+        out = self.reduce(v)
+        pivot = min(out) if out else None
+        log.sizes[self.logged_as] += 1
+        log.inserts.append(Insert(self.ambient_dim, v, pivot,
+                                  pivot in self._columns))
+        return insert(self, v)
+
+    SpanBuilder.__init__, SpanBuilder.insert = observed_init, observed_insert
+    try:
+        yield log
+    finally:
+        SpanBuilder.__init__, SpanBuilder.insert = init, insert
 
 
 # ----------------------------------------------------------------------

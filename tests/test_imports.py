@@ -14,15 +14,17 @@ benchmark tracer target or on a named allowlist.  A cached value has one
 name: no method only returns a cached property of its class, save the few
 that the benchmark calls.  And x^y is formed in one place,
 TensorSquare.exterior_pairing: no module but tensor reads a .pairing
-attribute or the projection onto the exterior square.  The presentation
-holds R and [R,F] on F', where it computes them, so no function of
-presentation but the cover theorem shifts a subspace by second_part."""
+attribute or the projection onto the exterior square.  Elimination's row
+layout stays in linalg: no other module names the second-block shift
+_second_part, and the CI steps read spans through the tests' observer, not
+SpanBuilder's internals."""
 
 import ast
 import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -194,10 +196,10 @@ def test_every_batch_is_spanned_through_linalg_span():
 
 
 # The functions that may construct a Subspace: span hands over its
-# builder's echelon rows, second_part shifts echelon rows that a span
+# builder's echelon rows, _second_part shifts echelon rows that a span
 # returned, and the full space needs no elimination.
 SUBSPACE_MAKERS = {("linalg", "span"),
-                   ("linalg", "second_part"),
+                   ("linalg", "_second_part"),
                    ("linalg", "Subspace.full_space")}
 
 
@@ -237,14 +239,14 @@ def test_the_check_finds_a_subspace_built_by_hand():
               "    @classmethod\n"
               "    def zero(cls, field, n):\n"
               "        return cls(field, n, n, ())\n"
-              "def second_part(space, split):\n"
+              "def _second_part(space, split):\n"
               "    return Subspace(space.field, 0, (), ())\n"
               "def _subspace(field, n, rows):\n"
               "    return linalg.Subspace(field, n, tuple(rows), rows)\n")
     assert subspaces_built_by_hand(source, "linalg") == [
         "Subspace.of_rows: cls(", "_subspace: Subspace("]
     assert subspaces_built_by_hand(source, "tensor")[-2:] == [
-        "second_part: Subspace(", "_subspace: Subspace("]
+        "_second_part: Subspace(", "_subspace: Subspace("]
 
 
 def test_only_spans_and_their_second_parts_construct_a_subspace():
@@ -541,42 +543,103 @@ def test_x_wedge_y_is_formed_only_in_tensor():
     assert {module: f for module, f in found.items() if f} == {}
 
 
-# The one function of presentation that may call second_part:
-# verify_cover_theorem, which shifts ker pi onto C'.  presentation_of
-# computes R and [R,F] on F', where every other function reads them.
-SHIFTERS = {"verify_cover_theorem"}
+# The one module that may name the second-block shift: linalg, where kernel
+# and subspace_intersect read the rows of a span from a split on.  Every
+# other module reads a subspace where it lies, as verify_cover_theorem
+# reads ker pi on the cover's positions.
+SHIFT_MODULES = {"linalg"}
+SHIFT_NAMES = {"second_part", "_second_part"}
 
 
-def second_part_callers(source: str, allowed) -> list[str]:
-    """The names of the functions of a module outside allowed that call
-    second_part, by name or as an attribute, in source order."""
-    found = [(node.lineno, node.name) for node in ast.walk(ast.parse(source))
-             if isinstance(node, ast.FunctionDef) and node.name not in allowed
-             and any(isinstance(call, ast.Call) and getattr(
-                 call.func, "id", getattr(call.func, "attr", None))
-                 == "second_part" for call in ast.walk(node))]
-    return [name for _, name in sorted(found)]
+def shift_names(source: str, module: str) -> list[str]:
+    """Each place in a module outside SHIFT_MODULES, as "scope: name", that
+    names second_part or _second_part: a name, an attribute, an imported
+    name or a def."""
+    if module in SHIFT_MODULES:
+        return []
+    found = []
+
+    def visit(node, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            where = ".".join(scope) or "<module>"
+            name = getattr(child, "id", None) or getattr(child, "attr", None) \
+                or getattr(child, "name", None)
+            if name in SHIFT_NAMES:
+                found.append(f"{where}: {name}")
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
 
 
-def test_the_check_finds_a_second_part_call():
-    source = ("class P:\n"
-              "    @cached_property\n"
-              "    def exterior_ideal(self):\n"
-              "        return second_part(self.rf, self.d)\n"
+def test_the_check_finds_a_name_of_the_shift():
+    source = ("from .linalg import kernel, second_part\n"
+              "class P:\n"
               "    def exterior(self):\n"
-              "        return self.second_part\n"
-              "def multiplier(P):\n"
-              "    return image_of(linalg.second_part(P.r, P.d))\n"
+              "        return linalg._second_part(self.rf, self.d)\n"
+              "    def second_part(self):\n"
+              "        return self.rf.second_part_count\n"
               "def verify_cover_theorem(cover):\n"
-              "    return second_part(cover.m, cover.d)\n")
-    assert second_part_callers(source, SHIFTERS) == [
-        "exterior_ideal", "multiplier"]
-    assert second_part_callers(source, set()) == [
-        "exterior_ideal", "multiplier", "verify_cover_theorem"]
+              "    rows = second_part(cover.m, cover.d).sparse_rows\n")
+    assert shift_names(source, "presentation") == [
+        "<module>: second_part", "P.exterior: _second_part",
+        "P: second_part", "verify_cover_theorem: second_part"]
+    assert shift_names(source, "linalg") == []
 
 
-def test_only_the_cover_theorem_shifts_by_second_part_in_presentation():
-    source = (PACKAGE / "presentation.py").read_text(encoding="utf-8")
-    assert second_part_callers(source, SHIFTERS) == []
-    # No allowlist entry outlives its function.
-    assert second_part_callers(source, set()) == sorted(SHIFTERS)
+def test_only_linalg_names_the_second_block_shift():
+    found = {path.stem: shift_names(path.read_text(encoding="utf-8"),
+                                    path.stem)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {"linalg", "presentation", "tensor"} <= set(found)
+    assert {module: f for module, f in found.items() if f} == {}
+    # Inside linalg, only kernel and subspace_intersect call the shift.
+    linalg = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    assert sorted(node.name for node in linalg.body
+                  if isinstance(node, ast.FunctionDef)
+                  and any(getattr(call.func, "id", None) == "_second_part"
+                          for call in ast.walk(node)
+                          if isinstance(call, ast.Call))) == \
+        ["kernel", "subspace_intersect"]
+
+
+WORKFLOW = PACKAGE.parent.parent / ".github" / "workflows" / "tier1.yml"
+# SpanBuilder's internals as a CI step would name them: an attribute of the
+# class, or the column set that decides the back-reduction scan.
+BUILDER_INTERNALS = re.compile(r"SpanBuilder\.|\b_columns\b")
+
+
+def steps_naming_builder_internals(workflow: str) -> list[str]:
+    """The names of the workflow steps, in order, whose lines name a
+    SpanBuilder internal; tests/support.py's elimination_log is where a
+    step reads spans, inserts and scans."""
+    found, step = [], None
+    for line in workflow.splitlines():
+        name = re.match(r"\s*- name: (.*)", line)
+        if name:
+            step = name.group(1)
+        elif step and BUILDER_INTERNALS.search(line) and step not in found:
+            found.append(step)
+    return found
+
+
+def test_the_check_finds_a_step_that_patches_the_builder():
+    workflow = ("    steps:\n"
+                "      - name: Counts\n"
+                "        run: |\n"
+                "          insert = linalg.SpanBuilder.insert\n"
+                "          scan = min(out) in self._columns\n"
+                "      - name: Sizes\n"
+                "        run: echo m.sparse_columns SpanBuilder\n"
+                "      - name: Scans\n"
+                "        run: python -c 'print(b._columns)'\n")
+    assert steps_naming_builder_internals(workflow) == ["Counts", "Scans"]
+
+
+def test_no_ci_step_names_span_builder_internals():
+    workflow = WORKFLOW.read_text(encoding="utf-8")
+    assert "elimination_log" in workflow
+    assert steps_naming_builder_internals(workflow) == []

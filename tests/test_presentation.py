@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from lietensor import (GF, QQ, Cover, LieAlgebra, abelian, build_cover,
-                       build_tensor_square, catalog,
+from lietensor import (GF, QQ, Cover, LieAlgebra, Verdict, abelian,
+                       build_cover, build_tensor_square, catalog,
                        exterior_via_presentation, heisenberg,
                        multiplier_via_presentation, presentation_of, sl2,
                        verify_cover_theorem, zero_algebra)
@@ -26,8 +26,8 @@ from support import (all_columns_commutator, basis, column, complement_cover,
                      corrupted_tables, dense_restriction_verdict,
                      free_cover, generator_map, lifted, linear_map,
                      padded_exterior_map, presentation_quotient,
-                     random_nilpotent_quotient, solve, span,
-                     subalgebra_cover_theorem, subalgebra_exterior,
+                     random_nilpotent_quotient, random_semidirect, solve,
+                     span, subalgebra_cover_theorem, subalgebra_exterior,
                      symmetric_derived_vectors, table, tensor_relation_vectors,
                      valid_algebras, zassenhaus_relations_in_derived)
 
@@ -561,6 +561,38 @@ def test_cover_theorem_rejects_another_multiplier():
         bad = Cover(L, K, plane, cover.onto, cover.boundaries, d)
         verdict = verify_cover_theorem(bad, T)
         assert not verdict.ok and "multiplier" in verdict.detail, plane
+
+
+def test_cover_theorem_rejects_every_corruption_of_ker_pi():
+    # verify_cover_theorem reads ker pi in place: it lies in C' when its
+    # first pivot is d or more, and the theorem map, read on C's positions,
+    # must carry its rows onto M(L).  On covers of heisenberg(1)+abelian(1)
+    # over Q and GF(3) and of one V x| <D> that is not nilpotent, ker pi is
+    # replaced by the span of its rows with a V unit vector added to one
+    # (first pivot 0 < d), by a subspace of C' of its dimension other than
+    # ker pi, and by the span of all its rows but one.  Each must fail with
+    # the multiplier detail, not raise.
+    semidirect = random_semidirect(random.Random(3), 3)
+    assert not semidirect.is_nilpotent
+    failed = Verdict(False, "the theorem map does not carry ker pi onto "
+                            "the multiplier")
+    for L in (catalog("heisenberg(1)+abelian(1)"),
+              catalog("heisenberg(1)+abelian(1)", GF(3)), semidirect):
+        cover, T = build_cover(L), build_tensor_square(L)
+        assert verify_cover_theorem(cover, T).ok, L
+        K, d, ker, one = cover.algebra, cover.d, cover.multiplier, L.field.one
+        rows = list(ker.sparse_rows)
+        assert 0 < d and 0 < ker.dim < K.dim - d, L
+        with_v = linalg.span(L.field, K.dim, [{0: one, **rows[0]}] + rows[1:])
+        assert with_v.dim == ker.dim and with_v.pivots[0] == 0 < d, L
+        other = next(plane for plane in (
+            linalg.span(L.field, K.dim, [{c: one} for c in cols])
+            for cols in combinations(range(d, K.dim), ker.dim))
+            if plane != ker)
+        dropped = linalg.span(L.field, K.dim, rows[1:])
+        for bad in (with_v, other, dropped):
+            corrupted = Cover(L, K, bad, cover.onto, cover.boundaries, d)
+            assert verify_cover_theorem(corrupted, T) == failed, (L, bad)
 
 
 @settings(max_examples=100, deadline=None,

@@ -21,7 +21,7 @@ from lietensor import linalg, presentation
 from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
 from lietensor.errors import InternalCheckError
 from lietensor.liealg import homomorphism_failure
-from lietensor.linalg import SpanBuilder, Subspace, dense, kernel, sparse
+from lietensor.linalg import Subspace, dense, kernel, sparse
 from lietensor.tensor import TensorSquare
 
 from support import (Subalgebra, basis, cells_of,
@@ -29,7 +29,7 @@ from support import (Subalgebra, basis, cells_of,
                      corrupted_tables, dense_bracket,
                      dense_decomposition_verdict, dense_homomorphism_failure,
                      dense_is_lie_pairing, dense_subalgebra_table,
-                     dense_validate, matrix_from_rows, table)
+                     dense_validate, elimination_log, matrix_from_rows, table)
 
 
 @st.composite
@@ -281,39 +281,22 @@ def test_presentation_isomorphism_check_visits_fewer_pairs(monkeypatch):
     assert all(u is x and v is y for (u, v), (x, y) in zip(seen, expected))
 
 
-def inserts_during(monkeypatch, run):
-    """run() and the vectors that it gives to SpanBuilder.insert."""
-    inserted = []
-    real = SpanBuilder.insert
-
-    def counted(self, v):
-        inserted.append(v)
-        return real(self, v)
-
-    monkeypatch.setattr(SpanBuilder, "insert", counted)
-    try:
-        return run(), inserted
-    finally:
-        monkeypatch.undo()
+def inserts_during(run):
+    """run() and the vectors that it inserts into spans, in order."""
+    with elimination_log() as log:
+        result = run()
+    return result, [record.vector for record in log.inserts]
 
 
 def assert_kernel_rows_skip_the_scan(m):
     # Each kernel row leads in the second block, at the unit column of the
     # column just inserted, which no stored row holds when the columns go
-    # in last first (linalg.kernel): SpanBuilder skips its back-reduction
+    # in last first (linalg.kernel): the span skips its back-reduction
     # scan, as the pivot is not among the columns its rows can hold.
-    scanned = []
-    real = SpanBuilder.insert
-
-    def counted(self, v):
-        out = self.reduce(v)
-        if out and min(out) >= m.rows:
-            scanned.append(min(out) in self._columns)
-        return real(self, v)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SpanBuilder, "insert", counted)
+    with elimination_log() as log:
         space = kernel(m)
+    scanned = [record.scanned for record in log.inserts
+               if record.pivot is not None and record.pivot >= m.rows]
     assert len(scanned) == space.dim
     assert not any(scanned)
 
@@ -350,28 +333,26 @@ def test_commutator_kernels_of_the_catalog_skip_the_back_reduction_scan():
 
 
 @pytest.mark.parametrize("field, r1_and_j", [(QQ, 283), (GF(2), 294)])
-def test_tensor_square_spans_its_relations_without_r1(monkeypatch, field,
-                                                      r1_and_j):
+def test_tensor_square_spans_its_relations_without_r1(field, r1_and_j):
     # J on the triples with a nonzero cell, s(w, x_f), w (x) w and
     # s(w_r, w_s) (tensor module docstring) span the relation space of
     # free_nilpotent(3, 3) in fewer inserts than r1 and J (and, over GF(2),
     # u (x) u) took, at the same rank; none of them is empty.
     L = free_nilpotent(3, 3, field).algebra
     L.derived_subalgebra  # cached before counting
-    T, inserted = inserts_during(monkeypatch,
-                                 lambda: build_tensor_square.__wrapped__(L))
+    T, inserted = inserts_during(lambda: build_tensor_square.__wrapped__(L))
     assert T.relation_space.dim == 161
     assert all(inserted) and len(inserted) < r1_and_j
 
 
-def test_lower_central_series_inserts_only_nonzero_brackets(monkeypatch):
+def test_lower_central_series_inserts_only_nonzero_brackets():
     # L^2 is the derived subalgebra, spanned by the cells [x_i, x_j], j > i,
     # in row order.  Each later term is spanned by the [w, x_j] over the
     # echelon rows w of the term before; most of them are 0, and only the
     # others are inserted, in the same order.
     F = free_nilpotent(3, 3).algebra
     L = LieAlgebra(F.field, F.dim, F.cells, F.basis_names)  # nothing cached
-    series, inserted = inserts_during(monkeypatch, L.lower_central_series)
+    series, inserted = inserts_during(L.lower_central_series)
     expected = [cell for i, row in enumerate(L.cells)
                 for j, cell in row.items() if j > i]
     expected += [w for term in series[1:-1] for row in term.sparse_rows
