@@ -18,7 +18,7 @@ from lietensor.errors import (InternalCheckError, NotNilpotentError,
                               OutsideEnvelopeError, TheoremViolationError)
 from lietensor.freenilp import FreeNilpotent
 from lietensor.liealg import homomorphism_failure, lie_algebra_from_brackets
-from lietensor.linalg import (Subspace, add_scaled, combine, kernel,
+from lietensor.linalg import (Matrix, Subspace, add_scaled, combine, kernel,
                               subspace_intersect)
 from lietensor.presentation import _check_isomorphism, _restrict, boundaries
 
@@ -219,13 +219,17 @@ def test_presentations_over_prime_fields():
 def test_isomorphism_check_catches_every_corrupted_target_constant():
     # The check tests only the forward map; for a bijective map that pins
     # down every structure constant of the target, so corrupting any single
-    # one must still raise.
+    # one must still raise.  The zero map is a homomorphism between any two
+    # algebras, so only the bijectivity test can reject it.
     for L in (heisenberg(1), heisenberg(2)):
         P = presentation_of(L)
         T = build_tensor_square(L)
         ext, eps = exterior_via_presentation(P, T)
         target = T.exterior_square()[0]
         _check_isomorphism(eps, ext, target)
+        zero = Matrix(L.field, eps.rows, eps.cols, ({},) * eps.cols)
+        with pytest.raises(TheoremViolationError, match="is not bijective"):
+            _check_isomorphism(zero, ext, target)
         for _, bad in corrupted_tables(target):
             with pytest.raises(TheoremViolationError):
                 _check_isomorphism(eps, ext, bad)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lietensor import (GF, QQ, abelian, build_tensor_square, catalog,
-                       heisenberg, induced_map, is_lie_pairing, sl2,
+from lietensor import (GF, QQ, Verdict, abelian, build_tensor_square,
+                       catalog, heisenberg, induced_map, is_lie_pairing, sl2,
                        tensor_report)
 from lietensor import tensor
 from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
@@ -14,8 +14,8 @@ from lietensor.errors import InternalCheckError, InvalidInputError
 from lietensor.freenilp import free_nilpotent
 from lietensor.liealg import (BilinearMap, LieAlgebra, bracket_pairing,
                               lie_algebra_from_brackets)
-from lietensor.linalg import (Matrix, Subspace, annihilator, dense, kernel,
-                              sparse)
+from lietensor.linalg import (Matrix, Subspace, add_scaled, annihilator,
+                              dense, kernel, sparse)
 from lietensor.tensor import TensorSquare
 
 from support import (basis, basis_rows, bilinear_from_table, cells_of, column,
@@ -657,6 +657,30 @@ def test_tensor_checks_agree_with_the_bracket_loop_under_every_corruption():
             outcomes.add((not_central, not_ideal, bool(broken)))
     for position in range(3):
         assert {o[position] for o in outcomes} == {True, False}
+
+
+def test_theorem_verdicts_fail_on_a_corrupted_pairing():
+    # verify_kernel_identity and verify_center_identity read the pairing's
+    # cells, so one pure tensor x_i (x) x_j moved by a basis vector of T must
+    # fail each.  In the last case the exterior center still lies in the
+    # center, so that verdict fails through the intersection test alone.
+    cases = [("heisenberg(1)", (0, 2, 0), "verify_kernel_identity",
+              "dim 2/3/2"),
+             ("heisenberg(2)", (0, 4, 0), "verify_kernel_identity",
+              "dim 1/1/0"),
+             ("heisenberg(2)", (4, 0, 0), "verify_center_identity",
+              "intersection identity fails")]
+    for name, (i, j, k), check, detail in cases:
+        L = catalog(name, QQ)
+        T = build_tensor_square(L)
+        assert getattr(T, check)().ok, name
+        cells = [list(row) for row in T.pairing.cells]
+        cells[i][j] = dict(cells[i][j])
+        add_scaled(cells[i][j], QQ.one, [(k, QQ.one)])
+        bad = TensorSquare(L, T.relation_space, T.algebra, BilinearMap(
+            QQ, L.dim, T.dim, tuple(map(tuple, cells))))
+        assert getattr(bad, check)() == Verdict(False, detail), (name, i, j, k)
+    assert L.center.contains_space(bad.exterior_center)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)],
