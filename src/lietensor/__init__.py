@@ -25,7 +25,7 @@ from .freenilp import FreeNilpotent, free_nilpotent, hall_words, witt_dimension
 from .presentation import (Cover, FreePresentation, build_cover,
                            exterior_via_presentation,
                            multiplier_via_presentation, presentation_of,
-                           verify_cover_theorem)
+                           verify_cover_theorem, verify_presentation_theorem)
 
 __all__ = [
     "GF", "QQ", "Field",
@@ -40,6 +40,7 @@ __all__ = [
     "FreeNilpotent", "free_nilpotent", "hall_words", "witt_dimension",
     "Cover", "FreePresentation", "build_cover", "exterior_via_presentation",
     "multiplier_via_presentation", "presentation_of", "verify_cover_theorem",
+    "verify_presentation_theorem",
 ]
 
 __version__ = "0.1.0"

@@ -32,9 +32,9 @@ from .fields import QQ, Field, field_from_descriptor
 from .freenilp import dimension_exceeds, free_nilpotent
 from .liealg import LieAlgebra, lie_algebra_from_brackets
 from .linalg import dense
-from .presentation import (build_cover, exterior_via_presentation,
-                           multiplier_via_presentation, presentation_of,
-                           verify_cover_theorem)
+from .presentation import (build_cover, multiplier_via_presentation,
+                           presentation_of, verify_cover_theorem,
+                           verify_presentation_theorem)
 from .tensor import build_tensor_square, tensor_report
 
 # ----------------------------------------------------------------------
@@ -349,11 +349,17 @@ def verify_document(L: LieAlgebra, source: str) -> dict:
     if not L.is_nilpotent:
         verdicts["cross_oracle"] = verdicts["cover"] = "skipped: not nilpotent"
     else:
-        try:
-            verdicts["cross_oracle"] = _verdict_str(_cross_oracle_verdict(L, T))
-        except OutsideEnvelopeError as exc:
-            verdicts["cross_oracle"] = f"skipped: {exc}"
-        verdicts["cover"] = _verdict_str(_cover_verdict(L, T))
+        # A failed check of either step fails the verdict; only
+        # presentation_of raises OutsideEnvelopeError.
+        for key, build, verify in (
+                ("cross_oracle", presentation_of, verify_presentation_theorem),
+                ("cover", build_cover, verify_cover_theorem)):
+            try:
+                verdicts[key] = _verdict_str(verify(build(L), T))
+            except (TheoremViolationError, InternalCheckError) as exc:
+                verdicts[key] = _verdict_str(Verdict(False, str(exc)))
+            except OutsideEnvelopeError as exc:
+                verdicts[key] = f"skipped: {exc}"
     return {
         "command": "verify",
         "input": _input_section(L, source),
@@ -362,28 +368,6 @@ def verify_document(L: LieAlgebra, source: str) -> dict:
         "diagnostics": rep.diagnostics,
         "timings": None,
     }
-
-
-def _cross_oracle_verdict(L: LieAlgebra, T) -> Verdict:
-    try:
-        P = presentation_of(L)
-        exterior_via_presentation(P, T)
-        mult = multiplier_via_presentation(P)
-    except (TheoremViolationError, InternalCheckError) as exc:
-        return Verdict(False, str(exc))
-    # The exterior dims agree: exterior_via_presentation checked a bijection.
-    mult_dim = T.schur_multiplier().dim
-    if mult.dim != mult_dim:
-        return Verdict(False,
-                       f"multiplier dims disagree: {mult.dim} vs {mult_dim}")
-    return Verdict(True)
-
-
-def _cover_verdict(L: LieAlgebra, T) -> Verdict:
-    try:
-        return verify_cover_theorem(build_cover(L), T)
-    except (TheoremViolationError, InternalCheckError) as exc:
-        return Verdict(False, str(exc))
 
 
 def catalog_document() -> dict:

@@ -48,17 +48,18 @@ C = V (+) E with pi(v + a) = v + kappa(a) and [c, c'] = the class of
 pi(c)^pi(c').  No step needs L nilpotent:
 - pi is onto, so the pi(c)^pi(c') span A2 and C' = E; and
   pi[c, c'] = kappa(pi(c)^pi(c')) = [pi c, pi c'].
-- ker pi = ker kappa|E, as kappa(E) = L^2 meets V in 0; this is M(L)
-  (Ellis).  It is central, as [m, c] is the class of 0^pi(c), and lies in
-  C'.  So C is a cover (P. Batten, K. Moneyhun and E. Stitzinger, Comm.
-  Algebra 24, 1996).  For nilpotent L, C = F/[R,F] by Hopf: C is then
-  nilpotent and V spans it modulo C', so F -> C, X -> V, is onto; it kills
-  [R,F], as R lands in the central ker pi; and
+- ker pi = ker kappa|E, as kappa(E) = L^2 meets V in 0, so it is held on
+  E; this is M(L) (Ellis).  It is central, as [m, c] is the class of
+  0^pi(c), and lies in C'.  So C is a cover (P. Batten, K. Moneyhun and
+  E. Stitzinger, Comm. Algebra 24, 1996).  For nilpotent L, C = F/[R,F] by
+  Hopf: C is then nilpotent and V spans it modulo C', so F -> C, X -> V, is
+  onto; it kills [R,F], as R lands in the central ker pi; and
   dim C = dim L + dim M(L) = dim F/[R,F].
-- The theorem map C' = E -> L /\ L of the tensor engine commutes with the
-  two commutator maps to L, so, being bijective, it carries ker pi onto
-  the tensor engine's multiplier; verify_cover_theorem checks it on C's
-  positions, the one second route to M(L) for an L no presentation sees.
+
+Both routes end in theorem_map_verdict: their theorem map E -> L /\ L
+commutes with the commutator maps to L, so, being bijective, it carries
+R/[R,F] or ker pi, held on E, onto M(L).  The cover is the one second
+route to M(L) for an L no presentation sees.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ class FreePresentation(Immutable):
 
 class Cover(Immutable):
     """C = V (+) E (module docstring): V at C's first d positions, E at the
-    free columns of boundaries; onto is pi and multiplier its kernel.
-    Immutable."""
+    free columns of boundaries; onto is pi, and multiplier its kernel, held
+    on E's coordinates, C's positions d.. shifted by -d.  Immutable."""
 
     _fields = ("L", "algebra", "multiplier", "onto", "boundaries", "d")
 
@@ -193,33 +194,63 @@ def presentation_of(L: LieAlgebra) -> FreePresentation:
         L.field, n - d, (combine(r.items(), ad_g)
                          for r in relations.sparse_rows[:below_top]
                          for ad_g in ad))
-    # The truncation layer (degree c + 1) must die in L.
-    if any(relations.reduce_sparse({i: one}) for i in range(top, n - d)):
-        raise InternalCheckError("top truncation layer survives in L")
+    # The truncation layer, degree c + 1, dies in L with no check: a word of
+    # that degree maps to a (c+1)-fold bracket, zero as L has class c, so
+    # its unit vector lies in the kernel on the composite words, which is R.
     return FreePresentation(L, F, onto, relations, relations_commutator)
 
 
 def exterior_via_presentation(
         P: FreePresentation,
         tensor: TensorSquare) -> tuple[LieAlgebra, Matrix]:
-    """The exterior square computed from the presentation, together with the
-    explicit isomorphism onto the tensor engine's exterior square: on F',
-    each composite Hall word maps to the wedge of the images of its two
-    factors, read from tensor.exterior_pairing.
+    """The exterior square computed from the presentation, with the explicit
+    isomorphism onto the tensor engine's (_theorem_map).  Raises
+    TheoremViolationError if that map is not a bijective homomorphism."""
+    eps = _theorem_map(P, tensor)
+    _check_isomorphism(eps, P.exterior, tensor.exterior_square()[0])
+    return P.exterior, eps
 
-    Raises TheoremViolationError if the explicit map fails to be a bijective
-    homomorphism.
-    """
-    wedge_alg, wedge = tensor.exterior_square()[0], tensor.exterior_pairing
+
+def verify_presentation_theorem(P: FreePresentation,
+                                tensor: TensorSquare) -> Verdict:
+    """theorem_map_verdict on the map of exterior_via_presentation and
+    R/[R,F]; raises TheoremViolationError if the map does not kill [R,F]."""
+    return theorem_map_verdict(_theorem_map(P, tensor), P.exterior, tensor,
+                               multiplier_via_presentation(P))
+
+
+def _theorem_map(P: FreePresentation, tensor: TensorSquare) -> Matrix:
+    """E -> L /\\ L: on F', each composite Hall word goes to the wedge of
+    the images of its two factors; the map must kill [R,F]."""
+    wedge = tensor.exterior_pairing
     F, onto = P.free, P.onto.sparse_columns
     eps = P.relations_commutator.descend(
         [wedge.apply_sparse(onto[u], onto[v]) for u, v in F.factors[F.d:]],
-        wedge_alg.dim)
+        tensor.exterior_square()[0].dim)
     if eps is None:
         raise TheoremViolationError(
             "wedge map does not kill the relation commutator")
-    _check_isomorphism(eps, P.exterior, wedge_alg)
-    return P.exterior, eps
+    return eps
+
+
+def theorem_map_verdict(eps: Matrix, source: LieAlgebra, tensor: TensorSquare,
+                        multiplier: Subspace) -> Verdict:
+    """Whether a second engine's theorem map eps: source -> L /\\ L is a
+    bijective homomorphism carrying that engine's multiplier, given in
+    source's coordinates, onto the tensor engine's: being injective, it
+    does once the rows' images lie in M(L) and the dimensions agree."""
+    ext = tensor.exterior_square()[0]
+    try:
+        _check_isomorphism(eps, source, ext)
+    except TheoremViolationError as exc:
+        return Verdict(False, str(exc))
+    mult, cols = tensor.schur_multiplier(), eps.sparse_columns
+    if multiplier.dim != mult.dim or any(
+            mult.reduce_sparse(combine(row.items(), cols))
+            for row in multiplier.sparse_rows):
+        return Verdict(False, f"the theorem map does not carry the multiplier"
+                              f" (dim {multiplier.dim}) onto M(L) ({mult.dim})")
+    return Verdict(True, f"derived dim {source.dim} = exterior dim {ext.dim}")
 
 
 def _check_isomorphism(f: Matrix, source: LieAlgebra, target: LieAlgebra):
@@ -308,26 +339,24 @@ def build_cover(L: LieAlgebra) -> Cover:
     if bad is not None:
         raise InternalCheckError(
             "cover projection is not a homomorphism at (%d,%d)" % bad)
-    onto = Matrix(field, n, dim, pi)
-    multiplier = kernel(onto)
-    if dim != n + multiplier.dim:  # so pi is onto, by rank-nullity
+    # ker pi is ker kappa, on E: kappa lands in L^2, which meets V only in 0.
+    # So pi is onto iff rank kappa = n - d iff, by rank-nullity on kappa,
+    # dim C = n + dim ker kappa.  ker pi is central with no check: C's bracket
+    # classes(pi a, pi b) is bilinear in pi, so [m, c] = classes(0, pi c) = 0.
+    multiplier = kernel(kappa)
+    if dim != n + multiplier.dim:
         raise TheoremViolationError(
             f"cover dimension {dim} != {n} + {multiplier.dim}")
-    if any(any(C.ad_sparse(m)) for m in multiplier.sparse_rows):
-        raise TheoremViolationError("multiplier is not central in the cover")
-    # ker pi lies in C' with no check: pi is onto (rank-nullity above), so
-    # C' is E, positions d..; and ker pi is 0 on V, as kappa lands in L^2,
-    # which meets V (the unit vectors at L^2's free columns) only in 0.
-    return Cover(L, C, multiplier, onto, space, d)
+    return Cover(L, C, multiplier, Matrix(field, n, dim, pi), space, d)
 
 
 def verify_cover_theorem(cover: Cover, tensor: TensorSquare) -> Verdict:
     """C' is isomorphic to the exterior square of L's tensor square, through
     x_i^x_j -> the cell (i, j) of tensor.exterior_pairing.  C' = E (module
     docstring) is checked: C' has the pivots d..dim C - 1, so its
-    coordinates are those positions shifted by d.  The map must kill
-    d3(A3), to be defined on E, be a bijective homomorphism and carry
-    ker pi, read on C's positions, onto the tensor engine's multiplier."""
+    coordinates are those positions shifted by d, E's.  The map must kill
+    d3(A3), to be defined on E; theorem_map_verdict decides the rest, with
+    ker pi held on E."""
     L, C, d = cover.L, cover.algebra, cover.d
     wedge_alg, wedge = tensor.exterior_square()[0], tensor.exterior_pairing
     derived = C.derived_subalgebra
@@ -344,19 +373,4 @@ def verify_cover_theorem(cover: Cover, tensor: TensorSquare) -> Verdict:
         wedge_alg.dim)
     if eps is None:
         return Verdict(False, "the wedge map does not kill d3")
-    try:
-        _check_isomorphism(eps, _restrict(C, d), wedge_alg)
-    except TheoremViolationError as exc:
-        return Verdict(False, f"cover derived subalgebra: {exc}")
-    # ker pi lies in C' when its first pivot is d or more, as an echelon row
-    # has no support before its pivot; eps is injective, so it carries the
-    # rows onto M(L) once their images lie in M(L) and the dimensions agree.
-    ker, mult = cover.multiplier, tensor.schur_multiplier()
-    on_C = ({},) * d + eps.sparse_columns  # indexed by C's positions
-    if ker.dim != mult.dim or min(ker.pivots, default=d) < d or any(
-            mult.reduce_sparse(combine(row.items(), on_C))
-            for row in ker.sparse_rows):
-        return Verdict(False, "the theorem map does not carry ker pi onto "
-                              "the multiplier")
-    return Verdict(True, f"cover derived dim {derived.dim} = exterior dim "
-                         f"{wedge_alg.dim}")
+    return theorem_map_verdict(eps, _restrict(C, d), tensor, cover.multiplier)

@@ -764,7 +764,7 @@ def subalgebra_cover_theorem(cover, tensor):
         _check_isomorphism(theorem_map, derived.algebra, wedge_alg)
     except (TheoremViolationError, ValueError) as exc:
         return Verdict(False, str(exc)), None
-    return Verdict(True, f"cover derived dim {k} = exterior dim "
+    return Verdict(True, f"derived dim {k} = exterior dim "
                          f"{wedge_alg.dim}"), theorem_map
 
 

@@ -19,8 +19,8 @@ from lietensor import (QQ, build_cover, build_tensor_square, catalog,
 from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
 from lietensor.cli import main
 
-from support import (random_nilpotent_quotient, select_columns, span,
-                     sympy_rank, tensor_relation_vectors)
+from support import (lifted, random_nilpotent_quotient, select_columns,
+                     span, sympy_rank, tensor_relation_vectors)
 
 THEOREMS = ("verify_decomposition", "verify_j2_decomposition",
             "verify_center_identity", "verify_square_restriction",
@@ -175,8 +175,9 @@ def test_criterion_7_cover_suite():
         K = cover.algebra
         ok &= K.dim == dim_l + dim_m
         ok &= cover.multiplier.dim == dim_m
-        ok &= K.center.contains_space(cover.multiplier)
-        ok &= K.derived_subalgebra.contains_space(cover.multiplier)
+        ker_pi = lifted(cover.multiplier, cover.d)  # held on E
+        ok &= K.center.contains_space(ker_pi)
+        ok &= K.derived_subalgebra.contains_space(ker_pi)
         verdict = verify_cover_theorem(cover, build_tensor_square(L))
         ok &= verdict.ok
         details.append(f"{name}: {K.dim}={dim_l}+{dim_m}")

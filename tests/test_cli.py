@@ -401,10 +401,11 @@ def test_an_invalid_catalog_algebra_is_a_verification_failure(monkeypatch,
 
 
 def test_verify_builds_the_presentation_exterior_once_per_algebra(monkeypatch):
-    # The cross-oracle verdict reads the wedge map of the presentation, and
-    # the cover verdict does not; verify --catalog builds and checks it once
-    # for each nilpotent entry.  The caches are cleared so that every
-    # presentation is built under the patch.
+    # The cross-oracle verdict reads the theorem map of the presentation,
+    # and the cover verdict does not; verify --catalog builds and checks it
+    # once for each nilpotent entry, through verify_presentation_theorem.
+    # The caches are cleared so that every presentation is built under the
+    # patch.
     from collections import Counter
 
     from lietensor import catalog, cli, presentation
@@ -414,13 +415,13 @@ def test_verify_builds_the_presentation_exterior_once_per_algebra(monkeypatch):
                              for field in SUITE_FIELDS if is_supported(name, field))
                  if L.is_nilpotent]
     built = []
-    original = presentation.exterior_via_presentation
+    original = presentation.verify_presentation_theorem
 
     def counted(P, tensor):
         built.append(P.L)
         return original(P, tensor)
 
-    monkeypatch.setattr(cli, "exterior_via_presentation", counted)
+    monkeypatch.setattr(cli, "verify_presentation_theorem", counted)
     presentation.presentation_of.cache_clear()
     cli.catalog_document()
     assert len(nilpotent) == 44

@@ -277,6 +277,13 @@ SHIFT = ("from .linalg import kernel, second_part\n"
          "def verify_cover_theorem(cover):\n"
          "    rows = second_part(cover.m, cover.d).sparse_rows\n"
          "def kernel(m): return _second_part(span(m), m.rows)\n")
+THEOREM = ("def _cross_oracle_verdict(L, T):\n"
+           "    return T.schur_multiplier().dim\n"
+           "def _cover_verdict(cover, T):\n"
+           "    _check_isomorphism(eps, cover.algebra, T.exterior_square()[0])\n"
+           "def theorem_map_verdict(eps, source, T, multiplier):\n"
+           "    _check_isomorphism(eps, source, T.exterior_square()[0])\n"
+           "    return T.schur_multiplier()\n")
 # The benchmark tracer patches its targets, so they may keep a dense
 # signature until the benchmark stops naming them.
 TRACED = tuple(f"{module}.{attr}"
@@ -382,6 +389,17 @@ RULES = {
         {"presentation": ["P.exterior:4: _second_part(",
                           "kernel:8: _second_part("],
          "linalg": ["P.exterior:4: _second_part("]}),
+    "theorem-map": Rule(
+        "call", "_check_isomorphism|schur_multiplier",
+        ("tensor.*", "presentation.theorem_map_verdict",
+         "presentation.exterior_via_presentation"),
+        "one verdict decides both second engines' theorem maps", THEOREM,
+        {"cli": ["_cross_oracle_verdict:2: schur_multiplier(",
+                 "_cover_verdict:4: _check_isomorphism(",
+                 "theorem_map_verdict:6: _check_isomorphism(",
+                 "theorem_map_verdict:7: schur_multiplier("],
+         "presentation": ["_cross_oracle_verdict:2: schur_multiplier(",
+                          "_cover_verdict:4: _check_isomorphism("]}),
     "ci-builder-internals": Rule(
         "workflow", r"SpanBuilder\.|\b_columns\b", (),
         "CI steps read spans through tests/support.py's elimination_log",

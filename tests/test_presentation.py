@@ -10,7 +10,8 @@ from lietensor import (GF, QQ, Cover, LieAlgebra, Verdict, abelian,
                        build_cover, build_tensor_square, catalog,
                        exterior_via_presentation, heisenberg,
                        multiplier_via_presentation, presentation_of, sl2,
-                       verify_cover_theorem, zero_algebra)
+                       verify_cover_theorem, verify_presentation_theorem,
+                       zero_algebra)
 from lietensor import linalg, presentation
 from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
 from lietensor.cli import cover_document, verify_document
@@ -20,7 +21,8 @@ from lietensor.freenilp import FreeNilpotent
 from lietensor.liealg import homomorphism_failure, lie_algebra_from_brackets
 from lietensor.linalg import (Matrix, Subspace, add_scaled, combine, kernel,
                               subspace_intersect)
-from lietensor.presentation import _check_isomorphism, _restrict, boundaries
+from lietensor.presentation import (_check_isomorphism, _restrict, boundaries,
+                                    theorem_map_verdict)
 
 from support import (all_columns_commutator, basis, column, complement_cover,
                      corrupted_tables, dense_restriction_verdict,
@@ -131,7 +133,7 @@ def test_cover_of_abelian2_is_heisenberg():
     assert K.dim == 3
     assert cover.multiplier.dim == 1
     assert K.derived_subalgebra.dim == 1
-    assert cover.multiplier == K.derived_subalgebra
+    assert lifted(cover.multiplier, cover.d) == K.derived_subalgebra
     assert K.nilpotency_class() == 2  # this is the Heisenberg algebra
 
 
@@ -149,11 +151,11 @@ def test_cover_defining_pair_axioms():
     for name in NILPOTENT_CATALOG:
         L = catalog(name)
         cover = build_cover(L)
-        K = cover.algebra
+        K, ker_pi = cover.algebra, lifted(cover.multiplier, cover.d)
         assert K.dim == L.dim + cover.multiplier.dim
-        assert kernel(cover.onto) == cover.multiplier
-        assert K.center.contains_space(cover.multiplier)
-        assert K.derived_subalgebra.contains_space(cover.multiplier)
+        assert kernel(cover.onto) == ker_pi
+        assert K.center.contains_space(ker_pi)
+        assert K.derived_subalgebra.contains_space(ker_pi)
         assert cover.onto.rank() == L.dim
 
 
@@ -389,23 +391,23 @@ def test_generator_rows_decide_the_presentation_homomorphism():
 def test_generator_centrality_agrees_with_the_center():
     # In the cover of a nilpotent algebra the d generators decide
     # centrality: a centralizer is a subalgebra, and they generate C.
-    # (build_cover reads the whole ad-image of each multiplier row, which
-    # needs no nilpotency.)  On every basis vector, the sum of them and each
-    # multiplier row the generator test must agree with the center of the
-    # cover.
+    # (build_cover checks no centrality: C's bracket is bilinear in pi, so
+    # ker pi is central for every L.)  On every basis vector, the sum of them
+    # and each row of ker pi the generator test must agree with the center
+    # of the cover.
     outcomes = set()
     for L in nilpotent_cases():
         cover = build_cover(L)
         K, d, one = cover.algebra, cover.d, L.field.one
-        center = K.center
+        center, ker_pi = K.center, lifted(cover.multiplier, d)
         vectors = [{a: one} for a in range(K.dim)] + \
-            [{a: one for a in range(K.dim)}] + list(cover.multiplier.sparse_rows)
+            [{a: one for a in range(K.dim)}] + list(ker_pi.sparse_rows)
         for v in vectors:
             by_generators = not any(K.bracket_sparse(v, {g: one})
                                     for g in range(d))
             assert by_generators == (not center.reduce_sparse(v)), (L, v)
             outcomes.add(by_generators)
-        assert center.contains_space(cover.multiplier), L
+        assert center.contains_space(ker_pi), L
     assert outcomes == {True, False}
 
 
@@ -484,7 +486,7 @@ def test_cover_is_the_free_presentation_quotient():
         assert psi.is_bijective(), L
         assert homomorphism_failure(psi.sparse_columns, G,
                                     cover.algebra) is None, L
-        assert psi.image_of(multiplier) == cover.multiplier, L
+        assert psi.image_of(multiplier) == lifted(cover.multiplier, cover.d), L
         assert cover.onto.mul(psi) == onto, L
 
 
@@ -548,17 +550,17 @@ def test_cover_document_passes_on_every_valid_algebra(L):
 
 
 def test_cover_theorem_rejects_another_multiplier():
-    # On heisenberg(1), C' has dimension 3 and ker pi dimension 2.  A Cover
-    # whose multiplier is another plane of C' passes every other step of
-    # verify_cover_theorem, so the multiplier comparison must reject it.
+    # On heisenberg(1), C' = E has dimension 3 and ker pi dimension 2.  A
+    # Cover whose multiplier is another plane of E passes every other step
+    # of verify_cover_theorem, so the multiplier comparison must reject it.
     L = heisenberg(1)
     cover, T = build_cover(L), build_tensor_square(L)
     K, d = cover.algebra, cover.d
     assert (K.dim - d, cover.multiplier.dim) == (3, 2)
     assert verify_cover_theorem(cover, T).ok
     one = L.field.one
-    planes = [linalg.span(L.field, K.dim, [{a: one}, {b: one}])
-              for a, b in combinations(range(d, K.dim), 2)]
+    planes = [linalg.span(L.field, K.dim - d, [{a: one}, {b: one}])
+              for a, b in combinations(range(K.dim - d), 2)]
     others = [plane for plane in planes if plane != cover.multiplier]
     assert others
     for plane in others:
@@ -567,36 +569,65 @@ def test_cover_theorem_rejects_another_multiplier():
         assert not verdict.ok and "multiplier" in verdict.detail, plane
 
 
+def not_carried(bad, mult) -> Verdict:
+    """theorem_map_verdict's verdict on a multiplier that its theorem map
+    does not carry onto M(L)."""
+    return Verdict(False, f"the theorem map does not carry the multiplier "
+                          f"(dim {bad.dim}) onto M(L) ({mult.dim})")
+
+
 def test_cover_theorem_rejects_every_corruption_of_ker_pi():
-    # verify_cover_theorem reads ker pi in place: it lies in C' when its
-    # first pivot is d or more, and the theorem map, read on C's positions,
-    # must carry its rows onto M(L).  On covers of heisenberg(1)+abelian(1)
-    # over Q and GF(3) and of one V x| <D> that is not nilpotent, ker pi is
-    # replaced by the span of its rows with a V unit vector added to one
-    # (first pivot 0 < d), by a subspace of C' of its dimension other than
-    # ker pi, and by the span of all its rows but one.  Each must fail with
-    # the multiplier detail, not raise.
+    # verify_cover_theorem hands ker pi, held on E, to theorem_map_verdict,
+    # whose theorem map must carry its rows onto M(L).  On covers of
+    # heisenberg(1)+abelian(1) over Q and GF(3) and of one V x| <D> that is
+    # not nilpotent, ker pi is replaced by a subspace of E of its dimension
+    # other than ker pi, and by the span of all its rows but one.  Each must
+    # fail with the multiplier detail, not raise.
     semidirect = random_semidirect(random.Random(3), 3)
     assert not semidirect.is_nilpotent
-    failed = Verdict(False, "the theorem map does not carry ker pi onto "
-                            "the multiplier")
     for L in (catalog("heisenberg(1)+abelian(1)"),
               catalog("heisenberg(1)+abelian(1)", GF(3)), semidirect):
         cover, T = build_cover(L), build_tensor_square(L)
         assert verify_cover_theorem(cover, T).ok, L
         K, d, ker, one = cover.algebra, cover.d, cover.multiplier, L.field.one
-        rows = list(ker.sparse_rows)
-        assert 0 < d and 0 < ker.dim < K.dim - d, L
-        with_v = linalg.span(L.field, K.dim, [{0: one, **rows[0]}] + rows[1:])
-        assert with_v.dim == ker.dim and with_v.pivots[0] == 0 < d, L
+        rows, e = list(ker.sparse_rows), K.dim - d
+        assert 0 < d and 0 < ker.dim < e, L
         other = next(plane for plane in (
-            linalg.span(L.field, K.dim, [{c: one} for c in cols])
-            for cols in combinations(range(d, K.dim), ker.dim))
-            if plane != ker)
-        dropped = linalg.span(L.field, K.dim, rows[1:])
-        for bad in (with_v, other, dropped):
+            linalg.span(L.field, e, [{c: one} for c in cols])
+            for cols in combinations(range(e), ker.dim)) if plane != ker)
+        dropped = linalg.span(L.field, e, rows[1:])
+        for bad in (other, dropped):
             corrupted = Cover(L, K, bad, cover.onto, cover.boundaries, d)
-            assert verify_cover_theorem(corrupted, T) == failed, (L, bad)
+            assert verify_cover_theorem(corrupted, T) == \
+                not_carried(bad, T.schur_multiplier()), (L, bad)
+
+
+def test_presentation_theorem_rejects_every_corruption_of_the_multiplier(
+        monkeypatch):
+    # verify_presentation_theorem hands R/[R,F], held on E = F'/[R,F], to
+    # theorem_map_verdict.  On heisenberg(1), E has dimension 3 and R/[R,F]
+    # dimension 2.  Every other coordinate plane of E, and the span of all
+    # rows of R/[R,F] but one, must fail with the multiplier detail, not
+    # raise; and through verify, as the cross_oracle verdict.
+    L = heisenberg(1)
+    P, T = presentation_of(L), build_tensor_square(L)
+    mult, one = multiplier_via_presentation(P), L.field.one
+    assert (P.exterior.dim, mult.dim) == (3, 2)
+    assert verify_presentation_theorem(P, T).ok
+    _, eps = exterior_via_presentation(P, T)
+    planes = [linalg.span(L.field, 3, [{a: one}, {b: one}])
+              for a, b in combinations(range(3), 2)]
+    corrupted = [plane for plane in planes if plane != mult] + \
+        [linalg.span(L.field, 3, mult.sparse_rows[1:])]
+    assert len(corrupted) == 3
+    for bad in corrupted:
+        failed = not_carried(bad, T.schur_multiplier())
+        assert theorem_map_verdict(eps, P.exterior, T, bad) == failed, bad
+        monkeypatch.setattr(presentation, "multiplier_via_presentation",
+                            lambda P, bad=bad: bad)
+        assert verify_presentation_theorem(P, T) == failed, bad
+        verdicts = verify_document(L, "corrupted")["verdicts"]
+        assert verdicts["cross_oracle"] == f"fail: {failed.detail}", bad
 
 
 @settings(max_examples=100, deadline=None,
@@ -604,12 +635,13 @@ def test_cover_theorem_rejects_every_corruption_of_ker_pi():
 @given(valid_algebras())
 def test_facts_that_retained_checks_prove_hold_on_every_valid_algebra(L):
     # verify_decomposition, verify_j2_decomposition, verify_center_identity,
-    # build_cover, _restrict and presentation_of do not check these nine
+    # build_cover, _restrict and presentation_of do not check these eleven
     # facts, because a check they keep proves each one (the arguments are
     # written next to the code).  Here they are checked directly: the
     # restriction to the complement by a dense loop over every ordered
-    # pair, the cover's brackets over every cell, R, computed on F',
-    # against the whole kernel of F -> L, and [R,F] against its span over
+    # pair, the cover's brackets over every cell, ker pi against the center
+    # of the cover, R, computed on F', against the whole kernel of F -> L
+    # and against the top truncation layer, and [R,F] against its span over
     # every basis vector of F.
     T = build_tensor_square(L)
     restriction = dense_restriction_verdict(T)
@@ -619,8 +651,9 @@ def test_facts_that_retained_checks_prove_hold_on_every_valid_algebra(L):
     assert subspace_intersect(T._complement, j2).dim == \
         T.schur_multiplier().dim, L
     cover = build_cover(L)
-    K = cover.algebra
-    assert K.derived_subalgebra.contains_space(cover.multiplier), L
+    K, ker_pi = cover.algebra, lifted(cover.multiplier, cover.d)
+    assert K.derived_subalgebra.contains_space(ker_pi), L
+    assert K.center.contains_space(ker_pi), L
     assert all(k >= cover.d for row in K.cells for cell in row.values()
                for k in cell), L
     if not L.is_nilpotent:
@@ -632,6 +665,8 @@ def test_facts_that_retained_checks_prove_hold_on_every_valid_algebra(L):
     F, d = P.free.algebra, P.free.d
     R, RF = lifted(P.relations, d), lifted(P.relations_commutator, d)
     assert R == kernel(P.onto), L
+    top = [i for i, degree in enumerate(P.free.degrees) if degree == P.free.c]
+    assert not any(R.reduce_sparse({i: L.field.one}) for i in top), L
     assert R.contains_space(RF), L
     assert RF == all_columns_commutator(F, R), L
     assert not any(RF.reduce_sparse(w)
