@@ -452,6 +452,9 @@ def build_tensor_square(L: LieAlgebra) -> TensorSquare:
     names = tuple(f"{L.basis_names[p // n]}(x){L.basis_names[p % n]}"
                   for p in relations.free_cols)
     algebra = descended_algebra(relations, classes, names)
+    report = algebra.validate()  # no input proves it (quotient_by_ideal)
+    if not report.ok:
+        raise InternalCheckError(f"tensor square invalid: {report.detail}")
     T = TensorSquare(L, relations, algebra, pairing)
     T._commutator  # raises unless the bracket is well defined
     return T

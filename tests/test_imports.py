@@ -284,6 +284,13 @@ THEOREM = ("def _cross_oracle_verdict(L, T):\n"
            "def theorem_map_verdict(eps, source, T, multiplier):\n"
            "    _check_isomorphism(eps, source, T.exterior_square()[0])\n"
            "    return T.schur_multiplier()\n")
+VALIDATE = ("def descended_algebra(space, classes, names):\n"
+            "    quotient = LieAlgebra(space.field, 0, [], names)\n"
+            "    return quotient if quotient.validate().ok else None\n"
+            "def build_cover(L):\n    C = lie_algebra_from_brackets(L)\n"
+            "    report = C.validate()\n"
+            "def build_tensor_square(L):\n    T = descended_algebra(L)\n"
+            "    return T.validate\n    T.validate()\n")
 # The benchmark tracer patches its targets, so they may keep a dense
 # signature until the benchmark stops naming them.
 TRACED = tuple(f"{module}.{attr}"
@@ -400,6 +407,17 @@ RULES = {
                  "theorem_map_verdict:7: schur_multiplier("],
          "presentation": ["_cross_oracle_verdict:2: schur_multiplier(",
                           "_cover_verdict:4: _check_isomorphism("]}),
+    "validate": Rule(
+        "call", "validate",
+        ("cli.parse_algebra_document", "cli.info_document", "catalog.catalog",
+         "freenilp._integer_structure", "tensor.build_tensor_square"),
+        "an algebra is validated once, where it is loaded or built; a "
+        "quotient of one is valid by liealg.quotient_by_ideal, and T's "
+        "Jacobi identity is the one claim about a construction", VALIDATE,
+        {"liealg": ["descended_algebra:3: validate(", "build_cover:6: validate(",
+                    "build_tensor_square:10: validate("],
+         "tensor": ["descended_algebra:3: validate(",
+                    "build_cover:6: validate("]}),
     "ci-builder-internals": Rule(
         "workflow", r"SpanBuilder\.|\b_columns\b", (),
         "CI steps read spans through tests/support.py's elimination_log",

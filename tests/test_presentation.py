@@ -6,13 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from lietensor import (GF, QQ, Cover, LieAlgebra, Verdict, abelian,
-                       build_cover, build_tensor_square, catalog,
-                       exterior_via_presentation, heisenberg,
+from lietensor import (GF, QQ, Cover, FreePresentation, LieAlgebra,
+                       Verdict, abelian, build_cover, build_tensor_square,
+                       catalog, exterior_via_presentation, heisenberg,
                        multiplier_via_presentation, presentation_of, sl2,
                        verify_cover_theorem, verify_presentation_theorem,
                        zero_algebra)
-from lietensor import linalg, presentation
+from lietensor import cli, linalg, presentation
 from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
 from lietensor.cli import cover_document, verify_document
 from lietensor.errors import (InternalCheckError, NotNilpotentError,
@@ -630,19 +630,118 @@ def test_presentation_theorem_rejects_every_corruption_of_the_multiplier(
         assert verdicts["cross_oracle"] == f"fail: {failed.detail}", bad
 
 
+def swapped(K: LieAlgebra, a: int, b: int) -> LieAlgebra:
+    """K with its basis vectors a and b exchanged: an isomorphic algebra on
+    other coordinates."""
+    sigma = list(range(K.dim))
+    sigma[a], sigma[b] = b, a
+    cells = [{} for _ in range(K.dim)]
+    for i, row in enumerate(K.cells):
+        cells[sigma[i]] = {sigma[j]: {sigma[k]: x for k, x in cell.items()}
+                           for j, cell in row.items()}
+    return LieAlgebra(K.field, K.dim, cells, K.basis_names)
+
+
+def test_the_wedge_map_must_kill_the_relation_commutator(monkeypatch):
+    # _theorem_map descends the wedge map from F' to F'/[R,F].  On
+    # heisenberg(1), [R,F] = 0 in F' of dimension 3; with [R,F] widened to
+    # the whole of F', the wedge map, which is not 0, does not kill it.
+    # verify reports that as the cross_oracle verdict.
+    L = heisenberg(1)
+    P, T = presentation_of(L), build_tensor_square(L)
+    assert P.relations_commutator.dim == 0 and P.free.algebra.dim == 5
+    wide = FreePresentation(L, P.free, P.onto, P.relations,
+                            Subspace.full_space(L.field, 3))
+    message = "wedge map does not kill the relation commutator"
+    for route in (verify_presentation_theorem, exterior_via_presentation):
+        with pytest.raises(TheoremViolationError) as raised:
+            route(wide, T)
+        assert str(raised.value) == message
+    monkeypatch.setattr(cli, "presentation_of", lambda L: wide)
+    assert verify_document(L, "wide")["verdicts"]["cross_oracle"] == \
+        f"fail: {message}"
+
+
+def test_each_early_branch_of_the_cover_theorem_fails_on_a_wrong_cover():
+    # verify_cover_theorem's three checks before theorem_map_verdict, on
+    # heisenberg(1): C has dimension 5 with V at positions 0, 1 and C' = E
+    # at 2..4.  A cover of L with x and y exchanged is of another algebra;
+    # C with positions 0 and 4 exchanged has C' off its positions d..; and
+    # with every pair in the boundaries, the wedge map does not kill them.
+    L = heisenberg(1)
+    cover, T = build_cover(L), build_tensor_square(L)
+    C, d = cover.algebra, cover.d
+    assert (C.dim, d) == (5, 2) and verify_cover_theorem(cover, T).ok
+    pairs = Subspace.full_space(L.field, 3)
+    assert cover.boundaries.dim == 0
+    cases = [
+        (Cover(swapped(L, 0, 1), C, cover.multiplier, cover.onto,
+               cover.boundaries, d), "the tensor square is of another algebra"),
+        (Cover(L, swapped(C, 0, 4), cover.multiplier, cover.onto,
+               cover.boundaries, d),
+         "cover derived subalgebra is not the span of its positions "
+         "d..dim C - 1"),
+        (Cover(L, C, cover.multiplier, cover.onto, pairs, d),
+         "the wedge map does not kill d3"),
+    ]
+    for bad, detail in cases:
+        assert verify_cover_theorem(bad, T) == Verdict(False, detail), detail
+
+
+def test_presentation_of_rejects_a_free_algebra_that_does_not_fit(monkeypatch):
+    # presentation_of's two structural checks, with free_nilpotent patched.
+    # F(2, 1) has no composite word, so the lifts of heisenberg(1) do not
+    # generate it.  F(2, 3) with its two words of degree 3 exchanged is
+    # still a presenting algebra, as both words die in L, so the
+    # homomorphism check passes; but the cell of each word's factors no
+    # longer holds that word.
+    L = heisenberg(1)
+    real = presentation.free_nilpotent
+    F = real(2, 3, L.field)
+    top = [k for k, degree in enumerate(F.degrees) if degree == 3]
+    assert top == [3, 4]
+    exchanged = FreeNilpotent(F.d, F.c, swapped(F.algebra, 3, 4), F.factors,
+                              F.degrees)
+    for fake, message in (
+            (real(2, 1, L.field), "canonical lifts do not generate the algebra"),
+            (exchanged, "derived basis is not coordinate-aligned")):
+        monkeypatch.setattr(presentation, "free_nilpotent",
+                            lambda d, c, field, fake=fake: fake)
+        with pytest.raises(InternalCheckError) as raised:
+            presentation_of.__wrapped__(L)
+        assert str(raised.value) == message
+
+
+def test_the_cover_rejects_an_algebra_that_breaks_jacobi():
+    # build_cover's one check: kappa kills d3 exactly when the Jacobi
+    # identity holds, as kappa(d3(x^y^z)) is the Jacobi sum.  The algebra
+    # with [x1, x2] = x3 and [x1, x3] = x1 has the sum -x3 at (1, 2, 3).
+    bad = lie_algebra_from_brackets(QQ, 3, {(0, 1): [(2, QQ.one)],
+                                            (0, 2): [(0, QQ.one)]})
+    assert bad.validate().witness == ((), ((0, 1, 2),))
+    with pytest.raises(InternalCheckError) as raised:
+        build_cover(bad)
+    assert str(raised.value) == "the commutator map does not kill a boundary"
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(valid_algebras())
 def test_facts_that_retained_checks_prove_hold_on_every_valid_algebra(L):
     # verify_decomposition, verify_j2_decomposition, verify_center_identity,
-    # build_cover, _restrict and presentation_of do not check these eleven
-    # facts, because a check they keep proves each one (the arguments are
-    # written next to the code).  Here they are checked directly: the
-    # restriction to the complement by a dense loop over every ordered
-    # pair, the cover's brackets over every cell, ker pi against the center
-    # of the cover, R, computed on F', against the whole kernel of F -> L
-    # and against the top truncation layer, and [R,F] against its span over
-    # every basis vector of F.
+    # build_cover, _restrict, presentation_of and liealg.quotient_by_ideal
+    # do not check these facts, because a check they keep proves each one
+    # (the arguments are written next to the code).  Here they are checked
+    # directly: the restriction to the complement by a dense loop over
+    # every ordered pair, the cover's brackets over every cell, its
+    # validity, its projection as a homomorphism over every pair and its
+    # dimension, ker pi against the center of the cover, every quotient
+    # that quotient_by_ideal builds against validate(), R, computed on F',
+    # against the whole kernel of F -> L and against the top truncation
+    # layer, and [R,F] against its span over every basis vector of F.
+    # valid_algebras draws quotients of free nilpotent algebras through
+    # quotient_algebra, which no longer validates them, so L is checked too.
+    assert L.validate().ok, L
     T = build_tensor_square(L)
     restriction = dense_restriction_verdict(T)
     assert restriction.ok, (L, restriction.detail)
@@ -650,8 +749,13 @@ def test_facts_that_retained_checks_prove_hold_on_every_valid_algebra(L):
     j2 = T.commutator_map[1]
     assert subspace_intersect(T._complement, j2).dim == \
         T.schur_multiplier().dim, L
+    assert T.exterior_square()[0].validate().ok, L
+    assert T.abelianization.algebra.validate().ok, L
     cover = build_cover(L)
     K, ker_pi = cover.algebra, lifted(cover.multiplier, cover.d)
+    assert K.validate().ok, L
+    assert homomorphism_failure(cover.onto.sparse_columns, K, L) is None, L
+    assert K.dim == L.dim + cover.multiplier.dim, L
     assert K.derived_subalgebra.contains_space(ker_pi), L
     assert K.center.contains_space(ker_pi), L
     assert all(k >= cover.d for row in K.cells for cell in row.values()
@@ -662,6 +766,7 @@ def test_facts_that_retained_checks_prove_hold_on_every_valid_algebra(L):
         P = presentation_of(L)
     except OutsideEnvelopeError:
         return
+    assert P.exterior.validate().ok, L
     F, d = P.free.algebra, P.free.d
     R, RF = lifted(P.relations, d), lifted(P.relations_commutator, d)
     assert R == kernel(P.onto), L

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from lietensor import (GF, QQ, Verdict, abelian, build_tensor_square,
                        catalog, heisenberg, induced_map, is_lie_pairing, sl2,
                        tensor_report)
-from lietensor import tensor
+from lietensor import linalg, tensor
 from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
 from lietensor.cli import verify_document
 from lietensor.errors import InternalCheckError, InvalidInputError
@@ -15,8 +15,8 @@ from lietensor.freenilp import free_nilpotent
 from lietensor.liealg import (BilinearMap, LieAlgebra, bracket_pairing,
                               lie_algebra_from_brackets)
 from lietensor.linalg import (Matrix, Subspace, add_scaled, annihilator,
-                              dense, kernel, sparse)
-from lietensor.tensor import TensorSquare
+                              dense, kernel, sparse, subspace_sum)
+from lietensor.tensor import Abelianization, TensorSquare
 
 from support import (basis, basis_rows, bilinear_from_table, cells_of, column,
                      contains, corrupted_tables, dense_apply, dense_bilinear,
@@ -681,6 +681,120 @@ def test_theorem_verdicts_fail_on_a_corrupted_pairing():
             QQ, L.dim, T.dim, tuple(map(tuple, cells))))
         assert getattr(bad, check)() == Verdict(False, detail), (name, i, j, k)
     assert L.center.contains_space(bad.exterior_center)
+
+
+def with_views(T: TensorSquare, **views) -> TensorSquare:
+    """A fresh TensorSquare with T's fields and these cached views written
+    into its __dict__, where a wrong cache would hold them; T and the
+    build cache are left alone."""
+    fresh = TensorSquare(T.base, T.relation_space, T.algebra, T.pairing)
+    fresh.__dict__.update(views)
+    return fresh
+
+
+def test_every_branch_of_the_tensor_verdicts_fails_on_a_wrong_view():
+    # Each failure branch of verify_decomposition, verify_j2_decomposition,
+    # verify_square_restriction and verify_center_identity's containment
+    # test, reached on heisenberg(1) with one cached view replaced: T has
+    # dimension 6, the square submodule 3, the complement 3, j2 5, the
+    # multiplier 2 (in the exterior square, of dimension 3) and L/L^2 2.
+    L = heisenberg(1)
+    T = build_tensor_square(L)
+    sq, comp, mult = T.square_submodule, T._complement, T.schur_multiplier()
+    ab, one = T.abelianization, QQ.one
+    assert (T.dim, sq.dim, comp.dim, T.commutator_map[1].dim, mult.dim,
+            T.exterior_square()[0].dim, ab.algebra.dim) == (6, 3, 3, 5, 2, 3, 2)
+    other = next(plane for plane in (
+        linalg.span(QQ, 3, [{a: one}, {b: one}])
+        for a, b in ((0, 1), (0, 2), (1, 2))) if plane != mult)
+    whole, nothing = Subspace.full_space(QQ, 6), linalg.span(QQ, 6, [])
+    plane_xy = linalg.span(QQ, 6, [T.pairing.cells[0][1]])
+    three = Abelianization(abelian(3), ab.to_ab, ab.lift_cols, ab.tensor,
+                           ab.map, ab.kernel)
+    cases = [
+        ("verify_decomposition", {"_complement": subspace_sum(comp, sq)},
+         "complement meets the square submodule"),
+        ("verify_decomposition",
+         {"_complement": linalg.span(QQ, 6, comp.sparse_rows[1:])},
+         "complement + square submodule is not everything"),
+        ("verify_j2_decomposition",
+         {"_schur_multiplier": linalg.span(QQ, 3, mult.sparse_rows[1:])},
+         "dim mismatch: 5 != 3 + 1"),
+        ("verify_j2_decomposition", {"_complement": whole},
+         "summands intersect"),
+        ("verify_j2_decomposition", {"_complement": nothing},
+         "summands do not fill the kernel"),
+        ("verify_j2_decomposition", {"_schur_multiplier": other},
+         "complement part does not map onto the multiplier"),
+        ("verify_center_identity",
+         {"exterior_center": Subspace.full_space(QQ, 3),
+          "tensor_center": L.derived_subalgebra},
+         "exterior center escapes the center"),
+        ("verify_square_restriction", {"square_submodule": whole},
+         "restriction is not injective"),
+        ("verify_square_restriction", {"square_submodule": plane_xy},
+         "image differs from the abelian square submodule"),
+        ("verify_square_restriction", {"abelianization": three},
+         "dim 3 != 3(3+1)/2"),
+    ]
+    for check, views, detail in cases:
+        assert getattr(T, check)().ok, check
+        assert getattr(with_views(T, **views), check)() == \
+            Verdict(False, detail), (check, detail)
+
+
+def test_the_raised_tensor_checks_fail_on_a_wrong_view():
+    # whitehead_gamma's two raises and _schur_multiplier's on heisenberg(1).
+    # A square submodule that is the whole of T is not the Whitehead image,
+    # and the commutator map does not kill it; lifts that repeat a column
+    # give the same image from m(m+1)/2 = 6 > 3 columns.
+    T = build_tensor_square(heisenberg(1))
+    ab = T.abelianization
+    assert T.whitehead_gamma.dim == 3 and ab.lift_cols == (0, 1)
+    whole = {"square_submodule": Subspace.full_space(QQ, T.dim)}
+    repeated = {"abelianization": Abelianization(
+        ab.algebra, ab.to_ab, (0, 0, 1), ab.tensor, ab.map, ab.kernel)}
+    for views, read, message in (
+            (whole, lambda bad: bad.whitehead_gamma,
+             "Whitehead map is not onto the square submodule"),
+            (repeated, lambda bad: bad.whitehead_gamma,
+             "Whitehead map is not injective"),
+            (whole, lambda bad: bad.schur_multiplier(),
+             "commutator map does not vanish on the square submodule")):
+        with pytest.raises(InternalCheckError) as raised:
+            read(with_views(T, **views))
+        assert str(raised.value) == message
+
+
+def test_the_build_rejects_a_tensor_square_that_fails_jacobi(monkeypatch):
+    # build_tensor_square validates T itself, the one quotient whose Jacobi
+    # identity no input proves.  With the J instances left out of the
+    # relations (the symmetric instances s(w, x), w (x) w and s(w, w') stay),
+    # the quotient is antisymmetric, and its Jacobi sums are combinations
+    # of [p, q] (x) r over p, q, r in L^2.  On two generators [L^2, L^2]
+    # starts in degree 5, so free_nilpotent(2, 5) is the least of them whose
+    # quotient breaks Jacobi, and the build must say where.
+    L = free_nilpotent(2, 5).algebra
+    n, real_span, built = L.dim, tensor.span, []
+
+    def symmetric_only(field, width, vectors):
+        if width == n * n:
+            vectors = [v for v in vectors if all(
+                v.get(b % n * n + b // n) == x for b, x in v.items())]
+        return real_span(field, width, vectors)
+
+    def kept(*args):
+        built.append(descended(*args))
+        return built[-1]
+
+    descended = tensor.descended_algebra
+    monkeypatch.setattr(tensor, "span", symmetric_only)
+    monkeypatch.setattr(tensor, "descended_algebra", kept)
+    with pytest.raises(InternalCheckError) as raised:
+        build_tensor_square.__wrapped__(L)
+    report = built[0].validate()
+    assert report.witness[0] == () and report.witness[1], report
+    assert str(raised.value) == f"tensor square invalid: {report.detail}"
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)],
