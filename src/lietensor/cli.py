@@ -27,7 +27,7 @@ from typing import Optional
 from .catalog import (CATALOG_SUITE, MAX_AMBIENT, MAX_DIM, SUITE_FIELDS,
                       catalog, is_catalog_name, is_supported)
 from .errors import (InternalCheckError, InvalidInputError, NotNilpotentError,
-                     OutsideEnvelopeError, TheoremViolationError, Verdict)
+                     OutsideEnvelopeError, Verdict)
 from .fields import QQ, Field, field_from_descriptor
 from .freenilp import dimension_exceeds, free_nilpotent
 from .liealg import LieAlgebra, lie_algebra_from_brackets
@@ -251,12 +251,13 @@ def _subspace_rows(space) -> list:
 
 
 def info_document(L: LieAlgebra, source: str) -> dict:
-    report = L.validate()
     series = [s.dim for s in L.lower_central_series()]
     return {
         "command": "info",
         "input": _input_section(L, source),
-        "validation": report.detail,
+        # load_algebra reaches L only through catalog or
+        # parse_algebra_document, and each raises unless validate() passes.
+        "validation": "valid",
         "dimensions": {
             "algebra": L.dim,
             "derived": L.derived_subalgebra.dim,
@@ -344,14 +345,15 @@ def verify_document(L: LieAlgebra, source: str) -> dict:
     if not L.is_nilpotent:
         verdicts["cross_oracle"] = verdicts["cover"] = "skipped: not nilpotent"
     else:
-        # A failed check of either step fails the verdict; only
-        # presentation_of raises OutsideEnvelopeError.
+        # A self-check that either build raises fails the verdict, as a
+        # failed theorem verdict does; only presentation_of raises
+        # OutsideEnvelopeError.
         for key, build, verify in (
                 ("cross_oracle", presentation_of, verify_presentation_theorem),
                 ("cover", build_cover, verify_cover_theorem)):
             try:
                 verdicts[key] = _verdict_str(verify(build(L), T))
-            except (TheoremViolationError, InternalCheckError) as exc:
+            except InternalCheckError as exc:
                 verdicts[key] = _verdict_str(Verdict(False, str(exc)))
             except OutsideEnvelopeError as exc:
                 verdicts[key] = f"skipped: {exc}"
@@ -518,7 +520,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InvalidInputError, NotNilpotentError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except (TheoremViolationError, InternalCheckError) as exc:
+    except InternalCheckError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     if args.timings:

@@ -75,7 +75,8 @@ class Immutable:
 class Verdict(Immutable):
     """The result of a check: whether it passed, a detail for reports and
     messages, and a structured witness of what failed (an axiom kind with
-    its basis indices, or failing basis pairs and triples)."""
+    its basis indices, or failing basis pairs and triples) or, for a passing
+    theorem map, the map."""
 
     _fields = ("ok", "detail", "witness")
     _defaults = {"detail": "", "witness": None}

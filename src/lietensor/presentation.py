@@ -56,8 +56,11 @@ pi(c)^pi(c').  No step needs L nilpotent:
   onto; it kills [R,F], as R lands in the central ker pi; and
   dim C = dim L + dim M(L) = dim F/[R,F].
 
-Both routes end in theorem_map_verdict: their theorem map E -> L /\ L
-commutes with the commutator maps to L, so, being bijective, it carries
+Both routes are judged by theorem_map_verdict, from their ambient space
+(F' or A2), its relations ([R,F] or d3(A3)) and the pair of vectors of L
+whose wedge each ambient basis vector goes to.  The map must kill the
+relations, so that it descends to E -> L /\ L; it commutes with the
+commutator maps to L, so, once it is a bijective homomorphism, it carries
 R/[R,F] or ker pi, held on E, onto M(L).  The cover is the one second
 route to M(L) for an L no presentation sees.
 """
@@ -70,7 +73,7 @@ from itertools import combinations, compress
 
 from .catalog import MAX_AMBIENT
 from .errors import (Immutable, InternalCheckError, NotNilpotentError,
-                     OutsideEnvelopeError, TheoremViolationError, Verdict)
+                     OutsideEnvelopeError, Verdict)
 from .liealg import (BilinearMap, LieAlgebra, homomorphism_failure,
                      lie_algebra_from_brackets, quotient_by_ideal)
 from .linalg import Matrix, Subspace, add_scaled, combine, kernel, span
@@ -94,13 +97,16 @@ class FreePresentation(Immutable):
                 f"{self.free.algebra.dim}, relations dim {self.relations.dim})")
 
     @cached_property
-    def exterior_quotient(self) -> tuple[LieAlgebra, Matrix]:
-        """E = F'/[R,F] and the projection of F' onto it.  F' is F on its
-        positions d.., which hold every bracket (checked in presentation_of).
-        [R,F] is an ideal of F, as R is one and F satisfies Jacobi (module
-        docstring), hence of F', so E needs no validation (quotient_by_ideal)."""
-        return quotient_by_ideal(self.free.algebra, self.relations_commutator,
-                                 self.free.d)
+    def exterior_quotient(self) -> tuple[LieAlgebra, Matrix, Subspace]:
+        """E = F'/[R,F], the projection of F' onto it and the image of R
+        there, R/[R,F], held together as every reader of E reads R/[R,F]
+        too (theorem_map_verdict).  F' is F on its positions d.., which
+        hold every bracket (checked in presentation_of).  [R,F] is an ideal
+        of F, as R is one and F satisfies Jacobi (module docstring), hence
+        of F', so E needs no validation (quotient_by_ideal)."""
+        E, project = quotient_by_ideal(
+            self.free.algebra, self.relations_commutator, self.free.d)
+        return E, project, project.image_of(self.relations)
 
     @property
     def exterior(self) -> LieAlgebra:
@@ -110,8 +116,10 @@ class FreePresentation(Immutable):
 
 class Cover(Immutable):
     """C = V (+) E (module docstring): V at C's first d positions, E at the
-    free columns of boundaries; onto is pi, and multiplier its kernel, held
-    on E's coordinates, C's positions d.. shifted by -d.  Immutable."""
+    positions d.., one for each free column of boundaries, so C' = E is C
+    on those positions, read as F' is (verify_cover_theorem); onto is pi,
+    and multiplier its kernel, held on E's coordinates, C's positions d..
+    shifted by -d.  Immutable."""
 
     _fields = ("L", "algebra", "multiplier", "onto", "boundaries", "d")
 
@@ -204,69 +212,67 @@ def exterior_via_presentation(
         P: FreePresentation,
         tensor: TensorSquare) -> tuple[LieAlgebra, Matrix]:
     """The exterior square computed from the presentation, with the explicit
-    isomorphism onto the tensor engine's (_theorem_map).  Raises
-    TheoremViolationError if that map is not a bijective homomorphism."""
-    eps = _theorem_map(P, tensor)
-    _check_isomorphism(eps, P.exterior, tensor.exterior_square()[0])
-    return P.exterior, eps
+    isomorphism onto the tensor engine's, the witness of
+    verify_presentation_theorem.  Raises TheoremViolationError with that
+    verdict's detail unless it passes."""
+    from .errors import TheoremViolationError
+    verdict = verify_presentation_theorem(P, tensor)
+    if not verdict.ok:
+        raise TheoremViolationError(verdict.detail)
+    return P.exterior, verdict.witness
 
 
 def verify_presentation_theorem(P: FreePresentation,
                                 tensor: TensorSquare) -> Verdict:
-    """theorem_map_verdict on the map of exterior_via_presentation and
-    R/[R,F]; raises TheoremViolationError if the map does not kill [R,F]."""
-    return theorem_map_verdict(_theorem_map(P, tensor), P.exterior, tensor,
-                               multiplier_via_presentation(P))
-
-
-def _theorem_map(P: FreePresentation, tensor: TensorSquare) -> Matrix:
-    """E -> L /\\ L: on F', each composite Hall word goes to the wedge of
-    the images of its two factors; the map must kill [R,F]."""
-    wedge = tensor.exterior_pairing
+    """theorem_map_verdict on F' modulo [R,F], each composite Hall word
+    going to the wedge of the images of its two factors, and R/[R,F]."""
     F, onto = P.free, P.onto.sparse_columns
-    eps = P.relations_commutator.descend(
-        [wedge.apply_sparse(onto[u], onto[v]) for u, v in F.factors[F.d:]],
-        tensor.exterior_square()[0].dim)
-    if eps is None:
-        raise TheoremViolationError(
-            "wedge map does not kill the relation commutator")
-    return eps
+    return theorem_map_verdict(
+        P.L, P.relations_commutator,
+        [(onto[u], onto[v]) for u, v in F.factors[F.d:]], P.exterior, tensor,
+        multiplier_via_presentation(P))
 
 
-def theorem_map_verdict(eps: Matrix, source: LieAlgebra, tensor: TensorSquare,
+def theorem_map_verdict(L: LieAlgebra, relations: Subspace, pairs: list,
+                        source: LieAlgebra, tensor: TensorSquare,
                         multiplier: Subspace) -> Verdict:
-    """Whether a second engine's theorem map eps: source -> L /\\ L is a
-    bijective homomorphism carrying that engine's multiplier, given in
-    source's coordinates, onto the tensor engine's: being injective, it
-    does once the rows' images lie in M(L) and the dimensions agree."""
-    ext = tensor.exterior_square()[0]
-    try:
-        _check_isomorphism(eps, source, ext)
-    except TheoremViolationError as exc:
-        return Verdict(False, str(exc))
-    mult, cols = tensor.schur_multiplier(), eps.sparse_columns
+    """Whether a second engine's theorem map source -> L /\\ L is an
+    isomorphism that carries the engine's multiplier onto the tensor
+    engine's.  source is an ambient space modulo relations, on relations'
+    free columns; the map sends ambient basis vector r to the wedge of
+    pairs[r], read from tensor.exterior_pairing, and must kill relations.
+    multiplier is given in source's coordinates.  The witness of a passing
+    verdict is the map.
+
+    A bijective homomorphism f is an isomorphism: its inverse g needs no
+    check, as g[x,y] = g[fgx, fgy] = gf[gx, gy] = [gx, gy].  Being
+    injective, f carries the multiplier onto M(L) once the rows' images
+    lie in M(L) and the dimensions agree."""
+    if tensor.base != L:
+        return Verdict(False, "the tensor square is of another algebra")
+    ext, wedge = tensor.exterior_square()[0], tensor.exterior_pairing
+    eps = relations.descend([wedge.apply_sparse(x, y) for x, y in pairs],
+                            ext.dim)
+    if eps is None:
+        return Verdict(False, "the theorem map does not kill the relations")
+    # eps has ext.dim rows, so with source.dim columns it is bijective only
+    # if the two algebras have one dimension: no test of their own.
+    if eps.cols != source.dim or not eps.is_bijective():
+        return Verdict(False, f"map from dimension {source.dim} to "
+                              f"{ext.dim} is not bijective")
+    cols = eps.sparse_columns
+    bad = homomorphism_failure(cols, source, ext)
+    if bad is not None:
+        return Verdict(
+            False, "map is not a homomorphism at basis pair (%d,%d)" % bad)
+    mult = tensor.schur_multiplier()
     if multiplier.dim != mult.dim or any(
             mult.reduce_sparse(combine(row.items(), cols))
             for row in multiplier.sparse_rows):
         return Verdict(False, f"the theorem map does not carry the multiplier"
                               f" (dim {multiplier.dim}) onto M(L) ({mult.dim})")
-    return Verdict(True, f"derived dim {source.dim} = exterior dim {ext.dim}")
-
-
-def _check_isomorphism(f: Matrix, source: LieAlgebra, target: LieAlgebra):
-    """Assert that a linear map is a bijective homomorphism, hence an
-    isomorphism of Lie algebras.
-
-    Its inverse g needs no check of its own: g[x,y] = g[fgx, fgy] =
-    gf[gx, gy] = [gx, gy], using only that f is a bijective homomorphism.
-    """
-    if not f.is_bijective():
-        raise TheoremViolationError(f"map from dimension {source.dim} to "
-                                    f"{target.dim} is not bijective")
-    bad = homomorphism_failure(f.sparse_columns, source, target)
-    if bad is not None:
-        raise TheoremViolationError(
-            "map is not a homomorphism at basis pair (%d,%d)" % bad)
+    return Verdict(True, f"derived dim {source.dim} = exterior dim {ext.dim}",
+                   eps)
 
 
 def multiplier_via_presentation(P: FreePresentation) -> Subspace:
@@ -274,18 +280,7 @@ def multiplier_via_presentation(P: FreePresentation) -> Subspace:
     dimension is the Schur multiplier dimension.  R is held on F', and its
     image under the projection onto E is given in the coordinates of
     P.exterior."""
-    _, project = P.exterior_quotient
-    return project.image_of(P.relations)
-
-
-def _restrict(K: LieAlgebra, d: int) -> LieAlgebra:
-    """K on its positions d..dim K - 1, which must hold every bracket: its
-    one caller, verify_cover_theorem, first checks that K' has the pivots
-    d.., and LieAlgebra refuses an index below 0 all the same."""
-    cells = tuple({j - d: {k - d: x for k, x in cell.items()}
-                   for j, cell in row.items() if j >= d} for row in K.cells[d:])
-    return LieAlgebra(K.field, K.dim - d, cells,
-                      tuple(f"q{c + 1}" for c in range(K.dim - d)))
+    return P.exterior_quotient[2]
 
 
 def _wedge(n: int, one) -> list:
@@ -346,25 +341,19 @@ def build_cover(L: LieAlgebra) -> Cover:
 
 def verify_cover_theorem(cover: Cover, tensor: TensorSquare) -> Verdict:
     """C' is isomorphic to the exterior square of L's tensor square, through
-    x_i^x_j -> the cell (i, j) of tensor.exterior_pairing.  C' = E (module
-    docstring) is checked: C' has the pivots d..dim C - 1, so its
-    coordinates are those positions shifted by d, E's.  The map must kill
-    d3(A3), to be defined on E; theorem_map_verdict decides the rest, with
-    ker pi held on E."""
-    L, C, d = cover.L, cover.algebra, cover.d
-    wedge_alg, wedge = tensor.exterior_square()[0], tensor.exterior_pairing
-    derived = C.derived_subalgebra
-    if derived.dim != wedge_alg.dim:
-        return Verdict(False, f"dims differ: cover derived {derived.dim}, "
-                              f"exterior {wedge_alg.dim}")
-    if tensor.base != L:
-        return Verdict(False, "the tensor square is of another algebra")
-    if derived.pivots != tuple(range(d, C.dim)):
+    x_i^x_j -> x_i^x_j of tensor.exterior_pairing.  C' = E (module
+    docstring) is checked first: C' has the pivots d..dim C - 1, so it is
+    the span of those positions and holds every bracket of C; it is read
+    there, in E's coordinates, as F' is read, by quotient_by_ideal from d
+    modulo 0, an ideal of every algebra.  C is a Lie algebra by
+    build_cover's argument, so C' needs no validation.  theorem_map_verdict
+    decides the rest, on A2 modulo d3(A3), with ker pi held on E."""
+    L, C, d, one = cover.L, cover.algebra, cover.d, cover.L.field.one
+    if C.derived_subalgebra.pivots != tuple(range(d, C.dim)):
         return Verdict(False, "cover derived subalgebra is not the span of "
                               "its positions d..dim C - 1")
-    eps = cover.boundaries.descend(
-        [wedge.cells[i][j] for i, j in combinations(range(L.dim), 2)],
-        wedge_alg.dim)
-    if eps is None:
-        return Verdict(False, "the wedge map does not kill d3")
-    return theorem_map_verdict(eps, _restrict(C, d), tensor, cover.multiplier)
+    derived, _ = quotient_by_ideal(C, span(C.field, C.dim - d, ()), d)
+    return theorem_map_verdict(
+        L, cover.boundaries,
+        [({i: one}, {j: one}) for i, j in combinations(range(L.dim), 2)],
+        derived, tensor, cover.multiplier)

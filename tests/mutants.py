@@ -76,6 +76,9 @@ RESULT_BREAKING = [
         "                         if r is not relations.sparse_rows[0]"
         " or ad_g is not ad[0]))",
         "the first bracket [r, x] is left out of [R,X]"),
+    Row("swap-right-center", "src/lietensor/tensor.py",
+        "cells[j][i]", "cells[i][j]",
+        "the right tensor center reads the left slot"),
 ]
 
 

@@ -280,10 +280,17 @@ SHIFT = ("from .linalg import kernel, second_part\n"
 THEOREM = ("def _cross_oracle_verdict(L, T):\n"
            "    return T.schur_multiplier().dim\n"
            "def _cover_verdict(cover, T):\n"
-           "    _check_isomorphism(eps, cover.algebra, T.exterior_square()[0])\n"
-           "def theorem_map_verdict(eps, source, T, multiplier):\n"
-           "    _check_isomorphism(eps, source, T.exterior_square()[0])\n"
+           "    return eps.is_bijective()\n"
+           "def theorem_map_verdict(L, relations, pairs, source, T, m):\n"
+           "    ok = eps.is_bijective()\n"
            "    return T.schur_multiplier()\n")
+VIOLATION = ("from .errors import TheoremViolationError\n"
+             "class TheoremViolationError(AssertionError): pass\n"
+             "def verify_document(L, T):\n    try:\n        pass\n"
+             "    except (TheoremViolationError, InternalCheckError):\n"
+             "        pass\n"
+             "def exterior_via_presentation(P, T):\n"
+             "    raise TheoremViolationError(verdict.detail)\n")
 VALIDATE = ("def descended_algebra(space, classes, names):\n"
             "    quotient = LieAlgebra(space.field, 0, [], names)\n"
             "    return quotient if quotient.validate().ok else None\n"
@@ -397,19 +404,31 @@ RULES = {
                           "kernel:8: _second_part("],
          "linalg": ["P.exterior:4: _second_part("]}),
     "theorem-map": Rule(
-        "call", "_check_isomorphism|schur_multiplier",
-        ("tensor.*", "presentation.theorem_map_verdict",
-         "presentation.exterior_via_presentation"),
+        "call", "is_bijective|schur_multiplier",
+        ("tensor.*", "presentation.theorem_map_verdict"),
         "one verdict decides both second engines' theorem maps", THEOREM,
         {"cli": ["_cross_oracle_verdict:2: schur_multiplier(",
-                 "_cover_verdict:4: _check_isomorphism(",
-                 "theorem_map_verdict:6: _check_isomorphism(",
+                 "_cover_verdict:4: is_bijective(",
+                 "theorem_map_verdict:6: is_bijective(",
                  "theorem_map_verdict:7: schur_multiplier("],
          "presentation": ["_cross_oracle_verdict:2: schur_multiplier(",
-                          "_cover_verdict:4: _check_isomorphism("]}),
+                          "_cover_verdict:4: is_bijective("]}),
+    "theorem-violation": Rule(
+        "name", "TheoremViolationError",
+        ("errors.*", "presentation.exterior_via_presentation"),
+        "a failed theorem is a returned Verdict; only the presentation's "
+        "exterior square, whose callers want the map, raises one", VIOLATION,
+        {"cli": ["<module>:1: TheoremViolationError",
+                 "TheoremViolationError:2: TheoremViolationError",
+                 "verify_document:6: TheoremViolationError",
+                 "exterior_via_presentation:9: TheoremViolationError"],
+         "presentation": ["<module>:1: TheoremViolationError",
+                          "TheoremViolationError:2: TheoremViolationError",
+                          "verify_document:6: TheoremViolationError"],
+         "errors": []}),
     "validate": Rule(
         "call", "validate",
-        ("cli.parse_algebra_document", "cli.info_document", "catalog.catalog",
+        ("cli.parse_algebra_document", "catalog.catalog",
          "freenilp._integer_structure", "tensor.build_tensor_square"),
         "an algebra is validated once, where it is loaded or built; a "
         "quotient of one is valid by liealg.quotient_by_ideal, and T's "

@@ -18,11 +18,11 @@ from lietensor.cli import cover_document, verify_document
 from lietensor.errors import (InternalCheckError, NotNilpotentError,
                               OutsideEnvelopeError, TheoremViolationError)
 from lietensor.freenilp import FreeNilpotent
-from lietensor.liealg import homomorphism_failure, lie_algebra_from_brackets
-from lietensor.linalg import (Matrix, Subspace, add_scaled, combine, kernel,
+from lietensor.liealg import (homomorphism_failure, lie_algebra_from_brackets,
+                              quotient_by_ideal)
+from lietensor.linalg import (Subspace, add_scaled, combine, kernel,
                               subspace_intersect)
-from lietensor.presentation import (_check_isomorphism, _restrict, boundaries,
-                                    theorem_map_verdict)
+from lietensor.presentation import boundaries, theorem_map_verdict
 
 from support import (all_columns_commutator, basis, column, complement_cover,
                      corrupted_tables, dense_restriction_verdict,
@@ -197,13 +197,38 @@ def test_free_nilpotent_multiplier_closed_form():
 
 
 def test_cover_theorem_reports_dimension_mismatch():
-    # Feeding the cover of a different algebra must fail with a dimension
-    # diff in the verdict, not an exception.
+    # Feeding the cover of a different algebra must fail in the verdict,
+    # not with an exception: C' of abelian(2) has dimension 1, and the
+    # exterior square of heisenberg(1) has dimension 3.
     wrong_cover = build_cover(abelian(2))
     verdict = verify_cover_theorem(wrong_cover,
                                    build_tensor_square(heisenberg(1)))
-    assert not verdict.ok
-    assert "dims differ" in verdict.detail
+    assert verdict == Verdict(False, "the tensor square is of another algebra")
+
+
+def test_both_routes_reject_the_tensor_square_of_another_algebra():
+    # The theorem maps send basis vectors to wedges of vectors of L, read
+    # from the tensor square's pairing: from another algebra's, they index
+    # past its cells (abelian(2)) or land in an exterior square of the
+    # wrong dimension (heisenberg(2)).  Each route must say so, in the
+    # verdict and in the raise of exterior_via_presentation.
+    L = heisenberg(1)
+    P, cover = presentation_of(L), build_cover(L)
+    failed = Verdict(False, "the tensor square is of another algebra")
+    for other in (abelian(2), heisenberg(2)):
+        T = build_tensor_square(other)
+        assert verify_presentation_theorem(P, T) == failed, other
+        assert verify_cover_theorem(cover, T) == failed, other
+        with pytest.raises(TheoremViolationError) as raised:
+            exterior_via_presentation(P, T)
+        assert str(raised.value) == failed.detail, other
+
+
+def wedge_pairs(P: FreePresentation) -> list:
+    """The pairs of theorem_map_verdict on F': each composite Hall word
+    goes to the wedge of the images of its two factors."""
+    onto = P.onto.sparse_columns
+    return [(onto[u], onto[v]) for u, v in P.free.factors[P.free.d:]]
 
 
 def test_presentations_over_prime_fields():
@@ -218,23 +243,28 @@ def test_presentations_over_prime_fields():
         assert cover.algebra.dim == 5
 
 
-def test_isomorphism_check_catches_every_corrupted_target_constant():
-    # The check tests only the forward map; for a bijective map that pins
-    # down every structure constant of the target, so corrupting any single
-    # one must still raise.  The zero map is a homomorphism between any two
-    # algebras, so only the bijectivity test can reject it.
+def test_isomorphism_check_catches_every_corrupted_source_constant():
+    # theorem_map_verdict tests only the forward map; for a bijective map
+    # that pins down every structure constant of the source, so corrupting
+    # any single one must fail the verdict.  The zero map, from pairs of
+    # zero vectors, is a homomorphism between any two algebras and carries
+    # the multiplier into M(L), so only the bijectivity test can reject it.
     for L in (heisenberg(1), heisenberg(2)):
         P = presentation_of(L)
-        T = build_tensor_square(L)
-        ext, eps = exterior_via_presentation(P, T)
-        target = T.exterior_square()[0]
-        _check_isomorphism(eps, ext, target)
-        zero = Matrix(L.field, eps.rows, eps.cols, ({},) * eps.cols)
-        with pytest.raises(TheoremViolationError, match="is not bijective"):
-            _check_isomorphism(zero, ext, target)
-        for _, bad in corrupted_tables(target):
-            with pytest.raises(TheoremViolationError):
-                _check_isomorphism(eps, ext, bad)
+        T, ext, pairs = build_tensor_square(L), P.exterior, wedge_pairs(P)
+
+        def verdict(pairs, source):
+            return theorem_map_verdict(L, P.relations_commutator, pairs,
+                                       source, T, multiplier_via_presentation(P))
+
+        assert verdict(pairs, ext).witness.is_bijective(), L
+        assert verdict([({}, {})] * len(pairs), ext) == Verdict(
+            False, f"map from dimension {ext.dim} to {ext.dim} is not "
+                   f"bijective"), L
+        for _, bad in corrupted_tables(ext):
+            failed = verdict(pairs, bad)
+            assert not failed.ok and \
+                failed.detail.startswith("map is not a homomorphism"), L
 
 
 def test_presentation_checks_agree_with_the_bracket_loop_under_every_corruption(
@@ -322,7 +352,8 @@ def test_graded_constructions_match_the_generic_oracles():
         assert multiplier_via_presentation(P) == mult, L
         assert exterior_via_presentation(P, build_tensor_square(L))[0] == ext, L
         G, to_G = presentation_quotient(P)
-        assert P.exterior == _restrict(G, d), L
+        assert P.exterior == quotient_by_ideal(
+            G, linalg.span(G.field, G.dim - d, ()), d)[0], L
         image = to_G.image_of(R)
         assert multiplier_via_presentation(P) == Subspace(
             image.field, image.ambient_dim - d,
@@ -549,26 +580,6 @@ def test_cover_document_passes_on_every_valid_algebra(L):
         (L, verdicts)
 
 
-def test_cover_theorem_rejects_another_multiplier():
-    # On heisenberg(1), C' = E has dimension 3 and ker pi dimension 2.  A
-    # Cover whose multiplier is another plane of E passes every other step
-    # of verify_cover_theorem, so the multiplier comparison must reject it.
-    L = heisenberg(1)
-    cover, T = build_cover(L), build_tensor_square(L)
-    K, d = cover.algebra, cover.d
-    assert (K.dim - d, cover.multiplier.dim) == (3, 2)
-    assert verify_cover_theorem(cover, T).ok
-    one = L.field.one
-    planes = [linalg.span(L.field, K.dim - d, [{a: one}, {b: one}])
-              for a, b in combinations(range(K.dim - d), 2)]
-    others = [plane for plane in planes if plane != cover.multiplier]
-    assert others
-    for plane in others:
-        bad = Cover(L, K, plane, cover.onto, cover.boundaries, d)
-        verdict = verify_cover_theorem(bad, T)
-        assert not verdict.ok and "multiplier" in verdict.detail, plane
-
-
 def not_carried(bad, mult) -> Verdict:
     """theorem_map_verdict's verdict on a multiplier that its theorem map
     does not carry onto M(L)."""
@@ -579,24 +590,25 @@ def not_carried(bad, mult) -> Verdict:
 def test_cover_theorem_rejects_every_corruption_of_ker_pi():
     # verify_cover_theorem hands ker pi, held on E, to theorem_map_verdict,
     # whose theorem map must carry its rows onto M(L).  On covers of
+    # heisenberg(1), where E has dimension 3 and ker pi 2, of
     # heisenberg(1)+abelian(1) over Q and GF(3) and of one V x| <D> that is
-    # not nilpotent, ker pi is replaced by a subspace of E of its dimension
-    # other than ker pi, and by the span of all its rows but one.  Each must
-    # fail with the multiplier detail, not raise.
+    # not nilpotent, ker pi is replaced by each coordinate subspace of E of
+    # its dimension other than ker pi, and by the span of all its rows but
+    # one.  Each must fail with the multiplier detail, not raise.
     semidirect = random_semidirect(random.Random(3), 3)
     assert not semidirect.is_nilpotent
-    for L in (catalog("heisenberg(1)+abelian(1)"),
+    for L in (heisenberg(1), catalog("heisenberg(1)+abelian(1)"),
               catalog("heisenberg(1)+abelian(1)", GF(3)), semidirect):
         cover, T = build_cover(L), build_tensor_square(L)
         assert verify_cover_theorem(cover, T).ok, L
         K, d, ker, one = cover.algebra, cover.d, cover.multiplier, L.field.one
         rows, e = list(ker.sparse_rows), K.dim - d
         assert 0 < d and 0 < ker.dim < e, L
-        other = next(plane for plane in (
+        others = [plane for plane in (
             linalg.span(L.field, e, [{c: one} for c in cols])
-            for cols in combinations(range(e), ker.dim)) if plane != ker)
-        dropped = linalg.span(L.field, e, rows[1:])
-        for bad in (other, dropped):
+            for cols in combinations(range(e), ker.dim)) if plane != ker]
+        assert others, L
+        for bad in others + [linalg.span(L.field, e, rows[1:])]:
             corrupted = Cover(L, K, bad, cover.onto, cover.boundaries, d)
             assert verify_cover_theorem(corrupted, T) == \
                 not_carried(bad, T.schur_multiplier()), (L, bad)
@@ -614,7 +626,7 @@ def test_presentation_theorem_rejects_every_corruption_of_the_multiplier(
     mult, one = multiplier_via_presentation(P), L.field.one
     assert (P.exterior.dim, mult.dim) == (3, 2)
     assert verify_presentation_theorem(P, T).ok
-    _, eps = exterior_via_presentation(P, T)
+    pairs = wedge_pairs(P)
     planes = [linalg.span(L.field, 3, [{a: one}, {b: one}])
               for a, b in combinations(range(3), 2)]
     corrupted = [plane for plane in planes if plane != mult] + \
@@ -622,7 +634,8 @@ def test_presentation_theorem_rejects_every_corruption_of_the_multiplier(
     assert len(corrupted) == 3
     for bad in corrupted:
         failed = not_carried(bad, T.schur_multiplier())
-        assert theorem_map_verdict(eps, P.exterior, T, bad) == failed, bad
+        assert theorem_map_verdict(L, P.relations_commutator, pairs,
+                                   P.exterior, T, bad) == failed, bad
         monkeypatch.setattr(presentation, "multiplier_via_presentation",
                             lambda P, bad=bad: bad)
         assert verify_presentation_theorem(P, T) == failed, bad
@@ -643,31 +656,33 @@ def swapped(K: LieAlgebra, a: int, b: int) -> LieAlgebra:
 
 
 def test_the_wedge_map_must_kill_the_relation_commutator(monkeypatch):
-    # _theorem_map descends the wedge map from F' to F'/[R,F].  On
+    # theorem_map_verdict descends the wedge map from F' to F'/[R,F].  On
     # heisenberg(1), [R,F] = 0 in F' of dimension 3; with [R,F] widened to
     # the whole of F', the wedge map, which is not 0, does not kill it.
-    # verify reports that as the cross_oracle verdict.
+    # The verdict says so, exterior_via_presentation raises it, and verify
+    # reports it as the cross_oracle verdict.
     L = heisenberg(1)
     P, T = presentation_of(L), build_tensor_square(L)
     assert P.relations_commutator.dim == 0 and P.free.algebra.dim == 5
     wide = FreePresentation(L, P.free, P.onto, P.relations,
                             Subspace.full_space(L.field, 3))
-    message = "wedge map does not kill the relation commutator"
-    for route in (verify_presentation_theorem, exterior_via_presentation):
-        with pytest.raises(TheoremViolationError) as raised:
-            route(wide, T)
-        assert str(raised.value) == message
+    message = "the theorem map does not kill the relations"
+    assert verify_presentation_theorem(wide, T) == Verdict(False, message)
+    with pytest.raises(TheoremViolationError) as raised:
+        exterior_via_presentation(wide, T)
+    assert str(raised.value) == message
     monkeypatch.setattr(cli, "presentation_of", lambda L: wide)
     assert verify_document(L, "wide")["verdicts"]["cross_oracle"] == \
         f"fail: {message}"
 
 
 def test_each_early_branch_of_the_cover_theorem_fails_on_a_wrong_cover():
-    # verify_cover_theorem's three checks before theorem_map_verdict, on
-    # heisenberg(1): C has dimension 5 with V at positions 0, 1 and C' = E
-    # at 2..4.  A cover of L with x and y exchanged is of another algebra;
-    # C with positions 0 and 4 exchanged has C' off its positions d..; and
-    # with every pair in the boundaries, the wedge map does not kill them.
+    # verify_cover_theorem's pivot check and theorem_map_verdict's first
+    # two, on heisenberg(1): C has dimension 5 with V at positions 0, 1 and
+    # C' = E at 2..4.  A cover of L with x and y exchanged is of another
+    # algebra; C with positions 0 and 4 exchanged has C' off its positions
+    # d..; and with every pair in the boundaries, the wedge map does not
+    # kill them.
     L = heisenberg(1)
     cover, T = build_cover(L), build_tensor_square(L)
     C, d = cover.algebra, cover.d
@@ -682,7 +697,7 @@ def test_each_early_branch_of_the_cover_theorem_fails_on_a_wrong_cover():
          "cover derived subalgebra is not the span of its positions "
          "d..dim C - 1"),
         (Cover(L, C, cover.multiplier, cover.onto, pairs, d),
-         "the wedge map does not kill d3"),
+         "the theorem map does not kill the relations"),
     ]
     for bad, detail in cases:
         assert verify_cover_theorem(bad, T) == Verdict(False, detail), detail
@@ -729,7 +744,7 @@ def test_the_cover_rejects_an_algebra_that_breaks_jacobi():
 @given(valid_algebras())
 def test_facts_that_retained_checks_prove_hold_on_every_valid_algebra(L):
     # verify_decomposition, verify_j2_decomposition, verify_center_identity,
-    # build_cover, _restrict, presentation_of and liealg.quotient_by_ideal
+    # build_cover, presentation_of and liealg.quotient_by_ideal
     # do not check these facts, because a check they keep proves each one
     # (the arguments are written next to the code).  Here they are checked
     # directly: the restriction to the complement by a dense loop over

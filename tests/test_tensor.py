@@ -664,6 +664,10 @@ def test_theorem_verdicts_fail_on_a_corrupted_pairing():
     # cells, so one pure tensor x_i (x) x_j moved by a basis vector of T must
     # fail each.  In the last case the exterior center still lies in the
     # center, so that verdict fails through the intersection test alone.
+    # The left and right tensor centers agree on every T the build makes;
+    # with the cell (0, 4) of heisenberg(2) moved, the left one has
+    # dimension 1 and the right one 0, so the right one is checked there
+    # against the stacked adjoint of the right slot, entry by entry.
     cases = [("heisenberg(1)", (0, 2, 0), "verify_kernel_identity",
               "dim 2/3/2"),
              ("heisenberg(2)", (0, 4, 0), "verify_kernel_identity",
@@ -680,7 +684,15 @@ def test_theorem_verdicts_fail_on_a_corrupted_pairing():
         bad = TensorSquare(L, T.relation_space, T.algebra, BilinearMap(
             QQ, L.dim, T.dim, tuple(map(tuple, cells))))
         assert getattr(bad, check)() == Verdict(False, detail), (name, i, j, k)
+        if (name, i, j) == ("heisenberg(2)", 0, 4):
+            moved = bad
     assert L.center.contains_space(bad.exterior_center)
+    n = L.dim
+    rows = [[pure(moved, j, i)[c] for i in range(n)]
+            for j in range(n) for c in range(moved.dim)]
+    assert moved.tensor_center != moved.tensor_center_right
+    assert moved.tensor_center_right == \
+        kernel(matrix_from_rows(QQ, rows, cols=n))
 
 
 def with_views(T: TensorSquare, **views) -> TensorSquare:
