@@ -8,9 +8,10 @@ ranks and kernels over the rationals.
 from __future__ import annotations
 
 import random
+import sys
 from collections import namedtuple
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -385,44 +386,95 @@ def valid_algebras(draw):
 
 
 # ----------------------------------------------------------------------
-# the elimination observer: the one place outside linalg's unit tests and
-# the benchmark that patches SpanBuilder or reads its column set
+# the call recorder: the one way a test or a CI step watches the package's
+# calls, and the elimination log built on it
 # ----------------------------------------------------------------------
+
+Call = namedtuple("Call", "args kwargs result")
+
+
+class Calls(list):
+    """A recording's calls, one Call each, in the order they began; running
+    is the number of them in progress."""
+    running = 0
+
+
+@contextmanager
+def recording(owner, name: str, inside: Calls | None = None):
+    """Record each call of owner.<name> while the block runs.  owner is a
+    class, whose method or cached property is wrapped on it, or a lietensor
+    module, whose function is wrapped in every lietensor module that bound
+    it.  Yields Calls: each Call holds the positional arguments (self first
+    for a method), the keyword arguments and the result, which is None
+    until the call returns and if it raises.  With inside, another
+    recording's Calls, only the calls made while one of its calls runs are
+    recorded.  Every binding is restored on exit."""
+    calls = Calls()
+    if isinstance(owner, type):
+        original, bindings = owner.__dict__[name], [owner]
+    else:
+        original = getattr(owner, name)
+        bindings = [module for key, module in list(sys.modules.items())
+                    if key.partition(".")[0] == "lietensor"
+                    and vars(module).get(name) is original]
+    cached = isinstance(original, cached_property)
+    func = original.func if cached else original
+
+    def recorded(*args, **kwargs):
+        if inside is not None and not inside.running:
+            return func(*args, **kwargs)
+        index = len(calls)
+        calls.append(Call(args, kwargs, None))
+        calls.running += 1
+        try:
+            result = func(*args, **kwargs)
+        finally:
+            calls.running -= 1
+        calls[index] = Call(args, kwargs, result)
+        return result
+
+    wrapper = cached_property(recorded) if cached else recorded
+    if cached:
+        wrapper.__set_name__(owner, name)
+    for binding in bindings:
+        setattr(binding, name, wrapper)
+    try:
+        yield calls
+    finally:
+        for binding in bindings:
+            setattr(binding, name, original)
+
 
 Insert = namedtuple("Insert", "width vector pivot scanned")
 
 
 @contextmanager
-def elimination_log():
-    """Observe every span that linalg builds while the block runs.  Yields
-    a namespace with sizes, the number of vectors inserted into each span
-    in the order the spans were built, and inserts, one Insert per vector:
-    its span's ambient width, the vector, the pivot of its residual (None
-    when it reduces to 0 and the span does not grow) and scanned, whether
-    that pivot lies in the columns the stored rows can hold, the one case
-    in which SpanBuilder.insert runs its back-reduction scan.  The patches
-    are undone on exit."""
+def elimination_log(inside: Calls | None = None):
+    """Observe every span that linalg builds while the block runs, or, with
+    inside, while one of that recording's calls runs.  Filled on exit, the
+    namespace it yields holds sizes, the number of vectors inserted into
+    each span in the order the spans were built, and inserts, one Insert
+    per vector: its span's ambient width, the vector, the pivot of its
+    residual (None when the span does not grow) and scanned, whether that
+    pivot lies in the columns the stored rows can hold, the one case in
+    which SpanBuilder.insert runs its back-reduction scan.  The stored rows
+    change as later vectors go in, so both are read off a replay of each
+    span on a new builder; elimination is deterministic."""
     log = SimpleNamespace(sizes=[], inserts=[])
-    init, insert = SpanBuilder.__init__, SpanBuilder.insert
-
-    def observed_init(self, *args):
-        init(self, *args)
-        self.logged_as = len(log.sizes)
-        log.sizes.append(0)
-
-    def observed_insert(self, v):
-        out = self.reduce(v)
-        pivot = min(out) if out else None
-        log.sizes[self.logged_as] += 1
-        log.inserts.append(Insert(self.ambient_dim, v, pivot,
-                                  pivot in self._columns))
-        return insert(self, v)
-
-    SpanBuilder.__init__, SpanBuilder.insert = observed_init, observed_insert
-    try:
+    with recording(SpanBuilder, "__init__", inside) as spans, \
+            recording(SpanBuilder, "insert", inside) as inserts:
         yield log
-    finally:
-        SpanBuilder.__init__, SpanBuilder.insert = init, insert
+    replays = {id(call.args[0]): (k, SpanBuilder(*call.args[1:]))
+               for k, call in enumerate(spans)}
+    log.sizes = [0] * len(spans)
+    for (builder, v), _, _ in inserts:
+        k, replay = replays[id(builder)]
+        out = replay.reduce(v)
+        pivot = min(out) if out else None
+        log.sizes[k] += 1
+        log.inserts.append(Insert(replay.ambient_dim, v, pivot,
+                                  pivot in replay._columns))
+        replay.insert(v)
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +489,8 @@ def dense_bilinear(table, field, target_dim, u, v):
             for j, vj in enumerate(v):
                 if vj:
                     for k, c in enumerate(table[i][j]):
-                        acc[k] = acc[k] + ui * vj * c
+                        if c:
+                            acc[k] = acc[k] + ui * vj * c
     return tuple(acc)
 
 
@@ -558,17 +611,22 @@ def dense_validate(L: LieAlgebra) -> Verdict:
 
 def dense_homomorphism_failure(images, source: LieAlgebra, target: LieAlgebra):
     """First (i, j) in row-major order with f[x_i, x_j] != [f x_i, f x_j]."""
+    field, n = target.field, target.dim
+
     def f(v):
-        acc = [target.field.zero] * target.dim
+        acc = [field.zero] * n
         for k, c in enumerate(v):
-            for t, x in enumerate(images[k]):
-                acc[t] = acc[t] + c * x
+            if c:
+                for t, x in enumerate(images[k]):
+                    if x:
+                        acc[t] = acc[t] + c * x
         return tuple(acc)
 
-    sc = table(source)
+    sc, tc = table(source), table(target)
     for i in range(source.dim):
         for j in range(source.dim):
-            if f(sc[i][j]) != dense_bracket(target, images[i], images[j]):
+            if f(sc[i][j]) != dense_bilinear(tc, field, n, images[i],
+                                             images[j]):
                 return i, j
     return None
 

@@ -400,87 +400,62 @@ def test_an_invalid_catalog_algebra_is_a_verification_failure(monkeypatch,
     assert "verification failure: catalog algebra invalid" in captured.err
 
 
-def test_verify_builds_the_presentation_exterior_once_per_algebra(monkeypatch):
+def test_verify_builds_the_presentation_exterior_once_per_algebra():
     # The cross-oracle verdict reads the theorem map of the presentation,
     # and the cover verdict does not; verify --catalog builds and checks it
     # once for each nilpotent entry, through verify_presentation_theorem.
-    # The caches are cleared so that every presentation is built under the
-    # patch.
+    # The caches are cleared so that every presentation is built while
+    # recording.
     from collections import Counter
 
     from lietensor import catalog, cli, presentation
     from lietensor.catalog import CATALOG_SUITE, SUITE_FIELDS, is_supported
+    from support import recording
 
     nilpotent = [L for L in (catalog(name, field) for name in CATALOG_SUITE
                              for field in SUITE_FIELDS if is_supported(name, field))
                  if L.is_nilpotent]
-    built = []
-    original = presentation.verify_presentation_theorem
-
-    def counted(P, tensor):
-        built.append(P.L)
-        return original(P, tensor)
-
-    monkeypatch.setattr(cli, "verify_presentation_theorem", counted)
     presentation.presentation_of.cache_clear()
-    cli.catalog_document()
+    with recording(presentation, "verify_presentation_theorem") as built:
+        cli.catalog_document()
     assert len(nilpotent) == 44
-    assert Counter(built) == Counter(nilpotent)
+    assert Counter(args[0].L for args, _, _ in built) == Counter(nilpotent)
 
 
-def test_verify_computes_the_lower_central_series_once(monkeypatch):
+def test_verify_computes_the_lower_central_series_once():
     # verify used to compute the series three times on a nilpotent input,
-    # for is_nilpotent, presentation_of and build_cover.  Each computation
-    # starts from the full space, the one Subspace that liealg builds.
-    from lietensor import liealg, presentation
+    # for is_nilpotent, presentation_of and build_cover.
+    from lietensor import presentation
     from lietensor.cli import verify_document
-    from lietensor.linalg import Subspace
+    from lietensor.liealg import LieAlgebra
+    from support import recording
 
-    started = []
-    full_space = Subspace.full_space
-
-    class Counted(Subspace):
-        @classmethod
-        def full_space(cls, field, ambient_dim):
-            started.append(ambient_dim)
-            return full_space(field, ambient_dim)
-
-    monkeypatch.setattr(liealg, "Subspace", Counted)
     presentation.presentation_of.cache_clear()
     L = heisenberg(2)
-    doc = verify_document(L, "counted")
+    with recording(LieAlgebra, "_lower_central_series") as started:
+        doc = verify_document(L, "counted")
     assert doc["verdicts"]["cross_oracle"] == doc["verdicts"]["cover"] == "pass"
-    assert started == [L.dim]
+    assert [args for args, _, _ in started] == [(L,)]
     assert L.lower_central_series() is L.lower_central_series()
     assert [s.dim for s in L.lower_central_series()] == [5, 1, 0]
 
 
-def computations_during_verify(monkeypatch, name):
-    # Wraps the function of the cached property LieAlgebra.<name>, so that
-    # each computation is recorded with its algebra; a read that the cache
-    # answers runs no code to record.  Returns the records, heisenberg(2)
-    # and its verify document.
-    from functools import cached_property
-
+def computations_during_verify(name):
+    # Records each computation of the cached property LieAlgebra.<name>
+    # with its algebra and answer; a read that the cache answers runs no
+    # code to record.  Returns the records, heisenberg(2) and its verify
+    # document.
     from lietensor import presentation, tensor
     from lietensor.cli import verify_document
     from lietensor.liealg import LieAlgebra
+    from support import recording
 
-    calls = []
-    compute = LieAlgebra.__dict__[name].func
-
-    def traced(self):
-        calls.append((self, compute(self)))
-        return calls[-1][1]
-
-    counted = cached_property(traced)
-    counted.__set_name__(LieAlgebra, name)
-    monkeypatch.setattr(LieAlgebra, name, counted)
     tensor.build_tensor_square.cache_clear()
     presentation.presentation_of.cache_clear()
     L = heisenberg(2)
-    doc = verify_document(L, "counted")
-    return calls, L, doc
+    with recording(LieAlgebra, name) as calls:
+        doc = verify_document(L, "counted")
+    return [(args[0], result) for args, _, result in calls], L, doc
 
 
 def assert_one_answer_per_algebra(calls, L, name):
@@ -493,19 +468,19 @@ def assert_one_answer_per_algebra(calls, L, name):
     assert getattr(L, name) is getattr(L, name) is answer
 
 
-def test_verify_computes_the_derived_subalgebra_once_per_algebra(monkeypatch):
+def test_verify_computes_the_derived_subalgebra_once_per_algebra():
     # verify asks each algebra for L^2 many times (the abelianization, two
     # theorem checks, the report, the presentation, the cover and the
     # tensor build); every answer for one algebra must be the same object.
-    calls, L, doc = computations_during_verify(monkeypatch, "derived_subalgebra")
+    calls, L, doc = computations_during_verify("derived_subalgebra")
     assert doc["verdicts"]["cross_oracle"] == doc["verdicts"]["cover"] == "pass"
     assert_one_answer_per_algebra(calls, L, "derived_subalgebra")
 
 
-def test_verify_computes_the_center_once_per_algebra(monkeypatch):
+def test_verify_computes_the_center_once_per_algebra():
     # verify asks each algebra for its center in the report and in the
     # center identity; every answer for one algebra must be the same object.
-    calls, L, doc = computations_during_verify(monkeypatch, "center")
+    calls, L, doc = computations_during_verify("center")
     assert doc["verdicts"]["center_identity"] == "pass"
     assert_one_answer_per_algebra(calls, L, "center")
 

@@ -16,7 +16,7 @@ from lietensor.liealg import LieAlgebra
 from lietensor.linalg import span
 
 from support import (associative_commutator, dense_validate, free_envelope,
-                     hall_expansions, table)
+                     hall_expansions, recording, table)
 
 
 def test_mobius_against_sympy():
@@ -230,14 +230,13 @@ def test_layer_sizes_are_checked_against_witt_once_per_pair(monkeypatch):
     # The layer sizes depend on (d, c) alone, so _integer_structure checks
     # them once for every field: c calls to witt_dimension, and a wrong
     # Witt number is an internal error.
-    real, calls = freenilp.witt_dimension, []
-    monkeypatch.setattr(freenilp, "witt_dimension",
-                        lambda d, k: calls.append(k) or real(d, k))
+    real = freenilp.witt_dimension
     for cached in (free_nilpotent, _integer_structure):
         cached.cache_clear()
-    for field in (QQ, GF(2), GF(3)):
-        free_nilpotent(2, 3, field)
-    assert calls == [1, 2, 3]
+    with recording(freenilp, "witt_dimension") as calls:
+        for field in (QQ, GF(2), GF(3)):
+            free_nilpotent(2, 3, field)
+    assert [k for (_, k), _, _ in calls] == [1, 2, 3]
     monkeypatch.setattr(freenilp, "witt_dimension",
                         lambda d, k: real(d, k) + (k == 2))
     for cached in (free_nilpotent, _integer_structure):
@@ -308,7 +307,7 @@ BUILT_PAIRS = sorted({(d, c) for d in range(1, 5) for c in range(1, 5)}
 
 
 @pytest.mark.parametrize("d,c", BUILT_PAIRS, ids=lambda p: str(p))
-def test_each_distinct_integer_is_converted_once(d, c, monkeypatch):
+def test_each_distinct_integer_is_converted_once(d, c):
     # The cells over every field are the coefficient-by-coefficient
     # conversion of the integer table, zeros dropped; the Q algebra is the
     # one that _integer_structure validated; and _convert calls
@@ -324,13 +323,9 @@ def test_each_distinct_integer_is_converted_once(d, c, monkeypatch):
                        if field.scalar(x)})}
             for row in int_cells)
         assert free_nilpotent(d, c, field).algebra.cells == expected, field
-        calls = []
-        real = Field.scalar
-        monkeypatch.setattr(Field, "scalar",
-                            lambda self, x: calls.append(x) or real(self, x))
-        assert freenilp._convert(int_cells, field) == expected, field
-        monkeypatch.undo()
-        assert sorted(calls) == sorted(values), field
+        with recording(Field, "scalar") as calls:
+            assert freenilp._convert(int_cells, field) == expected, field
+        assert sorted(x for (_, x), _, _ in calls) == sorted(values), field
 
 
 @pytest.mark.parametrize("d,c", [(2, 3), (3, 2)])

@@ -493,13 +493,17 @@ def bilinear_cells(draw):
 def test_annihilator_is_the_kernel_of_the_stacked_map(case):
     # The dense stacked map has row j*m + k and column i holding entry k of
     # cell (i, j); sympy's null space of it never goes through the package.
+    # Each cell is read once.
     field, n, m, grid = case
     stacked = [[grid[i][j][k] for i in range(n)]
                for j in range(n) for k in range(m)]
     null = sympy_matrix(field, stacked, n).nullspace().to_list()
     oracle = support.span(field, n,
                           [[from_sympy(field, x) for x in r] for r in null])
-    got = annihilator(field, n, m, lambda i, j: sparse(grid[i][j]).items())
+    reads = []
+    got = annihilator(field, n, m, lambda i, j: reads.append((i, j))
+                      or sparse(grid[i][j]).items())
+    assert sorted(reads) == [(i, j) for i in range(n) for j in range(n)]
     assert got == oracle
     assert got == kernel(matrix_from_rows(field, stacked, cols=n))
 

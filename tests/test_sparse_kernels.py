@@ -29,7 +29,8 @@ from support import (Subalgebra, basis, cells_of,
                      corrupted_tables, dense_bracket,
                      dense_decomposition_verdict, dense_homomorphism_failure,
                      dense_is_lie_pairing, dense_subalgebra_table,
-                     dense_validate, elimination_log, matrix_from_rows, table)
+                     dense_validate, elimination_log, matrix_from_rows,
+                     recording, table)
 
 
 @st.composite
@@ -203,7 +204,7 @@ def test_decomposition_verdict_matches_the_dense_loops_under_every_corruption():
     assert "complement is not an ideal" in details
 
 
-def test_commutator_check_brackets_only_pairs_with_a_nonzero_side(monkeypatch):
+def test_commutator_check_brackets_only_pairs_with_a_nonzero_side():
     # A pair whose source cell is zero, and whose images meet in no nonzero
     # cell of the target, has two empty sides; the commutator map's
     # homomorphism check on heisenberg(2)'s tensor square must bracket only
@@ -212,21 +213,14 @@ def test_commutator_check_brackets_only_pairs_with_a_nonzero_side(monkeypatch):
     fresh = TensorSquare(T.base, T.relation_space, T.algebra, T.pairing)
     images = fresh._commutator.sparse_columns
     position = {id(image): j for j, image in enumerate(images)}
-    seen = []
-    real = LieAlgebra.bracket_sparse
-
-    def counted(self, u, v):
-        seen.append((self, u, v))
-        return real(self, u, v)
-
-    monkeypatch.setattr(LieAlgebra, "bracket_sparse", counted)
-    fresh.commutator_map
+    with recording(LieAlgebra, "bracket_sparse") as seen:
+        fresh.commutator_map
     cells, target = T.algebra.cells, T.base.cells
     expected = [(i, j) for i in range(T.dim) for j in range(T.dim)
                 if j in cells[i] or any(b in target[a] for a in images[i]
                                         for b in images[j])]
     assert [(position[id(u)], position[id(v)])
-            for K, u, v in seen if K is T.base] == expected
+            for (K, u, v), _, _ in seen if K is T.base] == expected
     both_nonzero = [(i, j) for i in range(T.dim) for j in range(T.dim)
                     if j in cells[i] or (images[i] and images[j])]
     assert len(expected) < len(both_nonzero) < T.dim ** 2
@@ -236,12 +230,12 @@ def test_commutator_check_brackets_only_pairs_with_a_nonzero_side(monkeypatch):
     H, one = heisenberg(1), QQ.one
     assert H.cells[0][1] == {2: one}
     images = [{0: one, 1: one}, {2: one}]
-    seen.clear()
-    assert homomorphism_failure(images, abelian(2), H) is None
-    assert [(u, v) for _, u, v in seen] == [(images[0], images[0])]
+    with recording(LieAlgebra, "bracket_sparse") as seen:
+        assert homomorphism_failure(images, abelian(2), H) is None
+    assert [args[1:] for args, _, _ in seen] == [(images[0], images[0])]
 
 
-def test_presentation_isomorphism_check_visits_fewer_pairs(monkeypatch):
+def test_presentation_isomorphism_check_visits_fewer_pairs():
     # The presentation engine's exterior square of free_nilpotent(3, 3) maps
     # onto the tensor engine's by a bijection, so every image is nonzero and
     # the rule "the cell or both images nonzero" visits every pair.  The
@@ -251,32 +245,18 @@ def test_presentation_isomorphism_check_visits_fewer_pairs(monkeypatch):
     T = build_tensor_square(L)
     P = presentation_of(L)
     target, _ = T.exterior_square()
-    checked = []
-    real = presentation.homomorphism_failure
-
-    def recorded(images, source, target_, rows=None):
-        checked.append((images, source, target_))
-        return real(images, source, target_, rows)
-
-    monkeypatch.setattr(presentation, "homomorphism_failure", recorded)
-    seen = []
-    real_bracket = LieAlgebra.bracket_sparse
-
-    def counted(self, u, v):
-        if self is target:
-            seen.append((u, v))
-        return real_bracket(self, u, v)
-
-    monkeypatch.setattr(LieAlgebra, "bracket_sparse", counted)
-    presentation.exterior_via_presentation(P, T)
-    monkeypatch.undo()
-    [(images, source, _)] = checked
+    T.commutator_map  # the tensor square's own check runs before recording
+    with recording(presentation, "homomorphism_failure") as checked, \
+            recording(LieAlgebra, "bracket_sparse") as brackets:
+        presentation.exterior_via_presentation(P, T)
+    [((images, source, _), _, _)] = checked
     assert source is P.exterior and all(images)
     cells = source.cells
     expected = [(images[i], images[j]) for i in range(source.dim)
                 for j in range(source.dim)
                 if j in cells[i] or any(b in target.cells[a]
                                         for a in images[i] for b in images[j])]
+    seen = [args[1:] for args, _, _ in brackets if args[0] is target]
     assert len(seen) == len(expected) < source.dim ** 2
     assert all(u is x and v is y for (u, v), (x, y) in zip(seen, expected))
 

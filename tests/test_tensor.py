@@ -14,16 +14,17 @@ from lietensor.errors import InternalCheckError, InvalidInputError
 from lietensor.freenilp import free_nilpotent
 from lietensor.liealg import (BilinearMap, LieAlgebra, bracket_pairing,
                               lie_algebra_from_brackets)
-from lietensor.linalg import (Matrix, Subspace, add_scaled, annihilator,
-                              dense, kernel, sparse, subspace_sum)
+from lietensor.linalg import (Matrix, Subspace, add_scaled, dense, kernel,
+                              sparse, subspace_sum)
 from lietensor.tensor import Abelianization, TensorSquare
 
 from support import (basis, basis_rows, bilinear_from_table, cells_of, column,
                      contains, corrupted_tables, dense_apply, dense_bilinear,
                      dense_residual, inverse, linear_map, matrix_from_rows,
                      pairing_table, random_nilpotent_quotient,
-                     random_semidirect, reduced_bracket_cells, select_columns,
-                     span, sympy_rank, symmetric_derived_vectors, table,
+                     random_semidirect, recording, reduced_bracket_cells,
+                     select_columns, span, sympy_rank,
+                     symmetric_derived_vectors, table,
                      tensor_relation_vectors, valid_algebras)
 
 
@@ -576,7 +577,10 @@ def test_characteristic_2_class_3():
         assert is_lie_pairing(T.pairing, L, T.algebra).ok
 
 
-def test_centers_are_cached_and_read_each_pure_tensor_once(monkeypatch):
+def test_centers_are_cached_and_read_each_pure_tensor_once():
+    # Each center is one call of annihilator, which reads each of its cells
+    # once (test_linalg.py); cell (i, j) is x_i (x) x_j, x_j (x) x_i or the
+    # wedge x_i ^ x_j.
     L = catalog("heisenberg(2)+abelian(1)")
     T = build_tensor_square.__wrapped__(L)
     n = L.dim
@@ -584,21 +588,18 @@ def test_centers_are_cached_and_read_each_pure_tensor_once(monkeypatch):
     readers = {"tensor_center": lambda i, j: pure(T, i, j),
                "tensor_center_right": lambda i, j: pure(T, j, i),
                "exterior_center": lambda i, j: proj.apply(pure(T, i, j))}
-    calls = []
-
-    def counted(field, n, m, cell):
-        return annihilator(field, n, m,
-                           lambda i, j: calls.append((i, j)) or cell(i, j))
-    monkeypatch.setattr(tensor, "annihilator", counted)
     for name, pure_of in readers.items():
         # the stacked adjoint, entry by entry, as the kernel's definition
         rows = [[pure_of(i, j)[c] for i in range(n)]
                 for j in range(n) for c in range(len(pure_of(0, 0)))]
         expected = kernel(matrix_from_rows(L.field, rows, cols=n))
-        calls.clear()
-        first = getattr(T, name)
-        assert sorted(calls) == sorted(set(calls)) and len(calls) == n * n, name
-        assert getattr(T, name) is first and first == expected, name
+        with recording(tensor, "annihilator") as calls:
+            first = getattr(T, name)
+            assert getattr(T, name) is first, name
+        [((_, dim, _, cell), _, result)] = calls
+        assert result is first and first == expected and dim == n, name
+        assert all(dict(cell(i, j)) == sparse(pure_of(i, j))
+                   for i in range(n) for j in range(n)), name
     assert T.tensor_center.dim == T.exterior_center.dim == 1
     assert tensor_report(T).subspaces["tensor_center"] is T.tensor_center
 
@@ -787,7 +788,7 @@ def test_the_build_rejects_a_tensor_square_that_fails_jacobi(monkeypatch):
     # starts in degree 5, so free_nilpotent(2, 5) is the least of them whose
     # quotient breaks Jacobi, and the build must say where.
     L = free_nilpotent(2, 5).algebra
-    n, real_span, built = L.dim, tensor.span, []
+    n, real_span = L.dim, tensor.span
 
     def symmetric_only(field, width, vectors):
         if width == n * n:
@@ -795,16 +796,11 @@ def test_the_build_rejects_a_tensor_square_that_fails_jacobi(monkeypatch):
                 v.get(b % n * n + b // n) == x for b, x in v.items())]
         return real_span(field, width, vectors)
 
-    def kept(*args):
-        built.append(descended(*args))
-        return built[-1]
-
-    descended = tensor.descended_algebra
     monkeypatch.setattr(tensor, "span", symmetric_only)
-    monkeypatch.setattr(tensor, "descended_algebra", kept)
-    with pytest.raises(InternalCheckError) as raised:
+    with recording(tensor, "descended_algebra") as built, \
+            pytest.raises(InternalCheckError) as raised:
         build_tensor_square.__wrapped__(L)
-    report = built[0].validate()
+    report = built[0].result.validate()
     assert report.witness[0] == () and report.witness[1], report
     assert str(raised.value) == f"tensor square invalid: {report.detail}"
 
